@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test vet bench experiments examples clean
+.PHONY: all build check test vet bench perf experiments examples clean
 
 all: build check
 
@@ -27,9 +27,11 @@ test:
 # sender-local state, so their equivalence proofs are gate-level (fwdbatch=0
 # byte-identity rides on the goldens and TestShard1MatchesDirect). The
 # fan-out and completion-train benchmarks run one iteration as smokes
-# against bit-rot.
+# against bit-rot, as does the cluster-construction benchmark. bench/ is a
+# module of its own (the repo benchmark), so its smoke tests run from there.
 check: vet
 	$(GO) test -race ./...
+	(cd bench && $(GO) test .)
 	$(GO) test -race ./internal/cluster/ -run 'TestNICFastPathDifferential|TestNICFastPathEventReduction'
 	$(GO) test -race ./internal/cluster/ -run 'TestFanoutFusionDifferential|TestFanoutFusionEventReduction'
 	$(GO) test -race ./internal/cluster/ -run 'TestDevTrainDifferential|TestDevTrainEventReduction'
@@ -38,6 +40,7 @@ check: vet
 	$(GO) test -race ./internal/cluster/ -run 'TestHotSketchGoldenSeed|TestP2CSpreadDeterministic'
 	$(GO) test -run='^$$' -bench BenchmarkBroadcastFanout -benchtime=1x .
 	$(GO) test -run='^$$' -bench BenchmarkNVMCompletionTrain -benchtime=1x .
+	$(GO) test -run='^$$' -bench BenchmarkClusterNew -benchtime=1x -benchmem .
 	$(GO) run ./cmd/ddpbench -exp capacity -quick > /dev/null
 	$(GO) run ./cmd/ddpbench -exp capacity -quick -shards 4 > /dev/null
 	$(GO) run ./cmd/ddpbench -exp scaling -quick > /dev/null
@@ -46,6 +49,11 @@ check: vet
 # One testing.B benchmark per paper table/figure plus engine micro-benches.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repo benchmark (BENCHMARK.json): host cost and simulated results of the
+# four pinned workloads, end to end and per layer. See bench/README.md.
+perf:
+	bash bench/run.sh
 
 # Regenerate every table and figure at paper scale (takes tens of minutes
 # on one core; add -quick for a smoke run).

@@ -119,6 +119,37 @@ func BenchmarkShardedCell(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterNew measures construction alone — the cost every cell pays
+// before its first event — on the paper's flat 5x20 cell and on the scaling
+// study's largest one (160 nodes = 32 shards x rf 5, 20 clients per server).
+// Run with -benchmem: B/op is the footprint a fresh cluster holds.
+func BenchmarkClusterNew(b *testing.B) {
+	flat := cluster.Config{
+		Model:    core.Model{C: core.Linearizable, P: core.Synchronous},
+		Workload: ycsb.WorkloadA,
+		Params:   params.Default(),
+		Seed:     1,
+	}
+	big := flat
+	big.Params.Servers = 160
+	big.Shards = 32
+	for _, c := range []struct {
+		name string
+		cfg  cluster.Config
+	}{{"flat5x20", flat}, {"160x20-shards32", big}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cl, err := cluster.New(c.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cl.Close()
+			}
+		})
+	}
+}
+
 // groupImbalance mirrors the harness metric: max/mean executed ops across
 // the replicas of the busiest shard's group — the coordinator concentration
 // that load-aware placement and replica reads attack.

@@ -268,7 +268,7 @@ type nodeState struct {
 
 	readHist  stats.Histogram
 	writeHist stats.Histogram
-	scopeHist stats.Histogram
+	scopeHist *stats.Histogram // allocated by the first recordScope
 
 	writeLog []WriteRecord
 	readLog  []ReadRecord
@@ -290,6 +290,9 @@ func (ns *nodeState) recordWrite(lat int64) {
 
 func (ns *nodeState) recordScope(lat int64) {
 	if ns.measuring {
+		if ns.scopeHist == nil {
+			ns.scopeHist = new(stats.Histogram)
+		}
 		ns.scopeHist.Record(lat)
 	}
 }
@@ -405,7 +408,7 @@ func (cfg Config) Validate() error {
 	if err := cfg.Params.Validate(); err != nil {
 		return err
 	}
-	if _, err := engines.New(cfg.Engine); err != nil {
+	if err := engines.Known(cfg.Engine); err != nil {
 		return err
 	}
 	if cfg.Params.Groups > 1 &&
@@ -534,14 +537,24 @@ func New(cfg Config) (*Cluster, error) {
 	rng := sim.NewRNG(cfg.Seed ^ 0xddf0ddf0)
 
 	rf := p.Servers // replicas per shard group
+	var owned []protocol.KeyIndex
 	if cfg.Shards > 0 {
 		rf = p.Servers / cfg.Shards
 		c.ring = newRing(cfg.Shards, rf)
+		if cfg.Shards > 1 {
+			owned = protocol.PartitionKeys(p.Keys, cfg.Shards, c.ring.owner)
+		}
 	}
 	for i := 0; i < p.Servers; i++ {
 		eng := c.nodes[i].eng
-		vol, _ := engines.New(cfg.Engine)
-		img, _ := engines.New(cfg.Engine)
+		vol, err := engines.New(cfg.Engine)
+		if err != nil {
+			return nil, err
+		}
+		img, err := engines.New(cfg.Engine)
+		if err != nil {
+			return nil, err
+		}
 		nvmCfg := nvm.NVMConfig(p.NVMReadLat, p.NVMWriteLat, p.NVMChannels, p.NVMBanks)
 		nvmCfg.NoTrain = cfg.NoDevTrain
 		dev := nvm.New(eng, nvmCfg)
@@ -549,9 +562,13 @@ func New(cfg Config) (*Cluster, error) {
 		c.Devices = append(c.Devices, dev)
 		c.Workers = append(c.Workers, workers)
 		var member protocol.Membership
+		var keys *protocol.KeyIndex
 		if cfg.Shards > 0 {
 			base := (i / rf) * rf
 			member = protocol.Membership{Base: base, Size: rf, Rank: i - base}
+			if owned != nil {
+				keys = &owned[i/rf]
+			}
 		}
 		c.Replicas = append(c.Replicas, protocol.NewReplica(i, protocol.Deps{
 			Eng:        eng,
@@ -564,6 +581,7 @@ func New(cfg Config) (*Cluster, error) {
 			Vol:        vol,
 			Img:        img,
 			Member:     member,
+			Keys:       keys,
 			Trace:      tracer,
 			AtomicRefs: useLP,
 		}))
@@ -595,6 +613,10 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 
+	// One key chooser for the whole cluster: it is immutable (every draw
+	// takes the drawing stream's own RNG), so sharing it changes no stream
+	// and is safe across LP workers.
+	kc := ycsb.NewZipfian(p.Keys, p.ZipfTheta)
 	if cfg.Arrivals != nil {
 		// Open loop: one source per node carrying an even share of the
 		// cluster-wide offered rate, each with its own forked arrival and
@@ -602,7 +624,6 @@ func New(cfg Config) (*Cluster, error) {
 		spec := *cfg.Arrivals
 		spec.RatePerSec /= float64(p.Servers)
 		for n := 0; n < p.Servers; n++ {
-			kc := ycsb.NewZipfian(p.Keys, p.ZipfTheta)
 			gen := ycsb.NewGenerator(cfg.Workload, kc, rng.Fork())
 			arr, err := ycsb.NewArrivals(spec, rng.Fork())
 			if err != nil {
@@ -625,7 +646,6 @@ func New(cfg Config) (*Cluster, error) {
 	id := 0
 	for n := 0; n < p.Servers; n++ {
 		for k := 0; k < p.ClientsPerServer; k++ {
-			kc := ycsb.NewZipfian(p.Keys, p.ZipfTheta)
 			gen := ycsb.NewGenerator(cfg.Workload, kc, rng.Fork())
 			cl := newClient(id, c, c.nodes[n], c.Replicas[n], gen, rng.Fork())
 			if c.ring != nil {
@@ -679,7 +699,9 @@ func (c *Cluster) Collect(window int64, wall time.Duration) *Result {
 	for _, ns := range c.nodes {
 		res.ReadHist.Merge(&ns.readHist)
 		res.WriteHist.Merge(&ns.writeHist)
-		res.ScopeHist.Merge(&ns.scopeHist)
+		if ns.scopeHist != nil {
+			res.ScopeHist.Merge(ns.scopeHist)
+		}
 		res.Writes = append(res.Writes, ns.writeLog...)
 		res.Reads = append(res.Reads, ns.readLog...)
 	}

@@ -38,25 +38,35 @@ type Engine interface {
 	OpCost() float64
 }
 
-// New constructs an engine by name. Supported names: "hashtable", "map"
-// (skiplist), "btree", "bplustree", "memcache".
-func New(name string) (Engine, error) {
-	switch name {
-	case "hashtable", "":
-		return NewHashTable(), nil
-	case "map", "skiplist":
-		return NewSkipList(), nil
-	case "btree":
-		return NewBTree(), nil
-	case "bplustree":
-		return NewBPlusTree(), nil
-	case "memcache", "memcached":
-		return NewMemcache(64 << 20), nil
-	case "walstore", "wal":
-		return NewWALStore(), nil
-	default:
-		return nil, fmt.Errorf("engines: unknown engine %q", name)
+// constructors maps every accepted engine name to its constructor.
+var constructors = map[string]func() Engine{
+	"":          func() Engine { return NewHashTable() },
+	"hashtable": func() Engine { return NewHashTable() },
+	"map":       func() Engine { return NewSkipList() },
+	"skiplist":  func() Engine { return NewSkipList() },
+	"btree":     func() Engine { return NewBTree() },
+	"bplustree": func() Engine { return NewBPlusTree() },
+	"memcache":  func() Engine { return NewMemcache(64 << 20) },
+	"memcached": func() Engine { return NewMemcache(64 << 20) },
+	"walstore":  func() Engine { return NewWALStore() },
+	"wal":       func() Engine { return NewWALStore() },
+}
+
+// Known reports whether New accepts name, without building an engine.
+func Known(name string) error {
+	if _, ok := constructors[name]; !ok {
+		return fmt.Errorf("engines: unknown engine %q", name)
 	}
+	return nil
+}
+
+// New constructs an engine by name. Supported names: "hashtable" (also ""),
+// "map" (skiplist), "btree", "bplustree", "memcache", "walstore".
+func New(name string) (Engine, error) {
+	if err := Known(name); err != nil {
+		return nil, err
+	}
+	return constructors[name](), nil
 }
 
 // Names lists the supported engine names, in the order the paper mentions

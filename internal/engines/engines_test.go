@@ -32,8 +32,16 @@ func TestNewByName(t *testing.T) {
 			t.Fatalf("New(%q).Name() = %q", name, e.Name())
 		}
 	}
-	if _, err := New("nope"); err == nil {
-		t.Fatal("unknown engine did not error")
+	// Known answers for every name New does, aliases included, without
+	// building anything.
+	for _, name := range append(Names(), "", "skiplist", "memcached", "wal") {
+		if err := Known(name); err != nil {
+			t.Fatalf("Known(%q): %v", name, err)
+		}
+	}
+	_, newErr := New("nope")
+	if knownErr := Known("nope"); newErr == nil || knownErr == nil || newErr.Error() != knownErr.Error() {
+		t.Fatalf("unknown engine: New says %v, Known says %v; want the same error", newErr, knownErr)
 	}
 	if e, err := New(""); err != nil || e.Name() != "hashtable" {
 		t.Fatalf("default engine = %v, %v", e, err)

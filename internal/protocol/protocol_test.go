@@ -391,7 +391,7 @@ func TestTransactionCommitFlow(t *testing.T) {
 			if r.PersistedVersion(k).IsZero() {
 				t.Fatalf("replica %d: txn write %d not persisted at ENDX under Synchronous", i, k)
 			}
-			if r.keys[k].lockTxn != 0 {
+			if r.keys.at(k).lockTxn != 0 {
 				t.Fatalf("replica %d: lock leaked on key %d", i, k)
 			}
 		}
@@ -435,7 +435,7 @@ func TestTransactionConflictSquashes(t *testing.T) {
 	}
 	// Conflict-window locks must be fully released.
 	for i, r := range tc.reps {
-		if r.keys[20].lockTxn != 0 {
+		if r.keys.at(20).lockTxn != 0 {
 			t.Fatalf("replica %d: lock leaked", i)
 		}
 	}

@@ -52,6 +52,11 @@ type Deps struct {
 	// causal vector clocks stay group-scoped.
 	Member Membership
 
+	// Keys, when non-nil, is the index of the keys Member's shard owns: the
+	// replica then holds per-key state for those keys only. Nil (the flat
+	// group, where every replica sees every key) keeps one slot per key.
+	Keys *KeyIndex
+
 	// Trace, when non-nil, receives a description of every protocol action
 	// at this replica (see internal/trace). Nil disables tracing.
 	Trace func(node int, what string)
@@ -161,7 +166,7 @@ type Replica struct {
 	M Metrics
 
 	lamport uint64
-	keys    []keyState
+	keys    keyTable
 	pending map[Stamp]*pendingWrite
 
 	// Causal consistency state. waiting indexes the reorder buffer by the
@@ -286,7 +291,7 @@ type ablationDone struct{ r *Replica }
 func (a *ablationDone) OnEvent(tok uint64) {
 	r := a.r
 	rec := r.freePev(tok)
-	ks := &r.keys[rec.key]
+	ks := r.keys.at(rec.key)
 	if rec.st > ks.persisted {
 		ks.persisted = rec.st
 		r.img.Put(rec.key, engines.Item{Value: r.sharedVal, Version: uint64(rec.st)})
@@ -333,7 +338,7 @@ func NewReplica(id int, d Deps) *Replica {
 		dev:          d.NVM,
 		vol:          d.Vol,
 		img:          d.Img,
-		keys:         make([]keyState, d.P.Keys),
+		keys:         newKeyTable(d.P.Keys, d.Keys),
 		pending:      make(map[Stamp]*pendingWrite),
 		appliedVC:    vclock.New(mem.Size),
 		waiting:      make([]map[uint64][]bufferedUpd, mem.Size),
@@ -381,10 +386,20 @@ func (r *Replica) VolatileStore() engines.Engine { return r.vol }
 func (r *Replica) PersistedStore() engines.Engine { return r.img }
 
 // VisibleVersion returns the stamp of key's current visible version.
-func (r *Replica) VisibleVersion(key uint64) Stamp { return r.keys[key].visible }
+func (r *Replica) VisibleVersion(key uint64) Stamp {
+	if ks := r.keys.find(key); ks != nil {
+		return ks.visible
+	}
+	return 0
+}
 
 // PersistedVersion returns the stamp of key's latest persisted version.
-func (r *Replica) PersistedVersion(key uint64) Stamp { return r.keys[key].persisted }
+func (r *Replica) PersistedVersion(key uint64) Stamp {
+	if ks := r.keys.find(key); ks != nil {
+		return ks.persisted
+	}
+	return 0
+}
 
 // BufferLen returns the current causal reorder-buffer length.
 func (r *Replica) BufferLen() int { return r.bufCount }
@@ -638,7 +653,7 @@ func (r *Replica) dispatch(from int, p payload) {
 // applyVisible installs (key, st) as the visible version if newer and
 // returns whether it did.
 func (r *Replica) applyVisible(key uint64, st Stamp) bool {
-	ks := &r.keys[key]
+	ks := r.keys.at(key)
 	if st <= ks.visible {
 		return false
 	}
@@ -656,7 +671,7 @@ func (r *Replica) applyVisible(key uint64, st Stamp) bool {
 // no new device write is issued — done just joins the in-flight completion.
 // The NVM image and the persisted stamp advance monotonically.
 func (r *Replica) persist(key uint64, st Stamp, done func()) {
-	ks := &r.keys[key]
+	ks := r.keys.at(key)
 	if r.p.NoPersistCoalescing {
 		// Ablation: one device write per update, no write-back batching.
 		r.M.Persists++
@@ -686,7 +701,7 @@ func (r *Replica) persist(key uint64, st Stamp, done func()) {
 // completion it fires covered callbacks and writes back again if the key
 // got dirtier meanwhile.
 func (r *Replica) issuePersist(key uint64, st Stamp) {
-	ks := &r.keys[key]
+	ks := r.keys.at(key)
 	ks.persistInFlight = true
 	ks.dirtyStamp = st
 	ks.issuedStamp = st
@@ -708,7 +723,7 @@ func (pd *persistDone) OnEvent(key uint64) { pd.r.writeBackDone(key) }
 // the persisted stamp and NVM image, fire covered callbacks, wake stalled
 // readers, and write back again if the key got dirtier meanwhile.
 func (r *Replica) writeBackDone(key uint64) {
-	ks := &r.keys[key]
+	ks := r.keys.at(key)
 	st := ks.issuedStamp
 	ks.persistInFlight = false
 	if st > ks.persisted {
@@ -839,7 +854,7 @@ func (op *readOp) OnEvent(uint64) {
 	if r.tracer != nil {
 		r.trace("RD k%d", key)
 	}
-	ks := &r.keys[key]
+	ks := r.keys.at(key)
 	if ks.persisted < ks.visible {
 		r.M.PersistConflictReads++
 	}
@@ -859,7 +874,7 @@ func (op *readOp) complete(st Stamp) {
 // readAttempt applies the model's read-stall rules, re-arming itself as a
 // waiter until every rule passes, then completes the read.
 func (r *Replica) readAttempt(key uint64, start int64, stalled bool, done func(Stamp)) {
-	ks := &r.keys[key]
+	ks := r.keys.at(key)
 
 	if r.vis.readBlocked(r, ks) {
 		if !stalled {

@@ -208,7 +208,7 @@ func (r *Replica) commitVAL(txn uint64) {
 // commitTxnVersions promotes the transaction's writes to committed-visible.
 func (r *Replica) commitTxnVersions(tx *txnState) {
 	for _, w := range tx.writeKeys {
-		if ks := &r.keys[w.key]; w.stamp > ks.committed {
+		if ks := r.keys.at(w.key); w.stamp > ks.committed {
 			ks.committed = w.stamp
 		}
 	}
@@ -264,8 +264,8 @@ func (r *Replica) onABORTX(p payload) {
 // ended or aborted).
 func (r *Replica) clearTxnLocks(tx *txnState) {
 	for _, w := range tx.writeKeys {
-		if r.keys[w.key].lockTxn == tx.id {
-			r.keys[w.key].lockTxn = 0
+		if r.keys.at(w.key).lockTxn == tx.id {
+			r.keys.at(w.key).lockTxn = 0
 		}
 	}
 	tx.writeKeys = nil

@@ -27,7 +27,7 @@ func (r *Replica) txnWriteAttempt(key uint64, scope, txn uint64, done func(Stamp
 	if tx == nil || tx.status != txnActive {
 		return // transaction already aborted; client will retry
 	}
-	ks := &r.keys[key]
+	ks := r.keys.at(key)
 	if ks.lockTxn != 0 && ks.lockTxn != txn {
 		tx.conflicted = true
 		r.squash(tx)
@@ -44,7 +44,7 @@ func (r *Replica) txnWriteAttempt(key uint64, scope, txn uint64, done func(Stamp
 // may gate the broadcast on a persist — Strict).
 func (r *Replica) strongWrite(key uint64, scope, txn uint64, done func(Stamp)) {
 	st := r.nextStamp()
-	ks := &r.keys[key]
+	ks := r.keys.at(key)
 
 	pw := &pendingWrite{
 		key:        key,
@@ -91,7 +91,7 @@ func (r *Replica) launchStrongWrite(pw *pendingWrite, key uint64, st Stamp, scop
 // releaseTxnWriteLock ends a transactional write's conflict-detection
 // window once the write has been applied everywhere.
 func (r *Replica) releaseTxnWriteLock(key uint64) {
-	r.keys[key].lockTxn = 0
+	r.keys.at(key).lockTxn = 0
 }
 
 // onINV handles an invalidation at a follower: the visibility policy does
@@ -103,7 +103,7 @@ func (r *Replica) onINV(from int, p payload) {
 		r.forwardChain(p)
 		from = p.Stamp.Node() // ACKs go to the write's coordinator
 	}
-	ks := &r.keys[p.Key]
+	ks := r.keys.at(p.Key)
 	if !r.vis.onInvReceive(r, ks, from, p) {
 		return // transactional write-write conflict: NACKed
 	}
@@ -167,7 +167,7 @@ func (r *Replica) validate(pw *pendingWrite, kind MsgKind) {
 	}
 	pw.valSent = true
 	r.broadcast(payload{Kind: kind, Key: pw.key, Stamp: pw.stamp})
-	ks := &r.keys[pw.key]
+	ks := r.keys.at(pw.key)
 	delete(ks.transC, pw.stamp)
 	if !r.dur.tracksTransP() {
 		r.wakeConsWaiters(ks)
@@ -177,7 +177,7 @@ func (r *Replica) validate(pw *pendingWrite, kind MsgKind) {
 // validateP broadcasts VAL_p and clears both transient sets locally.
 func (r *Replica) validateP(pw *pendingWrite) {
 	r.broadcast(payload{Kind: MsgVALp, Key: pw.key, Stamp: pw.stamp})
-	ks := &r.keys[pw.key]
+	ks := r.keys.at(pw.key)
 	delete(ks.transC, pw.stamp)
 	delete(ks.transP, pw.stamp)
 	r.wakeConsWaiters(ks)
@@ -209,7 +209,7 @@ func (r *Replica) onVAL(p payload) {
 		r.commitVAL(p.Txn)
 		return
 	}
-	ks := &r.keys[p.Key]
+	ks := r.keys.at(p.Key)
 	delete(ks.transC, p.Stamp)
 	if len(ks.transC) == 0 && (!r.dur.tracksTransP() || len(ks.transP) == 0) {
 		r.wakeConsWaiters(ks)
@@ -221,7 +221,7 @@ func (r *Replica) onVALp(p payload) {
 	if p.Scope != 0 {
 		return // scope VAL_p carries no per-key state
 	}
-	ks := &r.keys[p.Key]
+	ks := r.keys.at(p.Key)
 	delete(ks.transC, p.Stamp)
 	delete(ks.transP, p.Stamp)
 	if len(ks.transC) == 0 && len(ks.transP) == 0 {

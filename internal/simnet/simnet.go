@@ -264,12 +264,7 @@ func newNetwork(engs []*sim.Engine, cfg Config) *Network {
 	}
 	for i := range n.tx {
 		n.tx[i].byKind = make([]uint64, kinds)
-		n.tx[i].rel.rings = make([]relRing, cfg.Nodes)
-		n.tx[i].rel.headTs = make([]int64, cfg.Nodes)
-		for d := range n.tx[i].rel.headTs {
-			n.tx[i].rel.headTs[d] = math.MaxInt64
-		}
-		n.tx[i].rel.next = math.MaxInt64
+		n.tx[i].rel = newRelTracker(cfg.Nodes)
 	}
 	return n
 }
@@ -777,14 +772,15 @@ func BlockPairLat(nodes, blockSize int, intra, cross int64) [][]int64 {
 // monotone per destination (the pair-FIFO clamp), so instead of a min-heap
 // the tracker keeps one FIFO ring per destination and releases by popping
 // ring heads — no sifting, and the rings reuse their storage once drained.
-// A cached earliest release time makes the common no-op release O(1); the
-// O(destinations) scan runs only when something actually releases.
+// A cached earliest release time makes the common no-op release O(1); when
+// something does release, the scan visits only the destinations with a send
+// in flight — a handful per NIC however large the fabric.
 type relTracker struct {
 	rings []relRing
-	// headTs mirrors each ring's front entry (max int64 when empty), so
-	// the release scan reads one contiguous array instead of chasing ring
-	// slice headers.
-	headTs []int64
+	// active holds one entry per non-empty ring, in no particular order,
+	// mirroring the ring's front entry so the release scan reads one
+	// contiguous array instead of chasing ring slice headers.
+	active []relHead
 	n      int
 	next   int64 // earliest pending release; max int64 when n == 0
 }
@@ -792,6 +788,19 @@ type relTracker struct {
 type relRing struct {
 	ts  []int64
 	pos int
+}
+
+type relHead struct {
+	dst int32
+	ts  int64
+}
+
+func newRelTracker(nodes int) relTracker {
+	return relTracker{
+		rings:  make([]relRing, nodes),
+		active: make([]relHead, 0, nodes),
+		next:   math.MaxInt64,
+	}
 }
 
 func (h *relTracker) len() int { return h.n }
@@ -802,31 +811,39 @@ func (h *relTracker) release(now int64) {
 		return
 	}
 	next := int64(math.MaxInt64)
-	for i, ht := range h.headTs {
-		for ht <= now {
-			r := &h.rings[i]
-			r.pos++
-			h.n--
-			if r.pos == len(r.ts) {
-				r.ts = r.ts[:0]
-				r.pos = 0
-				ht = math.MaxInt64
-			} else {
-				ht = r.ts[r.pos]
+	act := h.active
+	for i := 0; i < len(act); {
+		ts := act[i].ts
+		if ts <= now {
+			r := &h.rings[act[i].dst]
+			pos := r.pos + 1
+			for pos < len(r.ts) && r.ts[pos] <= now {
+				pos++
 			}
+			h.n -= pos - r.pos
+			if pos == len(r.ts) { // drained: the last entry takes its place
+				r.ts, r.pos = r.ts[:0], 0
+				act[i] = act[len(act)-1]
+				act = act[:len(act)-1]
+				continue
+			}
+			r.pos = pos
+			ts = r.ts[pos]
+			act[i].ts = ts
 		}
-		h.headTs[i] = ht
-		if ht < next {
-			next = ht
+		if ts < next {
+			next = ts
 		}
+		i++
 	}
+	h.active = act
 	h.next = next
 }
 
 func (h *relTracker) push(dst int, t int64) {
 	r := &h.rings[dst]
 	if r.pos == len(r.ts) {
-		h.headTs[dst] = t
+		h.active = append(h.active, relHead{dst: int32(dst), ts: t})
 	}
 	r.ts = append(r.ts, t)
 	h.n++

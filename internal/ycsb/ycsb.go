@@ -107,26 +107,38 @@ func (u Uniform) Keys() int { return u.N }
 // Zipfian implements the Gray et al. quick zipfian generator used by YCSB:
 // item ranks follow P(i) ~ 1/i^theta over n items. Rank 0 is the hottest
 // key; a fixed multiplicative hash scatters ranks over the key space so
-// hot keys are not adjacent.
+// hot keys are not adjacent. A Zipfian is immutable after construction —
+// draws take the caller's RNG — so one instance serves any number of
+// generators, on any number of goroutines.
 type Zipfian struct {
-	n     int
-	theta float64
+	n int
 
 	alpha, zetan, eta, zeta2 float64
+	rank1                    float64 // 1 + 0.5^theta: the u*zetan bound of rank 1
 }
 
 // NewZipfian builds a chooser over n keys with skew theta in [0,1).
-// theta = 0 degenerates to uniform-ish; YCSB default is 0.99.
+// theta = 0 degenerates to uniform-ish; YCSB default is 0.99. Construction
+// sums n series terms (one math.Pow each), so build one chooser per key
+// space and share it.
 func NewZipfian(n int, theta float64) *Zipfian {
-	z := &Zipfian{n: n, theta: theta}
+	z := &Zipfian{n: n}
 	z.zetan = zeta(n, theta)
 	z.zeta2 = zeta(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)
 	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	z.rank1 = 1.0 + math.Pow(0.5, theta)
 	return z
 }
 
+// zetaTerms, when non-nil, is told how many series terms each zeta call
+// sums. Tests count construction cost through it; it is never set otherwise.
+var zetaTerms func(n int)
+
 func zeta(n int, theta float64) float64 {
+	if zetaTerms != nil {
+		zetaTerms(n)
+	}
 	var sum float64
 	for i := 1; i <= n; i++ {
 		sum += 1 / math.Pow(float64(i), theta)
@@ -141,7 +153,7 @@ func (z *Zipfian) rank(r *sim.RNG) int {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	return int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

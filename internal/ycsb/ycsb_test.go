@@ -1,6 +1,7 @@
 package ycsb
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -134,5 +135,36 @@ func TestGeneratorIndependentClients(t *testing.T) {
 func TestOpKindString(t *testing.T) {
 	if OpRead.String() != "read" || OpWrite.String() != "write" {
 		t.Fatal("OpKind strings wrong")
+	}
+}
+
+// TestGeneratorGoldenSeed pins the head of the zipfian op stream for a fixed
+// seed, as generated before the chooser's constants moved into its
+// constructor: any change to the rank arithmetic or to RNG consumption shows
+// up here before it reshuffles every experiment. Two generators sharing one
+// chooser must each produce the pinned stream.
+func TestGeneratorGoldenSeed(t *testing.T) {
+	cases := []struct {
+		theta float64
+		want  string
+	}{
+		{0.99, "read:62 read:1773 write:1534 write:1420 read:1320 read:427 read:1144 write:1692 " +
+			"read:251 write:1773 write:1106 write:729 write:1860 read:251 read:729 write:1243 "},
+		{0.5, "read:574 read:1206 write:602 write:195 read:122 read:1519 read:1079 write:832 " +
+			"read:1307 write:552 write:272 write:100 write:1402 read:1521 read:251 write:206 "},
+	}
+	for _, c := range cases {
+		shared := NewZipfian(2000, c.theta)
+		for g := 0; g < 2; g++ {
+			gen := NewGenerator(WorkloadA, shared, sim.NewRNG(42))
+			got := ""
+			for i := 0; i < 16; i++ {
+				op := gen.Next()
+				got += fmt.Sprintf("%s:%d ", op.Kind, op.Key)
+			}
+			if got != c.want {
+				t.Fatalf("theta %v generator %d:\n got %s\nwant %s", c.theta, g, got, c.want)
+			}
+		}
 	}
 }
