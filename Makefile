@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test vet bench perf experiments examples clean
+.PHONY: all build check test vet fmt bench perf experiments examples clean
 
 all: build check
 
@@ -15,6 +15,10 @@ vet:
 test:
 	$(GO) test ./...
 
+# Formatting gate: gofmt -l must print nothing.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
 # Full gate: vet plus the test suite under the race detector. The parallel
 # sweep runner makes every experiment concurrent, so races are first-class
 # correctness bugs here. The NIC fast-path differential, the sharded
@@ -26,12 +30,16 @@ test:
 # placement, replica reads, batched forwarding) re-place coordinators from
 # sender-local state, so their equivalence proofs are gate-level (fwdbatch=0
 # byte-identity rides on the goldens and TestShard1MatchesDirect). The
+# sequential engine orders cross-node arrivals by key class inside its one
+# pending set where the LP engine merges an Ingress, so the order-equivalence
+# differential between the two runs explicitly as well. The
 # fan-out and completion-train benchmarks run one iteration as smokes
 # against bit-rot, as does the cluster-construction benchmark. bench/ is a
 # module of its own (the repo benchmark), so its smoke tests run from there.
-check: vet
+check: vet fmt
 	$(GO) test -race ./...
 	(cd bench && $(GO) test .)
+	$(GO) test -race ./internal/sim/ -run TestArrivalKeyMatchesIngress
 	$(GO) test -race ./internal/cluster/ -run 'TestNICFastPathDifferential|TestNICFastPathEventReduction'
 	$(GO) test -race ./internal/cluster/ -run 'TestFanoutFusionDifferential|TestFanoutFusionEventReduction'
 	$(GO) test -race ./internal/cluster/ -run 'TestDevTrainDifferential|TestDevTrainEventReduction'

@@ -17,7 +17,6 @@ import (
 	"repro/internal/nvm"
 	"repro/internal/params"
 	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/ycsb"
 )
 
@@ -462,50 +461,10 @@ func BenchmarkBroadcastFanout(b *testing.B) {
 					if i == 0 {
 						b.ReportMetric(float64(r.Events), "events")
 						b.ReportMetric(float64(r.NetFusedHops), "fusedhops")
-						b.ReportMetric(float64(r.NetChainedHops), "chainedhops")
 					}
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkUnicastElision isolates the send-time arrive elision on its ideal
-// substrate: sparse unicast pings on an otherwise idle two-node fabric, where
-// every send's gap proof holds, the arrive hop runs in the sending dispatch,
-// and the rx fast path elides the deliver hop — one scheduled event per
-// message end-to-end, against three unfused. Cluster cells rarely hit this
-// corner (a busy shared engine almost always has work inside the 500ns
-// send-to-arrive window); this pins the mechanism's ceiling and its cost.
-func BenchmarkUnicastElision(b *testing.B) {
-	const msgs = 10_000
-	for _, fused := range []bool{false, true} {
-		name := "off"
-		if fused {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := sim.New()
-				n := simnet.New(e, simnet.Config{
-					Nodes: 2, OneWayLat: 500, Bandwidth: 200e9, QueuePairs: 400,
-					NoFanoutFusion: !fused,
-				})
-				n.Register(0, func(simnet.Message) {})
-				n.Register(1, func(simnet.Message) {})
-				for k := 0; k < msgs; k++ {
-					at := int64(k) * 5000
-					e.At(at, func() {
-						n.Send(simnet.Message{From: 0, To: 1, Size: 128})
-					})
-				}
-				e.RunAll()
-				if i == 0 {
-					b.ReportMetric(float64(e.Processed())/msgs, "events/msg")
-					b.ReportMetric(float64(n.ChainedHops()), "chainedhops")
-				}
-			}
-		})
 	}
 }
 

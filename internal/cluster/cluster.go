@@ -206,7 +206,7 @@ type Result struct {
 	NetBytes       uint64
 	NetFastHops    uint64 // arrivals delivered via the NIC one-hop fast path
 	NetFusedHops   uint64 // broadcast arrivals chained inline by fan-out fusion
-	NetChainedHops uint64 // unicast arrivals elided at send time (chain deferral)
+	NetChainedHops uint64 // always 0: send-time unicast chaining was removed; the benchmark reads the field
 	DevFusedComps  uint64 // NVM completions chained inline by the device train
 	DevSchedComps  uint64 // NVM completions dispatched from a scheduled event
 	WorkerMeanWait float64

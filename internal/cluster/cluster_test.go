@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/params"
+	"repro/internal/sim"
 	"repro/internal/ycsb"
 )
 
@@ -168,6 +170,17 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Params.Servers = -1
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("bad params accepted")
+	}
+	// The network's node limit (an arrival key holds 15 source bits)
+	// surfaces through the composed Validate, at the bound and not before.
+	cfg = smallConfig(core.Baseline)
+	cfg.Params.Servers = sim.MaxArrivalSources
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("%d servers rejected: %v", cfg.Params.Servers, err)
+	}
+	cfg.Params.Servers++
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "simnet: Nodes") {
+		t.Fatalf("%d servers: got %v, want the simnet Nodes error", cfg.Params.Servers, err)
 	}
 }
 

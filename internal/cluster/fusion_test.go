@@ -13,9 +13,10 @@ import (
 // TestFusedBroadcastDeliveriesIdentical): across a seed-perturbed matrix of
 // models x workloads x cluster shapes, fusion on vs off must agree on every
 // simulated outcome — only the event count may drop — and the drop must be
-// accounted for exactly: eventsOff == eventsOn + fusedHops + chainedHits.
-// Odd seeds run the LP engine, where fusion is inert by design: the record
-// degrades to per-destination mailbox sends and every counter stays zero.
+// accounted for exactly: eventsOff == eventsOn + fusedHops. Send-time unicast
+// chaining is gone, so NetChainedHops must read 0 everywhere. Odd seeds run
+// the LP engine, where fusion is inert by design: the record degrades to
+// per-destination mailbox sends and every counter stays zero.
 func TestFanoutFusionDifferential(t *testing.T) {
 	models := []core.Model{
 		{C: core.Linearizable, P: core.Synchronous},
@@ -60,9 +61,12 @@ func TestFanoutFusionDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s fused: %v", label, err)
 		}
-		if off.NetFusedHops != 0 || off.NetChainedHops != 0 {
-			t.Fatalf("%s: disabled run counted fused=%d chained=%d",
-				label, off.NetFusedHops, off.NetChainedHops)
+		if off.NetFusedHops != 0 {
+			t.Fatalf("%s: disabled run counted fused=%d", label, off.NetFusedHops)
+		}
+		if on.NetChainedHops != 0 || off.NetChainedHops != 0 {
+			t.Fatalf("%s: chained hops %d on / %d off, want 0 (mechanism removed)",
+				label, on.NetChainedHops, off.NetChainedHops)
 		}
 		if on.NetFastHops != off.NetFastHops {
 			t.Fatalf("%s: fast-path hits diverged: %d fused vs %d unfused",
@@ -70,18 +74,17 @@ func TestFanoutFusionDifferential(t *testing.T) {
 		}
 		if cfg.IntraParallel > 1 {
 			// LP never fuses: the runs must be fully identical.
-			if on.NetFusedHops != 0 || on.NetChainedHops != 0 {
-				t.Fatalf("%s: LP engine fused: fused=%d chained=%d",
-					label, on.NetFusedHops, on.NetChainedHops)
+			if on.NetFusedHops != 0 {
+				t.Fatalf("%s: LP engine fused %d hops", label, on.NetFusedHops)
 			}
 			if on.Events != off.Events {
 				t.Fatalf("%s: LP events diverged %d vs %d", label, on.Events, off.Events)
 			}
-		} else if on.Events+on.NetFusedHops+on.NetChainedHops != off.Events {
-			t.Fatalf("%s: elision accounting broken: %d events + %d fused + %d chained != %d",
-				label, on.Events, on.NetFusedHops, on.NetChainedHops, off.Events)
+		} else if on.Events+on.NetFusedHops != off.Events {
+			t.Fatalf("%s: elision accounting broken: %d events + %d fused != %d",
+				label, on.Events, on.NetFusedHops, off.Events)
 		}
-		engaged += on.NetFusedHops + on.NetChainedHops
+		engaged += on.NetFusedHops
 		equivalentModuloEvents(t, label, off, on)
 	}
 	if engaged == 0 {
@@ -93,8 +96,8 @@ func TestFanoutFusionDifferential(t *testing.T) {
 // broadcast-heavy corner: Linearizable visibility under Strict persistency
 // fans INV and VAL out to the whole replica group for every write, so on a
 // write-only open-loop figure-6 cell at ten servers the send-side elision
-// stack — fan-out fusion, chained delivery, and the NIC fast path — must cut
-// well over the 20% bar of all engine dispatches versus the unelided engine,
+// stack — fan-out fusion and the NIC fast path — must cut well over the 20%
+// bar of all engine dispatches versus the unelided engine,
 // with fusion itself contributing a further double-digit cut on top of the
 // fast path alone.
 //
@@ -109,7 +112,7 @@ func TestFanoutFusionDifferential(t *testing.T) {
 // stack removes ~29% of dispatches and fusion's increment is ~13%, both
 // asserted with margin below. Deterministic: the seed fixes the exact counts,
 // and the elision ledger must balance: every elided dispatch is accounted to
-// exactly one of the three counters.
+// exactly one of the two counters.
 func TestFanoutFusionEventReduction(t *testing.T) {
 	run := func(noFast, noFusion bool) *Result {
 		cfg := smallConfig(core.Model{C: core.Linearizable, P: core.Strict})
@@ -134,20 +137,19 @@ func TestFanoutFusionEventReduction(t *testing.T) {
 	equivalentModuloEvents(t, "fig6-cell full", unelided, full)
 
 	// The ledger: every dispatch the unelided engine performs is either still
-	// dispatched, fused into a sibling copy's dispatch, chained at send time,
-	// or fast-pathed at the NIC.
-	elided := full.NetFusedHops + full.NetChainedHops + full.NetFastHops
+	// dispatched, fused into a sibling copy's dispatch, or fast-pathed at
+	// the NIC.
+	elided := full.NetFusedHops + full.NetFastHops
 	if full.Events+elided != unelided.Events {
-		t.Fatalf("elision ledger broken: %d events + %d fused + %d chained + %d fast != %d",
-			full.Events, full.NetFusedHops, full.NetChainedHops, full.NetFastHops,
-			unelided.Events)
+		t.Fatalf("elision ledger broken: %d events + %d fused + %d fast != %d",
+			full.Events, full.NetFusedHops, full.NetFastHops, unelided.Events)
 	}
 	combined := 1 - float64(full.Events)/float64(unelided.Events)
 	increment := 1 - float64(full.Events)/float64(fastOnly.Events)
-	t.Logf("events %d -> %d fast-only -> %d full (%.1f%% combined, %.1f%% fusion increment; %d fused + %d chained + %d fast hops)",
+	t.Logf("events %d -> %d fast-only -> %d full (%.1f%% combined, %.1f%% fusion increment; %d fused + %d fast hops)",
 		unelided.Events, fastOnly.Events, full.Events,
 		100*combined, 100*increment,
-		full.NetFusedHops, full.NetChainedHops, full.NetFastHops)
+		full.NetFusedHops, full.NetFastHops)
 	if combined < 0.25 {
 		t.Fatalf("combined elision %.1f%% below the 25%% bar (%d -> %d)",
 			100*combined, unelided.Events, full.Events)

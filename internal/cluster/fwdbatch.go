@@ -42,8 +42,8 @@ type fwdBatch struct {
 // fwdBatcher is one router's sender-side batching state.
 type fwdBatcher struct {
 	rt     *router
-	limit  int        // flush at this many ops
-	window int64      // ns a partial batch waits for company
+	limit  int         // flush at this many ops
+	window int64       // ns a partial batch waits for company
 	pend   []*fwdBatch // open batch per destination node (nil = none)
 	free   *fwdBatch
 }

@@ -151,16 +151,16 @@ type Replica struct {
 	gid    int        // global simnet node ID (network identity)
 	member Membership // the replica group this node runs its protocol over
 	eng    *sim.Engine
-	p     params.Params
-	model core.Model
-	vis   VisibilityPolicy // consistency dimension, resolved at construction
-	dur   DurabilityPolicy // persistency dimension, resolved at construction
-	net   *simnet.Network
-	work  *sim.Pool
-	mem   *memhier.Hierarchy
-	dev   *nvm.Device
-	vol   engines.Engine
-	img   engines.Engine
+	p      params.Params
+	model  core.Model
+	vis    VisibilityPolicy // consistency dimension, resolved at construction
+	dur    DurabilityPolicy // persistency dimension, resolved at construction
+	net    *simnet.Network
+	work   *sim.Pool
+	mem    *memhier.Hierarchy
+	dev    *nvm.Device
+	vol    engines.Engine
+	img    engines.Engine
 
 	// M collects this replica's protocol metrics.
 	M Metrics

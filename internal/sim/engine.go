@@ -1,10 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine maintains a pending-event set keyed by (time, sequence).
+// The engine maintains a pending-event set keyed by (time, key).
 // Scheduling an event never executes it immediately; Run drains the set in
-// timestamp order, advancing the simulated clock. Because ties are broken by
-// insertion sequence, two runs with the same inputs produce identical
-// schedules, which makes every experiment in this repository reproducible.
+// timestamp order, advancing the simulated clock. Ties are broken by the key:
+// cross-node arrivals (AtArrival) carry the sender-computed (source, source
+// sequence) and run first, locally scheduled events carry the insertion
+// sequence and run after them — so two runs with the same inputs produce
+// identical schedules, which makes every experiment in this repository
+// reproducible.
 //
 // All times are simulated nanoseconds. The engine is single-goroutine by
 // design: protocol handlers must not block, they schedule continuations.
@@ -32,6 +35,9 @@ type Handler interface {
 }
 
 // event is one scheduled action: either a closure or a (Handler, arg) pair.
+// seq is the tie-break key within a timestamp: localBit | insertion sequence
+// for locally scheduled events, src<<48 | sender sequence (top bit clear) for
+// cross-node arrivals.
 type event struct {
 	at  int64
 	seq uint64
@@ -49,7 +55,16 @@ func (e *event) run() {
 	e.h.OnEvent(e.arg)
 }
 
-// before reports dispatch ordering: earlier time first, FIFO within a time.
+// localBit marks a locally scheduled event's key. Arrival keys leave it
+// clear, so at one timestamp every arrival sorts before every local event.
+const localBit = uint64(1) << 63
+
+// MaxArrivalSources bounds AtArrival's src: the key gives the source the 15
+// bits between the class bit and the 48-bit sender sequence.
+const MaxArrivalSources = 1 << 15
+
+// before reports dispatch ordering: earlier time first, then the key —
+// arrivals in (src, seq) order, then locals FIFO.
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -57,12 +72,12 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// ChainResolver is the deferred-continuation hook behind the network layer's
-// send-time arrive elision and the NVM completion train. A component that
-// wants to run work "at time t" without scheduling an event — but cannot
-// jump the clock because a handler is still executing at the current time —
-// registers itself with SetChain during the dispatch; the engine calls
-// OnChain once the dispatch completes, when a clock jump is safe again.
+// ChainResolver is the deferred-continuation hook behind the NVM completion
+// train. A component that wants to run work "at time t" without scheduling
+// an event — but cannot jump the clock because a handler is still executing
+// at the current time — registers itself with SetChain during the dispatch;
+// the engine calls OnChain once the dispatch completes, when a clock jump is
+// safe again.
 // OnChain re-proves the gap itself (via TryAdvance) and falls back to
 // scheduling normally when the proof fails, so deferral never changes a
 // simulated outcome.
@@ -97,11 +112,11 @@ const (
 // -eventstats harness output and perf investigations.
 type EngineStats struct {
 	Processed  uint64 // events executed
-	MaxPending int    // high-water mark of scheduled-but-unexecuted events
+	MaxPending int    // high-water mark of scheduled-but-unexecuted local events
 	Wheel      uint64 // events scheduled directly into the wheel window
 	Overflow   uint64 // events that landed in the overflow level first
 	Turns      uint64 // wheel turns (overflow re-bucketing passes)
-	Ingress    uint64 // arrivals dispatched from the bound Ingress queue
+	Ingress    uint64 // cross-node arrivals dispatched (AtArrival or a bound Ingress)
 }
 
 // Merge accumulates other into s (summing counters, taking the max pending
@@ -126,12 +141,14 @@ type Engine struct {
 	ingressed  uint64
 	stopped    bool
 	maxPending int
+	arrivals   int // AtArrival events pending in the scheduler
 
-	// schedLB is a lower bound on the scheduler's head time: no pending
-	// local event is earlier than it. Pops tighten it (dispatch order is
+	// schedLB is a lower bound on the scheduler's head time: no scheduled
+	// event is earlier than it. Pops tighten it (dispatch order is
 	// monotone; a failed probe reveals the exact head), pushes relax it.
-	// dispatchOne uses it to pop an ingress arrival without probing the
-	// scheduler at all when the bound already proves the arrival wins.
+	// TryAdvance skips the scheduler probe when the bound already proves the
+	// gap, and dispatchNext pops a bound Ingress's arrival without probing
+	// when the bound proves the arrival wins.
 	schedLB int64
 
 	// runUntil is the time bound of the Run in progress (maxTime inside
@@ -140,19 +157,18 @@ type Engine struct {
 	// (measurement flips, LP epoch barriers) that the bound encodes.
 	runUntil int64
 
-	// ing, when bound, feeds externally keyed arrivals into the dispatch
-	// loop; at equal timestamps arrivals run before locally scheduled
-	// events (see Ingress).
+	// ing, when bound (LP wiring), feeds arrivals delivered at epoch
+	// barriers into the dispatch loop; at equal timestamps they run before
+	// scheduled events (see Ingress). The sequential wiring schedules
+	// arrivals with AtArrival instead and leaves it nil.
 	ing *Ingress
 
 	// chain holds continuations deferred by the event in progress, resolved
-	// after it returns (see ChainResolver). dispatching reports whether an
-	// event handler is currently on the stack — deferral is only meaningful
-	// mid-dispatch. The queue is empty outside dispatchOne's drain; it holds
-	// more than one entry only when independent elision layers defer in the
-	// same dispatch (a unicast send plus a device completion, say).
-	chain       []chainEntry
-	dispatching bool
+	// after it returns (see ChainResolver). The queue is empty outside
+	// dispatchOne's drain; it holds more than one entry only when independent
+	// components defer in the same dispatch (two devices' completion trains,
+	// say).
+	chain []chainEntry
 
 	useHeap bool
 	heap    eventHeap
@@ -183,16 +199,14 @@ func (e *Engine) Pending() int {
 	if e.ing != nil {
 		n = e.ing.Len()
 	}
-	if e.useHeap {
-		return n + e.heap.len()
-	}
-	return n + e.wheel.len()
+	return n + e.schedLen()
 }
 
 // BindIngress attaches an arrival queue to the engine. The dispatch loops
-// interleave its entries with locally scheduled events in time order, with
-// arrivals winning ties — the canonical order both the sequential and the
-// LP cluster engines share.
+// interleave its entries with scheduled events in time order, with the
+// queue's arrivals winning ties — the same canonical order AtArrival's keys
+// give the sequential engine. An engine takes its arrivals one way or the
+// other, not both.
 func (e *Engine) BindIngress(ing *Ingress) { e.ing = ing }
 
 // Stats returns the engine's scheduler counters.
@@ -236,7 +250,7 @@ func (e *Engine) At(t int64, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
+	e.push(&event{at: t, seq: localBit | e.seq, fn: fn})
 }
 
 // ScheduleEvent runs h.OnEvent(arg) after delay nanoseconds of simulated
@@ -255,7 +269,27 @@ func (e *Engine) AtEvent(t int64, h Handler, arg uint64) {
 		t = e.now
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, h: h, arg: arg})
+	e.push(&event{at: t, seq: localBit | e.seq, h: h, arg: arg})
+}
+
+// AtArrival runs h.OnEvent(arg) at absolute simulated time t as a cross-node
+// arrival keyed by values the sender computed: at equal timestamps arrivals
+// dispatch in (src, seq) order, ahead of every locally scheduled event,
+// whatever order they were scheduled in. That is the canonical order a bound
+// Ingress merges to, so an engine fed through AtArrival and an engine fed
+// through an Ingress dispatch identically (TestArrivalKeyMatchesIngress).
+// src must be in [0, MaxArrivalSources) and seq below 2^48; t must not
+// precede the clock — a sender cannot compute an arrival in its own past, so
+// either violation is a wiring bug and panics.
+func (e *Engine) AtArrival(t int64, src int32, seq uint64, h Handler, arg uint64) {
+	if t < e.now {
+		panic("sim: arrival scheduled in the past")
+	}
+	if uint32(src) >= MaxArrivalSources {
+		panic("sim: arrival source out of key range")
+	}
+	e.arrivals++
+	e.schedule(&event{at: t, seq: packKey(src, seq), h: h, arg: arg})
 }
 
 // ReserveSeq allocates and returns the next event sequence number without
@@ -266,7 +300,7 @@ func (e *Engine) AtEvent(t int64, h Handler, arg uint64) {
 // reservation if the event turns out to be needed.
 func (e *Engine) ReserveSeq() uint64 {
 	e.seq++
-	return e.seq
+	return localBit | e.seq
 }
 
 // AtEventSeq schedules h.OnEvent(arg) at time t under a sequence number
@@ -275,34 +309,37 @@ func (e *Engine) ReserveSeq() uint64 {
 // reservation time. t must be >= Now(); the caller guarantees it (a
 // completion time never precedes the clock that issued it).
 func (e *Engine) AtEventSeq(t int64, seq uint64, h Handler, arg uint64) {
-	e.push(event{at: t, seq: seq, h: h, arg: arg})
+	e.push(&event{at: t, seq: seq, h: h, arg: arg})
 }
 
-// push hands the event to the active scheduler and tracks the pending
-// high-water mark.
-func (e *Engine) push(ev event) {
-	if ev.at < e.schedLB {
-		e.schedLB = ev.at
-	}
-	var pending int
-	if e.useHeap {
-		e.heap.push(ev)
-		pending = e.heap.len()
-	} else {
-		e.wheel.push(ev, e.now)
-		pending = e.wheel.len()
-	}
-	if pending > e.maxPending {
+// push schedules a local event and tracks the pending high-water mark,
+// which counts local events only: arrivals share the scheduler but are the
+// network's backlog, not the node's.
+func (e *Engine) push(ev *event) {
+	e.schedule(ev)
+	if pending := e.schedLen() - e.arrivals; pending > e.maxPending {
 		e.maxPending = pending
 	}
 }
 
-// popIfAtMost extracts the next event if its time is <= limit.
-func (e *Engine) popIfAtMost(limit int64) (event, bool) {
-	if e.useHeap {
-		return e.heap.popIfAtMost(limit)
+// schedule hands the event to the active scheduler.
+func (e *Engine) schedule(ev *event) {
+	if ev.at < e.schedLB {
+		e.schedLB = ev.at
 	}
-	return e.wheel.popIfAtMost(limit)
+	if e.useHeap {
+		e.heap.push(*ev)
+		return
+	}
+	e.wheel.push(ev, e.now)
+}
+
+// schedLen returns the number of events in the active scheduler.
+func (e *Engine) schedLen() int {
+	if e.useHeap {
+		return e.heap.len()
+	}
+	return e.wheel.len()
 }
 
 // headHint returns the scheduler head time recorded by the last failed
@@ -327,9 +364,9 @@ func (e *Engine) headAt() int64 {
 }
 
 // TryAdvance reports whether the engine can prove that nothing is pending —
-// no local event and no ingress arrival — at or before time t, with t still
-// strictly inside the current Run's bound; when so it advances the clock to
-// t and returns true. The caller may then perform work "at t" directly,
+// no scheduled event and no queued Ingress arrival — at or before time t,
+// with t still strictly inside the current Run's bound; when so it advances
+// the clock to t and returns true. The caller may then perform work "at t" directly,
 // exactly as a scheduled event at t would have, without paying for the
 // event: the simnet fast path uses this to collapse an uncontended
 // arrive→deliver pair into one dispatch. On false the clock is untouched
@@ -369,10 +406,6 @@ func (e *Engine) TryAdvance(t int64) bool {
 	return true
 }
 
-// Dispatching reports whether an event handler is currently executing on
-// this engine — the window in which SetChain deferral is meaningful.
-func (e *Engine) Dispatching() bool { return e.dispatching }
-
 // SetChain registers c to be resolved when the event currently being
 // dispatched returns (see ChainResolver), with at the time of the parked
 // work. A component registers at most one entry at a time; independent
@@ -382,12 +415,11 @@ func (e *Engine) SetChain(c ChainResolver, at int64) {
 	e.chain = append(e.chain, chainEntry{c: c, at: at})
 }
 
-// dispatchOne executes the next event at or before until — the earlier of
-// the scheduler head and the ingress head, arrivals first on ties — then
-// resolves any chained continuations the event deferred, and reports whether
-// anything ran.
+// dispatchOne executes the next event at or before until — the scheduler
+// head, or a bound Ingress's head when that is no later — then resolves any
+// chained continuations the event deferred, and reports whether anything
+// ran.
 func (e *Engine) dispatchOne(until int64) bool {
-	e.dispatching = true
 	ran := e.dispatchNext(until)
 	// Resolve deferred continuations now that no handler is mid-execution:
 	// a clock jump is safe again, and OnChain may itself defer more work.
@@ -407,17 +439,16 @@ func (e *Engine) dispatchOne(until int64) bool {
 		e.chain = e.chain[:len(e.chain)-1]
 		c.OnChain()
 	}
-	e.dispatching = false
 	return ran
 }
 
 // dispatchNext picks and runs the next event without chain resolution.
 func (e *Engine) dispatchNext(until int64) bool {
-	// Local events strictly before a pending arrival run first; at the
-	// arrival's own timestamp the arrival wins. When schedLB already
-	// proves no local event precedes the arrival, skip the scheduler
-	// probe — arrival bursts between local events then cost O(1) here
-	// instead of a wheel scan each.
+	// LP wiring: scheduled events strictly before a queued arrival run
+	// first; at the arrival's own timestamp the arrival wins. When schedLB
+	// already proves nothing scheduled precedes the arrival, skip the
+	// scheduler probe — arrival bursts between local events then cost O(1)
+	// here instead of a wheel scan each.
 	limit, arrival := until, false
 	if e.ing != nil && e.ing.Len() > 0 {
 		if ia := e.ing.HeadAt(); ia <= until {
@@ -444,6 +475,10 @@ func (e *Engine) dispatchNext(until int64) bool {
 	e.schedLB = ev.at
 	e.now = ev.at
 	e.processed++
+	if ev.seq&localBit == 0 {
+		e.arrivals--
+		e.ingressed++
+	}
 	ev.run()
 	return true
 }

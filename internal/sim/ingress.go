@@ -3,18 +3,20 @@ package sim
 import "math"
 
 // Ingress is an arrival queue feeding an Engine from outside its own
-// scheduler: cross-node message deliveries land here instead of in the
-// timing wheel, keyed by (time, source, source-sequence) rather than by the
-// engine's own insertion sequence.
+// scheduler: under LP wiring cross-node message deliveries land here instead
+// of in the timing wheel, keyed by (time, source, source-sequence) rather
+// than by the engine's own insertion sequence.
 //
-// The distinction is what makes per-node logical processes possible. The
-// wheel's (time, seq) tie-break depends on global scheduling order, which a
-// parallel run cannot reproduce; the ingress key depends only on values the
-// *sender* computed, so the dispatch order of arrivals is identical whether
-// they were pushed directly at send time (sequential engine) or delivered in
-// bulk at an epoch barrier (LP engine). The engine gives ingress entries
-// priority over wheel events at equal timestamps — "arrivals before locals"
-// — in both modes, closing the determinism argument (see DESIGN.md).
+// The distinction is what makes per-node logical processes possible. A
+// local event's (time, seq) tie-break depends on global scheduling order,
+// which a parallel run cannot reproduce; the arrival key depends only on
+// values the *sender* computed, so the dispatch order of arrivals is
+// identical whether they were scheduled directly at send time under that key
+// (sequential engine, Engine.AtArrival) or delivered here in bulk at an
+// epoch barrier (LP engine). The engine gives ingress entries priority over
+// wheel events at equal timestamps — "arrivals before locals", the order
+// AtArrival's key class gives — closing the determinism argument (see
+// DESIGN.md and TestArrivalKeyMatchesIngress).
 //
 // Structure: one FIFO lane per (src,dst) flow. Reliable-connection fabrics
 // deliver each flow in order (simnet clamps a jittered early arrival behind

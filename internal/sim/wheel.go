@@ -14,22 +14,23 @@ import "math/bits"
 // starting at wnow, the time of the most recently dispatched event. A
 // bucket is an intrusive FIFO chain through a shared node slab (freelist
 // recycled, so steady-state scheduling allocates nothing and cold buckets
-// cost 8 bytes, not a slice). Because each bucket spans exactly 1 ns and
-// the window spans wheelSlots ns, a bucket holds events of exactly one
-// timestamp at a time; inserts keep every chain sorted by seq (a tail
-// append in the overwhelmingly common ascending case, a walk-splice for
-// reserved-seq and overflow-drain stragglers — see insert), and dispatching
-// buckets in circular order from
-// wnow's cursor replays the exact (time, seq) order the heap would produce
-// — determinism is bit-for-bit unchanged (see
-// TestSchedulerDifferentialRandomized and the golden 5x5 fixture).
+// cost 8 bytes — head and tail side by side, one cache line per insert — not
+// a slice). Because each bucket spans exactly 1 ns and the window spans
+// wheelSlots ns, a bucket holds events of exactly one timestamp at a time;
+// inserts keep every chain sorted by the tie-break key (a tail append in the
+// overwhelmingly common ascending case, a head prepend or walk-splice for
+// cross-node arrivals, reserved-seq and overflow-drain stragglers — see
+// insert), and dispatching buckets in circular order from wnow's cursor
+// replays the exact (time, key) order the heap would produce — determinism
+// is bit-for-bit unchanged (see TestSchedulerDifferentialRandomized and the
+// golden 5x5 fixture).
 //
 // Events beyond the window land in an overflow level (the 4-ary heap,
 // ordered by (time, seq)); they are re-bucketed into the window on wheel
 // turn — whenever the window empties, or as soon as the advancing wnow
 // brings them within horizon. Far events are rare (transaction backoffs,
-// saturated-NIC arrivals), so the heap never grows past a handful of
-// entries in practice.
+// open-loop think times, saturated-NIC arrivals), so the heap never grows
+// past a handful of entries in practice.
 //
 // Occupancy is tracked by a two-level bitmap: one bit per bucket (occ) and
 // one bit per occ word (sum), so finding the next non-empty bucket from the
@@ -49,13 +50,18 @@ type eventNode struct {
 	next int32
 }
 
+// bucket is one slot's chain into the node slab: head is -1 when empty, tail
+// is the append side and meaningful only while head >= 0.
+type bucket struct {
+	head, tail int32
+}
+
 // timingWheel is the engine's default scheduler. The zero value is ready to
 // use; storage is allocated on first push.
 type timingWheel struct {
-	head []int32  // per-bucket chain head into nodes, -1 = empty
-	tail []int32  // per-bucket chain tail (append side)
-	occ  []uint64 // one bit per bucket
-	sum  [sumWords]uint64 // one bit per occ word
+	buckets []bucket
+	occ     []uint64         // one bit per bucket
+	sum     [sumWords]uint64 // one bit per occ word
 
 	nodes []eventNode
 	free  int32 // freelist head into nodes, -1 = none
@@ -77,10 +83,9 @@ type timingWheel struct {
 func (w *timingWheel) len() int { return w.count + w.overflow.len() }
 
 func (w *timingWheel) grow() {
-	w.head = make([]int32, wheelSlots)
-	w.tail = make([]int32, wheelSlots)
-	for i := range w.head {
-		w.head[i] = -1
+	w.buckets = make([]bucket, wheelSlots)
+	for i := range w.buckets {
+		w.buckets[i].head = -1
 	}
 	w.occ = make([]uint64, occWords)
 	w.free = -1
@@ -88,7 +93,7 @@ func (w *timingWheel) grow() {
 
 // reserve presizes the node slab for n in-flight events.
 func (w *timingWheel) reserve(n int) {
-	if w.head == nil {
+	if w.buckets == nil {
 		w.grow()
 	}
 	if cap(w.nodes) < n {
@@ -100,8 +105,8 @@ func (w *timingWheel) reserve(n int) {
 
 // push schedules ev. now is the engine clock, which lower-bounds every
 // future event time and so can safely re-base an empty wheel's window.
-func (w *timingWheel) push(ev event, now int64) {
-	if w.head == nil {
+func (w *timingWheel) push(ev *event, now int64) {
+	if w.buckets == nil {
 		w.grow()
 	}
 	if w.count == 0 && w.overflow.len() == 0 && now > w.wnow {
@@ -114,33 +119,35 @@ func (w *timingWheel) push(ev event, now int64) {
 		w.wheelEvents++
 		return
 	}
-	w.overflow.push(ev)
+	w.overflow.push(*ev)
 	w.overflowEvents++
 }
 
-// insert places ev into its bucket's chain in seq order. Only called with
-// ev.at in [wnow, wnow+wheelSlots). Pushes arrive in ascending seq almost
-// always, so the common case is a tail append (one tail-seq compare); the
-// walk-splice covers the two producers of out-of-order seqs — reserved-seq
-// events (Engine.AtEventSeq) landing after younger same-time events, and an
+// insert places ev into its bucket's chain in key order. Only called with
+// ev.at in [wnow, wnow+wheelSlots). Local pushes arrive in ascending seq
+// almost always, so the common case is a tail append (one tail-key compare);
+// the head prepend and walk-splice cover the producers of out-of-order keys —
+// a cross-node arrival (Engine.AtArrival) landing on a timestamp that already
+// holds local events or a later-keyed arrival, a reserved-seq event
+// (Engine.AtEventSeq) landing after younger same-time events, and an
 // overflow drain re-bucketing an old event into a bucket a handler already
 // pushed a younger same-time event into.
-func (w *timingWheel) insert(ev event) {
+func (w *timingWheel) insert(ev *event) {
 	slot := int32(ev.at) & wheelMask
 	ni := w.alloc(ev)
-	if w.head[slot] < 0 {
-		w.head[slot] = ni
+	b := &w.buckets[slot]
+	if b.head < 0 {
+		b.head, b.tail = ni, ni
 		w.occ[slot>>6] |= 1 << uint(slot&63)
 		w.sum[slot>>12] |= 1 << uint((slot>>6)&63)
-		w.tail[slot] = ni
-	} else if seq := ev.seq; w.nodes[w.tail[slot]].ev.seq < seq {
-		w.nodes[w.tail[slot]].next = ni
-		w.tail[slot] = ni
-	} else if w.nodes[w.head[slot]].ev.seq > seq {
-		w.nodes[ni].next = w.head[slot]
-		w.head[slot] = ni
+	} else if seq := ev.seq; w.nodes[b.tail].ev.seq < seq {
+		w.nodes[b.tail].next = ni
+		b.tail = ni
+	} else if w.nodes[b.head].ev.seq > seq {
+		w.nodes[ni].next = b.head
+		b.head = ni
 	} else {
-		prev := w.head[slot]
+		prev := b.head
 		for w.nodes[w.nodes[prev].next].ev.seq < seq {
 			prev = w.nodes[prev].next
 		}
@@ -150,26 +157,31 @@ func (w *timingWheel) insert(ev event) {
 	w.count++
 }
 
-// alloc takes a node off the freelist, or grows the slab.
-func (w *timingWheel) alloc(ev event) int32 {
+// alloc takes a node off the freelist, or grows the slab. The recycled
+// node is filled field by field: the caller built *ev with word-sized stores
+// an instant ago, and the 16-byte loads of a whole-struct copy cannot be
+// forwarded from those — a stall per scheduled event (~10% of
+// BenchmarkEngineDeepPending).
+func (w *timingWheel) alloc(ev *event) int32 {
 	if ni := w.free; ni >= 0 {
 		n := &w.nodes[ni]
 		w.free = n.next
-		n.ev = ev
+		n.ev.at, n.ev.seq, n.ev.fn, n.ev.h, n.ev.arg = ev.at, ev.seq, ev.fn, ev.h, ev.arg
 		n.next = -1
 		return ni
 	}
-	w.nodes = append(w.nodes, eventNode{ev: ev, next: -1})
+	w.nodes = append(w.nodes, eventNode{ev: *ev, next: -1})
 	return int32(len(w.nodes) - 1)
 }
 
 // drainOverflow re-buckets every overflow event the window now covers.
-// Popping the overflow heap in (time, seq) order keeps the drain itself
+// Popping the overflow heap in (time, key) order keeps the drain itself
 // ordered; insert splices each event past any younger same-time event a
 // handler pushed directly into the window since the last drain.
 func (w *timingWheel) drainOverflow() {
 	for w.overflow.len() > 0 && w.overflow.peek().at-w.wnow < wheelSlots {
-		w.insert(w.overflow.pop())
+		ev := w.overflow.pop()
+		w.insert(&ev)
 	}
 }
 
@@ -211,10 +223,10 @@ func (w *timingWheel) popIfAtMost(limit int64) (event, bool) {
 		w.headHint = at
 		return event{}, false
 	}
-	ni := w.head[slot]
+	ni := w.buckets[slot].head
 	n := &w.nodes[ni]
 	ev := n.ev
-	w.head[slot] = n.next
+	w.buckets[slot].head = n.next
 	if n.next < 0 {
 		w.occ[slot>>6] &^= 1 << uint(slot&63)
 		if w.occ[slot>>6] == 0 {

@@ -108,11 +108,11 @@ func TestWheelOverflowOrdering(t *testing.T) {
 	var got []int
 	at := func(tm int64, id int) { e.At(tm, func() { got = append(got, id) }) }
 
-	at(5*wheelSlots, 0)     // deep overflow
-	at(5*wheelSlots, 1)     // tie with 0: FIFO
-	at(wheelSlots+10, 2)    // just past the window
-	at(3, 3)                // near future, scheduled last
-	at(2*wheelSlots, 4)     // between the others
+	at(5*wheelSlots, 0)  // deep overflow
+	at(5*wheelSlots, 1)  // tie with 0: FIFO
+	at(wheelSlots+10, 2) // just past the window
+	at(3, 3)             // near future, scheduled last
+	at(2*wheelSlots, 4)  // between the others
 	e.RunAll()
 
 	want := []int{3, 2, 4, 0, 1}

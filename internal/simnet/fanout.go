@@ -9,34 +9,32 @@
 // pair — nothing a copy's arrival depends on can change between the send and
 // the arrival. The record therefore sorts its copies by (arrival time,
 // sender sequence) at send time — the exact (time, src, seq) order the
-// ingress would dispatch k individually pushed arrivals in, since all copies
-// share one source and sequence numbers ascend with destination node order —
-// pushes only the earliest copy into the ingress, and chains copy to copy:
-// after processing copy i it asks the engine to prove (TryAdvance) that
-// nothing else runs up to copy i+1's arrival, in which case copy i+1 is
-// processed inline in the same dispatch. A successful proof means the
-// unfused engine's very next dispatch would have been exactly that arrival,
-// so chaining preserves every timestamp, every tie-break, and every handler
-// invocation order; a failed proof falls back to pushing the copy with its
-// original ingress key, where it dispatches exactly as an unfused send
-// would.
+// engine would dispatch k individually scheduled arrivals in, since all
+// copies share one source and sequence numbers ascend with destination node
+// order — schedules only the earliest copy, and chains copy to copy: after
+// processing copy i it asks the engine to prove (TryAdvance) that nothing
+// else runs up to copy i+1's arrival, in which case copy i+1 is processed
+// inline in the same dispatch. A successful proof means the unfused engine's
+// very next dispatch would have been exactly that arrival, so chaining
+// preserves every timestamp, every tie-break, and every handler invocation
+// order; a failed proof falls back to scheduling the copy with its original
+// arrival key, where it dispatches exactly as an unfused send would.
 //
-// Invisibility discipline: copies beyond the next unprocessed one are not in
-// the ingress, so the engine's gap proofs cannot see them. Two invariants
-// keep every proof sound regardless:
+// Invisibility discipline: copies beyond the next unprocessed one are not
+// scheduled, so the engine's gap proofs cannot see them. Two invariants keep
+// every proof sound regardless:
 //
 //  1. Copies are processed strictly in sorted order, and whenever no copy of
 //     the record is mid-processing, the next unprocessed copy is visible
-//     (queued in the ingress). Any invisible copy therefore arrives at or
-//     after a visible one from the same record, which blocks any gap proof
-//     that could have been invalidated by the invisible copy.
+//     (scheduled). Any invisible copy therefore arrives at or after a
+//     visible one from the same record, which blocks any gap proof that
+//     could have been invalidated by the invisible copy.
 //  2. A lane (src,dst flow) with a parked (invisible) copy is flushed —
-//     the copy pushed with its original key — before anything later is
-//     pushed onto the same lane, preserving per-lane FIFO, and before the
-//     record itself would process the copy out of ingress order.
+//     the copy scheduled with its original key — before anything later is
+//     sent on the same lane (the slot parks one copy, and the flow stays
+//     FIFO), and before the record itself would process the copy out of
+//     arrival order.
 package simnet
-
-import "repro/internal/sim"
 
 // pendSlot parks one not-yet-pushed copy of a fused broadcast on its
 // (src,dst) lane. At most one copy can be parked per lane: registering a new
@@ -67,7 +65,7 @@ type multicast struct {
 }
 
 // Copy states. A pending copy is invisible to the engine; a queued copy has
-// been pushed into the ingress (flush or failed chain proof); an arrived
+// been scheduled as an arrival (flush or failed chain proof); an arrived
 // copy has run its arrive hop (its deliver hop may still be scheduled).
 const (
 	copyPending uint8 = iota
@@ -101,8 +99,8 @@ func (n *Network) newMulticast(k int) *multicast {
 }
 
 // broadcastFused is BroadcastRange under fan-out fusion: identical sender
-// bookkeeping per copy (prepSend), one ingress entry for the earliest copy,
-// the rest parked on their lanes until chained or flushed.
+// bookkeeping per copy (prepSend), one scheduled arrival for the earliest
+// copy, the rest parked on their lanes until chained or flushed.
 func (n *Network) broadcastFused(msg Message, base, size, except int) {
 	N := n.cfg.Nodes
 	if msg.From < 0 || msg.From >= N || base < 0 || base+size > N {
@@ -138,12 +136,10 @@ func (n *Network) broadcastFused(msg Message, base, size, except int) {
 			continue
 		}
 		lane := msg.From*N + to
-		// Per-lane FIFO: anything invisible already parked on this copy's
-		// lane goes into the ingress first.
+		// Per-lane FIFO: a copy already parked on this copy's lane is
+		// scheduled first.
 		if n.pend[lane].mc != nil {
 			n.flushPend(lane)
-		} else if n.def.d != nil && n.def.lane == int32(lane) {
-			n.flushDef()
 		}
 		m := msg
 		m.To = to
@@ -151,7 +147,7 @@ func (n *Network) broadcastFused(msg Message, base, size, except int) {
 		mc.ser = ser
 		// Insert in ascending (arrive, seq) order; seq ascends with node
 		// order, so equal arrivals keep ascending destination order — the
-		// ingress tie-break unfused sends would get.
+		// tie-break unfused sends would get.
 		j := cnt
 		for j > 0 && arrive < mc.at[j-1] {
 			mc.at[j] = mc.at[j-1]
@@ -164,11 +160,10 @@ func (n *Network) broadcastFused(msg Message, base, size, except int) {
 		mc.seq[j] = tx.seq
 		cnt++
 	}
-	// The earliest copy rides the ingress; later copies park on their lanes
+	// The earliest copy is scheduled; later copies park on their lanes
 	// awaiting the chain (invariant 1: the next unprocessed copy is visible).
 	mc.st[0] = copyQueued
-	n.ing.Push(msg.From*N+int(mc.dst[0]),
-		sim.IngressEvent{At: mc.at[0], Src: int32(msg.From), Seq: mc.seq[0], H: mc, Arg: 0})
+	eng.AtArrival(mc.at[0], int32(msg.From), mc.seq[0], mc, 0)
 	for j := 1; j < k; j++ {
 		mc.st[j] = copyPending
 		lane := msg.From*N + int(mc.dst[j])
@@ -176,22 +171,20 @@ func (n *Network) broadcastFused(msg Message, base, size, except int) {
 	}
 }
 
-// flushPend pushes the copy parked on lane into the ingress with its
-// original key.
+// flushPend schedules the copy parked on lane with its original key.
 func (n *Network) flushPend(lane int) {
 	s := n.pend[lane]
 	s.mc.pushCopy(int(s.idx))
 }
 
-// pushCopy moves pending copy j into the ingress with its original
-// (arrive, src, seq) key — the unfused dispatch position.
+// pushCopy schedules pending copy j under its original (arrive, src, seq)
+// key — the unfused dispatch position.
 func (mc *multicast) pushCopy(j int) {
 	n := mc.n
-	lane := int(mc.msg.From)*n.cfg.Nodes + int(mc.dst[j])
-	n.pend[lane] = pendSlot{}
+	from := mc.msg.From
+	n.pend[from*n.cfg.Nodes+int(mc.dst[j])] = pendSlot{}
 	mc.st[j] = copyQueued
-	n.ing.Push(lane,
-		sim.IngressEvent{At: mc.at[j], Src: int32(mc.msg.From), Seq: mc.seq[j], H: mc, Arg: uint64(j)})
+	n.engs[from].AtArrival(mc.at[j], int32(from), mc.seq[j], mc, uint64(j))
 }
 
 // OnEvent dispatches one scheduled hop of the record: a deliver hop for one
@@ -250,10 +243,9 @@ func (mc *multicast) runFrom(i int) {
 		if j >= mc.k || mc.st[j] != copyPending {
 			return
 		}
-		if n.def.d != nil || !eng.TryAdvance(mc.at[j]) {
-			// Either an elided unicast arrival is still invisible (it must
-			// resolve at end of dispatch, before copy j's time) or the gap
-			// proof failed: copy j dispatches from the ingress instead.
+		if !eng.TryAdvance(mc.at[j]) {
+			// The gap proof failed: copy j dispatches as a scheduled
+			// arrival instead.
 			mc.pushCopy(j)
 			return
 		}

@@ -14,12 +14,15 @@
 //
 // The network runs in one of two wirings. New binds every node to a single
 // engine (the sequential cluster); NewParallel binds each node to its own
-// engine for the per-node logical-process (LP) cluster. Both wirings route
-// cross-node arrivals through sim.Ingress queues keyed (arrival time,
-// source, source sequence), and every per-message quantity — transmit-queue
-// occupancy, queue-pair backpressure, jitter, pair-FIFO clamping — is
-// derived from sender-local state only, so the two wirings dispatch
-// byte-identical schedules (see DESIGN.md, "Per-node logical processes").
+// engine for the per-node logical-process (LP) cluster. Both wirings key
+// cross-node arrivals (arrival time, source, source sequence) — the
+// sequential one schedules them into the shared engine under that key
+// (sim.Engine.AtArrival), the LP one merges them through per-destination
+// sim.Ingress queues at epoch barriers — and every per-message quantity —
+// transmit-queue occupancy, queue-pair backpressure, jitter, pair-FIFO
+// clamping — is derived from sender-local state only, so the two wirings
+// dispatch byte-identical schedules (see DESIGN.md, "Per-node logical
+// processes").
 package simnet
 
 import (
@@ -72,9 +75,8 @@ type Config struct {
 	// only; LP wiring never fuses): fused broadcast delivery — one multicast
 	// record carrying all copies of a BroadcastRange, chaining copy to copy
 	// via gap proofs instead of scheduling one arrive event each (see
-	// multicast) — and send-time arrive elision for unicast sends (see
-	// Network.OnChain). Like NoFastPath, the switch changes only event
-	// counts, never a simulated outcome (TestFanoutFusionDifferential).
+	// multicast). Like NoFastPath, the switch changes only event counts,
+	// never a simulated outcome (TestFanoutFusionDifferential).
 	NoFanoutFusion bool
 
 	// MaxKind, when > 0, is the highest Message.Kind the workload will send;
@@ -88,6 +90,9 @@ func (cfg Config) Validate() error {
 	switch {
 	case cfg.Nodes < 1:
 		return fmt.Errorf("simnet: Nodes must be >= 1, got %d", cfg.Nodes)
+	case cfg.Nodes > sim.MaxArrivalSources:
+		// An arrival's tie-break key packs the source node into 15 bits.
+		return fmt.Errorf("simnet: Nodes must be <= %d, got %d", sim.MaxArrivalSources, cfg.Nodes)
 	case cfg.Bandwidth <= 0:
 		return fmt.Errorf("simnet: Bandwidth must be positive bits/s, got %d", cfg.Bandwidth)
 	case cfg.OneWayLat < 0:
@@ -134,7 +139,7 @@ func (cfg Config) latFor(src, dst int) int64 {
 // own LP under parallel wiring).
 type txState struct {
 	txFree int64      // NIC transmit next-free time
-	seq    uint64     // sends so far: jitter input and ingress tie-break key
+	seq    uint64     // sends so far: jitter input and arrival tie-break key
 	rel    relTracker // queue-pair release times (pending arrivals)
 	msgs   uint64     // messages sent
 	bytes  uint64     // bytes placed on the wire
@@ -149,13 +154,12 @@ type rxState struct {
 	dropped  uint64
 	fast     uint64 // arrivals delivered through the one-hop fast path
 	// Every cross-node or loopback arrival reaches the node through exactly
-	// one of the next three ways, so schedArr + fused + chained always
-	// equals the arrivals processed so far (== delivered once quiescent) —
-	// the elision-accounting identity TestFusedBroadcastDeliveriesIdentical
-	// pins per node.
+	// one of the next two ways, so schedArr + fused always equals the
+	// arrivals processed so far (== delivered once quiescent) — the
+	// elision-accounting identity TestFusedBroadcastDeliveriesIdentical pins
+	// per node.
 	schedArr  uint64      // arrivals dispatched as real (scheduled) events
 	fused     uint64      // arrivals chained inline from a fused broadcast
-	chained   uint64      // arrivals elided at send time (deferred unicast)
 	delivered uint64      // messages handed to the node (incl. dropped)
 	free      []*delivery // recycled delivery records (LP wiring only)
 }
@@ -179,21 +183,18 @@ type Network struct {
 	rx         []rxState
 	lastArrive []int64 // flat [src*Nodes+dst] last arrival, enforcing pair FIFO
 
-	// Sequential wiring: one shared ingress on the shared engine, one
-	// shared delivery pool.
-	ing     *sim.Ingress
+	// Sequential wiring: one shared delivery pool; arrivals are scheduled
+	// straight into the shared engine (sim.Engine.AtArrival).
 	seqFree []*delivery
 
 	// Fan-out fusion state (sequential wiring with fusion enabled only).
-	// pend holds, per (src,dst) lane, the one not-yet-pushed copy of a
-	// fused broadcast parked on that lane; def holds the one deferred
-	// unicast arrival awaiting end-of-dispatch chain resolution. Both are
-	// arrivals the ingress cannot see yet, so any later push to the same
-	// lane must flush them first (lanes are FIFO), and every gap proof
-	// taken while one is pending must account for it.
+	// pend holds, per (src,dst) lane, the one not-yet-scheduled copy of a
+	// fused broadcast parked on that lane. The engine cannot see a parked
+	// copy, so a later send on the same lane schedules it first (the slot
+	// holds one copy, and flows stay FIFO), and every gap proof taken while
+	// one is parked must account for it.
 	fusing bool
 	pend   []pendSlot
-	def    deferredSend
 	mcFree []*multicast
 
 	// Parallel wiring: per-destination ingresses and per-(src,dst)
@@ -205,8 +206,8 @@ type Network struct {
 }
 
 // New creates a sequentially wired network: every node shares eng, and
-// cross-node arrivals feed one ingress queue bound to it. Invalid
-// configurations panic with the descriptive Config.Validate error:
+// cross-node arrivals are scheduled into it under their canonical key.
+// Invalid configurations panic with the descriptive Config.Validate error:
 // simulation wiring is a programming error, and every field is checked the
 // same way.
 func New(eng *sim.Engine, cfg Config) *Network {
@@ -218,8 +219,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		engs[i] = eng
 	}
 	n := newNetwork(engs, cfg)
-	n.ing = sim.NewIngress(cfg.Nodes * cfg.Nodes) // one lane per (src,dst) flow
-	eng.BindIngress(n.ing)
 	if !cfg.NoFanoutFusion {
 		n.fusing = true
 		n.pend = make([]pendSlot, cfg.Nodes*cfg.Nodes)
@@ -509,77 +508,20 @@ func (n *Network) Send(msg Message) {
 		*b = append(*b, mailEntry{at: arrive, seq: seq, d: d})
 		return
 	}
-	lane := msg.From*N + msg.To
-	if n.fusing {
-		// A not-yet-visible arrival already parked on this lane must enter
-		// the ingress first: lanes are FIFO, and this send's arrival is
-		// clamped at or after it.
-		if n.pend[lane].mc != nil {
-			n.flushPend(lane)
-		} else if n.def.d != nil && n.def.lane == int32(lane) {
-			n.flushDef()
-		}
-		if n.def.d == nil && eng.Dispatching() {
-			// Send-time arrive elision: park the arrival and let the
-			// engine chain-resolve it once this dispatch completes — if
-			// the gap proof holds then, the arrive hop runs without ever
-			// being scheduled. OnChain falls back to this same ingress
-			// push when it fails.
-			n.def = deferredSend{d: d, at: arrive, seq: seq, lane: int32(lane)}
-			eng.SetChain(n, arrive)
-			return
-		}
+	if lane := msg.From*N + msg.To; n.fusing && n.pend[lane].mc != nil {
+		// A not-yet-visible copy parked on this flow is scheduled first:
+		// this send's arrival is clamped at or after it.
+		n.flushPend(lane)
 	}
-	n.ing.Push(lane,
-		sim.IngressEvent{At: arrive, Src: int32(msg.From), Seq: seq, H: d, Arg: hopArrive})
-}
-
-// deferredSend is the one unicast arrival parked for end-of-dispatch chain
-// resolution (see Send and Network.OnChain).
-type deferredSend struct {
-	d    *delivery
-	at   int64
-	seq  uint64
-	lane int32
-}
-
-// flushDef pushes the deferred unicast arrival to the ingress with its
-// original key, giving up on eliding it. The engine's chain slot may still
-// fire OnChain afterwards; it no-ops on an empty deferral.
-func (n *Network) flushDef() {
-	def := n.def
-	n.def.d = nil
-	n.ing.Push(int(def.lane),
-		sim.IngressEvent{At: def.at, Src: int32(def.d.msg.From), Seq: def.seq, H: def.d, Arg: hopArrive})
-}
-
-// OnChain resolves the deferred unicast arrival once the dispatch that sent
-// it completes: if the engine proves nothing else runs up to the arrival
-// time, the arrive hop runs inline right now (composing with the rx fast
-// path, so an uncontended message costs zero scheduled events end-to-end);
-// otherwise the arrival takes the normal ingress path with its original key,
-// dispatching exactly as an undeferred send would have.
-func (n *Network) OnChain() {
-	def := n.def
-	if def.d == nil {
-		return
-	}
-	n.def.d = nil
-	eng := n.engs[def.d.msg.From]
-	if eng.TryAdvance(def.at) {
-		n.rx[def.d.msg.To].chained++
-		def.d.arrive()
-		return
-	}
-	n.ing.Push(int(def.lane),
-		sim.IngressEvent{At: def.at, Src: int32(def.d.msg.From), Seq: def.seq, H: def.d, Arg: hopArrive})
+	eng.AtArrival(arrive, int32(msg.From), seq, d, hopArrive)
 }
 
 // DeliverMail drains every mailbox into its destination's ingress queue and
 // returns how many arrivals moved. Parallel wiring only; call at an epoch
 // barrier, with every LP quiescent. Ingress order is canonical (time,
 // source, sequence) regardless of push order, so batched delivery
-// dispatches identically to the sequential wiring's send-time pushes.
+// dispatches identically to the sequential wiring's send-time AtArrival
+// calls.
 func (n *Network) DeliverMail() int {
 	N := n.cfg.Nodes
 	moved := 0
@@ -657,19 +599,14 @@ func (n *Network) FusedHops() uint64 {
 	return total
 }
 
-// ChainedHops returns how many unicast arrivals were elided at send time
-// (deferred and run at end of dispatch) instead of dispatching as events.
-func (n *Network) ChainedHops() uint64 {
-	var total uint64
-	for i := range n.rx {
-		total += n.rx[i].chained
-	}
-	return total
-}
+// ChainedHops always returns 0: send-time unicast chaining never fired on a
+// pinned workload and was removed; the accessor stays for the benchmark's
+// simnet.chained_hops row.
+func (n *Network) ChainedHops() uint64 { return 0 }
 
 // ScheduledArrives returns how many arrivals dispatched as real events. With
-// the counts above, schedArr + fused + chained covers every arrival exactly
-// once — the elision-accounting identity the differential tests pin.
+// FusedHops, schedArr + fused covers every arrival exactly once — the
+// elision-accounting identity the differential tests pin.
 func (n *Network) ScheduledArrives() uint64 {
 	var total uint64
 	for i := range n.rx {

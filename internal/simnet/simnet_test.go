@@ -218,6 +218,7 @@ func TestConfigValidateRejectsEachBadField(t *testing.T) {
 	}{
 		{"zero nodes", func(c *Config) { c.Nodes = 0 }, "Nodes"},
 		{"negative nodes", func(c *Config) { c.Nodes = -3 }, "Nodes"},
+		{"nodes beyond the arrival key's source field", func(c *Config) { c.Nodes = sim.MaxArrivalSources + 1 }, "Nodes"},
 		{"zero bandwidth", func(c *Config) { c.Bandwidth = 0 }, "Bandwidth"},
 		{"negative bandwidth", func(c *Config) { c.Bandwidth = -1 }, "Bandwidth"},
 		{"negative latency", func(c *Config) { c.OneWayLat = -5 }, "OneWayLat"},
@@ -236,6 +237,14 @@ func TestConfigValidateRejectsEachBadField(t *testing.T) {
 				t.Fatalf("error %q does not describe the bad field %q", err, tc.want)
 			}
 		})
+	}
+	// The bounds themselves are valid: one node, and as many as the key holds.
+	for _, nodes := range []int{1, sim.MaxArrivalSources} {
+		cfg := good
+		cfg.Nodes = nodes
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("Nodes=%d rejected: %v", nodes, err)
+		}
 	}
 }
 
