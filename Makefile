@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test vet fmt bench perf experiments examples clean
+.PHONY: all build check test vet fmt bench perf census experiments examples clean
 
 all: build check
 
@@ -36,9 +36,14 @@ fmt:
 # fan-out and completion-train benchmarks run one iteration as smokes
 # against bit-rot, as does the cluster-construction benchmark. bench/ is a
 # module of its own (the repo benchmark), so its smoke tests run from there.
+# The allocation guards — one round per binding on warm and on rotating keys,
+# and allocations per op of whole cells against per-binding ceilings — are
+# exact counts, so they gate too (ROADMAP 6(a)).
 check: vet fmt
 	$(GO) test -race ./...
 	(cd bench && $(GO) test .)
+	$(GO) test ./internal/protocol/ -run 'HotPathAllocs|TestRoundAllocsAcrossBindings'
+	$(GO) test ./internal/cluster/ -run TestCellAllocsPerOp
 	$(GO) test -race ./internal/sim/ -run TestArrivalKeyMatchesIngress
 	$(GO) test -race ./internal/cluster/ -run 'TestNICFastPathDifferential|TestNICFastPathEventReduction'
 	$(GO) test -race ./internal/cluster/ -run 'TestFanoutFusionDifferential|TestFanoutFusionEventReduction'
@@ -62,6 +67,14 @@ bench:
 # four pinned workloads, end to end and per layer. See bench/README.md.
 perf:
 	bash bench/run.sh
+
+# Exact allocation census of the quick Figure 6 matrix: -memprofile samples
+# every object (runtime.MemProfileRate = 1), so the top-40 sites are counts,
+# not estimates. EXPERIMENTS.md "Allocation census" reads this table.
+census:
+	mkdir -p .bench_build
+	$(GO) run ./cmd/ddpbench -exp fig6 -quick -parallel 1 -memprofile .bench_build/census.mprof > /dev/null
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/census.mprof
 
 # Regenerate every table and figure at paper scale (takes tens of minutes
 # on one core; add -quick for a smoke run).

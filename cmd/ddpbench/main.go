@@ -10,11 +10,12 @@
 // curves as tidy rows.
 //
 // Performance investigation flags: -cpuprofile/-memprofile write pprof
-// profiles covering the experiment run; -eventstats prints per-cell
-// event-scheduler counters (events/sim-second, peak queue depth, timing-wheel
-// occupancy) on stderr alongside the normal progress lines — including the
-// elided-hop split (NIC fast path, fused fan-out, send-time chaining) and
-// the device completion-train split — plus
+// profiles covering the experiment run (-memprofile records every allocation,
+// so `go tool pprof -sample_index=alloc_objects` counts are exact; see `make
+// census`); -eventstats prints per-cell event-scheduler counters
+// (events/sim-second, peak queue depth, timing-wheel occupancy) on stderr
+// alongside the normal progress lines — including the elided-hop split (NIC
+// fast path, fused fan-out) and the device completion-train split — plus
 // logical-process synchronizer counters (epochs, cross-LP mail) when -lps
 // engages the parallel intra-cell engine. -parallel and -lps share the core
 // budget (cells x LP workers never exceeds GOMAXPROCS); neither changes any
@@ -46,7 +47,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "experiment cells to run concurrently (0 = all cores, 1 = sequential; never changes results)")
 	lps := flag.Int("lps", 1, "logical-process workers inside each cell (1 = sequential engine, 0 = auto-split cores with -parallel, N = N workers; never changes results)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile (after the run) to this file")
+	memprofile := flag.String("memprofile", "", "write an exact allocation profile (every object sampled; after the run) to this file")
 	eventstats := flag.Bool("eventstats", false, "print per-cell event-scheduler stats on stderr")
 	nofusion := flag.Bool("nofusion", false, "disable broadcast fan-out fusion and send-time delivery elision (never changes results, only event counts)")
 	nodevtrain := flag.Bool("nodevtrain", false, "disable the NVM devices' fused completion trains (never changes results, only event counts)")
@@ -112,6 +113,12 @@ func main() {
 	}
 	o.FwdBatch = *fwdbatch
 
+	if *memprofile != "" {
+		// The default rate samples one allocation per 512 KiB, about one in
+		// ten thousand of the simulator's 32-64-byte records; a census needs
+		// them all. Set before the run allocates anything worth counting.
+		runtime.MemProfileRate = 1
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

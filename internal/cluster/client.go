@@ -25,10 +25,14 @@ type client struct {
 	// transactions and scopes).
 	outstanding int
 
-	// Scope persistency bookkeeping.
-	scopeSeq   uint64
-	opsInScope int
-	scopeRecs  []int // writeLog indices awaiting the scope barrier
+	// Scope persistency bookkeeping. A client runs one barrier at a time
+	// (its pipeline drains first), so the barrier in flight lives here.
+	scopeSeq     uint64
+	opsInScope   int
+	scopeRecs    []int  // writeLog indices awaiting the scope barrier
+	barrierRecs  []int  // the ones the barrier in flight covers
+	barrierStart int64  // when it was issued
+	onBarrier    func() // barrierDone, bound by the first barrier
 
 	// Transactional bookkeeping.
 	txnGen      uint64 // attempt guard: stale callbacks compare against this
@@ -36,11 +40,15 @@ type client struct {
 	txnFirst    []int64          // first-issue time per op (spans retries)
 	txnStamps   []protocol.Stamp // stamps of the attempt's writes
 	txnStarted  int64
-	txnAttempts int // attempts of the current transaction (backoff growth)
+	txnAttempts int         // attempts of the current transaction (backoff growth)
+	attempt     *txnAttempt // the live attempt
 
-	// freeRecs recycles op records so the closed-loop issue path allocates
-	// nothing in steady state (see opRec).
-	freeRecs *opRec
+	// Freelists of op, attempt and transaction-step records: the
+	// closed-loop issue path allocates nothing in steady state (see opRec,
+	// txnAttempt).
+	freeRecs     *opRec
+	freeAttempts *txnAttempt
+	freeSteps    *txnStepRec
 }
 
 // opRec carries one in-flight request's state. Completion closures are
@@ -161,7 +169,7 @@ func (c *client) next() {
 		if c.outstanding > 0 {
 			return // draining toward the barrier; completions re-enter next()
 		}
-		c.persistScope(c.next)
+		c.persistScope()
 		return
 	}
 	if c.transactional() {
@@ -214,26 +222,61 @@ func (c *client) issueOne() {
 	}
 }
 
-// persistScope runs the [PERSIST]s barrier and then continues with cont.
-func (c *client) persistScope(cont func()) {
+// persistScope runs the [PERSIST]s barrier; barrierDone continues the loop.
+func (c *client) persistScope() {
 	scope := c.curScope()
-	recs := c.scopeRecs
-	c.scopeRecs = nil
+	c.barrierRecs, c.scopeRecs = c.scopeRecs, c.barrierRecs[:0]
 	c.scopeSeq++
 	c.opsInScope = 0
-	start := c.ns.eng.Now()
-	c.node.ClientPersistScope(scope, func() {
-		c.ns.recordScope(c.ns.eng.Now() - start)
-		for _, i := range recs {
-			c.ns.writeLog[i].ScopePersisted = true
-		}
-		cont()
-	})
+	c.barrierStart = c.ns.eng.Now()
+	if c.onBarrier == nil {
+		c.onBarrier = c.barrierDone
+	}
+	c.node.ClientPersistScope(scope, c.onBarrier)
+}
+
+func (c *client) barrierDone() {
+	c.ns.recordScope(c.ns.eng.Now() - c.barrierStart)
+	for _, i := range c.barrierRecs {
+		c.ns.writeLog[i].ScopePersisted = true
+	}
+	c.next()
 }
 
 // ---------------------------------------------------------------------------
 // Transactional loop
 // ---------------------------------------------------------------------------
+
+// txnAttempt carries one attempt's INITX callbacks — the id delivery and the
+// abort notification — and txnStepRec those of one read, write or ENDX
+// inside it. Both record the attempt they belong to, so a callback arriving
+// after its attempt was squashed is recognised as stale; closures are bound
+// once and the records recycle through the client's freelists. An attempt
+// record recycles when its attempt ends: the replica drops a transaction's
+// callbacks before reporting its end, so none can follow.
+type txnAttempt struct {
+	c    *client
+	gen  uint64 // the attempt; stale once it differs from c.txnGen
+	next *txnAttempt
+
+	onAbort func()
+	onInit  func(txn uint64)
+}
+
+// txnStepRec recycles when its callback fires. A squashed write's never
+// does; that record is left to the collector, which is why steps are not
+// folded into txnAttempt: what a squash strands stays small.
+type txnStepRec struct {
+	c    *client
+	gen  uint64 // as txnAttempt.gen
+	id   uint64 // transaction id
+	idx  int    // index into c.txnOps; len(c.txnOps) for the ENDX
+	at   int64  // issue time (read steps)
+	next *txnStepRec
+
+	onStamp func(protocol.Stamp)
+	onEnd   func(committed bool)
+}
 
 // startTxn plans a fresh transaction of XactionSize requests and runs its
 // first attempt.
@@ -243,8 +286,13 @@ func (c *client) startTxn() {
 	for i := 0; i < n; i++ {
 		c.txnOps = append(c.txnOps, c.gen.Next())
 	}
-	c.txnFirst = make([]int64, n)
-	c.txnStamps = make([]protocol.Stamp, n)
+	if cap(c.txnFirst) < n {
+		c.txnFirst = make([]int64, n)
+		c.txnStamps = make([]protocol.Stamp, n)
+	}
+	c.txnFirst, c.txnStamps = c.txnFirst[:n], c.txnStamps[:n]
+	clear(c.txnFirst)
+	clear(c.txnStamps)
 	c.txnStarted = c.ns.eng.Now()
 	c.txnAttempts = 0
 	c.attemptTxn()
@@ -254,11 +302,25 @@ func (c *client) startTxn() {
 func (c *client) attemptTxn() {
 	c.txnAttempts++
 	c.txnGen++
-	gen := c.txnGen
-	c.node.ClientInitTxn(
-		func() { c.txnAborted(gen) },
-		func(id uint64) { c.txnStep(gen, id, 0) },
-	)
+	a := c.freeAttempts
+	if a != nil {
+		c.freeAttempts = a.next
+	} else {
+		a = &txnAttempt{c: c}
+		a.onAbort = func() { a.c.txnAborted(a.gen) }
+		a.onInit = func(txn uint64) { a.c.txnStep(a.gen, txn, 0) }
+	}
+	a.gen = c.txnGen
+	c.attempt = a
+	c.node.ClientInitTxn(a.onAbort, a.onInit)
+}
+
+// endAttempt recycles the live attempt's record once the attempt is over,
+// committed or aborted.
+func (c *client) endAttempt() {
+	c.attempt.next = c.freeAttempts
+	c.freeAttempts = c.attempt
+	c.attempt = nil
 }
 
 // txnStep issues op idx of the current attempt, then ENDX after the last.
@@ -266,51 +328,68 @@ func (c *client) txnStep(gen, id uint64, idx int) {
 	if gen != c.txnGen {
 		return // stale callback from a squashed attempt
 	}
+	r := c.freeSteps
+	if r != nil {
+		c.freeSteps = r.next
+	} else {
+		r = &txnStepRec{c: c}
+		r.onStamp = func(st protocol.Stamp) { r.stepDone(st) }
+		r.onEnd = func(committed bool) { r.endDone(committed) }
+	}
+	r.gen, r.id, r.idx = gen, id, idx
 	if idx == len(c.txnOps) {
-		c.node.ClientEndTxn(id, func(committed bool) {
-			if gen != c.txnGen {
-				return
-			}
-			if committed {
-				c.txnCommitted()
-			} else {
-				c.txnAborted(gen)
-			}
-		})
+		c.node.ClientEndTxn(id, r.onEnd)
 		return
 	}
 	op := c.txnOps[idx]
-	now := c.ns.eng.Now()
+	r.at = c.ns.eng.Now()
 	if c.txnFirst[idx] == 0 {
-		c.txnFirst[idx] = now
+		c.txnFirst[idx] = r.at
 	}
 	if op.Kind == ycsb.OpRead || op.Kind == ycsb.OpScan {
-		issuedAt := now
-		c.node.ClientRead(op.Key, id, func(st protocol.Stamp) {
-			if gen != c.txnGen {
-				return
-			}
-			// Reads are served immediately within the transaction (Figure 4)
-			// and measured per attempt; the retry cost of conflicts lands on
-			// the writes, whose latency spans to the commit (Section 8.1.1:
-			// writes bunch up and pay for restarts).
-			c.ns.finishRead(issuedAt, op.Key, st, c.id, c.node.ID())
-			c.txnStep(gen, id, idx+1)
-		})
+		c.node.ClientRead(op.Key, id, r.onStamp)
 		return
 	}
-	c.node.ClientWrite(op.Key, c.curScope(), id, func(st protocol.Stamp) {
-		if gen != c.txnGen {
-			return
-		}
+	c.node.ClientWrite(op.Key, c.curScope(), id, r.onStamp)
+}
+
+// stepDone completes one read or write of the attempt and issues the next.
+func (r *txnStepRec) stepDone(st protocol.Stamp) {
+	c, gen, id, idx, at := r.c, r.gen, r.id, r.idx, r.at
+	r.next, c.freeSteps = c.freeSteps, r
+	if gen != c.txnGen {
+		return
+	}
+	if op := c.txnOps[idx]; op.Kind == ycsb.OpRead || op.Kind == ycsb.OpScan {
+		// Reads are served immediately within the transaction (Figure 4)
+		// and measured per attempt; the retry cost of conflicts lands on
+		// the writes, whose latency spans to the commit (Section 8.1.1:
+		// writes bunch up and pay for restarts).
+		c.ns.finishRead(at, op.Key, st, c.id, c.node.ID())
+	} else {
 		c.txnStamps[idx] = st
-		c.txnStep(gen, id, idx+1)
-	})
+	}
+	c.txnStep(gen, id, idx+1)
+}
+
+// endDone receives the attempt's ENDX outcome.
+func (r *txnStepRec) endDone(committed bool) {
+	c, gen := r.c, r.gen
+	r.next, c.freeSteps = c.freeSteps, r
+	if gen != c.txnGen {
+		return
+	}
+	if committed {
+		c.txnCommitted()
+	} else {
+		c.txnAborted(gen)
+	}
 }
 
 // txnCommitted records the committed writes — a transactional write is only
 // "satisfied" once its transaction commits (Section 8.1.1) — and loops.
 func (c *client) txnCommitted() {
+	c.endAttempt()
 	for i, op := range c.txnOps {
 		if op.Kind != ycsb.OpWrite {
 			continue
@@ -332,15 +411,19 @@ func (c *client) txnAborted(gen uint64) {
 	if gen != c.txnGen {
 		return
 	}
+	c.endAttempt()
 	c.txnGen++
-	resume := c.txnGen
 	backoff := c.cl.Cfg.Params.RetryBackoff
 	scale := int64(1) << uint(min(c.txnAttempts-1, 3))
 	delay := backoff*scale + c.rng.Int63n(backoff*scale+1)
-	c.ns.eng.Schedule(delay, func() {
-		if c.txnGen != resume {
-			return
-		}
+	c.ns.eng.ScheduleEvent(delay, c, c.txnGen)
+}
+
+// OnEvent resumes the transaction after its retry backoff, unless the
+// attempt guard moved meanwhile. It implements sim.Handler so the backoff
+// schedules closure-free.
+func (c *client) OnEvent(resume uint64) {
+	if c.txnGen == resume {
 		c.attemptTxn()
-	})
+	}
 }

@@ -172,9 +172,9 @@ func progressLine(w io.Writer, m core.Model, wl ycsb.Workload, r *cluster.Result
 	}
 	fmt.Fprintf(w, "      events %8.2f M/sim-s  max pending %6d  wheel %5.1f%%  overflow %d  turns %d\n",
 		evPerSec/1e6, s.MaxPending, wheelPct, s.Overflow, s.Turns)
-	if elided := r.NetFastHops + r.NetFusedHops + r.NetChainedHops; elided > 0 {
-		fmt.Fprintf(w, "      elided %d hops: nic-fast %d  fanout-fused %d  send-chained %d\n",
-			elided, r.NetFastHops, r.NetFusedHops, r.NetChainedHops)
+	if elided := r.NetFastHops + r.NetFusedHops; elided > 0 {
+		fmt.Fprintf(w, "      elided %d hops: nic-fast %d  fanout-fused %d\n",
+			elided, r.NetFastHops, r.NetFusedHops)
 	}
 	if comps := r.DevSchedComps + r.DevFusedComps; r.DevFusedComps > 0 {
 		fmt.Fprintf(w, "      device completions %d: train-fused %d (%.1f%%)  scheduled %d\n",

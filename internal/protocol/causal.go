@@ -110,9 +110,11 @@ func (r *Replica) fileBuffered(u bufferedUpd) {
 		}
 		if r.appliedVC[i] < need {
 			if r.waiting[i] == nil {
-				r.waiting[i] = make(map[uint64][]bufferedUpd)
+				r.waiting[i] = make(map[uint64]int32)
 			}
-			r.waiting[i][need] = append(r.waiting[i][need], u)
+			tail := r.waiting[i][need]
+			r.bufs.push(&tail, u)
+			r.waiting[i][need] = tail
 			r.bufCount++
 			return
 		}
@@ -134,23 +136,20 @@ func (r *Replica) advanceApplied(node int) {
 		return
 	}
 	r.draining = true
-	for len(r.drainQueue) > 0 {
-		a := r.drainQueue[0]
-		r.drainQueue = r.drainQueue[1:]
-		m := r.waiting[a.node]
-		if m == nil {
-			continue
-		}
-		pending, ok := m[a.v]
+	// Drain by index: re-evaluations append to the queue while it drains.
+	for i := 0; i < len(r.drainQueue); i++ {
+		a := r.drainQueue[i]
+		tail, ok := r.waiting[a.node][a.v]
 		if !ok {
 			continue
 		}
-		delete(m, a.v)
-		r.bufCount -= len(pending)
-		for _, u := range pending {
-			r.fileBuffered(u)
+		delete(r.waiting[a.node], a.v)
+		for head := r.bufs.detach(&tail); head != 0; {
+			r.bufCount--
+			r.fileBuffered(r.bufs.pop(&head))
 		}
 	}
+	r.drainQueue = r.drainQueue[:0]
 	r.draining = false
 }
 

@@ -1,0 +1,289 @@
+package protocol
+
+import (
+	"repro/internal/engines"
+	"repro/internal/sim"
+)
+
+// clientOp carries one client request through the replica: worker
+// acquisition, service time, the operation's own steps, completion. The
+// record is its own sim.Handler and sim.Holder, so no step of the pipeline
+// schedules a closure, and it recycles through the replica's freelist: the
+// steady-state request path allocates nothing beyond what the protocol round
+// itself books.
+type clientOp struct {
+	r    *Replica
+	kind opKind
+
+	key, scope, txn uint64
+	n               int   // scan: maximum length, then the keys found
+	service         int64 // worker service time before the operation runs
+
+	// Read phase (read, scan, RMW): the worker held across it, when it first
+	// ran and whether it stalled (stall accounting), and the version served.
+	hold    sim.Hold
+	start   int64
+	stalled bool
+	ver     Stamp
+
+	// The client's completion callback; which one is set follows kind.
+	done      func(Stamp)      // read, write, RMW
+	doneScan  func(count int)  // scan
+	doneInit  func(txn uint64) // init-transaction
+	onAbort   func()           // init-transaction
+	doneEnd   func(ok bool)    // end-transaction
+	doneScope func()           // persist-scope
+
+	next *clientOp // freelist link
+}
+
+type opKind uint8
+
+const (
+	opRead opKind = iota
+	opWrite
+	opScan
+	opRMW
+	opInitTxn
+	opEndTxn
+	opPersistScope
+)
+
+// The events a clientOp schedules for itself, as typed-event arguments.
+const (
+	opRun      = iota // worker service time elapsed: run the operation
+	opReadDone        // memory latency of the read phase elapsed
+	opScanDone        // per-entry traversal cost of a scan elapsed
+)
+
+func (r *Replica) newOp(kind opKind) *clientOp {
+	op := r.opFree
+	if op == nil {
+		return &clientOp{r: r, kind: kind}
+	}
+	r.opFree = op.next
+	op.next = nil
+	op.kind = kind
+	return op
+}
+
+// recycle returns op to the freelist, dropping its callbacks.
+func (op *clientOp) recycle() {
+	r := op.r
+	*op = clientOp{r: r, next: r.opFree}
+	r.opFree = op
+}
+
+// opServiceTime is the worker time a data request costs before it touches
+// the store: the request compute, scaled by the engine's per-op cost.
+func (r *Replica) opServiceTime() int64 {
+	return int64(float64(r.p.RequestCompute)*r.vol.OpCost()) + r.p.EngineOpExtra
+}
+
+// ClientRead submits a read for key at this node. done runs at completion
+// with the stamp of the version returned (zero if the key has no visible or
+// persisted value yet). txn is the surrounding transaction id (0 outside
+// transactions); transactional reads never squash: they serve the latest
+// committed version (readAttempt), the snapshot flavor of Section 5.4's
+// conflict actions.
+//
+// The worker runs the read to completion: if the read stalls, its worker
+// blocks with it (run-to-completion server threads). Under load, stalled
+// reads therefore deplete the worker pool — the degradation that makes
+// client count matter so much in Figure 7.
+func (r *Replica) ClientRead(key uint64, txn uint64, done func(Stamp)) {
+	op := r.newOp(opRead)
+	op.key, op.done = key, done
+	op.service = r.opServiceTime()
+	r.work.AcquireHold(op)
+}
+
+// ClientWrite submits a write for key at this node. scope tags the write's
+// persistency scope (0 outside Scope persistency); txn its transaction (0
+// outside Transactional consistency). done runs when the write completes
+// under the model's rules, receiving the stamp assigned to the new version;
+// under Transactional consistency a conflicting write squashes its
+// transaction and done never fires.
+func (r *Replica) ClientWrite(key uint64, scope, txn uint64, done func(Stamp)) {
+	op := r.newOp(opWrite)
+	op.key, op.scope, op.txn, op.done = key, scope, txn, done
+	r.work.AcquireEvent(r.opServiceTime()+r.mem.WriteLatency(), op, opRun)
+}
+
+// ClientScan reads up to maxLen consecutive keys starting at start,
+// returning the number of keys found. Ordered engines serve the scan with a
+// real Range; hash engines degrade to a multi-get over the key range. The
+// model's read-stall rules apply to the start key (a per-key stall check
+// over a whole range would serialize scans on any write activity; real
+// scan-supporting stores take the same snapshot-ish shortcut).
+func (r *Replica) ClientScan(start uint64, maxLen int, done func(count int)) {
+	if maxLen < 1 {
+		maxLen = 1
+	}
+	op := r.newOp(opScan)
+	op.key, op.n, op.doneScan = start, maxLen, done
+	op.service = r.opServiceTime()
+	r.work.AcquireHold(op)
+}
+
+// ClientRMW performs an atomic-at-the-coordinator read-modify-write
+// (YCSB workload F): the read obeys the model's read-stall rules, then the
+// write follows the model's write path. done receives the new version's
+// stamp.
+func (r *Replica) ClientRMW(key uint64, scope, txn uint64, done func(Stamp)) {
+	op := r.newOp(opRMW)
+	op.key, op.scope, op.txn, op.done = key, scope, txn, done
+	op.service = r.opServiceTime()
+	r.work.AcquireHold(op)
+}
+
+// ClientInitTxn begins a transaction at this node. onAbort fires if the
+// transaction is later squashed by a conflict; done delivers the new
+// transaction id once every replica has acknowledged INITX (Figure 4).
+func (r *Replica) ClientInitTxn(onAbort func(), done func(txn uint64)) {
+	op := r.newOp(opInitTxn)
+	op.onAbort, op.doneInit = onAbort, done
+	r.work.AcquireEvent(r.p.RequestCompute, op, opRun)
+}
+
+// ClientEndTxn requests commit. done reports whether the transaction
+// committed; false means it was squashed (or unknown) and the client should
+// retry.
+func (r *Replica) ClientEndTxn(txn uint64, done func(committed bool)) {
+	op := r.newOp(opEndTxn)
+	op.txn, op.doneEnd = txn, done
+	r.work.AcquireEvent(r.p.RequestCompute, op, opRun)
+}
+
+// ClientPersistScope executes the [PERSIST]s barrier of Figure 5: broadcast
+// PERSIST, persist the local scope writes, collect every follower's ACK_p,
+// broadcast VAL_p, and acknowledge the client. The scopes of one session
+// (the id's high 32 bits) must close in increasing id order — a session
+// issues its next barrier only after the previous one completed, so they do.
+func (r *Replica) ClientPersistScope(scope uint64, done func()) {
+	op := r.newOp(opPersistScope)
+	op.scope, op.doneScope = scope, done
+	r.work.AcquireEvent(r.p.RequestCompute, op, opRun)
+}
+
+// OnHold runs once a read-side request has its worker: the worker stays held
+// from here until the read phase completes.
+func (op *clientOp) OnHold(h sim.Hold) {
+	op.hold = h
+	op.r.eng.ScheduleEvent(op.service, op, opRun)
+}
+
+// OnEvent advances the request by one of the events it scheduled for itself.
+func (op *clientOp) OnEvent(ev uint64) {
+	switch ev {
+	case opRun:
+		op.run()
+	case opReadDone:
+		op.readDone()
+	case opScanDone:
+		r, hold, done, n := op.r, op.hold, op.doneScan, op.n
+		op.recycle()
+		r.work.Release(hold)
+		done(n)
+	}
+}
+
+// run executes the operation once its worker service time has elapsed.
+func (op *clientOp) run() {
+	r := op.r
+	switch op.kind {
+	case opRead, opScan, opRMW:
+		r.M.Reads++
+		if r.tracer != nil {
+			switch op.kind {
+			case opRead:
+				r.trace("RD k%d", op.key)
+			case opScan:
+				r.trace("SCAN k%d+%d", op.key, op.n)
+			default:
+				r.trace("RMW k%d", op.key)
+			}
+		}
+		if op.kind == opRead {
+			if ks := r.keys.at(op.key); ks.persisted < ks.visible {
+				r.M.PersistConflictReads++
+			}
+		}
+		op.start = r.eng.Now()
+		r.readAttempt(op)
+	case opWrite:
+		key, scope, txn, done := op.key, op.scope, op.txn, op.done
+		op.recycle()
+		r.M.Writes++
+		if r.tracer != nil {
+			r.trace("WR k%d", key)
+		}
+		r.vis.dispatchWrite(r, key, scope, txn, done)
+	case opInitTxn:
+		onAbort, done := op.onAbort, op.doneInit
+		op.recycle()
+		r.initTxn(onAbort, done)
+	case opEndTxn:
+		txn, done := op.txn, op.doneEnd
+		op.recycle()
+		r.endTxn(txn, done)
+	case opPersistScope:
+		scope, done := op.scope, op.doneScope
+		op.recycle()
+		r.persistScope(scope, done)
+	}
+}
+
+// readDone finishes the read phase with the version readAttempt served.
+func (op *clientOp) readDone() {
+	r := op.r
+	if r.tracer != nil {
+		r.trace("RD k%d returns %v", op.key, op.ver)
+	}
+	switch op.kind {
+	case opRead:
+		hold, done, ver := op.hold, op.done, op.ver
+		op.recycle()
+		r.work.Release(hold)
+		done(ver)
+	case opScan:
+		op.n = r.scanEngine(op.key, op.n)
+		// Per-entry traversal cost on top of the first access.
+		r.eng.ScheduleEvent(int64(op.n)*2, op, opScanDone)
+	case opRMW:
+		// The modify phase re-uses the write path; the read already charged
+		// the request compute, so the write costs only the local update.
+		hold, key, scope, txn, done := op.hold, op.key, op.scope, op.txn, op.done
+		op.recycle()
+		r.work.Release(hold)
+		r.M.Writes++
+		r.vis.dispatchWrite(r, key, scope, txn, done)
+	}
+}
+
+// scanEngine performs the real data-structure traversal.
+func (r *Replica) scanEngine(start uint64, maxLen int) int {
+	src := r.readSource()
+	count := 0
+	if engines.Ordered(src.Name()) {
+		src.Range(func(k uint64, _ engines.Item) bool {
+			if k < start {
+				return true
+			}
+			count++
+			return count < maxLen
+		})
+		return count
+	}
+	// Hash engines: multi-get over the dense key range.
+	end := start + uint64(maxLen)
+	if end > uint64(r.p.Keys) {
+		end = uint64(r.p.Keys)
+	}
+	for k := start; k < end; k++ {
+		if _, ok := src.Get(k); ok {
+			count++
+		}
+	}
+	return count
+}

@@ -27,7 +27,7 @@ func (eventualVis) causalHistory(r *Replica) []uint64 { return nil }
 
 // propagateWeak delays the UPD send (Figure 2g).
 func (eventualVis) propagateWeak(r *Replica, upd payload) {
-	r.eng.Schedule(r.p.EventualLag, func() { r.propagate(upd) })
+	r.after(r.p.EventualLag, cont{kind: contPropagate, arg: upd.Scope}, upd.Key, upd.Stamp)
 }
 
 // onUpdate applies in arrival order, last-writer-wins.

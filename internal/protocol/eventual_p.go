@@ -5,26 +5,31 @@ package protocol
 // delay and nothing in the protocol ever waits for NVM.
 type eventualDur struct{ durClass }
 
+// lazyPersist persists (key, st) after the lazy delay.
+func (r *Replica) lazyPersist(key uint64, st Stamp) {
+	r.after(r.p.LazyPersist, cont{kind: contPersist}, key, st)
+}
+
 func (eventualDur) tracksTransP() bool            { return false }
 func (eventualDur) allowsEarlyCompletion() bool   { return true }
 func (eventualDur) persistsAtTxnBoundaries() bool { return false }
 func (eventualDur) servesPersistedImage() bool    { return false }
 
-func (eventualDur) onStrongWriteLaunch(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope, txn uint64) {
-	r.launchStrongWrite(pw, key, st, scope, txn)
+func (eventualDur) onStrongWriteLaunch(r *Replica, pw *pendingWrite) {
+	r.launchStrongWrite(pw)
 }
 
-func (eventualDur) startLocalDurability(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope, txn uint64) {
-	r.eng.Schedule(r.p.LazyPersist, func() { r.persist(key, st, nil) })
+func (eventualDur) startLocalDurability(r *Replica, pw *pendingWrite) {
+	r.lazyPersist(pw.key, pw.stamp)
 	pw.localPersist = true
 }
+
+func (eventualDur) onLocalPersist(r *Replica, pw *pendingWrite) {}
 
 func (eventualDur) onInvReceive(r *Replica, from int, p payload) {
 	r.applyVisible(p.Key, p.Stamp)
 	r.send(from, payload{Kind: MsgACKc, Stamp: p.Stamp, Txn: p.Txn})
-	st := p.Stamp
-	key := p.Key
-	r.eng.Schedule(r.p.LazyPersist, func() { r.persist(key, st, nil) })
+	r.lazyPersist(p.Key, p.Stamp)
 }
 
 func (d eventualDur) onConsistencyAcked(r *Replica, pw *pendingWrite) {
@@ -36,20 +41,18 @@ func (eventualDur) onPersistAck(r *Replica, pw *pendingWrite) {}
 func (eventualDur) weakWriteNeedsAcks() bool { return false }
 
 func (eventualDur) onWeakWrite(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope uint64) bool {
-	r.eng.Schedule(r.p.LazyPersist, func() { r.persist(key, st, nil) })
+	r.lazyPersist(key, st)
 	r.selfApplyCausal()
 	return true
 }
 
 func (eventualDur) onCausalApply(r *Replica, p payload, src int) {
-	key, st := p.Key, p.Stamp
-	r.eng.Schedule(r.p.LazyPersist, func() { r.persist(key, st, nil) })
+	r.lazyPersist(p.Key, p.Stamp)
 	r.advanceApplied(src)
 }
 
 func (eventualDur) onFollowerUpdate(r *Replica, from int, p payload) {
-	st, key := p.Stamp, p.Key
-	r.eng.Schedule(r.p.LazyPersist, func() { r.persist(key, st, nil) })
+	r.lazyPersist(p.Key, p.Stamp)
 }
 
 func (eventualDur) readBlocked(r *Replica, ks *keyState) bool { return false }

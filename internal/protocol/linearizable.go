@@ -16,18 +16,18 @@ func (strongVis) dispatchWrite(r *Replica, key, scope, txn uint64, done func(Sta
 // key stall until validation; Read-Enforced persistency additionally tracks
 // it until VAL_p (Figure 3).
 func (strongVis) onStrongWriteLaunch(r *Replica, ks *keyState, key uint64, st Stamp, txn uint64) {
-	ks.addTransC(st)
+	r.stamps.add(&ks.transC, st)
 	if r.dur.tracksTransP() {
-		ks.addTransP(st)
+		r.stamps.add(&ks.transP, st)
 	}
 }
 
 // onInvReceive mirrors the coordinator's transient bookkeeping at the
 // follower.
 func (strongVis) onInvReceive(r *Replica, ks *keyState, from int, p payload) bool {
-	ks.addTransC(p.Stamp)
+	r.stamps.add(&ks.transC, p.Stamp)
 	if r.dur.tracksTransP() {
-		ks.addTransP(p.Stamp)
+		r.stamps.add(&ks.transP, p.Stamp)
 	}
 	return true
 }
@@ -36,10 +36,10 @@ func (strongVis) onInvReceive(r *Replica, ks *keyState, from int, p payload) boo
 // under Read-Enforced persistency validation additionally requires VAL_p
 // (Figure 3).
 func (strongVis) readBlocked(r *Replica, ks *keyState) bool {
-	if len(ks.transC) > 0 {
+	if ks.transC != 0 {
 		return true
 	}
-	return r.dur.tracksTransP() && len(ks.transP) > 0
+	return r.dur.tracksTransP() && ks.transP != 0
 }
 
 func (strongVis) servesCommitted() bool { return false }

@@ -20,9 +20,10 @@
 // binds a core.Model to its policy pair once at Replica construction.
 // Custom bindings registered via core.Register resolve onto the same
 // implementations. The remaining files are the plumbing the policies drive:
-// replica.go (state, messaging, persist coalescing, reads), write.go (write
-// rounds), causal.go (reorder buffer), txn.go (transaction lifecycle),
-// scanrmw.go (scans and read-modify-writes).
+// replica.go (state, messaging, persist coalescing, read stalls), clientop.go
+// (the client request pipeline), write.go (write rounds), causal.go (reorder
+// buffer), txn.go (transaction lifecycle), cont.go (continuations as data)
+// and slab.go (the recycled record stores behind them).
 package protocol
 
 import "repro/internal/vclock"
@@ -30,7 +31,7 @@ import "repro/internal/vclock"
 // MsgKind enumerates Table 3's protocol messages, plus the two auxiliary
 // messages (NACK, ABORTX) of the transactional conflict-handling
 // infrastructure the paper describes in Section 5.4.
-type MsgKind int
+type MsgKind uint8
 
 // Message kinds.
 const (

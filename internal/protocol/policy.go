@@ -122,11 +122,16 @@ type DurabilityPolicy interface {
 	// durability model: Strict persists locally before the update
 	// propagates (Table 2); everyone else launches immediately via
 	// r.launchStrongWrite.
-	onStrongWriteLaunch(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope, txn uint64)
+	onStrongWriteLaunch(r *Replica, pw *pendingWrite)
 
 	// startLocalDurability arranges the coordinator-side persist for a
 	// launched strong write.
-	startLocalDurability(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope, txn uint64)
+	startLocalDurability(r *Replica, pw *pendingWrite)
+
+	// onLocalPersist continues a pending write's round once the
+	// coordinator's own persist of it (a contLocalPersist continuation)
+	// completed and pw.localPersist is set.
+	onLocalPersist(r *Replica, pw *pendingWrite)
 
 	// onInvReceive makes an INV's update visible and durable at a follower
 	// in the persistency model's order, and sends the matching ACK flavor.
@@ -226,10 +231,10 @@ func resolvePolicies(m core.Model) (VisibilityPolicy, DurabilityPolicy) {
 func consAckedValidateC(r *Replica, pw *pendingWrite, transactional bool) {
 	if transactional {
 		r.releaseTxnWriteLock(pw.key)
-		delete(r.pending, pw.stamp)
+		r.dropPending(pw)
 		return
 	}
 	r.validate(pw, MsgVALc)
 	r.completeWrite(pw)
-	delete(r.pending, pw.stamp)
+	r.dropPending(pw)
 }

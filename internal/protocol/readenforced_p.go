@@ -13,26 +13,23 @@ func (readEnforcedDur) allowsEarlyCompletion() bool   { return true }
 func (readEnforcedDur) persistsAtTxnBoundaries() bool { return false }
 func (readEnforcedDur) servesPersistedImage() bool    { return false }
 
-func (readEnforcedDur) onStrongWriteLaunch(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope, txn uint64) {
-	r.launchStrongWrite(pw, key, st, scope, txn)
+func (readEnforcedDur) onStrongWriteLaunch(r *Replica, pw *pendingWrite) {
+	r.launchStrongWrite(pw)
 }
 
 // startLocalDurability persists in the background; the VAL_p waits for it.
-func (d readEnforcedDur) startLocalDurability(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope, txn uint64) {
-	r.persist(key, st, func() {
-		pw.localPersist = true
-		d.maybeFinish(r, pw)
-	})
+func (readEnforcedDur) startLocalDurability(r *Replica, pw *pendingWrite) {
+	r.persist(pw.key, pw.stamp, cont{kind: contLocalPersist})
 }
+
+func (d readEnforcedDur) onLocalPersist(r *Replica, pw *pendingWrite) { d.maybeFinish(r, pw) }
 
 // onInvReceive ACKs consistency immediately and persistency when the local
 // persist completes — the split-ACK flavor of Figure 3a.
 func (readEnforcedDur) onInvReceive(r *Replica, from int, p payload) {
 	r.applyVisible(p.Key, p.Stamp)
 	r.send(from, payload{Kind: MsgACKc, Stamp: p.Stamp, Txn: p.Txn})
-	r.persist(p.Key, p.Stamp, func() {
-		r.send(from, payload{Kind: MsgACKp, Stamp: p.Stamp})
-	})
+	r.persist(p.Key, p.Stamp, ackTo(MsgACKp, from, 0))
 }
 
 // onConsistencyAcked completes the write at the client on all ACK_c; the
@@ -52,25 +49,25 @@ func (d readEnforcedDur) onPersistAck(r *Replica, pw *pendingWrite) { d.maybeFin
 func (readEnforcedDur) maybeFinish(r *Replica, pw *pendingWrite) {
 	if pw.cAcks == 0 && pw.pAcks == 0 && pw.localPersist {
 		r.validateP(pw)
-		delete(r.pending, pw.stamp)
+		r.dropPending(pw)
 	}
 }
 
 func (readEnforcedDur) weakWriteNeedsAcks() bool { return false }
 
 func (readEnforcedDur) onWeakWrite(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope uint64) bool {
-	r.persist(key, st, nil)
+	r.persist(key, st, cont{})
 	r.selfApplyCausal()
 	return true
 }
 
 func (readEnforcedDur) onCausalApply(r *Replica, p payload, src int) {
-	r.persist(p.Key, p.Stamp, nil)
+	r.persist(p.Key, p.Stamp, cont{})
 	r.advanceApplied(src)
 }
 
 func (readEnforcedDur) onFollowerUpdate(r *Replica, from int, p payload) {
-	r.persist(p.Key, p.Stamp, nil)
+	r.persist(p.Key, p.Stamp, cont{})
 }
 
 // readBlocked stalls weak-consistency reads until the latest visible

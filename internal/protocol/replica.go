@@ -68,66 +68,55 @@ type Deps struct {
 	AtomicRefs bool
 }
 
-// keyState is the per-key protocol state at one replica.
+// keyState is the per-key protocol state at one replica. It holds no slice or
+// map of its own: every per-key collection is a token into a replica-level
+// slab (or, for stalled reads, a link through the operation records), so the
+// first touch of a key allocates nothing.
 type keyState struct {
 	visible   Stamp // stamp of the current visible (volatile) version
 	persisted Stamp // stamp of the latest locally persisted version
 
 	// transC holds stamps INVed but not yet validated for consistency;
 	// transP holds stamps not yet validated for persistency (VAL_p).
-	transC map[Stamp]struct{}
-	transP map[Stamp]struct{}
+	transC stampSet
+	transP stampSet
 
-	consWait []func() // reads waiting for consistency validation
-	persWait []func() // reads waiting for local persistence
+	// Reads stalled on this key, as tail tokens of FIFOs in Replica.waiters:
+	// consWait waits for consistency validation, persWait for local
+	// persistence.
+	consWait int32
+	persWait int32
 
 	lockTxn   uint64 // transaction with an in-flight write to this key
 	committed Stamp  // latest transactionally committed version (Xact only)
 
 	// Write-back coalescing: at most one persist per key is in flight; newer
 	// stamps arriving meanwhile mark the key dirty and ride the follow-up
-	// write-back. Callbacks fire once their stamp is covered. issuedStamp is
-	// the stamp the in-flight write covers (at most one, so it lives here
-	// rather than in a per-write record); spareCbs is the double-buffer that
-	// lets completion snapshot-and-swap persistCbs without reallocating.
+	// write-back. Continuations run once their stamp is covered. issuedStamp
+	// is the stamp the in-flight write covers (at most one, so it lives here
+	// rather than in a per-write record); persistCbs is the tail token of the
+	// key's FIFO of waiting continuations in Replica.conts.
 	persistInFlight bool
+	persistCbs      int32
 	dirtyStamp      Stamp
 	issuedStamp     Stamp
-	persistCbs      []persistCb
-	spareCbs        []persistCb
 }
 
-// persistCb defers a durability callback onto an in-flight coalesced persist.
-type persistCb struct {
-	st   Stamp
-	done func()
-}
-
-func (ks *keyState) addTransC(st Stamp) {
-	if ks.transC == nil {
-		ks.transC = make(map[Stamp]struct{}, 2)
-	}
-	ks.transC[st] = struct{}{}
-}
-
-func (ks *keyState) addTransP(st Stamp) {
-	if ks.transP == nil {
-		ks.transP = make(map[Stamp]struct{}, 2)
-	}
-	ks.transP[st] = struct{}{}
-}
-
-// pendingWrite tracks a coordinator-side in-flight write.
+// pendingWrite tracks a coordinator-side in-flight write. Records recycle
+// through Replica.pwFree; continuations name a write by its stamp and look it
+// up in Replica.pending, never by pointer.
 type pendingWrite struct {
 	key          uint64
 	stamp        Stamp
-	cAcks        int   // consistency acks still expected
-	pAcks        int   // persistency acks still expected
-	localPersist bool  // local persist finished
-	valSent      bool  // consistency VAL broadcast done
-	broadcastAt  int64 // when INV went out (stall accounting)
+	scope, txn   uint64 // the write's persist scope and transaction (0 = none)
+	cAcks        int    // consistency acks still expected
+	pAcks        int    // persistency acks still expected
+	localPersist bool   // local persist finished
+	valSent      bool   // consistency VAL broadcast done
+	broadcastAt  int64  // when INV went out (stall accounting)
 	clientDone   func(Stamp)
-	early        bool // completion already delivered to the client
+	early        bool          // completion already delivered to the client
+	next         *pendingWrite // freelist link
 }
 
 // persistItem is a deferred persist (scope or transaction).
@@ -168,25 +157,47 @@ type Replica struct {
 	lamport uint64
 	keys    keyTable
 	pending map[Stamp]*pendingWrite
+	pwFree  *pendingWrite // spent pendingWrite records
+
+	// Replica-level slabs behind the per-key tokens of keyState: the members
+	// of every transC/transP set, every stalled read, and (in conts) every
+	// continuation waiting on an in-flight write-back.
+	stamps  stampSets
+	waiters slab[*clientOp]
+
+	// Continuations waiting on a write-back or parked across a device write
+	// or a delay (conts; contC runs the parked ones), persistItems batches
+	// in flight (fanIns), and client requests in flight (recycled through
+	// opFree). See cont.go and clientop.go.
+	conts  slab[contRec]
+	contC  contDone
+	fanIns slab[fanIn]
+	opFree *clientOp
 
 	// Causal consistency state. waiting indexes the reorder buffer by the
-	// first unsatisfied dependency: waiting[node][count] holds updates that
-	// become eligible when appliedVC[node] reaches count.
+	// first unsatisfied dependency: waiting[node][count] is the tail token of
+	// the FIFO (in bufs) of updates that become eligible when appliedVC[node]
+	// reaches count.
 	appliedVC  vclock.VC // per-writer applied counters
 	issued     uint64    // own writes issued (stamps cauhist)
-	waiting    []map[uint64][]bufferedUpd
+	waiting    []map[uint64]int32
+	bufs       slab[bufferedUpd]
 	bufCount   int
 	drainQueue []advance
 	draining   bool
 
-	// Transactional state.
-	txns   map[uint64]*txnState
-	txnSeq uint64
+	// Transactional state. Records recycle through txnFree.
+	txns    map[uint64]*txnState
+	txnFree *txnState
+	txnSeq  uint64
 
-	// Scope persistency state.
+	// Scope persistency state. scopeClosed is each session's closed
+	// high-water mark (see scopeIsClosed); itemFree keeps the spent item
+	// lists of flushed scopes for the next ones.
 	scopePending map[uint64][]persistItem
-	scopeClosed  map[uint64]bool
-	scopeOps     map[uint64]*scopeOp
+	itemFree     [][]persistItem
+	scopeClosed  map[uint32]uint32
+	scopeOps     map[uint64]scopeOp
 
 	sharedVal  []byte     // shared synthetic value payload (avoids allocation)
 	slab       []payload  // chunked outgoing-payload storage (see boxPayload)
@@ -194,122 +205,37 @@ type Replica struct {
 	atomicRefs bool       // see Deps.AtomicRefs
 	tracer     func(node int, what string)
 
-	// Received messages parked across their worker-pool service job, in a
-	// freelist-recycled slab so message dispatch schedules closure-free
-	// (see onMessage / OnEvent).
-	disp     []dispatchRec
-	dispFree int32
+	// Received messages parked across their worker-pool service job, so
+	// message dispatch schedules closure-free (see onMessage / OnEvent).
+	disp slab[dispatchRec]
 
-	// persC dispatches coalesced write-back completions (see issuePersist).
+	// persC dispatches coalesced write-back completions (see issuePersist);
+	// ablC completes the NoPersistCoalescing ablation's per-update device
+	// writes, whose records park in conts.
 	persC persistDone
-
-	// Pooled persist records for the remaining device-write paths — the
-	// NoPersistCoalescing ablation write-back and the transaction-boundary
-	// persistEvent — parked across their NVM access in a freelist-recycled
-	// slab so both issue closure-free (see persist / persistEvent).
-	pev     []pevRec
-	pevFree int32
-	ablC    ablationDone
-	pevC    persistEventDone
-
-	// Read-path records: readFree recycles readOp pipeline records
-	// (ClientRead) and rdone parks finished reads across their memory
-	// latency so readAttempt completes closure-free.
-	readFree  *readOp
-	rdone     []readDoneRec
-	rdoneFree int32
-	rdoneC    readDoneC
-}
-
-// readDoneRec parks one completed read's result across its memory-latency
-// event (see readAttempt).
-type readDoneRec struct {
-	key  uint64
-	ver  Stamp
-	done func(Stamp)
-	next int32 // freelist link
-}
-
-// readDoneC delivers parked read results. It implements sim.Handler so the
-// memory-latency delay schedules without allocating a closure.
-type readDoneC struct{ r *Replica }
-
-func (rd *readDoneC) OnEvent(tok uint64) {
-	r := rd.r
-	rec := &r.rdone[tok]
-	key, ver, done := rec.key, rec.ver, rec.done
-	*rec = readDoneRec{next: r.rdoneFree}
-	r.rdoneFree = int32(tok)
-	if r.tracer != nil {
-		r.trace("RD k%d returns %v", key, ver)
-	}
-	done(ver)
+	ablC  ablationDone
 }
 
 // dispatchRec parks one received message across its worker service job.
 type dispatchRec struct {
 	from int32
-	next int32 // freelist link
 	p    payload
 }
 
-// pevRec parks one uncoalesced persist across its device write: the stamp
-// the ablation write-back installs (unused by persistEvent) and the caller's
-// completion callback.
-type pevRec struct {
-	key  uint64
-	st   Stamp
-	done func()
-	next int32 // freelist link
-}
-
-// allocPev parks rec in the slab, returning its token.
-func (r *Replica) allocPev(rec pevRec) int32 {
-	ni := r.pevFree
-	if ni >= 0 {
-		r.pevFree = r.pev[ni].next
-		r.pev[ni] = rec
-	} else {
-		r.pev = append(r.pev, rec)
-		ni = int32(len(r.pev) - 1)
-	}
-	return ni
-}
-
-// freePev pops the slab record at tok back onto the freelist.
-func (r *Replica) freePev(tok uint64) pevRec {
-	rec := r.pev[tok]
-	r.pev[tok] = pevRec{next: r.pevFree}
-	r.pevFree = int32(tok)
-	return rec
-}
-
 // ablationDone completes a NoPersistCoalescing device write: install the
-// stamp, wake waiters, fire the callback.
+// stamp, wake waiters, run the continuation.
 type ablationDone struct{ r *Replica }
 
 func (a *ablationDone) OnEvent(tok uint64) {
 	r := a.r
-	rec := r.freePev(tok)
+	rec := r.conts.take(int32(tok))
 	ks := r.keys.at(rec.key)
 	if rec.st > ks.persisted {
 		ks.persisted = rec.st
 		r.img.Put(rec.key, engines.Item{Value: r.sharedVal, Version: uint64(rec.st)})
 	}
-	r.wakePersistWaiters(ks)
-	if rec.done != nil {
-		rec.done()
-	}
-}
-
-// persistEventDone completes a transaction-boundary persist (persistEvent).
-type persistEventDone struct{ r *Replica }
-
-func (p *persistEventDone) OnEvent(tok uint64) {
-	rec := p.r.freePev(tok)
-	if rec.done != nil {
-		rec.done()
-	}
+	r.wake(&ks.persWait)
+	r.run(rec.c, rec.key, rec.st)
 }
 
 // NewReplica builds the protocol engine for global node id and registers its
@@ -341,22 +267,18 @@ func NewReplica(id int, d Deps) *Replica {
 		keys:         newKeyTable(d.P.Keys, d.Keys),
 		pending:      make(map[Stamp]*pendingWrite),
 		appliedVC:    vclock.New(mem.Size),
-		waiting:      make([]map[uint64][]bufferedUpd, mem.Size),
+		waiting:      make([]map[uint64]int32, mem.Size),
 		txns:         make(map[uint64]*txnState),
 		scopePending: make(map[uint64][]persistItem),
-		scopeClosed:  make(map[uint64]bool),
-		scopeOps:     make(map[uint64]*scopeOp),
+		scopeClosed:  make(map[uint32]uint32),
+		scopeOps:     make(map[uint64]scopeOp),
 		sharedVal:    make([]byte, d.P.ValueSize),
 		atomicRefs:   d.AtomicRefs,
 		tracer:       d.Trace,
-		dispFree:     -1,
 	}
 	r.persC.r = r
-	r.pevFree = -1
 	r.ablC.r = r
-	r.pevC.r = r
-	r.rdoneFree = -1
-	r.rdoneC.r = r
+	r.contC.r = r
 	r.vis, r.dur = resolvePolicies(d.Model)
 	d.Net.Register(id, r.onMessage)
 	return r
@@ -590,27 +512,15 @@ func (r *Replica) onMessage(m simnet.Message) {
 	if p.Kind == MsgINV || p.Kind == MsgUPD {
 		service += r.mem.DDIOFillLatency()
 	}
-	from := int32(r.member.rankOf(m.From))
-	ni := r.dispFree
-	if ni >= 0 {
-		r.dispFree = r.disp[ni].next
-		r.disp[ni] = dispatchRec{from: from, p: p}
-	} else {
-		r.disp = append(r.disp, dispatchRec{from: from, p: p})
-		ni = int32(len(r.disp) - 1)
-	}
-	r.work.AcquireEvent(service, r, uint64(ni))
+	tok := r.disp.put(dispatchRec{from: int32(r.member.rankOf(m.From)), p: p})
+	r.work.AcquireEvent(service, r, uint64(tok))
 }
 
 // OnEvent dispatches the message parked at token arg. It implements
 // sim.Handler so message handling schedules without a closure per message.
 func (r *Replica) OnEvent(arg uint64) {
-	rec := &r.disp[arg]
-	from, p := int(rec.from), rec.p
-	rec.p = payload{} // drop the vclock reference before recycling
-	rec.next = r.dispFree
-	r.dispFree = int32(arg)
-	r.dispatch(from, p)
+	rec := r.disp.take(int32(arg))
+	r.dispatch(int(rec.from), rec.p)
 }
 
 func (r *Replica) dispatch(from int, p payload) {
@@ -665,28 +575,27 @@ func (r *Replica) applyVisible(key uint64, st Stamp) bool {
 	return true
 }
 
-// persist makes (key, st) durable; done (optional) runs once a version at
-// least as new as st is in NVM. Persists coalesce per key the way cacheline
-// write-backs do: if a persist covering st is already durable or in flight,
-// no new device write is issued — done just joins the in-flight completion.
-// The NVM image and the persisted stamp advance monotonically.
-func (r *Replica) persist(key uint64, st Stamp, done func()) {
+// persist makes (key, st) durable; then (contNone for nothing) runs once a
+// version at least as new as st is in NVM. Persists coalesce per key the way
+// cacheline write-backs do: if a persist covering st is already durable or in
+// flight, no new device write is issued — then just joins the in-flight
+// completion. The NVM image and the persisted stamp advance monotonically.
+func (r *Replica) persist(key uint64, st Stamp, then cont) {
 	ks := r.keys.at(key)
 	if r.p.NoPersistCoalescing {
 		// Ablation: one device write per update, no write-back batching.
 		r.M.Persists++
-		ni := r.allocPev(pevRec{key: key, st: st, done: done})
-		r.dev.WriteEvent(key, &r.ablC, uint64(ni))
+		r.dev.WriteEvent(key, &r.ablC, uint64(r.conts.put(contRec{key: key, st: st, c: then})))
 		return
 	}
 	if st <= ks.persisted {
-		if done != nil {
-			r.eng.Schedule(0, done)
+		if then.kind != contNone {
+			r.after(0, then, key, st)
 		}
 		return
 	}
-	if done != nil {
-		ks.persistCbs = append(ks.persistCbs, persistCb{st: st, done: done})
+	if then.kind != contNone {
+		r.conts.push(&ks.persistCbs, contRec{key: key, st: st, c: then})
 	}
 	if ks.persistInFlight {
 		if st > ks.dirtyStamp {
@@ -698,7 +607,7 @@ func (r *Replica) persist(key uint64, st Stamp, done func()) {
 }
 
 // issuePersist puts one device write in flight covering stamp st; at
-// completion it fires covered callbacks and writes back again if the key
+// completion it runs covered continuations and writes back again if the key
 // got dirtier meanwhile.
 func (r *Replica) issuePersist(key uint64, st Stamp) {
 	ks := r.keys.at(key)
@@ -720,7 +629,7 @@ type persistDone struct{ r *Replica }
 func (pd *persistDone) OnEvent(key uint64) { pd.r.writeBackDone(key) }
 
 // writeBackDone completes the in-flight coalesced persist for key: advance
-// the persisted stamp and NVM image, fire covered callbacks, wake stalled
+// the persisted stamp and NVM image, run covered continuations, wake stalled
 // readers, and write back again if the key got dirtier meanwhile.
 func (r *Replica) writeBackDone(key uint64) {
 	ks := r.keys.at(key)
@@ -733,192 +642,76 @@ func (r *Replica) writeBackDone(key uint64) {
 	if r.tracer != nil {
 		r.trace("persist k%d=%v done", key, st)
 	}
-	// Snapshot-and-swap before firing: a callback may re-enter persist()
-	// for this key and append new entries, which must not be clobbered. The
-	// spare buffer keeps both backing arrays alive across rounds so the
-	// swap never reallocates.
-	if len(ks.persistCbs) > 0 {
-		cbs := ks.persistCbs
-		ks.persistCbs = ks.spareCbs[:0]
-		for _, cb := range cbs {
-			if cb.st <= ks.persisted {
-				cb.done()
-			} else {
-				ks.persistCbs = append(ks.persistCbs, cb)
-			}
+	// Detach before running: a continuation may re-enter persist() for this
+	// key, and what it appends joins the entries this write-back leaves
+	// uncovered, in the order they come up.
+	for head := r.conts.detach(&ks.persistCbs); head != 0; {
+		cb := r.conts.pop(&head)
+		if cb.st <= ks.persisted {
+			r.run(cb.c, key, cb.st)
+		} else {
+			r.conts.push(&ks.persistCbs, cb)
 		}
-		for i := range cbs {
-			cbs[i] = persistCb{} // release the callbacks for GC
-		}
-		ks.spareCbs = cbs[:0]
 	}
-	r.wakePersistWaiters(ks)
+	r.wake(&ks.persWait)
 	if ks.dirtyStamp > ks.persisted && !ks.persistInFlight {
 		r.issuePersist(key, ks.dirtyStamp)
 	}
 }
 
-// persistEvent persists a non-key protocol event (transaction begin) to NVM.
-func (r *Replica) persistEvent(addr uint64, done func()) {
-	r.M.Persists++
-	ni := r.allocPev(pevRec{done: done})
-	r.dev.WriteEvent(addr, &r.pevC, uint64(ni))
-}
-
-// wakeConsWaiters resumes reads stalled on consistency validation.
-func (r *Replica) wakeConsWaiters(ks *keyState) {
-	if len(ks.consWait) == 0 {
-		return
-	}
-	waiters := ks.consWait
-	ks.consWait = nil
-	for _, w := range waiters {
-		w()
+// wake resumes the reads stalled in the FIFO at *tail (a key's consWait or
+// persWait). The list empties first: a read that is still blocked files
+// itself again.
+func (r *Replica) wake(tail *int32) {
+	for head := r.waiters.detach(tail); head != 0; {
+		r.readAttempt(r.waiters.pop(&head))
 	}
 }
 
-// wakePersistWaiters resumes reads stalled on local persistence.
-func (r *Replica) wakePersistWaiters(ks *keyState) {
-	if len(ks.persWait) == 0 {
-		return
-	}
-	waiters := ks.persWait
-	ks.persWait = nil
-	for _, w := range waiters {
-		w()
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Client read path
-// ---------------------------------------------------------------------------
-
-// ClientRead submits a read for key at this node. done runs at completion
-// with the stamp of the version returned (zero if the key has no visible or
-// persisted value yet). txn is the surrounding transaction id (0 outside
-// transactions); under Transactional consistency a conflicting read squashes
-// its transaction and done never fires (the transaction's onAbort fires
-// instead).
-func (r *Replica) ClientRead(key uint64, txn uint64, done func(Stamp)) {
-	_ = txn
-	// The worker runs the read to completion: if the read stalls, its
-	// worker blocks with it (run-to-completion server threads). Under load,
-	// stalled reads therefore deplete the worker pool — the degradation
-	// that makes client count matter so much in Figure 7. Transactional
-	// reads never squash: they serve the latest committed version
-	// (readAttempt), the snapshot flavor of Section 5.4's conflict actions.
-	// The read's state rides a recycled readOp, so the steady-state read
-	// pipeline allocates no per-op closures.
-	op := r.getReadOp()
-	op.key = key
-	op.service = int64(float64(r.p.RequestCompute)*r.vol.OpCost()) + r.p.EngineOpExtra
-	op.done = done
-	r.work.AcquireHold(op.onHold)
-}
-
-// readOp carries one plain read through its pipeline: worker hold → service
-// time → readAttempt → completion. The hold and completion closures are
-// bound to the record once and the record recycles through the replica's
-// freelist.
-type readOp struct {
-	r       *Replica
-	key     uint64
-	service int64
-	release func()
-	done    func(Stamp)
-	next    *readOp // freelist link
-
-	onHold func(func()) // bound once: worker acquired
-	onDone func(Stamp)  // bound once: readAttempt finished
-}
-
-func (r *Replica) getReadOp() *readOp {
-	if op := r.readFree; op != nil {
-		r.readFree = op.next
-		return op
-	}
-	op := &readOp{r: r}
-	op.onHold = func(release func()) {
-		op.release = release
-		op.r.eng.ScheduleEvent(op.service, op, 0)
-	}
-	op.onDone = func(st Stamp) { op.complete(st) }
-	return op
-}
-
-// OnEvent runs the read once its worker service time has elapsed. It
-// implements sim.Handler so the service delay schedules closure-free.
-func (op *readOp) OnEvent(uint64) {
-	r, key := op.r, op.key
-	r.M.Reads++
-	if r.tracer != nil {
-		r.trace("RD k%d", key)
-	}
-	ks := r.keys.at(key)
-	if ks.persisted < ks.visible {
-		r.M.PersistConflictReads++
-	}
-	r.readAttempt(key, r.eng.Now(), false, op.onDone)
-}
-
-// complete releases the worker, answers the client, and recycles the record.
-func (op *readOp) complete(st Stamp) {
-	r, release, done := op.r, op.release, op.done
-	op.release, op.done = nil, nil
-	op.next = r.readFree
-	r.readFree = op
-	release()
-	done(st)
-}
-
-// readAttempt applies the model's read-stall rules, re-arming itself as a
-// waiter until every rule passes, then completes the read.
-func (r *Replica) readAttempt(key uint64, start int64, stalled bool, done func(Stamp)) {
+// readAttempt applies the model's read-stall rules to op's key, filing op as
+// a waiter until every rule passes, then completes the read after the memory
+// latency.
+func (r *Replica) readAttempt(op *clientOp) {
+	key := op.key
 	ks := r.keys.at(key)
 
 	if r.vis.readBlocked(r, ks) {
-		if !stalled {
+		if !op.stalled {
+			op.stalled = true
 			r.M.ReadStalls++
 			if r.tracer != nil {
 				r.trace("RD k%d stalls", key)
 			}
 		}
-		ks.consWait = append(ks.consWait, func() { r.readAttempt(key, start, true, done) })
+		r.waiters.push(&ks.consWait, op)
 		return
 	}
 	if r.dur.readBlocked(r, ks) {
-		if !stalled {
+		if !op.stalled {
+			op.stalled = true
 			r.M.ReadStalls++
 			if r.tracer != nil {
 				r.trace("RD k%d stalls (persist)", key)
 			}
 		}
-		ks.persWait = append(ks.persWait, func() { r.readAttempt(key, start, true, done) })
+		r.waiters.push(&ks.persWait, op)
 		return
 	}
 
-	if stalled {
-		r.M.ReadStallTime += r.eng.Now() - start
+	if op.stalled {
+		r.M.ReadStallTime += r.eng.Now() - op.start
 	}
 	// Perform the real engine lookup against the policy-selected image.
-	var ver Stamp
+	op.ver = 0
 	if it, ok := r.readSource().Get(key); ok {
-		ver = Stamp(it.Version)
+		op.ver = Stamp(it.Version)
 	}
 	if r.vis.servesCommitted() {
 		// Operations may only see the effects of transactions that have
 		// completed (Section 2.1): serve the latest committed version.
-		ver = ks.committed
+		op.ver = ks.committed
 	}
-	ni := r.rdoneFree
-	if ni >= 0 {
-		r.rdoneFree = r.rdone[ni].next
-		r.rdone[ni] = readDoneRec{key: key, ver: ver, done: done}
-	} else {
-		r.rdone = append(r.rdone, readDoneRec{key: key, ver: ver, done: done})
-		ni = int32(len(r.rdone) - 1)
-	}
-	r.eng.ScheduleEvent(r.mem.ReadLatency(), &r.rdoneC, uint64(ni))
+	r.eng.ScheduleEvent(r.mem.ReadLatency(), op, opReadDone)
 }
 
 // weakConsistency reports whether the consistency model is Causal or

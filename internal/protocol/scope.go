@@ -12,14 +12,16 @@ func (scopeDur) allowsEarlyCompletion() bool   { return true }
 func (scopeDur) persistsAtTxnBoundaries() bool { return false }
 func (scopeDur) servesPersistedImage() bool    { return false }
 
-func (scopeDur) onStrongWriteLaunch(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope, txn uint64) {
-	r.launchStrongWrite(pw, key, st, scope, txn)
+func (scopeDur) onStrongWriteLaunch(r *Replica, pw *pendingWrite) {
+	r.launchStrongWrite(pw)
 }
 
-func (scopeDur) startLocalDurability(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope, txn uint64) {
-	r.deferScopePersist(scope, key, st)
+func (scopeDur) startLocalDurability(r *Replica, pw *pendingWrite) {
+	r.deferScopePersist(pw.scope, pw.key, pw.stamp)
 	pw.localPersist = true
 }
+
+func (scopeDur) onLocalPersist(r *Replica, pw *pendingWrite) {}
 
 func (scopeDur) onInvReceive(r *Replica, from int, p payload) {
 	r.applyVisible(p.Key, p.Stamp)
@@ -64,72 +66,85 @@ type scopeOp struct {
 	done  func()
 }
 
+// scopeIsClosed reports whether scope's barrier already ran at this node. A
+// scope id is session<<32 | seq with seq rising by one per barrier, and a
+// session issues barrier seq+1 only after barrier seq completed — that is,
+// after every replica flushed it (TestScopeBarriersArriveInSessionOrder). So
+// each replica sees a session's barriers in seq order, and one high-water
+// mark per session says exactly which of its scopes are closed: the table
+// stays O(sessions) however many scopes a run closes.
+func (r *Replica) scopeIsClosed(scope uint64) bool {
+	hw, ok := r.scopeClosed[uint32(scope>>32)]
+	return ok && uint32(scope) <= hw
+}
+
 // deferScopePersist queues a write for its scope's persist barrier. Writes
 // arriving after the barrier already ran (possible under weak consistency)
 // persist immediately so durability is never silently skipped. Only scopeDur
 // hooks call this; every other durability policy has its own schedule.
 func (r *Replica) deferScopePersist(scope uint64, key uint64, st Stamp) {
-	if r.scopeClosed[scope] {
-		r.persist(key, st, nil)
+	if r.scopeIsClosed(scope) {
+		r.persist(key, st, cont{})
 		return
 	}
-	r.scopePending[scope] = append(r.scopePending[scope], persistItem{key: key, stamp: st})
+	items, open := r.scopePending[scope]
+	if !open {
+		if k := len(r.itemFree); k > 0 {
+			items, r.itemFree = r.itemFree[k-1], r.itemFree[:k-1]
+		}
+	}
+	r.scopePending[scope] = append(items, persistItem{key: key, stamp: st})
 }
 
-// ClientPersistScope executes the [PERSIST]s barrier of Figure 5: broadcast
-// PERSIST, persist the local scope writes, collect every follower's ACK_p,
-// broadcast VAL_p, and acknowledge the client.
-func (r *Replica) ClientPersistScope(scope uint64, done func()) {
-	r.work.Acquire(r.p.RequestCompute, func() {
-		so := &scopeOp{acks: r.followers(), done: done}
-		r.scopeOps[scope] = so
-		r.broadcast(payload{Kind: MsgPERSIST, Scope: scope})
-		r.persistScopeLocal(scope, func() {
-			so.local = true
-			r.maybeScopeDone(scope, so)
-		})
-		r.maybeScopeDone(scope, so)
-	})
+// persistScope runs the coordinator's side of the [PERSIST]s barrier (see
+// ClientPersistScope) once the request's worker time has elapsed.
+func (r *Replica) persistScope(scope uint64, done func()) {
+	r.scopeOps[scope] = scopeOp{acks: r.followers(), done: done}
+	r.broadcast(payload{Kind: MsgPERSIST, Scope: scope})
+	r.persistScopeLocal(scope, cont{kind: contScopeLocal, arg: scope})
+	if so, ok := r.scopeOps[scope]; ok {
+		r.scopeProgress(scope, so)
+	}
 }
 
 // persistScopeLocal persists everything this node buffered for the scope and
-// marks the scope closed.
-func (r *Replica) persistScopeLocal(scope uint64, done func()) {
+// marks the scope closed; then (which counts the flush) runs once it is all
+// durable.
+func (r *Replica) persistScopeLocal(scope uint64, then cont) {
 	items := r.scopePending[scope]
 	delete(r.scopePending, scope)
-	r.scopeClosed[scope] = true
-	r.persistItems(items, func() {
-		r.M.ScopePersists++
-		done()
-	})
+	if session, seq := uint32(scope>>32), uint32(scope); seq >= r.scopeClosed[session] {
+		r.scopeClosed[session] = seq
+	}
+	r.persistItems(items, then)
+	if items != nil {
+		r.itemFree = append(r.itemFree, items[:0])
+	}
 }
 
 // onPERSIST handles the scope barrier at a follower.
 func (r *Replica) onPERSIST(from int, p payload) {
-	r.persistScopeLocal(p.Scope, func() {
-		r.send(from, payload{Kind: MsgACKp, Scope: p.Scope})
-	})
+	r.persistScopeLocal(p.Scope, cont{kind: contScopeAck, node: int32(from), arg: p.Scope})
 }
 
 // onScopeAck collects a follower's scope ACK_p at the coordinator.
 func (r *Replica) onScopeAck(scope uint64) {
-	so := r.scopeOps[scope]
-	if so == nil {
-		return
+	if so, ok := r.scopeOps[scope]; ok {
+		so.acks--
+		r.scopeProgress(scope, so)
 	}
-	so.acks--
-	r.maybeScopeDone(scope, so)
 }
 
-func (r *Replica) maybeScopeDone(scope uint64, so *scopeOp) {
-	if !so.local || so.acks != 0 || so.done == nil {
+// scopeProgress records a barrier's new state so, or — once the local flush
+// and every follower's ACK_p are in — finishes it: VAL_p, then the client.
+func (r *Replica) scopeProgress(scope uint64, so scopeOp) {
+	if !so.local || so.acks != 0 {
+		r.scopeOps[scope] = so
 		return
 	}
-	done := so.done
-	so.done = nil
 	delete(r.scopeOps, scope)
 	r.broadcast(payload{Kind: MsgVALp, Scope: scope})
-	done()
+	so.done()
 }
 
 // ScopeBacklog returns how many writes are queued for scope barriers at this

@@ -14,24 +14,27 @@ func (d strictDur) servesPersistedImage() bool  { return d.weak }
 
 // onStrongWriteLaunch persists the coordinator's update before the INV goes
 // out (Table 2: the DP is "when the update takes place").
-func (strictDur) onStrongWriteLaunch(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope, txn uint64) {
-	r.persist(key, st, func() {
-		pw.localPersist = true
-		r.launchStrongWrite(pw, key, st, scope, txn)
-	})
+func (strictDur) onStrongWriteLaunch(r *Replica, pw *pendingWrite) {
+	r.persist(pw.key, pw.stamp, cont{kind: contLocalPersist})
 }
 
 // startLocalDurability is a no-op: the launch gate already persisted.
-func (strictDur) startLocalDurability(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope, txn uint64) {
-	pw.localPersist = true
+func (strictDur) startLocalDurability(r *Replica, pw *pendingWrite) {}
+
+// onLocalPersist launches the gated strong write; under weak consistency it
+// is the coordinator's share of persisted-everywhere (Section 8.2).
+func (d strictDur) onLocalPersist(r *Replica, pw *pendingWrite) {
+	if d.weak {
+		r.selfApplyCausal()
+		r.maybeFinishWeakStrictWrite(pw)
+		return
+	}
+	r.launchStrongWrite(pw)
 }
 
 // onInvReceive persists before the volatile replica becomes visible.
 func (strictDur) onInvReceive(r *Replica, from int, p payload) {
-	r.persist(p.Key, p.Stamp, func() {
-		r.applyVisible(p.Key, p.Stamp)
-		r.send(from, payload{Kind: MsgACK, Stamp: p.Stamp, Txn: p.Txn})
-	})
+	r.persist(p.Key, p.Stamp, cont{kind: contApplyAck, node: int32(from), arg: p.Txn})
 }
 
 // onConsistencyAcked completes the write: ACKs imply persistence
@@ -42,7 +45,7 @@ func (d strictDur) onConsistencyAcked(r *Replica, pw *pendingWrite) {
 	}
 	r.validate(pw, MsgVAL)
 	r.completeWrite(pw)
-	delete(r.pending, pw.stamp)
+	r.dropPending(pw)
 }
 
 // onPersistAck collects follower persists for the weak-consistency path;
@@ -58,29 +61,20 @@ func (strictDur) weakWriteNeedsAcks() bool { return true }
 // onWeakWrite persists locally and defers client completion to ACK_p
 // collection (Section 8.2 stalls the write until persisted everywhere).
 func (strictDur) onWeakWrite(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope uint64) bool {
-	r.persist(key, st, func() {
-		pw.localPersist = true
-		r.selfApplyCausal()
-		r.maybeFinishWeakStrictWrite(pw)
-	})
+	r.persist(key, st, cont{kind: contLocalPersist})
 	return false
 }
 
 // onCausalApply gates the applied vector on the persist and reports the
 // durable copy back to the writer.
 func (strictDur) onCausalApply(r *Replica, p payload, src int) {
-	r.persist(p.Key, p.Stamp, func() {
-		r.advanceApplied(src)
-		r.send(src, payload{Kind: MsgACKp, Stamp: p.Stamp})
-	})
+	r.persist(p.Key, p.Stamp, cont{kind: contAdvanceAck, node: int32(src)})
 }
 
 // onFollowerUpdate persists and reports back so the writer's stalled
 // completion can make progress.
 func (strictDur) onFollowerUpdate(r *Replica, from int, p payload) {
-	r.persist(p.Key, p.Stamp, func() {
-		r.send(from, payload{Kind: MsgACKp, Stamp: p.Stamp})
-	})
+	r.persist(p.Key, p.Stamp, ackTo(MsgACKp, from, 0))
 }
 
 func (strictDur) readBlocked(r *Replica, ks *keyState) bool { return false }

@@ -15,23 +15,22 @@ func (synchronousDur) persistsAtTxnBoundaries() bool { return true }
 func (d synchronousDur) servesPersistedImage() bool  { return d.weak }
 
 // onStrongWriteLaunch launches immediately; durability rides the ACK path.
-func (synchronousDur) onStrongWriteLaunch(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope, txn uint64) {
-	r.launchStrongWrite(pw, key, st, scope, txn)
+func (synchronousDur) onStrongWriteLaunch(r *Replica, pw *pendingWrite) {
+	r.launchStrongWrite(pw)
 }
 
 // startLocalDurability persists the coordinator's copy; the VAL waits for
 // it (Figure 2a). Transactional writes defer to ENDX (Figure 4).
-func (d synchronousDur) startLocalDurability(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope, txn uint64) {
-	if d.transactional && txn != 0 {
-		r.deferTxnPersist(txn, key, st)
+func (d synchronousDur) startLocalDurability(r *Replica, pw *pendingWrite) {
+	if d.transactional && pw.txn != 0 {
+		r.deferTxnPersist(pw.txn, pw.key, pw.stamp)
 		pw.localPersist = true
 		return
 	}
-	r.persist(key, st, func() {
-		pw.localPersist = true
-		d.maybeFinish(r, pw)
-	})
+	r.persist(pw.key, pw.stamp, cont{kind: contLocalPersist})
 }
+
+func (d synchronousDur) onLocalPersist(r *Replica, pw *pendingWrite) { d.maybeFinish(r, pw) }
 
 // onInvReceive applies, persists, then ACKs — the follower's acknowledgment
 // implies its NVM copy. Transactional writes ACK on the volatile update and
@@ -43,9 +42,7 @@ func (d synchronousDur) onInvReceive(r *Replica, from int, p payload) {
 		r.send(from, payload{Kind: MsgACK, Stamp: p.Stamp, Txn: p.Txn})
 		return
 	}
-	r.persist(p.Key, p.Stamp, func() {
-		r.send(from, payload{Kind: MsgACK, Stamp: p.Stamp})
-	})
+	r.persist(p.Key, p.Stamp, ackTo(MsgACK, from, 0))
 }
 
 // onConsistencyAcked validates only after the local persist finishes
@@ -54,13 +51,13 @@ func (d synchronousDur) onInvReceive(r *Replica, from int, p payload) {
 func (d synchronousDur) onConsistencyAcked(r *Replica, pw *pendingWrite) {
 	if d.transactional {
 		r.releaseTxnWriteLock(pw.key)
-		delete(r.pending, pw.stamp)
+		r.dropPending(pw)
 		return
 	}
 	if pw.localPersist {
 		r.validate(pw, MsgVAL)
 		r.completeWrite(pw)
-		delete(r.pending, pw.stamp)
+		r.dropPending(pw)
 	} else {
 		pw.valSent = false
 		pw.cAcks = -1 // consistency phase done; the persist callback finishes
@@ -75,7 +72,7 @@ func (synchronousDur) maybeFinish(r *Replica, pw *pendingWrite) {
 	if pw.cAcks == -1 && pw.localPersist {
 		r.validate(pw, MsgVAL)
 		r.completeWrite(pw)
-		delete(r.pending, pw.stamp)
+		r.dropPending(pw)
 	}
 }
 
@@ -84,20 +81,18 @@ func (synchronousDur) weakWriteNeedsAcks() bool { return false }
 // onWeakWrite persists locally; the applied vector (which gates dependent
 // causal applies) only advances at persist completion.
 func (synchronousDur) onWeakWrite(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope uint64) bool {
-	r.persist(key, st, func() { r.selfApplyCausal() })
+	r.persist(key, st, cont{kind: contSelfApply})
 	return true
 }
 
 // onCausalApply gates the applied vector on the persist — the buffering
 // amplifier of Section 8.1.2.
 func (synchronousDur) onCausalApply(r *Replica, p payload, src int) {
-	r.persist(p.Key, p.Stamp, func() {
-		r.advanceApplied(src)
-	})
+	r.persist(p.Key, p.Stamp, cont{kind: contAdvance, node: int32(src)})
 }
 
 func (synchronousDur) onFollowerUpdate(r *Replica, from int, p payload) {
-	r.persist(p.Key, p.Stamp, nil)
+	r.persist(p.Key, p.Stamp, cont{})
 }
 
 func (synchronousDur) readBlocked(r *Replica, ks *keyState) bool { return false }

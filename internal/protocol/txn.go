@@ -12,7 +12,9 @@ const (
 
 // txnState is a transaction's record at one node — at its coordinator it
 // also carries the client callbacks; at followers only locks and deferred
-// persists.
+// persists. Records recycle through Replica.txnFree, keeping the capacity of
+// their item lists; continuations name a transaction by id and look it up in
+// Replica.txns, never by pointer.
 type txnState struct {
 	id     uint64
 	coord  int
@@ -30,6 +32,35 @@ type txnState struct {
 	initDone func(txn uint64)
 	endDone  func(committed bool)
 	onAbort  func()
+
+	next *txnState // freelist link
+}
+
+// newTxn registers a fresh active record for transaction id, coordinated by
+// the replica at rank coord.
+func (r *Replica) newTxn(id uint64, coord int) *txnState {
+	tx := r.txnFree
+	if tx == nil {
+		tx = new(txnState)
+	} else {
+		r.txnFree = tx.next
+		tx.next = nil
+	}
+	tx.id, tx.coord, tx.status = id, coord, txnActive
+	r.txns[id] = tx
+	return tx
+}
+
+// dropTxn forgets a finished transaction and recycles its record; tx must
+// not be used afterwards.
+func (r *Replica) dropTxn(tx *txnState) {
+	delete(r.txns, tx.id)
+	*tx = txnState{
+		writeKeys:       tx.writeKeys[:0],
+		pendingPersists: tx.pendingPersists[:0],
+		next:            r.txnFree,
+	}
+	r.txnFree = tx
 }
 
 // txnAddr maps a transaction id onto an NVM address for event persists.
@@ -43,7 +74,7 @@ func (r *Replica) deferTxnPersist(txn uint64, key uint64, st Stamp) {
 	if tx == nil || tx.status == txnAborted {
 		// Unknown or aborted transaction: persist immediately, keeping the
 		// NVM image conservative.
-		r.persist(key, st, nil)
+		r.persist(key, st, cont{})
 		return
 	}
 	tx.pendingPersists = append(tx.pendingPersists, persistItem{key: key, stamp: st})
@@ -56,35 +87,28 @@ func (r *Replica) persistsAtTxnBoundaries() bool {
 	return r.dur.persistsAtTxnBoundaries()
 }
 
-// ClientInitTxn begins a transaction at this node. onAbort fires if the
-// transaction is later squashed by a conflict; done delivers the new
-// transaction id once every replica has acknowledged INITX (Figure 4).
-func (r *Replica) ClientInitTxn(onAbort func(), done func(txn uint64)) {
-	r.work.Acquire(r.p.RequestCompute, func() {
-		r.txnSeq++
-		id := uint64(r.id+1)<<32 | r.txnSeq
-		tx := &txnState{
-			id:       id,
-			coord:    r.id,
-			status:   txnActive,
-			initAcks: r.followers(),
-			initDone: done,
-			onAbort:  onAbort,
-		}
-		r.txns[id] = tx
-		r.M.TxnStarted++
-		r.broadcast(payload{Kind: MsgINITX, Txn: id})
-		finishLocal := func() {
-			tx.localInit = true
-			r.maybeInitDone(tx)
-		}
-		if r.persistsAtTxnBoundaries() {
-			r.persistEvent(txnAddr(id), finishLocal)
-		} else {
-			finishLocal()
-		}
-		r.maybeInitDone(tx)
-	})
+// initTxn runs ClientInitTxn once the request's worker time has elapsed.
+func (r *Replica) initTxn(onAbort func(), done func(txn uint64)) {
+	r.txnSeq++
+	id := uint64(r.id+1)<<32 | r.txnSeq
+	tx := r.newTxn(id, r.id)
+	tx.initAcks = r.followers()
+	tx.initDone = done
+	tx.onAbort = onAbort
+	r.M.TxnStarted++
+	r.broadcast(payload{Kind: MsgINITX, Txn: id})
+	r.atTxnBoundary(id, cont{kind: contTxnInit, arg: id})
+	r.maybeInitDone(tx)
+}
+
+// atTxnBoundary runs then once transaction txn's begin event is durable
+// under Synchronous/Strict persistency, at once under the others.
+func (r *Replica) atTxnBoundary(txn uint64, then cont) {
+	if r.persistsAtTxnBoundaries() {
+		r.persistEvent(txnAddr(txn), then)
+	} else {
+		r.run(then, 0, 0)
+	}
 }
 
 func (r *Replica) maybeInitDone(tx *txnState) {
@@ -98,42 +122,37 @@ func (r *Replica) maybeInitDone(tx *txnState) {
 // onINITX registers a remote transaction at a follower and acknowledges,
 // persisting the event first under Synchronous/Strict persistency.
 func (r *Replica) onINITX(from int, p payload) {
-	r.txns[p.Txn] = &txnState{id: p.Txn, coord: from, status: txnActive}
-	ack := func() { r.send(from, payload{Kind: MsgACK, Txn: p.Txn}) }
-	if r.persistsAtTxnBoundaries() {
-		r.persistEvent(txnAddr(p.Txn), ack)
-	} else {
-		ack()
+	r.newTxn(p.Txn, from)
+	r.atTxnBoundary(p.Txn, ackTo(MsgACK, from, p.Txn))
+}
+
+// endTxn runs ClientEndTxn once the request's worker time has elapsed.
+func (r *Replica) endTxn(txn uint64, done func(committed bool)) {
+	tx := r.txns[txn]
+	if tx == nil || tx.status != txnActive {
+		done(false)
+		return
+	}
+	tx.status = txnCommitting
+	tx.endDone = done
+	tx.endAcks = r.followers()
+	r.broadcast(payload{Kind: MsgENDX, Txn: txn})
+	r.flushTxnPersists(tx, cont{kind: contTxnEnd, arg: txn})
+	if r.txns[txn] == tx {
+		r.maybeCommit(tx)
 	}
 }
 
-// ClientEndTxn requests commit. done reports whether the transaction
-// committed; false means it was squashed (or unknown) and the client should
-// retry.
-func (r *Replica) ClientEndTxn(txn uint64, done func(committed bool)) {
-	r.work.Acquire(r.p.RequestCompute, func() {
-		tx := r.txns[txn]
-		if tx == nil || tx.status != txnActive {
-			done(false)
-			return
-		}
-		tx.status = txnCommitting
-		tx.endDone = done
-		tx.endAcks = r.followers()
-		r.broadcast(payload{Kind: MsgENDX, Txn: txn})
-		finishLocal := func() {
-			tx.localEnd = true
-			r.maybeCommit(tx)
-		}
-		if r.persistsAtTxnBoundaries() {
-			items := tx.pendingPersists
-			tx.pendingPersists = nil
-			r.persistItems(items, finishLocal)
-		} else {
-			finishLocal()
-		}
-		r.maybeCommit(tx)
-	})
+// flushTxnPersists runs then once the persists the transaction deferred to
+// its end are durable (Synchronous/Strict), at once under the others.
+func (r *Replica) flushTxnPersists(tx *txnState, then cont) {
+	if !r.persistsAtTxnBoundaries() {
+		r.run(then, 0, 0)
+		return
+	}
+	items := tx.pendingPersists
+	tx.pendingPersists = items[:0]
+	r.persistItems(items, then)
 }
 
 func (r *Replica) maybeCommit(tx *txnState) {
@@ -148,10 +167,9 @@ func (r *Replica) maybeCommit(tx *txnState) {
 	r.broadcast(payload{Kind: MsgVAL, Txn: tx.id})
 	r.commitTxnVersions(tx)
 	r.clearTxnLocks(tx)
-	delete(r.txns, tx.id)
-	if tx.endDone != nil {
-		done := tx.endDone
-		tx.endDone = nil
+	done := tx.endDone
+	r.dropTxn(tx)
+	if done != nil {
 		done(true)
 	}
 }
@@ -160,19 +178,13 @@ func (r *Replica) maybeCommit(tx *txnState) {
 // deferred persists under Synchronous/Strict persistency — then ACKs.
 func (r *Replica) onENDX(from int, p payload) {
 	tx := r.txns[p.Txn]
-	ack := func() { r.send(from, payload{Kind: MsgACK, Txn: p.Txn}) }
+	ack := ackTo(MsgACK, from, p.Txn)
 	if tx == nil {
-		ack()
+		r.run(ack, 0, 0)
 		return
 	}
 	tx.status = txnCommitting
-	if r.persistsAtTxnBoundaries() {
-		items := tx.pendingPersists
-		tx.pendingPersists = nil
-		r.persistItems(items, ack)
-	} else {
-		ack()
-	}
+	r.flushTxnPersists(tx, ack)
 }
 
 // onTxnEventAck routes an INITX or ENDX acknowledgment at the coordinator.
@@ -199,10 +211,9 @@ func (r *Replica) commitVAL(txn uint64) {
 	if tx == nil {
 		return
 	}
-	tx.status = txnCommitted
 	r.commitTxnVersions(tx)
 	r.clearTxnLocks(tx)
-	delete(r.txns, txn)
+	r.dropTxn(tx)
 }
 
 // commitTxnVersions promotes the transaction's writes to committed-visible.
@@ -225,16 +236,12 @@ func (r *Replica) squash(tx *txnState) {
 	r.M.TxnConflicted++
 	r.broadcast(payload{Kind: MsgABORTX, Txn: tx.id})
 	r.clearTxnLocks(tx)
-	tx.pendingPersists = nil
-	delete(r.txns, tx.id)
+	done, abort := tx.endDone, tx.onAbort
+	r.dropTxn(tx)
 	switch {
-	case tx.endDone != nil:
-		done := tx.endDone
-		tx.endDone = nil
+	case done != nil:
 		done(false)
-	case tx.onAbort != nil:
-		abort := tx.onAbort
-		tx.onAbort = nil
+	case abort != nil:
 		abort()
 	}
 }
@@ -253,10 +260,8 @@ func (r *Replica) onABORTX(p payload) {
 	if tx == nil {
 		return
 	}
-	tx.status = txnAborted
 	r.clearTxnLocks(tx)
-	tx.pendingPersists = nil
-	delete(r.txns, p.Txn)
+	r.dropTxn(tx)
 }
 
 // clearTxnLocks releases any conflict-window locks this node still holds
@@ -267,23 +272,5 @@ func (r *Replica) clearTxnLocks(tx *txnState) {
 		if r.keys.at(w.key).lockTxn == tx.id {
 			r.keys.at(w.key).lockTxn = 0
 		}
-	}
-	tx.writeKeys = nil
-}
-
-// persistItems persists a batch and invokes done when all are durable.
-func (r *Replica) persistItems(items []persistItem, done func()) {
-	if len(items) == 0 {
-		done()
-		return
-	}
-	remaining := len(items)
-	for _, it := range items {
-		r.persist(it.key, it.stamp, func() {
-			remaining--
-			if remaining == 0 {
-				done()
-			}
-		})
 	}
 }

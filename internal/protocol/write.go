@@ -1,22 +1,5 @@
 package protocol
 
-// ClientWrite submits a write for key at this node. scope tags the write's
-// persistency scope (0 outside Scope persistency); txn its transaction (0
-// outside Transactional consistency). done runs when the write completes
-// under the model's rules, receiving the stamp assigned to the new version;
-// under Transactional consistency a conflicting write squashes its
-// transaction and done never fires.
-func (r *Replica) ClientWrite(key uint64, scope, txn uint64, done func(Stamp)) {
-	service := int64(float64(r.p.RequestCompute)*r.vol.OpCost()) + r.p.EngineOpExtra + r.mem.WriteLatency()
-	r.work.Acquire(service, func() {
-		r.M.Writes++
-		if r.tracer != nil {
-			r.trace("WR k%d", key)
-		}
-		r.vis.dispatchWrite(r, key, scope, txn, done)
-	})
-}
-
 // txnWriteAttempt applies Section 5.4's conflict handling: a transactional
 // write conflicts with another transaction's *in-flight* write to the same
 // key (a write is in flight from its INV broadcast until every replica has
@@ -46,34 +29,52 @@ func (r *Replica) strongWrite(key uint64, scope, txn uint64, done func(Stamp)) {
 	st := r.nextStamp()
 	ks := r.keys.at(key)
 
-	pw := &pendingWrite{
-		key:        key,
-		stamp:      st,
-		cAcks:      r.followers(),
-		pAcks:      r.followers(),
-		clientDone: done,
-	}
-	r.pending[st] = pw
+	pw := r.newPending(key, st, done)
+	pw.scope, pw.txn = scope, txn
+	pw.cAcks = r.followers()
 
 	r.vis.onStrongWriteLaunch(r, ks, key, st, txn)
-	r.dur.onStrongWriteLaunch(r, pw, key, st, scope, txn)
+	r.dur.onStrongWriteLaunch(r, pw)
+}
+
+// newPending books a pending write for (key, st), expecting a persistency
+// ACK from every follower.
+func (r *Replica) newPending(key uint64, st Stamp, done func(Stamp)) *pendingWrite {
+	pw := r.pwFree
+	if pw == nil {
+		pw = new(pendingWrite)
+	} else {
+		r.pwFree = pw.next
+		pw.next = nil
+	}
+	pw.key, pw.stamp, pw.pAcks, pw.clientDone = key, st, r.followers(), done
+	r.pending[st] = pw
+	return pw
+}
+
+// dropPending ends a pending write's bookkeeping and recycles its record;
+// pw must not be used afterwards.
+func (r *Replica) dropPending(pw *pendingWrite) {
+	delete(r.pending, pw.stamp)
+	*pw = pendingWrite{next: r.pwFree}
+	r.pwFree = pw
 }
 
 // launchStrongWrite makes the update visible locally, broadcasts the INV,
 // arranges local durability, and applies the model's write-completion rule.
-// The durability policy calls it — immediately, or from a persist callback
-// under Strict persistency.
-func (r *Replica) launchStrongWrite(pw *pendingWrite, key uint64, st Stamp, scope, txn uint64) {
+// The durability policy calls it — immediately, or once the local persist
+// completed under Strict persistency.
+func (r *Replica) launchStrongWrite(pw *pendingWrite) {
+	key, st := pw.key, pw.stamp
 	r.applyVisible(key, st)
 	pw.broadcastAt = r.eng.Now()
-	r.propagate(payload{Kind: MsgINV, Key: key, Stamp: st, Scope: scope, Txn: txn})
+	r.propagate(payload{Kind: MsgINV, Key: key, Stamp: st, Scope: pw.scope, Txn: pw.txn})
 	if r.p.Groups > 1 {
 		// Hybrid consistency: the strong protocol covered the local
 		// group; the remaining groups learn eventually via lazy UPDs.
-		upd := payload{Kind: MsgUPD, Key: key, Stamp: st, Scope: scope}
-		r.eng.Schedule(r.p.EventualLag, func() { r.broadcastRemoteGroups(upd) })
+		r.after(r.p.EventualLag, cont{kind: contRemoteGroups, arg: pw.scope}, key, st)
 	}
-	r.dur.startLocalDurability(r, pw, key, st, scope, txn)
+	r.dur.startLocalDurability(r, pw)
 
 	// Early write completion: Read-Enforced and Transactional consistency
 	// acknowledge the client as soon as the local update and the INV
@@ -168,9 +169,9 @@ func (r *Replica) validate(pw *pendingWrite, kind MsgKind) {
 	pw.valSent = true
 	r.broadcast(payload{Kind: kind, Key: pw.key, Stamp: pw.stamp})
 	ks := r.keys.at(pw.key)
-	delete(ks.transC, pw.stamp)
+	r.stamps.remove(&ks.transC, pw.stamp)
 	if !r.dur.tracksTransP() {
-		r.wakeConsWaiters(ks)
+		r.wake(&ks.consWait)
 	}
 }
 
@@ -178,9 +179,9 @@ func (r *Replica) validate(pw *pendingWrite, kind MsgKind) {
 func (r *Replica) validateP(pw *pendingWrite) {
 	r.broadcast(payload{Kind: MsgVALp, Key: pw.key, Stamp: pw.stamp})
 	ks := r.keys.at(pw.key)
-	delete(ks.transC, pw.stamp)
-	delete(ks.transP, pw.stamp)
-	r.wakeConsWaiters(ks)
+	r.stamps.remove(&ks.transC, pw.stamp)
+	r.stamps.remove(&ks.transP, pw.stamp)
+	r.wake(&ks.consWait)
 }
 
 // completeWrite fires the client's completion callback exactly once and
@@ -210,9 +211,9 @@ func (r *Replica) onVAL(p payload) {
 		return
 	}
 	ks := r.keys.at(p.Key)
-	delete(ks.transC, p.Stamp)
-	if len(ks.transC) == 0 && (!r.dur.tracksTransP() || len(ks.transP) == 0) {
-		r.wakeConsWaiters(ks)
+	r.stamps.remove(&ks.transC, p.Stamp)
+	if ks.transC == 0 && (!r.dur.tracksTransP() || ks.transP == 0) {
+		r.wake(&ks.consWait)
 	}
 }
 
@@ -222,10 +223,10 @@ func (r *Replica) onVALp(p payload) {
 		return // scope VAL_p carries no per-key state
 	}
 	ks := r.keys.at(p.Key)
-	delete(ks.transC, p.Stamp)
-	delete(ks.transP, p.Stamp)
-	if len(ks.transC) == 0 && len(ks.transP) == 0 {
-		r.wakeConsWaiters(ks)
+	r.stamps.remove(&ks.transC, p.Stamp)
+	r.stamps.remove(&ks.transP, p.Stamp)
+	if ks.transC == 0 && ks.transP == 0 {
+		r.wake(&ks.consWait)
 	}
 }
 
@@ -243,8 +244,8 @@ func (r *Replica) weakWrite(key uint64, scope uint64, done func(Stamp)) {
 	if r.dur.weakWriteNeedsAcks() {
 		// Strict persistency stalls the write until persisted everywhere,
 		// even under weak consistency (Section 8.2).
-		pw = &pendingWrite{key: key, stamp: st, pAcks: r.followers(), clientDone: done, broadcastAt: r.eng.Now()}
-		r.pending[st] = pw
+		pw = r.newPending(key, st, done)
+		pw.broadcastAt = r.eng.Now()
 	}
 
 	hist := r.vis.causalHistory(r) // cauhist snapshot for Causal consistency
@@ -270,12 +271,11 @@ func (r *Replica) selfApplyCausal() {
 // persistency once every replica (and the local node) persisted it.
 func (r *Replica) maybeFinishWeakStrictWrite(pw *pendingWrite) {
 	if pw.pAcks == 0 && pw.localPersist && pw.clientDone != nil {
-		done := pw.clientDone
-		pw.clientDone = nil
+		done, st := pw.clientDone, pw.stamp
 		r.M.WriteStalls++
 		r.M.WriteStallTime += r.eng.Now() - pw.broadcastAt
-		delete(r.pending, pw.stamp)
-		done(pw.stamp)
+		r.dropPending(pw)
+		done(st)
 	}
 }
 

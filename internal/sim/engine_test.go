@@ -310,3 +310,91 @@ func TestPoolNilDone(t *testing.T) {
 		t.Fatalf("jobs = %d, want 1", p.Jobs())
 	}
 }
+
+// testHold is a hold job that keeps its server for a fixed time: OnHold
+// schedules its own release.
+type testHold struct {
+	e       *Engine
+	p       *Pool
+	keep    int64
+	hold    Hold
+	started []int64
+}
+
+func (h *testHold) OnHold(hold Hold) {
+	h.hold = hold
+	h.started = append(h.started, h.e.Now())
+	h.e.ScheduleEvent(h.keep, h, 0)
+}
+
+func (h *testHold) OnEvent(uint64) { h.p.Release(h.hold) }
+
+// TestPoolHoldsCapBelowSize: holds occupy servers until released but never
+// more than size-1 of them, so fixed jobs bypass the blocked holds.
+func TestPoolHoldsCapBelowSize(t *testing.T) {
+	e := New()
+	p := NewPool(e, 3)
+	holds := []*testHold{{e: e, p: p, keep: 100}, {e: e, p: p, keep: 100}, {e: e, p: p, keep: 100}}
+	var fixedAt int64 = -1
+	e.Schedule(0, func() {
+		for _, h := range holds {
+			p.AcquireHold(h)
+		}
+		p.Acquire(10, func() { fixedAt = e.Now() })
+	})
+	e.Schedule(50, func() {
+		if p.Held() != 2 || p.Queued() != 1 {
+			t.Errorf("at t=50: held=%d queued=%d, want 2 held and the third hold queued", p.Held(), p.Queued())
+		}
+	})
+	e.RunAll()
+	if fixedAt != 10 {
+		t.Fatalf("fixed job finished at %d, want 10: it must bypass the capped hold", fixedAt)
+	}
+	for i, want := range []int64{0, 0, 100} {
+		if got := holds[i].started; len(got) != 1 || got[0] != want {
+			t.Fatalf("hold %d started at %v, want [%d]", i, got, want)
+		}
+	}
+	if p.Held() != 0 || p.Queued() != 0 {
+		t.Fatalf("pool did not drain: held=%d queued=%d", p.Held(), p.Queued())
+	}
+	if p.Jobs() != 4 || p.BusyTime() != 310 {
+		t.Fatalf("jobs=%d busy=%d, want 4 jobs and 3x100+10 busy", p.Jobs(), p.BusyTime())
+	}
+}
+
+// TestPoolSingleServerHoldKeepsServerFree: on a one-server pool a hold runs
+// at once and occupies nothing, so the message that would unblock it can
+// still be served.
+func TestPoolSingleServerHoldKeepsServerFree(t *testing.T) {
+	e := New()
+	p := NewPool(e, 1)
+	h := &testHold{e: e, p: p, keep: 100}
+	var fixedAt int64 = -1
+	e.Schedule(0, func() {
+		p.AcquireHold(h)
+		p.Acquire(10, func() { fixedAt = e.Now() })
+	})
+	e.RunAll()
+	if len(h.started) != 1 || h.started[0] != 0 || fixedAt != 10 {
+		t.Fatalf("hold started %v, fixed job done at %d; want [0] and 10", h.started, fixedAt)
+	}
+	if p.Held() != 0 || p.BusyTime() != 10 {
+		t.Fatalf("held=%d busy=%d, want the hold to occupy nothing", p.Held(), p.BusyTime())
+	}
+}
+
+func TestPoolDoubleReleasePanics(t *testing.T) {
+	e := New()
+	p := NewPool(e, 2)
+	h := &testHold{e: e, p: p, keep: 5}
+	e.Schedule(0, func() { p.AcquireHold(h) })
+	e.RunAll()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Release of the same hold did not panic")
+		}
+	}()
+	p.Release(h.hold)
+}

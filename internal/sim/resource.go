@@ -6,7 +6,7 @@ package sim
 //
 //   - Acquire / AcquireEvent: occupies one server for a fixed service time
 //     (message handling, request compute).
-//   - AcquireHold: occupies one server until the job calls release — a
+//   - AcquireHold: occupies one server until the job calls Release — a
 //     run-to-completion worker blocking on a stalled operation. Holds are
 //     capped below the pool size so fixed jobs (which include the protocol
 //     messages that eventually unblock the holders) can never starve: this
@@ -19,8 +19,9 @@ package sim
 // started job — the old single-slice scan removed eligible jobs from the
 // middle, which degenerated to O(n^2) under the deep backlogs of the paper's
 // high-client-count runs. Fixed-job completions are typed engine events
-// (Handler + token into a recycled record slab), so the steady-state
-// dispatch cycle allocates nothing (TestPoolDeepQueueAllocs).
+// (Handler + token into a recycled record slab) and a hold is its Holder plus
+// the Hold token it hands back, so the steady-state dispatch cycle allocates
+// nothing for either flavor (TestPoolDeepQueueAllocs, TestPoolHoldAllocs).
 type Pool struct {
 	eng      *Engine
 	size     int
@@ -50,8 +51,22 @@ type poolJob struct {
 	done    func()
 	doneH   Handler // typed completion (with doneArg) when done is nil
 	doneArg uint64
-	hold    func(release func())
+	hold    Holder
 }
+
+// Holder is a hold job: OnHold runs once a server is acquired, and the job
+// keeps that server until it passes h to Pool.Release (exactly once).
+// Implementations are recycled operation records, so queueing and running a
+// hold allocates nothing.
+type Holder interface {
+	OnHold(h Hold)
+}
+
+// Hold identifies a running hold job to Release: the time its server was
+// acquired, or noHold when the job occupies none.
+type Hold int64
+
+const noHold Hold = -1
 
 // doneRec parks a fixed job's completion across its service-time event.
 type doneRec struct {
@@ -125,17 +140,33 @@ func (p *Pool) AcquireEvent(service int64, h Handler, arg uint64) {
 	p.dispatch()
 }
 
-// AcquireHold enqueues a job that occupies a server from start until the
-// job invokes release (exactly once). start receives the release function.
-// On a single-server pool the hold runs immediately without occupancy, so
-// the server stays available for the messages that unblock the holder.
-func (p *Pool) AcquireHold(start func(release func())) {
+// AcquireHold enqueues a job that occupies a server from the moment
+// j.OnHold runs until the job calls Release. On a single-server pool the
+// hold runs immediately without occupancy, so the server stays available for
+// the messages that unblock the holder.
+func (p *Pool) AcquireHold(j Holder) {
 	if p.size == 1 {
-		start(func() {})
+		j.OnHold(noHold)
 		return
 	}
 	p.seq++
-	p.holdq.push(poolJob{seq: p.seq, at: p.eng.Now(), hold: start})
+	p.holdq.push(poolJob{seq: p.seq, at: p.eng.Now(), hold: j})
+	p.dispatch()
+}
+
+// Release ends the hold job that OnHold handed h to, freeing its server for
+// the queue. Releasing a hold twice is a caller bug and panics once no hold
+// is left to charge it to.
+func (p *Pool) Release(h Hold) {
+	if h == noHold {
+		return
+	}
+	if p.holds == 0 {
+		panic("sim: pool hold released twice")
+	}
+	p.busy--
+	p.holds--
+	p.busyAcc += p.eng.Now() - int64(h)
 	p.dispatch()
 }
 
@@ -177,18 +208,7 @@ func (p *Pool) startJob(j poolJob) {
 	p.busy++
 	if j.hold != nil {
 		p.holds++
-		released := false
-		start := now
-		j.hold(func() {
-			if released {
-				return
-			}
-			released = true
-			p.busy--
-			p.holds--
-			p.busyAcc += p.eng.Now() - start
-			p.dispatch()
-		})
+		j.hold.OnHold(Hold(now))
 		return
 	}
 	p.busyAcc += j.service

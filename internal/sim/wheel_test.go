@@ -188,3 +188,28 @@ func TestPoolDeepQueueAllocs(t *testing.T) {
 		t.Fatalf("pool did not drain: queued=%d held=%d", p.Queued(), p.Held())
 	}
 }
+
+// TestPoolHoldAllocs: queueing, starting and releasing holds allocates
+// nothing once the rings have grown — a hold is its Holder plus a token.
+func TestPoolHoldAllocs(t *testing.T) {
+	e := New()
+	e.Reserve(64)
+	p := NewPool(e, 4)
+	holds := make([]*testHold, 32)
+	for i := range holds {
+		holds[i] = &testHold{e: e, p: p, keep: int64(i%5 + 1), started: make([]int64, 0, 1)}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, h := range holds {
+			h.started = h.started[:0]
+			p.AcquireHold(h)
+		}
+		e.RunAll()
+	})
+	if allocs > 0 {
+		t.Fatalf("hold cycle allocated %.2f per run, want 0", allocs)
+	}
+	if p.Queued() != 0 || p.Held() != 0 {
+		t.Fatalf("pool did not drain: queued=%d held=%d", p.Queued(), p.Held())
+	}
+}
