@@ -14,9 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/nvm"
 	"repro/internal/params"
-	"repro/internal/sim"
 	"repro/internal/ycsb"
 )
 
@@ -414,60 +412,6 @@ func BenchmarkNICFastPath(b *testing.B) {
 	}
 }
 
-// BenchmarkBroadcastFanout measures fused broadcast fan-out on two
-// broadcast-heavy <Linearizable, Strict> shapes: the paper's default closed
-// loop (concurrent writers interleave arrivals, so chains break often) and
-// the write-only open-loop fig6 cell TestFanoutFusionEventReduction pins
-// (sparse isolated writes — most INV/VAL copies chain). Results are
-// byte-identical on and off (see TestFanoutFusionDifferential); only event
-// counts and wall time change. results/BENCH_fanout.json records a measured
-// before/after pair.
-func BenchmarkBroadcastFanout(b *testing.B) {
-	shapes := []struct {
-		name string
-		mut  func(*cluster.Config)
-	}{
-		{"default-5x20", func(cfg *cluster.Config) {}},
-		{"openloop-10x1-W", func(cfg *cluster.Config) {
-			cfg.Params.Servers = 10
-			cfg.Params.ClientsPerServer = 1
-			cfg.Workload = ycsb.WorkloadW
-			cfg.Arrivals = &ycsb.ArrivalSpec{RatePerSec: 1.5e5}
-		}},
-	}
-	for _, sh := range shapes {
-		base := cluster.Config{
-			Model:     core.Model{C: core.Linearizable, P: core.Strict},
-			Workload:  ycsb.WorkloadA,
-			Params:    params.Default(),
-			Seed:      1,
-			WarmupNs:  1_000_000,
-			MeasureNs: 5_000_000,
-		}
-		sh.mut(&base)
-		for _, fused := range []bool{false, true} {
-			cfg := base
-			cfg.NoFanoutFusion = !fused
-			name := sh.name + "/off"
-			if fused {
-				name = sh.name + "/on"
-			}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					r, err := cluster.Run(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == 0 {
-						b.ReportMetric(float64(r.Events), "events")
-						b.ReportMetric(float64(r.NetFusedHops), "fusedhops")
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkOpenLoop measures the open-loop load engine: a near-knee Poisson
 // cell and the million-session overload ramp (one underprovisioned node,
 // 2G arrivals/s). The issue path allocates nothing in steady state
@@ -530,93 +474,5 @@ func BenchmarkCapacity(b *testing.B) {
 			b.Fatal(err)
 		}
 		r.WriteText(io.Discard)
-	}
-}
-
-// BenchmarkNVMCompletionTrain isolates the fused completion train on its
-// ideal substrate: open-loop write-back bursts against a bare device, where
-// each arrival drains several dirty lines and the train chains every
-// completion after the first through the burst — one scheduled event per
-// burst instead of one per access. Completion times and order are
-// byte-identical on and off (nvm's TestTrainDifferential); only dispatch
-// counts and wall time change. results/BENCH_nvmtrain.json records a
-// measured before/after pair.
-func BenchmarkNVMCompletionTrain(b *testing.B) {
-	const arrivals, burst = 50_000, 6
-	for _, fused := range []bool{false, true} {
-		name := "off"
-		if fused {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := sim.New()
-				cfg := nvm.NVMConfig(140, 400, 2, 8)
-				cfg.NoTrain = !fused
-				d := nvm.New(e, cfg)
-				rng := sim.NewRNG(7)
-				var arrive func()
-				n := 0
-				arrive = func() {
-					for k := 0; k < burst; k++ {
-						d.Write(rng.Uint64()%4096, nil)
-					}
-					if n++; n < arrivals {
-						e.Schedule(200+rng.Int63n(3600), arrive)
-					}
-				}
-				e.Schedule(0, arrive)
-				e.RunAll()
-				if i == 0 {
-					b.ReportMetric(float64(e.Processed())/arrivals, "events/burst")
-					b.ReportMetric(float64(d.FusedCompletions()), "fused")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPersistPipeline measures the train end-to-end through the persist
-// pipeline on the paper's persist-heavy corner — <Lin, Sync>, write-only
-// open-loop clients, coalescing off — on both engines. The sequential run
-// shows the cluster-level ceiling (device completions are a bounded share of
-// a shared timeline: DESIGN.md section 5.10); the LP run shows the train as
-// the first elision layer that fuses more under intra-cell parallelism,
-// node-local gap proofs being easier than global ones.
-func BenchmarkPersistPipeline(b *testing.B) {
-	base := cluster.Config{
-		Model:     core.Model{C: core.Linearizable, P: core.Synchronous},
-		Workload:  ycsb.WorkloadW,
-		Params:    params.Default(),
-		Seed:      1,
-		WarmupNs:  200_000,
-		MeasureNs: 2_000_000,
-		Arrivals:  &ycsb.ArrivalSpec{RatePerSec: 8e6},
-	}
-	base.Params.Servers = 4
-	base.Params.ClientsPerServer = 1
-	base.Params.NoPersistCoalescing = true
-	for _, lps := range []int{1, 3} {
-		for _, fused := range []bool{false, true} {
-			cfg := base
-			cfg.IntraParallel = lps
-			cfg.NoDevTrain = !fused
-			name := fmt.Sprintf("lps%d/off", lps)
-			if fused {
-				name = fmt.Sprintf("lps%d/on", lps)
-			}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					r, err := cluster.Run(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == 0 {
-						b.ReportMetric(float64(r.Events), "events")
-						b.ReportMetric(float64(r.DevFusedComps), "devfused")
-					}
-				}
-			})
-		}
 	}
 }

@@ -14,12 +14,11 @@
 // so `go tool pprof -sample_index=alloc_objects` counts are exact; see `make
 // census`); -eventstats prints per-cell event-scheduler counters
 // (events/sim-second, peak queue depth, timing-wheel occupancy) on stderr
-// alongside the normal progress lines — including the elided-hop split (NIC
-// fast path, fused fan-out) and the device completion-train split — plus
-// logical-process synchronizer counters (epochs, cross-LP mail) when -lps
-// engages the parallel intra-cell engine. -parallel and -lps share the core
-// budget (cells x LP workers never exceeds GOMAXPROCS); neither changes any
-// reported number.
+// alongside the normal progress lines — including the hops the NIC fast path
+// elided — plus logical-process synchronizer counters (epochs, cross-LP mail)
+// when -lps engages the parallel intra-cell engine. -parallel and -lps share
+// the core budget (cells x LP workers never exceeds GOMAXPROCS); neither
+// changes any reported number.
 package main
 
 import (
@@ -49,8 +48,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an exact allocation profile (every object sampled; after the run) to this file")
 	eventstats := flag.Bool("eventstats", false, "print per-cell event-scheduler stats on stderr")
-	nofusion := flag.Bool("nofusion", false, "disable broadcast fan-out fusion and send-time delivery elision (never changes results, only event counts)")
-	nodevtrain := flag.Bool("nodevtrain", false, "disable the NVM devices' fused completion trains (never changes results, only event counts)")
 	flag.Parse()
 
 	o := harness.DefaultOptions()
@@ -60,8 +57,6 @@ func main() {
 	o.LPs = *lps
 	o.Progress = os.Stderr
 	o.EventStats = *eventstats
-	o.NoFanoutFusion = *nofusion
-	o.NoDevTrain = *nodevtrain
 	if *quick {
 		o = o.Quick()
 	}

@@ -116,24 +116,6 @@ type Config struct {
 	// and for before/after event accounting (results/BENCH_openloop.json).
 	NoNICFastPath bool
 
-	// NoFanoutFusion disables the network's fan-out fusion layer
-	// (simnet.Config.NoFanoutFusion): fused broadcast delivery and
-	// send-time arrive elision. Fusion is on by default (sequential engine
-	// only; the LP engine never fuses) and never changes any simulated
-	// outcome — only the event count — which TestFanoutFusionDifferential
-	// proves; this switch exists for that proof and for before/after event
-	// accounting (results/BENCH_fanout.json).
-	NoFanoutFusion bool
-
-	// NoDevTrain disables every NVM device's fused completion train
-	// (nvm.Config.NoTrain): each access schedules its own completion event
-	// again. The train is on by default — on both engines; completions are
-	// node-local, so unlike fan-out fusion it also elides under LP — and
-	// never changes any simulated outcome, only the event count, which
-	// TestDevTrainDifferential proves; this switch exists for that proof and
-	// for before/after event accounting (results/BENCH_nvmtrain.json).
-	NoDevTrain bool
-
 	// TrackHistory records every acknowledged write and completed read for
 	// the recovery and intuition checkers. Costs memory; off by default.
 	TrackHistory bool
@@ -205,10 +187,10 @@ type Result struct {
 	NetMessages    uint64
 	NetBytes       uint64
 	NetFastHops    uint64 // arrivals delivered via the NIC one-hop fast path
-	NetFusedHops   uint64 // broadcast arrivals chained inline by fan-out fusion
+	NetFusedHops   uint64 // always 0: fan-out fusion was removed; the benchmark reads the field
 	NetChainedHops uint64 // always 0: send-time unicast chaining was removed; the benchmark reads the field
-	DevFusedComps  uint64 // NVM completions chained inline by the device train
-	DevSchedComps  uint64 // NVM completions dispatched from a scheduled event
+	DevFusedComps  uint64 // always 0: the NVM completion train was removed; the benchmark reads the field
+	DevSchedComps  uint64 // NVM completions, one scheduled event each
 	WorkerMeanWait float64
 
 	// Scope persist barrier latency (only under Scope persistency).
@@ -388,8 +370,7 @@ func (cfg Config) netConfig() simnet.Config {
 		// The cluster's message-kind space is the protocol kinds plus the
 		// routing kinds above them; sizing the per-kind counters here
 		// keeps the send hot path growth-free.
-		MaxKind:        kindRouteBatch,
-		NoFanoutFusion: cfg.NoFanoutFusion,
+		MaxKind: kindRouteBatch,
 	}
 	if cfg.Shards > 1 && p.CrossShardRT != 0 {
 		nc.PairLat = simnet.BlockPairLat(p.Servers, p.Servers/cfg.Shards,
@@ -555,9 +536,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		nvmCfg := nvm.NVMConfig(p.NVMReadLat, p.NVMWriteLat, p.NVMChannels, p.NVMBanks)
-		nvmCfg.NoTrain = cfg.NoDevTrain
-		dev := nvm.New(eng, nvmCfg)
+		dev := nvm.New(eng, nvm.NVMConfig(p.NVMReadLat, p.NVMWriteLat, p.NVMChannels, p.NVMBanks))
 		workers := sim.NewPool(eng, p.WorkersPerServer)
 		c.Devices = append(c.Devices, dev)
 		c.Workers = append(c.Workers, workers)
@@ -728,8 +707,7 @@ func (c *Cluster) Collect(window int64, wall time.Duration) *Result {
 	for i, r := range c.Replicas {
 		res.Protocol.Add(&r.M)
 		res.NVMMeanWaitNs += c.Devices[i].MeanWait()
-		res.DevFusedComps += c.Devices[i].FusedCompletions()
-		res.DevSchedComps += c.Devices[i].ScheduledCompletions()
+		res.DevSchedComps += c.Devices[i].Completions()
 		if q := c.Devices[i].MaxOutstanding(); q > res.NVMMaxQueue {
 			res.NVMMaxQueue = q
 		}
@@ -756,8 +734,6 @@ func (c *Cluster) Collect(window int64, wall time.Duration) *Result {
 	res.NetMessages = c.Net.Messages()
 	res.NetBytes = c.Net.Bytes()
 	res.NetFastHops = c.Net.FastDeliveries()
-	res.NetFusedHops = c.Net.FusedHops()
-	res.NetChainedHops = c.Net.ChainedHops()
 	return res
 }
 

@@ -107,11 +107,6 @@ func TestNICFastPathDifferential(t *testing.T) {
 		label := fmt.Sprintf("seed=%d %s %s s=%d lps=%d",
 			cfg.Seed, m, cfg.Workload.Name, cfg.Params.Servers, cfg.IntraParallel)
 
-		// Fusion off in both runs: its elisions depend on the pending-event
-		// set, which the fast path itself changes, so leaving it on would
-		// blur this test's on/off event accounting. The combined layers are
-		// proven in fusion_test.go.
-		cfg.NoFanoutFusion = true
 		slowCfg := cfg
 		slowCfg.NoNICFastPath = true
 		slow, err := Run(slowCfg)
@@ -125,9 +120,9 @@ func TestNICFastPathDifferential(t *testing.T) {
 		if slow.NetFastHops != 0 {
 			t.Fatalf("%s: disabled run counted %d fast deliveries", label, slow.NetFastHops)
 		}
-		if fast.NetFastHops > 0 && fast.Events >= slow.Events {
-			t.Fatalf("%s: fast path engaged %d times but events did not drop (%d vs %d)",
-				label, fast.NetFastHops, fast.Events, slow.Events)
+		if fast.Events+fast.NetFastHops != slow.Events {
+			t.Fatalf("%s: elision ledger broken: %d events + %d fast hops != %d events without the fast path",
+				label, fast.Events, fast.NetFastHops, slow.Events)
 		}
 		engaged += fast.NetFastHops
 		equivalentModuloEvents(t, label, slow, fast)
@@ -150,7 +145,6 @@ func TestNICFastPathEventReduction(t *testing.T) {
 	cfg.Params.ClientsPerServer = 1
 	cfg.WarmupNs = 200_000
 	cfg.MeasureNs = 2_000_000
-	cfg.NoFanoutFusion = true // isolate the fast path; see the differential
 
 	slowCfg := cfg
 	slowCfg.NoNICFastPath = true

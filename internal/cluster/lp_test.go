@@ -89,15 +89,7 @@ func runPair(t *testing.T, label string, cfg Config, workers int) {
 	// sequential engine than under LP epochs (the clock may not jump past an
 	// epoch barrier), so Events would legitimately differ. Disable it here —
 	// TestNICFastPathDifferential proves on/off equivalence separately.
-	// Fan-out fusion likewise elides arrive events under the sequential
-	// engine only (LP never fuses); TestFanoutFusionDifferential proves its
-	// on/off equivalence separately. The NVM completion train fuses on both
-	// engines but at different rates (LP gap proofs stop at epoch
-	// barriers); TestDevTrainDifferential proves its on/off equivalence on
-	// both engines separately.
 	cfg.NoNICFastPath = true
-	cfg.NoFanoutFusion = true
-	cfg.NoDevTrain = true
 	seqCfg := cfg
 	seqCfg.IntraParallel = 1
 	seq, err := Run(seqCfg)
@@ -169,8 +161,6 @@ func TestLPWorkerCountInvariance(t *testing.T) {
 	cfg.Params.Servers = 5
 	cfg.TrackHistory = true
 	cfg.NoNICFastPath = true // Events comparability; see runPair
-	cfg.NoFanoutFusion = true
-	cfg.NoDevTrain = true
 	seqCfg := cfg
 	seqCfg.IntraParallel = 1
 	seq, err := Run(seqCfg)

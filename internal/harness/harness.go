@@ -63,19 +63,6 @@ type Options struct {
 	// clients. The capacity experiment sets this per cell.
 	Arrivals *ycsb.ArrivalSpec
 
-	// NoFanoutFusion disables broadcast fan-out fusion and send-time
-	// delivery elision on the sequential engine
-	// (cluster.Config.NoFanoutFusion): every network hop schedules its own
-	// event again, as the LP engine always does. Outcomes never change —
-	// only event counts and wall clock (ddpbench -nofusion).
-	NoFanoutFusion bool
-
-	// NoDevTrain disables the NVM devices' fused completion trains
-	// (cluster.Config.NoDevTrain): every device access schedules its own
-	// completion event again, on both engines. Outcomes never change —
-	// only event counts and wall clock (ddpbench -nodevtrain).
-	NoDevTrain bool
-
 	// Shards partitions the keyspace across Params.Servers/Shards-node
 	// replica groups behind the consistent-hash ring
 	// (cluster.Config.Shards): 0 keeps the paper's flat replica group. Set
@@ -135,9 +122,6 @@ func (o Options) config(m core.Model, w ycsb.Workload) cluster.Config {
 		MeasureNs: o.MeasureNs,
 		Arrivals:  o.Arrivals,
 		Shards:    o.Shards,
-
-		NoFanoutFusion: o.NoFanoutFusion,
-		NoDevTrain:     o.NoDevTrain,
 	}
 	// The routing policies exist only on the sharded data plane, and replica
 	// reads only under weak visibility; sweeps apply the flags to the cells
@@ -172,13 +156,8 @@ func progressLine(w io.Writer, m core.Model, wl ycsb.Workload, r *cluster.Result
 	}
 	fmt.Fprintf(w, "      events %8.2f M/sim-s  max pending %6d  wheel %5.1f%%  overflow %d  turns %d\n",
 		evPerSec/1e6, s.MaxPending, wheelPct, s.Overflow, s.Turns)
-	if elided := r.NetFastHops + r.NetFusedHops; elided > 0 {
-		fmt.Fprintf(w, "      elided %d hops: nic-fast %d  fanout-fused %d\n",
-			elided, r.NetFastHops, r.NetFusedHops)
-	}
-	if comps := r.DevSchedComps + r.DevFusedComps; r.DevFusedComps > 0 {
-		fmt.Fprintf(w, "      device completions %d: train-fused %d (%.1f%%)  scheduled %d\n",
-			comps, r.DevFusedComps, 100*float64(r.DevFusedComps)/float64(comps), r.DevSchedComps)
+	if r.NetFastHops > 0 {
+		fmt.Fprintf(w, "      elided hops: nic-fast %d\n", r.NetFastHops)
 	}
 	if lp := r.LP; lp.Workers > 1 {
 		fmt.Fprintf(w, "      lp workers %d  lps %d  lookahead %dns  epochs %d  mail %d\n",

@@ -21,13 +21,6 @@ type Config struct {
 	ReadLat    int64 // ns of bank occupancy per read
 	WriteLat   int64 // ns of bank occupancy per write
 	ChannelBus int64 // ns of channel occupancy per transfer (bus serialization)
-
-	// NoTrain disables the fused completion train (see train.go): every
-	// access schedules its own completion event again. The train is on by
-	// default and never changes any simulated outcome — only the event count
-	// (cluster's TestDevTrainDifferential proves it); this switch exists for
-	// that proof and for before/after event accounting.
-	NoTrain bool
 }
 
 // Validate reports the first configuration error, if any.
@@ -69,14 +62,6 @@ type Device struct {
 	// each access schedules a typed (closure-free) completion event.
 	acc     []accRec
 	accFree int32
-
-	// The completion train (see train.go): in-flight completions keyed by
-	// their canonical (end, issue-seq) dispatch order, of which only the
-	// earliest holds a scheduled engine event; later ones chain through gap
-	// proofs at dispatch time. Unused when cfg.NoTrain.
-	train     carHeap
-	schedComp uint64 // completions dispatched from a scheduled event
-	fusedComp uint64 // completions chained inline, their event elided
 
 	reads     uint64
 	writes    uint64
@@ -156,46 +141,14 @@ func (d *Device) access(addr uint64, service int64, rec accRec) int64 {
 		d.acc = append(d.acc, rec)
 		ni = int32(len(d.acc) - 1)
 	}
-	if d.cfg.NoTrain {
-		d.eng.AtEvent(end, d, uint64(ni))
-		return end
-	}
-	// Completion train: reserve the seq the unelided engine would have
-	// consumed here (keeping every other event's tie-break key identical),
-	// park the car, and schedule a real event only if this completion is the
-	// train's new earliest — the first access anchors the train, and an
-	// access landing earlier than the parked head re-anchors it (the old
-	// anchor keeps its event; keys only shield keys at or after them).
-	seq := d.eng.ReserveSeq()
-	if d.train.push(car{end: end, seq: seq, acc: ni}) {
-		d.train.items[0].sched = true
-		d.eng.AtEventSeq(end, seq, d, uint64(ni))
-	}
+	d.eng.AtEvent(end, d, uint64(ni))
 	return end
 }
 
-// OnEvent completes the access parked at token arg, dispatched from a
-// scheduled event. It implements sim.Handler so completions schedule without
-// allocating a closure. With the train on, the fired event always belongs to
-// the train's minimum: the minimum is always scheduled (train invariant) and
-// events fire in (end, seq) order.
+// OnEvent completes the access parked at token arg: it recycles the slab
+// record and fires its callback. It implements sim.Handler so completions
+// schedule without allocating a closure.
 func (d *Device) OnEvent(arg uint64) {
-	if !d.cfg.NoTrain {
-		c := d.train.popMin()
-		if uint64(c.acc) != arg {
-			panic("nvm: completion train out of order")
-		}
-		d.schedComp++
-		d.complete(arg)
-		d.chainNext()
-		return
-	}
-	d.schedComp++
-	d.complete(arg)
-}
-
-// complete recycles the slab record at token arg and fires its callback.
-func (d *Device) complete(arg uint64) {
 	rec := d.acc[arg]
 	d.acc[arg] = accRec{next: d.accFree}
 	d.accFree = int32(arg)
@@ -261,11 +214,6 @@ func (d *Device) MaxOutstanding() int { return d.maxQueued }
 // Outstanding returns the number of in-flight accesses right now.
 func (d *Device) Outstanding() int { return d.queued }
 
-// ScheduledCompletions returns completions dispatched from a scheduled
-// engine event. With the train: ScheduledCompletions + FusedCompletions ==
-// completions delivered (Reads + Writes - Outstanding).
-func (d *Device) ScheduledCompletions() uint64 { return d.schedComp }
-
-// FusedCompletions returns completions the train chained inline — each one
-// a scheduled event the device never paid for.
-func (d *Device) FusedCompletions() uint64 { return d.fusedComp }
+// Completions returns the number of accesses completed so far, one engine
+// event each.
+func (d *Device) Completions() uint64 { return d.reads + d.writes - uint64(d.queued) }

@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -172,5 +173,71 @@ func TestDRAMStyleDevice(t *testing.T) {
 	e.RunAll()
 	if doneAt != 100 {
 		t.Fatalf("DRAM write at %d, want 100", doneAt)
+	}
+}
+
+// nopHandler is a completion sink for the allocation guard.
+type nopHandler struct{}
+
+func (nopHandler) OnEvent(uint64) {}
+
+// TestValidate exercises every rejection in Config.Validate, one bad field
+// at a time.
+func TestValidate(t *testing.T) {
+	good := cfg()
+	if err := good.Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	cases := []struct {
+		name string
+		mut  func(*Config)
+		want string
+	}{
+		{"zero channels", func(c *Config) { c.Channels = 0 }, "Channels"},
+		{"negative channels", func(c *Config) { c.Channels = -2 }, "Channels"},
+		{"zero banks", func(c *Config) { c.Banks = 0 }, "Banks"},
+		{"zero read latency", func(c *Config) { c.ReadLat = 0 }, "ReadLat"},
+		{"negative read latency", func(c *Config) { c.ReadLat = -140 }, "ReadLat"},
+		{"zero write latency", func(c *Config) { c.WriteLat = 0 }, "WriteLat"},
+		{"negative channel bus", func(c *Config) { c.ChannelBus = -8 }, "ChannelBus"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := cfg()
+			tc.mut(&bad)
+			err := bad.Validate()
+			if err == nil {
+				t.Fatal("bad geometry accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name field %s", err, tc.want)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("New accepted a config Validate rejects")
+				}
+			}()
+			New(sim.New(), bad)
+		})
+	}
+}
+
+// TestDeviceAccessAllocs guards the whole access path — slab record,
+// completion event, completion dispatch — at zero steady-state allocations
+// per access.
+func TestDeviceAccessAllocs(t *testing.T) {
+	e := sim.New()
+	d := New(e, cfg())
+	h := nopHandler{}
+	issue := func() {
+		for i := uint64(0); i < 16; i++ {
+			d.WriteEvent(i*31, h, i)
+			d.ReadEvent(i*17, h, i)
+		}
+		e.RunAll()
+	}
+	issue() // warm the slab and wheel free lists
+	if avg := testing.AllocsPerRun(50, issue); avg != 0 {
+		t.Fatalf("device access path allocates %.1f times per burst, want 0", avg)
 	}
 }

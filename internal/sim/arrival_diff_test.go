@@ -3,7 +3,7 @@ package sim
 // Randomized differential test: an engine fed cross-node arrivals through
 // AtArrival (the sequential wiring) must dispatch exactly what an engine fed
 // through a bound Ingress (the LP wiring) dispatches — same events, same
-// times, same gap-proof verdicts — on both schedulers. The workload is a
+// times, same gap-proof verdicts. The workload is a
 // pure function of the seed and draws its randomness inside the handlers, so
 // the first dispatch that differs derails everything after it.
 
@@ -20,14 +20,6 @@ type diffRec struct {
 	ok    bool
 }
 
-// reservation is a seq reserved at spawn time whose event is scheduled later
-// — the NVM train's straggler pattern.
-type reservation struct {
-	seq uint64
-	at  int64
-	id  uint64
-}
-
 type arrivalDiff struct {
 	e       *Engine
 	rng     *RNG
@@ -37,7 +29,6 @@ type arrivalDiff struct {
 	budget  int
 	lastAt  [diffSources]int64
 	seq     [diffSources]uint64
-	held    []reservation
 }
 
 // diffDelay mixes dense near-future times (ties between sources, and between
@@ -78,7 +69,7 @@ func (d *arrivalDiff) spawn() {
 	id := d.nextID
 	d.nextID++
 	t := e.Now() + diffDelay(d.rng)
-	switch d.rng.Int63n(8) {
+	switch d.rng.Int63n(7) {
 	case 0, 1, 2, 3: // cross-node arrival, pair-FIFO clamped like simnet's
 		src := d.rng.Int63n(diffSources)
 		if t < d.lastAt[src] {
@@ -87,32 +78,17 @@ func (d *arrivalDiff) spawn() {
 		d.lastAt[src] = t
 		d.seq[src]++
 		d.deliver(t, int32(src), d.seq[src], d, id)
-	case 4: // seq reserved now, event scheduled by a later spawn
-		d.held = append(d.held, reservation{seq: e.ReserveSeq(), at: t, id: id})
-	case 5:
+	case 4:
 		e.At(t, func() { d.OnEvent(id) })
 	default:
 		e.AtEvent(t, d, id)
 	}
-	if len(d.held) > 0 && d.rng.Int63n(3) == 0 {
-		d.spend()
-	}
-}
-
-// spend schedules the oldest reservation under its original seq.
-func (d *arrivalDiff) spend() {
-	r := d.held[0]
-	d.held = d.held[1:]
-	if r.at < d.e.Now() {
-		r.at = d.e.Now()
-	}
-	d.e.AtEventSeq(r.at, r.seq, d, r.id)
 }
 
 // runArrivalWorkload drives one engine and returns its log, its stats and
 // whether an AtArrival landed beyond the wheel window.
-func runArrivalWorkload(s Scheduler, seed uint64, viaIngress bool) ([]diffRec, EngineStats, bool) {
-	e := NewWithScheduler(s)
+func runArrivalWorkload(seed uint64, viaIngress bool) ([]diffRec, EngineStats, bool) {
+	e := New()
 	d := &arrivalDiff{e: e, rng: NewRNG(seed), budget: 4000}
 	far := false
 	if viaIngress {
@@ -123,7 +99,7 @@ func runArrivalWorkload(s Scheduler, seed uint64, viaIngress bool) ([]diffRec, E
 		}
 	} else {
 		d.deliver = func(t int64, src int32, seq uint64, h Handler, arg uint64) {
-			if s == SchedulerWheel && e.wheel.len() > 0 && t-e.wheel.wnow >= wheelSlots {
+			if e.wheel.len() > 0 && t-e.wheel.wnow >= wheelSlots {
 				far = true
 			}
 			e.AtArrival(t, src, seq, h, arg)
@@ -138,9 +114,6 @@ func runArrivalWorkload(s Scheduler, seed uint64, viaIngress bool) ([]diffRec, E
 	for i := 0; i < 100; i++ {
 		d.spawn()
 	}
-	for len(d.held) > 0 {
-		d.spend()
-	}
 	e.RunAll()
 	if e.Pending() != 0 {
 		panic("arrival workload left events pending")
@@ -150,73 +123,71 @@ func runArrivalWorkload(s Scheduler, seed uint64, viaIngress bool) ([]diffRec, E
 
 // TestArrivalKeyMatchesIngress is the order-equivalence proof behind the
 // sequential wiring's single pending set: same-time arrivals from several
-// sources, arrivals tying local events, reserved-seq stragglers, arrivals
-// that cross the overflow level, and gap proofs all resolve identically
-// whether arrivals ride the scheduler under their canonical key or merge in
-// from an Ingress.
+// sources, arrivals tying local events, arrivals that cross the overflow
+// level, and gap proofs all resolve identically whether arrivals ride the
+// scheduler under their canonical key or merge in from an Ingress.
 func TestArrivalKeyMatchesIngress(t *testing.T) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		sawFar, sawAdvance, sawRefusal := false, false, false
-		for seed := uint64(1); seed <= 30; seed++ {
-			want, ws, _ := runArrivalWorkload(sched, seed, true)
-			got, gs, far := runArrivalWorkload(sched, seed, false)
-			if len(got) != len(want) {
-				t.Fatalf("sched %d seed %d: %d log lines via AtArrival, %d via Ingress", sched, seed, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("sched %d seed %d: line %d diverges: AtArrival %+v, Ingress %+v", sched, seed, i, got[i], want[i])
-				}
-				if want[i].probe {
-					sawAdvance = sawAdvance || want[i].ok
-					sawRefusal = sawRefusal || !want[i].ok
-				}
-			}
-			if gs.Processed != ws.Processed || gs.Ingress != ws.Ingress || gs.MaxPending != ws.MaxPending {
-				t.Fatalf("sched %d seed %d: stats diverge: AtArrival %+v, Ingress %+v", sched, seed, gs, ws)
-			}
-			if gs.Ingress == 0 {
-				t.Fatalf("sched %d seed %d: no arrival dispatched", sched, seed)
-			}
-			sawFar = sawFar || far
+	sawFar, sawAdvance, sawRefusal := false, false, false
+	for seed := uint64(1); seed <= 30; seed++ {
+		want, ws, _ := runArrivalWorkload(seed, true)
+		got, gs, far := runArrivalWorkload(seed, false)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d log lines via AtArrival, %d via Ingress", seed, len(got), len(want))
 		}
-		if sched == SchedulerWheel && !sawFar {
-			t.Fatal("no arrival crossed the overflow level; differential coverage is incomplete")
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: line %d diverges: AtArrival %+v, Ingress %+v", seed, i, got[i], want[i])
+			}
+			if want[i].probe {
+				sawAdvance = sawAdvance || want[i].ok
+				sawRefusal = sawRefusal || !want[i].ok
+			}
 		}
-		if !sawAdvance || !sawRefusal {
-			t.Fatalf("sched %d: gap proofs one-sided (advance=%v refusal=%v)", sched, sawAdvance, sawRefusal)
+		if gs.Processed != ws.Processed || gs.Ingress != ws.Ingress || gs.MaxPending != ws.MaxPending {
+			t.Fatalf("seed %d: stats diverge: AtArrival %+v, Ingress %+v", seed, gs, ws)
 		}
+		if gs.Ingress == 0 {
+			t.Fatalf("seed %d: no arrival dispatched", seed)
+		}
+		sawFar = sawFar || far
+	}
+	if !sawFar {
+		t.Fatal("no arrival crossed the overflow level; differential coverage is incomplete")
+	}
+	if !sawAdvance || !sawRefusal {
+		t.Fatalf("gap proofs one-sided (advance=%v refusal=%v)", sawAdvance, sawRefusal)
 	}
 }
 
 // TestAtArrivalOrder pins the key classes by hand: at one timestamp arrivals
 // run in (src, seq) order whatever order they were scheduled in, and before
-// every local event, including one scheduled first.
+// every local event, including one scheduled first. The scheduling order
+// takes the wheel's three insert paths: head prepend (an arrival ahead of
+// everything in its bucket), mid-chain splice (an arrival behind earlier
+// sources and ahead of the locals) and tail append.
 func TestAtArrivalOrder(t *testing.T) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		e := NewWithScheduler(sched)
-		var order []uint64
-		rec := &orderRecorder{order: &order}
-		e.AtEvent(50, rec, 100) // local, scheduled first
-		e.AtArrival(50, 3, 1, rec, 31)
-		e.AtArrival(50, 1, 9, rec, 19)
-		e.AtArrival(50, 1, 2, rec, 12)
-		e.AtArrival(40, 7, 5, rec, 75)
-		e.AtEvent(50, rec, 101)
-		e.AtArrival(50, 0, 4, rec, 4)
-		e.RunAll()
-		want := []uint64{75, 4, 12, 19, 31, 100, 101}
-		if len(order) != len(want) {
-			t.Fatalf("sched %d: ran %v, want %v", sched, order, want)
+	e := New()
+	var order []uint64
+	rec := &orderRecorder{order: &order}
+	e.AtEvent(50, rec, 100)        // local, scheduled first
+	e.AtArrival(50, 1, 2, rec, 12) // head prepend
+	e.AtArrival(50, 1, 9, rec, 19) // splice right behind the head
+	e.AtArrival(50, 3, 1, rec, 31) // splice after a two-node walk
+	e.AtArrival(40, 7, 5, rec, 75)
+	e.AtEvent(50, rec, 101) // tail append
+	e.AtArrival(50, 0, 4, rec, 4)
+	e.RunAll()
+	want := []uint64{75, 4, 12, 19, 31, 100, 101}
+	if len(order) != len(want) {
+		t.Fatalf("ran %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("dispatch order %v, want %v", order, want)
 		}
-		for i := range want {
-			if order[i] != want[i] {
-				t.Fatalf("sched %d: dispatch order %v, want %v", sched, order, want)
-			}
-		}
-		if st := e.Stats(); st.Ingress != 5 || st.MaxPending != 2 {
-			t.Fatalf("sched %d: Ingress=%d MaxPending=%d, want 5 and 2 (local events only)", sched, st.Ingress, st.MaxPending)
-		}
+	}
+	if st := e.Stats(); st.Ingress != 5 || st.MaxPending != 2 {
+		t.Fatalf("Ingress=%d MaxPending=%d, want 5 and 2 (local events only)", st.Ingress, st.MaxPending)
 	}
 }
 

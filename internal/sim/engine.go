@@ -15,11 +15,10 @@
 // Event dispatch is the hottest path in every experiment, so the engine
 // offers two things beyond a plain priority queue:
 //
-//   - Two interchangeable schedulers (see Scheduler): a hierarchical timing
-//     wheel (the default — O(1) amortized insert/extract, tuned to the
-//     simulator's short event horizons) and the original 4-ary heap, kept
-//     for differential testing. Both dispatch in exactly the same
-//     (time, seq) order, so they are bit-for-bit equivalent.
+//   - A hierarchical timing wheel as the pending-event set (O(1) amortized
+//     insert/extract, tuned to the simulator's short event horizons), with
+//     the original 4-ary heap as its overflow level for far events and as
+//     the oracle it is tested against (TestSchedulerDifferentialRandomized).
 //   - Typed events (ScheduleEvent/AtEvent): a pre-bound Handler plus a
 //     uint64 argument, so hot event producers (simnet deliveries, NVM
 //     completions, worker-pool completions) schedule without allocating a
@@ -72,42 +71,6 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// ChainResolver is the deferred-continuation hook behind the NVM completion
-// train. A component that wants to run work "at time t" without scheduling
-// an event — but cannot jump the clock because a handler is still executing
-// at the current time — registers itself with SetChain during the dispatch;
-// the engine calls OnChain once the dispatch completes, when a clock jump is
-// safe again.
-// OnChain re-proves the gap itself (via TryAdvance) and falls back to
-// scheduling normally when the proof fails, so deferral never changes a
-// simulated outcome.
-type ChainResolver interface {
-	OnChain()
-}
-
-// chainEntry is one registered deferred continuation plus the time its
-// parked work would run at. The time makes the parked work visible to gap
-// proofs (TryAdvance refuses to jump at or past it) and orders resolution:
-// entries resolve in ascending (at, registration order), mirroring the
-// dispatch order the parked work would have had as real events.
-type chainEntry struct {
-	c  ChainResolver
-	at int64
-}
-
-// Scheduler selects the engine's pending-event structure.
-type Scheduler int
-
-const (
-	// SchedulerWheel is the hierarchical timing wheel (default): O(1)
-	// amortized scheduling with a fine-grained near-future window and a
-	// heap-backed overflow level for far events.
-	SchedulerWheel Scheduler = iota
-	// SchedulerHeap is the 4-ary min-heap, kept for differential testing
-	// against the wheel (TestSchedulerDifferentialRandomized).
-	SchedulerHeap
-)
-
 // EngineStats reports scheduler-level counters for one engine, for the
 // -eventstats harness output and perf investigations.
 type EngineStats struct {
@@ -133,7 +96,7 @@ func (s *EngineStats) Merge(other EngineStats) {
 }
 
 // Engine is a discrete-event simulator clock and scheduler.
-// The zero value is ready to use at time 0 with the timing-wheel scheduler.
+// The zero value is ready to use at time 0.
 type Engine struct {
 	now        int64
 	seq        uint64
@@ -163,28 +126,11 @@ type Engine struct {
 	// arrivals with AtArrival instead and leaves it nil.
 	ing *Ingress
 
-	// chain holds continuations deferred by the event in progress, resolved
-	// after it returns (see ChainResolver). The queue is empty outside
-	// dispatchOne's drain; it holds more than one entry only when independent
-	// components defer in the same dispatch (two devices' completion trains,
-	// say).
-	chain []chainEntry
-
-	useHeap bool
-	heap    eventHeap
-	wheel   timingWheel
+	wheel timingWheel
 }
 
-// New returns an Engine starting at simulated time 0, using the
-// timing-wheel scheduler.
+// New returns an Engine starting at simulated time 0.
 func New() *Engine { return &Engine{} }
-
-// NewWithScheduler returns an Engine using the given scheduler. Both
-// schedulers dispatch in identical (time, seq) order; SchedulerHeap exists
-// so differential tests can prove that.
-func NewWithScheduler(s Scheduler) *Engine {
-	return &Engine{useHeap: s == SchedulerHeap}
-}
 
 // Now returns the current simulated time in nanoseconds.
 func (e *Engine) Now() int64 { return e.now }
@@ -199,7 +145,7 @@ func (e *Engine) Pending() int {
 	if e.ing != nil {
 		n = e.ing.Len()
 	}
-	return n + e.schedLen()
+	return n + e.wheel.len()
 }
 
 // BindIngress attaches an arrival queue to the engine. The dispatch loops
@@ -225,13 +171,7 @@ func (e *Engine) Stats() EngineStats {
 // flight without reallocation. Cluster setup calls it once with the expected
 // steady-state event count, so the hot scheduling path never pays for
 // incremental growth.
-func (e *Engine) Reserve(n int) {
-	if e.useHeap {
-		e.heap.reserve(n)
-		return
-	}
-	e.wheel.reserve(n)
-}
+func (e *Engine) Reserve(n int) { e.wheel.reserve(n) }
 
 // Schedule runs fn after delay nanoseconds of simulated time.
 // A negative delay is treated as zero (run at the current time, after any
@@ -292,76 +232,25 @@ func (e *Engine) AtArrival(t int64, src int32, seq uint64, h Handler, arg uint64
 	e.schedule(&event{at: t, seq: packKey(src, seq), h: h, arg: arg})
 }
 
-// ReserveSeq allocates and returns the next event sequence number without
-// scheduling anything. An elision layer that may or may not materialize an
-// event later (the NVM completion train) reserves the seq at the point the
-// unelided engine would have scheduled, so every other event's tie-break key
-// is identical whether the elision is on or off; AtEventSeq spends the
-// reservation if the event turns out to be needed.
-func (e *Engine) ReserveSeq() uint64 {
-	e.seq++
-	return localBit | e.seq
-}
-
-// AtEventSeq schedules h.OnEvent(arg) at time t under a sequence number
-// previously obtained from ReserveSeq — the event dispatches at exactly the
-// (t, seq) position a normally-scheduled event would have occupied at
-// reservation time. t must be >= Now(); the caller guarantees it (a
-// completion time never precedes the clock that issued it).
-func (e *Engine) AtEventSeq(t int64, seq uint64, h Handler, arg uint64) {
-	e.push(&event{at: t, seq: seq, h: h, arg: arg})
-}
-
 // push schedules a local event and tracks the pending high-water mark,
 // which counts local events only: arrivals share the scheduler but are the
 // network's backlog, not the node's.
 func (e *Engine) push(ev *event) {
 	e.schedule(ev)
-	if pending := e.schedLen() - e.arrivals; pending > e.maxPending {
+	if pending := e.wheel.len() - e.arrivals; pending > e.maxPending {
 		e.maxPending = pending
 	}
 }
 
-// schedule hands the event to the active scheduler.
+// schedule hands the event to the wheel.
 func (e *Engine) schedule(ev *event) {
 	if ev.at < e.schedLB {
 		e.schedLB = ev.at
 	}
-	if e.useHeap {
-		e.heap.push(*ev)
-		return
-	}
 	e.wheel.push(ev, e.now)
 }
 
-// schedLen returns the number of events in the active scheduler.
-func (e *Engine) schedLen() int {
-	if e.useHeap {
-		return e.heap.len()
-	}
-	return e.wheel.len()
-}
-
-// headHint returns the scheduler head time recorded by the last failed
-// popIfAtMost probe (maxTime when the scheduler was empty). Valid only
-// immediately after a failed probe, before any push.
-func (e *Engine) headHint() int64 {
-	if e.useHeap {
-		return e.heap.headHint
-	}
-	return e.wheel.headHint
-}
-
 const maxTime = int64(^uint64(0) >> 1)
-
-// headAt returns the earliest pending local event time (maxTime when the
-// scheduler is empty) without dispatching anything.
-func (e *Engine) headAt() int64 {
-	if e.useHeap {
-		return e.heap.headAt()
-	}
-	return e.wheel.headAt()
-}
 
 // TryAdvance reports whether the engine can prove that nothing is pending —
 // no scheduled event and no queued Ingress arrival — at or before time t,
@@ -386,17 +275,9 @@ func (e *Engine) TryAdvance(t int64) bool {
 	if e.ing != nil && e.ing.Len() > 0 && e.ing.HeadAt() <= t {
 		return false
 	}
-	// Deferred continuations park work the scheduler cannot see; their
-	// registered times make them count against the gap exactly as the
-	// scheduled events they stand in for would have.
-	for i := range e.chain {
-		if e.chain[i].at <= t {
-			return false
-		}
-	}
 	if t >= e.schedLB {
 		// The lower bound does not prove the gap; probe the real head.
-		head := e.headAt()
+		head := e.wheel.headAt()
 		if head <= t {
 			return false
 		}
@@ -406,43 +287,9 @@ func (e *Engine) TryAdvance(t int64) bool {
 	return true
 }
 
-// SetChain registers c to be resolved when the event currently being
-// dispatched returns (see ChainResolver), with at the time of the parked
-// work. A component registers at most one entry at a time; independent
-// components may hold entries simultaneously, and resolution order is
-// ascending (at, registration order).
-func (e *Engine) SetChain(c ChainResolver, at int64) {
-	e.chain = append(e.chain, chainEntry{c: c, at: at})
-}
-
-// dispatchOne executes the next event at or before until — the scheduler
-// head, or a bound Ingress's head when that is no later — then resolves any
-// chained continuations the event deferred, and reports whether anything
-// ran.
-func (e *Engine) dispatchOne(until int64) bool {
-	ran := e.dispatchNext(until)
-	// Resolve deferred continuations now that no handler is mid-execution:
-	// a clock jump is safe again, and OnChain may itself defer more work.
-	// Earliest-at first: the parked work must run in the order the events it
-	// stands in for would have dispatched, and resolving a later entry first
-	// would only fail its proof against the earlier one still queued.
-	for len(e.chain) > 0 {
-		mi := 0
-		for i := 1; i < len(e.chain); i++ {
-			if e.chain[i].at < e.chain[mi].at {
-				mi = i
-			}
-		}
-		c := e.chain[mi].c
-		copy(e.chain[mi:], e.chain[mi+1:])
-		e.chain[len(e.chain)-1] = chainEntry{}
-		e.chain = e.chain[:len(e.chain)-1]
-		c.OnChain()
-	}
-	return ran
-}
-
-// dispatchNext picks and runs the next event without chain resolution.
+// dispatchNext executes the next event at or before until — the scheduler
+// head, or a bound Ingress's head when that is no later — and reports whether
+// anything ran.
 func (e *Engine) dispatchNext(until int64) bool {
 	// LP wiring: scheduled events strictly before a queued arrival run
 	// first; at the arrival's own timestamp the arrival wins. When schedLB
@@ -458,16 +305,11 @@ func (e *Engine) dispatchNext(until int64) bool {
 			limit, arrival = ia-1, true
 		}
 	}
-	var ev event
-	var ok bool
-	if e.useHeap {
-		ev, ok = e.heap.popIfAtMost(limit)
-	} else {
-		ev, ok = e.wheel.popIfAtMost(limit)
-	}
+	ev, ok := e.wheel.popIfAtMost(limit)
 	if !ok {
 		if arrival {
-			e.schedLB = e.headHint()
+			// The failed probe recorded the exact head.
+			e.schedLB = e.wheel.headHint
 			return e.popArrival()
 		}
 		return false
@@ -499,7 +341,7 @@ func (e *Engine) popArrival() bool {
 func (e *Engine) Run(until int64) int64 {
 	e.stopped = false
 	e.runUntil = until
-	for !e.stopped && e.dispatchOne(until) {
+	for !e.stopped && e.dispatchNext(until) {
 	}
 	if e.now < until && !e.stopped {
 		e.now = until
@@ -513,7 +355,7 @@ func (e *Engine) Run(until int64) int64 {
 func (e *Engine) RunAll() int64 {
 	e.stopped = false
 	e.runUntil = maxTime
-	for !e.stopped && e.dispatchOne(maxTime) {
+	for !e.stopped && e.dispatchNext(maxTime) {
 	}
 	return e.now
 }
@@ -522,7 +364,7 @@ func (e *Engine) RunAll() int64 {
 // did.
 func (e *Engine) Step() bool {
 	e.runUntil = maxTime
-	return e.dispatchOne(maxTime)
+	return e.dispatchNext(maxTime)
 }
 
 // Stop makes the current Run/RunAll call return after the event in progress.

@@ -2,63 +2,44 @@ package sim
 
 import "testing"
 
-// benchSchedulers parametrizes scheduler benchmarks so the timing wheel and
-// the 4-ary heap are measured side by side (the heap rows are the "before"
-// column in results/BENCH_scheduler.json).
-var benchSchedulers = []struct {
-	name string
-	s    Scheduler
-}{
-	{"wheel", SchedulerWheel},
-	{"heap", SchedulerHeap},
-}
-
 // BenchmarkEngineScheduleRun measures the schedule+dispatch hot path every
 // simulated message and device operation rides on: push into the pending
 // set, pop in timestamp order, run. Storage is Reserved up front, so a
 // steady-state cycle should not allocate.
 func BenchmarkEngineScheduleRun(b *testing.B) {
-	for _, sc := range benchSchedulers {
-		b.Run(sc.name, func(b *testing.B) {
-			e := NewWithScheduler(sc.s)
-			e.Reserve(1024)
-			fn := func() {}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Schedule(int64(i%64), fn)
-				if e.Pending() >= 512 {
-					e.RunAll()
-				}
-			}
+	e := New()
+	e.Reserve(1024)
+	fn := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(int64(i%64), fn)
+		if e.Pending() >= 512 {
 			e.RunAll()
-		})
+		}
 	}
+	e.RunAll()
 }
 
 // BenchmarkEngineDeepPending holds a 10k-event backlog while scheduling and
-// dispatching — the regime where the heap pays O(log n) sifts on both sides
+// dispatching — the regime where a heap pays O(log n) sifts on both sides
 // and the wheel stays O(1). This is the shape of the paper's
 // high-client-count cells (thousands of in-flight client ops per node).
 func BenchmarkEngineDeepPending(b *testing.B) {
-	for _, sc := range benchSchedulers {
-		b.Run(sc.name, func(b *testing.B) {
-			e := NewWithScheduler(sc.s)
-			e.Reserve(10001)
-			fn := func() {}
-			for i := 0; i < 10000; i++ {
-				e.Schedule(1+int64(i%8000), fn)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Schedule(8000, fn)
-				e.Step()
-			}
-			b.StopTimer()
-			e.RunAll()
-		})
+	e := New()
+	e.Reserve(10001)
+	fn := func() {}
+	for i := 0; i < 10000; i++ {
+		e.Schedule(1+int64(i%8000), fn)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(8000, fn)
+		e.Step()
+	}
+	b.StopTimer()
+	e.RunAll()
 }
 
 // BenchmarkPoolContention drives bursts deep enough to queue behind a small

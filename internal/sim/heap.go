@@ -1,28 +1,19 @@
 package sim
 
 // eventHeap is a hand-rolled 4-ary min-heap over a value slice, ordered by
-// (time, seq). It is the engine's original scheduler — kept selectable via
-// NewWithScheduler(SchedulerHeap) for differential testing against the
-// timing wheel — and doubles as the wheel's overflow level, where it only
-// ever holds the (rare) events beyond the wheel's fine-grained window.
+// (time, seq). It is the wheel's overflow level, where it only ever holds the
+// (rare) events beyond the wheel's fine-grained window, and — as the engine's
+// original scheduler — the oracle the wheel is tested against
+// (TestSchedulerDifferentialRandomized).
 // Avoiding container/heap's interface boxing roughly halves heap time.
 type eventHeap struct {
 	evs []event
 	// headHint records the head time observed by the last failed
-	// popIfAtMost (maxTime when empty); see Engine.headHint.
+	// popIfAtMost (maxTime when empty); valid until the next push.
 	headHint int64
 }
 
 func (h *eventHeap) len() int { return len(h.evs) }
-
-func (h *eventHeap) reserve(n int) {
-	if cap(h.evs) >= n {
-		return
-	}
-	grown := make([]event, len(h.evs), n)
-	copy(grown, h.evs)
-	h.evs = grown
-}
 
 // push inserts into the heap (sift-up).
 func (h *eventHeap) push(ev event) {

@@ -11,33 +11,31 @@ func (p *probeHandler) OnEvent(arg uint64) { p.fn(arg) }
 // time from inside a running dispatch, the only place TryAdvance is meant to
 // be called.
 func TestTryAdvanceBasics(t *testing.T) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		e := NewWithScheduler(sched)
-		ran := false
-		e.At(10, func() {
-			ran = true
-			if e.TryAdvance(5) {
-				t.Fatal("advanced into the past")
-			}
-			if !e.TryAdvance(50) {
-				t.Fatal("refused a provably empty gap")
-			}
-			if e.Now() != 50 {
-				t.Fatalf("clock at %d after advance, want 50", e.Now())
-			}
-			if e.TryAdvance(100) {
-				t.Fatal("advanced to the Run bound")
-			}
-			if e.TryAdvance(150) {
-				t.Fatal("advanced past the Run bound")
-			}
-			if !e.TryAdvance(99) {
-				t.Fatal("refused the last in-bound instant")
-			}
-		})
-		if got := e.Run(100); got != 100 || !ran {
-			t.Fatalf("run ended at %d (ran=%v)", got, ran)
+	e := New()
+	ran := false
+	e.At(10, func() {
+		ran = true
+		if e.TryAdvance(5) {
+			t.Fatal("advanced into the past")
 		}
+		if !e.TryAdvance(50) {
+			t.Fatal("refused a provably empty gap")
+		}
+		if e.Now() != 50 {
+			t.Fatalf("clock at %d after advance, want 50", e.Now())
+		}
+		if e.TryAdvance(100) {
+			t.Fatal("advanced to the Run bound")
+		}
+		if e.TryAdvance(150) {
+			t.Fatal("advanced past the Run bound")
+		}
+		if !e.TryAdvance(99) {
+			t.Fatal("refused the last in-bound instant")
+		}
+	})
+	if got := e.Run(100); got != 100 || !ran {
+		t.Fatalf("run ended at %d (ran=%v)", got, ran)
 	}
 }
 
@@ -45,26 +43,24 @@ func TestTryAdvanceBasics(t *testing.T) {
 // before t vetoes the jump, and that a successful jump never reorders or
 // drops the events behind it.
 func TestTryAdvanceBlockedByLocalEvent(t *testing.T) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		e := NewWithScheduler(sched)
-		var order []int64
-		e.At(60, func() { order = append(order, e.Now()) })
-		e.At(10, func() {
-			if e.TryAdvance(60) {
-				t.Fatal("jumped onto a pending event")
-			}
-			if e.TryAdvance(70) {
-				t.Fatal("jumped over a pending event")
-			}
-			if !e.TryAdvance(59) {
-				t.Fatal("refused the gap before the next event")
-			}
-			order = append(order, e.Now())
-		})
-		e.Run(100)
-		if len(order) != 2 || order[0] != 59 || order[1] != 60 {
-			t.Fatalf("dispatch order %v, want [59 60]", order)
+	e := New()
+	var order []int64
+	e.At(60, func() { order = append(order, e.Now()) })
+	e.At(10, func() {
+		if e.TryAdvance(60) {
+			t.Fatal("jumped onto a pending event")
 		}
+		if e.TryAdvance(70) {
+			t.Fatal("jumped over a pending event")
+		}
+		if !e.TryAdvance(59) {
+			t.Fatal("refused the gap before the next event")
+		}
+		order = append(order, e.Now())
+	})
+	e.Run(100)
+	if len(order) != 2 || order[0] != 59 || order[1] != 60 {
+		t.Fatalf("dispatch order %v, want [59 60]", order)
 	}
 }
 

@@ -19,11 +19,11 @@ import "math/bits"
 // wheelSlots ns, a bucket holds events of exactly one timestamp at a time;
 // inserts keep every chain sorted by the tie-break key (a tail append in the
 // overwhelmingly common ascending case, a head prepend or walk-splice for
-// cross-node arrivals, reserved-seq and overflow-drain stragglers — see
-// insert), and dispatching buckets in circular order from wnow's cursor
-// replays the exact (time, key) order the heap would produce — determinism
-// is bit-for-bit unchanged (see TestSchedulerDifferentialRandomized and the
-// golden 5x5 fixture).
+// cross-node arrivals and overflow-drain stragglers — see insert), and
+// dispatching buckets in circular order from wnow's cursor replays the exact
+// (time, key) order the heap would produce — determinism is bit-for-bit
+// unchanged (see TestSchedulerDifferentialRandomized and the golden 5x5
+// fixture).
 //
 // Events beyond the window land in an overflow level (the 4-ary heap,
 // ordered by (time, seq)); they are re-bucketed into the window on wheel
@@ -76,7 +76,7 @@ type timingWheel struct {
 	turns          uint64 // re-bucketing passes
 
 	// headHint records the head time observed by the last failed
-	// popIfAtMost (maxTime when empty); see Engine.headHint.
+	// popIfAtMost (maxTime when empty); valid until the next push.
 	headHint int64
 }
 
@@ -128,10 +128,9 @@ func (w *timingWheel) push(ev *event, now int64) {
 // almost always, so the common case is a tail append (one tail-key compare);
 // the head prepend and walk-splice cover the producers of out-of-order keys —
 // a cross-node arrival (Engine.AtArrival) landing on a timestamp that already
-// holds local events or a later-keyed arrival, a reserved-seq event
-// (Engine.AtEventSeq) landing after younger same-time events, and an
-// overflow drain re-bucketing an old event into a bucket a handler already
-// pushed a younger same-time event into.
+// holds local events or a later-keyed arrival, and an overflow drain
+// re-bucketing an old event into a bucket a handler already pushed a younger
+// same-time event into.
 func (w *timingWheel) insert(ev *event) {
 	slot := int32(ev.at) & wheelMask
 	ni := w.alloc(ev)
@@ -251,10 +250,8 @@ func (w *timingWheel) headAt() int64 {
 		slot := w.firstOccupied()
 		head = w.wnow + int64((slot-int32(w.wnow))&wheelMask)
 	}
-	if w.overflow.len() > 0 {
-		if at := w.overflow.peek().at; at < head {
-			head = at
-		}
+	if at := w.overflow.headAt(); at < head {
+		head = at
 	}
 	return head
 }

@@ -16,9 +16,11 @@ func (r *orderRecorder) OnEvent(arg uint64) { *r.order = append(*r.order, arg) }
 // level.
 func schedRandomDelay(rng *RNG) int64 {
 	switch rng.Int63n(10) {
-	case 0, 1, 2, 3:
+	case 0, 1, 2:
+		return rng.Int63n(4)
+	case 3, 4:
 		return rng.Int63n(64)
-	case 4, 5, 6:
+	case 5, 6:
 		return rng.Int63n(4096)
 	case 7, 8:
 		return rng.Int63n(2 * wheelSlots)
@@ -27,75 +29,133 @@ func schedRandomDelay(rng *RNG) int64 {
 	}
 }
 
-// runSchedulerWorkload drives one engine through a randomized mixed workload
-// (closures and typed events, events spawning events, a bounded Run followed
-// by more scheduling, then RunAll) and returns the execution order by event
-// id. The workload is a pure function of the seed, so two schedulers given
-// the same seed must produce identical logs.
-func runSchedulerWorkload(s Scheduler, seed uint64) ([]uint64, EngineStats) {
-	e := NewWithScheduler(s)
-	rng := NewRNG(seed)
-	var order []uint64
-	rec := &orderRecorder{order: &order}
-	nextID := uint64(0)
+// schedScript drives an eventHeap (the oracle) and a timingWheel side by side
+// with one seeded script of push / popIfAtMost / headAt / len calls and fails
+// on the first return value that differs. now plays the engine clock: it
+// follows every pop and may jump ahead over a proven gap, as TryAdvance does.
+type schedScript struct {
+	t    *testing.T
+	seed uint64
+	rng  *RNG
+	heap eventHeap
+	w    timingWheel
+	now  int64
+	seq  uint64    // local insertion sequence
+	src  [4]uint64 // per-source arrival sequences
+	id   uint64
 
-	var spawn func(depth int)
-	spawn = func(depth int) {
-		id := nextID
-		nextID++
-		delay := schedRandomDelay(rng)
-		if rng.Int63n(4) == 0 {
-			e.ScheduleEvent(delay, rec, id)
-			return
-		}
-		e.Schedule(delay, func() {
-			order = append(order, id)
-			if depth < 3 {
-				for k := rng.Int63n(3); k > 0; k-- {
-					spawn(depth + 1)
-				}
-			}
-		})
-	}
-
-	for i := 0; i < 200; i++ {
-		spawn(0)
-	}
-	// A bounded run leaves events pending across the Run boundary, then more
-	// arrive at a later now — exercising window re-basing on a live backlog.
-	e.Run(3 * wheelSlots)
-	for i := 0; i < 200; i++ {
-		spawn(0)
-	}
-	e.RunAll()
-	return order, e.Stats()
+	pops, refusals, splices int
 }
 
-// TestSchedulerDifferentialRandomized proves the timing wheel and the 4-ary
-// heap dispatch identical (time, seq) orders: the same seeded workload must
-// produce byte-identical execution logs on both schedulers. The workload
-// deliberately crosses the wheel's window edge so the overflow level and
-// wheel turns are exercised (asserted via Stats).
-func TestSchedulerDifferentialRandomized(t *testing.T) {
-	sawOverflow := false
-	for seed := uint64(1); seed <= 25; seed++ {
-		wheelOrder, ws := runSchedulerWorkload(SchedulerWheel, seed)
-		heapOrder, _ := runSchedulerWorkload(SchedulerHeap, seed)
-		if len(wheelOrder) != len(heapOrder) {
-			t.Fatalf("seed %d: wheel ran %d events, heap %d", seed, len(wheelOrder), len(heapOrder))
-		}
-		for i := range wheelOrder {
-			if wheelOrder[i] != heapOrder[i] {
-				t.Fatalf("seed %d: execution order diverges at event %d: wheel=%d heap=%d",
-					seed, i, wheelOrder[i], heapOrder[i])
+// push schedules one event into both structures under a fresh key: a local
+// key or, as often, an arrival key, which sorts ahead of every local event of
+// its timestamp whenever it is pushed.
+func (s *schedScript) push() {
+	ev := event{at: s.now + schedRandomDelay(s.rng), arg: s.id}
+	s.id++
+	if s.rng.Int63n(2) == 0 {
+		src := s.rng.Int63n(int64(len(s.src)))
+		s.src[src]++
+		ev.seq = packKey(int32(src), s.src[src])
+		// The wheel must walk its bucket chain when two or more pending
+		// events of this timestamp sort ahead of the new key and one behind.
+		ahead, behind := 0, 0
+		for i := range s.heap.evs {
+			if p := &s.heap.evs[i]; p.at == ev.at {
+				if p.seq < ev.seq {
+					ahead++
+				} else {
+					behind++
+				}
 			}
 		}
-		if ws.Overflow > 0 && ws.Turns > 0 {
-			sawOverflow = true
+		if ahead >= 2 && behind >= 1 {
+			s.splices++
 		}
+	} else {
+		s.seq++
+		ev.seq = localBit | s.seq
+	}
+	s.heap.push(ev)
+	s.w.push(&ev, s.now)
+}
+
+// pop probes both structures with one limit; a refused probe must leave the
+// same exact head behind in both hints.
+func (s *schedScript) pop(limit int64) {
+	want, wok := s.heap.popIfAtMost(limit)
+	got, gok := s.w.popIfAtMost(limit)
+	if gok != wok || got.at != want.at || got.seq != want.seq || got.arg != want.arg {
+		s.t.Fatalf("seed %d: popIfAtMost(%d) = (%d, %#x, id %d, %v) from the wheel, (%d, %#x, id %d, %v) from the heap",
+			s.seed, limit, got.at, got.seq, got.arg, gok, want.at, want.seq, want.arg, wok)
+	}
+	if !wok {
+		if s.w.headHint != s.heap.headHint {
+			s.t.Fatalf("seed %d: refused probe left headHint %d in the wheel, %d in the heap", s.seed, s.w.headHint, s.heap.headHint)
+		}
+		if s.heap.headHint != maxTime {
+			s.refusals++
+		}
+		return
+	}
+	s.pops++
+	s.now = want.at
+}
+
+// check compares the two read-only views.
+func (s *schedScript) check() {
+	if got, want := s.w.headAt(), s.heap.headAt(); got != want {
+		s.t.Fatalf("seed %d: headAt = %d from the wheel, %d from the heap", s.seed, got, want)
+	}
+	if got, want := s.w.len(), s.heap.len(); got != want {
+		s.t.Fatalf("seed %d: len = %d in the wheel, %d in the heap", s.seed, got, want)
+	}
+}
+
+// TestSchedulerDifferentialRandomized proves the timing wheel dispatches the
+// (time, key) order of the 4-ary heap it replaced: the same seeded script
+// must produce identical returns from both, call by call. The delays cross
+// the wheel's window edge, so the overflow level and wheel turns are
+// exercised (asserted via the wheel's counters), as are arrival keys landing
+// mid-chain among pending events of their timestamp, refused probes and clock
+// jumps over proven gaps.
+func TestSchedulerDifferentialRandomized(t *testing.T) {
+	sawOverflow, sawSplice := false, false
+	for seed := uint64(1); seed <= 25; seed++ {
+		s := &schedScript{t: t, seed: seed, rng: NewRNG(seed)}
+		for step := 0; step < 4000; step++ {
+			switch op := s.rng.Int63n(10); {
+			case op < 4 && step < 3000:
+				for burst := s.rng.Int63n(4); burst >= 0; burst-- {
+					s.push()
+				}
+			case op < 8:
+				s.pop(s.now + schedRandomDelay(s.rng))
+			case op == 8:
+				// TryAdvance's move: jump the clock over a proven gap.
+				if to := s.now + schedRandomDelay(s.rng); s.heap.headAt() > to {
+					s.now = to
+				}
+			default:
+				s.pop(maxTime)
+			}
+			s.check()
+		}
+		for s.heap.len() > 0 {
+			s.pop(maxTime)
+			s.check()
+		}
+		if s.pops == 0 || s.refusals == 0 {
+			t.Fatalf("seed %d: script one-sided (%d pops, %d refused probes)", seed, s.pops, s.refusals)
+		}
+		sawOverflow = sawOverflow || (s.w.overflowEvents > 0 && s.w.turns > 0)
+		sawSplice = sawSplice || s.splices > 0
 	}
 	if !sawOverflow {
-		t.Fatal("workload never exercised the overflow level; differential coverage is incomplete")
+		t.Fatal("script never exercised the overflow level; differential coverage is incomplete")
+	}
+	if !sawSplice {
+		t.Fatal("no arrival key ever landed mid-chain; differential coverage is incomplete")
 	}
 }
 
@@ -126,6 +186,32 @@ func TestWheelOverflowOrdering(t *testing.T) {
 	}
 	if st := e.Stats(); st.Overflow != 4 || st.Turns == 0 {
 		t.Fatalf("expected 4 overflow events and >=1 turn, got %+v", st)
+	}
+}
+
+// TestWheelOverflowStragglerOrdering pins the drain-after-push edge: an old
+// event parked in the overflow level whose bucket handlers have already
+// pushed same-time events into — a younger local event and an arrival. The
+// drain must splice the old event between them: behind the arrival, whose key
+// class runs first, and ahead of the younger local.
+func TestWheelOverflowStragglerOrdering(t *testing.T) {
+	e := New()
+	far := int64(wheelSlots + 100)
+	var order []uint64
+	rec := &orderRecorder{order: &order}
+	e.AtEvent(far, rec, 1) // beyond the window at push time: overflow
+	if e.Stats().Overflow != 1 {
+		t.Fatal("far event did not land in the overflow level; coverage assumption broken")
+	}
+	e.At(200, func() {
+		// The window now covers far; these enter its bucket directly while
+		// the old event still sits in overflow.
+		e.AtEvent(far, rec, 2)
+		e.AtArrival(far, 0, 1, rec, 0)
+	})
+	e.RunAll()
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("straggler dispatch order %v, want [0 1 2]", order)
 	}
 }
 

@@ -71,14 +71,6 @@ type Config struct {
 	// that differential proof and for before/after event accounting.
 	NoFastPath bool
 
-	// NoFanoutFusion disables the fan-out fusion layer (sequential wiring
-	// only; LP wiring never fuses): fused broadcast delivery — one multicast
-	// record carrying all copies of a BroadcastRange, chaining copy to copy
-	// via gap proofs instead of scheduling one arrive event each (see
-	// multicast). Like NoFastPath, the switch changes only event counts,
-	// never a simulated outcome (TestFanoutFusionDifferential).
-	NoFanoutFusion bool
-
 	// MaxKind, when > 0, is the highest Message.Kind the workload will send;
 	// per-kind counters are sized to it up front so the send hot path never
 	// grows them. Kinds above MaxKind still work through a cold grow path.
@@ -149,17 +141,10 @@ type txState struct {
 // rxState is the receive side of one NIC, touched only by the destination
 // node (its own LP under parallel wiring).
 type rxState struct {
-	rxFree   int64 // NIC receive next-free time
-	sumDelay int64
-	dropped  uint64
-	fast     uint64 // arrivals delivered through the one-hop fast path
-	// Every cross-node or loopback arrival reaches the node through exactly
-	// one of the next two ways, so schedArr + fused always equals the
-	// arrivals processed so far (== delivered once quiescent) — the
-	// elision-accounting identity TestFusedBroadcastDeliveriesIdentical pins
-	// per node.
-	schedArr  uint64      // arrivals dispatched as real (scheduled) events
-	fused     uint64      // arrivals chained inline from a fused broadcast
+	rxFree    int64 // NIC receive next-free time
+	sumDelay  int64
+	dropped   uint64
+	fast      uint64      // arrivals delivered through the one-hop fast path
 	delivered uint64      // messages handed to the node (incl. dropped)
 	free      []*delivery // recycled delivery records (LP wiring only)
 }
@@ -187,16 +172,6 @@ type Network struct {
 	// straight into the shared engine (sim.Engine.AtArrival).
 	seqFree []*delivery
 
-	// Fan-out fusion state (sequential wiring with fusion enabled only).
-	// pend holds, per (src,dst) lane, the one not-yet-scheduled copy of a
-	// fused broadcast parked on that lane. The engine cannot see a parked
-	// copy, so a later send on the same lane schedules it first (the slot
-	// holds one copy, and flows stay FIFO), and every gap proof taken while
-	// one is parked must account for it.
-	fusing bool
-	pend   []pendSlot
-	mcFree []*multicast
-
 	// Parallel wiring: per-destination ingresses and per-(src,dst)
 	// mailboxes drained at epoch barriers.
 	lp       bool
@@ -218,12 +193,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	for i := range engs {
 		engs[i] = eng
 	}
-	n := newNetwork(engs, cfg)
-	if !cfg.NoFanoutFusion {
-		n.fusing = true
-		n.pend = make([]pendSlot, cfg.Nodes*cfg.Nodes)
-	}
-	return n
+	return newNetwork(engs, cfg)
 }
 
 // NewParallel creates an LP-wired network: node i runs on engs[i], and
@@ -321,7 +291,6 @@ const (
 // so the record's events schedule closure-free.
 func (d *delivery) OnEvent(arg uint64) {
 	if arg == hopArrive {
-		d.n.rx[d.msg.To].schedArr++
 		d.arrive()
 		return
 	}
@@ -380,26 +349,19 @@ func (d *delivery) arrive() {
 	eng.AtEvent(rxDone, d, hopDeliver)
 }
 
-// deliver hands the message to the destination handler and recycles the
-// record. The record is returned to the pool before the handler runs, so
-// handler-triggered sends reuse it immediately.
+// deliver hands the message to the destination handler, with delivery
+// accounting, and recycles the record. The record is returned to the pool
+// before the handler runs, so handler-triggered sends reuse it immediately.
 func (d *delivery) deliver() {
 	n := d.n
 	msg := d.msg
 	d.msg = Message{} // drop the payload reference before pooling
+	rx := &n.rx[msg.To]
 	if n.lp {
-		n.rx[msg.To].free = append(n.rx[msg.To].free, d)
+		rx.free = append(rx.free, d)
 	} else {
 		n.seqFree = append(n.seqFree, d)
 	}
-	n.deliverMsg(msg)
-}
-
-// deliverMsg hands one message to its destination handler with delivery
-// accounting — the shared tail of unicast deliveries and fused broadcast
-// copies.
-func (n *Network) deliverMsg(msg Message) {
-	rx := &n.rx[msg.To]
 	rx.delivered++
 	rx.sumDelay += n.engs[msg.To].Now() - msg.SentAt
 	h := n.handlers[msg.To]
@@ -422,9 +384,7 @@ func (tx *txState) growByKind(k int) {
 // prepSend performs all sender-side bookkeeping of one transmission —
 // accounting, queue-pair backpressure, transmit-queue occupancy, latency,
 // jitter, and the pair-FIFO clamp — and returns the wire serialization time
-// and the arrival time at the destination NIC. It is the shared front half
-// of Send and of each copy of a fused broadcast, so the two paths evolve
-// sender state bit-identically.
+// and the arrival time at the destination NIC.
 //
 // Every quantity below is derived from sender-local state and the sender's
 // clock, so a send computes identically under sequential and LP wiring.
@@ -508,11 +468,6 @@ func (n *Network) Send(msg Message) {
 		*b = append(*b, mailEntry{at: arrive, seq: seq, d: d})
 		return
 	}
-	if lane := msg.From*N + msg.To; n.fusing && n.pend[lane].mc != nil {
-		// A not-yet-visible copy parked on this flow is scheduled first:
-		// this send's arrival is clamped at or after it.
-		n.flushPend(lane)
-	}
 	eng.AtArrival(arrive, int32(msg.From), seq, d, hopArrive)
 }
 
@@ -589,32 +544,6 @@ func (n *Network) FastDeliveries() uint64 {
 	return total
 }
 
-// FusedHops returns how many broadcast-copy arrivals were chained inline
-// from a fused fan-out instead of dispatching as events.
-func (n *Network) FusedHops() uint64 {
-	var total uint64
-	for i := range n.rx {
-		total += n.rx[i].fused
-	}
-	return total
-}
-
-// ChainedHops always returns 0: send-time unicast chaining never fired on a
-// pinned workload and was removed; the accessor stays for the benchmark's
-// simnet.chained_hops row.
-func (n *Network) ChainedHops() uint64 { return 0 }
-
-// ScheduledArrives returns how many arrivals dispatched as real events. With
-// FusedHops, schedArr + fused covers every arrival exactly once — the
-// elision-accounting identity the differential tests pin.
-func (n *Network) ScheduledArrives() uint64 {
-	var total uint64
-	for i := range n.rx {
-		total += n.rx[i].schedArr
-	}
-	return total
-}
-
 // Delivered returns messages handed to destination nodes so far (including
 // drops to unregistered handlers).
 func (n *Network) Delivered() uint64 {
@@ -660,17 +589,7 @@ func (n *Network) Broadcast(msg Message, except int) {
 // of a sharded cluster, where each replica group owns a contiguous block of
 // node IDs. Copies go out in ascending node order, exactly as Broadcast
 // sends them when the range covers the whole fabric.
-//
-// Under sequential wiring with fusion enabled the fan-out is fused: one
-// pooled multicast record carries every copy and arrivals chain through gap
-// proofs instead of each scheduling an event (see fanout.go) — byte-identical
-// outcomes, fewer events. LP wiring and NoFanoutFusion degrade to the plain
-// per-destination send loop.
 func (n *Network) BroadcastRange(msg Message, base, size, except int) {
-	if n.fusing {
-		n.broadcastFused(msg, base, size, except)
-		return
-	}
 	for to := base; to < base+size; to++ {
 		if to == msg.From || to == except {
 			continue

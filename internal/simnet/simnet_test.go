@@ -291,6 +291,77 @@ func TestSendDeliverAllocs(t *testing.T) {
 	}
 }
 
+// TestBroadcastRangeAllocs pins BroadcastRange: a group-scoped broadcast over
+// a 5-node group with pooled payloads allocates nothing in steady state, and
+// it is exactly the per-destination Send loop in ascending node order — same
+// deliveries, same times, same order.
+func TestBroadcastRangeAllocs(t *testing.T) {
+	t.Run("zero allocs", func(t *testing.T) {
+		e := sim.New()
+		e.Reserve(64)
+		n := New(e, netCfg(5))
+		payload := &struct{ v int }{7}
+		for i := 0; i < 5; i++ {
+			n.Register(i, func(Message) {})
+		}
+		// Warm the delivery pool and the kind table.
+		n.BroadcastRange(Message{From: 1, Size: 192, Kind: 3, Payload: payload}, 0, 5, -1)
+		e.RunAll()
+		allocs := testing.AllocsPerRun(500, func() {
+			n.BroadcastRange(Message{From: 1, Size: 192, Kind: 3, Payload: payload}, 0, 5, -1)
+			e.RunAll()
+		})
+		if allocs > 0 {
+			t.Fatalf("BroadcastRange allocated %.2f per call, want 0", allocs)
+		}
+	})
+	t.Run("matches send loop", func(t *testing.T) {
+		type hop struct {
+			to int
+			at int64
+		}
+		// Jitter reorders the copies' arrivals and one queue pair spaces
+		// them, so the sequence is not simply ascending node order.
+		run := func(broadcast func(n *Network, msg Message, base, size, except int)) []hop {
+			e := sim.New()
+			n := New(e, Config{Nodes: 6, OneWayLat: 500, Jitter: 200, Bandwidth: 1_000_000_000, QueuePairs: 1, Seed: 3})
+			var got []hop
+			for i := 0; i < 6; i++ {
+				i := i
+				n.Register(i, func(Message) { got = append(got, hop{i, e.Now()}) })
+			}
+			r := sim.NewRNG(11)
+			for k := 0; k < 60; k++ {
+				base := r.Intn(3)
+				size := 2 + r.Intn(6-base-1)
+				msg := Message{From: r.Intn(6), Size: 64 + r.Intn(1000), Kind: 1}
+				except := r.Intn(7) - 1
+				e.At(int64(k)*int64(r.Intn(3000)), func() { broadcast(n, msg, base, size, except) })
+			}
+			e.RunAll()
+			return got
+		}
+		got := run(func(n *Network, msg Message, base, size, except int) {
+			n.BroadcastRange(msg, base, size, except)
+		})
+		want := run(func(n *Network, msg Message, base, size, except int) {
+			for to := base; to < base+size; to++ {
+				if to != msg.From && to != except {
+					m := msg
+					m.To = to
+					n.Send(m)
+				}
+			}
+		})
+		if len(want) < 100 {
+			t.Fatalf("only %d deliveries; the case barely ran", len(want))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("BroadcastRange delivered %v, the Send loop %v", got, want)
+		}
+	})
+}
+
 // BenchmarkNetworkSend measures the full send+deliver hot path every
 // protocol message rides on. Run with -benchmem: steady state is 0 allocs/op.
 func BenchmarkNetworkSend(b *testing.B) {
@@ -337,11 +408,8 @@ func BenchmarkNetworkBroadcast(b *testing.B) {
 func runFastPathTraffic(t *testing.T, seed uint64, noFast bool) (got []string, events, fast uint64) {
 	t.Helper()
 	e := sim.New()
-	// Fusion off: this identity isolates the rx fast path, so the only
-	// event-count delta between the runs must be the elided deliver hops.
-	// The combined accounting runs in fanout_test.go.
 	cfg := Config{Nodes: 3, OneWayLat: 500, Jitter: 100, Bandwidth: 1_000_000_000,
-		QueuePairs: 4, Seed: seed, NoFastPath: noFast, NoFanoutFusion: true}
+		QueuePairs: 4, Seed: seed, NoFastPath: noFast}
 	n := New(e, cfg)
 	for i := 0; i < 3; i++ {
 		i := i

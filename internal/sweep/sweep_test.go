@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -141,25 +142,38 @@ func TestMapPreservesOrderAndBoundsWorkers(t *testing.T) {
 	}
 }
 
+// TestMapStopsSubmittingAfterError: once an item fails, no worker claims
+// another one. The promise starts when the error is recorded, not when fn
+// returns, so the other worker may legitimately claim items in between; every
+// surviving item therefore holds its worker for a moment, which bounds how
+// many fit into that window (a failing worker would have to stall for ~10 ms
+// to let the slack through) without touching forEach's contract.
 func TestMapStopsSubmittingAfterError(t *testing.T) {
+	const (
+		workers = 2
+		failing = 3
+		slack   = 8
+	)
 	items := make([]int, 100)
 	for i := range items {
 		items[i] = i
 	}
 	boom := errors.New("boom")
 	var started atomic.Int32
-	_, err := Map(items, 2, func(v int) (int, error) {
+	_, err := Map(items, workers, func(v int) (int, error) {
 		started.Add(1)
-		if v == 3 {
+		if v == failing {
 			return 0, fmt.Errorf("item %d: %w", v, boom)
 		}
+		time.Sleep(time.Millisecond)
 		return v, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-	if s := started.Load(); int(s) == len(items) {
-		t.Fatal("scheduler kept submitting after the error")
+	// Items up to the failing one, one in flight per other worker, and slack.
+	if s, limit := int(started.Load()), failing+workers+slack; s > limit {
+		t.Fatalf("scheduler kept submitting after the error: %d of %d items started, want <= %d", s, len(items), limit)
 	}
 }
 
