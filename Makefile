@@ -40,7 +40,9 @@ fmt:
 #     coordinators from sender-local state (fwdbatch=0 byte-identity rides on
 #     the goldens and TestShard1MatchesDirect);
 #   - one iteration of the cluster-construction benchmark, against bit-rot;
-#   - the capacity and scaling sweeps at quick scale, flat and sharded.
+#   - the capacity and scaling sweeps at quick scale, flat and sharded;
+#   - the CLI rejecting a knob no cell of the experiment can honor
+#     (-fwdbatch needs a sharded topology; table1 is unsharded).
 check: vet fmt
 	$(GO) test -race ./...
 	(cd bench && $(GO) test .)
@@ -55,6 +57,7 @@ check: vet fmt
 	$(GO) run ./cmd/ddpbench -exp capacity -quick -shards 4 > /dev/null
 	$(GO) run ./cmd/ddpbench -exp scaling -quick > /dev/null
 	$(GO) run ./cmd/ddpbench -exp scaling -quick -placement load > /dev/null
+	! $(GO) run ./cmd/ddpbench -exp table1 -quick -fwdbatch 8
 
 # One testing.B benchmark per paper table/figure plus engine micro-benches.
 bench:

@@ -7,7 +7,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
@@ -30,90 +29,6 @@ func benchOptions() harness.Options {
 
 func reportThroughput(b *testing.B, name string, v float64) {
 	b.ReportMetric(v, name)
-}
-
-// BenchmarkSingleCellLPs measures one full-scale <Linearizable, Synchronous>
-// cell (5 servers x 20 clients, the paper's default) on the intra-cell
-// logical-process engine at 1, 2, and 4 workers, against the sequential
-// engine as baseline. Results are byte-identical across all four variants
-// (see internal/cluster's differential tests); only wall-clock time may
-// differ. results/BENCH_pdes.json records a measured before/after pair.
-func BenchmarkSingleCellLPs(b *testing.B) {
-	base := cluster.Config{
-		Model:     core.Model{C: core.Linearizable, P: core.Synchronous},
-		Workload:  ycsb.WorkloadA,
-		Params:    params.Default(),
-		Seed:      1,
-		WarmupNs:  1_000_000,
-		MeasureNs: 5_000_000,
-	}
-	run := func(b *testing.B, cfg cluster.Config) {
-		for i := 0; i < b.N; i++ {
-			r, err := cluster.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(float64(r.Events), "events")
-				b.ReportMetric(r.Throughput()/1e6, "Mops/sim-s")
-			}
-		}
-	}
-	b.Run("sequential", func(b *testing.B) { run(b, base) })
-	for _, w := range []int{1, 2, 4} {
-		cfg := base
-		cfg.IntraParallel = w
-		b.Run(fmt.Sprintf("lps=%d", w), func(b *testing.B) { run(b, cfg) })
-	}
-}
-
-// BenchmarkShardedCell measures one <Linearizable, Synchronous> cell with
-// the keyspace consistent-hash-partitioned across replica groups of 3, at
-// 1/4/16 shards (3–48 nodes), on the sequential and the logical-process
-// engine. Every shard runs the full VP x DP protocol; ~ (S-1)/S of client
-// ops pay the forwarding round-trip. results/BENCH_sharding.json records a
-// measured set of points.
-func BenchmarkShardedCell(b *testing.B) {
-	p := params.Default()
-	p.Servers = 3 // per-shard replication factor
-	p.ClientsPerServer = 4
-	base := cluster.Config{
-		Model:     core.Model{C: core.Linearizable, P: core.Synchronous},
-		Workload:  ycsb.WorkloadA,
-		Params:    p,
-		Seed:      1,
-		WarmupNs:  500_000,
-		MeasureNs: 2_000_000,
-	}
-	for _, shards := range []int{1, 4, 16} {
-		cfg := base
-		cfg.Shards = shards
-		cfg.Params.Servers = shards * p.Servers
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := cluster.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(r.Events), "events")
-					b.ReportMetric(r.Throughput()/1e6, "Mops/sim-s")
-					b.ReportMetric(float64(r.Routed), "routed")
-				}
-			}
-		})
-		if shards > 1 {
-			lp := cfg
-			lp.IntraParallel = 4
-			b.Run(fmt.Sprintf("shards=%d/lps=4", shards), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := cluster.Run(lp); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkClusterNew measures construction alone — the cost every cell pays
@@ -142,90 +57,6 @@ func BenchmarkClusterNew(b *testing.B) {
 					b.Fatal(err)
 				}
 				cl.Close()
-			}
-		})
-	}
-}
-
-// groupImbalance mirrors the harness metric: max/mean executed ops across
-// the replicas of the busiest shard's group — the coordinator concentration
-// that load-aware placement and replica reads attack.
-func groupImbalance(r *cluster.Result, rf int) float64 {
-	hot := 0
-	for s, n := range r.ShardOps {
-		if n > r.ShardOps[hot] {
-			hot = s
-		}
-	}
-	var sum, max uint64
-	for _, n := range r.NodeOps[hot*rf : hot*rf+rf] {
-		sum += n
-		if n > max {
-			max = n
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return float64(max) * float64(rf) / float64(sum)
-}
-
-// BenchmarkSkewedShardedCell measures the skew-adaptive routing ablation on a
-// 16-shard, rf=3 cell under heavy zipfian key popularity (theta=0.999):
-// fixed-hash coordinator placement against load-aware spreading on a strict
-// corner, plus least-loaded replica reads and batched forwarding on the
-// weak-visibility corner. Shard totals are fixed by data ownership, so the
-// metrics that move are throughput and the node/group imbalances.
-// results/BENCH_skew.json records a measured set of points.
-func BenchmarkSkewedShardedCell(b *testing.B) {
-	p := params.Default()
-	p.Servers = 48 // 16 shards x rf=3
-	p.ClientsPerServer = 2
-	p.ZipfTheta = 0.999
-	base := cluster.Config{
-		Workload:  ycsb.WorkloadA,
-		Params:    p,
-		Shards:    16,
-		Seed:      1,
-		WarmupNs:  500_000,
-		MeasureNs: 2_000_000,
-	}
-	lin := core.Model{C: core.Linearizable, P: core.Strict}
-	ev := core.Model{C: core.Eventual, P: core.EventualP}
-	variants := []struct {
-		name  string
-		model core.Model
-		mut   func(*cluster.Config)
-	}{
-		{"lin-strict/hash", lin, func(*cluster.Config) {}},
-		{"lin-strict/load", lin, func(c *cluster.Config) { c.Placement = "load" }},
-		{"ev-ev/hash", ev, func(*cluster.Config) {}},
-		{"ev-ev/load", ev, func(c *cluster.Config) { c.Placement = "load" }},
-		{"ev-ev/load+rr", ev, func(c *cluster.Config) {
-			c.Placement = "load"
-			c.ReplicaReads = true
-		}},
-		{"ev-ev/load+rr/fwdbatch=8", ev, func(c *cluster.Config) {
-			c.Placement = "load"
-			c.ReplicaReads = true
-			c.FwdBatch = 8
-		}},
-	}
-	for _, v := range variants {
-		cfg := base
-		cfg.Model = v.model
-		v.mut(&cfg)
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := cluster.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(r.Throughput()/1e6, "Mops/sim-s")
-					b.ReportMetric(groupImbalance(r, 3), "group-imb")
-					b.ReportMetric(float64(r.NetMessages), "msgs")
-				}
 			}
 		})
 	}
@@ -358,57 +189,6 @@ func BenchmarkRecoveryTimes(b *testing.B) {
 			b.Fatal(err)
 		}
 		r.WriteText(io.Discard)
-	}
-}
-
-// BenchmarkNICFastPath measures the flow-level delivery fast path on two
-// cell shapes: the paper's default <Lin, Sync> cell (heavily multiplexed —
-// the shared-engine gap proof rarely holds, so hits are modest) and an
-// uncontended fig6-style cell (sparse flows — most arrivals deliver in one
-// dispatch). Results are byte-identical on and off (see
-// TestNICFastPathDifferential); only event counts and wall time change.
-// results/BENCH_openloop.json records a measured before/after pair.
-func BenchmarkNICFastPath(b *testing.B) {
-	shapes := []struct {
-		name string
-		mut  func(*cluster.Config)
-	}{
-		{"default-5x20", func(cfg *cluster.Config) {}},
-		{"uncontended-3x1", func(cfg *cluster.Config) {
-			cfg.Params.Servers = 3
-			cfg.Params.ClientsPerServer = 1
-		}},
-	}
-	for _, sh := range shapes {
-		base := cluster.Config{
-			Model:     core.Model{C: core.Linearizable, P: core.Synchronous},
-			Workload:  ycsb.WorkloadA,
-			Params:    params.Default(),
-			Seed:      1,
-			WarmupNs:  1_000_000,
-			MeasureNs: 5_000_000,
-		}
-		sh.mut(&base)
-		for _, fast := range []bool{false, true} {
-			cfg := base
-			cfg.NoNICFastPath = !fast
-			name := sh.name + "/off"
-			if fast {
-				name = sh.name + "/on"
-			}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					r, err := cluster.Run(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == 0 {
-						b.ReportMetric(float64(r.Events), "events")
-						b.ReportMetric(float64(r.NetFastHops), "fasthops")
-					}
-				}
-			})
-		}
 	}
 }
 

@@ -2,7 +2,13 @@
 //
 // Usage:
 //
-//	ddpbench -exp table1|table4|table5|fig6|fig7|fig8|fig9|stats|durability|ablation|recovery|timelines|hybrid|checker|capacity|models|bindings|all [-quick]
+//	ddpbench -exp <name>|all [-quick] [-csv]
+//
+// `ddpbench -h` lists the experiment names, which of them -exp all runs and
+// which -csv can render, read from harness's experiment table. Every
+// topology and routing flag reaches every cell of the experiment; a cell
+// that cannot honor one (e.g. -fwdbatch on an unsharded cell) fails with
+// cluster.Config's per-field error.
 //
 // The capacity experiment (not part of -exp all) sweeps open-loop offered
 // load against p50/p99/p999 latency for four corner DDP models, locates each
@@ -27,22 +33,34 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"repro/internal/harness"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: table1, table4, table5, fig6, fig7, fig8, fig9, stats, durability, ablation, recovery, timelines, hybrid, checker, capacity, scaling, models, bindings, all")
+	var names, notInAll, csvNames []string
+	for _, e := range harness.Experiments() {
+		names = append(names, e.Name)
+		if !e.InAll {
+			notInAll = append(notInAll, e.Name)
+		}
+		if e.CSV {
+			csvNames = append(csvNames, e.Name)
+		}
+	}
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(names, ", ")+
+		", or all (every one but "+strings.Join(notInAll, ", ")+")")
 	quick := flag.Bool("quick", false, "shrink the cluster and windows for a fast smoke run")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	shards := flag.Int("shards", 0, "partition the keyspace across this many replica groups behind a consistent-hash ring (0 = the paper's single flat group)")
 	nodes := flag.Int("nodes", 0, "total simulated server nodes (0 = paper default; must equal shards*rf when both are set)")
 	rf := flag.Int("rf", 0, "replicas per shard; with -shards, sets nodes = shards*rf (0 = keep the default group size)")
-	placement := flag.String("placement", "hash", "sharded placement policy: hash (fixed per-key coordinator) or load (power-of-two-choices spreading of sketch-detected hot keys)")
-	replicareads := flag.Bool("replicareads", false, "route sharded reads to the least-loaded owning replica (weak-visibility models only; model sweeps apply it to their weak-visibility cells)")
-	fwdbatch := flag.Int("fwdbatch", 0, "coalesce routed ops per destination into multi-op messages of up to this many ops (0 = unbatched, byte-identical to the classic router)")
+	placement := flag.String("placement", "hash", "sharded placement policy: hash (fixed per-key coordinator) or load (power-of-two-choices spreading of sketch-detected hot keys; load needs -shards)")
+	replicareads := flag.Bool("replicareads", false, "route sharded reads to the least-loaded owning replica (needs -shards; weak-visibility models only — model sweeps apply it to their weak-visibility cells)")
+	fwdbatch := flag.Int("fwdbatch", 0, "coalesce routed ops per destination into multi-op messages of up to this many ops (0 = unbatched, byte-identical to the classic router; N > 0 needs -shards)")
 	engine := flag.String("engine", "", "kv engine: hashtable, map, btree, bplustree, memcache, walstore (default hashtable)")
-	csvOut := flag.Bool("csv", false, "emit tidy CSV instead of text (fig6/fig7/fig8/fig9/durability/capacity)")
+	csvOut := flag.Bool("csv", false, "emit tidy CSV instead of text ("+strings.Join(csvNames, ", ")+")")
 	parallel := flag.Int("parallel", 0, "experiment cells to run concurrently (0 = all cores, 1 = sequential; never changes results)")
 	lps := flag.Int("lps", 1, "logical-process workers inside each cell (1 = sequential engine, 0 = auto-split cores with -parallel, N = N workers; never changes results)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -54,7 +72,10 @@ func main() {
 	o.Seed = *seed
 	o.Engine = *engine
 	o.Parallel = *parallel
-	o.LPs = *lps
+	o.IntraParallel = *lps
+	o.Placement = *placement
+	o.ReplicaReads = *replicareads
+	o.FwdBatch = *fwdbatch
 	o.Progress = os.Stderr
 	o.EventStats = *eventstats
 	if *quick {
@@ -90,23 +111,6 @@ func main() {
 	case *rf > 0:
 		o.Params.Servers = *rf
 	}
-
-	// Skew-adaptive routing flags (cluster.Config validates them per cell:
-	// load placement, replica reads, and batching all need a sharded
-	// topology, and replica reads a weak-visibility model).
-	if *placement != "hash" && *placement != "load" {
-		fmt.Fprintf(os.Stderr, "ddpbench: -placement %q: want hash or load\n", *placement)
-		os.Exit(1)
-	}
-	if *placement != "hash" {
-		o.Placement = *placement
-	}
-	o.ReplicaReads = *replicareads
-	if *fwdbatch < 0 {
-		fmt.Fprintln(os.Stderr, "ddpbench: -fwdbatch must be >= 0")
-		os.Exit(1)
-	}
-	o.FwdBatch = *fwdbatch
 
 	if *memprofile != "" {
 		// The default rate samples one allocation per 512 KiB, about one in

@@ -321,6 +321,8 @@ type VerifyReport struct {
 // Verify runs cfg with history tracking and checks the observed history:
 // Linearizable-consistency runs must pass; Read-Enforced shows its tiny
 // early-completion staleness window; weak models fail with stale reads.
+// The history covers the whole run, warm-up included (Config's defaults
+// apply to zero windows).
 func Verify(cfg Config) (*VerifyReport, error) {
 	ccfg := cfg.toCluster()
 	ccfg.TrackHistory = true
@@ -330,10 +332,7 @@ func Verify(cfg Config) (*VerifyReport, error) {
 	}
 	c.Start()
 	c.BeginMeasurement()
-	end := ccfg.WarmupNs + ccfg.MeasureNs
-	if end == 0 {
-		end = 3_000_000
-	}
+	end := c.Cfg.WarmupNs + c.Cfg.MeasureNs
 	c.Eng.Run(end)
 	res := c.Collect(end, 0)
 	lin := recovery.CheckLinearizable(res)

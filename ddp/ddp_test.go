@@ -165,6 +165,31 @@ func TestVerifyFacade(t *testing.T) {
 	}
 }
 
+// TestVerifyZeroWindowsTakeConfigDefaults checks that Verify reads its run
+// length from the built cluster: zero windows mean Config's documented
+// 1 ms warm-up + 5 ms measurement, the same history as explicit windows.
+func TestVerifyZeroWindowsTakeConfigDefaults(t *testing.T) {
+	explicit := quickConfig(Baseline)
+	explicit.WarmupNs, explicit.MeasureNs = 1_000_000, 5_000_000
+	want, err := Verify(explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := explicit
+	zero.WarmupNs, zero.MeasureNs = 0, 0
+	got, err := Verify(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.WritesChecked != want.WritesChecked || got.ReadsChecked != want.ReadsChecked {
+		t.Fatalf("zero windows checked %d writes / %d reads, explicit 1 ms + 5 ms checked %d / %d",
+			got.WritesChecked, got.ReadsChecked, want.WritesChecked, want.ReadsChecked)
+	}
+	if want.WritesChecked == 0 || want.ReadsChecked == 0 {
+		t.Fatalf("empty history: %+v", want)
+	}
+}
+
 func TestRegisterModelRunsLikeItsImpl(t *testing.T) {
 	m, err := RegisterModel("test-causal-lazy", Causal, EventualPersistency)
 	if err != nil {

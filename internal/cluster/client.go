@@ -123,13 +123,6 @@ func newClient(id int, cl *Cluster, ns *nodeState, node *protocol.Replica, gen *
 	return &client{id: id, cl: cl, ns: ns, node: node, gen: gen, rng: rng, scopeSeq: 1}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (c *client) start() { c.next() }
 
 // window returns how many requests this client keeps in flight.

@@ -109,13 +109,6 @@ type Config struct {
 	// Ignored (sequential) when TraceProtocol is set or Servers == 1.
 	IntraParallel int
 
-	// NoNICFastPath disables the network's flow-level delivery fast path
-	// (simnet.Config.NoFastPath). The fast path is on by default and never
-	// changes any simulated outcome — only the event count — which
-	// TestNICFastPathDifferential proves; this switch exists for that proof
-	// and for before/after event accounting (results/BENCH_openloop.json).
-	NoNICFastPath bool
-
 	// TrackHistory records every acknowledged write and completed read for
 	// the recovery and intuition checkers. Costs memory; off by default.
 	TrackHistory bool
@@ -123,6 +116,12 @@ type Config struct {
 	// TraceProtocol records every protocol event into Cluster.Trace (see
 	// internal/trace). For timeline demonstrations, not measurement runs.
 	TraceProtocol bool
+
+	// noNICFastPath disables the network's flow-level delivery fast path
+	// (simnet.Config.NoFastPath). The fast path never changes a simulated
+	// outcome, only the event count; tests set this to run the reference
+	// path TestNICFastPathDifferential compares against.
+	noNICFastPath bool
 }
 
 func (c Config) withDefaults() Config {
@@ -366,7 +365,7 @@ func (cfg Config) netConfig() simnet.Config {
 		Bandwidth:  p.NetBandwidth,
 		QueuePairs: p.QueuePairs,
 		Seed:       cfg.Seed,
-		NoFastPath: cfg.NoNICFastPath,
+		NoFastPath: cfg.noNICFastPath,
 		// The cluster's message-kind space is the protocol kinds plus the
 		// routing kinds above them; sizing the per-kind counters here
 		// keeps the send hot path growth-free.

@@ -108,7 +108,7 @@ func TestNICFastPathDifferential(t *testing.T) {
 			cfg.Seed, m, cfg.Workload.Name, cfg.Params.Servers, cfg.IntraParallel)
 
 		slowCfg := cfg
-		slowCfg.NoNICFastPath = true
+		slowCfg.noNICFastPath = true
 		slow, err := Run(slowCfg)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", label, err)
@@ -147,7 +147,7 @@ func TestNICFastPathEventReduction(t *testing.T) {
 	cfg.MeasureNs = 2_000_000
 
 	slowCfg := cfg
-	slowCfg.NoNICFastPath = true
+	slowCfg.noNICFastPath = true
 	slow, err := Run(slowCfg)
 	if err != nil {
 		t.Fatal(err)

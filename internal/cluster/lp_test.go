@@ -89,7 +89,7 @@ func runPair(t *testing.T, label string, cfg Config, workers int) {
 	// sequential engine than under LP epochs (the clock may not jump past an
 	// epoch barrier), so Events would legitimately differ. Disable it here —
 	// TestNICFastPathDifferential proves on/off equivalence separately.
-	cfg.NoNICFastPath = true
+	cfg.noNICFastPath = true
 	seqCfg := cfg
 	seqCfg.IntraParallel = 1
 	seq, err := Run(seqCfg)
@@ -160,7 +160,7 @@ func TestLPWorkerCountInvariance(t *testing.T) {
 	cfg := smallConfig(core.Model{C: core.Linearizable, P: core.Synchronous})
 	cfg.Params.Servers = 5
 	cfg.TrackHistory = true
-	cfg.NoNICFastPath = true // Events comparability; see runPair
+	cfg.noNICFastPath = true // Events comparability; see runPair
 	seqCfg := cfg
 	seqCfg.IntraParallel = 1
 	seq, err := Run(seqCfg)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/recovery"
 	"repro/internal/sweep"
+	"repro/internal/ycsb"
 )
 
 // CheckerRow is one model's verified consistency properties.
@@ -39,7 +40,7 @@ func Checker(o Options) (*CheckerResult, error) {
 		{C: core.Eventual, P: core.EventualP},
 	}
 	rows, err := sweep.Map(models, o.workers(), func(m core.Model) (CheckerRow, error) {
-		cfg := o.config(m, o.workloadA())
+		cfg := o.config(m, ycsb.WorkloadA)
 		cfg.TrackHistory = true
 		c, err := cluster.New(cfg)
 		if err != nil {

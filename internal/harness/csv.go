@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -69,7 +68,11 @@ func (s *SweepResult) WriteCSV(w io.Writer) error {
 		return err
 	}
 	for i, label := range s.Labels {
-		for m, r := range s.Points[i] {
+		for _, m := range sweepModels() {
+			r, ok := s.Points[i][m]
+			if !ok {
+				continue
+			}
 			if err := cw.Write([]string{
 				label, m.C.String(), m.P.String(),
 				strconv.FormatFloat(r.Throughput(), 'g', -1, 64),
@@ -195,55 +198,4 @@ func (r *ScalingResult) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// RunNamedCSV runs a CSV-capable experiment and writes tidy rows to w.
-// Supported: fig6, fig7, fig8, fig9, durability, capacity, scaling.
-func RunNamedCSV(w io.Writer, name string, o Options) error {
-	switch name {
-	case "fig6":
-		f, err := Figure6(o)
-		if err != nil {
-			return err
-		}
-		return f.WriteCSV(w)
-	case "fig7":
-		f, err := Figure7(o)
-		if err != nil {
-			return err
-		}
-		return f.WriteCSV(w)
-	case "fig8":
-		f, err := Figure8(o)
-		if err != nil {
-			return err
-		}
-		return f.WriteCSV(w)
-	case "fig9":
-		f, err := Figure9(o)
-		if err != nil {
-			return err
-		}
-		return f.WriteCSV(w)
-	case "durability":
-		d, err := DurabilityAudit(o)
-		if err != nil {
-			return err
-		}
-		return d.WriteCSV(w)
-	case "capacity":
-		c, err := Capacity(o)
-		if err != nil {
-			return err
-		}
-		return c.WriteCSV(w)
-	case "scaling":
-		s, err := Scaling(o)
-		if err != nil {
-			return err
-		}
-		return s.WriteCSV(w)
-	default:
-		return fmt.Errorf("experiment %q has no CSV form (use fig6/fig7/fig8/fig9/durability/capacity/scaling)", name)
-	}
 }

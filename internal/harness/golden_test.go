@@ -8,18 +8,15 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden 5x5 fixtures")
+var updateGolden = flag.Bool("update", false, "rewrite the golden 5x5 fixture")
 
 // renderGolden produces the canonical 5x5 determinism fixture: the full
 // Figure 6 matrix (text and CSV renderings) plus Table 1, all at Quick scale.
 // Every cell is an isolated deterministic simulation (seeded RNG, simulated
 // time only), so the rendering is bit-stable across machines and worker
 // counts — the same property TestFigure6ParallelMatchesSequential relies on.
-func renderGolden(t *testing.T) []byte {
+func renderGolden(t *testing.T, o Options) []byte {
 	t.Helper()
-	o := DefaultOptions().Quick()
-	o.Parallel = 4
-
 	var buf bytes.Buffer
 	f, err := Figure6(o)
 	if err != nil {
@@ -38,107 +35,54 @@ func renderGolden(t *testing.T) []byte {
 }
 
 // TestGolden5x5ByteIdentical asserts that all 25 <consistency, persistency>
-// cells produce byte-identical experiment output versus the committed
-// fixture. The fixture was generated before the policy-layer refactor, so
-// this test is the refactor's equivalence proof: resolving each model to a
-// (VisibilityPolicy, DurabilityPolicy) pair must not move a single event in
-// any simulation. Regenerate with: go test ./internal/harness -run Golden -update
+// cells render byte-identically to the committed fixture, three ways:
+//
+//   - default: the fixture was generated before the policy-layer refactor,
+//     so this is its equivalence proof — resolving each model to a
+//     (VisibilityPolicy, DurabilityPolicy) pair must not move a single event.
+//   - Shards=1: the sharded topology layer engaged over one all-servers
+//     shard (ring, per-node routers, NIC demultiplexers, group-relative
+//     membership) must not move a single event either.
+//   - IntraParallel=4: four logical-process workers per cell; the LP engine
+//     must reproduce the sequential rendering end to end (CI runs this one
+//     under -race).
+//
+// Regenerate with: go test ./internal/harness -run 'Golden5x5/default' -update
 func TestGolden5x5ByteIdentical(t *testing.T) {
-	got := renderGolden(t)
 	path := filepath.Join("testdata", "golden_5x5.txt")
-
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", path, len(got))
-		return
-	}
-
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden fixture (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("5x5 output diverged from the golden fixture (%d bytes vs %d).\n--- got ---\n%s\n--- want ---\n%s",
-			len(got), len(want), got, want)
-	}
-}
-
-// TestGolden5x5Shard1ByteIdentical reruns the full 5x5 fixture with the
-// sharded topology layer engaged over a single all-servers shard
-// (Options.Shards = 1): the consistent-hash ring, per-node routers, NIC
-// demultiplexers, and group-relative membership must not move a single
-// event in any of the 25 models versus the pre-refactor fixture.
-func TestGolden5x5Shard1ByteIdentical(t *testing.T) {
-	if *updateGolden {
-		t.Skip("fixture is owned by the unsharded golden test")
-	}
-	o := DefaultOptions().Quick()
-	o.Parallel = 4
-	o.Shards = 1
-
-	var buf bytes.Buffer
-	f, err := Figure6(o)
-	if err != nil {
-		t.Fatalf("Figure6: %v", err)
-	}
-	f.WriteText(&buf)
-	if err := f.WriteCSV(&buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	t1, err := Table1(o)
-	if err != nil {
-		t.Fatalf("Table1: %v", err)
-	}
-	t1.WriteText(&buf)
-
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_5x5.txt"))
-	if err != nil {
-		t.Fatalf("missing golden fixture (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("shards=1 5x5 output diverged from the golden fixture (%d bytes vs %d).\n--- got ---\n%s\n--- want ---\n%s",
-			buf.Len(), len(want), buf.Bytes(), want)
-	}
-}
-
-// TestGolden5x5LPByteIdentical reruns the full 5x5 fixture with four
-// logical-process workers per cell: the LP engine must reproduce the
-// sequential engine's rendering byte-for-byte, end to end through the
-// harness (CI runs this under -race).
-func TestGolden5x5LPByteIdentical(t *testing.T) {
-	if *updateGolden {
-		t.Skip("fixture is owned by the sequential golden test")
-	}
-	o := DefaultOptions().Quick()
-	o.Parallel = 2
-	o.LPs = 4
-
-	var buf bytes.Buffer
-	f, err := Figure6(o)
-	if err != nil {
-		t.Fatalf("Figure6: %v", err)
-	}
-	f.WriteText(&buf)
-	if err := f.WriteCSV(&buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	t1, err := Table1(o)
-	if err != nil {
-		t.Fatalf("Table1: %v", err)
-	}
-	t1.WriteText(&buf)
-
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_5x5.txt"))
-	if err != nil {
-		t.Fatalf("missing golden fixture (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("LP 5x5 output diverged from the golden fixture (%d bytes vs %d).\n--- got ---\n%s\n--- want ---\n%s",
-			buf.Len(), len(want), buf.Bytes(), want)
+	for _, tc := range []struct {
+		name string
+		mut  func(*Options)
+	}{
+		{"default", func(o *Options) { o.Parallel = 4 }},
+		{"Shards=1", func(o *Options) { o.Parallel, o.Shards = 4, 1 }},
+		{"IntraParallel=4", func(o *Options) { o.Parallel, o.IntraParallel = 2, 4 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if *updateGolden && tc.name != "default" {
+				t.Skip("the fixture is owned by the default case")
+			}
+			o := DefaultOptions().Quick()
+			tc.mut(&o)
+			got := renderGolden(t, o)
+			if *updateGolden {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("wrote %s (%d bytes)", path, len(got))
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden fixture (run with -update to create): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("5x5 output diverged from the golden fixture (%d bytes vs %d).\n--- got ---\n%s\n--- want ---\n%s",
+					len(got), len(want), got, want)
+			}
+		})
 	}
 }

@@ -20,26 +20,27 @@ import (
 
 // Options configures an experiment run.
 type Options struct {
-	Params    params.Params
-	Engine    string
-	Seed      uint64
-	WarmupNs  int64
-	MeasureNs int64
+	// Config is the template every cell starts from: each cell sets its
+	// own Model and Workload, and an experiment overrides only the knobs it
+	// sweeps (Params fields, Shards, Arrivals, ...). Every other knob
+	// reaches every cell unchanged, so a knob a cell cannot honor fails
+	// there with Validate's per-field error instead of being dropped.
+	// Two fields are read differently:
+	//
+	//   - IntraParallel is the per-cell LP worker budget handed to
+	//     sweep.Arbitrate: 1 (the DefaultOptions value) runs every cell on
+	//     the sequential engine, 0 splits the core budget between cells and
+	//     LPs. Cells built outside runCells (crash, checker and timeline
+	//     runs drive their engine directly) stay sequential.
+	//   - ReplicaReads applies to the weak-visibility cells of a sweep
+	//     only, since invalidation-based models reject it.
+	cluster.Config
 
 	// Parallel is how many experiment cells run concurrently: 0 (the
 	// default) uses every available core, 1 runs sequentially. Each cell is
 	// an isolated deterministic simulation, so the setting never changes
 	// any number an experiment reports — only how long it takes.
 	Parallel int
-
-	// LPs is the intra-cell parallelism: how many logical-process workers
-	// each cell's cluster may use (cluster.Config.IntraParallel). 1 — the
-	// DefaultOptions value — runs every cell on the sequential engine; 0
-	// lets sweep.Arbitrate split the core budget between cells and LPs
-	// (wide sweeps keep cells, a lone cell gets its LPs the spare cores).
-	// The LP engine is byte-identical to the sequential one, so this too
-	// only changes wall-clock time.
-	LPs int
 
 	// Experiment names the experiment being run (set by RunNamed); it tags
 	// cells' pprof labels as "<model>/<experiment>" so sweep profiles
@@ -55,50 +56,17 @@ type Options struct {
 	// simulated second, peak pending-event depth, and the wheel/overflow
 	// split (ddpbench -eventstats).
 	EventStats bool
-
-	// Arrivals, when non-nil, switches cells built from these Options to
-	// the open-loop load engine (cluster.Config.Arrivals): requests arrive
-	// on the generated schedule regardless of completions, so offered load
-	// is a free variable. Nil — the default — keeps the paper's closed-loop
-	// clients. The capacity experiment sets this per cell.
-	Arrivals *ycsb.ArrivalSpec
-
-	// Shards partitions the keyspace across Params.Servers/Shards-node
-	// replica groups behind the consistent-hash ring
-	// (cluster.Config.Shards): 0 keeps the paper's flat replica group. Set
-	// by ddpbench's -shards/-nodes/-rf flags; the scaling experiment sweeps
-	// it per cell.
-	Shards int
-
-	// Placement selects the sharded router's placement policy
-	// (cluster.Config.Placement; ddpbench -placement): "" or "hash" keeps
-	// the fixed hash coordinator, "load" spreads sketch-detected hot keys
-	// over the owning group by power-of-two-choices. The scaling
-	// experiment's skew phase ablates this per cell regardless.
-	Placement string
-
-	// ReplicaReads routes reads to the least-loaded owning replica
-	// (cluster.Config.ReplicaReads; ddpbench -replicareads). Legal only for
-	// weak-visibility models, so experiments that sweep models apply it to
-	// their weak-visibility cells only (config gates it per model); a
-	// single-model run on a strict model rejects it with a field error.
-	ReplicaReads bool
-
-	// FwdBatch coalesces routed ops per destination into multi-op messages
-	// of up to this many ops (cluster.Config.FwdBatch; ddpbench -fwdbatch).
-	// 0 — the default — keeps the unbatched router.
-	FwdBatch int
 }
 
 // DefaultOptions returns the paper's evaluation configuration.
 func DefaultOptions() Options {
-	return Options{
-		Params:    params.Default(),
-		Seed:      1,
-		WarmupNs:  1_000_000,
-		MeasureNs: 5_000_000,
-		LPs:       1,
-	}
+	return Options{Config: cluster.Config{
+		Params:        params.Default(),
+		Seed:          1,
+		WarmupNs:      1_000_000,
+		MeasureNs:     5_000_000,
+		IntraParallel: 1,
+	}}
 }
 
 // Quick shrinks an Options for fast smoke runs (tests, examples).
@@ -111,26 +79,12 @@ func (o Options) Quick() Options {
 	return o
 }
 
+// config builds the cell of model m on workload w from the template.
 func (o Options) config(m core.Model, w ycsb.Workload) cluster.Config {
-	cfg := cluster.Config{
-		Model:     m,
-		Workload:  w,
-		Engine:    o.Engine,
-		Params:    o.Params,
-		Seed:      o.Seed,
-		WarmupNs:  o.WarmupNs,
-		MeasureNs: o.MeasureNs,
-		Arrivals:  o.Arrivals,
-		Shards:    o.Shards,
-	}
-	// The routing policies exist only on the sharded data plane, and replica
-	// reads only under weak visibility; sweeps apply the flags to the cells
-	// that can honor them (an unsharded cell has no router to place for).
-	if cfg.Shards >= 1 {
-		cfg.Placement = o.Placement
-		cfg.ReplicaReads = o.ReplicaReads && !core.UsesInvAckVal(m.C)
-		cfg.FwdBatch = o.FwdBatch
-	}
+	cfg := o.Config
+	cfg.Model, cfg.Workload = m, w
+	cfg.IntraParallel = 0
+	cfg.ReplicaReads = o.ReplicaReads && !core.UsesInvAckVal(m.C)
 	return cfg
 }
 
@@ -197,7 +151,7 @@ type cell struct {
 // results in cell order. The first failing cell's error (by submission
 // order) is returned after in-flight cells drain.
 func runCells(parent Options, cells []cell) ([]*cluster.Result, error) {
-	cw, lw := sweep.Arbitrate(len(cells), parent.Parallel, parent.LPs, runtime.GOMAXPROCS(0))
+	cw, lw := sweep.Arbitrate(len(cells), parent.Parallel, parent.IntraParallel, runtime.GOMAXPROCS(0))
 	scells := make([]sweep.Cell, len(cells))
 	for i := range cells {
 		c := cells[i]

@@ -399,7 +399,13 @@ func TestCSVOutputs(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "consistency,persistency,metric") {
 		t.Fatalf("csv header wrong: %q", lines[0])
 	}
+	// A text-only experiment fails before any of its cells runs.
+	var progress bytes.Buffer
+	o.Progress = &progress
 	if err := RunNamedCSV(&bytes.Buffer{}, "table4", o); err == nil {
 		t.Fatal("non-CSV experiment accepted")
+	}
+	if progress.Len() != 0 {
+		t.Fatalf("rejected CSV experiment ran cells:\n%s", progress.String())
 	}
 }

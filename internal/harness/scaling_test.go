@@ -127,7 +127,7 @@ func TestScalingDeterministicAcrossParallelism(t *testing.T) {
 	render := func(parallel, lps int) string {
 		o := scalingSmokeOptions()
 		o.Parallel = parallel
-		o.LPs = lps
+		o.IntraParallel = lps
 		res, err := Scaling(o)
 		if err != nil {
 			t.Fatal(err)

@@ -171,10 +171,3 @@ func Figure9(o Options) (*SweepResult, error) {
 		"Throughput normalized to <Linearizable, Synchronous> on workload-A.",
 		labels, points, 1)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -11,9 +11,6 @@ import (
 	"repro/internal/ycsb"
 )
 
-// workloadA returns the default workload used across experiments.
-func (o Options) workloadA() ycsb.Workload { return ycsb.WorkloadA }
-
 // PaperStatsResult reproduces the scattered quantitative claims of
 // Section 8.1.2.
 type PaperStatsResult struct {
@@ -39,14 +36,7 @@ type PaperStatsResult struct {
 
 // BufferRatio returns the Synchronous/Eventual buffering ratio.
 func (s *PaperStatsResult) BufferRatio() float64 {
-	return ratio(float64(s.CausalSyncBufferPeak), float64(maxf(1, s.CausalEventualBufferPeak)))
-}
-
-func maxf(a int, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return ratio(float64(s.CausalSyncBufferPeak), float64(max(1, s.CausalEventualBufferPeak)))
 }
 
 // PaperStats measures Section 8.1.2's headline numbers.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/recovery"
 	"repro/internal/sweep"
+	"repro/internal/ycsb"
 )
 
 // Table4Row pairs the paper's qualitative ratings with this
@@ -36,9 +37,9 @@ func Table4(o Options) (*Table4Result, error) {
 	// Performance cells: the normalization baseline plus one run per rated
 	// model, scheduled as one grid.
 	cells := make([]cell, 0, len(traits)+1)
-	cells = append(cells, cell{o, core.Baseline, o.workloadA()})
+	cells = append(cells, cell{o, core.Baseline, ycsb.WorkloadA})
 	for _, tr := range traits {
-		cells = append(cells, cell{o, tr.Model, o.workloadA()})
+		cells = append(cells, cell{o, tr.Model, ycsb.WorkloadA})
 	}
 	rs, err := runCells(o, cells)
 	if err != nil {
@@ -48,7 +49,7 @@ func Table4(o Options) (*Table4Result, error) {
 	// Crash cells: each CrashAndRecover builds its own isolated simulation,
 	// so they parallelize the same way plain cluster runs do.
 	reps, err := sweep.Map(traits, o.workers(), func(tr core.Traits) (*recovery.CrashReport, error) {
-		return recovery.CrashAndRecover(o.config(tr.Model, o.workloadA()), crashAt, recovery.NewestVote)
+		return recovery.CrashAndRecover(o.config(tr.Model, ycsb.WorkloadA), crashAt, recovery.NewestVote)
 	})
 	if err != nil {
 		return nil, err

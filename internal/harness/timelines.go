@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/protocol"
+	"repro/internal/ycsb"
 )
 
 // Timeline is the rendered protocol trace of one illustrative operation
@@ -26,7 +27,7 @@ type TimelinesResult struct {
 // timelineCluster builds a quiet (no background clients) traced 3-node
 // cluster.
 func timelineCluster(o Options, m core.Model) (*cluster.Cluster, error) {
-	cfg := o.config(m, o.workloadA())
+	cfg := o.config(m, ycsb.WorkloadA)
 	cfg.Params.Servers = 3
 	cfg.Params.Keys = 16
 	cfg.Params.NetJitter = 0 // clean, readable timelines
