@@ -28,9 +28,9 @@ fmt:
 #   - the allocation guards — one round per binding on warm and on rotating
 #     keys, and allocations per op of whole cells against per-binding
 #     ceilings (ROADMAP 6(a));
-#   - the arrival-order differential: the sequential engine orders cross-node
-#     arrivals by key class inside its one pending set where the LP engine
-#     merges an Ingress;
+#   - the barrier-arrival differential: both engines schedule cross-node
+#     arrivals with AtArrival, the sequential one at send time and the LP one
+#     at epoch barriers, and the (src, seq) key alone fixes their order;
 #   - the NIC fast-path differential and its event-reduction pin: the one
 #     elision mechanism left (Engine.TryAdvance from delivery.arrive) changes
 #     event counts only, with an exact ledger;
@@ -48,7 +48,7 @@ check: vet fmt
 	(cd bench && $(GO) test .)
 	$(GO) test ./internal/protocol/ -run 'HotPathAllocs|TestRoundAllocsAcrossBindings'
 	$(GO) test ./internal/cluster/ -run TestCellAllocsPerOp
-	$(GO) test -race ./internal/sim/ -run TestArrivalKeyMatchesIngress
+	$(GO) test -race ./internal/sim/ -run TestBarrierArrivalsMatchSendTime
 	$(GO) test -race ./internal/cluster/ -run 'TestNICFastPathDifferential|TestNICFastPathEventReduction'
 	$(GO) test -race ./internal/cluster/ -run 'TestSharded'
 	$(GO) test -race ./internal/cluster/ -run 'TestHotSketchGoldenSeed|TestP2CSpreadDeterministic'

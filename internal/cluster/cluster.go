@@ -13,7 +13,10 @@
 // event loop for the whole cluster; Config.IntraParallel <= 1, the default)
 // and the LP engine (one event loop per server node, advanced in lock-step
 // epochs of the network lookahead on concurrent workers;
-// Config.IntraParallel >= 2).
+// Config.IntraParallel >= 2). Both schedule cross-node arrivals the same
+// way, with sim.Engine.AtArrival under a sender-computed key: the sequential
+// engine at send time, the LP engine at each epoch barrier, when the network
+// empties its per-sender mailboxes (simnet.Network.DeliverMail).
 package cluster
 
 import (

@@ -19,8 +19,8 @@ import "repro/internal/simnet"
 // and TestShardedFwdBatchZeroIdentity pin that.
 //
 // LP safety mirrors routedOp: a batch record is owned by the sending LP
-// until net.Send hands it to the receiver's mailbox, and the receiver owns
-// it afterwards. The doorbell timer's handler is the *batcher* (which never
+// until net.Send parks it in the network (the sender's mailbox under LP
+// wiring), and the receiver owns it afterwards. The doorbell timer's handler is the *batcher* (which never
 // migrates), not the batch, with the destination as the event argument — so
 // a timer left behind by an early size-triggered flush can never touch a
 // record whose ownership has already moved; it just finds no pending batch

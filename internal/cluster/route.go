@@ -25,7 +25,7 @@ import (
 // share each node's NIC with protocol traffic; a per-node demultiplexer
 // (cluster.New) splits them. Because the request, its execution, and its
 // response are all ordinary simnet messages and engine events, routing
-// inherits the network's canonical ingress order and stays byte-identical
+// inherits the network's canonical arrival order and stays byte-identical
 // across the sequential and LP engines at any worker count.
 //
 // The hot path allocates nothing in steady state: an op's state rides a

@@ -58,7 +58,7 @@ type Device struct {
 	bank   [][]int64 // next-free time per [channel][bank]
 	chFree []int64   // next-free time per channel bus
 
-	// In-flight completion callbacks, parked in a freelist-recycled slab so
+	// In-flight completion handlers, parked in a freelist-recycled slab so
 	// each access schedules a typed (closure-free) completion event.
 	acc     []accRec
 	accFree int32
@@ -72,10 +72,9 @@ type Device struct {
 	queued    int
 }
 
-// accRec parks one access's completion — a callback, or a pre-bound
-// (Handler, arg) pair for the closure-free flavors — across its event.
+// accRec parks one access's completion, a pre-bound (Handler, arg) pair,
+// across its event.
 type accRec struct {
-	done func()
 	h    sim.Handler
 	arg  uint64
 	next int32 // freelist link
@@ -146,41 +145,28 @@ func (d *Device) access(addr uint64, service int64, rec accRec) int64 {
 }
 
 // OnEvent completes the access parked at token arg: it recycles the slab
-// record and fires its callback. It implements sim.Handler so completions
+// record and fires its handler. It implements sim.Handler so completions
 // schedule without allocating a closure.
 func (d *Device) OnEvent(arg uint64) {
 	rec := d.acc[arg]
 	d.acc[arg] = accRec{next: d.accFree}
 	d.accFree = int32(arg)
 	d.queued--
-	if rec.done != nil {
-		rec.done()
-	} else if rec.h != nil {
+	if rec.h != nil {
 		rec.h.OnEvent(rec.arg)
 	}
 }
 
-// Write persists one value identified by addr; done fires when the write is
-// durable. It returns the simulated completion time.
-func (d *Device) Write(addr uint64, done func()) int64 {
-	d.writes++
-	return d.access(addr, d.cfg.WriteLat, accRec{done: done})
-}
-
-// WriteEvent is the closure-free flavor of Write: h.OnEvent(arg) fires when
-// the write is durable.
+// WriteEvent persists one value identified by addr; h.OnEvent(arg) fires
+// when the write is durable (h may be nil). It returns the simulated
+// completion time.
 func (d *Device) WriteEvent(addr uint64, h sim.Handler, arg uint64) int64 {
 	d.writes++
 	return d.access(addr, d.cfg.WriteLat, accRec{h: h, arg: arg})
 }
 
-// Read fetches one value; done fires at completion.
-func (d *Device) Read(addr uint64, done func()) int64 {
-	d.reads++
-	return d.access(addr, d.cfg.ReadLat, accRec{done: done})
-}
-
-// ReadEvent is the closure-free flavor of Read.
+// ReadEvent fetches one value; h.OnEvent(arg) fires at completion (h may be
+// nil). It returns the simulated completion time.
 func (d *Device) ReadEvent(addr uint64, h sim.Handler, arg uint64) int64 {
 	d.reads++
 	return d.access(addr, d.cfg.ReadLat, accRec{h: h, arg: arg})

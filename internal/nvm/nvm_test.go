@@ -14,7 +14,7 @@ func TestWriteCompletesAfterServiceTime(t *testing.T) {
 	e := sim.New()
 	d := New(e, cfg())
 	var doneAt int64 = -1
-	e.Schedule(0, func() { d.Write(0, func() { doneAt = e.Now() }) })
+	e.Schedule(0, func() { d.WriteEvent(0, sim.Func(func() { doneAt = e.Now() }), 0) })
 	e.RunAll()
 	if doneAt != 400 {
 		t.Fatalf("write completed at %d, want 400", doneAt)
@@ -26,8 +26,8 @@ func TestReadFasterThanWrite(t *testing.T) {
 	d := New(e, cfg())
 	var rd, wr int64
 	e.Schedule(0, func() {
-		d.Read(0, func() { rd = e.Now() })
-		d.Write(1, func() { wr = e.Now() })
+		d.ReadEvent(0, sim.Func(func() { rd = e.Now() }), 0)
+		d.WriteEvent(1, sim.Func(func() { wr = e.Now() }), 0)
 	})
 	e.RunAll()
 	if rd != 140 {
@@ -46,7 +46,7 @@ func TestSameBankSerializes(t *testing.T) {
 	var times []int64
 	e.Schedule(0, func() {
 		for i := 0; i < 3; i++ {
-			d.Write(0, func() { times = append(times, e.Now()) })
+			d.WriteEvent(0, sim.Func(func() { times = append(times, e.Now()) }), 0)
 		}
 	})
 	e.RunAll()
@@ -71,8 +71,8 @@ func TestDifferentBanksParallel(t *testing.T) {
 		var times []int64
 		bb := b
 		e.Schedule(0, func() {
-			d.Write(0, func() { times = append(times, e.Now()) })
-			d.Write(bb, func() { times = append(times, e.Now()) })
+			d.WriteEvent(0, sim.Func(func() { times = append(times, e.Now()) }), 0)
+			d.WriteEvent(bb, sim.Func(func() { times = append(times, e.Now()) }), 0)
 		})
 		e.RunAll()
 		if times[0] == 400 && times[1] <= 408 {
@@ -91,7 +91,7 @@ func TestPressureBuildsQueues(t *testing.T) {
 	finished := 0
 	e.Schedule(0, func() {
 		for i := 0; i < n; i++ {
-			d.Write(uint64(i), func() { finished++ })
+			d.WriteEvent(uint64(i), sim.Func(func() { finished++ }), 0)
 		}
 	})
 	e.RunAll()
@@ -114,9 +114,9 @@ func TestCounters(t *testing.T) {
 	e := sim.New()
 	d := New(e, cfg())
 	e.Schedule(0, func() {
-		d.Write(1, nil)
-		d.Write(2, nil)
-		d.Read(3, nil)
+		d.WriteEvent(1, nil, 0)
+		d.WriteEvent(2, nil, 0)
+		d.ReadEvent(3, nil, 0)
 	})
 	e.RunAll()
 	if d.Writes() != 2 || d.Reads() != 1 {
@@ -148,7 +148,7 @@ func TestCompletionProperty(t *testing.T) {
 		completions := 0
 		e.Schedule(0, func() {
 			for _, a := range addrs {
-				d.Write(a, func() { completions++ })
+				d.WriteEvent(a, sim.Func(func() { completions++ }), 0)
 			}
 		})
 		end := e.RunAll()
@@ -169,7 +169,7 @@ func TestDRAMStyleDevice(t *testing.T) {
 	e := sim.New()
 	d := New(e, NVMConfig(100, 100, 4, 8))
 	var doneAt int64
-	e.Schedule(0, func() { d.Write(0, func() { doneAt = e.Now() }) })
+	e.Schedule(0, func() { d.WriteEvent(0, sim.Func(func() { doneAt = e.Now() }), 0) })
 	e.RunAll()
 	if doneAt != 100 {
 		t.Fatalf("DRAM write at %d, want 100", doneAt)

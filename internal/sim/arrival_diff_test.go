@@ -1,15 +1,20 @@
 package sim
 
-// Randomized differential test: an engine fed cross-node arrivals through
-// AtArrival (the sequential wiring) must dispatch exactly what an engine fed
-// through a bound Ingress (the LP wiring) dispatches — same events, same
-// times, same gap-proof verdicts. The workload is a
-// pure function of the seed and draws its randomness inside the handlers, so
-// the first dispatch that differs derails everything after it.
+// Randomized differential test for the LP wiring's arrival path: arrivals
+// scheduled with AtArrival at send time must dispatch exactly as the same
+// arrivals parked in a mailbox and scheduled with AtArrival at the next epoch
+// barrier — same events, same times, same gap-proof verdicts. The workload is
+// a pure function of the seed and draws its randomness inside the handlers,
+// so the first dispatch that differs derails everything after it.
 
 import "testing"
 
-const diffSources = 8
+const (
+	diffSources = 8
+	// diffLookahead is the epoch width and the floor of every arrival's
+	// delay, the contract LPGroup's callers keep.
+	diffLookahead = 64
+)
 
 // diffRec is one log line: an event's dispatch (id, clock) or, with probe
 // set, a TryAdvance verdict and the clock it left behind.
@@ -20,15 +25,25 @@ type diffRec struct {
 	ok    bool
 }
 
+// parkedArrival is one arrival waiting in its sender's mailbox for the
+// barrier.
+type parkedArrival struct {
+	at  int64
+	seq uint64
+	id  uint64
+}
+
 type arrivalDiff struct {
-	e       *Engine
-	rng     *RNG
-	deliver func(t int64, src int32, seq uint64, h Handler, arg uint64)
-	log     []diffRec
-	nextID  uint64
-	budget  int
-	lastAt  [diffSources]int64
-	seq     [diffSources]uint64
+	e         *Engine
+	rng       *RNG
+	atBarrier bool                         // park arrivals for the barrier instead of scheduling them
+	mail      [diffSources][]parkedArrival // per-sender arrivals parked this epoch
+	far       bool                         // an arrival landed beyond the wheel window
+	log       []diffRec
+	nextID    uint64
+	budget    int
+	lastAt    [diffSources]int64
+	seq       [diffSources]uint64
 }
 
 // diffDelay mixes dense near-future times (ties between sources, and between
@@ -71,13 +86,18 @@ func (d *arrivalDiff) spawn() {
 	t := e.Now() + diffDelay(d.rng)
 	switch d.rng.Int63n(7) {
 	case 0, 1, 2, 3: // cross-node arrival, pair-FIFO clamped like simnet's
+		t += diffLookahead
 		src := d.rng.Int63n(diffSources)
 		if t < d.lastAt[src] {
 			t = d.lastAt[src]
 		}
 		d.lastAt[src] = t
 		d.seq[src]++
-		d.deliver(t, int32(src), d.seq[src], d, id)
+		if d.atBarrier {
+			d.mail[src] = append(d.mail[src], parkedArrival{at: t, seq: d.seq[src], id: id})
+			return
+		}
+		d.arrive(t, int32(src), d.seq[src], id)
 	case 4:
 		e.At(t, func() { d.OnEvent(id) })
 	default:
@@ -85,58 +105,67 @@ func (d *arrivalDiff) spawn() {
 	}
 }
 
-// runArrivalWorkload drives one engine and returns its log, its stats and
-// whether an AtArrival landed beyond the wheel window.
-func runArrivalWorkload(seed uint64, viaIngress bool) ([]diffRec, EngineStats, bool) {
-	e := New()
-	d := &arrivalDiff{e: e, rng: NewRNG(seed), budget: 4000}
-	far := false
-	if viaIngress {
-		ing := NewIngress(diffSources)
-		e.BindIngress(ing)
-		d.deliver = func(t int64, src int32, seq uint64, h Handler, arg uint64) {
-			ing.Push(int(src), IngressEvent{At: t, Src: src, Seq: seq, H: h, Arg: arg})
-		}
-	} else {
-		d.deliver = func(t int64, src int32, seq uint64, h Handler, arg uint64) {
-			if e.wheel.len() > 0 && t-e.wheel.wnow >= wheelSlots {
-				far = true
-			}
-			e.AtArrival(t, src, seq, h, arg)
-		}
+// arrive schedules one arrival, noting whether it lands beyond the window.
+func (d *arrivalDiff) arrive(t int64, src int32, seq, id uint64) {
+	if w := &d.e.wheel; w.len() > 0 && t-w.wnow >= wheelSlots {
+		d.far = true
 	}
-	for i := 0; i < 100; i++ {
-		d.spawn()
-	}
-	// A bounded run leaves work pending across the Run boundary, which also
-	// caps the gap proofs taken inside it.
-	e.Run(2 * wheelSlots)
-	for i := 0; i < 100; i++ {
-		d.spawn()
-	}
-	e.RunAll()
-	if e.Pending() != 0 {
-		panic("arrival workload left events pending")
-	}
-	return d.log, e.Stats(), far
+	d.e.AtArrival(t, src, seq, d, id)
 }
 
-// TestArrivalKeyMatchesIngress is the order-equivalence proof behind the
-// sequential wiring's single pending set: same-time arrivals from several
-// sources, arrivals tying local events, arrivals that cross the overflow
-// level, and gap proofs all resolve identically whether arrivals ride the
-// scheduler under their canonical key or merge in from an Ingress.
-func TestArrivalKeyMatchesIngress(t *testing.T) {
+// barrier delivers the epoch's mail, sender by sender in descending source
+// order — neither the send order nor the key order, so only the arrival key
+// can restore the send-time dispatch.
+func (d *arrivalDiff) barrier() {
+	for src := diffSources - 1; src >= 0; src-- {
+		for _, m := range d.mail[src] {
+			d.arrive(m.at, int32(src), m.seq, m.id)
+		}
+		d.mail[src] = d.mail[src][:0]
+	}
+}
+
+// runArrivalWorkload drives one engine through a one-LP group and returns
+// its log, its stats and whether an arrival landed beyond the wheel window.
+func runArrivalWorkload(seed uint64, atBarrier bool) ([]diffRec, EngineStats, bool) {
+	e := New()
+	d := &arrivalDiff{e: e, rng: NewRNG(seed), atBarrier: atBarrier, budget: 4000}
+	g := NewLPGroup([]*Engine{e}, diffLookahead, 1, d.barrier)
+	defer g.Close()
+	for i := 0; i < 100; i++ {
+		d.spawn()
+	}
+	// A second burst from inside the run, after work has crossed many
+	// epoch boundaries (each of which caps the gap proofs taken inside it).
+	e.At(2*wheelSlots, func() {
+		for i := 0; i < 100; i++ {
+			d.spawn()
+		}
+	})
+	// Every barrier empties the mailbox, so between Runs everything left is
+	// pending in the engine.
+	for e.Pending() > 0 {
+		g.Run(e.Now() + 4*wheelSlots)
+	}
+	return d.log, e.Stats(), d.far
+}
+
+// TestBarrierArrivalsMatchSendTime is the order-equivalence proof behind the
+// LP wiring's mailboxes: same-time arrivals from several sources, arrivals
+// tying local events, arrivals that cross the overflow level, and gap proofs
+// all resolve identically whether each arrival is scheduled at send time or
+// parked until the epoch barrier and scheduled then, under the same key.
+func TestBarrierArrivalsMatchSendTime(t *testing.T) {
 	sawFar, sawAdvance, sawRefusal := false, false, false
 	for seed := uint64(1); seed <= 30; seed++ {
-		want, ws, _ := runArrivalWorkload(seed, true)
-		got, gs, far := runArrivalWorkload(seed, false)
+		want, ws, _ := runArrivalWorkload(seed, false)
+		got, gs, far := runArrivalWorkload(seed, true)
 		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d log lines via AtArrival, %d via Ingress", seed, len(got), len(want))
+			t.Fatalf("seed %d: %d log lines via the barrier, %d at send time", seed, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("seed %d: line %d diverges: AtArrival %+v, Ingress %+v", seed, i, got[i], want[i])
+				t.Fatalf("seed %d: line %d diverges: barrier %+v, send time %+v", seed, i, got[i], want[i])
 			}
 			if want[i].probe {
 				sawAdvance = sawAdvance || want[i].ok
@@ -144,7 +173,7 @@ func TestArrivalKeyMatchesIngress(t *testing.T) {
 			}
 		}
 		if gs.Processed != ws.Processed || gs.Ingress != ws.Ingress || gs.MaxPending != ws.MaxPending {
-			t.Fatalf("seed %d: stats diverge: AtArrival %+v, Ingress %+v", seed, gs, ws)
+			t.Fatalf("seed %d: stats diverge: barrier %+v, send time %+v", seed, gs, ws)
 		}
 		if gs.Ingress == 0 {
 			t.Fatalf("seed %d: no arrival dispatched", seed)
@@ -152,7 +181,7 @@ func TestArrivalKeyMatchesIngress(t *testing.T) {
 		sawFar = sawFar || far
 	}
 	if !sawFar {
-		t.Fatal("no arrival crossed the overflow level; differential coverage is incomplete")
+		t.Fatal("no barrier arrival crossed the overflow level; differential coverage is incomplete")
 	}
 	if !sawAdvance || !sawRefusal {
 		t.Fatalf("gap proofs one-sided (advance=%v refusal=%v)", sawAdvance, sawRefusal)
@@ -192,8 +221,7 @@ func TestAtArrivalOrder(t *testing.T) {
 }
 
 // TestAtArrivalRejectsBadKeys: an arrival in the engine's past, or a source
-// the 15-bit key field cannot hold, is a wiring bug and panics, as an
-// unsorted Ingress lane does.
+// the 15-bit key field cannot hold, is a wiring bug and panics.
 func TestAtArrivalRejectsBadKeys(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -223,7 +251,7 @@ func TestAtArrivalRejectsBadKeys(t *testing.T) {
 func TestAtArrivalAllocs(t *testing.T) {
 	e := New()
 	e.Reserve(256)
-	rec := &probeHandler{fn: func(uint64) {}}
+	rec := Func(func() {})
 	seq := uint64(0)
 	allocs := testing.AllocsPerRun(200, func() {
 		now := e.Now()

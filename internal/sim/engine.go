@@ -7,7 +7,9 @@
 // sequence) and run first, locally scheduled events carry the insertion
 // sequence and run after them — so two runs with the same inputs produce
 // identical schedules, which makes every experiment in this repository
-// reproducible.
+// reproducible. Both cluster wirings feed arrivals through AtArrival: the
+// sequential one at send time, the LP one at epoch barriers (LPGroup); the
+// key, not the call order, fixes their dispatch order.
 //
 // All times are simulated nanoseconds. The engine is single-goroutine by
 // design: protocol handlers must not block, they schedule continuations.
@@ -19,10 +21,11 @@
 //     insert/extract, tuned to the simulator's short event horizons), with
 //     the original 4-ary heap as its overflow level for far events and as
 //     the oracle it is tested against (TestSchedulerDifferentialRandomized).
-//   - Typed events (ScheduleEvent/AtEvent): a pre-bound Handler plus a
-//     uint64 argument, so hot event producers (simnet deliveries, NVM
-//     completions, worker-pool completions) schedule without allocating a
-//     closure per event.
+//   - One event form: a pre-bound Handler plus a uint64 argument
+//     (ScheduleEvent/AtEvent), so hot event producers (simnet deliveries,
+//     NVM completions, worker-pool completions) schedule without allocating
+//     a closure per event. Schedule and At take a plain func through the
+//     Func adapter.
 package sim
 
 // Handler consumes a typed event. Implementations are long-lived simulation
@@ -33,25 +36,21 @@ type Handler interface {
 	OnEvent(arg uint64)
 }
 
-// event is one scheduled action: either a closure or a (Handler, arg) pair.
-// seq is the tie-break key within a timestamp: localBit | insertion sequence
-// for locally scheduled events, src<<48 | sender sequence (top bit clear) for
-// cross-node arrivals.
+// Func adapts a plain function to Handler; the argument is ignored. A func
+// value is pointer-shaped, so boxing one into the interface allocates nothing.
+type Func func()
+
+// OnEvent calls f.
+func (f Func) OnEvent(uint64) { f() }
+
+// event is one scheduled action, a (Handler, arg) pair. seq is the tie-break
+// key within a timestamp: localBit | insertion sequence for locally scheduled
+// events, src<<48 | sender sequence (top bit clear) for cross-node arrivals.
 type event struct {
 	at  int64
 	seq uint64
-	fn  func() // nil for typed events
 	h   Handler
 	arg uint64
-}
-
-// run executes the event's action.
-func (e *event) run() {
-	if e.fn != nil {
-		e.fn()
-		return
-	}
-	e.h.OnEvent(e.arg)
 }
 
 // localBit marks a locally scheduled event's key. Arrival keys leave it
@@ -79,7 +78,7 @@ type EngineStats struct {
 	Wheel      uint64 // events scheduled directly into the wheel window
 	Overflow   uint64 // events that landed in the overflow level first
 	Turns      uint64 // wheel turns (overflow re-bucketing passes)
-	Ingress    uint64 // cross-node arrivals dispatched (AtArrival or a bound Ingress)
+	Ingress    uint64 // cross-node arrivals dispatched (AtArrival)
 }
 
 // Merge accumulates other into s (summing counters, taking the max pending
@@ -101,17 +100,16 @@ type Engine struct {
 	now        int64
 	seq        uint64
 	processed  uint64
-	ingressed  uint64
+	arrived    uint64 // AtArrival events dispatched
 	stopped    bool
 	maxPending int
 	arrivals   int // AtArrival events pending in the scheduler
 
 	// schedLB is a lower bound on the scheduler's head time: no scheduled
-	// event is earlier than it. Pops tighten it (dispatch order is
-	// monotone; a failed probe reveals the exact head), pushes relax it.
-	// TryAdvance skips the scheduler probe when the bound already proves the
-	// gap, and dispatchNext pops a bound Ingress's arrival without probing
-	// when the bound proves the arrival wins.
+	// event is earlier than it. Pops and TryAdvance's passing probes tighten
+	// it (dispatch order is monotone; a probe reveals the exact head), pushes
+	// relax it. TryAdvance skips the scheduler probe when the bound already
+	// proves the gap.
 	schedLB int64
 
 	// runUntil is the time bound of the Run in progress (maxTime inside
@@ -119,12 +117,6 @@ type Engine struct {
 	// clock to it or past it, so clock jumps never cross a phase boundary
 	// (measurement flips, LP epoch barriers) that the bound encodes.
 	runUntil int64
-
-	// ing, when bound (LP wiring), feeds arrivals delivered at epoch
-	// barriers into the dispatch loop; at equal timestamps they run before
-	// scheduled events (see Ingress). The sequential wiring schedules
-	// arrivals with AtArrival instead and leaves it nil.
-	ing *Ingress
 
 	wheel timingWheel
 }
@@ -138,22 +130,9 @@ func (e *Engine) Now() int64 { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of scheduled-but-unexecuted events, including
-// queued ingress arrivals.
-func (e *Engine) Pending() int {
-	n := 0
-	if e.ing != nil {
-		n = e.ing.Len()
-	}
-	return n + e.wheel.len()
-}
-
-// BindIngress attaches an arrival queue to the engine. The dispatch loops
-// interleave its entries with scheduled events in time order, with the
-// queue's arrivals winning ties — the same canonical order AtArrival's keys
-// give the sequential engine. An engine takes its arrivals one way or the
-// other, not both.
-func (e *Engine) BindIngress(ing *Ingress) { e.ing = ing }
+// Pending returns the number of scheduled-but-unexecuted events, arrivals
+// included.
+func (e *Engine) Pending() int { return e.wheel.len() }
 
 // Stats returns the engine's scheduler counters.
 func (e *Engine) Stats() EngineStats {
@@ -163,7 +142,7 @@ func (e *Engine) Stats() EngineStats {
 		Wheel:      e.wheel.wheelEvents,
 		Overflow:   e.wheel.overflowEvents,
 		Turns:      e.wheel.turns,
-		Ingress:    e.ingressed,
+		Ingress:    e.arrived,
 	}
 }
 
@@ -185,13 +164,7 @@ func (e *Engine) Schedule(delay int64, fn func()) {
 
 // At runs fn at absolute simulated time t. Times in the past are clamped to
 // the present.
-func (e *Engine) At(t int64, fn func()) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.push(&event{at: t, seq: localBit | e.seq, fn: fn})
-}
+func (e *Engine) At(t int64, fn func()) { e.AtEvent(t, Func(fn), 0) }
 
 // ScheduleEvent runs h.OnEvent(arg) after delay nanoseconds of simulated
 // time — the closure-free flavor of Schedule for pre-bound hot handlers.
@@ -215,9 +188,9 @@ func (e *Engine) AtEvent(t int64, h Handler, arg uint64) {
 // AtArrival runs h.OnEvent(arg) at absolute simulated time t as a cross-node
 // arrival keyed by values the sender computed: at equal timestamps arrivals
 // dispatch in (src, seq) order, ahead of every locally scheduled event,
-// whatever order they were scheduled in. That is the canonical order a bound
-// Ingress merges to, so an engine fed through AtArrival and an engine fed
-// through an Ingress dispatch identically (TestArrivalKeyMatchesIngress).
+// whatever order they were scheduled in. So arrivals scheduled at send time
+// (sequential wiring) and the same arrivals scheduled in bulk at an epoch
+// barrier (LP wiring) dispatch identically (TestBarrierArrivalsMatchSendTime).
 // src must be in [0, MaxArrivalSources) and seq below 2^48; t must not
 // precede the clock — a sender cannot compute an arrival in its own past, so
 // either violation is a wiring bug and panics.
@@ -253,8 +226,8 @@ func (e *Engine) schedule(ev *event) {
 const maxTime = int64(^uint64(0) >> 1)
 
 // TryAdvance reports whether the engine can prove that nothing is pending —
-// no scheduled event and no queued Ingress arrival — at or before time t,
-// with t still strictly inside the current Run's bound; when so it advances
+// no scheduled event, local or arrival — at or before time t, with t still
+// strictly inside the current Run's bound; when so it advances
 // the clock to t and returns true. The caller may then perform work "at t" directly,
 // exactly as a scheduled event at t would have, without paying for the
 // event: the simnet fast path uses this to collapse an uncontended
@@ -272,9 +245,6 @@ func (e *Engine) TryAdvance(t int64) bool {
 		// clock past it here would run work the stopped run must not.
 		return false
 	}
-	if e.ing != nil && e.ing.Len() > 0 && e.ing.HeadAt() <= t {
-		return false
-	}
 	if t >= e.schedLB {
 		// The lower bound does not prove the gap; probe the real head.
 		head := e.wheel.headAt()
@@ -287,31 +257,11 @@ func (e *Engine) TryAdvance(t int64) bool {
 	return true
 }
 
-// dispatchNext executes the next event at or before until — the scheduler
-// head, or a bound Ingress's head when that is no later — and reports whether
-// anything ran.
+// dispatchNext executes the scheduler head if it is at or before until and
+// reports whether anything ran.
 func (e *Engine) dispatchNext(until int64) bool {
-	// LP wiring: scheduled events strictly before a queued arrival run
-	// first; at the arrival's own timestamp the arrival wins. When schedLB
-	// already proves nothing scheduled precedes the arrival, skip the
-	// scheduler probe — arrival bursts between local events then cost O(1)
-	// here instead of a wheel scan each.
-	limit, arrival := until, false
-	if e.ing != nil && e.ing.Len() > 0 {
-		if ia := e.ing.HeadAt(); ia <= until {
-			if ia <= e.schedLB {
-				return e.popArrival()
-			}
-			limit, arrival = ia-1, true
-		}
-	}
-	ev, ok := e.wheel.popIfAtMost(limit)
+	ev, ok := e.wheel.popIfAtMost(until)
 	if !ok {
-		if arrival {
-			// The failed probe recorded the exact head.
-			e.schedLB = e.wheel.headHint
-			return e.popArrival()
-		}
 		return false
 	}
 	e.schedLB = ev.at
@@ -319,19 +269,9 @@ func (e *Engine) dispatchNext(until int64) bool {
 	e.processed++
 	if ev.seq&localBit == 0 {
 		e.arrivals--
-		e.ingressed++
+		e.arrived++
 	}
-	ev.run()
-	return true
-}
-
-// popArrival dispatches the ingress head. Call only when one is pending.
-func (e *Engine) popArrival() bool {
-	ent := e.ing.Pop()
-	e.now = ent.At
-	e.processed++
-	e.ingressed++
-	ent.H.OnEvent(ent.Arg)
+	ev.h.OnEvent(ev.arg)
 	return true
 }
 

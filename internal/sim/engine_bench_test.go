@@ -55,7 +55,7 @@ func BenchmarkPoolContention(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += burst {
 		for j := 0; j < burst; j++ {
-			p.Acquire(int64(j%5+1), fn)
+			p.AcquireEvent(int64(j%5+1), Func(fn), 0)
 		}
 		e.RunAll()
 	}

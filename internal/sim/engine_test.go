@@ -250,9 +250,9 @@ func TestPoolSingleServerQueues(t *testing.T) {
 	p := NewPool(e, 1)
 	var done []int64
 	e.Schedule(0, func() {
-		p.Acquire(10, func() { done = append(done, e.Now()) })
-		p.Acquire(10, func() { done = append(done, e.Now()) })
-		p.Acquire(10, func() { done = append(done, e.Now()) })
+		p.AcquireEvent(10, Func(func() { done = append(done, e.Now()) }), 0)
+		p.AcquireEvent(10, Func(func() { done = append(done, e.Now()) }), 0)
+		p.AcquireEvent(10, Func(func() { done = append(done, e.Now()) }), 0)
 	})
 	e.RunAll()
 	want := []int64{10, 20, 30}
@@ -275,7 +275,7 @@ func TestPoolParallelServers(t *testing.T) {
 	var done []int64
 	e.Schedule(0, func() {
 		for i := 0; i < 3; i++ {
-			p.Acquire(10, func() { done = append(done, e.Now()) })
+			p.AcquireEvent(10, Func(func() { done = append(done, e.Now()) }), 0)
 		}
 	})
 	e.RunAll()
@@ -292,9 +292,9 @@ func TestPoolParallelServers(t *testing.T) {
 func TestPoolLateArrivalStartsImmediately(t *testing.T) {
 	e := New()
 	p := NewPool(e, 1)
-	e.Schedule(0, func() { p.Acquire(5, nil) })
+	e.Schedule(0, func() { p.AcquireEvent(5, nil, 0) })
 	var at int64
-	e.Schedule(100, func() { p.Acquire(5, func() { at = e.Now() }) })
+	e.Schedule(100, func() { p.AcquireEvent(5, Func(func() { at = e.Now() }), 0) })
 	e.RunAll()
 	if at != 105 {
 		t.Fatalf("late arrival finished at %d, want 105", at)
@@ -304,7 +304,7 @@ func TestPoolLateArrivalStartsImmediately(t *testing.T) {
 func TestPoolNilDone(t *testing.T) {
 	e := New()
 	p := NewPool(e, 1)
-	e.Schedule(0, func() { p.Acquire(7, nil) })
+	e.Schedule(0, func() { p.AcquireEvent(7, nil, 0) })
 	e.RunAll() // must not panic
 	if p.Jobs() != 1 {
 		t.Fatalf("jobs = %d, want 1", p.Jobs())
@@ -340,7 +340,7 @@ func TestPoolHoldsCapBelowSize(t *testing.T) {
 		for _, h := range holds {
 			p.AcquireHold(h)
 		}
-		p.Acquire(10, func() { fixedAt = e.Now() })
+		p.AcquireEvent(10, Func(func() { fixedAt = e.Now() }), 0)
 	})
 	e.Schedule(50, func() {
 		if p.Held() != 2 || p.Queued() != 1 {
@@ -374,7 +374,7 @@ func TestPoolSingleServerHoldKeepsServerFree(t *testing.T) {
 	var fixedAt int64 = -1
 	e.Schedule(0, func() {
 		p.AcquireHold(h)
-		p.Acquire(10, func() { fixedAt = e.Now() })
+		p.AcquireEvent(10, Func(func() { fixedAt = e.Now() }), 0)
 	})
 	e.RunAll()
 	if len(h.started) != 1 || h.started[0] != 0 || fixedAt != 10 {

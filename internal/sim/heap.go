@@ -1,16 +1,13 @@
 package sim
 
 // eventHeap is a hand-rolled 4-ary min-heap over a value slice, ordered by
-// (time, seq). It is the wheel's overflow level, where it only ever holds the
-// (rare) events beyond the wheel's fine-grained window, and — as the engine's
-// original scheduler — the oracle the wheel is tested against
+// (time, seq). It is the wheel's overflow level, where it holds the events
+// beyond the wheel's fine-grained window, and — as the engine's original
+// scheduler — the oracle the wheel is tested against
 // (TestSchedulerDifferentialRandomized).
 // Avoiding container/heap's interface boxing roughly halves heap time.
 type eventHeap struct {
 	evs []event
-	// headHint records the head time observed by the last failed
-	// popIfAtMost (maxTime when empty); valid until the next push.
-	headHint int64
 }
 
 func (h *eventHeap) len() int { return len(h.evs) }
@@ -42,12 +39,7 @@ func (h *eventHeap) headAt() int64 {
 
 // popIfAtMost removes and returns the minimum event if its time is <= limit.
 func (h *eventHeap) popIfAtMost(limit int64) (event, bool) {
-	if len(h.evs) == 0 {
-		h.headHint = maxTime
-		return event{}, false
-	}
-	if h.evs[0].at > limit {
-		h.headHint = h.evs[0].at
+	if len(h.evs) == 0 || h.evs[0].at > limit {
 		return event{}, false
 	}
 	return h.pop(), true
@@ -59,7 +51,7 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	last := len(s) - 1
 	s[0] = s[last]
-	s[last] = event{} // release the closure/handler for GC
+	s[last] = event{} // release the handler for GC
 	s = s[:last]
 	h.evs = s
 

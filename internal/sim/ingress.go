@@ -2,21 +2,12 @@ package sim
 
 import "math"
 
-// Ingress is an arrival queue feeding an Engine from outside its own
-// scheduler: under LP wiring cross-node message deliveries land here instead
-// of in the timing wheel, keyed by (time, source, source-sequence) rather
-// than by the engine's own insertion sequence.
-//
-// The distinction is what makes per-node logical processes possible. A
-// local event's (time, seq) tie-break depends on global scheduling order,
-// which a parallel run cannot reproduce; the arrival key depends only on
-// values the *sender* computed, so the dispatch order of arrivals is
-// identical whether they were scheduled directly at send time under that key
-// (sequential engine, Engine.AtArrival) or delivered here in bulk at an
-// epoch barrier (LP engine). The engine gives ingress entries priority over
-// wheel events at equal timestamps — "arrivals before locals", the order
-// AtArrival's key class gives — closing the determinism argument (see
-// DESIGN.md and TestArrivalKeyMatchesIngress).
+// Ingress is a standalone arrival queue that merges per-sender streams into
+// canonical (time, source, source-sequence) order. No Engine consumes one:
+// both cluster wirings schedule cross-node arrivals with Engine.AtArrival,
+// whose key gives the same order inside the engine's one pending set. The
+// type is kept only for the repo benchmark's sim.ingress_merge_ns kernel and
+// retires with it.
 //
 // Structure: one FIFO lane per (src,dst) flow. Reliable-connection fabrics
 // deliver each flow in order (simnet clamps a jittered early arrival behind
@@ -27,8 +18,7 @@ import "math"
 // paying cache-missing heap sifts per message on the simulator's hottest
 // path.
 //
-// An Ingress is not safe for concurrent use; under LPs it is pushed only at
-// epoch barriers, with the owning engine quiescent.
+// An Ingress is not safe for concurrent use.
 type Ingress struct {
 	lanes []ilane
 	// heads[i] mirrors lanes[i]'s front element as a packed sort key, with

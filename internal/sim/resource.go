@@ -4,8 +4,8 @@ package sim
 // FIFO queue — the standard M/G/c service-center abstraction used throughout
 // the simulator. Two job flavors exist:
 //
-//   - Acquire / AcquireEvent: occupies one server for a fixed service time
-//     (message handling, request compute).
+//   - AcquireEvent: occupies one server for a fixed service time (message
+//     handling, request compute).
 //   - AcquireHold: occupies one server until the job calls Release — a
 //     run-to-completion worker blocking on a stalled operation. Holds are
 //     capped below the pool size so fixed jobs (which include the protocol
@@ -42,15 +42,14 @@ type Pool struct {
 	sumWait int64
 }
 
-// poolJob is one queued request. Exactly one of done/doneH/hold describes
-// its completion; service applies to fixed jobs only.
+// poolJob is one queued request: a fixed job (service, and an optional
+// completion h.OnEvent(arg)) or a hold job (hold).
 type poolJob struct {
 	seq     uint64 // arrival order across the two rings
 	at      int64  // enqueue time
 	service int64
-	done    func()
-	doneH   Handler // typed completion (with doneArg) when done is nil
-	doneArg uint64
+	h       Handler
+	arg     uint64
 	hold    Holder
 }
 
@@ -70,10 +69,9 @@ const noHold Hold = -1
 
 // doneRec parks a fixed job's completion across its service-time event.
 type doneRec struct {
-	done    func()
-	doneH   Handler
-	doneArg uint64
-	next    int32 // freelist link
+	h    Handler
+	arg  uint64
+	next int32 // freelist link
 }
 
 // jobRing is a growable FIFO ring buffer of poolJobs.
@@ -100,7 +98,7 @@ func (r *jobRing) front() *poolJob { return &r.buf[r.head] }
 
 func (r *jobRing) pop() poolJob {
 	j := r.buf[r.head]
-	r.buf[r.head] = poolJob{} // release the callbacks for GC
+	r.buf[r.head] = poolJob{} // release the handlers for GC
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	return j
@@ -118,25 +116,14 @@ func NewPool(eng *Engine, n int) *Pool {
 	return &Pool{eng: eng, size: n, maxHolds: maxHolds, doneFree: -1}
 }
 
-// Acquire enqueues a fixed-service job; done (optional) runs at completion.
-func (p *Pool) Acquire(service int64, done func()) {
-	if service < 0 {
-		service = 0
-	}
-	p.seq++
-	p.fifo.push(poolJob{seq: p.seq, at: p.eng.Now(), service: service, done: done})
-	p.dispatch()
-}
-
 // AcquireEvent enqueues a fixed-service job whose completion runs
-// h.OnEvent(arg) — the closure-free flavor of Acquire for pre-bound hot
-// handlers (the protocol's message dispatch).
+// h.OnEvent(arg); h may be nil.
 func (p *Pool) AcquireEvent(service int64, h Handler, arg uint64) {
 	if service < 0 {
 		service = 0
 	}
 	p.seq++
-	p.fifo.push(poolJob{seq: p.seq, at: p.eng.Now(), service: service, doneH: h, doneArg: arg})
+	p.fifo.push(poolJob{seq: p.seq, at: p.eng.Now(), service: service, h: h, arg: arg})
 	p.dispatch()
 }
 
@@ -224,7 +211,7 @@ func (p *Pool) allocDone(j poolJob) int32 {
 		p.done = append(p.done, doneRec{})
 		ni = int32(len(p.done) - 1)
 	}
-	p.done[ni] = doneRec{done: j.done, doneH: j.doneH, doneArg: j.doneArg}
+	p.done[ni] = doneRec{h: j.h, arg: j.arg}
 	return ni
 }
 
@@ -236,10 +223,8 @@ func (p *Pool) OnEvent(arg uint64) {
 	p.done[arg] = doneRec{next: p.doneFree}
 	p.doneFree = int32(arg)
 	p.busy--
-	if rec.done != nil {
-		rec.done()
-	} else if rec.doneH != nil {
-		rec.doneH.OnEvent(rec.doneArg)
+	if rec.h != nil {
+		rec.h.OnEvent(rec.arg)
 	}
 	p.dispatch()
 }

@@ -2,11 +2,6 @@ package sim
 
 import "testing"
 
-// probeHandler adapts a func to the Handler interface for ingress pushes.
-type probeHandler struct{ fn func(uint64) }
-
-func (p *probeHandler) OnEvent(arg uint64) { p.fn(arg) }
-
 // TestTryAdvanceBasics exercises the clock-jump proof obligations one at a
 // time from inside a running dispatch, the only place TryAdvance is meant to
 // be called.
@@ -65,35 +60,26 @@ func TestTryAdvanceBlockedByLocalEvent(t *testing.T) {
 }
 
 // TestTryAdvanceBlockedByArrival asserts a pending cross-node arrival at or
-// before t vetoes the jump just like a local event does, whether it was
-// scheduled with AtArrival or queued in a bound Ingress.
+// before t vetoes the jump just like a local event does.
 func TestTryAdvanceBlockedByArrival(t *testing.T) {
-	for _, viaIngress := range []bool{false, true} {
-		e := New()
-		var arrived int64
-		h := &probeHandler{fn: func(uint64) { arrived = e.Now() }}
-		if viaIngress {
-			ing := NewIngress(2)
-			e.BindIngress(ing)
-			ing.Push(0, IngressEvent{At: 40, Src: 0, Seq: 1, H: h})
-		} else {
-			e.AtArrival(40, 0, 1, h, 0)
+	e := New()
+	var arrived int64
+	h := Func(func() { arrived = e.Now() })
+	e.AtArrival(40, 0, 1, h, 0)
+	e.At(10, func() {
+		if e.TryAdvance(40) {
+			t.Fatal("jumped onto a pending arrival")
 		}
-		e.At(10, func() {
-			if e.TryAdvance(40) {
-				t.Fatal("jumped onto a pending arrival")
-			}
-			if e.TryAdvance(45) {
-				t.Fatal("jumped over a pending arrival")
-			}
-			if !e.TryAdvance(39) {
-				t.Fatal("refused the gap before the arrival")
-			}
-		})
-		e.Run(100)
-		if arrived != 40 {
-			t.Fatalf("ingress=%v: arrival dispatched at %d, want 40", viaIngress, arrived)
+		if e.TryAdvance(45) {
+			t.Fatal("jumped over a pending arrival")
 		}
+		if !e.TryAdvance(39) {
+			t.Fatal("refused the gap before the arrival")
+		}
+	})
+	e.Run(100)
+	if arrived != 40 {
+		t.Fatalf("arrival dispatched at %d, want 40", arrived)
 	}
 }
 

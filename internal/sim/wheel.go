@@ -28,9 +28,19 @@ import "math/bits"
 // Events beyond the window land in an overflow level (the 4-ary heap,
 // ordered by (time, seq)); they are re-bucketed into the window on wheel
 // turn — whenever the window empties, or as soon as the advancing wnow
-// brings them within horizon. Far events are rare (transaction backoffs,
-// open-loop think times, saturated-NIC arrivals), so the heap never grows
-// past a handful of entries in practice.
+// brings them within horizon. How many events take that detour depends on
+// the workload. One seed-1 rep of each repo benchmark workload (bench/)
+// counts sim.overflow_events as follows:
+//
+//   - flat_matrix: 110,180. Of these, 107,425 are NVM completions that a
+//     bank backlog pushed past the window (a device holds up to 926
+//     accesses in flight on this workload). Nearly all come from
+//     <Causal,Eventual>, <Eventual,Synchronous> and <Eventual,Eventual>,
+//     plus Table 1's <Eventual,Eventual> cell. The other 2,755 are the
+//     Transactional bindings' retry backoffs.
+//   - sparse_openloop: 655, all open-loop arrival timers with gaps beyond
+//     the window.
+//   - sharded_skew and scale160: 0.
 //
 // Occupancy is tracked by a two-level bitmap: one bit per bucket (occ) and
 // one bit per occ word (sum), so finding the next non-empty bucket from the
@@ -74,10 +84,6 @@ type timingWheel struct {
 	wheelEvents    uint64 // scheduled directly into the window
 	overflowEvents uint64 // landed in the overflow level first
 	turns          uint64 // re-bucketing passes
-
-	// headHint records the head time observed by the last failed
-	// popIfAtMost (maxTime when empty); valid until the next push.
-	headHint int64
 }
 
 func (w *timingWheel) len() int { return w.count + w.overflow.len() }
@@ -165,7 +171,7 @@ func (w *timingWheel) alloc(ev *event) int32 {
 	if ni := w.free; ni >= 0 {
 		n := &w.nodes[ni]
 		w.free = n.next
-		n.ev.at, n.ev.seq, n.ev.fn, n.ev.h, n.ev.arg = ev.at, ev.seq, ev.fn, ev.h, ev.arg
+		n.ev.at, n.ev.seq, n.ev.h, n.ev.arg = ev.at, ev.seq, ev.h, ev.arg
 		n.next = -1
 		return ni
 	}
@@ -189,7 +195,6 @@ func (w *timingWheel) drainOverflow() {
 func (w *timingWheel) popIfAtMost(limit int64) (event, bool) {
 	if w.count == 0 {
 		if w.overflow.len() == 0 {
-			w.headHint = maxTime
 			return event{}, false
 		}
 		// Wheel turn: the window emptied. Re-bucket what fits; if the next
@@ -202,8 +207,6 @@ func (w *timingWheel) popIfAtMost(limit int64) (event, bool) {
 			ev, ok := w.overflow.popIfAtMost(limit)
 			if ok {
 				w.wnow = ev.at
-			} else {
-				w.headHint = w.overflow.headHint
 			}
 			return ev, ok
 		}
@@ -219,7 +222,6 @@ func (w *timingWheel) popIfAtMost(limit int64) (event, bool) {
 	// (frequent) limit-exceeded probe.
 	at := w.wnow + int64((slot-int32(w.wnow))&wheelMask)
 	if at > limit {
-		w.headHint = at
 		return event{}, false
 	}
 	ni := w.buckets[slot].head
@@ -232,7 +234,7 @@ func (w *timingWheel) popIfAtMost(limit int64) (event, bool) {
 			w.sum[slot>>12] &^= 1 << uint((slot>>6)&63)
 		}
 	}
-	n.ev = event{} // release the closure/handler for GC
+	n.ev = event{} // release the handler for GC
 	n.next = w.free
 	w.free = ni
 	w.count--

@@ -14,15 +14,14 @@
 //
 // The network runs in one of two wirings. New binds every node to a single
 // engine (the sequential cluster); NewParallel binds each node to its own
-// engine for the per-node logical-process (LP) cluster. Both wirings key
-// cross-node arrivals (arrival time, source, source sequence) — the
-// sequential one schedules them into the shared engine under that key
-// (sim.Engine.AtArrival), the LP one merges them through per-destination
-// sim.Ingress queues at epoch barriers — and every per-message quantity —
-// transmit-queue occupancy, queue-pair backpressure, jitter, pair-FIFO
-// clamping — is derived from sender-local state only, so the two wirings
-// dispatch byte-identical schedules (see DESIGN.md, "Per-node logical
-// processes").
+// engine for the per-node logical-process (LP) cluster. Both wirings schedule
+// cross-node arrivals with sim.Engine.AtArrival under the key (arrival time,
+// source, source sequence) — the sequential one at send time, the LP one from
+// per-sender mailboxes at epoch barriers (DeliverMail) — and every
+// per-message quantity — transmit-queue occupancy, queue-pair backpressure,
+// jitter, pair-FIFO clamping — is derived from sender-local state only, so
+// the two wirings dispatch byte-identical schedules (see DESIGN.md, "Per-node
+// logical processes").
 package simnet
 
 import (
@@ -141,17 +140,15 @@ type txState struct {
 // rxState is the receive side of one NIC, touched only by the destination
 // node (its own LP under parallel wiring).
 type rxState struct {
-	rxFree    int64 // NIC receive next-free time
-	sumDelay  int64
-	dropped   uint64
-	fast      uint64      // arrivals delivered through the one-hop fast path
-	delivered uint64      // messages handed to the node (incl. dropped)
-	free      []*delivery // recycled delivery records (LP wiring only)
+	rxFree  int64 // NIC receive next-free time
+	dropped uint64
+	fast    uint64      // arrivals delivered through the one-hop fast path
+	free    []*delivery // recycled delivery records (LP wiring only)
 }
 
-// mailEntry is one cross-node arrival parked in a mailbox until the epoch
-// barrier (parallel wiring only). The source and destination are implied by
-// the mailbox index.
+// mailEntry is one cross-node arrival parked in its sender's mailbox until
+// the epoch barrier (parallel wiring only). The source is implied by the
+// mailbox index, the destination by the message.
 type mailEntry struct {
 	at  int64
 	seq uint64
@@ -172,11 +169,9 @@ type Network struct {
 	// straight into the shared engine (sim.Engine.AtArrival).
 	seqFree []*delivery
 
-	// Parallel wiring: per-destination ingresses and per-(src,dst)
-	// mailboxes drained at epoch barriers.
+	// Parallel wiring: per-sender mailboxes drained at epoch barriers.
 	lp       bool
-	ings     []*sim.Ingress
-	mail     [][]mailEntry // flat [src*Nodes+dst]
+	mail     [][]mailEntry // [src]
 	mailSent uint64
 }
 
@@ -197,9 +192,9 @@ func New(eng *sim.Engine, cfg Config) *Network {
 }
 
 // NewParallel creates an LP-wired network: node i runs on engs[i], and
-// cross-node traffic parks in per-pair mailboxes until DeliverMail moves it
-// to the destination ingress at an epoch barrier. Panics on invalid
-// configurations (ValidateLP) or an engine-count mismatch.
+// cross-node traffic parks in per-sender mailboxes until DeliverMail
+// schedules it on the destination engine at an epoch barrier. Panics on
+// invalid configurations (ValidateLP) or an engine-count mismatch.
 func NewParallel(engs []*sim.Engine, cfg Config) *Network {
 	if err := cfg.ValidateLP(); err != nil {
 		panic(err)
@@ -209,12 +204,7 @@ func NewParallel(engs []*sim.Engine, cfg Config) *Network {
 	}
 	n := newNetwork(engs, cfg)
 	n.lp = true
-	n.ings = make([]*sim.Ingress, cfg.Nodes)
-	n.mail = make([][]mailEntry, cfg.Nodes*cfg.Nodes)
-	for i := range n.ings {
-		n.ings[i] = sim.NewIngress(cfg.Nodes) // one lane per source
-		engs[i].BindIngress(n.ings[i])
-	}
+	n.mail = make([][]mailEntry, cfg.Nodes)
 	return n
 }
 
@@ -319,7 +309,7 @@ func (n *Network) newDelivery(at int) *delivery {
 //
 // Fast path: when the flow is uncontended — the receive queue is idle at the
 // arrival (rxStart == now) and the engine proves no other event, local or
-// ingress, falls inside the serialization window (now, rxDone] — the
+// arrival, falls inside the serialization window (now, rxDone] — the
 // intermediate queueing hop is skipped: the clock jumps to rxDone and the
 // handler runs in this same dispatch. The timestamp is byte-identical to the
 // slow path's (rxDone is computed the same way), the relative order of all
@@ -349,9 +339,9 @@ func (d *delivery) arrive() {
 	eng.AtEvent(rxDone, d, hopDeliver)
 }
 
-// deliver hands the message to the destination handler, with delivery
-// accounting, and recycles the record. The record is returned to the pool
-// before the handler runs, so handler-triggered sends reuse it immediately.
+// deliver hands the message to the destination handler and recycles the
+// record. The record is returned to the pool before the handler runs, so
+// handler-triggered sends reuse it immediately.
 func (d *delivery) deliver() {
 	n := d.n
 	msg := d.msg
@@ -362,8 +352,6 @@ func (d *delivery) deliver() {
 	} else {
 		n.seqFree = append(n.seqFree, d)
 	}
-	rx.delivered++
-	rx.sumDelay += n.engs[msg.To].Now() - msg.SentAt
 	h := n.handlers[msg.To]
 	if h == nil {
 		rx.dropped++
@@ -464,37 +452,29 @@ func (n *Network) Send(msg Message) {
 	}
 	seq := n.tx[msg.From].seq
 	if n.lp {
-		b := &n.mail[msg.From*N+msg.To]
-		*b = append(*b, mailEntry{at: arrive, seq: seq, d: d})
+		n.mail[msg.From] = append(n.mail[msg.From], mailEntry{at: arrive, seq: seq, d: d})
 		return
 	}
 	eng.AtArrival(arrive, int32(msg.From), seq, d, hopArrive)
 }
 
-// DeliverMail drains every mailbox into its destination's ingress queue and
-// returns how many arrivals moved. Parallel wiring only; call at an epoch
-// barrier, with every LP quiescent. Ingress order is canonical (time,
-// source, sequence) regardless of push order, so batched delivery
-// dispatches identically to the sequential wiring's send-time AtArrival
-// calls.
+// DeliverMail schedules every parked arrival on its destination engine with
+// AtArrival, empties the mailboxes and returns how many arrivals moved.
+// Parallel wiring only; call at an epoch barrier, with every LP quiescent.
+// The arrival key (time, source, sequence), not the order of these calls,
+// fixes dispatch order, so batched delivery dispatches identically to the
+// sequential wiring's send-time AtArrival calls; lookahead puts every parked
+// arrival after the epoch end, so none lands in its engine's past.
 func (n *Network) DeliverMail() int {
-	N := n.cfg.Nodes
 	moved := 0
-	for dst := 0; dst < N; dst++ {
-		ing := n.ings[dst]
-		for src := 0; src < N; src++ {
-			b := &n.mail[src*N+dst]
-			if len(*b) == 0 {
-				continue
-			}
-			for i := range *b {
-				e := &(*b)[i]
-				ing.Push(src, sim.IngressEvent{At: e.at, Src: int32(src), Seq: e.seq, H: e.d, Arg: hopArrive})
-				e.d = nil
-			}
-			moved += len(*b)
-			*b = (*b)[:0]
+	for src, b := range n.mail {
+		for i := range b {
+			e := &b[i]
+			n.engs[e.d.msg.To].AtArrival(e.at, int32(src), e.seq, e.d, hopArrive)
+			e.d = nil
 		}
+		moved += len(b)
+		n.mail[src] = b[:0]
 	}
 	n.mailSent += uint64(moved)
 	return moved
@@ -544,16 +524,6 @@ func (n *Network) FastDeliveries() uint64 {
 	return total
 }
 
-// Delivered returns messages handed to destination nodes so far (including
-// drops to unregistered handlers).
-func (n *Network) Delivered() uint64 {
-	var total uint64
-	for i := range n.rx {
-		total += n.rx[i].delivered
-	}
-	return total
-}
-
 // Dropped returns messages delivered to nodes with no handler.
 func (n *Network) Dropped() uint64 {
 	var total uint64
@@ -561,19 +531,6 @@ func (n *Network) Dropped() uint64 {
 		total += n.rx[i].dropped
 	}
 	return total
-}
-
-// MeanDelay returns the average send-to-deliver delay in ns.
-func (n *Network) MeanDelay() float64 {
-	msgs := n.Messages()
-	if msgs == 0 {
-		return 0
-	}
-	var sum int64
-	for i := range n.rx {
-		sum += n.rx[i].sumDelay
-	}
-	return float64(sum) / float64(msgs)
 }
 
 // Nodes returns the number of NICs.

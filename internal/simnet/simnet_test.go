@@ -119,17 +119,6 @@ func TestBadRoutePanics(t *testing.T) {
 	n.Send(Message{From: 0, To: 5, Size: 8})
 }
 
-func TestMeanDelayPositive(t *testing.T) {
-	e := sim.New()
-	n := New(e, netCfg(3))
-	n.Register(1, func(Message) {})
-	e.Schedule(0, func() { n.Send(Message{From: 0, To: 1, Size: 64}) })
-	e.RunAll()
-	if n.MeanDelay() < 500 {
-		t.Fatalf("mean delay %.0f below propagation latency", n.MeanDelay())
-	}
-}
-
 func TestQueuePairBackpressure(t *testing.T) {
 	e := sim.New()
 	low := New(e, Config{Nodes: 2, OneWayLat: 0, Bandwidth: 1_000_000_000, QueuePairs: 1})
