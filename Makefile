@@ -39,6 +39,10 @@ fmt:
 #     policies (load placement, replica reads, batched forwarding) re-place
 #     coordinators from sender-local state (fwdbatch=0 byte-identity rides on
 #     the goldens and TestShard1MatchesDirect);
+#   - the exact schedule fingerprint (27 cells: every binding on a deep-queue
+#     flat cell, one 16-shard and one open-loop cell) and the pool's FIFO
+#     re-acquire pin: a dispatch reorder the two-decimal goldens cannot see
+#     moves an exact counter here;
 #   - one iteration of the cluster-construction benchmark, against bit-rot;
 #   - the capacity and scaling sweeps at quick scale, flat and sharded;
 #   - the CLI rejecting a knob no cell of the experiment can honor
@@ -52,6 +56,7 @@ check: vet fmt
 	$(GO) test -race ./internal/cluster/ -run 'TestNICFastPathDifferential|TestNICFastPathEventReduction'
 	$(GO) test -race ./internal/cluster/ -run 'TestSharded'
 	$(GO) test -race ./internal/cluster/ -run 'TestHotSketchGoldenSeed|TestP2CSpreadDeterministic'
+	$(GO) test ./internal/cluster/ ./internal/sim/ -run 'TestScheduleFingerprint|TestPoolReacquireFromCompletionQueuesBehindBacklog'
 	$(GO) test -run='^$$' -bench BenchmarkClusterNew -benchtime=1x -benchmem .
 	$(GO) run ./cmd/ddpbench -exp capacity -quick > /dev/null
 	$(GO) run ./cmd/ddpbench -exp capacity -quick -shards 4 > /dev/null

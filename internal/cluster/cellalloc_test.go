@@ -36,6 +36,31 @@ func cellAllocs(t *testing.T, cfg Config) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(res.Summary.Ops)
 }
 
+// sharded16Cell is the sharded_skew-shaped cell the exact cell-level guards
+// run: 48 nodes in 16 shards, zipf 0.999, <Eventual, Eventual>, seed 1.
+func sharded16Cell(warmupNs, measureNs int64) Config {
+	p := params.Default()
+	p.Servers = 48
+	p.ClientsPerServer = 2
+	p.ZipfTheta = 0.999
+	return Config{
+		Model: core.Model{C: core.Eventual, P: core.EventualP}, Workload: ycsb.WorkloadA, Params: p,
+		Shards: 16, Seed: 1, WarmupNs: warmupNs, MeasureNs: measureNs,
+	}
+}
+
+// openLoopCell is the sparse_openloop-shaped cell the exact cell-level guards
+// run: 10 servers, Poisson arrivals at 4 Mops/s, <Linearizable, Synchronous>.
+func openLoopCell(warmupNs, measureNs int64) Config {
+	p := params.Default()
+	p.Servers = 10
+	return Config{
+		Model: core.Model{C: core.Linearizable, P: core.Synchronous}, Workload: ycsb.WorkloadA, Params: p,
+		Arrivals: &ycsb.ArrivalSpec{Shape: ycsb.ShapePoisson, RatePerSec: 4e6},
+		Seed:     1, WarmupNs: warmupNs, MeasureNs: measureNs,
+	}
+}
+
 // TestCellAllocsPerOp is the cell-level allocation guard beside the
 // round-level ones in internal/protocol/alloc_test.go: those drive one round
 // in isolation, a cell adds clients, sessions, squashed transactions, first
@@ -96,21 +121,8 @@ func TestCellAllocsPerOp(t *testing.T) {
 			Seed: 1, WarmupNs: 200_000, MeasureNs: 150_000,
 		}, ceiling})
 	}
-	sharded := params.Default()
-	sharded.Servers = 48
-	sharded.ClientsPerServer = 2
-	sharded.ZipfTheta = 0.999
-	rows = append(rows, row{"sharded16 <Eventual, Eventual>", Config{
-		Model: core.Model{C: core.Eventual, P: core.EventualP}, Workload: ycsb.WorkloadA, Params: sharded,
-		Shards: 16, Seed: 1, WarmupNs: 200_000, MeasureNs: 300_000,
-	}, 0.7}) // 0.39; 6.22
-	open := params.Default()
-	open.Servers = 10
-	rows = append(rows, row{"openloop <Linearizable, Synchronous>", Config{
-		Model: core.Model{C: core.Linearizable, P: core.Synchronous}, Workload: ycsb.WorkloadA, Params: open,
-		Arrivals: &ycsb.ArrivalSpec{Shape: ycsb.ShapePoisson, RatePerSec: 4e6},
-		Seed:     1, WarmupNs: 200_000, MeasureNs: 1_000_000,
-	}, 0.6}) // 0.30; 14.58
+	rows = append(rows, row{"sharded16 <Eventual, Eventual>", sharded16Cell(200_000, 300_000), 0.7})        // 0.39; 6.22
+	rows = append(rows, row{"openloop <Linearizable, Synchronous>", openLoopCell(200_000, 1_000_000), 0.6}) // 0.30; 14.58
 	print := os.Getenv("CELLALLOC_PRINT") != ""
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {

@@ -88,8 +88,8 @@ type Config struct {
 	// to the one-way network latency.
 	FwdWindowNs int64
 
-	// WarmupNs and MeasureNs bound the run in simulated time.
-	// Zero values take the defaults (1 ms warmup, 5 ms measurement).
+	// WarmupNs and MeasureNs bound the run in simulated time. Zero values
+	// take the defaults (1 ms warmup, 5 ms measurement); negative ones fail.
 	WarmupNs  int64
 	MeasureNs int64
 
@@ -382,16 +382,19 @@ func (cfg Config) netConfig() simnet.Config {
 }
 
 // Validate reports the first configuration error: parameter ranges, the
-// engine name, model/topology compatibility, and the composed network
-// configuration (simnet.Config.Validate / ValidateLP). New runs it, so
-// every topology knob fails through this one path with one message style;
-// sweep builders can also check cells up front.
+// engine name, the workload mix, the run window, model/topology compatibility
+// and the composed network configuration (simnet.Config.Validate /
+// ValidateLP). New runs it, so every knob fails through this one path with
+// one message style; sweep builders can also check cells up front.
 func (cfg Config) Validate() error {
 	cfg = cfg.withDefaults()
 	if err := cfg.Params.Validate(); err != nil {
 		return err
 	}
 	if err := engines.Known(cfg.Engine); err != nil {
+		return err
+	}
+	if err := cfg.Workload.Validate(); err != nil {
 		return err
 	}
 	if cfg.Params.Groups > 1 &&
@@ -412,6 +415,10 @@ func (cfg Config) Validate() error {
 	}
 	p := cfg.Params
 	switch {
+	case cfg.WarmupNs < 0:
+		return fmt.Errorf("cluster: WarmupNs must be >= 0, got %d", cfg.WarmupNs)
+	case cfg.MeasureNs < 0:
+		return fmt.Errorf("cluster: MeasureNs must be >= 0, got %d", cfg.MeasureNs)
 	case cfg.Shards < 0:
 		return fmt.Errorf("cluster: Shards must be >= 0, got %d", cfg.Shards)
 	case cfg.Shards > p.Servers:

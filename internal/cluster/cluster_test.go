@@ -184,6 +184,29 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigValidateRunWindowAndWorkload: a negative run window and a
+// malformed workload mix fail Validate with the offending field's error
+// instead of running (WarmupNs: -1 and ReadRatio: 2 used to run).
+func TestConfigValidateRunWindowAndWorkload(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		edit  func(*Config)
+	}{
+		{"WarmupNs", func(c *Config) { c.WarmupNs = -1 }},
+		{"MeasureNs", func(c *Config) { c.MeasureNs = -1 }},
+		{"ReadRatio", func(c *Config) { c.Workload.ReadRatio = 2 }},
+		{"ScanRatio+RMWRatio", func(c *Config) { c.Workload.ScanRatio, c.Workload.RMWRatio = 0.5, 0.75 }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := smallConfig(core.Baseline)
+			tc.edit(&cfg)
+			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.field+" must") {
+				t.Fatalf("got %v, want the %s error", err, tc.field)
+			}
+		})
+	}
+}
+
 func TestEnginesAllWork(t *testing.T) {
 	for _, name := range []string{"hashtable", "map", "btree", "bplustree", "memcache", "walstore"} {
 		cfg := smallConfig(core.Model{C: core.Causal, P: core.Synchronous})

@@ -1,0 +1,85 @@
+package cluster
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/params"
+	"repro/internal/ycsb"
+)
+
+var updateFingerprint = flag.Bool("update", false, "rewrite testdata/schedule_fingerprint.txt")
+
+// fingerprint renders the exact counters of one run: every one of them is a
+// sum over the whole dispatch order, so a reordered event moves at least one
+// even when every ratio the goldens render to two decimals holds.
+func fingerprint(r *Result) string {
+	return fmt.Sprintf("events=%d overflow=%d maxpending=%d ingress=%d ops=%d readsum=%d writesum=%d msgs=%d bytes=%d nvm=%d",
+		r.Events, r.Sched.Overflow, r.Sched.MaxPending, r.Sched.Ingress,
+		r.Summary.Ops, r.ReadHist.Sum(), r.WriteHist.Sum(),
+		r.NetMessages, r.NetBytes, r.DevSchedComps)
+}
+
+// TestScheduleFingerprint pins the exact schedule counters of 27 cells: all
+// 25 bindings on a deep-queue flat cell (3 servers x 20 closed-loop clients),
+// one 16-shard cell and one open-loop cell. A change that only moves events
+// in dispatch order — a queue discipline, a tie-break, a scheduler shortcut —
+// fails here even when it leaves every rendered golden digit in place.
+// Rewrite the fixture with -update only for a change that means to move the
+// schedule, and say so.
+func TestScheduleFingerprint(t *testing.T) {
+	type cell struct {
+		name string
+		cfg  Config
+	}
+	deep := params.Default()
+	deep.Servers = 3
+	var cells []cell
+	for _, md := range core.AllModels() {
+		cells = append(cells, cell{"flat3x20 " + md.String(), Config{
+			Model: md, Workload: ycsb.WorkloadA, Params: deep,
+			Seed: 1, WarmupNs: 100_000, MeasureNs: 150_000,
+		}})
+	}
+	cells = append(cells,
+		cell{"sharded16 <Eventual, Eventual>", sharded16Cell(100_000, 200_000)},
+		cell{"openloop <Linearizable, Synchronous>", openLoopCell(100_000, 500_000)})
+
+	var b strings.Builder
+	for _, c := range cells {
+		res, err := Run(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		fmt.Fprintf(&b, "%s: %s\n", c.name, fingerprint(res))
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "schedule_fingerprint.txt")
+	if *updateFingerprint {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	wantLines, gotLines := strings.Split(string(want), "\n"), strings.Split(got, "\n")
+	if len(wantLines) != len(gotLines) {
+		t.Fatalf("fingerprint has %d lines, fixture %d", len(gotLines), len(wantLines))
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("schedule moved:\n got  %s\n want %s", gotLines[i], wantLines[i])
+		}
+	}
+}

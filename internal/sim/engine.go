@@ -17,10 +17,11 @@
 // Event dispatch is the hottest path in every experiment, so the engine
 // offers two things beyond a plain priority queue:
 //
-//   - A hierarchical timing wheel as the pending-event set (O(1) amortized
-//     insert/extract, tuned to the simulator's short event horizons), with
-//     the original 4-ary heap as its overflow level for far events and as
-//     the oracle it is tested against (TestSchedulerDifferentialRandomized).
+//   - A timing wheel as the pending-event set (O(1) insert and extract,
+//     tuned to the simulator's short event horizons; local events
+//     tail-append without a key compare and dispatch reads the head node in
+//     place), with the 4-ary heap as its overflow level for far events and
+//     as its oracle (TestSchedulerDifferentialRandomized).
 //   - One event form: a pre-bound Handler plus a uint64 argument
 //     (ScheduleEvent/AtEvent), so hot event producers (simnet deliveries,
 //     NVM completions, worker-pool completions) schedule without allocating
@@ -54,7 +55,8 @@ type event struct {
 }
 
 // localBit marks a locally scheduled event's key. Arrival keys leave it
-// clear, so at one timestamp every arrival sorts before every local event.
+// clear, so at one timestamp every arrival sorts before every local event,
+// and a newly pushed local key is the largest yet (the wheel's tail append).
 const localBit = uint64(1) << 63
 
 // MaxArrivalSources bounds AtArrival's src: the key gives the source the 15
@@ -155,25 +157,16 @@ func (e *Engine) Reserve(n int) { e.wheel.reserve(n) }
 // Schedule runs fn after delay nanoseconds of simulated time.
 // A negative delay is treated as zero (run at the current time, after any
 // events already scheduled for it).
-func (e *Engine) Schedule(delay int64, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.At(e.now+delay, fn)
-}
+func (e *Engine) Schedule(delay int64, fn func()) { e.AtEvent(e.now+delay, Func(fn), 0) }
 
 // At runs fn at absolute simulated time t. Times in the past are clamped to
 // the present.
 func (e *Engine) At(t int64, fn func()) { e.AtEvent(t, Func(fn), 0) }
 
 // ScheduleEvent runs h.OnEvent(arg) after delay nanoseconds of simulated
-// time — the closure-free flavor of Schedule for pre-bound hot handlers.
-func (e *Engine) ScheduleEvent(delay int64, h Handler, arg uint64) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.AtEvent(e.now+delay, h, arg)
-}
+// time — the closure-free flavor of Schedule for pre-bound hot handlers. A
+// negative delay lands in AtEvent's past-time clamp.
+func (e *Engine) ScheduleEvent(delay int64, h Handler, arg uint64) { e.AtEvent(e.now+delay, h, arg) }
 
 // AtEvent runs h.OnEvent(arg) at absolute simulated time t — the
 // closure-free flavor of At. Times in the past are clamped to the present.
@@ -258,20 +251,21 @@ func (e *Engine) TryAdvance(t int64) bool {
 }
 
 // dispatchNext executes the scheduler head if it is at or before until and
-// reports whether anything ran.
+// reports whether anything ran. The head comes out of the wheel as scalars,
+// not as an event copy.
 func (e *Engine) dispatchNext(until int64) bool {
-	ev, ok := e.wheel.popIfAtMost(until)
+	at, seq, h, arg, ok := e.wheel.popIfAtMost(until)
 	if !ok {
 		return false
 	}
-	e.schedLB = ev.at
-	e.now = ev.at
+	e.schedLB = at
+	e.now = at
 	e.processed++
-	if ev.seq&localBit == 0 {
+	if seq&localBit == 0 {
 		e.arrivals--
 		e.arrived++
 	}
-	ev.h.OnEvent(ev.arg)
+	h.OnEvent(arg)
 	return true
 }
 

@@ -311,6 +311,45 @@ func TestPoolNilDone(t *testing.T) {
 	}
 }
 
+// TestPoolReacquireFromCompletionQueuesBehindBacklog: a completion handler
+// that acquires the pool again joins the FIFO behind the queued backlog. The
+// server its own job just freed goes to the oldest queued job, not to the
+// re-acquire — starting the re-acquire at once would reorder the schedule.
+func TestPoolReacquireFromCompletionQueuesBehindBacklog(t *testing.T) {
+	e := New()
+	p := NewPool(e, 2)
+	var order []string
+	job := func(name string) Handler {
+		return Func(func() { order = append(order, name) })
+	}
+	e.Schedule(0, func() {
+		p.AcquireEvent(10, Func(func() {
+			order = append(order, "A")
+			p.AcquireEvent(5, job("D"), 0) // the re-acquire
+		}), 0)
+		p.AcquireEvent(30, job("B"), 0)
+		p.AcquireEvent(5, job("C"), 0) // the backlog: both servers are busy
+	})
+	e.Schedule(12, func() {
+		if p.Queued() != 1 {
+			t.Errorf("at t=12: queued=%d, want the re-acquire waiting behind C", p.Queued())
+		}
+	})
+	e.RunAll()
+	want := []string{"A", "C", "D", "B"} // C runs 10-15, D 15-20, B 0-30
+	if len(order) != len(want) {
+		t.Fatalf("completions %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("completions %v, want %v: the re-acquire overtook the queued job", order, want)
+		}
+	}
+	if p.Jobs() != 4 || p.MaxWait() != 10 || p.Queued() != 0 {
+		t.Fatalf("jobs=%d maxWait=%d queued=%d, want 4 jobs, C waiting 10 ns and D 5 ns", p.Jobs(), p.MaxWait(), p.Queued())
+	}
+}
+
 // testHold is a hold job that keeps its server for a fixed time: OnHold
 // schedules its own release.
 type testHold struct {

@@ -37,14 +37,6 @@ func (h *eventHeap) headAt() int64 {
 	return h.evs[0].at
 }
 
-// popIfAtMost removes and returns the minimum event if its time is <= limit.
-func (h *eventHeap) popIfAtMost(limit int64) (event, bool) {
-	if len(h.evs) == 0 || h.evs[0].at > limit {
-		return event{}, false
-	}
-	return h.pop(), true
-}
-
 // pop removes the minimum event (sift-down). Call only when len>0.
 func (h *eventHeap) pop() event {
 	s := h.evs

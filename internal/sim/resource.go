@@ -15,10 +15,8 @@ package sim
 //
 // The queue is two ring-buffer FIFOs (fixed jobs, holds) ordered by a shared
 // arrival sequence: dispatch pops the earlier head, except that the hold
-// queue is skipped while holds are at the cap. That makes dispatch O(1) per
-// started job — the old single-slice scan removed eligible jobs from the
-// middle, which degenerated to O(n^2) under the deep backlogs of the paper's
-// high-client-count runs. Fixed-job completions are typed engine events
+// queue is skipped while holds are at the cap, so dispatch is O(1) per started
+// job however deep the backlog. Fixed-job completions are typed engine events
 // (Handler + token into a recycled record slab) and a hold is its Holder plus
 // the Hold token it hands back, so the steady-state dispatch cycle allocates
 // nothing for either flavor (TestPoolDeepQueueAllocs, TestPoolHoldAllocs).
@@ -84,13 +82,12 @@ type jobRing struct {
 func (r *jobRing) push(j poolJob) {
 	if r.n == len(r.buf) {
 		grown := make([]poolJob, max(4, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
+		n := copy(grown, r.buf[r.head:]) // the ring is full: unwrap it, oldest first
+		copy(grown[n:], r.buf[:r.head])
 		r.buf = grown
 		r.head = 0
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = j
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = j
 	r.n++
 }
 
@@ -99,7 +96,7 @@ func (r *jobRing) front() *poolJob { return &r.buf[r.head] }
 func (r *jobRing) pop() poolJob {
 	j := r.buf[r.head]
 	r.buf[r.head] = poolJob{} // release the handlers for GC
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return j
 }
@@ -163,24 +160,15 @@ func (p *Pool) Release(h Hold) {
 // starves).
 func (p *Pool) dispatch() {
 	for p.busy < p.size {
-		fixedOK := p.fifo.n > 0
 		holdOK := p.holdq.n > 0 && p.holds < p.maxHolds
-		var j poolJob
 		switch {
-		case fixedOK && holdOK:
-			if p.fifo.front().seq < p.holdq.front().seq {
-				j = p.fifo.pop()
-			} else {
-				j = p.holdq.pop()
-			}
-		case fixedOK:
-			j = p.fifo.pop()
+		case p.fifo.n > 0 && (!holdOK || p.fifo.front().seq < p.holdq.front().seq):
+			p.startJob(p.fifo.pop())
 		case holdOK:
-			j = p.holdq.pop()
+			p.startJob(p.holdq.pop())
 		default:
 			return
 		}
-		p.startJob(j)
 	}
 }
 

@@ -7,45 +7,36 @@ import "math/bits"
 // present (NIC serialization ~10 ns, NVM accesses 140-400 ns, one-way
 // propagation 500-1000 ns, lazy persist/propagation 2-4 us), so a
 // fine-grained near-future window turns scheduling into an O(1) array
-// append and dispatch into an O(1) bitmap scan, replacing the heap's
-// O(log n) sift on both sides.
+// append and dispatch into an O(1) bitmap scan.
 //
 // Layout. The window covers wheelSlots (16384) one-nanosecond buckets
-// starting at wnow, the time of the most recently dispatched event. A
-// bucket is an intrusive FIFO chain through a shared node slab (freelist
-// recycled, so steady-state scheduling allocates nothing and cold buckets
-// cost 8 bytes — head and tail side by side, one cache line per insert — not
-// a slice). Because each bucket spans exactly 1 ns and the window spans
-// wheelSlots ns, a bucket holds events of exactly one timestamp at a time;
-// inserts keep every chain sorted by the tie-break key (a tail append in the
-// overwhelmingly common ascending case, a head prepend or walk-splice for
-// cross-node arrivals and overflow-drain stragglers — see insert), and
-// dispatching buckets in circular order from wnow's cursor replays the exact
-// (time, key) order the heap would produce — determinism is bit-for-bit
-// unchanged (see TestSchedulerDifferentialRandomized and the golden 5x5
-// fixture).
+// starting at wnow, the time of the most recently dispatched event, so a
+// bucket holds events of exactly one timestamp at a time. A bucket is an
+// intrusive chain through a shared, freelist-recycled node slab (8 bytes per
+// cold bucket, no allocation in steady state), kept sorted by the tie-break
+// key (see insert). Dispatching buckets in circular order from wnow's cursor
+// replays the heap's exact (time, key) order
+// (TestSchedulerDifferentialRandomized, the golden 5x5 fixture); dispatch
+// reads the head node in place (see popIfAtMost).
 //
-// Events beyond the window land in an overflow level (the 4-ary heap,
-// ordered by (time, seq)); they are re-bucketed into the window on wheel
-// turn — whenever the window empties, or as soon as the advancing wnow
-// brings them within horizon. How many events take that detour depends on
-// the workload. One seed-1 rep of each repo benchmark workload (bench/)
-// counts sim.overflow_events as follows:
+// Events beyond the window wait in an overflow level (the 4-ary heap) and are
+// re-bucketed once the advancing wnow brings them within the window, or when
+// the window empties. One seed-1 rep of each repo benchmark workload (bench/)
+// sends these there, by distance from the engine clock at push:
 //
-//   - flat_matrix: 110,180. Of these, 107,425 are NVM completions that a
-//     bank backlog pushed past the window (a device holds up to 926
-//     accesses in flight on this workload). Nearly all come from
-//     <Causal,Eventual>, <Eventual,Synchronous> and <Eventual,Eventual>,
-//     plus Table 1's <Eventual,Eventual> cell. The other 2,755 are the
-//     Transactional bindings' retry backoffs.
-//   - sparse_openloop: 655, all open-loop arrival timers with gaps beyond
-//     the window.
+//   - flat_matrix: 110,180. 107,425 are NVM completions behind a bank backlog
+//     (up to 926 accesses in flight), nearly all from <Causal,Eventual>,
+//     <Eventual,Synchronous>, <Eventual,Eventual> and Table 1's
+//     <Eventual,Eventual> cell: 30,692 land within 2^15 ns, 76,733 within
+//     2^16 ns. The other 2,755 are Transactional retry backoffs, all within
+//     2^15 ns.
+//   - sparse_openloop: 655 open-loop arrival timers: 632 within 2^15 ns, 22
+//     within 2^16 ns, 1 within 2^17 ns.
 //   - sharded_skew and scale160: 0.
 //
-// Occupancy is tracked by a two-level bitmap: one bit per bucket (occ) and
-// one bit per occ word (sum), so finding the next non-empty bucket from the
-// cursor is a handful of masked TrailingZeros64 calls regardless of how
-// sparse the window is.
+// Occupancy is a two-level bitmap (one bit per bucket in occ, one per occ
+// word in sum), so finding the next non-empty bucket from the cursor is a
+// handful of masked TrailingZeros64 calls however sparse the window is.
 const (
 	wheelBits  = 14
 	wheelSlots = 1 << wheelBits // 16384 ns near-future window
@@ -121,7 +112,7 @@ func (w *timingWheel) push(ev *event, now int64) {
 		w.wnow = now
 	}
 	if ev.at-w.wnow < wheelSlots {
-		w.insert(ev)
+		w.insert(ev, ev.seq&localBit == 0)
 		w.wheelEvents++
 		return
 	}
@@ -129,15 +120,17 @@ func (w *timingWheel) push(ev *event, now int64) {
 	w.overflowEvents++
 }
 
-// insert places ev into its bucket's chain in key order. Only called with
-// ev.at in [wnow, wnow+wheelSlots). Local pushes arrive in ascending seq
-// almost always, so the common case is a tail append (one tail-key compare);
-// the head prepend and walk-splice cover the producers of out-of-order keys —
-// a cross-node arrival (Engine.AtArrival) landing on a timestamp that already
-// holds local events or a later-keyed arrival, and an overflow drain
-// re-bucketing an old event into a bucket a handler already pushed a younger
-// same-time event into.
-func (w *timingWheel) insert(ev *event) {
+// insert places ev into its bucket's chain in key order; ev.at must lie in
+// [wnow, wnow+wheelSlots). Unless ordered is set, ev is a directly pushed
+// local event and so the largest key in its bucket: local keys only grow,
+// every arrival key sorts below every local key, and an overflow-drained
+// event is older than anything pushed directly. It tail-appends without
+// reading the tail node. Ordered inserts serve the two producers of
+// out-of-order keys: a cross-node arrival (Engine.AtArrival) and an overflow
+// drain re-bucketing an old event behind a younger same-time one. They
+// tail-append after one tail-key compare, prepend at the head, or walk the
+// chain to splice.
+func (w *timingWheel) insert(ev *event, ordered bool) {
 	slot := int32(ev.at) & wheelMask
 	ni := w.alloc(ev)
 	b := &w.buckets[slot]
@@ -145,7 +138,7 @@ func (w *timingWheel) insert(ev *event) {
 		b.head, b.tail = ni, ni
 		w.occ[slot>>6] |= 1 << uint(slot&63)
 		w.sum[slot>>12] |= 1 << uint((slot>>6)&63)
-	} else if seq := ev.seq; w.nodes[b.tail].ev.seq < seq {
+	} else if seq := ev.seq; !ordered || w.nodes[b.tail].ev.seq < seq {
 		w.nodes[b.tail].next = ni
 		b.tail = ni
 	} else if w.nodes[b.head].ev.seq > seq {
@@ -186,16 +179,19 @@ func (w *timingWheel) alloc(ev *event) int32 {
 func (w *timingWheel) drainOverflow() {
 	for w.overflow.len() > 0 && w.overflow.peek().at-w.wnow < wheelSlots {
 		ev := w.overflow.pop()
-		w.insert(&ev)
+		w.insert(&ev, true)
 	}
 }
 
 // popIfAtMost extracts the next event in (time, seq) order if its time is
-// <= limit.
-func (w *timingWheel) popIfAtMost(limit int64) (event, bool) {
+// <= limit. A window event comes out as scalars read from its node in place
+// (the time from the slot), never as an event value: reloading a just-built
+// struct copy with 16-byte loads stalls on store forwarding, as alloc notes
+// for the insert side. Only the handler word is cleared, for GC.
+func (w *timingWheel) popIfAtMost(limit int64) (at int64, seq uint64, h Handler, arg uint64, ok bool) {
 	if w.count == 0 {
 		if w.overflow.len() == 0 {
-			return event{}, false
+			return 0, 0, nil, 0, false
 		}
 		// Wheel turn: the window emptied. Re-bucket what fits; if the next
 		// event is still beyond the horizon, dispatch it straight from the
@@ -204,11 +200,12 @@ func (w *timingWheel) popIfAtMost(limit int64) (event, bool) {
 		w.turns++
 		w.drainOverflow()
 		if w.count == 0 {
-			ev, ok := w.overflow.popIfAtMost(limit)
-			if ok {
-				w.wnow = ev.at
+			if w.overflow.headAt() > limit {
+				return 0, 0, nil, 0, false
 			}
-			return ev, ok
+			ev := w.overflow.pop()
+			w.wnow = ev.at
+			return ev.at, ev.seq, ev.h, ev.arg, true
 		}
 	} else if w.overflow.len() > 0 {
 		// wnow advanced since the last pop: far events may fit the window
@@ -220,13 +217,13 @@ func (w *timingWheel) popIfAtMost(limit int64) (event, bool) {
 	// A bucket spans exactly 1 ns, so the head's time follows from the
 	// slot's circular distance to the cursor — no node load needed on the
 	// (frequent) limit-exceeded probe.
-	at := w.wnow + int64((slot-int32(w.wnow))&wheelMask)
+	at = w.wnow + int64((slot-int32(w.wnow))&wheelMask)
 	if at > limit {
-		return event{}, false
+		return 0, 0, nil, 0, false
 	}
 	ni := w.buckets[slot].head
 	n := &w.nodes[ni]
-	ev := n.ev
+	seq, h, arg = n.ev.seq, n.ev.h, n.ev.arg
 	w.buckets[slot].head = n.next
 	if n.next < 0 {
 		w.occ[slot>>6] &^= 1 << uint(slot&63)
@@ -234,12 +231,12 @@ func (w *timingWheel) popIfAtMost(limit int64) (event, bool) {
 			w.sum[slot>>12] &^= 1 << uint((slot>>6)&63)
 		}
 	}
-	n.ev = event{} // release the handler for GC
+	n.ev.h = nil // release the handler for GC
 	n.next = w.free
 	w.free = ni
 	w.count--
-	w.wnow = ev.at
-	return ev, true
+	w.wnow = at
+	return at, seq, h, arg, true
 }
 
 // headAt returns the earliest pending event time without dispatching or

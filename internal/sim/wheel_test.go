@@ -82,11 +82,15 @@ func (s *schedScript) push() {
 
 // pop probes both structures with one limit.
 func (s *schedScript) pop(limit int64) {
-	want, wok := s.heap.popIfAtMost(limit)
-	got, gok := s.w.popIfAtMost(limit)
-	if gok != wok || got.at != want.at || got.seq != want.seq || got.arg != want.arg {
+	var want event
+	wok := s.heap.len() > 0 && s.heap.headAt() <= limit
+	if wok {
+		want = s.heap.pop()
+	}
+	at, seq, _, arg, gok := s.w.popIfAtMost(limit)
+	if gok != wok || at != want.at || seq != want.seq || arg != want.arg {
 		s.t.Fatalf("seed %d: popIfAtMost(%d) = (%d, %#x, id %d, %v) from the wheel, (%d, %#x, id %d, %v) from the heap",
-			s.seed, limit, got.at, got.seq, got.arg, gok, want.at, want.seq, want.arg, wok)
+			s.seed, limit, at, seq, arg, gok, want.at, want.seq, want.arg, wok)
 	}
 	if !wok {
 		if s.heap.len() > 0 {

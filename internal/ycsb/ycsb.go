@@ -69,6 +69,25 @@ var (
 	WorkloadF = Workload{Name: "workload-F", ReadRatio: 0.50, RMWRatio: 1.0}
 )
 
+// Validate reports the first workload error, if any: each ratio is a
+// fraction, the scan and read-modify-write shares of the non-read remainder
+// sum to at most 1, and MaxScanLen is not negative (0 takes the default).
+func (w Workload) Validate() error {
+	switch {
+	case !(w.ReadRatio >= 0 && w.ReadRatio <= 1):
+		return fmt.Errorf("ycsb: workload ReadRatio must be in [0,1], got %g", w.ReadRatio)
+	case !(w.ScanRatio >= 0 && w.ScanRatio <= 1):
+		return fmt.Errorf("ycsb: workload ScanRatio must be in [0,1], got %g", w.ScanRatio)
+	case !(w.RMWRatio >= 0 && w.RMWRatio <= 1):
+		return fmt.Errorf("ycsb: workload RMWRatio must be in [0,1], got %g", w.RMWRatio)
+	case w.ScanRatio+w.RMWRatio > 1:
+		return fmt.Errorf("ycsb: workload ScanRatio+RMWRatio must be <= 1, got %g", w.ScanRatio+w.RMWRatio)
+	case w.MaxScanLen < 0:
+		return fmt.Errorf("ycsb: workload MaxScanLen must be >= 0, got %d", w.MaxScanLen)
+	}
+	return nil
+}
+
 // ByName resolves a workload by its letter or full name.
 func ByName(name string) (Workload, error) {
 	switch name {

@@ -3,6 +3,7 @@ package ycsb
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -25,6 +26,34 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("Z"); err == nil {
 		t.Fatal("unknown workload did not error")
+	}
+}
+
+// TestWorkloadValidate rejects each malformed field with an error naming it,
+// and accepts every predefined mix.
+func TestWorkloadValidate(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		w     Workload
+	}{
+		{"ReadRatio", Workload{ReadRatio: 2}},
+		{"ReadRatio", Workload{ReadRatio: math.NaN()}},
+		{"ScanRatio", Workload{ScanRatio: -0.1}},
+		{"RMWRatio", Workload{RMWRatio: -0.1}},
+		{"ScanRatio+RMWRatio", Workload{ScanRatio: 0.6, RMWRatio: 0.6}},
+		{"MaxScanLen", Workload{ScanRatio: 0.5, MaxScanLen: -1}},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			err := tc.w.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.field+" must") {
+				t.Fatalf("%+v: got %v, want the %s error", tc.w, err, tc.field)
+			}
+		})
+	}
+	for _, w := range []Workload{WorkloadA, WorkloadB, WorkloadC, WorkloadW, WorkloadE, WorkloadF} {
+		if err := w.Validate(); err != nil {
+			t.Fatalf("%s rejected: %v", w.Name, err)
+		}
 	}
 }
 
