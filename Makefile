@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test vet fmt bench perf census experiments examples clean
+.PHONY: all build check test vet fmt bench perf census scalecost experiments examples clean
 
 all: build check
 
@@ -39,10 +39,16 @@ fmt:
 #     policies (load placement, replica reads, batched forwarding) re-place
 #     coordinators from sender-local state (fwdbatch=0 byte-identity rides on
 #     the goldens and TestShard1MatchesDirect);
-#   - the exact schedule fingerprint (27 cells: every binding on a deep-queue
-#     flat cell, one 16-shard and one open-loop cell) and the pool's FIFO
-#     re-acquire pin: a dispatch reorder the two-decimal goldens cannot see
-#     moves an exact counter here;
+#   - the exact schedule fingerprint (28 cells: every binding on a deep-queue
+#     flat cell, one 16-shard cell, one open-loop cell and one 16-shard cell
+#     over a slower cross-shard spine) and the pool's FIFO re-acquire pin: a
+#     dispatch reorder the two-decimal goldens cannot see moves an exact
+#     counter here;
+#   - per-node state that does not grow with the cluster: the NIC send path
+#     against its per-pair-table oracle (arrival time and in-flight count
+#     after every send), simnet.New's bytes at 320 vs 40 nodes, the ring's
+#     owner table against its vnode search, and the shared payload-box pool's
+#     spares against the peak of messages in flight;
 #   - one iteration of the cluster-construction benchmark, against bit-rot;
 #   - the capacity and scaling sweeps at quick scale, flat and sharded;
 #   - the CLI rejecting a knob no cell of the experiment can honor
@@ -57,6 +63,7 @@ check: vet fmt
 	$(GO) test -race ./internal/cluster/ -run 'TestSharded'
 	$(GO) test -race ./internal/cluster/ -run 'TestHotSketchGoldenSeed|TestP2CSpreadDeterministic'
 	$(GO) test ./internal/cluster/ ./internal/sim/ -run 'TestScheduleFingerprint|TestPoolReacquireFromCompletionQueuesBehindBacklog'
+	$(GO) test ./internal/simnet/ ./internal/cluster/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas'
 	$(GO) test -run='^$$' -bench BenchmarkClusterNew -benchtime=1x -benchmem .
 	$(GO) run ./cmd/ddpbench -exp capacity -quick > /dev/null
 	$(GO) run ./cmd/ddpbench -exp capacity -quick -shards 4 > /dev/null
@@ -80,6 +87,12 @@ census:
 	mkdir -p .bench_build
 	$(GO) run ./cmd/ddpbench -exp fig6 -quick -parallel 1 -memprofile .bench_build/census.mprof > /dev/null
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/census.mprof
+
+# Host cost of one simulated event at 40, 160 and 320 nodes (the scaling
+# study's <Ev,Ev> cell, Shards = N/5): ns/event should not climb with N.
+# EXPERIMENTS.md "Per-node state" reads this table.
+scalecost:
+	$(GO) test -run '^$$' -bench BenchmarkEventCostBySize -benchtime 5x ./internal/cluster/
 
 # Regenerate every table and figure at paper scale (takes tens of minutes
 # on one core; add -quick for a smoke run).

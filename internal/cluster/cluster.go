@@ -526,14 +526,17 @@ func New(cfg Config) (*Cluster, error) {
 	// both engines build byte-identical initial states.
 	rng := sim.NewRNG(cfg.Seed ^ 0xddf0ddf0)
 
+	// Sequential wiring: one payload-box pool, as simnet shares one delivery pool.
+	var boxes *protocol.BoxPool
+	if !useLP {
+		boxes = new(protocol.BoxPool)
+	}
 	rf := p.Servers // replicas per shard group
 	var owned []protocol.KeyIndex
 	if cfg.Shards > 0 {
 		rf = p.Servers / cfg.Shards
 		c.ring = newRing(cfg.Shards, rf)
-		if cfg.Shards > 1 {
-			owned = protocol.PartitionKeys(p.Keys, cfg.Shards, c.ring.owner)
-		}
+		owned, c.ring.owners = protocol.PartitionKeys(p.Keys, cfg.Shards, c.ring.owner)
 	}
 	for i := 0; i < p.Servers; i++ {
 		eng := c.nodes[i].eng
@@ -554,7 +557,7 @@ func New(cfg Config) (*Cluster, error) {
 		if cfg.Shards > 0 {
 			base := (i / rf) * rf
 			member = protocol.Membership{Base: base, Size: rf, Rank: i - base}
-			if owned != nil {
+			if cfg.Shards > 1 {
 				keys = &owned[i/rf]
 			}
 		}
@@ -572,6 +575,7 @@ func New(cfg Config) (*Cluster, error) {
 			Keys:       keys,
 			Trace:      tracer,
 			AtomicRefs: useLP,
+			Boxes:      boxes,
 		}))
 	}
 	if c.ring != nil {

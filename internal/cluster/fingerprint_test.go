@@ -25,13 +25,16 @@ func fingerprint(r *Result) string {
 		r.NetMessages, r.NetBytes, r.DevSchedComps)
 }
 
-// TestScheduleFingerprint pins the exact schedule counters of 27 cells: all
+// TestScheduleFingerprint pins the exact schedule counters of 28 cells: all
 // 25 bindings on a deep-queue flat cell (3 servers x 20 closed-loop clients),
-// one 16-shard cell and one open-loop cell. A change that only moves events
-// in dispatch order — a queue discipline, a tie-break, a scheduler shortcut —
-// fails here even when it leaves every rendered golden digit in place.
-// Rewrite the fixture with -update only for a change that means to move the
-// schedule, and say so.
+// one 16-shard cell, one open-loop cell, and the 16-shard cell again over a
+// 4 us cross-shard spine — the one shape whose per-pair latencies differ, so a
+// NIC's arrivals leave send order and the pair-FIFO clamp and queue-pair
+// release see them out of order. A change that only moves events in dispatch
+// order — a queue discipline, a tie-break, a scheduler shortcut — fails here
+// even when it leaves every rendered golden digit in place. Rewrite the
+// fixture with -update only for a change that means to move the schedule, and
+// say so.
 func TestScheduleFingerprint(t *testing.T) {
 	type cell struct {
 		name string
@@ -46,9 +49,13 @@ func TestScheduleFingerprint(t *testing.T) {
 			Seed: 1, WarmupNs: 100_000, MeasureNs: 150_000,
 		}})
 	}
+	spine := sharded16Cell(100_000, 200_000)
+	spine.Model = core.Model{C: core.Linearizable, P: core.Synchronous}
+	spine.Params.CrossShardRT = 4_000
 	cells = append(cells,
 		cell{"sharded16 <Eventual, Eventual>", sharded16Cell(100_000, 200_000)},
-		cell{"openloop <Linearizable, Synchronous>", openLoopCell(100_000, 500_000)})
+		cell{"openloop <Linearizable, Synchronous>", openLoopCell(100_000, 500_000)},
+		cell{"sharded16 spine4us <Linearizable, Synchronous>", spine})
 
 	var b strings.Builder
 	for _, c := range cells {

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 	"repro/internal/ycsb"
 )
 
@@ -52,6 +54,49 @@ func TestSharedChooserKeepsStreams(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBoxPoolSharedAcrossReplicas pins the sequential wiring's one payload-box
+// pool: every replica draws from the same pool, and the spare boxes left at
+// the end of a sharded <Ev,Ev> cell stay within twice the peak number of
+// messages in flight. A pool per replica fails this: a replica gets back boxes
+// its peers took, so each stack fills with its receive surplus and the spares
+// add up to several times what was ever in flight. The peak is sampled just
+// before each delivery, where it is attained.
+func TestBoxPoolSharedAcrossReplicas(t *testing.T) {
+	c, err := New(sharded16Cell(100_000, 300_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var delivered uint64
+	peak := 0
+	for i, rep := range c.Replicas {
+		rt := c.routers[i]
+		c.Net.Register(i, func(m simnet.Message) {
+			peak = max(peak, int(c.Net.Messages()-delivered))
+			delivered++
+			if m.Kind >= kindRouteReq {
+				rt.onMessage(m)
+			} else {
+				rep.HandleNetMessage(m)
+			}
+		})
+	}
+	if _, err := runBuilt(c); err != nil {
+		t.Fatal(err)
+	}
+	pools := map[*protocol.BoxPool]bool{}
+	spare := 0
+	for _, rep := range c.Replicas {
+		if b := rep.Boxes(); !pools[b] {
+			pools[b] = true
+			spare += b.Spare()
+		}
+	}
+	if len(pools) != 1 || spare > 2*peak {
+		t.Fatalf("%d box pools hold %d spare boxes, want one pool within 2x the peak of %d messages in flight", len(pools), spare, peak)
+	}
+	t.Logf("%d spare boxes, peak %d messages in flight", spare, peak)
 }
 
 // TestScopeHistogramAllocatedOnFirstUse pins that only Scope bindings pay for

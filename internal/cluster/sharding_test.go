@@ -102,6 +102,38 @@ func TestRingLookupMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// TestRingOwnerTableMatchesSearch checks the owner table New fills: one entry
+// per key in [0, Keys), each naming the shard the vnode search names and a
+// slot unique within that shard, and keys past the table still answered by
+// the search.
+func TestRingOwnerTableMatchesSearch(t *testing.T) {
+	for _, shards := range []int{1, 4, 32} {
+		c, err := New(shardedConfig(core.Model{C: core.Eventual, P: core.EventualP}, shards, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := c.Cfg.Params.Keys
+		if len(c.ring.owners) != keys {
+			t.Fatalf("shards=%d: owner table has %d entries, want %d", shards, len(c.ring.owners), keys)
+		}
+		search := newRing(shards, 3)
+		slots := map[[2]int32]bool{}
+		for k := uint64(0); k < uint64(keys)+1000; k++ {
+			if got, want := c.ring.owner(k), search.owner(k); got != want {
+				t.Fatalf("shards=%d key %d: owner %d, search %d", shards, k, got, want)
+			}
+			if k < uint64(keys) {
+				o := c.ring.owners[k]
+				if slots[[2]int32{o.Shard, o.Slot}] {
+					t.Fatalf("shards=%d key %d: slot %d of shard %d taken twice", shards, k, o.Slot, o.Shard)
+				}
+				slots[[2]int32{o.Shard, o.Slot}] = true
+			}
+		}
+		c.Close()
+	}
+}
+
 // TestShard1MatchesDirect is the refactor's identity proof: Shards=1 builds
 // the full topology layer (ring, routers, group-relative membership, NIC
 // demultiplexers) over one all-servers shard, and every model — including

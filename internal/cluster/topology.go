@@ -1,6 +1,10 @@
 package cluster
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/protocol"
+)
 
 // topology.go implements the sharded keyspace's placement layer: a
 // consistent-hash ring (DDIA module 06's partitioning-by-hash shape) mapping
@@ -19,17 +23,18 @@ import "sort"
 
 // vnodesPerShard is how many virtual nodes each shard places on the ring.
 // 64 vnodes keep the expected ownership imbalance under a few percent at
-// every shard count the harness sweeps (1..32) while the lookup stays a
-// short binary search (shards*64 points).
+// every shard count the harness sweeps (1..32). The search over them runs
+// once per key, when New fills ring.owners, then only for keys past Keys.
 const vnodesPerShard = 64
 
 // ring is the consistent-hash ring. Points are kept in two parallel slices
-// sorted by position so the hot lookup walks one contiguous uint64 array.
+// sorted by position so the search walks one contiguous uint64 array.
 type ring struct {
 	shards int
-	rf     int      // replicas per shard = nodes per contiguous block
-	pos    []uint64 // sorted vnode positions
-	own    []int32  // own[i] = shard owning pos[i]
+	rf     int                 // replicas per shard = nodes per contiguous block
+	pos    []uint64            // sorted vnode positions
+	own    []int32             // own[i] = shard owning pos[i]
+	owners []protocol.KeyOwner // key -> owner for [0, Keys), from PartitionKeys
 }
 
 // mix64 is the splitmix64 finalizer — the same avalanche mix the network
@@ -81,6 +86,9 @@ func newRing(shards, rf int) *ring {
 // key's hash. The binary search is written out by hand so the lookup makes
 // zero allocations (sort.Search takes a closure).
 func (r *ring) owner(key uint64) int {
+	if key < uint64(len(r.owners)) {
+		return int(r.owners[key].Shard)
+	}
 	h := mix64(key)
 	lo, hi := 0, len(r.pos)
 	for lo < hi {

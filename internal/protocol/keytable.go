@@ -1,26 +1,33 @@
 package protocol
 
+// KeyOwner is one key's place in a sharded key space: the shard that owns it
+// and the key's dense slot in that shard's key tables.
+type KeyOwner struct{ Shard, Slot int32 }
+
 // KeyIndex maps the keys one shard owns to dense slot numbers, so a replica
 // of that shard holds per-key state for its own slice of the key space only.
 // It is immutable after PartitionKeys and shared by the shard's replicas.
 type KeyIndex struct {
-	slot  []int32 // key -> slot+1; 0 = owned by another shard
-	owned int
+	owners []KeyOwner // every key's owner: one table for all shards' indexes
+	shard  int32
+	owned  int
 }
 
 // PartitionKeys builds one KeyIndex per shard over keys [0, keys), asking
-// owner for each key's shard once.
-func PartitionKeys(keys, shards int, owner func(key uint64) int) []KeyIndex {
+// owner for each key's shard once. It returns the key -> owner table the
+// indexes share too, for the router's lookups; it must not be modified.
+func PartitionKeys(keys, shards int, owner func(key uint64) int) ([]KeyIndex, []KeyOwner) {
+	owners := make([]KeyOwner, keys)
 	idx := make([]KeyIndex, shards)
+	for k := range owners {
+		s := owner(uint64(k))
+		owners[k] = KeyOwner{Shard: int32(s), Slot: int32(idx[s].owned)}
+		idx[s].owned++
+	}
 	for s := range idx {
-		idx[s].slot = make([]int32, keys)
+		idx[s].owners, idx[s].shard = owners, int32(s)
 	}
-	for k := 0; k < keys; k++ {
-		ix := &idx[owner(uint64(k))]
-		ix.owned++
-		ix.slot[k] = int32(ix.owned)
-	}
-	return idx
+	return idx, owners
 }
 
 // keyTable is a replica's per-key protocol state. Without an index (the flat
@@ -29,7 +36,8 @@ func PartitionKeys(keys, shards int, owner func(key uint64) int) []KeyIndex {
 // has no slot and reads as the zero keyState until something writes to it.
 type keyTable struct {
 	slots []keyState
-	index []int32              // nil = dense
+	index []KeyOwner           // nil = dense
+	shard int32                // the shard whose keys slots holds
 	stray map[uint64]*keyState // unowned keys, materialised on first touch
 }
 
@@ -37,7 +45,7 @@ func newKeyTable(keys int, ix *KeyIndex) keyTable {
 	if ix == nil {
 		return keyTable{slots: make([]keyState, keys)}
 	}
-	return keyTable{slots: make([]keyState, ix.owned), index: ix.slot}
+	return keyTable{slots: make([]keyState, ix.owned), index: ix.owners, shard: ix.shard}
 }
 
 // find returns key's state, or nil if the key has none yet.
@@ -45,8 +53,8 @@ func (t *keyTable) find(key uint64) *keyState {
 	if t.index == nil {
 		return &t.slots[key]
 	}
-	if i := t.index[key]; i != 0 {
-		return &t.slots[i-1]
+	if o := t.index[key]; o.Shard == t.shard {
+		return &t.slots[o.Slot]
 	}
 	return t.stray[key]
 }

@@ -34,7 +34,7 @@ func TestKeyTableDenseFlatGroup(t *testing.T) {
 // until it is first written.
 func TestKeyTableOwnedSlots(t *testing.T) {
 	const keys, shards = 100, 4
-	idx := PartitionKeys(keys, shards, func(k uint64) int { return int(k*7) % shards })
+	idx, _ := PartitionKeys(keys, shards, func(k uint64) int { return int(k*7) % shards })
 	total := 0
 	for s := range idx {
 		total += idx[s].owned

@@ -116,38 +116,46 @@ func (pp *payload) copyBody() payload {
 	}
 }
 
-// payloadChunk is how many payloads one slab block amortizes (see boxPayload).
+// payloadChunk is how many payloads one slab block amortizes (see BoxPool).
 const payloadChunk = 64
 
-// boxPayload copies p into a pooled box and returns its address to carry in
-// simnet.Message.Payload. Boxing a pointer into the interface is
-// allocation-free, and boxes recycle: onMessage is the payload's sole
-// consumer and returns the spent box to the receiving replica's free stack
-// (replicas exchange messages symmetrically, so the stacks stay balanced).
-// A replica with no free box carves one from a chunked slab, so cold-start
-// costs one allocation per payloadChunk messages, and steady state costs
-// none.
-func (r *Replica) boxPayload(p payload) *payload {
-	p.refs = 1
-	if k := len(r.pfree); k > 0 {
-		pp := r.pfree[k-1]
-		r.pfree[k-1] = nil
-		r.pfree = r.pfree[:k-1]
+// BoxPool recycles the boxes payloads travel in (a pointer boxes into
+// simnet.Message.Payload without allocating): the sender takes a box, the
+// receiver's onMessage returns it, and an empty free stack carves from a
+// chunked slab. Senders and receivers are not balanced — a pool per replica
+// fills with its receive surplus while its peers carve — so one pool serves
+// every replica of a sequential cluster and holds no more boxes than were
+// ever in flight at once. The zero value is ready to use.
+type BoxPool struct {
+	slab []payload  // chunked fresh-box storage
+	free []*payload // spent boxes
+}
+
+// Spare returns the number of spent boxes waiting on the free stack.
+func (b *BoxPool) Spare() int { return len(b.free) }
+
+// box copies p into a recycled or fresh box shared by refs in-flight messages
+// (a broadcast shares one box across its copies).
+func (b *BoxPool) box(p payload, refs int) *payload {
+	p.refs = int32(refs)
+	if k := len(b.free); k > 0 {
+		pp := b.free[k-1]
+		b.free[k-1] = nil
+		b.free = b.free[:k-1]
 		*pp = p
 		return pp
 	}
-	if len(r.slab) == cap(r.slab) {
-		r.slab = make([]payload, 0, payloadChunk)
+	if len(b.slab) == cap(b.slab) {
+		b.slab = make([]payload, 0, payloadChunk)
 	}
-	r.slab = append(r.slab, p)
-	return &r.slab[len(r.slab)-1]
+	b.slab = append(b.slab, p)
+	return &b.slab[len(b.slab)-1]
 }
 
-// boxShared boxes p for n in-flight messages sharing the box (broadcast).
-func (r *Replica) boxShared(p payload, n int) *payload {
-	pp := r.boxPayload(p)
-	pp.refs = int32(n)
-	return pp
+// put returns a spent box, dropping its cauhist reference first.
+func (b *BoxPool) put(pp *payload) {
+	*pp = payload{}
+	b.free = append(b.free, pp)
 }
 
 // wireSize returns the modeled on-the-wire size of a message.

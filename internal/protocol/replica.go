@@ -66,6 +66,10 @@ type Deps struct {
 	// decremented by several receivers); the sequential cluster leaves it
 	// off to keep the plain decrement on the message hot path.
 	AtomicRefs bool
+
+	// Boxes is the payload-box pool shared by a sequential cluster's
+	// replicas. Nil, or AtomicRefs set, gives the replica its own.
+	Boxes *BoxPool
 }
 
 // keyState is the per-key protocol state at one replica. It holds no slice or
@@ -199,10 +203,9 @@ type Replica struct {
 	scopeClosed  map[uint32]uint32
 	scopeOps     map[uint64]scopeOp
 
-	sharedVal  []byte     // shared synthetic value payload (avoids allocation)
-	slab       []payload  // chunked outgoing-payload storage (see boxPayload)
-	pfree      []*payload // spent payload boxes, recycled by onMessage
-	atomicRefs bool       // see Deps.AtomicRefs
+	sharedVal  []byte   // shared synthetic value payload (avoids allocation)
+	boxes      *BoxPool // payload boxes, recycled by onMessage (see BoxPool)
+	atomicRefs bool     // see Deps.AtomicRefs
 	tracer     func(node int, what string)
 
 	// Received messages parked across their worker-pool service job, so
@@ -276,6 +279,9 @@ func NewReplica(id int, d Deps) *Replica {
 		atomicRefs:   d.AtomicRefs,
 		tracer:       d.Trace,
 	}
+	if r.boxes = d.Boxes; r.boxes == nil || d.AtomicRefs {
+		r.boxes = new(BoxPool)
+	}
 	r.persC.r = r
 	r.ablC.r = r
 	r.contC.r = r
@@ -297,6 +303,9 @@ func (r *Replica) ID() int { return r.gid }
 
 // Member returns the replica group this node belongs to.
 func (r *Replica) Member() Membership { return r.member }
+
+// Boxes returns the pool this replica's payload boxes come from.
+func (r *Replica) Boxes() *BoxPool { return r.boxes }
 
 // Model returns the DDP model this replica runs.
 func (r *Replica) Model() core.Model { return r.model }
@@ -375,7 +384,7 @@ func (r *Replica) send(to int, p payload) {
 		To:      r.member.global(to),
 		Size:    r.wireSize(p),
 		Kind:    int(p.Kind),
-		Payload: r.boxPayload(p),
+		Payload: r.boxes.box(p, 1),
 	})
 }
 
@@ -424,7 +433,7 @@ func (r *Replica) broadcast(p payload) {
 			From:    r.gid,
 			Size:    r.wireSize(p),
 			Kind:    int(p.Kind),
-			Payload: r.boxShared(p, r.member.Size-1),
+			Payload: r.boxes.box(p, r.member.Size-1),
 		}, r.member.Base, r.member.Size, -1)
 		return
 	}
@@ -442,7 +451,7 @@ func (r *Replica) broadcast(p payload) {
 		From:    r.gid,
 		Size:    r.wireSize(p),
 		Kind:    int(p.Kind),
-		Payload: r.boxShared(p, g-1),
+		Payload: r.boxes.box(p, g-1),
 	}, r.member.global(base), g, -1)
 }
 
@@ -470,7 +479,7 @@ func (r *Replica) broadcastRemoteGroups(p payload) {
 			From:    r.gid,
 			Size:    r.wireSize(p),
 			Kind:    int(p.Kind),
-			Payload: r.boxShared(p, hi-lo),
+			Payload: r.boxes.box(p, hi-lo),
 		}, r.member.global(lo), hi-lo, -1)
 	}
 }
@@ -488,8 +497,8 @@ func (r *Replica) HandleNetMessage(m simnet.Message) { r.onMessage(m) }
 func (r *Replica) onMessage(m simnet.Message) {
 	pp := m.Payload.(*payload)
 	// A box is spent once every message sharing it has been copied out;
-	// the last receiver recycles it (here, on the receiving side), clearing
-	// the cauhist reference first. Under concurrent logical processes a
+	// the last receiver recycles it into its own pool (put clears the
+	// cauhist reference). Under concurrent logical processes a
 	// broadcast box is decremented by receivers on different goroutines:
 	// copyBody leaves the racing refs bytes unread, and the atomic
 	// decrement orders each receiver's copy-out above before the last
@@ -498,14 +507,12 @@ func (r *Replica) onMessage(m simnet.Message) {
 	if r.atomicRefs {
 		p = pp.copyBody()
 		if atomic.AddInt32(&pp.refs, -1) == 0 {
-			*pp = payload{}
-			r.pfree = append(r.pfree, pp)
+			r.boxes.put(pp)
 		}
 	} else {
 		p = *pp
 		if pp.refs--; pp.refs == 0 {
-			*pp = payload{}
-			r.pfree = append(r.pfree, pp)
+			r.boxes.put(pp)
 		}
 	}
 	service := r.p.MessageHandle

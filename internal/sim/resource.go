@@ -16,7 +16,8 @@ package sim
 // The queue is two ring-buffer FIFOs (fixed jobs, holds) ordered by a shared
 // arrival sequence: dispatch pops the earlier head, except that the hold
 // queue is skipped while holds are at the cap, so dispatch is O(1) per started
-// job however deep the backlog. Fixed-job completions are typed engine events
+// job however deep the backlog; a fixed job that finds a free server and both
+// rings empty skips them. Fixed-job completions are typed engine events
 // (Handler + token into a recycled record slab) and a hold is its Holder plus
 // the Hold token it hands back, so the steady-state dispatch cycle allocates
 // nothing for either flavor (TestPoolDeepQueueAllocs, TestPoolHoldAllocs).
@@ -119,6 +120,12 @@ func (p *Pool) AcquireEvent(service int64, h Handler, arg uint64) {
 	if service < 0 {
 		service = 0
 	}
+	if p.busy < p.size && p.fifo.n == 0 && p.holdq.n == 0 {
+		// Nothing queued to overtake: start in place, with zero wait.
+		p.jobs++
+		p.startFixed(service, h, arg)
+		return
+	}
 	p.seq++
 	p.fifo.push(poolJob{seq: p.seq, at: p.eng.Now(), service: service, h: h, arg: arg})
 	p.dispatch()
@@ -180,18 +187,20 @@ func (p *Pool) startJob(j poolJob) {
 	if wait > p.maxWait {
 		p.maxWait = wait
 	}
-	p.busy++
 	if j.hold != nil {
+		p.busy++
 		p.holds++
 		j.hold.OnHold(Hold(now))
 		return
 	}
-	p.busyAcc += j.service
-	p.eng.ScheduleEvent(j.service, p, uint64(p.allocDone(j)))
+	p.startFixed(j.service, j.h, j.arg)
 }
 
-// allocDone parks j's completion in a recycled record and returns its token.
-func (p *Pool) allocDone(j poolJob) int32 {
+// startFixed occupies a server for service ns: it parks the completion
+// h.OnEvent(arg) in a recycled record and schedules the record's token.
+func (p *Pool) startFixed(service int64, h Handler, arg uint64) {
+	p.busy++
+	p.busyAcc += service
 	ni := p.doneFree
 	if ni >= 0 {
 		p.doneFree = p.done[ni].next
@@ -199,8 +208,8 @@ func (p *Pool) allocDone(j poolJob) int32 {
 		p.done = append(p.done, doneRec{})
 		ni = int32(len(p.done) - 1)
 	}
-	p.done[ni] = doneRec{h: j.h, arg: j.arg}
-	return ni
+	p.done[ni] = doneRec{h: h, arg: arg}
+	p.eng.ScheduleEvent(service, p, uint64(ni))
 }
 
 // OnEvent completes the fixed job parked at token arg: free a server, fire

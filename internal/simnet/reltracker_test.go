@@ -1,151 +1,136 @@
 package simnet
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// scanTracker is the release tracker as it was before the active list: the
-// same per-destination rings, released by scanning every destination's head.
-// It stays here as the oracle for TestRelTrackerMatchesFullScan.
-type scanTracker struct {
-	rings  []relRing
-	headTs []int64
-	n      int
-	next   int64
+// refFabric is the send-side bookkeeping as it was before each NIC kept one
+// in-flight list: per sender, one FIFO ring of release times per destination,
+// released by scanning every ring; and a Nodes x Nodes table of last arrivals
+// that enforced per-pair FIFO. It stays here as the oracle for
+// TestRelTrackerMatchesFullScan.
+type refFabric struct {
+	n          *Network // for serialization, latFor and the jitter seed
+	txFree     []int64
+	seq        []uint64
+	rings      [][][]int64 // [src][dst] pending release times, oldest first
+	lastArrive []int64     // [src*Nodes+dst]
+	clamps     int         // sends the pair-FIFO clamp delayed
 }
 
-func newScanTracker(nodes int) *scanTracker {
-	h := &scanTracker{rings: make([]relRing, nodes), headTs: make([]int64, nodes), next: math.MaxInt64}
-	for d := range h.headTs {
-		h.headTs[d] = math.MaxInt64
+func newRefFabric(n *Network) *refFabric {
+	N := n.cfg.Nodes
+	f := &refFabric{n: n, txFree: make([]int64, N), seq: make([]uint64, N),
+		rings: make([][][]int64, N), lastArrive: make([]int64, N*N)}
+	for s := range f.rings {
+		f.rings[s] = make([][]int64, N)
 	}
-	return h
+	return f
 }
 
-// release pops every entry at or before now.
-func (h *scanTracker) release(now int64) {
-	if now < h.next {
-		return
-	}
-	next := int64(math.MaxInt64)
-	for i, ht := range h.headTs {
-		for ht <= now {
-			r := &h.rings[i]
-			r.pos++
-			h.n--
-			if r.pos == len(r.ts) {
-				r.ts = r.ts[:0]
-				r.pos = 0
-				ht = math.MaxInt64
-			} else {
-				ht = r.ts[r.pos]
-			}
+// send returns the arrival time of one send at now and the sender's in-flight
+// count after it.
+func (f *refFabric) send(src, dst, size int, now int64) (arrive int64, inflight int) {
+	cfg := f.n.cfg
+	N := cfg.Nodes
+	f.seq[src]++
+	ser := f.n.serialization(size)
+	for d, r := range f.rings[src] {
+		for len(r) > 0 && r[0] <= now {
+			r = r[1:]
 		}
-		h.headTs[i] = ht
-		if ht < next {
-			next = ht
+		f.rings[src][d] = r
+		inflight += len(r)
+	}
+	qpDelay := int64(0)
+	if cfg.QueuePairs > 0 && inflight >= cfg.QueuePairs {
+		qpDelay = ser * int64(inflight-cfg.QueuePairs+1)
+	}
+	txDone := max(f.txFree[src], now) + ser + qpDelay
+	f.txFree[src] = txDone
+	var lat int64
+	if src != dst {
+		lat = cfg.latFor(src, dst)
+		if cfg.Jitter > 0 {
+			lat += jitterFor(cfg.Seed, uint64(src*N+dst), f.seq[src], cfg.Jitter)
 		}
 	}
-	h.next = next
+	arrive = txDone + lat
+	if la := f.lastArrive[src*N+dst]; arrive < la {
+		arrive = la
+		f.clamps++
+	}
+	f.lastArrive[src*N+dst] = arrive
+	f.rings[src][dst] = append(f.rings[src][dst], arrive)
+	return arrive, inflight + 1
 }
 
-func (h *scanTracker) push(dst int, t int64) {
-	r := &h.rings[dst]
-	if r.pos == len(r.ts) {
-		h.headTs[dst] = t
-	}
-	r.ts = append(r.ts, t)
-	h.n++
-	if t < h.next {
-		h.next = t
-	}
-}
-
-// pending lists, per destination, the release times still held.
-func pending(rings []relRing) [][]int64 {
-	out := make([][]int64, len(rings))
-	for d := range rings {
-		out[d] = rings[d].ts[rings[d].pos:]
-	}
-	return out
-}
-
-// TestRelTrackerMatchesFullScan drives the tracker and the full-scan oracle
-// with the same random push/release sequences — per-destination times
-// monotone, as the pair-FIFO clamp guarantees — and requires, after every
-// step, the same in-flight count, the same earliest pending release, and the
-// same entries left on every destination (so the same entries released). The
-// active list must also name exactly the non-empty rings, each once, with its
-// head.
+// TestRelTrackerMatchesFullScan is a randomized differential of the NIC send
+// path against refFabric: random sends — bursts and spreads, loopback
+// included, sizes from header-only to several serialization slots — under
+// hashed jitter, a two-tier BlockPairLat fabric (whose arrivals leave send
+// order) and queue-pair pressure, on one engine whose clock advances by
+// random steps between sends. After every send the arrival time prepSend
+// returns and the sender's in-flight count must equal the oracle's. The
+// jittered fabrics must also see the pair-FIFO clamp fire, so the
+// clamp is exercised, not merely agreed on.
 func TestRelTrackerMatchesFullScan(t *testing.T) {
-	for _, nodes := range []int{1, 5, 160} {
-		for seed := uint64(1); seed <= 20; seed++ {
-			rng := sim.NewRNG(seed)
-			got := newRelTracker(nodes)
-			want := newScanTracker(nodes)
-			last := make([]int64, nodes)
-			now := int64(0)
-			for step := 0; step < 2000; step++ {
-				if rng.Intn(3) == 0 {
-					now += int64(rng.Intn(400))
-					got.release(now)
-					want.release(now)
-				} else {
-					// Bursts to few destinations and spread to many both occur.
-					dst := rng.Intn(nodes)
+	for _, nodes := range []int{1, 5, 40} {
+		for _, fab := range []struct {
+			name   string
+			jitter int64
+			pair   bool
+			qps    int
+		}{
+			{"uniform", 0, false, 0},
+			{"jitter", 2000, false, 0},
+			{"blocks", 0, true, 0},
+			{"blocks+jitter+qp", 1200, true, 4},
+			{"jitter+qp2", 1500, false, 2},
+		} {
+			for seed := uint64(1); seed <= 4; seed++ {
+				name := fmt.Sprintf("nodes=%d %s seed=%d", nodes, fab.name, seed)
+				cfg := Config{Nodes: nodes, OneWayLat: 500, Jitter: fab.jitter,
+					Bandwidth: 100e9, QueuePairs: fab.qps, Seed: seed}
+				if fab.pair {
+					cfg.PairLat = BlockPairLat(nodes, 5, 300, 2500)
+				}
+				eng := sim.New()
+				n := New(eng, cfg)
+				ref := newRefFabric(n)
+				rng := sim.NewRNG(seed)
+				for step := 0; step < 3000; step++ {
+					if rng.Intn(3) == 0 {
+						eng.Run(eng.Now() + int64(rng.Intn(400)))
+					}
+					src := rng.Intn(nodes)
 					if rng.Intn(2) == 0 {
-						dst = rng.Intn(1 + nodes/8)
+						src = rng.Intn(1 + nodes/8) // a few hot senders
 					}
-					at := now + 1 + int64(rng.Intn(600))
-					if at < last[dst] {
-						at = last[dst]
+					dst := rng.Intn(nodes)
+					switch rng.Intn(6) {
+					case 0:
+						dst = src // loopback
+					case 1, 2:
+						dst = (src + 1 + rng.Intn(2)) % nodes // a hot pair
 					}
-					last[dst] = at
-					got.push(dst, at)
-					want.push(dst, at)
-				}
-				if got.len() != want.n || got.next != want.next {
-					t.Fatalf("nodes=%d seed=%d step %d: len %d next %d, oracle len %d next %d",
-						nodes, seed, step, got.len(), got.next, want.n, want.next)
-				}
-				gp, wp := pending(got.rings), pending(want.rings)
-				listed := 0
-				for d := range gp {
-					if len(gp[d]) != len(wp[d]) {
-						t.Fatalf("nodes=%d seed=%d step %d: destination %d holds %d entries, oracle %d",
-							nodes, seed, step, d, len(gp[d]), len(wp[d]))
+					size := 64 + rng.Intn(4096)
+					msg := Message{From: src, To: dst, Size: size}
+					_, got := n.prepSend(&msg, eng)
+					want, inflight := ref.send(src, dst, size, eng.Now())
+					if got != want {
+						t.Fatalf("%s step %d: %d->%d arrives at %d, oracle %d", name, step, src, dst, got, want)
 					}
-					for i := range gp[d] {
-						if gp[d][i] != wp[d][i] {
-							t.Fatalf("nodes=%d seed=%d step %d: destination %d entry %d = %d, oracle %d",
-								nodes, seed, step, d, i, gp[d][i], wp[d][i])
-						}
-					}
-					if len(gp[d]) > 0 {
-						listed++
+					if l := n.tx[src].rel.len(); l != inflight {
+						t.Fatalf("%s step %d: node %d has %d sends in flight, oracle %d", name, step, src, l, inflight)
 					}
 				}
-				if len(got.active) != listed {
-					t.Fatalf("nodes=%d seed=%d step %d: %d active entries for %d non-empty rings",
-						nodes, seed, step, len(got.active), listed)
+				if nodes > 1 && fab.jitter > 0 && ref.clamps == 0 {
+					t.Fatalf("%s: the pair-FIFO clamp never fired", name)
 				}
-				seen := map[int32]bool{}
-				for _, a := range got.active {
-					if seen[a.dst] {
-						t.Fatalf("nodes=%d seed=%d step %d: destination %d is listed twice", nodes, seed, step, a.dst)
-					}
-					seen[a.dst] = true
-					if p := gp[a.dst]; len(p) == 0 || p[0] != a.ts {
-						t.Fatalf("nodes=%d seed=%d step %d: active entry {%d,%d} does not mirror its ring head %v",
-							nodes, seed, step, a.dst, a.ts, p)
-					}
-				}
-			}
-			if cap(got.active) != nodes {
-				t.Fatalf("nodes=%d: active list regrew to cap %d", nodes, cap(got.active))
 			}
 		}
 	}

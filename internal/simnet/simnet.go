@@ -10,7 +10,8 @@
 //
 // Send and delivery are the hottest simulated path in every experiment, so
 // the per-message state is pooled: a steady-state send+deliver cycle
-// performs no heap allocation (see TestSendDeliverAllocs).
+// performs no heap allocation (see TestSendDeliverAllocs). Nothing per node
+// grows with the fabric (TestNewFootprintLinearInNodes).
 //
 // The network runs in one of two wirings. New binds every node to a single
 // engine (the sequential cluster); NewParallel binds each node to its own
@@ -131,7 +132,7 @@ func (cfg Config) latFor(src, dst int) int64 {
 type txState struct {
 	txFree int64      // NIC transmit next-free time
 	seq    uint64     // sends so far: jitter input and arrival tie-break key
-	rel    relTracker // queue-pair release times (pending arrivals)
+	rel    relTracker // sends in flight: queue-pair occupancy and pair FIFO
 	msgs   uint64     // messages sent
 	bytes  uint64     // bytes placed on the wire
 	byKind []uint64   // per-kind message counts, indexed by Message.Kind
@@ -161,9 +162,8 @@ type Network struct {
 	cfg      Config
 	handlers []Handler
 
-	tx         []txState
-	rx         []rxState
-	lastArrive []int64 // flat [src*Nodes+dst] last arrival, enforcing pair FIFO
+	tx []txState
+	rx []rxState
 
 	// Sequential wiring: one shared delivery pool; arrivals are scheduled
 	// straight into the shared engine (sim.Engine.AtArrival).
@@ -210,12 +210,11 @@ func NewParallel(engs []*sim.Engine, cfg Config) *Network {
 
 func newNetwork(engs []*sim.Engine, cfg Config) *Network {
 	n := &Network{
-		engs:       engs,
-		cfg:        cfg,
-		handlers:   make([]Handler, cfg.Nodes),
-		tx:         make([]txState, cfg.Nodes),
-		rx:         make([]rxState, cfg.Nodes),
-		lastArrive: make([]int64, cfg.Nodes*cfg.Nodes),
+		engs:     engs,
+		cfg:      cfg,
+		handlers: make([]Handler, cfg.Nodes),
+		tx:       make([]txState, cfg.Nodes),
+		rx:       make([]rxState, cfg.Nodes),
 	}
 	kinds := 16
 	if cfg.MaxKind+1 > kinds {
@@ -223,7 +222,7 @@ func newNetwork(engs []*sim.Engine, cfg Config) *Network {
 	}
 	for i := range n.tx {
 		n.tx[i].byKind = make([]uint64, kinds)
-		n.tx[i].rel = newRelTracker(cfg.Nodes)
+		n.tx[i].rel.next = math.MaxInt64
 	}
 	return n
 }
@@ -396,8 +395,8 @@ func (n *Network) prepSend(msg *Message, eng *sim.Engine) (ser, arrive int64) {
 	// Queue-pair backpressure: once the NIC has QueuePairs sends in flight,
 	// each additional send pays an extra scheduling penalty on top of the
 	// transmit-queue delay (doorbell/WQE recycling cost). A send occupies
-	// its queue pair until its arrival time, tracked sender-side in a
-	// min-heap of release times.
+	// its queue pair until its arrival time, tracked sender-side in the
+	// in-flight list.
 	tx.rel.release(now)
 	qpDelay := int64(0)
 	if n.cfg.QueuePairs > 0 && tx.rel.len() >= n.cfg.QueuePairs {
@@ -418,16 +417,9 @@ func (n *Network) prepSend(msg *Message, eng *sim.Engine) (ser, arrive int64) {
 			lat += jitterFor(n.cfg.Seed, uint64(msg.From*N+msg.To), tx.seq, n.cfg.Jitter)
 		}
 	}
-	arrive = txDone + lat
-	// Reliable-connection transports deliver in order per (src,dst) pair:
-	// clamp a jittered early arrival behind its predecessor.
-	la := &n.lastArrive[msg.From*N+msg.To]
-	if arrive < *la {
-		arrive = *la
-	}
-	*la = arrive
-	tx.rel.push(msg.To, arrive)
-	return ser, arrive
+	// Reliable-connection transports deliver in order per (src,dst) pair: the
+	// tracker clamps a jittered early arrival behind its predecessor.
+	return ser, tx.rel.push(msg.To, txDone+lat)
 }
 
 // Send transmits msg; delivery invokes the destination handler. Sends to
@@ -536,16 +528,10 @@ func (n *Network) Dropped() uint64 {
 // Nodes returns the number of NICs.
 func (n *Network) Nodes() int { return n.cfg.Nodes }
 
-// Broadcast sends a copy of msg from its From node to every other node.
-func (n *Network) Broadcast(msg Message, except int) {
-	n.BroadcastRange(msg, 0, n.cfg.Nodes, except)
-}
-
 // BroadcastRange sends a copy of msg from its From node to every node in
 // [base, base+size) except msg.From and except — the group-scoped broadcast
 // of a sharded cluster, where each replica group owns a contiguous block of
-// node IDs. Copies go out in ascending node order, exactly as Broadcast
-// sends them when the range covers the whole fabric.
+// node IDs. Copies go out in ascending node order.
 func (n *Network) BroadcastRange(msg Message, base, size, except int) {
 	for to := base; to < base+size; to++ {
 		if to == msg.From || to == except {
@@ -580,87 +566,50 @@ func BlockPairLat(nodes, blockSize int, intra, cross int64) [][]int64 {
 	return m
 }
 
-// relTracker counts in-flight sends per NIC for the queue-pair model: a
-// send occupies a queue pair until its arrival time. Arrival times are
-// monotone per destination (the pair-FIFO clamp), so instead of a min-heap
-// the tracker keeps one FIFO ring per destination and releases by popping
-// ring heads — no sifting, and the rings reuse their storage once drained.
-// A cached earliest release time makes the common no-op release O(1); when
-// something does release, the scan visits only the destinations with a send
-// in flight — a handful per NIC however large the fabric.
+// relTracker is one NIC's sends in flight, in send order: queue-pair
+// occupancy (a send holds a queue pair until its arrival time) and the
+// pair-FIFO clamp's memory, O(sends in flight) however large the fabric. A
+// cached earliest arrival makes the common no-op release O(1).
 type relTracker struct {
-	rings []relRing
-	// active holds one entry per non-empty ring, in no particular order,
-	// mirroring the ring's front entry so the release scan reads one
-	// contiguous array instead of chasing ring slice headers.
-	active []relHead
-	n      int
-	next   int64 // earliest pending release; max int64 when n == 0
+	sends []inflight
+	next  int64 // earliest arrival in sends; max int64 when empty
 }
 
-type relRing struct {
-	ts  []int64
-	pos int
-}
-
-type relHead struct {
+type inflight struct {
+	at  int64
 	dst int32
-	ts  int64
 }
 
-func newRelTracker(nodes int) relTracker {
-	return relTracker{
-		rings:  make([]relRing, nodes),
-		active: make([]relHead, 0, nodes),
-		next:   math.MaxInt64,
-	}
-}
+func (h *relTracker) len() int { return len(h.sends) }
 
-func (h *relTracker) len() int { return h.n }
-
-// release pops every entry at or before now.
+// release drops every send that has arrived by now, keeping send order.
 func (h *relTracker) release(now int64) {
 	if now < h.next {
 		return
 	}
 	next := int64(math.MaxInt64)
-	act := h.active
-	for i := 0; i < len(act); {
-		ts := act[i].ts
-		if ts <= now {
-			r := &h.rings[act[i].dst]
-			pos := r.pos + 1
-			for pos < len(r.ts) && r.ts[pos] <= now {
-				pos++
-			}
-			h.n -= pos - r.pos
-			if pos == len(r.ts) { // drained: the last entry takes its place
-				r.ts, r.pos = r.ts[:0], 0
-				act[i] = act[len(act)-1]
-				act = act[:len(act)-1]
-				continue
-			}
-			r.pos = pos
-			ts = r.ts[pos]
-			act[i].ts = ts
+	keep := h.sends[:0]
+	for _, s := range h.sends {
+		if s.at > now {
+			keep = append(keep, s)
+			next = min(next, s.at)
 		}
-		if ts < next {
-			next = ts
-		}
-		i++
 	}
-	h.active = act
+	h.sends = keep
 	h.next = next
 }
 
-func (h *relTracker) push(dst int, t int64) {
-	r := &h.rings[dst]
-	if r.pos == len(r.ts) {
-		h.active = append(h.active, relHead{dst: int32(dst), ts: t})
+// push records a send to dst arriving at t, clamped behind the last send to
+// dst still in flight, and returns the arrival. After release(now) this is
+// exact: a released arrival is <= now < t, so it could never clamp.
+func (h *relTracker) push(dst int, t int64) int64 {
+	for i := len(h.sends) - 1; i >= 0; i-- {
+		if s := h.sends[i]; int(s.dst) == dst {
+			t = max(t, s.at)
+			break
+		}
 	}
-	r.ts = append(r.ts, t)
-	h.n++
-	if t < h.next {
-		h.next = t
-	}
+	h.sends = append(h.sends, inflight{at: t, dst: int32(dst)})
+	h.next = min(h.next, t)
+	return t
 }

@@ -46,7 +46,7 @@ func TestBroadcastReachesAllButSenderAndExcept(t *testing.T) {
 		i := i
 		n.Register(i, func(m Message) { got[i] = true })
 	}
-	e.Schedule(0, func() { n.Broadcast(Message{From: 2, Size: 64}, 4) })
+	e.Schedule(0, func() { n.BroadcastRange(Message{From: 2, Size: 64}, 0, n.Nodes(), 4) })
 	e.RunAll()
 	if got[2] || got[4] {
 		t.Fatalf("broadcast delivered to sender or excluded node: %v", got)
@@ -382,7 +382,7 @@ func BenchmarkNetworkBroadcast(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Broadcast(Message{From: i % 5, Size: 192, Kind: 0}, -1)
+		n.BroadcastRange(Message{From: i % 5, Size: 192, Kind: 0}, 0, 5, -1)
 		if e.Pending() >= 2048 {
 			e.RunAll()
 		}
