@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test vet fmt bench perf census scalecost experiments examples clean
+.PHONY: all build check test vet fmt bench perf census footprint scalecost experiments examples clean
 
 all: build check
 
@@ -49,6 +49,14 @@ fmt:
 #     after every send), simnet.New's bytes at 320 vs 40 nodes, the ring's
 #     owner table against its vnode search, and the shared payload-box pool's
 #     spares against the peak of messages in flight;
+#   - memory that scales with use: one measurement set per engine (and one
+#     scope histogram per set, on first use), a cluster's retained heap per
+#     added node at 160 vs 40 nodes, the hash table's 24-byte slot, its
+#     value entries (Get returns the stored slice; entries never outnumber
+#     live keys; one shared value is held once), its size under Put/Delete
+#     churn, every key across its same-size rebuilds, its zero-allocation
+#     Put+Get loop, and the histogram's bucket index against the bit-loop
+#     oracle;
 #   - one iteration of the cluster-construction benchmark, against bit-rot;
 #   - the capacity and scaling sweeps at quick scale, flat and sharded;
 #   - the CLI rejecting a knob no cell of the experiment can honor
@@ -64,6 +72,7 @@ check: vet fmt
 	$(GO) test -race ./internal/cluster/ -run 'TestHotSketchGoldenSeed|TestP2CSpreadDeterministic'
 	$(GO) test ./internal/cluster/ ./internal/sim/ -run 'TestScheduleFingerprint|TestPoolReacquireFromCompletionQueuesBehindBacklog'
 	$(GO) test ./internal/simnet/ ./internal/cluster/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas'
+	$(GO) test ./internal/cluster/ ./internal/engines/ ./internal/stats/ -run 'TestMeasurementSetPerEngine|TestScopeHistogramAllocatedOnFirstUse|TestRetainedHeapLinearInNodes|TestHashTableSlotSize|TestHashTableGetReturnsStoredSlice|TestHashTableSharedValueHeldOnce|TestHashTableInternedWithinLiveKeys|TestHashTableChurnBounded|TestHashTableRebuildKeepsEveryKey|TestHashTableOpAllocFree|TestBucketIndexMatchesLoopOracle'
 	$(GO) test -run='^$$' -bench BenchmarkClusterNew -benchtime=1x -benchmem .
 	$(GO) run ./cmd/ddpbench -exp capacity -quick > /dev/null
 	$(GO) run ./cmd/ddpbench -exp capacity -quick -shards 4 > /dev/null
@@ -87,6 +96,16 @@ census:
 	mkdir -p .bench_build
 	$(GO) run ./cmd/ddpbench -exp fig6 -quick -parallel 1 -memprofile .bench_build/census.mprof > /dev/null
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/census.mprof
+
+# Live heap of the repo benchmark's scale160 <Ev,Ev> cell, the memory twin of
+# census: the cell is built and run, a collection is forced with the cluster
+# still live (the state live_heap_mb samples), and the exact in-use heap
+# profile (runtime.MemProfileRate = 1) prints its top-20 sites by bytes.
+# EXPERIMENTS.md "Per-node state" reads this table.
+footprint:
+	mkdir -p .bench_build
+	FOOTPRINT_PROFILE=$(CURDIR)/.bench_build/footprint.pprof $(GO) test ./internal/cluster/ -run '^TestFootprintProfile$$' -count=1 -v
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=20 .bench_build/footprint.pprof
 
 # Host cost of one simulated event at 40, 160 and 320 nodes (the scaling
 # study's <Ev,Ev> cell, Shards = N/5): ns/event should not climb with N.

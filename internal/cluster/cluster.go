@@ -240,45 +240,52 @@ type Result struct {
 // Throughput returns measured operations per simulated second.
 func (r *Result) Throughput() float64 { return r.Summary.Throughput }
 
-// nodeState is the per-server-node slice of cluster-side state: the node's
-// engine plus the measurement sinks its clients record into. Under the
-// sequential engine every node shares one engine but still records into its
-// own sinks; histogram counters and log entries merge exactly (integer
-// sums, per-node concatenation), so sharding them is invisible to results
-// while making every sink single-LP-owned under the LP engine.
-type nodeState struct {
-	eng       *sim.Engine
+// measureSet is one logical process's latency sinks: the sequential engine
+// has one set for the whole cluster, the LP engine one per node, so every set
+// is written by a single LP and no histogram is duplicated per node. Each set
+// merges into the Result once; bucket counters are integers, so how samples
+// split across sets is invisible to results.
+type measureSet struct {
 	measuring bool
 
-	readHist  stats.Histogram
-	writeHist stats.Histogram
-	scopeHist *stats.Histogram // allocated by the first recordScope
+	read  stats.Histogram
+	write stats.Histogram
+	scope *stats.Histogram // allocated by the first recordScope
+}
+
+func (m *measureSet) recordRead(lat int64) {
+	if m.measuring {
+		m.read.Record(lat)
+	}
+}
+
+func (m *measureSet) recordWrite(lat int64) {
+	if m.measuring {
+		m.write.Record(lat)
+	}
+}
+
+func (m *measureSet) recordScope(lat int64) {
+	if m.measuring {
+		if m.scope == nil {
+			m.scope = new(stats.Histogram)
+		}
+		m.scope.Record(lat)
+	}
+}
+
+// nodeState is the per-server-node slice of cluster-side state: the node's
+// engine, the measurement set of that engine, and the node's own history
+// logs. Logs stay per node and concatenate in node order, which preserves
+// each client's record order (a client is pinned to one node).
+type nodeState struct {
+	eng *sim.Engine
+	*measureSet
 
 	writeLog []WriteRecord
 	readLog  []ReadRecord
 
 	track bool
-}
-
-func (ns *nodeState) recordRead(lat int64) {
-	if ns.measuring {
-		ns.readHist.Record(lat)
-	}
-}
-
-func (ns *nodeState) recordWrite(lat int64) {
-	if ns.measuring {
-		ns.writeHist.Record(lat)
-	}
-}
-
-func (ns *nodeState) recordScope(lat int64) {
-	if ns.measuring {
-		if ns.scopeHist == nil {
-			ns.scopeHist = new(stats.Histogram)
-		}
-		ns.scopeHist.Record(lat)
-	}
 }
 
 // finishRead records a completed read — latency from start plus the history
@@ -337,6 +344,7 @@ type Cluster struct {
 	Sources []*openSource
 
 	nodes []*nodeState
+	sets  []*measureSet // one per engine
 	lps   *sim.LPGroup
 
 	// Sharded topology (Config.Shards >= 1): the consistent-hash ring and
@@ -489,28 +497,24 @@ func New(cfg Config) (*Cluster, error) {
 
 	c := &Cluster{Cfg: cfg}
 	var net *simnet.Network
+	// Event storage grows with the pending set the run reaches, not with a
+	// guess made from the client count.
 	if useLP {
 		engs := make([]*sim.Engine, p.Servers)
 		for i := range engs {
 			engs[i] = sim.New()
-			// Size each node's event storage for its own steady-state
-			// share of in-flight messages, device completions, and client
-			// timers.
-			engs[i].Reserve(1024 + p.ClientsPerServer*16)
-			c.nodes = append(c.nodes, &nodeState{eng: engs[i], track: cfg.TrackHistory})
+			c.sets = append(c.sets, new(measureSet))
+			c.nodes = append(c.nodes, &nodeState{eng: engs[i], measureSet: c.sets[i], track: cfg.TrackHistory})
 		}
 		net = simnet.NewParallel(engs, netCfg)
 		c.lps = sim.NewLPGroup(engs, netCfg.Lookahead(), cfg.IntraParallel,
 			func() { net.DeliverMail() })
 	} else {
 		eng := sim.New()
-		// Size the event heap for the steady-state load (in-flight
-		// messages, device completions, client timers) so the hot loop
-		// never regrows it.
-		eng.Reserve(1024 + p.Servers*p.ClientsPerServer*8)
 		c.Eng = eng
+		c.sets = []*measureSet{new(measureSet)}
 		for i := 0; i < p.Servers; i++ {
-			c.nodes = append(c.nodes, &nodeState{eng: eng, track: cfg.TrackHistory})
+			c.nodes = append(c.nodes, &nodeState{eng: eng, measureSet: c.sets[0], track: cfg.TrackHistory})
 		}
 		net = simnet.New(eng, netCfg)
 	}
@@ -665,15 +669,15 @@ func (c *Cluster) Start() {
 
 // BeginMeasurement switches latency/throughput recording on.
 func (c *Cluster) BeginMeasurement() {
-	for _, ns := range c.nodes {
-		ns.measuring = true
+	for _, m := range c.sets {
+		m.measuring = true
 	}
 }
 
 // StopMeasurement switches recording off.
 func (c *Cluster) StopMeasurement() {
-	for _, ns := range c.nodes {
-		ns.measuring = false
+	for _, m := range c.sets {
+		m.measuring = false
 	}
 }
 
@@ -685,15 +689,14 @@ func (c *Cluster) Collect(window int64, wall time.Duration) *Result {
 		SimTimeNs: c.nodes[0].eng.Now(),
 		WallTime:  wall,
 	}
-	// Per-node measurement shards merge exactly: histogram buckets are
-	// integer counters, and log concatenation in node order preserves each
-	// client's record order (a client is pinned to one node).
-	for _, ns := range c.nodes {
-		res.ReadHist.Merge(&ns.readHist)
-		res.WriteHist.Merge(&ns.writeHist)
-		if ns.scopeHist != nil {
-			res.ScopeHist.Merge(ns.scopeHist)
+	for _, m := range c.sets {
+		res.ReadHist.Merge(&m.read)
+		res.WriteHist.Merge(&m.write)
+		if m.scope != nil {
+			res.ScopeHist.Merge(m.scope)
 		}
+	}
+	for _, ns := range c.nodes {
 		res.Writes = append(res.Writes, ns.writeLog...)
 		res.Reads = append(res.Reads, ns.readLog...)
 	}

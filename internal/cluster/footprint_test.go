@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"testing"
 
 	"repro/internal/core"
@@ -9,6 +12,83 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/ycsb"
 )
+
+// runRetained builds cfg's cluster, runs its warm-up and measured window on
+// the sequential engine, forces a collection and calls held with the cluster
+// still live — the state the repo benchmark's live_heap_mb samples. It
+// returns the heap that survives, net of what was live before New. A negative
+// difference means the baseline shrank under the cluster (something live
+// before New was freed), so the figure is meaningless and the test fails.
+func runRetained(t testing.TB, cfg Config, held func(*Cluster)) int64 {
+	t.Helper()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	c.Eng.Run(cfg.WarmupNs)
+	c.BeginMeasurement()
+	c.Eng.Run(cfg.WarmupNs + cfg.MeasureNs)
+	c.StopMeasurement()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	if held != nil {
+		held(c)
+	}
+	runtime.KeepAlive(c)
+	retained := int64(ms.HeapAlloc) - int64(base)
+	if retained < 0 {
+		t.Fatalf("heap fell from %d B before New to %d B with the cluster live: the baseline was not settled", base, ms.HeapAlloc)
+	}
+	return retained
+}
+
+// TestRetainedHeapLinearInNodes pins what a cluster holds per node once it has
+// been built and run: from 40 to 160 nodes the scaling cell's retained heap
+// grows linearly, by at most 56 KB per added node (about 40 KB measured, most
+// of it the 20 clients' and the replica's recycled records). A pair of inline
+// latency histograms per node adds 32 KB per node on its own, and event
+// storage reserved per client rather than grown by use 7.5 KB more: with
+// both, the slope was 88 KB.
+func TestRetainedHeapLinearInNodes(t *testing.T) {
+	const budget = 56 << 10
+	small := runRetained(t, scaleCell(40, 20_000, 30_000), nil)
+	large := runRetained(t, scaleCell(160, 20_000, 30_000), nil)
+	perNode := (float64(large) - float64(small)) / 120
+	if perNode > budget {
+		t.Fatalf("retained heap %d B at 40 nodes, %d B at 160: %.0f B per added node, want <= %d", small, large, perNode, budget)
+	}
+	t.Logf("retained heap %d B at 40 nodes, %d B at 160: %.0f B per added node", small, large, perNode)
+}
+
+// TestFootprintProfile writes the exact in-use heap profile of the repo
+// benchmark's scale160 <Ev,Ev> cell, taken after a forced collection with the
+// cluster built and run: the live_heap_mb sample, by allocation site. It runs
+// only when FOOTPRINT_PROFILE names the output file; `make footprint` sets it
+// and prints the top 20 sites by inuse_space.
+func TestFootprintProfile(t *testing.T) {
+	out := os.Getenv("FOOTPRINT_PROFILE")
+	if out == "" {
+		t.Skip("set FOOTPRINT_PROFILE=<file> to write the profile (make footprint)")
+	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	live := runRetained(t, scaleCell(160, 200_000, 800_000), func(*Cluster) {
+		f, err := os.Create(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("scale160 <Ev,Ev>: %.2f MB retained; profile in %s", float64(live)/(1<<20), out)
+}
 
 // TestSharedChooserKeepsStreams checks that sharing one chooser across a
 // cluster (ycsb's TestZipfianConstructionCost counts that it is one) moved no
@@ -99,28 +179,65 @@ func TestBoxPoolSharedAcrossReplicas(t *testing.T) {
 	t.Logf("%d spare boxes, peak %d messages in flight", spare, peak)
 }
 
+// TestMeasurementSetPerEngine pins where latency histograms live: a
+// sequential cluster holds exactly one measurement set, which every node
+// points at, and an LP cluster holds one per node, each node pointing at its
+// own.
+func TestMeasurementSetPerEngine(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		cfg := smallConfig(core.Model{C: core.Linearizable, P: core.Synchronous})
+		cfg.IntraParallel = workers
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1
+		if workers > 1 {
+			want = len(c.nodes)
+		}
+		distinct := map[*measureSet]bool{}
+		for i, ns := range c.nodes {
+			distinct[ns.measureSet] = true
+			if ns.measureSet != c.sets[min(i, len(c.sets)-1)] {
+				t.Fatalf("IntraParallel=%d: node %d does not point at its engine's set", workers, i)
+			}
+		}
+		if len(c.sets) != want || len(distinct) != want {
+			t.Fatalf("IntraParallel=%d: %d sets, %d distinct among %d nodes; want %d",
+				workers, len(c.sets), len(distinct), len(c.nodes), want)
+		}
+		c.Close()
+	}
+}
+
 // TestScopeHistogramAllocatedOnFirstUse pins that only Scope bindings pay for
-// the per-node scope histogram, and that their results still carry it.
+// the scope histogram, one per measurement set (per engine), on both
+// wirings, and that their results still carry it.
 func TestScopeHistogramAllocatedOnFirstUse(t *testing.T) {
 	for _, tc := range []struct {
 		p     core.Persistency
 		scope bool
 	}{{core.Synchronous, false}, {core.Scope, true}} {
-		c, err := New(smallConfig(core.Model{C: core.Linearizable, P: tc.p}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := runBuilt(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, ns := range c.nodes {
-			if (ns.scopeHist != nil) != tc.scope {
-				t.Fatalf("%s: node %d scope histogram allocated = %v, want %v", tc.p, i, ns.scopeHist != nil, tc.scope)
+		for _, workers := range []int{1, 2} {
+			cfg := smallConfig(core.Model{C: core.Linearizable, P: tc.p})
+			cfg.IntraParallel = workers
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if (res.ScopeHist.Count() > 0) != tc.scope {
-			t.Fatalf("%s: result carries %d scope samples", tc.p, res.ScopeHist.Count())
+			res, err := runBuilt(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, m := range c.sets {
+				if (m.scope != nil) != tc.scope {
+					t.Fatalf("%s IntraParallel=%d: set %d scope histogram allocated = %v, want %v",
+						tc.p, workers, i, m.scope != nil, tc.scope)
+				}
+			}
+			if (res.ScopeHist.Count() > 0) != tc.scope {
+				t.Fatalf("%s IntraParallel=%d: result carries %d scope samples", tc.p, workers, res.ScopeHist.Count())
+			}
 		}
 	}
 }

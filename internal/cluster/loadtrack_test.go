@@ -428,7 +428,7 @@ func TestFwdBatchZeroAlloc(t *testing.T) {
 		MaxKind: kindRouteBatch,
 	})
 	cl := &Cluster{Cfg: Config{Params: params.Default()}.withDefaults()}
-	rt := &router{cl: cl, ns: &nodeState{eng: eng}, net: net, node: 0}
+	rt := &router{cl: cl, ns: &nodeState{eng: eng, measureSet: new(measureSet)}, net: net, node: 0}
 	rt.fb = newFwdBatcher(rt, 8, 500)
 	rt.prewarm(64)
 	rt.fb.prewarm(8)

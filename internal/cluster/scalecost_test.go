@@ -10,6 +10,19 @@ import (
 	"repro/internal/ycsb"
 )
 
+// scaleCell is the scaling study's <Ev,Ev> YCSB-A cell at the given node
+// count: replica groups of 5 (Shards = nodes/5), 20 closed-loop clients per
+// server, seed 1. At 160 nodes it is the repo benchmark's scale160 <Ev,Ev>
+// cell.
+func scaleCell(nodes int, warmupNs, measureNs int64) Config {
+	p := params.Default()
+	p.Servers = nodes
+	return Config{
+		Model: core.Model{C: core.Eventual, P: core.EventualP}, Workload: ycsb.WorkloadA,
+		Params: p, Shards: nodes / 5, Seed: 1, WarmupNs: warmupNs, MeasureNs: measureNs,
+	}
+}
+
 // BenchmarkEventCostBySize measures the host cost of one simulated event as
 // the cluster grows: the scaling study's <Ev,Ev> YCSB-A cell (replica groups
 // of 5, Shards = N/5, 20 closed-loop clients per server) at 40, 160 and 320
@@ -19,12 +32,7 @@ import (
 // EXPERIMENTS.md "Per-node state" records the table.
 func BenchmarkEventCostBySize(b *testing.B) {
 	for _, nodes := range []int{40, 160, 320} {
-		p := params.Default()
-		p.Servers = nodes
-		cfg := Config{
-			Model: core.Model{C: core.Eventual, P: core.EventualP}, Workload: ycsb.WorkloadA,
-			Params: p, Shards: nodes / 5, Seed: 1, WarmupNs: 100_000, MeasureNs: 200_000,
-		}
+		cfg := scaleCell(nodes, 100_000, 200_000)
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			var events uint64
 			var run time.Duration

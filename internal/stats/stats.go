@@ -11,6 +11,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -33,7 +34,7 @@ func bucketIndex(v int64) int {
 	}
 	// Highest set bit defines the power-of-two range; the next 5 bits pick
 	// the sub-bucket.
-	msb := 63 - leadingZeros(uint64(v))
+	msb := 63 - bits.LeadingZeros64(uint64(v))
 	shift := msb - 5
 	sub := int(v>>uint(shift)) & (subBuckets - 1)
 	return msb*subBuckets + sub // note: ranges below 2^5 collapse onto exact values
@@ -50,18 +51,6 @@ func bucketMid(i int) int64 {
 	step := base / subBuckets
 	lo := base + int64(sub)*step
 	return lo + step/2
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // Record adds one sample. Negative samples are clamped to zero.

@@ -23,6 +23,56 @@ func TestHistogramBasics(t *testing.T) {
 	}
 }
 
+// leadingZerosLoop is the bit-at-a-time count bucketIndex used before it
+// called math/bits, kept as the oracle for the bucket mapping.
+func leadingZerosLoop(x uint64) int {
+	n := 0
+	if x == 0 {
+		return 64
+	}
+	for x&(1<<63) == 0 {
+		x <<= 1
+		n++
+	}
+	return n
+}
+
+// bucketIndexOracle is bucketIndex over the loop count.
+func bucketIndexOracle(v int64) int {
+	if v < subBuckets {
+		return int(v)
+	}
+	msb := 63 - leadingZerosLoop(uint64(v))
+	return msb*subBuckets + int(v>>uint(msb-5))&(subBuckets-1)
+}
+
+// TestBucketIndexMatchesLoopOracle checks bucketIndex against the loop oracle
+// at every power-of-two edge (and one either side), the sub-bucket edges of
+// small ranges, and random values across the whole int64 range.
+func TestBucketIndexMatchesLoopOracle(t *testing.T) {
+	var vals []int64
+	for b := 0; b < 63; b++ {
+		p := int64(1) << b
+		vals = append(vals, p-1, p, p+1)
+	}
+	for v := int64(0); v < 4096; v++ {
+		vals = append(vals, v)
+	}
+	vals = append(vals, math.MaxInt64, math.MaxInt64-1)
+	rng := uint64(7)
+	for i := 0; i < 100_000; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		vals = append(vals, int64(rng>>(rng%64)>>1))
+	}
+	for _, v := range vals {
+		if got, want := bucketIndex(v), bucketIndexOracle(v); got != want {
+			t.Fatalf("bucketIndex(%d) = %d, loop oracle says %d", v, got, want)
+		}
+	}
+}
+
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
 	if h.Mean() != 0 || h.Percentile(95) != 0 || h.Min() != 0 || h.Max() != 0 {
