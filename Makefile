@@ -34,11 +34,13 @@ fmt:
 #   - the NIC fast-path differential and its event-reduction pin: the one
 #     elision mechanism left (Engine.TryAdvance from delivery.arrive) changes
 #     event counts only, with an exact ledger;
-#   - the sharded differentials and the placement golden seeds: the topology
-#     re-routes client ops across replica groups and the skew-adaptive
-#     policies (load placement, replica reads, batched forwarding) re-place
+#   - the routing report and sharded differentials, and the placement golden
+#     seeds: every cell routes client ops through per-node routers (Shards=0
+#     wires one all-servers shard and reports no routing), the topology
+#     re-routes them across replica groups, and the skew-adaptive policies
+#     (load placement, replica reads, batched forwarding) re-place
 #     coordinators from sender-local state (fwdbatch=0 byte-identity rides on
-#     the goldens and TestShard1MatchesDirect);
+#     the goldens and the schedule fingerprint's 16-shard cells);
 #   - the exact schedule fingerprint (28 cells: every binding on a deep-queue
 #     flat cell, one 16-shard cell, one open-loop cell and one 16-shard cell
 #     over a slower cross-shard spine) and the pool's FIFO re-acquire pin: a
@@ -68,7 +70,7 @@ check: vet fmt
 	$(GO) test ./internal/cluster/ -run TestCellAllocsPerOp
 	$(GO) test -race ./internal/sim/ -run TestBarrierArrivalsMatchSendTime
 	$(GO) test -race ./internal/cluster/ -run 'TestNICFastPathDifferential|TestNICFastPathEventReduction'
-	$(GO) test -race ./internal/cluster/ -run 'TestSharded'
+	$(GO) test -race ./internal/cluster/ -run 'TestFlatRoutingReport|TestSharded'
 	$(GO) test -race ./internal/cluster/ -run 'TestHotSketchGoldenSeed|TestP2CSpreadDeterministic'
 	$(GO) test ./internal/cluster/ ./internal/sim/ -run 'TestScheduleFingerprint|TestPoolReacquireFromCompletionQueuesBehindBacklog'
 	$(GO) test ./internal/simnet/ ./internal/cluster/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas'

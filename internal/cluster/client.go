@@ -17,7 +17,7 @@ type client struct {
 	cl   *Cluster
 	ns   *nodeState // the client's home node: engine + measurement sinks
 	node *protocol.Replica
-	rt   *router // per-op shard routing; nil on unsharded clusters
+	rt   *router // the home node's router: every plain op goes through it
 	gen  *ycsb.Generator
 	rng  *sim.RNG
 
@@ -119,8 +119,8 @@ func (r *opRec) scanDone() {
 	c.next()
 }
 
-func newClient(id int, cl *Cluster, ns *nodeState, node *protocol.Replica, gen *ycsb.Generator, rng *sim.RNG) *client {
-	return &client{id: id, cl: cl, ns: ns, node: node, gen: gen, rng: rng, scopeSeq: 1}
+func newClient(id int, cl *Cluster, rt *router, gen *ycsb.Generator, rng *sim.RNG) *client {
+	return &client{id: id, cl: cl, ns: rt.ns, node: rt.rep, rt: rt, gen: gen, rng: rng, scopeSeq: 1}
 }
 
 func (c *client) start() { c.next() }
@@ -175,10 +175,10 @@ func (c *client) next() {
 }
 
 // issueOne submits a single request of whatever kind the workload draws,
-// carrying its state in a recycled opRec. On a sharded cluster the request
-// routes through the node's router to the shard owning its key; the
-// transactional and scoped session paths stay pinned to the home replica
-// (multi-shard configurations reject those models).
+// carrying its state in a recycled opRec, through the node's router to the
+// shard owning its key. The transactional and scoped session paths stay
+// pinned to the home replica (multi-shard configurations reject those
+// models).
 func (c *client) issueOne() {
 	c.outstanding++
 	op := c.gen.Next()
@@ -186,33 +186,12 @@ func (c *client) issueOne() {
 	rec.key = op.Key
 	rec.scope = 0
 	rec.start = c.ns.eng.Now()
-	if rt := c.rt; rt != nil {
-		switch op.Kind {
-		case ycsb.OpScan:
-			rt.scan(op.Key, op.ScanLen, rec.onScan)
-		case ycsb.OpRMW:
-			rec.scope = c.curScope()
-			rt.rmw(op.Key, rec.scope, rec.onWrite)
-		case ycsb.OpRead:
-			rt.read(op.Key, rec.onRead)
-		default:
-			rec.scope = c.curScope()
-			rt.write(op.Key, rec.scope, rec.onWrite)
-		}
-		return
+	done := rec.onRead
+	if op.Kind != ycsb.OpRead {
+		rec.scope = c.curScope() // scans ignore it
+		done = rec.onWrite
 	}
-	switch op.Kind {
-	case ycsb.OpScan:
-		c.node.ClientScan(op.Key, op.ScanLen, rec.onScan)
-	case ycsb.OpRMW:
-		rec.scope = c.curScope()
-		c.node.ClientRMW(op.Key, rec.scope, 0, rec.onWrite)
-	case ycsb.OpRead:
-		c.node.ClientRead(op.Key, 0, rec.onRead)
-	default:
-		rec.scope = c.curScope()
-		c.node.ClientWrite(op.Key, rec.scope, 0, rec.onWrite)
-	}
+	c.rt.submit(op, rec.scope, done, rec.onScan)
 }
 
 // persistScope runs the [PERSIST]s barrier; barrierDone continues the loop.

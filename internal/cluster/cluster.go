@@ -50,12 +50,12 @@ type Config struct {
 	// routes to the shard owning its key — executing locally when the
 	// issuing node's shard owns it, else forwarded over the simulated
 	// network to a coordinator inside the owning shard (route.go). 0 (the
-	// default) keeps the paper's single flat replica group with no routing
-	// layer; 1 builds the routing layer over one all-servers shard, which
-	// produces byte-identical results to 0 (TestShard1MatchesDirect).
-	// Multi-shard clusters reject Transactional consistency, Scope
-	// persistency, and hybrid Groups: their client sessions span keys and
-	// would span shards.
+	// default) is the paper's single flat replica group: it is wired exactly
+	// as 1 (one all-servers shard, so no op is ever forwarded) and differs
+	// only in reporting no routing accounting and in rejecting the routing
+	// knobs below (TestFlatRoutingReport). Multi-shard clusters reject
+	// Transactional consistency, Scope persistency, and hybrid Groups: their
+	// client sessions span keys and would span shards.
 	Shards int
 
 	// Placement selects how the router picks the executing node inside a
@@ -347,8 +347,8 @@ type Cluster struct {
 	sets  []*measureSet // one per engine
 	lps   *sim.LPGroup
 
-	// Sharded topology (Config.Shards >= 1): the consistent-hash ring and
-	// one client router per node.
+	// The consistent-hash ring (one all-servers shard when Config.Shards is
+	// 0) and one client router per node.
 	ring    *ring
 	routers []*router
 
@@ -364,8 +364,8 @@ func (cfg Config) useLP() bool {
 }
 
 // netConfig composes the simulated-network configuration for cfg. A
-// multi-shard cluster with a distinct cross-shard round trip gets a
-// block-structured latency matrix (rack-local replica groups over a slower
+// multi-shard cluster with a distinct cross-shard round trip gets a block
+// fabric, one block per shard (rack-local replica groups over a slower
 // inter-rack spine); every other shape keeps the uniform fabric.
 func (cfg Config) netConfig() simnet.Config {
 	p := cfg.Params
@@ -383,8 +383,8 @@ func (cfg Config) netConfig() simnet.Config {
 		MaxKind: kindRouteBatch,
 	}
 	if cfg.Shards > 1 && p.CrossShardRT != 0 {
-		nc.PairLat = simnet.BlockPairLat(p.Servers, p.Servers/cfg.Shards,
-			p.OneWayNet(), p.CrossShardOneWay())
+		nc.BlockSize = p.Servers / cfg.Shards
+		nc.CrossLat = p.CrossShardOneWay()
 	}
 	return nc
 }
@@ -419,6 +419,9 @@ func (cfg Config) Validate() error {
 		}
 		if impl.P == core.Scope {
 			return fmt.Errorf("cluster: open-loop arrivals do not support Scope persistency (scope barriers are closed-loop session state)")
+		}
+		if a := cfg.Arrivals; a.HotFrac > 0 && a.HotKeys > cfg.Params.Keys {
+			return fmt.Errorf("cluster: Arrivals.HotKeys must be <= Params.Keys (%d) when HotFrac > 0, got %d", cfg.Params.Keys, a.HotKeys)
 		}
 	}
 	p := cfg.Params
@@ -535,13 +538,13 @@ func New(cfg Config) (*Cluster, error) {
 	if !useLP {
 		boxes = new(protocol.BoxPool)
 	}
-	rf := p.Servers // replicas per shard group
+	// Every cluster routes through a ring: Shards = 0 builds the same single
+	// all-servers shard Shards = 1 does.
+	shards := max(cfg.Shards, 1)
+	rf := p.Servers / shards // replicas per shard group
+	c.ring = newRing(shards, rf)
 	var owned []protocol.KeyIndex
-	if cfg.Shards > 0 {
-		rf = p.Servers / cfg.Shards
-		c.ring = newRing(cfg.Shards, rf)
-		owned, c.ring.owners = protocol.PartitionKeys(p.Keys, cfg.Shards, c.ring.owner)
-	}
+	owned, c.ring.owners = protocol.PartitionKeys(p.Keys, shards, c.ring.owner)
 	for i := 0; i < p.Servers; i++ {
 		eng := c.nodes[i].eng
 		vol, err := engines.New(cfg.Engine)
@@ -556,14 +559,10 @@ func New(cfg Config) (*Cluster, error) {
 		workers := sim.NewPool(eng, p.WorkersPerServer)
 		c.Devices = append(c.Devices, dev)
 		c.Workers = append(c.Workers, workers)
-		var member protocol.Membership
+		base := (i / rf) * rf
 		var keys *protocol.KeyIndex
-		if cfg.Shards > 0 {
-			base := (i / rf) * rf
-			member = protocol.Membership{Base: base, Size: rf, Rank: i - base}
-			if cfg.Shards > 1 {
-				keys = &owned[i/rf]
-			}
+		if shards > 1 {
+			keys = &owned[i/rf]
 		}
 		c.Replicas = append(c.Replicas, protocol.NewReplica(i, protocol.Deps{
 			Eng:        eng,
@@ -575,38 +574,42 @@ func New(cfg Config) (*Cluster, error) {
 			Workers:    workers,
 			Vol:        vol,
 			Img:        img,
-			Member:     member,
+			Member:     protocol.Membership{Base: base, Size: rf, Rank: i - base},
 			Keys:       keys,
 			Trace:      tracer,
 			AtomicRefs: useLP,
 			Boxes:      boxes,
 		}))
 	}
-	if c.ring != nil {
-		// Client routers share each node's NIC with protocol traffic: a
-		// per-node demultiplexer replaces the handler NewReplica registered,
-		// splitting on the routing kinds' dedicated range.
-		needLT := cfg.Placement == "load" || cfg.ReplicaReads
-		for i := 0; i < p.Servers; i++ {
-			rt := newRouter(c, c.ring, c.nodes[i], c.Replicas[i], net, c.Workers[i], i)
-			if needLT {
-				rt.lt = newLoadTracker(p.Servers)
-				rt.loadPlace = cfg.Placement == "load"
-				rt.rreads = cfg.ReplicaReads
-			}
-			if cfg.FwdBatch > 0 {
-				rt.fb = newFwdBatcher(rt, cfg.FwdBatch, cfg.FwdWindowNs)
-			}
-			c.routers = append(c.routers, rt)
-			rep := c.Replicas[i]
-			net.Register(i, func(m simnet.Message) {
-				if m.Kind >= kindRouteReq {
-					rt.onMessage(m)
-				} else {
-					rep.HandleNetMessage(m)
-				}
-			})
+	// Client routers share each node's NIC with protocol traffic: a per-node
+	// demultiplexer replaces the handler NewReplica registered, splitting on
+	// the routing kinds' dedicated range. A one-shard ring forwards nothing,
+	// so no routing message ever arrives and its replicas keep their own
+	// handler, sparing every delivery the extra call (EXPERIMENTS.md, "One
+	// client-op path", measures what it costs a flat cell).
+	needLT := cfg.Placement == "load" || cfg.ReplicaReads
+	for i := 0; i < p.Servers; i++ {
+		rt := newRouter(c, c.ring, c.nodes[i], c.Replicas[i], net, c.Workers[i], i)
+		if needLT {
+			rt.lt = newLoadTracker(p.Servers)
+			rt.loadPlace = cfg.Placement == "load"
+			rt.rreads = cfg.ReplicaReads
 		}
+		if cfg.FwdBatch > 0 {
+			rt.fb = newFwdBatcher(rt, cfg.FwdBatch, cfg.FwdWindowNs)
+		}
+		c.routers = append(c.routers, rt)
+		if shards == 1 {
+			continue
+		}
+		rep := c.Replicas[i]
+		net.Register(i, func(m simnet.Message) {
+			if m.Kind >= kindRouteReq {
+				rt.onMessage(m)
+			} else {
+				rep.HandleNetMessage(m)
+			}
+		})
 	}
 
 	// One key chooser for the whole cluster: it is immutable (every draw
@@ -625,14 +628,10 @@ func New(cfg Config) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			src := &openSource{
-				cl: c, ns: c.nodes[n], node: c.Replicas[n],
+			c.Sources = append(c.Sources, &openSource{
+				cl: c, ns: c.nodes[n], rt: c.routers[n],
 				gen: gen, kc: kc, arr: arr, rng: rng.Fork(),
-			}
-			if c.ring != nil {
-				src.rt = c.routers[n]
-			}
-			c.Sources = append(c.Sources, src)
+			})
 		}
 		return c, nil
 	}
@@ -643,11 +642,7 @@ func New(cfg Config) (*Cluster, error) {
 	for n := 0; n < p.Servers; n++ {
 		for k := 0; k < p.ClientsPerServer; k++ {
 			gen := ycsb.NewGenerator(cfg.Workload, kc, rng.Fork())
-			cl := newClient(id, c, c.nodes[n], c.Replicas[n], gen, rng.Fork())
-			if c.ring != nil {
-				cl.rt = c.routers[n]
-			}
-			c.Clients = append(c.Clients, cl)
+			c.Clients = append(c.Clients, newClient(id, c, c.routers[n], gen, rng.Fork()))
 			id++
 		}
 	}
@@ -735,7 +730,9 @@ func (c *Cluster) Collect(window int64, wall time.Duration) *Result {
 	if res.Protocol.BufferPeak > res.BufferPeak {
 		res.BufferPeak = res.Protocol.BufferPeak
 	}
-	if c.ring != nil {
+	if c.Cfg.Shards > 0 {
+		// A flat cell reports no routing: its one all-servers shard is wiring,
+		// not topology.
 		res.ShardOps = make([]uint64, c.ring.shards)
 		res.NodeOps = make([]uint64, len(c.routers))
 		for _, rt := range c.routers {

@@ -14,17 +14,19 @@ import "repro/internal/simnet"
 // the same routedOp record the unbatched path would have sent, executed by
 // the same replica in the same per-destination order (a batch preserves its
 // append order, and simnet delivery keeps per-pair FIFO). With FwdBatch == 0
-// (the default) none of this code runs and the router's send path is
-// byte-identical to the pre-batching implementation — the golden fixtures
-// and TestShardedFwdBatchZeroIdentity pin that.
+// (the default) no batcher is built and every routed op travels as its own
+// message, the path whose exact counters the schedule fingerprint's 16-shard
+// cells pin. Batched runs are proven sequential-vs-LP identical by
+// TestShardedPlacementDifferential and TestShardedOpenLoopFwdBatchDifferential.
 //
 // LP safety mirrors routedOp: a batch record is owned by the sending LP
 // until net.Send parks it in the network (the sender's mailbox under LP
-// wiring), and the receiver owns it afterwards. The doorbell timer's handler is the *batcher* (which never
-// migrates), not the batch, with the destination as the event argument — so
-// a timer left behind by an early size-triggered flush can never touch a
-// record whose ownership has already moved; it just finds no pending batch
-// (or a successor with a strictly later deadline) and does nothing.
+// wiring), and the receiver owns it afterwards. The doorbell timer's handler
+// is the *batcher* (which never migrates), not the batch, with the
+// destination as the event argument — so a timer left behind by an early
+// size-triggered flush can never touch a record whose ownership has already
+// moved; it just finds no pending batch (or a successor with a strictly later
+// deadline) and does nothing.
 
 // kindRouteBatch carries one fwdBatch of routed ops.
 const kindRouteBatch = kindRouteResp + 1

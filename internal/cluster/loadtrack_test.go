@@ -447,7 +447,7 @@ func TestFwdBatchZeroAlloc(t *testing.T) {
 	})
 	allocs := testing.AllocsPerRun(200, func() {
 		for k := uint64(0); k < 24; k++ { // 3 full batches of 8
-			rt.forward(routeWrite, k, 0, 1, nil, nil)
+			rt.forward(ycsb.Op{Kind: ycsb.OpWrite, Key: k}, 1, nil, nil)
 		}
 		// Drain the doorbells (no-ops: every batch flushed on size) and the
 		// in-flight deliveries so pools rebalance before the next round.

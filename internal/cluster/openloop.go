@@ -20,14 +20,13 @@ import (
 // and a million concurrent sessions cost O(in-flight records), not O(clients)
 // goroutine-style state machines.
 type openSource struct {
-	cl   *Cluster
-	ns   *nodeState
-	node *protocol.Replica
-	rt   *router // per-op shard routing; nil on unsharded clusters
-	gen  *ycsb.Generator
-	kc   *ycsb.Zipfian
-	arr  *ycsb.Arrivals
-	rng  *sim.RNG
+	cl  *Cluster
+	ns  *nodeState
+	rt  *router // the node's router: every op goes through it
+	gen *ycsb.Generator
+	kc  *ycsb.Zipfian
+	arr *ycsb.Arrivals
+	rng *sim.RNG
 
 	nextAt int64 // the already-drawn head of the arrival stream
 
@@ -85,7 +84,7 @@ func (s *session) done(st protocol.Stamp) {
 	}
 	switch kind {
 	case ycsb.OpRead:
-		o.ns.finishRead(intended, key, st, -1, o.node.ID())
+		o.ns.finishRead(intended, key, st, -1, o.rt.node)
 	case ycsb.OpScan:
 		o.ns.recordRead(o.ns.eng.Now() - intended)
 	default: // write, rmw
@@ -125,30 +124,7 @@ func (o *openSource) issue(now int64) {
 	s.key = op.Key
 	s.kind = op.Kind
 	s.intended = now
-	if rt := o.rt; rt != nil {
-		// Sharded cluster: route to the shard owning the key.
-		switch op.Kind {
-		case ycsb.OpScan:
-			rt.scan(op.Key, op.ScanLen, s.onScan)
-		case ycsb.OpRMW:
-			rt.rmw(op.Key, 0, s.onStamp)
-		case ycsb.OpRead:
-			rt.read(op.Key, s.onStamp)
-		default:
-			rt.write(op.Key, 0, s.onStamp)
-		}
-		return
-	}
-	switch op.Kind {
-	case ycsb.OpScan:
-		o.node.ClientScan(op.Key, op.ScanLen, s.onScan)
-	case ycsb.OpRMW:
-		o.node.ClientRMW(op.Key, 0, 0, s.onStamp)
-	case ycsb.OpRead:
-		o.node.ClientRead(op.Key, 0, s.onStamp)
-	default:
-		o.node.ClientWrite(op.Key, 0, 0, s.onStamp)
-	}
+	o.rt.submit(op, 0, s.onStamp, s.onScan)
 }
 
 // start draws the stream head and arms the first arrival event.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -51,6 +52,26 @@ func TestOpenLoopRejectsClosedLoopModels(t *testing.T) {
 	bad := openConfig(core.Baseline, 0) // zero rate
 	if _, err := New(bad); err == nil {
 		t.Fatal("open loop accepted a zero arrival rate")
+	}
+}
+
+// TestOpenLoopHotKeysWithinKeyspace: a hot-key storm draws its keys from the
+// HotKeys hottest ranks of the keyspace, so it cannot name more ranks than
+// there are keys. Validate must refuse such a storm with a per-field error
+// instead of the run panicking at the first storm draw past the keyspace,
+// and a storm over the whole keyspace still runs.
+func TestOpenLoopHotKeysWithinKeyspace(t *testing.T) {
+	cfg := openConfig(core.Model{C: core.Eventual, P: core.EventualP}, 3e6)
+	cfg.Arrivals.Shape = ycsb.ShapeBursty
+	cfg.Arrivals.HotFrac = 1
+	cfg.Arrivals.HotKeys = 500
+	cfg.Params.Keys = 100
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "HotKeys") {
+		t.Fatalf("a 500-key storm over 100 keys: got error %v, want a HotKeys field error", err)
+	}
+	cfg.Arrivals.HotKeys = cfg.Params.Keys
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("a storm over the whole keyspace was rejected: %v", err)
 	}
 }
 

@@ -4,14 +4,17 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/ycsb"
 )
 
-// route.go is the per-node client router of a sharded cluster
-// (Config.Shards >= 1). Every client operation consults the consistent-hash
-// ring: a key owned by the issuing node's own shard executes on the local
-// replica exactly as in the unsharded cluster, and a key owned elsewhere is
-// forwarded over simnet to an executor inside the owning shard, which runs
-// the operation on its replica group and sends the result back.
+// route.go is the per-node client router every cluster sends its plain
+// client ops through (Config.Shards = 0 wires one all-servers shard, exactly
+// as Shards = 1 does). Each op consults the consistent-hash ring: a key owned
+// by the issuing node's own shard executes on the local replica, and a key
+// owned elsewhere is forwarded over simnet to an executor inside the owning
+// shard, which runs the operation on its replica group and sends the result
+// back. One switch (router.execute) dispatches both to the replica's client
+// calls. The transactional and scope session paths stay on the home replica.
 //
 // Which group member executes a forwarded op is a pluggable placement
 // policy (place): the default fixed hash coordinator, power-of-two-choices
@@ -23,7 +26,7 @@ import (
 //
 // Forwarding rides the simulated network on dedicated message kinds that
 // share each node's NIC with protocol traffic; a per-node demultiplexer
-// (cluster.New) splits them. Because the request, its execution, and its
+// (cluster.New, multi-shard rings only) splits them. Because the request, its execution, and its
 // response are all ordinary simnet messages and engine events, routing
 // inherits the network's canonical arrival order and stays byte-identical
 // across the sequential and LP engines at any worker count.
@@ -44,22 +47,12 @@ const (
 	kindRouteResp = kindRouteReq + 1
 )
 
-// Routed op kinds.
-const (
-	routeRead = iota
-	routeWrite
-	routeRMW
-	routeScan
-)
-
 // routedOp carries one forwarded operation origin → executor → origin.
 type routedOp struct {
-	rt      *router // router currently holding the record (set on each hop)
-	kind    uint8
-	resp    bool // batched-mode direction flag: record carries a response
-	key     uint64
-	scanLen int
-	origin  int32 // global node ID to send the response to
+	rt     *router // router currently holding the record (set on each hop)
+	op     ycsb.Op // the forwarded request: kind, key, scan length
+	resp   bool    // batched-mode direction flag: record carries a response
+	origin int32   // global node ID to send the response to
 
 	stamp protocol.Stamp // result (read/write/rmw)
 	count int            // result (scan)
@@ -89,31 +82,21 @@ func (op *routedOp) OnEvent(arg uint64) {
 	op.complete()
 }
 
-// exec runs the forwarded operation on the executing node's replica. The
-// replica's own client path charges coordinator compute and worker
-// occupancy, exactly as a locally issued op would.
+// exec runs the forwarded operation on the executing node's replica through
+// the same router.execute a locally issued op takes.
 func (op *routedOp) exec() {
 	rt := op.rt
 	if rt.ns.measuring {
 		rt.execOps++
 	}
-	switch op.kind {
-	case routeScan:
-		rt.rep.ClientScan(op.key, op.scanLen, op.onScan)
-	case routeRMW:
-		rt.rep.ClientRMW(op.key, 0, 0, op.onStamp)
-	case routeRead:
-		rt.rep.ClientRead(op.key, 0, op.onStamp)
-	default:
-		rt.rep.ClientWrite(op.key, 0, 0, op.onStamp)
-	}
+	rt.execute(op.op, 0, op.onStamp, op.onScan)
 }
 
 // respond sends the completed operation's result back to its origin node.
 func (op *routedOp) respond() {
 	rt := op.rt
 	body := 0
-	if op.kind == routeRead || op.kind == routeScan {
+	if readsValue(op.op.Kind) {
 		body = rt.cl.Cfg.Params.ValueSize // the value rides the response
 	}
 	if rt.fb != nil {
@@ -135,12 +118,12 @@ func (op *routedOp) respond() {
 // stay balanced without cross-LP traffic).
 func (op *routedOp) complete() {
 	rt := op.rt
-	stamp, count := op.stamp, op.count
+	stamp, count, scan := op.stamp, op.count, op.op.Kind == ycsb.OpScan
 	done, doneScan := op.done, op.doneScan
 	op.done, op.doneScan = nil, nil
 	op.next = rt.free
 	rt.free = op
-	if doneScan != nil {
+	if scan {
 		doneScan(count)
 		return
 	}
@@ -212,22 +195,20 @@ func (rt *router) prewarm(n int) {
 
 // forward ships one operation to the executor the placement policy picked
 // inside the owning shard.
-func (rt *router) forward(kind uint8, key uint64, scanLen, to int, done func(protocol.Stamp), doneScan func(int)) {
+func (rt *router) forward(o ycsb.Op, to int, done func(protocol.Stamp), doneScan func(int)) {
 	if rt.ns.measuring {
 		rt.fwdOps++
 	}
 	op := rt.getOp()
 	op.rt = rt
-	op.kind = kind
-	op.key = key
-	op.scanLen = scanLen
+	op.op = o
 	op.origin = int32(rt.node)
 	op.stamp = 0
 	op.count = 0
 	op.done = done
 	op.doneScan = doneScan
 	body := 16 // key + op metadata
-	if kind == routeWrite || kind == routeRMW {
+	if !readsValue(o.Kind) {
 		body += rt.cl.Cfg.Params.ValueSize // the new value rides the request
 	}
 	if rt.fb != nil {
@@ -266,21 +247,23 @@ func (rt *router) onMessage(m simnet.Message) {
 
 // place resolves one client op: the shard owning key and, when that is not
 // this node's shard, the executor node the placement policy picks inside the
-// owning group. With no load tracker (the default) it is exactly the ring's
-// fixed-hash route. read selects replica-read spreading when enabled.
+// owning group (this node otherwise). With no load tracker (the default) the
+// executor is the ring's fixed-hash coordinator, hashed only for an op that
+// leaves the node. read selects replica-read spreading when enabled.
 func (rt *router) place(key uint64, read bool) (shard, to int) {
-	if rt.lt == nil {
-		return rt.ring.route(key)
-	}
 	shard = rt.ring.owner(key)
 	if shard == rt.shard {
-		// Local execution: charge this node so the counters see the
-		// router's full directed load.
-		rt.lt.count(rt.node)
+		if rt.lt != nil {
+			// Local execution: charge this node so the counters see the
+			// router's full directed load.
+			rt.lt.count(rt.node)
+		}
 		return shard, rt.node
 	}
 	base := shard * rt.ring.rf
 	switch {
+	case rt.lt == nil:
+		return shard, rt.ring.coordinator(key, shard)
 	case read && rt.rreads:
 		to = rt.lt.leastLoaded(base, rt.ring.rf)
 	case rt.loadPlace:
@@ -292,58 +275,44 @@ func (rt *router) place(key uint64, read bool) (shard, to int) {
 	return shard, to
 }
 
-// read routes one client read issued at this node. Reads (and scans) are the
-// ops replica-read spreading may redirect to a non-coordinator replica.
-func (rt *router) read(key uint64, done func(protocol.Stamp)) {
-	shard, to := rt.place(key, true)
-	if shard == rt.shard {
-		if rt.ns.measuring {
-			rt.localOps++
-		}
-		rt.rep.ClientRead(key, 0, done)
-		return
-	}
-	rt.forward(routeRead, key, 0, to, done, nil)
+// readsValue reports whether kind returns a value (a read or a scan) rather
+// than carrying a new one (a write or an RMW). Only reading ops may be
+// spread over replicas (Config.ReplicaReads).
+func readsValue(kind ycsb.OpKind) bool {
+	return kind == ycsb.OpRead || kind == ycsb.OpScan
 }
 
-// write routes one client write. scope is nonzero only under Scope
-// persistency, which a multi-shard cluster rejects — so forwarded writes
-// never carry one.
-func (rt *router) write(key uint64, scope uint64, done func(protocol.Stamp)) {
-	shard, to := rt.place(key, false)
-	if shard == rt.shard {
-		if rt.ns.measuring {
-			rt.localOps++
-		}
-		rt.rep.ClientWrite(key, scope, 0, done)
+// submit routes one client op issued at this node: it executes on the local
+// replica when this node's shard owns the key, else it is forwarded to the
+// executor the placement policy picks inside the owning shard. done receives
+// a read, write or RMW's stamp, doneScan a scan's count. scope is nonzero
+// only under Scope persistency, which a multi-shard cluster rejects — so
+// forwarded writes never carry one. A scan runs entirely in the shard owning
+// its start key (each shard's replica group holds that shard's keys).
+func (rt *router) submit(op ycsb.Op, scope uint64, done func(protocol.Stamp), doneScan func(int)) {
+	shard, to := rt.place(op.Key, readsValue(op.Kind))
+	if shard != rt.shard {
+		rt.forward(op, to, done, doneScan)
 		return
 	}
-	rt.forward(routeWrite, key, 0, to, done, nil)
+	if rt.ns.measuring {
+		rt.localOps++
+	}
+	rt.execute(op, scope, done, doneScan)
 }
 
-// rmw routes one client read-modify-write.
-func (rt *router) rmw(key uint64, scope uint64, done func(protocol.Stamp)) {
-	shard, to := rt.place(key, false)
-	if shard == rt.shard {
-		if rt.ns.measuring {
-			rt.localOps++
-		}
-		rt.rep.ClientRMW(key, scope, 0, done)
-		return
+// execute runs one plain op on this node's replica, whether issued here or
+// forwarded in. The replica's client path charges coordinator compute and
+// worker occupancy.
+func (rt *router) execute(op ycsb.Op, scope uint64, done func(protocol.Stamp), doneScan func(int)) {
+	switch op.Kind {
+	case ycsb.OpScan:
+		rt.rep.ClientScan(op.Key, op.ScanLen, doneScan)
+	case ycsb.OpRMW:
+		rt.rep.ClientRMW(op.Key, scope, 0, done)
+	case ycsb.OpRead:
+		rt.rep.ClientRead(op.Key, 0, done)
+	default:
+		rt.rep.ClientWrite(op.Key, scope, 0, done)
 	}
-	rt.forward(routeRMW, key, 0, to, done, nil)
-}
-
-// scan routes one client scan. A scan runs entirely in the shard owning its
-// start key (each shard's replica group holds that shard's keys).
-func (rt *router) scan(key uint64, maxLen int, done func(int)) {
-	shard, to := rt.place(key, true)
-	if shard == rt.shard {
-		if rt.ns.measuring {
-			rt.localOps++
-		}
-		rt.rep.ClientScan(key, maxLen, done)
-		return
-	}
-	rt.forward(routeScan, key, maxLen, to, nil, done)
 }

@@ -65,7 +65,7 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 		// Coordinator spread: every replica of a shard must get some keys.
 		nodeHits := make([]int, shards*3)
 		for k := uint64(0); k < 10_000; k++ {
-			_, node := a.route(k)
+			node := a.coordinator(k, a.owner(k))
 			nodeHits[node]++
 		}
 		for n, hits := range nodeHits {
@@ -134,12 +134,16 @@ func TestRingOwnerTableMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestShard1MatchesDirect is the refactor's identity proof: Shards=1 builds
-// the full topology layer (ring, routers, group-relative membership, NIC
-// demultiplexers) over one all-servers shard, and every model — including
-// the transactional and scoped session paths — must produce byte-identical
-// results to the legacy direct wiring (Shards=0).
-func TestShard1MatchesDirect(t *testing.T) {
+// TestFlatRoutingReport pins the one wiring's reporting contract: Shards 0
+// and 1 build the same cluster (ring, routers and group-relative membership
+// over one all-servers shard), so every model — the
+// transactional and scoped session paths included — produces identical
+// results. Only the report differs. A flat cell (Shards = 0) reports no
+// routing at all: Routed 0 and nil ShardOps/NodeOps, which the benchmark's
+// routing digest pins. Shards = 1 reports one shard that executed every
+// router-dispatched op, none forwarded; transactional sessions pin to their
+// home replica and never reach the router.
+func TestFlatRoutingReport(t *testing.T) {
 	models := []core.Model{
 		{C: core.Linearizable, P: core.Strict},
 		{C: core.Eventual, P: core.EventualP},
@@ -150,26 +154,46 @@ func TestShard1MatchesDirect(t *testing.T) {
 	for _, m := range models {
 		cfg := smallConfig(m)
 		cfg.TrackHistory = true
-		direct, err := Run(cfg)
+		flat, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("%s direct: %v", m, err)
+			t.Fatalf("%s shards=0: %v", m, err)
+		}
+		if flat.Routed != 0 || flat.ShardOps != nil || flat.NodeOps != nil {
+			t.Fatalf("%s: flat cell reported routing: routed=%d shardOps=%v nodeOps=%v",
+				m, flat.Routed, flat.ShardOps, flat.NodeOps)
 		}
 		cfg.Shards = 1
-		routed, err := Run(cfg)
+		one, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s shards=1: %v", m, err)
 		}
-		equivalentResults(t, fmt.Sprintf("%s shards=1", m), direct, routed)
-		if routed.Routed != 0 {
-			t.Fatalf("%s: single-shard cluster forwarded %d ops", m, routed.Routed)
+		equivalentResults(t, fmt.Sprintf("%s shards=1", m), flat, one)
+		if one.Routed != 0 {
+			t.Fatalf("%s: single-shard cluster forwarded %d ops", m, one.Routed)
 		}
-		// ShardOps counts router-dispatched ops; transactional sessions pin
-		// to their home replica and bypass the router entirely.
-		if len(routed.ShardOps) != 1 {
-			t.Fatalf("%s: ShardOps = %v, want one shard", m, routed.ShardOps)
+		if len(one.ShardOps) != 1 || len(one.NodeOps) != cfg.Params.Servers {
+			t.Fatalf("%s: ShardOps = %v, NodeOps = %v, want one shard over %d nodes",
+				m, one.ShardOps, one.NodeOps, cfg.Params.Servers)
 		}
-		if m.C != core.Transactional && routed.ShardOps[0] == 0 {
-			t.Fatalf("%s: ShardOps = %v, want one busy shard", m, routed.ShardOps)
+		var nodeSum uint64
+		for _, n := range one.NodeOps {
+			nodeSum += n
+		}
+		if nodeSum != one.ShardOps[0] {
+			t.Fatalf("%s: NodeOps %v sum to %d, ShardOps[0] = %d", m, one.NodeOps, nodeSum, one.ShardOps[0])
+		}
+		if m.C == core.Transactional {
+			if one.ShardOps[0] != 0 {
+				t.Fatalf("%s: transactional sessions reached the router: ShardOps = %v", m, one.ShardOps)
+			}
+			continue
+		}
+		// Ops issued and ops completed in the window differ by at most what
+		// was in flight at its two edges.
+		inflight := int64(cfg.Params.Servers * cfg.Params.ClientsPerServer * max(cfg.Params.ClientWindow, 1))
+		if d := int64(one.ShardOps[0]) - int64(one.Summary.Ops); one.ShardOps[0] == 0 || d > inflight || -d > inflight {
+			t.Fatalf("%s: the shard executed %d ops, the window completed %d (in flight <= %d)",
+				m, one.ShardOps[0], one.Summary.Ops, inflight)
 		}
 	}
 }
@@ -265,8 +289,8 @@ func TestShardedOpenLoop(t *testing.T) {
 }
 
 // TestRoutedClientZeroAlloc pins the satellite guard: the routed hot path's
-// own machinery — ring lookup, coordinator choice, routed-op checkout and
-// return — allocates nothing per op.
+// own machinery — placement (ring lookup, coordinator choice), routed-op
+// checkout and return — allocates nothing per op.
 func TestRoutedClientZeroAlloc(t *testing.T) {
 	cfg := shardedConfig(core.Model{C: core.Eventual, P: core.EventualP}, 16, 3)
 	c, err := New(cfg)
@@ -279,11 +303,10 @@ func TestRoutedClientZeroAlloc(t *testing.T) {
 	var sink int
 	allocs := testing.AllocsPerRun(200, func() {
 		for k := uint64(0); k < 64; k++ {
-			shard, node := rt.ring.route(k)
+			shard, node := rt.place(k, true)
 			sink += shard + node
 			op := rt.getOp()
-			op.kind = routeRead
-			op.key = k
+			op.op = ycsb.Op{Kind: ycsb.OpRead, Key: k}
 			op.origin = int32(rt.node)
 			op.next = rt.free
 			rt.free = op
@@ -425,8 +448,9 @@ func BenchmarkRingRoute(b *testing.B) {
 			b.ReportAllocs()
 			var sink int
 			for i := 0; i < b.N; i++ {
-				s, n := r.route(uint64(i) * 0x9e3779b97f4a7c15)
-				sink += s + n
+				key := uint64(i) * 0x9e3779b97f4a7c15
+				s := r.owner(key)
+				sink += s + r.coordinator(key, s)
 			}
 			_ = sink
 		})

@@ -118,13 +118,5 @@ func (r *ring) coordinator(key uint64, shard int) int {
 	return shard*r.rf + int(mix64(key^coordSalt)%uint64(r.rf))
 }
 
-// route returns the shard owning key and the key's fixed hash coordinator
-// within it — the default placement. Callers inside the owning shard
-// coordinate locally instead and never use the node result.
-func (r *ring) route(key uint64) (shard, node int) {
-	shard = r.owner(key)
-	return shard, r.coordinator(key, shard)
-}
-
 // shardOf returns the shard that global node id belongs to.
 func (r *ring) shardOf(node int) int { return node / r.rf }

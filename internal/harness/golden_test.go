@@ -35,14 +35,14 @@ func renderGolden(t *testing.T, o Options) []byte {
 }
 
 // TestGolden5x5ByteIdentical asserts that all 25 <consistency, persistency>
-// cells render byte-identically to the committed fixture, three ways:
+// cells render byte-identically to the committed fixture, two ways:
 //
 //   - default: the fixture was generated before the policy-layer refactor,
 //     so this is its equivalence proof — resolving each model to a
 //     (VisibilityPolicy, DurabilityPolicy) pair must not move a single event.
-//   - Shards=1: the sharded topology layer engaged over one all-servers
-//     shard (ring, per-node routers, NIC demultiplexers, group-relative
-//     membership) must not move a single event either.
+//     It was also generated before clients routed through a ring, so it
+//     proves the one-shard router wiring every flat cell now runs moves
+//     nothing either.
 //   - IntraParallel=4: four logical-process workers per cell; the LP engine
 //     must reproduce the sequential rendering end to end (CI runs this one
 //     under -race).
@@ -55,7 +55,6 @@ func TestGolden5x5ByteIdentical(t *testing.T) {
 		mut  func(*Options)
 	}{
 		{"default", func(o *Options) { o.Parallel = 4 }},
-		{"Shards=1", func(o *Options) { o.Parallel, o.Shards = 4, 1 }},
 		{"IntraParallel=4", func(o *Options) { o.Parallel, o.IntraParallel = 2, 4 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

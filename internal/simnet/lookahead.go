@@ -24,31 +24,20 @@ import "fmt"
 // MinCrossLat reduced by that bound instead.
 
 // MinCrossLat returns the smallest one-way propagation latency over all
-// cross-node (src != dst) pairs — OneWayLat for homogeneous fabrics, the
-// matrix minimum under PairLat. Returns 0 when no cross pair exists
+// cross-node (src != dst) pairs: OneWayLat when some pair shares a block (or
+// the fabric is uniform), CrossLat when some pair spans two, the smaller of
+// the two when both kinds exist. Returns 0 when no cross pair exists
 // (Nodes < 2).
 func (cfg Config) MinCrossLat() int64 {
-	if cfg.Nodes < 2 {
+	switch {
+	case cfg.Nodes < 2:
 		return 0
+	case cfg.BlockSize == 0 || cfg.Nodes <= cfg.BlockSize:
+		return cfg.OneWayLat // one block holds every pair
+	case cfg.BlockSize == 1:
+		return cfg.CrossLat // every pair spans two blocks
 	}
-	if cfg.PairLat == nil {
-		return cfg.OneWayLat
-	}
-	min := int64(-1)
-	for i := 0; i < cfg.Nodes; i++ {
-		for j := 0; j < cfg.Nodes; j++ {
-			if i == j {
-				continue
-			}
-			if l := cfg.PairLat[i][j]; min < 0 || l < min {
-				min = l
-			}
-		}
-	}
-	if min < 0 {
-		return 0
-	}
-	return min
+	return min(cfg.OneWayLat, cfg.CrossLat)
 }
 
 // Lookahead returns the safe epoch width for LP execution: the minimum

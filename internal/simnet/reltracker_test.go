@@ -71,7 +71,7 @@ func (f *refFabric) send(src, dst, size int, now int64) (arrive int64, inflight 
 // TestRelTrackerMatchesFullScan is a randomized differential of the NIC send
 // path against refFabric: random sends — bursts and spreads, loopback
 // included, sizes from header-only to several serialization slots — under
-// hashed jitter, a two-tier BlockPairLat fabric (whose arrivals leave send
+// hashed jitter, a two-tier block fabric (whose arrivals leave send
 // order) and queue-pair pressure, on one engine whose clock advances by
 // random steps between sends. After every send the arrival time prepSend
 // returns and the sender's in-flight count must equal the oracle's. The
@@ -82,7 +82,7 @@ func TestRelTrackerMatchesFullScan(t *testing.T) {
 		for _, fab := range []struct {
 			name   string
 			jitter int64
-			pair   bool
+			blocks bool
 			qps    int
 		}{
 			{"uniform", 0, false, 0},
@@ -95,8 +95,8 @@ func TestRelTrackerMatchesFullScan(t *testing.T) {
 				name := fmt.Sprintf("nodes=%d %s seed=%d", nodes, fab.name, seed)
 				cfg := Config{Nodes: nodes, OneWayLat: 500, Jitter: fab.jitter,
 					Bandwidth: 100e9, QueuePairs: fab.qps, Seed: seed}
-				if fab.pair {
-					cfg.PairLat = BlockPairLat(nodes, 5, 300, 2500)
+				if fab.blocks {
+					cfg.OneWayLat, cfg.BlockSize, cfg.CrossLat = 300, 5, 2500
 				}
 				eng := sim.New()
 				n := New(eng, cfg)

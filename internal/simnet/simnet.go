@@ -51,11 +51,13 @@ type Message struct {
 type Config struct {
 	Nodes     int
 	OneWayLat int64 // ns propagation NIC-to-NIC
-	// PairLat, when non-nil, overrides OneWayLat per (src,dst) pair —
-	// heterogeneous fabrics (rack locality, degraded links). Must be
-	// Nodes x Nodes; diagonal entries are ignored (self-sends skip
-	// propagation).
-	PairLat    [][]int64
+	// BlockSize > 0 groups the nodes into contiguous blocks of BlockSize IDs
+	// (rack-local replica groups over a slower inter-rack spine): pairs
+	// inside a block propagate in OneWayLat, pairs spanning two blocks in
+	// CrossLat. 0 (the default) is the uniform fabric, where CrossLat must
+	// stay 0.
+	BlockSize  int
+	CrossLat   int64 // ns propagation between blocks (BlockSize > 0 only)
 	Jitter     int64 // max extra one-way delay, ns (uniform; 0 = none)
 	Bandwidth  int64 // bits/s per NIC (each direction)
 	QueuePairs int   // max in-flight sends per NIC; extra sends queue
@@ -95,29 +97,20 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("simnet: QueuePairs must be >= 0, got %d", cfg.QueuePairs)
 	case cfg.MaxKind < 0:
 		return fmt.Errorf("simnet: MaxKind must be >= 0, got %d", cfg.MaxKind)
-	}
-	if cfg.PairLat != nil {
-		if len(cfg.PairLat) != cfg.Nodes {
-			return fmt.Errorf("simnet: PairLat must have %d rows, got %d", cfg.Nodes, len(cfg.PairLat))
-		}
-		for i, row := range cfg.PairLat {
-			if len(row) != cfg.Nodes {
-				return fmt.Errorf("simnet: PairLat row %d must have %d entries, got %d", i, cfg.Nodes, len(row))
-			}
-			for j, lat := range row {
-				if i != j && lat < 0 {
-					return fmt.Errorf("simnet: PairLat[%d][%d] must be >= 0 ns, got %d", i, j, lat)
-				}
-			}
-		}
+	case cfg.BlockSize < 0:
+		return fmt.Errorf("simnet: BlockSize must be >= 0, got %d", cfg.BlockSize)
+	case cfg.CrossLat < 0:
+		return fmt.Errorf("simnet: CrossLat must be >= 0 ns, got %d", cfg.CrossLat)
+	case cfg.CrossLat != 0 && cfg.BlockSize == 0:
+		return fmt.Errorf("simnet: CrossLat only applies with BlockSize > 0")
 	}
 	return nil
 }
 
 // latFor returns the one-way propagation latency from src to dst.
 func (cfg Config) latFor(src, dst int) int64 {
-	if cfg.PairLat != nil {
-		return cfg.PairLat[src][dst]
+	if cfg.BlockSize > 0 && src/cfg.BlockSize != dst/cfg.BlockSize {
+		return cfg.CrossLat
 	}
 	return cfg.OneWayLat
 }
@@ -541,29 +534,6 @@ func (n *Network) BroadcastRange(msg Message, base, size, except int) {
 		m.To = to
 		n.Send(m)
 	}
-}
-
-// BlockPairLat builds a Config.PairLat matrix for a fabric whose nodes form
-// contiguous blocks of blockSize (the per-shard replica groups): pairs within
-// a block propagate at intra ns one-way, pairs spanning blocks at cross ns —
-// rack-local replica groups over a slower inter-rack spine. Diagonal entries
-// are zero (self-sends skip propagation).
-func BlockPairLat(nodes, blockSize int, intra, cross int64) [][]int64 {
-	m := make([][]int64, nodes)
-	for i := range m {
-		row := make([]int64, nodes)
-		for j := range row {
-			switch {
-			case i == j:
-			case i/blockSize == j/blockSize:
-				row[j] = intra
-			default:
-				row[j] = cross
-			}
-		}
-		m[i] = row
-	}
-	return m
 }
 
 // relTracker is one NIC's sends in flight, in send order: queue-pair
