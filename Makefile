@@ -26,8 +26,10 @@ fmt:
 #   - bench/ is a module of its own (the repo benchmark), so its smoke tests
 #     run from there;
 #   - the allocation guards — one round per binding on warm and on rotating
-#     keys, and allocations per op of whole cells against per-binding
-#     ceilings (ROADMAP 6(a));
+#     keys, allocations per op of whole cells against per-binding ceilings,
+#     construction objects per added client, the zero-allocation request
+#     record (routed, open-loop and batched paths), and the pending-write
+#     records a coordinator holds under transactional conflicts;
 #   - the barrier-arrival differential: both engines schedule cross-node
 #     arrivals with AtArrival, the sequential one at send time and the LP one
 #     at epoch barriers, and the (src, seq) key alone fixes their order;
@@ -66,8 +68,8 @@ fmt:
 check: vet fmt
 	$(GO) test -race ./...
 	(cd bench && $(GO) test .)
-	$(GO) test ./internal/protocol/ -run 'HotPathAllocs|TestRoundAllocsAcrossBindings'
-	$(GO) test ./internal/cluster/ -run TestCellAllocsPerOp
+	$(GO) test ./internal/protocol/ -run 'HotPathAllocs|TestRoundAllocsAcrossBindings|TestPendingWritesBounded'
+	$(GO) test ./internal/cluster/ -run 'TestCellAllocsPerOp|TestConstructionObjectsPerClient|TestRoutedClientZeroAlloc|TestOpenLoopSessionPoolZeroAlloc|TestFwdBatchZeroAlloc'
 	$(GO) test -race ./internal/sim/ -run TestBarrierArrivalsMatchSendTime
 	$(GO) test -race ./internal/cluster/ -run 'TestNICFastPathDifferential|TestNICFastPathEventReduction'
 	$(GO) test -race ./internal/cluster/ -run 'TestFlatRoutingReport|TestSharded'
@@ -91,13 +93,18 @@ bench:
 perf:
 	bash bench/run.sh
 
-# Exact allocation census of the quick Figure 6 matrix: -memprofile samples
-# every object (runtime.MemProfileRate = 1), so the top-40 sites are counts,
-# not estimates. EXPERIMENTS.md "Allocation census" reads this table.
+# Exact allocation censuses: -memprofile samples every object
+# (runtime.MemProfileRate = 1), so the top-40 sites are counts, not
+# estimates. The first table is the quick Figure 6 matrix, the second one rep
+# of the repo benchmark's scale160 workload (both cells: New, Run, Collect;
+# TestScaleCensus). EXPERIMENTS.md "Allocation census" and "Allocation-free
+# client ops" read these tables.
 census:
 	mkdir -p .bench_build
 	$(GO) run ./cmd/ddpbench -exp fig6 -quick -parallel 1 -memprofile .bench_build/census.mprof > /dev/null
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/census.mprof
+	SCALE_CENSUS=1 $(GO) test ./internal/cluster/ -run '^TestScaleCensus$$' -count=1 -memprofilerate 1 -memprofile .bench_build/scale_census.mprof -o .bench_build/cluster.test > /dev/null
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/cluster.test .bench_build/scale_census.mprof
 
 # Live heap of the repo benchmark's scale160 <Ev,Ev> cell, the memory twin of
 # census: the cell is built and run, a collection is forced with the cluster

@@ -275,12 +275,16 @@ func (m *measureSet) recordScope(lat int64) {
 }
 
 // nodeState is the per-server-node slice of cluster-side state: the node's
-// engine, the measurement set of that engine, and the node's own history
-// logs. Logs stay per node and concatenate in node order, which preserves
-// each client's record order (a client is pinned to one node).
+// engine, the measurement set of that engine, the node's load engine (its
+// closed-loop clients in one slab, or its open-loop source) and the node's
+// own history logs. Logs stay per node and concatenate in node order, which
+// preserves each client's record order (a client is pinned to one node).
 type nodeState struct {
 	eng *sim.Engine
 	*measureSet
+
+	clients []client
+	src     *openSource
 
 	writeLog []WriteRecord
 	readLog  []ReadRecord
@@ -338,7 +342,9 @@ type Cluster struct {
 	Replicas []*protocol.Replica
 	Devices  []*nvm.Device
 	Workers  []*sim.Pool
-	Clients  []*client
+	// Clients lists every closed-loop client in node order; each node's
+	// clients live in one slab (nodeState.clients).
+	Clients []*client
 	// Sources are the per-node open-loop load engines (Config.Arrivals runs
 	// only); Clients is empty then.
 	Sources []*openSource
@@ -622,28 +628,34 @@ func New(cfg Config) (*Cluster, error) {
 		// workload streams.
 		spec := *cfg.Arrivals
 		spec.RatePerSec /= float64(p.Servers)
-		for n := 0; n < p.Servers; n++ {
-			gen := ycsb.NewGenerator(cfg.Workload, kc, rng.Fork())
+		for n, ns := range c.nodes {
+			src := &openSource{ns: ns, rt: c.routers[n], kc: kc}
+			src.gen = ycsb.MakeGenerator(cfg.Workload, kc, rng.ForkValue())
 			arr, err := ycsb.NewArrivals(spec, rng.Fork())
 			if err != nil {
 				return nil, err
 			}
-			c.Sources = append(c.Sources, &openSource{
-				cl: c, ns: c.nodes[n], rt: c.routers[n],
-				gen: gen, kc: kc, arr: arr, rng: rng.Fork(),
-			})
+			src.arr, src.rng = arr, rng.ForkValue()
+			ns.src = src
+			c.Sources = append(c.Sources, src)
 		}
 		return c, nil
 	}
 
-	// Clients: ClientsPerServer per node, each with an independent
-	// deterministic request stream over the shared key space.
-	id := 0
-	for n := 0; n < p.Servers; n++ {
-		for k := 0; k < p.ClientsPerServer; k++ {
-			gen := ycsb.NewGenerator(cfg.Workload, kc, rng.Fork())
-			c.Clients = append(c.Clients, newClient(id, c, c.routers[n], gen, rng.Fork()))
-			id++
+	// Clients: ClientsPerServer per node in one slab per node, each with an
+	// independent deterministic request stream over the shared key space. A
+	// client's generator forks first, then its own RNG. The node's router
+	// holds one request record per op its clients can have in flight.
+	c.Clients = make([]*client, 0, p.Servers*p.ClientsPerServer)
+	for n, ns := range c.nodes {
+		c.routers[n].prewarm(p.ClientsPerServer * max(p.ClientWindow, 1))
+		ns.clients = make([]client, p.ClientsPerServer)
+		for k := range ns.clients {
+			cl := &ns.clients[k]
+			cl.gen = ycsb.MakeGenerator(cfg.Workload, kc, rng.ForkValue())
+			cl.rng = rng.ForkValue()
+			cl.init(len(c.Clients), int32(k), c.routers[n])
+			c.Clients = append(c.Clients, cl)
 		}
 	}
 	return c, nil
@@ -653,12 +665,10 @@ func New(cfg Config) (*Cluster, error) {
 // every open-loop source's arrival chain.
 func (c *Cluster) Start() {
 	for _, src := range c.Sources {
-		src := src
-		src.ns.eng.Schedule(0, src.start)
+		src.ns.eng.ScheduleEvent(0, src, srcStart)
 	}
 	for _, cl := range c.Clients {
-		cl := cl
-		cl.ns.eng.Schedule(0, cl.start)
+		cl.ns.eng.ScheduleEvent(0, cl, clientStart)
 	}
 }
 

@@ -65,6 +65,36 @@ func TestRetainedHeapLinearInNodes(t *testing.T) {
 	t.Logf("retained heap %d B at 40 nodes, %d B at 160: %.0f B per added node", small, large, perNode)
 }
 
+// TestConstructionObjectsPerClient pins what a closed-loop client costs to
+// build: on the 40- and on the 160-node scaling cell, New + Start with 20
+// clients per server allocate at most 0.1 objects per client more than with
+// one. A node's clients, their generators and random streams share one slab,
+// its request records another, and Start schedules each client as a handler;
+// a client built from its own record, generator, two forked RNGs and a start
+// closure costs 5.
+func TestConstructionObjectsPerClient(t *testing.T) {
+	objects := func(nodes, perServer int) int64 {
+		cfg := scaleCell(nodes, 100_000, 100_000)
+		cfg.Params.ClientsPerServer = perServer
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		runtime.ReadMemStats(&after)
+		return int64(after.Mallocs - before.Mallocs)
+	}
+	for _, nodes := range []int{40, 160} {
+		one, twenty := objects(nodes, 1), objects(nodes, 20)
+		added := nodes * 19
+		if per := float64(twenty-one) / float64(added); per > 0.1 {
+			t.Errorf("%d nodes: %d objects with 1 client per server, %d with 20: %.2f per added client, want <= 0.1", nodes, one, twenty, per)
+		}
+	}
+}
+
 // TestFootprintProfile writes the exact in-use heap profile of the repo
 // benchmark's scale160 <Ev,Ev> cell, taken after a forced collection with the
 // cluster built and run: the live_heap_mb sample, by allocation site. It runs
@@ -108,10 +138,10 @@ func TestSharedChooserKeepsStreams(t *testing.T) {
 		}
 		var gens []*ycsb.Generator
 		for _, cl := range c.Clients {
-			gens = append(gens, cl.gen)
+			gens = append(gens, &cl.gen)
 		}
 		for _, src := range c.Sources {
-			gens = append(gens, src.gen)
+			gens = append(gens, &src.gen)
 		}
 		if len(gens) < 2 {
 			t.Fatalf("open=%v: only %d load streams built", open, len(gens))
@@ -238,6 +268,25 @@ func TestScopeHistogramAllocatedOnFirstUse(t *testing.T) {
 			if (res.ScopeHist.Count() > 0) != tc.scope {
 				t.Fatalf("%s IntraParallel=%d: result carries %d scope samples", tc.p, workers, res.ScopeHist.Count())
 			}
+		}
+	}
+}
+
+// TestScaleCensus builds, runs and collects both cells of the repo
+// benchmark's scale160 workload (<Ev,Ev> and <Lin,Sync>, 160 nodes = 32
+// shards x rf 5, 20 clients per server, 0.2 ms warm-up + 0.8 ms measured,
+// seed 1): one benchmark rep. It runs only when SCALE_CENSUS is set; `make
+// census` runs it under -memprofilerate 1 and prints the exact allocation
+// sites by objects.
+func TestScaleCensus(t *testing.T) {
+	if os.Getenv("SCALE_CENSUS") == "" {
+		t.Skip("set SCALE_CENSUS=1 and -memprofile to take the census (make census)")
+	}
+	for _, m := range []core.Model{{C: core.Eventual, P: core.EventualP}, {C: core.Linearizable, P: core.Synchronous}} {
+		cfg := scaleCell(160, 200_000, 800_000)
+		cfg.Model = m
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

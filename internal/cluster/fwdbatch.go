@@ -11,7 +11,7 @@ import "repro/internal/simnet"
 // little added latency for per-op overhead.
 //
 // Batching changes modeled timing only, never op outcomes: every entry is
-// the same routedOp record the unbatched path would have sent, executed by
+// the same request record the unbatched path would have sent, executed by
 // the same replica in the same per-destination order (a batch preserves its
 // append order, and simnet delivery keeps per-pair FIFO). With FwdBatch == 0
 // (the default) no batcher is built and every routed op travels as its own
@@ -19,9 +19,9 @@ import "repro/internal/simnet"
 // cells pin. Batched runs are proven sequential-vs-LP identical by
 // TestShardedPlacementDifferential and TestShardedOpenLoopFwdBatchDifferential.
 //
-// LP safety mirrors routedOp: a batch record is owned by the sending LP
-// until net.Send parks it in the network (the sender's mailbox under LP
-// wiring), and the receiver owns it afterwards. The doorbell timer's handler
+// LP safety mirrors the request record's: a batch record is owned by the
+// sending LP until net.Send parks it in the network (the sender's mailbox
+// under LP wiring), and the receiver owns it afterwards. The doorbell timer's handler
 // is the *batcher* (which never migrates), not the batch, with the
 // destination as the event argument — so a timer left behind by an early
 // size-triggered flush can never touch a record whose ownership has already
@@ -32,12 +32,12 @@ import "repro/internal/simnet"
 const kindRouteBatch = kindRouteResp + 1
 
 // fwdBatch is one in-flight multi-op message: up to the batcher's op budget
-// of routedOps plus their summed body bytes.
+// of requests plus their summed body bytes.
 type fwdBatch struct {
-	rt       *router // receiver-side: set on delivery, like routedOp.rt
+	rt       *router // receiver-side: set on delivery, like request.rt
 	deadline int64   // sender-side: when the doorbell timer fires
 	bytes    int     // summed per-op body bytes (headers amortize)
-	ops      []*routedOp
+	ops      []*request
 	next     *fwdBatch // freelist link
 }
 
@@ -62,13 +62,13 @@ func (fb *fwdBatcher) get() *fwdBatch {
 		fb.free = b.next
 		return b
 	}
-	return &fwdBatch{ops: make([]*routedOp, 0, fb.limit)}
+	return &fwdBatch{ops: make([]*request, 0, fb.limit)}
 }
 
-// add queues op for destination to, opening a batch (and arming its doorbell
+// add queues q for destination to, opening a batch (and arming its doorbell
 // timer) when none is pending and flushing when the op budget fills. body is
 // the op's payload size beyond the shared message header.
-func (fb *fwdBatcher) add(op *routedOp, to, body int) {
+func (fb *fwdBatcher) add(q *request, to, body int) {
 	b := fb.pend[to]
 	if b == nil {
 		b = fb.get()
@@ -76,7 +76,7 @@ func (fb *fwdBatcher) add(op *routedOp, to, body int) {
 		fb.pend[to] = b
 		fb.rt.ns.eng.AtEvent(b.deadline, fb, uint64(to))
 	}
-	b.ops = append(b.ops, op)
+	b.ops = append(b.ops, q)
 	b.bytes += body
 	if len(b.ops) >= fb.limit {
 		fb.flush(to)
@@ -116,17 +116,16 @@ func (fb *fwdBatcher) flush(to int) {
 // Each entry then takes its normal hop: requests execute on the local
 // replica, responses complete at their waiting client. The record recycles
 // into the receiving router's freelist once drained (batches migrate with
-// traffic, like routedOps, so pools balance without cross-LP frees).
+// traffic, like requests, so pools balance without cross-LP frees).
 func (b *fwdBatch) OnEvent(uint64) {
 	rt := b.rt
-	for i, op := range b.ops {
+	for i, q := range b.ops {
 		b.ops[i] = nil
-		op.rt = rt
-		if op.resp {
-			op.resp = false
-			op.complete()
+		q.rt = rt
+		if q.resp {
+			rt.finish(q, q.result)
 		} else {
-			op.exec()
+			q.exec()
 		}
 	}
 	b.ops = b.ops[:0]

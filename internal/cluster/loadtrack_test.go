@@ -416,8 +416,8 @@ func TestLoadTrackZeroAlloc(t *testing.T) {
 }
 
 // TestFwdBatchZeroAlloc pins the other guard: the batched forwarding path —
-// op checkout, batch open/append/flush, doorbell timer, send, delivery, and
-// recycling — allocates nothing in steady state. The receiver is a stub
+// request checkout, batch open/append/flush, doorbell timer, send, delivery,
+// and recycling — allocates nothing in steady state. The receiver is a stub
 // handler so the guard measures the batching machinery, not the replica's
 // execution path (covered by its own guards).
 func TestFwdBatchZeroAlloc(t *testing.T) {
@@ -435,10 +435,9 @@ func TestFwdBatchZeroAlloc(t *testing.T) {
 	net.Register(0, func(m simnet.Message) {})
 	net.Register(1, func(m simnet.Message) {
 		b := m.Payload.(*fwdBatch)
-		for i, op := range b.ops {
+		for i, q := range b.ops {
 			b.ops[i] = nil
-			op.next = rt.free
-			rt.free = op
+			rt.putReq(q)
 		}
 		b.ops = b.ops[:0]
 		b.bytes = 0
@@ -447,7 +446,9 @@ func TestFwdBatchZeroAlloc(t *testing.T) {
 	})
 	allocs := testing.AllocsPerRun(200, func() {
 		for k := uint64(0); k < 24; k++ { // 3 full batches of 8
-			rt.forward(ycsb.Op{Kind: ycsb.OpWrite, Key: k}, 1, nil, nil)
+			q := rt.getReq()
+			q.op = ycsb.Op{Kind: ycsb.OpWrite, Key: k}
+			rt.forward(q, 1)
 		}
 		// Drain the doorbells (no-ops: every batch flushed on size) and the
 		// in-flight deliveries so pools rebalance before the next round.

@@ -147,8 +147,8 @@ func TestOpenLoopCoordinatedOmissionSafety(t *testing.T) {
 }
 
 // TestOpenLoopSessionPoolZeroAlloc pins the session-table claim at scale: with
-// a million prewarmed idle sessions, the issue-side machinery — session
-// checkout, workload draw, arrival-stream draw, session return — allocates
+// a million prewarmed idle request records, the issue-side machinery — record
+// checkout, workload draw, arrival-stream draw, record return — allocates
 // nothing.
 func TestOpenLoopSessionPoolZeroAlloc(t *testing.T) {
 	cfg := openConfig(core.Model{C: core.Eventual, P: core.EventualP}, 1e6)
@@ -159,14 +159,14 @@ func TestOpenLoopSessionPoolZeroAlloc(t *testing.T) {
 	}
 	defer c.Close()
 	o := c.Sources[0]
-	o.prewarm(1_000_000)
+	o.rt.prewarm(1_000_000)
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 64; i++ {
-			s := o.getSession()
-			s.key = o.gen.Next().Key
-			s.intended = o.arr.Next()
-			s.next = o.free
-			o.free = s
+			q := o.rt.getReq()
+			q.op = o.gen.Next()
+			q.at = o.arr.Next()
+			q.client = -1
+			o.rt.putReq(q)
 		}
 	})
 	if allocs > 0 {
@@ -194,7 +194,7 @@ func TestOpenLoopMillionSessions(t *testing.T) {
 	defer c.Close()
 	// Prewarm the pool so the 1M ramp itself is allocation-free on the
 	// session layer (records still cost memory — that is the O(in-flight)).
-	c.Sources[0].prewarm(1_250_000)
+	c.routers[0].prewarm(1_250_000)
 	res, err := runBuilt(c)
 	if err != nil {
 		t.Fatal(err)

@@ -31,14 +31,10 @@ import (
 // inherits the network's canonical arrival order and stays byte-identical
 // across the sequential and LP engines at any worker count.
 //
-// The hot path allocates nothing in steady state: an op's state rides a
-// routedOp record recycled through the origin node's freelist, with its
-// completion closures bound once at construction. The record itself is the
-// network payload (pointer boxing is allocation-free) and ownership
-// transfers with delivery — origin fills the request fields, the executor
-// reads them and writes the result, the origin reads the result and recycles
-// the record — so each field is only ever touched by the LP that currently
-// holds the record, with the epoch barrier ordering the hand-offs.
+// The hot path allocates nothing in steady state: an op rides one request
+// record (request.go) from its load engine to the replica and back. The
+// record is the replica's completer, and on a forwarded op also the network
+// payload (pointer boxing is allocation-free) and each hop's worker-pool job.
 
 // Routing message kinds, continuing protocol's kind numbering so per-kind
 // network accounting keeps one flat table.
@@ -46,89 +42,6 @@ const (
 	kindRouteReq  = int(protocol.MsgABORTX) + 1
 	kindRouteResp = kindRouteReq + 1
 )
-
-// routedOp carries one forwarded operation origin → executor → origin.
-type routedOp struct {
-	rt     *router // router currently holding the record (set on each hop)
-	op     ycsb.Op // the forwarded request: kind, key, scan length
-	resp   bool    // batched-mode direction flag: record carries a response
-	origin int32   // global node ID to send the response to
-
-	stamp protocol.Stamp // result (read/write/rmw)
-	count int            // result (scan)
-
-	done     func(protocol.Stamp) // origin-side completion (read/write/rmw)
-	doneScan func(int)            // origin-side completion (scan)
-
-	next *routedOp // origin freelist link
-
-	onStamp func(protocol.Stamp) // bound once: executor-side replica completion
-	onScan  func(int)
-}
-
-// The two worker-pool jobs a routedOp schedules, as typed-event arguments.
-const (
-	routeExec = iota // executor side: run the operation on the local replica
-	routeDone        // origin side: deliver the result to the client
-)
-
-// OnEvent runs after the routing message's handling cost has been charged to
-// a worker. It implements sim.Handler so both hops dispatch closure-free.
-func (op *routedOp) OnEvent(arg uint64) {
-	if arg == routeExec {
-		op.exec()
-		return
-	}
-	op.complete()
-}
-
-// exec runs the forwarded operation on the executing node's replica through
-// the same router.execute a locally issued op takes.
-func (op *routedOp) exec() {
-	rt := op.rt
-	if rt.ns.measuring {
-		rt.execOps++
-	}
-	rt.execute(op.op, 0, op.onStamp, op.onScan)
-}
-
-// respond sends the completed operation's result back to its origin node.
-func (op *routedOp) respond() {
-	rt := op.rt
-	body := 0
-	if readsValue(op.op.Kind) {
-		body = rt.cl.Cfg.Params.ValueSize // the value rides the response
-	}
-	if rt.fb != nil {
-		op.resp = true
-		rt.fb.add(op, int(op.origin), 16+body) // stamp/count + value
-		return
-	}
-	rt.net.Send(simnet.Message{
-		From:    rt.node,
-		To:      int(op.origin),
-		Size:    rt.cl.Cfg.Params.MsgHeaderSize + body,
-		Kind:    kindRouteResp,
-		Payload: op,
-	})
-}
-
-// complete delivers the result to the waiting client callback and recycles
-// the record into the origin's freelist (where it was allocated, so pools
-// stay balanced without cross-LP traffic).
-func (op *routedOp) complete() {
-	rt := op.rt
-	stamp, count, scan := op.stamp, op.count, op.op.Kind == ycsb.OpScan
-	done, doneScan := op.done, op.doneScan
-	op.done, op.doneScan = nil, nil
-	op.next = rt.free
-	rt.free = op
-	if scan {
-		doneScan(count)
-		return
-	}
-	done(stamp)
-}
 
 // router is one node's view of the sharded keyspace: the shared ring plus
 // this node's forwarding state.
@@ -151,7 +64,7 @@ type router struct {
 	// Forwarding batcher (nil when Config.FwdBatch == 0).
 	fb *fwdBatcher
 
-	free *routedOp
+	free *request // spent records (request.go)
 
 	// Operation accounting over the measurement window.
 	localOps uint64 // ops whose key this node's own shard owns
@@ -166,53 +79,19 @@ func newRouter(cl *Cluster, rg *ring, ns *nodeState, rep *protocol.Replica, net 
 	}
 }
 
-func (rt *router) getOp() *routedOp {
-	if op := rt.free; op != nil {
-		rt.free = op.next
-		return op
-	}
-	op := &routedOp{}
-	op.onStamp = func(st protocol.Stamp) {
-		op.stamp = st
-		op.respond()
-	}
-	op.onScan = func(n int) {
-		op.count = n
-		op.respond()
-	}
-	return op
-}
-
-// prewarm fills the freelist so the first n concurrent forwarded ops
-// allocate nothing (the zero-alloc guards pin this).
-func (rt *router) prewarm(n int) {
-	for i := 0; i < n; i++ {
-		op := rt.getOp()
-		op.next = rt.free
-		rt.free = op
-	}
-}
-
-// forward ships one operation to the executor the placement policy picked
-// inside the owning shard.
-func (rt *router) forward(o ycsb.Op, to int, done func(protocol.Stamp), doneScan func(int)) {
+// forward ships q to the executor the placement policy picked inside the
+// owning shard.
+func (rt *router) forward(q *request, to int) {
 	if rt.ns.measuring {
 		rt.fwdOps++
 	}
-	op := rt.getOp()
-	op.rt = rt
-	op.op = o
-	op.origin = int32(rt.node)
-	op.stamp = 0
-	op.count = 0
-	op.done = done
-	op.doneScan = doneScan
+	q.origin = int32(rt.node)
 	body := 16 // key + op metadata
-	if !readsValue(o.Kind) {
+	if !readsValue(q.op.Kind) {
 		body += rt.cl.Cfg.Params.ValueSize // the new value rides the request
 	}
 	if rt.fb != nil {
-		rt.fb.add(op, to, body)
+		rt.fb.add(q, to, body)
 		return
 	}
 	rt.net.Send(simnet.Message{
@@ -220,7 +99,7 @@ func (rt *router) forward(o ycsb.Op, to int, done func(protocol.Stamp), doneScan
 		To:      to,
 		Size:    rt.cl.Cfg.Params.MsgHeaderSize + body,
 		Kind:    kindRouteReq,
-		Payload: op,
+		Payload: q,
 	})
 }
 
@@ -236,13 +115,13 @@ func (rt *router) onMessage(m simnet.Message) {
 		rt.work.AcquireEvent(rt.cl.Cfg.Params.MessageHandle, b, 0)
 		return
 	}
-	op := m.Payload.(*routedOp)
-	op.rt = rt
+	q := m.Payload.(*request)
+	q.rt = rt
 	arg := uint64(routeExec)
 	if m.Kind == kindRouteResp {
 		arg = routeDone
 	}
-	rt.work.AcquireEvent(rt.cl.Cfg.Params.MessageHandle, op, arg)
+	rt.work.AcquireEvent(rt.cl.Cfg.Params.MessageHandle, q, arg)
 }
 
 // place resolves one client op: the shard owning key and, when that is not
@@ -282,37 +161,37 @@ func readsValue(kind ycsb.OpKind) bool {
 	return kind == ycsb.OpRead || kind == ycsb.OpScan
 }
 
-// submit routes one client op issued at this node: it executes on the local
+// submit routes a request issued at this node: it executes on the local
 // replica when this node's shard owns the key, else it is forwarded to the
-// executor the placement policy picks inside the owning shard. done receives
-// a read, write or RMW's stamp, doneScan a scan's count. scope is nonzero
-// only under Scope persistency, which a multi-shard cluster rejects — so
-// forwarded writes never carry one. A scan runs entirely in the shard owning
-// its start key (each shard's replica group holds that shard's keys).
-func (rt *router) submit(op ycsb.Op, scope uint64, done func(protocol.Stamp), doneScan func(int)) {
-	shard, to := rt.place(op.Key, readsValue(op.Kind))
+// executor the placement policy picks inside the owning shard. q.scope is
+// nonzero only under Scope persistency, which a multi-shard cluster rejects —
+// so forwarded writes never carry one. A scan runs entirely in the shard
+// owning its start key (each shard's replica group holds that shard's keys).
+func (rt *router) submit(q *request) {
+	q.rt = rt
+	shard, to := rt.place(q.op.Key, readsValue(q.op.Kind))
 	if shard != rt.shard {
-		rt.forward(op, to, done, doneScan)
+		rt.forward(q, to)
 		return
 	}
 	if rt.ns.measuring {
 		rt.localOps++
 	}
-	rt.execute(op, scope, done, doneScan)
+	rt.execute(q, reqLocal)
 }
 
-// execute runs one plain op on this node's replica, whether issued here or
-// forwarded in. The replica's client path charges coordinator compute and
-// worker occupancy.
-func (rt *router) execute(op ycsb.Op, scope uint64, done func(protocol.Stamp), doneScan func(int)) {
-	switch op.Kind {
+// execute runs q on this node's replica, whether issued here or forwarded
+// in; tok tells q's completion which of the two it was. The replica's client
+// path charges coordinator compute and worker occupancy.
+func (rt *router) execute(q *request, tok uint64) {
+	switch q.op.Kind {
 	case ycsb.OpScan:
-		rt.rep.ClientScan(op.Key, op.ScanLen, doneScan)
+		rt.rep.ClientScan(q.op.Key, q.op.ScanLen, q, tok)
 	case ycsb.OpRMW:
-		rt.rep.ClientRMW(op.Key, scope, 0, done)
+		rt.rep.ClientRMW(q.op.Key, q.scope, 0, q, tok)
 	case ycsb.OpRead:
-		rt.rep.ClientRead(op.Key, 0, done)
+		rt.rep.ClientRead(q.op.Key, 0, q, tok)
 	default:
-		rt.rep.ClientWrite(op.Key, scope, 0, done)
+		rt.rep.ClientWrite(q.op.Key, q.scope, 0, q, tok)
 	}
 }

@@ -288,9 +288,9 @@ func TestShardedOpenLoop(t *testing.T) {
 	}
 }
 
-// TestRoutedClientZeroAlloc pins the satellite guard: the routed hot path's
-// own machinery — placement (ring lookup, coordinator choice), routed-op
-// checkout and return — allocates nothing per op.
+// TestRoutedClientZeroAlloc pins the routed hot path's own machinery —
+// placement (ring lookup, coordinator choice), request checkout and return —
+// at zero allocations per op.
 func TestRoutedClientZeroAlloc(t *testing.T) {
 	cfg := shardedConfig(core.Model{C: core.Eventual, P: core.EventualP}, 16, 3)
 	c, err := New(cfg)
@@ -305,11 +305,10 @@ func TestRoutedClientZeroAlloc(t *testing.T) {
 		for k := uint64(0); k < 64; k++ {
 			shard, node := rt.place(k, true)
 			sink += shard + node
-			op := rt.getOp()
-			op.op = ycsb.Op{Kind: ycsb.OpRead, Key: k}
-			op.origin = int32(rt.node)
-			op.next = rt.free
-			rt.free = op
+			q := rt.getReq()
+			q.op = ycsb.Op{Kind: ycsb.OpRead, Key: k}
+			q.origin = int32(rt.node)
+			rt.putReq(q)
 		}
 	})
 	if allocs > 0 {

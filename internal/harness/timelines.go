@@ -54,16 +54,17 @@ func Timelines(o Options) (*TimelinesResult, error) {
 		{core.Model{C: core.Linearizable, P: core.ReadEnforcedP}, "Figure 3(a,b): ACK_c/ACK_p split; reads stall until VAL_p"},
 		{core.Model{C: core.Causal, P: core.ReadEnforcedP}, "Figure 3(c,d): write fast; read waits for the latest visible version to persist"},
 	}
+	ignore := protocol.Func(func(uint64) {})
 	for _, wr := range writeRead {
 		c, err := timelineCluster(o, wr.m)
 		if err != nil {
 			return nil, err
 		}
 		c.Eng.Schedule(0, func() {
-			c.Replicas[0].ClientWrite(3, 0, 0, func(protocol.Stamp) {})
+			c.Replicas[0].ClientWrite(3, 0, 0, ignore, 0)
 		})
 		c.Eng.Schedule(700, func() {
-			c.Replicas[1].ClientRead(3, 0, func(protocol.Stamp) {})
+			c.Replicas[1].ClientRead(3, 0, ignore, 0)
 		})
 		c.Eng.Run(40_000)
 		res.Rows = append(res.Rows, Timeline{Model: wr.m, Caption: wr.caption, Cluster: c})
@@ -78,13 +79,13 @@ func Timelines(o Options) (*TimelinesResult, error) {
 		}
 		c.Eng.Schedule(0, func() {
 			r := c.Replicas[0]
-			r.ClientInitTxn(nil, func(id uint64) {
-				r.ClientWrite(3, 0, id, func(protocol.Stamp) {
-					r.ClientRead(3, id, func(protocol.Stamp) {
-						r.ClientEndTxn(id, func(bool) {})
-					})
-				})
-			})
+			r.ClientInitTxn(protocol.Func(func(id uint64) {
+				r.ClientWrite(3, 0, id, protocol.Func(func(uint64) {
+					r.ClientRead(3, id, protocol.Func(func(uint64) {
+						r.ClientEndTxn(id, ignore, 0)
+					}), 0)
+				}), 0)
+			}), 0)
 		})
 		c.Eng.Run(60_000)
 		res.Rows = append(res.Rows, Timeline{
@@ -104,11 +105,11 @@ func Timelines(o Options) (*TimelinesResult, error) {
 		const scope = 7
 		c.Eng.Schedule(0, func() {
 			r := c.Replicas[0]
-			r.ClientWrite(3, scope, 0, func(protocol.Stamp) {
-				r.ClientWrite(4, scope, 0, func(protocol.Stamp) {
-					r.ClientPersistScope(scope, func() {})
-				})
-			})
+			r.ClientWrite(3, scope, 0, protocol.Func(func(uint64) {
+				r.ClientWrite(4, scope, 0, protocol.Func(func(uint64) {
+					r.ClientPersistScope(scope, ignore, 0)
+				}), 0)
+			}), 0)
 		})
 		c.Eng.Run(60_000)
 		res.Rows = append(res.Rows, Timeline{

@@ -19,7 +19,7 @@ func TestSerialPropagationStillConverges(t *testing.T) {
 		done := 0
 		tc.eng.Schedule(0, func() {
 			for i := 0; i < 10; i++ {
-				tc.reps[0].ClientWrite(uint64(i), 0, 0, func(Stamp) { done++ })
+				tc.reps[0].ClientWrite(uint64(i), 0, 0, stampDone(func(Stamp) { done++ }), 0)
 			}
 		})
 		tc.run()
@@ -44,7 +44,7 @@ func TestSerialPropagationSlowerThanBroadcast(t *testing.T) {
 		})
 		var done int64 = -1
 		tc.eng.Schedule(0, func() {
-			tc.reps[0].ClientWrite(1, 0, 0, func(Stamp) { done = tc.eng.Now() })
+			tc.reps[0].ClientWrite(1, 0, 0, stampDone(func(Stamp) { done = tc.eng.Now() }), 0)
 		})
 		tc.run()
 		return done
@@ -66,7 +66,7 @@ func TestSerialPropagationFewerMessages(t *testing.T) {
 			p.EventualLag = 0
 		})
 		tc.eng.Schedule(0, func() {
-			tc.reps[0].ClientWrite(1, 0, 0, func(Stamp) {})
+			tc.reps[0].ClientWrite(1, 0, 0, stampDone(func(Stamp) {}), 0)
 		})
 		tc.run()
 		return tc.net.MessagesOfKind(int(MsgUPD))
@@ -89,7 +89,7 @@ func TestNoCoalescingIssuesMorePersists(t *testing.T) {
 			// Hammer a single key with concurrent writes so in-flight
 			// persists overlap and coalescing has something to merge.
 			for i := 0; i < 50; i++ {
-				tc.reps[0].ClientWrite(7, 0, 0, func(Stamp) {})
+				tc.reps[0].ClientWrite(7, 0, 0, stampDone(func(Stamp) {}), 0)
 			}
 		})
 		tc.run()
@@ -110,7 +110,7 @@ func TestNoCoalescingPreservesDurability(t *testing.T) {
 	})
 	done := false
 	tc.eng.Schedule(0, func() {
-		tc.reps[0].ClientWrite(3, 0, 0, func(Stamp) { done = true })
+		tc.reps[0].ClientWrite(3, 0, 0, stampDone(func(Stamp) { done = true }), 0)
 	})
 	tc.run()
 	if !done {

@@ -69,28 +69,30 @@ func (d *roundDriver) allocs() float64 {
 }
 
 func writeRound(d *roundDriver) func() {
-	done := func(Stamp) {}
-	return func() { d.tc.reps[0].ClientWrite(d.key, 0, 0, done) }
+	done := Func(func(uint64) {})
+	return func() { d.tc.reps[0].ClientWrite(d.key, 0, 0, done, 0) }
 }
 
 // readRound reads at a follower the key the previous round left behind (a
 // fresh key under cold, so the read is the key's first touch there).
 func readRound(d *roundDriver) func() {
-	done := func(Stamp) {}
-	return func() { d.tc.reps[1].ClientRead(d.key, 0, done) }
+	done := Func(func(uint64) {})
+	return func() { d.tc.reps[1].ClientRead(d.key, 0, done, 0) }
 }
 
 // txnRound runs INITX, one write, one read and ENDX.
 func txnRound(d *roundDriver) func() {
 	r := d.tc.reps[0]
-	onEnd := func(bool) {}
-	onRead := func(Stamp) { r.ClientEndTxn(d.txn, onEnd) }
-	onWrite := func(Stamp) { r.ClientRead(d.key, d.txn, onRead) }
-	onInit := func(id uint64) {
-		d.txn = id
-		r.ClientWrite(d.key, 0, id, onWrite)
-	}
-	return func() { r.ClientInitTxn(nil, onInit) }
+	onEnd := Func(func(uint64) {})
+	onRead := Func(func(uint64) { r.ClientEndTxn(d.txn, onEnd, 0) })
+	onWrite := Func(func(uint64) { r.ClientRead(d.key, d.txn, onRead, 0) })
+	onInit := Func(func(id uint64) {
+		if id != 0 {
+			d.txn = id
+			r.ClientWrite(d.key, 0, id, onWrite, 0)
+		}
+	})
+	return func() { r.ClientInitTxn(onInit, 0) }
 }
 
 // checkRounds measures issue on m with a warm key and with rotating keys.

@@ -12,7 +12,7 @@ type causalVis struct{}
 
 func (causalVis) usesInvAckVal() bool { return false }
 
-func (causalVis) dispatchWrite(r *Replica, key, scope, txn uint64, done func(Stamp)) {
+func (causalVis) dispatchWrite(r *Replica, key, scope, txn uint64, done completion) {
 	r.weakWrite(key, scope, done)
 }
 

@@ -5,6 +5,41 @@ import (
 	"repro/internal/sim"
 )
 
+// Completer receives the outcome of a client call (Replica.Client*), the way
+// a sim.Handler receives an event: a long-lived record — a cluster request, a
+// closed-loop client — plus a token naming what completed, so a request
+// carries no closure. v is the call's result:
+//
+//   - ClientRead, ClientWrite, ClientRMW: the version's Stamp;
+//   - ClientScan: the number of keys found;
+//   - ClientInitTxn: the new transaction id (never 0) once every replica
+//     acknowledged INITX, and later 0 if the transaction is squashed before
+//     ClientEndTxn was called;
+//   - ClientEndTxn: 1 if the transaction committed, 0 if it was squashed;
+//   - ClientPersistScope: 0.
+type Completer interface {
+	Complete(tok, v uint64)
+}
+
+// Func adapts a plain function to Completer; the token is ignored. It is for
+// cold callers only — tests, the harness timelines: a closure per request is
+// what Completer exists to avoid. A func value is pointer-shaped, so the
+// boxing allocates nothing.
+type Func func(v uint64)
+
+// Complete calls f.
+func (f Func) Complete(_, v uint64) { f(v) }
+
+// completion is one pending outcome: the completer and the token its call
+// passed. The zero value marks an outcome already delivered, or none owed.
+type completion struct {
+	c   Completer
+	tok uint64
+}
+
+// fire delivers v.
+func (d completion) fire(v uint64) { d.c.Complete(d.tok, v) }
+
 // clientOp carries one client request through the replica: worker
 // acquisition, service time, the operation's own steps, completion. The
 // record is its own sim.Handler and sim.Holder, so no step of the pipeline
@@ -18,6 +53,7 @@ type clientOp struct {
 	key, scope, txn uint64
 	n               int   // scan: maximum length, then the keys found
 	service         int64 // worker service time before the operation runs
+	done            completion
 
 	// Read phase (read, scan, RMW): the worker held across it, when it first
 	// ran and whether it stalled (stall accounting), and the version served.
@@ -25,14 +61,6 @@ type clientOp struct {
 	start   int64
 	stalled bool
 	ver     Stamp
-
-	// The client's completion callback; which one is set follows kind.
-	done      func(Stamp)      // read, write, RMW
-	doneScan  func(count int)  // scan
-	doneInit  func(txn uint64) // init-transaction
-	onAbort   func()           // init-transaction
-	doneEnd   func(ok bool)    // end-transaction
-	doneScope func()           // persist-scope
 
 	next *clientOp // freelist link
 }
@@ -67,7 +95,7 @@ func (r *Replica) newOp(kind opKind) *clientOp {
 	return op
 }
 
-// recycle returns op to the freelist, dropping its callbacks.
+// recycle returns op to the freelist, dropping its completion.
 func (op *clientOp) recycle() {
 	r := op.r
 	*op = clientOp{r: r, next: r.opFree}
@@ -80,89 +108,92 @@ func (r *Replica) opServiceTime() int64 {
 	return int64(float64(r.p.RequestCompute)*r.vol.OpCost()) + r.p.EngineOpExtra
 }
 
-// ClientRead submits a read for key at this node. done runs at completion
-// with the stamp of the version returned (zero if the key has no visible or
-// persisted value yet). txn is the surrounding transaction id (0 outside
-// transactions); transactional reads never squash: they serve the latest
-// committed version (readAttempt), the snapshot flavor of Section 5.4's
-// conflict actions.
+// Every Client* call takes a non-nil Completer and a token: at completion the
+// replica calls c.Complete(tok, v) with the result Completer documents.
+
+// ClientRead submits a read for key at this node. It completes with the stamp
+// of the version returned (zero if the key has no visible or persisted value
+// yet). txn is the surrounding transaction id (0 outside transactions);
+// transactional reads never squash: they serve the latest committed version
+// (readAttempt), the snapshot flavor of Section 5.4's conflict actions.
 //
 // The worker runs the read to completion: if the read stalls, its worker
 // blocks with it (run-to-completion server threads). Under load, stalled
 // reads therefore deplete the worker pool — the degradation that makes
 // client count matter so much in Figure 7.
-func (r *Replica) ClientRead(key uint64, txn uint64, done func(Stamp)) {
+func (r *Replica) ClientRead(key uint64, txn uint64, c Completer, tok uint64) {
 	op := r.newOp(opRead)
-	op.key, op.done = key, done
+	op.key, op.done = key, completion{c, tok}
 	op.service = r.opServiceTime()
 	r.work.AcquireHold(op)
 }
 
 // ClientWrite submits a write for key at this node. scope tags the write's
 // persistency scope (0 outside Scope persistency); txn its transaction (0
-// outside Transactional consistency). done runs when the write completes
-// under the model's rules, receiving the stamp assigned to the new version;
-// under Transactional consistency a conflicting write squashes its
-// transaction and done never fires.
-func (r *Replica) ClientWrite(key uint64, scope, txn uint64, done func(Stamp)) {
+// outside Transactional consistency). It completes when the write completes
+// under the model's rules, with the stamp assigned to the new version; under
+// Transactional consistency a conflicting write squashes its transaction and
+// never completes.
+func (r *Replica) ClientWrite(key uint64, scope, txn uint64, c Completer, tok uint64) {
 	op := r.newOp(opWrite)
-	op.key, op.scope, op.txn, op.done = key, scope, txn, done
+	op.key, op.scope, op.txn, op.done = key, scope, txn, completion{c, tok}
 	r.work.AcquireEvent(r.opServiceTime()+r.mem.WriteLatency(), op, opRun)
 }
 
 // ClientScan reads up to maxLen consecutive keys starting at start,
-// returning the number of keys found. Ordered engines serve the scan with a
-// real Range; hash engines degrade to a multi-get over the key range. The
-// model's read-stall rules apply to the start key (a per-key stall check
+// completing with the number of keys found. Ordered engines serve the scan
+// with a real Range; hash engines degrade to a multi-get over the key range.
+// The model's read-stall rules apply to the start key (a per-key stall check
 // over a whole range would serialize scans on any write activity; real
 // scan-supporting stores take the same snapshot-ish shortcut).
-func (r *Replica) ClientScan(start uint64, maxLen int, done func(count int)) {
+func (r *Replica) ClientScan(start uint64, maxLen int, c Completer, tok uint64) {
 	if maxLen < 1 {
 		maxLen = 1
 	}
 	op := r.newOp(opScan)
-	op.key, op.n, op.doneScan = start, maxLen, done
+	op.key, op.n, op.done = start, maxLen, completion{c, tok}
 	op.service = r.opServiceTime()
 	r.work.AcquireHold(op)
 }
 
 // ClientRMW performs an atomic-at-the-coordinator read-modify-write
 // (YCSB workload F): the read obeys the model's read-stall rules, then the
-// write follows the model's write path. done receives the new version's
+// write follows the model's write path. It completes with the new version's
 // stamp.
-func (r *Replica) ClientRMW(key uint64, scope, txn uint64, done func(Stamp)) {
+func (r *Replica) ClientRMW(key uint64, scope, txn uint64, c Completer, tok uint64) {
 	op := r.newOp(opRMW)
-	op.key, op.scope, op.txn, op.done = key, scope, txn, done
+	op.key, op.scope, op.txn, op.done = key, scope, txn, completion{c, tok}
 	op.service = r.opServiceTime()
 	r.work.AcquireHold(op)
 }
 
-// ClientInitTxn begins a transaction at this node. onAbort fires if the
-// transaction is later squashed by a conflict; done delivers the new
-// transaction id once every replica has acknowledged INITX (Figure 4).
-func (r *Replica) ClientInitTxn(onAbort func(), done func(txn uint64)) {
+// ClientInitTxn begins a transaction at this node. It completes with the new
+// transaction id once every replica has acknowledged INITX (Figure 4), and
+// completes a second time, with 0, if a conflict squashes the transaction
+// before ClientEndTxn is called.
+func (r *Replica) ClientInitTxn(c Completer, tok uint64) {
 	op := r.newOp(opInitTxn)
-	op.onAbort, op.doneInit = onAbort, done
+	op.done = completion{c, tok}
 	r.work.AcquireEvent(r.p.RequestCompute, op, opRun)
 }
 
-// ClientEndTxn requests commit. done reports whether the transaction
-// committed; false means it was squashed (or unknown) and the client should
+// ClientEndTxn requests commit. It completes with 1 if the transaction
+// committed and 0 if it was squashed (or unknown), when the client should
 // retry.
-func (r *Replica) ClientEndTxn(txn uint64, done func(committed bool)) {
+func (r *Replica) ClientEndTxn(txn uint64, c Completer, tok uint64) {
 	op := r.newOp(opEndTxn)
-	op.txn, op.doneEnd = txn, done
+	op.txn, op.done = txn, completion{c, tok}
 	r.work.AcquireEvent(r.p.RequestCompute, op, opRun)
 }
 
 // ClientPersistScope executes the [PERSIST]s barrier of Figure 5: broadcast
 // PERSIST, persist the local scope writes, collect every follower's ACK_p,
-// broadcast VAL_p, and acknowledge the client. The scopes of one session
-// (the id's high 32 bits) must close in increasing id order — a session
-// issues its next barrier only after the previous one completed, so they do.
-func (r *Replica) ClientPersistScope(scope uint64, done func()) {
+// broadcast VAL_p, and complete. The scopes of one session (the id's high 32
+// bits) must close in increasing id order — a session issues its next barrier
+// only after the previous one completed, so they do.
+func (r *Replica) ClientPersistScope(scope uint64, c Completer, tok uint64) {
 	op := r.newOp(opPersistScope)
-	op.scope, op.doneScope = scope, done
+	op.scope, op.done = scope, completion{c, tok}
 	r.work.AcquireEvent(r.p.RequestCompute, op, opRun)
 }
 
@@ -181,10 +212,10 @@ func (op *clientOp) OnEvent(ev uint64) {
 	case opReadDone:
 		op.readDone()
 	case opScanDone:
-		r, hold, done, n := op.r, op.hold, op.doneScan, op.n
+		r, hold, done, n := op.r, op.hold, op.done, op.n
 		op.recycle()
 		r.work.Release(hold)
-		done(n)
+		done.fire(uint64(n))
 	}
 }
 
@@ -220,15 +251,15 @@ func (op *clientOp) run() {
 		}
 		r.vis.dispatchWrite(r, key, scope, txn, done)
 	case opInitTxn:
-		onAbort, done := op.onAbort, op.doneInit
+		done := op.done
 		op.recycle()
-		r.initTxn(onAbort, done)
+		r.initTxn(done)
 	case opEndTxn:
-		txn, done := op.txn, op.doneEnd
+		txn, done := op.txn, op.done
 		op.recycle()
 		r.endTxn(txn, done)
 	case opPersistScope:
-		scope, done := op.scope, op.doneScope
+		scope, done := op.scope, op.done
 		op.recycle()
 		r.persistScope(scope, done)
 	}
@@ -245,7 +276,7 @@ func (op *clientOp) readDone() {
 		hold, done, ver := op.hold, op.done, op.ver
 		op.recycle()
 		r.work.Release(hold)
-		done(ver)
+		done.fire(uint64(ver))
 	case opScan:
 		op.n = r.scanEngine(op.key, op.n)
 		// Per-entry traversal cost on top of the first access.

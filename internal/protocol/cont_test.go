@@ -131,8 +131,8 @@ func TestScopeBarriersArriveInSessionOrder(t *testing.T) {
 			}
 			r := tc.reps[session%3]
 			scope := session<<32 | seq
-			r.ClientWrite(seq%64, scope, 0, func(Stamp) {
-				r.ClientPersistScope(scope, func() {
+			r.ClientWrite(seq%64, scope, 0, stampDone(func(Stamp) {
+				r.ClientPersistScope(scope, scopeDone(func() {
 					closed++
 					for i, rep := range tc.reps {
 						if !rep.scopeIsClosed(scope) || rep.scopeIsClosed(scope+1) {
@@ -141,8 +141,8 @@ func TestScopeBarriersArriveInSessionOrder(t *testing.T) {
 						}
 					}
 					loop(session, seq+1)
-				})
-			})
+				}), 0)
+			}), 0)
 		}
 		tc.eng.Schedule(0, func() {
 			for s := uint64(1); s <= sessions; s++ {

@@ -18,11 +18,11 @@ func driveRandomOps(tc *testCluster, seed uint64, ops int) (completedWrites int)
 		at := r.Int63n(200_000)
 		if r.Intn(2) == 0 {
 			tc.eng.At(at, func() {
-				node.ClientWrite(key, 0, 0, func(Stamp) { completedWrites++ })
+				node.ClientWrite(key, 0, 0, stampDone(func(Stamp) { completedWrites++ }), 0)
 			})
 		} else {
 			tc.eng.At(at, func() {
-				node.ClientRead(key, 0, func(Stamp) {})
+				node.ClientRead(key, 0, stampDone(func(Stamp) {}), 0)
 			})
 		}
 	}
@@ -100,19 +100,19 @@ func TestConvergenceScopeModels(t *testing.T) {
 				}
 				if i%5 == 4 {
 					s := scope
-					tc.reps[0].ClientWrite(uint64(r.Intn(32)), s, 0, func(Stamp) {
-						tc.reps[0].ClientPersistScope(s, func() {
+					tc.reps[0].ClientWrite(uint64(r.Intn(32)), s, 0, stampDone(func(Stamp) {
+						tc.reps[0].ClientPersistScope(s, scopeDone(func() {
 							completed++
 							scope++
 							issue(i + 1)
-						})
-					})
+						}), 0)
+					}), 0)
 					return
 				}
-				tc.reps[0].ClientWrite(uint64(r.Intn(32)), scope, 0, func(Stamp) {
+				tc.reps[0].ClientWrite(uint64(r.Intn(32)), scope, 0, stampDone(func(Stamp) {
 					completed++
 					issue(i + 1)
-				})
+				}), 0)
 			}
 			tc.eng.Schedule(0, func() { issue(0) })
 			tc.run()

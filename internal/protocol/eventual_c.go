@@ -8,7 +8,7 @@ type eventualVis struct{}
 
 func (eventualVis) usesInvAckVal() bool { return false }
 
-func (eventualVis) dispatchWrite(r *Replica, key, scope, txn uint64, done func(Stamp)) {
+func (eventualVis) dispatchWrite(r *Replica, key, scope, txn uint64, done completion) {
 	r.weakWrite(key, scope, done)
 }
 

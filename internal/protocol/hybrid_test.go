@@ -19,14 +19,14 @@ func TestHybridWriteCompletesWithinGroup(t *testing.T) {
 	flat := newTestCluster(mdl(core.Linearizable, core.Synchronous), 6, nil)
 	var flatDone int64 = -1
 	flat.eng.Schedule(0, func() {
-		flat.reps[0].ClientWrite(3, 0, 0, func(Stamp) { flatDone = flat.eng.Now() })
+		flat.reps[0].ClientWrite(3, 0, 0, stampDone(func(Stamp) { flatDone = flat.eng.Now() }), 0)
 	})
 	flat.run()
 
 	hyb := hybridCluster(mdl(core.Linearizable, core.Synchronous))
 	var hybDone int64 = -1
 	hyb.eng.Schedule(0, func() {
-		hyb.reps[0].ClientWrite(3, 0, 0, func(Stamp) { hybDone = hyb.eng.Now() })
+		hyb.reps[0].ClientWrite(3, 0, 0, stampDone(func(Stamp) { hybDone = hyb.eng.Now() }), 0)
 	})
 	hyb.run()
 
@@ -43,7 +43,7 @@ func TestHybridWriteCompletesWithinGroup(t *testing.T) {
 func TestHybridUpdatesEventuallyReachRemoteGroups(t *testing.T) {
 	hyb := hybridCluster(mdl(core.Linearizable, core.Synchronous))
 	hyb.eng.Schedule(0, func() {
-		hyb.reps[0].ClientWrite(3, 0, 0, func(Stamp) {})
+		hyb.reps[0].ClientWrite(3, 0, 0, stampDone(func(Stamp) {}), 0)
 	})
 	hyb.run()
 	for i, r := range hyb.reps {
@@ -60,12 +60,12 @@ func TestHybridRemoteGroupReadsDoNotStall(t *testing.T) {
 	hyb := hybridCluster(mdl(core.Linearizable, core.EventualP))
 	var remoteReadDone int64 = -1
 	hyb.eng.Schedule(0, func() {
-		hyb.reps[0].ClientWrite(3, 0, 0, func(Stamp) {})
+		hyb.reps[0].ClientWrite(3, 0, 0, stampDone(func(Stamp) {}), 0)
 	})
 	// Node 4 is in the other group: its read must not wait for any VAL —
 	// the eventual tier has no transient state.
 	hyb.eng.Schedule(700, func() {
-		hyb.reps[4].ClientRead(3, 0, func(Stamp) { remoteReadDone = hyb.eng.Now() })
+		hyb.reps[4].ClientRead(3, 0, stampDone(func(Stamp) { remoteReadDone = hyb.eng.Now() }), 0)
 	})
 	hyb.run()
 	if remoteReadDone < 0 {
@@ -82,7 +82,7 @@ func TestHybridRemoteGroupReadsDoNotStall(t *testing.T) {
 func TestHybridGroupIsolationOfVALs(t *testing.T) {
 	hyb := hybridCluster(mdl(core.Linearizable, core.Synchronous))
 	hyb.eng.Schedule(0, func() {
-		hyb.reps[0].ClientWrite(3, 0, 0, func(Stamp) {})
+		hyb.reps[0].ClientWrite(3, 0, 0, stampDone(func(Stamp) {}), 0)
 	})
 	hyb.run()
 	// INV/ACK/VAL stayed inside the 3-node group: 2 INVs, 2 ACKs, 2 VALs.
@@ -102,11 +102,11 @@ func TestHybridReadEnforcedConsistency(t *testing.T) {
 	hyb := hybridCluster(mdl(core.ReadEnforcedC, core.Synchronous))
 	var wrDone, localRead int64 = -1, -1
 	hyb.eng.Schedule(0, func() {
-		hyb.reps[0].ClientWrite(3, 0, 0, func(Stamp) { wrDone = hyb.eng.Now() })
+		hyb.reps[0].ClientWrite(3, 0, 0, stampDone(func(Stamp) { wrDone = hyb.eng.Now() }), 0)
 	})
 	// A group-local read must stall until the group VAL.
 	hyb.eng.Schedule(700, func() {
-		hyb.reps[1].ClientRead(3, 0, func(Stamp) { localRead = hyb.eng.Now() })
+		hyb.reps[1].ClientRead(3, 0, stampDone(func(Stamp) { localRead = hyb.eng.Now() }), 0)
 	})
 	hyb.run()
 	if wrDone < 0 || localRead < 0 {
@@ -130,7 +130,7 @@ func TestSerialPropagationWithHybridGroups(t *testing.T) {
 	})
 	done := false
 	tc.eng.Schedule(0, func() {
-		tc.reps[0].ClientWrite(1, 0, 0, func(Stamp) { done = true })
+		tc.reps[0].ClientWrite(1, 0, 0, stampDone(func(Stamp) { done = true }), 0)
 	})
 	tc.run()
 	if !done {

@@ -8,7 +8,7 @@ type strongVis struct{}
 
 func (strongVis) usesInvAckVal() bool { return true }
 
-func (strongVis) dispatchWrite(r *Replica, key, scope, txn uint64, done func(Stamp)) {
+func (strongVis) dispatchWrite(r *Replica, key, scope, txn uint64, done completion) {
 	r.strongWrite(key, scope, txn, done)
 }
 

@@ -54,7 +54,7 @@ type VisibilityPolicy interface {
 
 	// dispatchWrite routes a client write (or the write half of an RMW)
 	// onto the model's write path.
-	dispatchWrite(r *Replica, key, scope, txn uint64, done func(Stamp))
+	dispatchWrite(r *Replica, key, scope, txn uint64, done completion)
 
 	// earlyWriteCompletion reports whether a strong write acknowledges the
 	// client as soon as the local update and INV broadcast are out

@@ -58,11 +58,31 @@ func (tc *testCluster) run() { tc.eng.RunAll() }
 
 func mdl(c core.Consistency, p core.Persistency) core.Model { return core.Model{C: c, P: p} }
 
+// Typed views of the Func adapter for the tests' client calls: each decodes
+// the call's result (see Completer).
+func stampDone(f func(Stamp)) Func { return func(v uint64) { f(Stamp(v)) } }
+func countDone(f func(int)) Func   { return func(v uint64) { f(int(v)) } }
+func okDone(f func(bool)) Func     { return func(v uint64) { f(v != 0) } }
+func scopeDone(f func()) Func      { return func(uint64) { f() } }
+
+// initDone splits ClientInitTxn's two completions: the id, then 0 on a
+// squash (abort may be nil).
+func initDone(abort func(), f func(txn uint64)) Func {
+	return func(v uint64) {
+		switch {
+		case v != 0:
+			f(v)
+		case abort != nil:
+			abort()
+		}
+	}
+}
+
 func TestLinSyncWriteWaitsForAllPersists(t *testing.T) {
 	tc := newTestCluster(mdl(core.Linearizable, core.Synchronous), 3, nil)
 	var doneAt int64 = -1
 	tc.eng.Schedule(0, func() {
-		tc.reps[0].ClientWrite(5, 0, 0, func(Stamp) { doneAt = tc.eng.Now() })
+		tc.reps[0].ClientWrite(5, 0, 0, stampDone(func(Stamp) { doneAt = tc.eng.Now() }), 0)
 	})
 	tc.run()
 	if doneAt < 0 {
@@ -89,14 +109,14 @@ func TestReadEnforcedConsistencyWriteCompletesEarly(t *testing.T) {
 	tcStrict := newTestCluster(mdl(core.Linearizable, core.Synchronous), 3, nil)
 	var linDone int64
 	tcStrict.eng.Schedule(0, func() {
-		tcStrict.reps[0].ClientWrite(5, 0, 0, func(Stamp) { linDone = tcStrict.eng.Now() })
+		tcStrict.reps[0].ClientWrite(5, 0, 0, stampDone(func(Stamp) { linDone = tcStrict.eng.Now() }), 0)
 	})
 	tcStrict.run()
 
 	tcRE := newTestCluster(mdl(core.ReadEnforcedC, core.Synchronous), 3, nil)
 	var reDone int64
 	tcRE.eng.Schedule(0, func() {
-		tcRE.reps[0].ClientWrite(5, 0, 0, func(Stamp) { reDone = tcRE.eng.Now() })
+		tcRE.reps[0].ClientWrite(5, 0, 0, stampDone(func(Stamp) { reDone = tcRE.eng.Now() }), 0)
 	})
 	tcRE.run()
 
@@ -112,11 +132,11 @@ func TestLinearizableReadStallsDuringWrite(t *testing.T) {
 	tc := newTestCluster(mdl(core.Linearizable, core.Synchronous), 3, nil)
 	var writeDone, readDone int64 = -1, -1
 	tc.eng.Schedule(0, func() {
-		tc.reps[0].ClientWrite(7, 0, 0, func(Stamp) { writeDone = tc.eng.Now() })
+		tc.reps[0].ClientWrite(7, 0, 0, stampDone(func(Stamp) { writeDone = tc.eng.Now() }), 0)
 	})
 	// Read at a follower shortly after the INV lands there.
 	tc.eng.Schedule(700, func() {
-		tc.reps[1].ClientRead(7, 0, func(Stamp) { readDone = tc.eng.Now() })
+		tc.reps[1].ClientRead(7, 0, stampDone(func(Stamp) { readDone = tc.eng.Now() }), 0)
 	})
 	tc.run()
 	if readDone < 0 || writeDone < 0 {
@@ -136,12 +156,12 @@ func TestLinearizableReadNoStallWhenIdle(t *testing.T) {
 	tc := newTestCluster(mdl(core.Linearizable, core.Synchronous), 3, nil)
 	var writeDone bool
 	tc.eng.Schedule(0, func() {
-		tc.reps[0].ClientWrite(7, 0, 0, func(Stamp) { writeDone = true })
+		tc.reps[0].ClientWrite(7, 0, 0, stampDone(func(Stamp) { writeDone = true }), 0)
 	})
 	var readLat int64 = -1
 	tc.eng.Schedule(50000, func() {
 		start := tc.eng.Now()
-		tc.reps[1].ClientRead(7, 0, func(Stamp) { readLat = tc.eng.Now() - start })
+		tc.reps[1].ClientRead(7, 0, stampDone(func(Stamp) { readLat = tc.eng.Now() - start }), 0)
 	})
 	tc.run()
 	if !writeDone {
@@ -159,10 +179,10 @@ func TestLinReadEnforcedPersistencySplitsAcks(t *testing.T) {
 	tc := newTestCluster(mdl(core.Linearizable, core.ReadEnforcedP), 3, nil)
 	var writeDone, readDone int64 = -1, -1
 	tc.eng.Schedule(0, func() {
-		tc.reps[0].ClientWrite(3, 0, 0, func(Stamp) { writeDone = tc.eng.Now() })
+		tc.reps[0].ClientWrite(3, 0, 0, stampDone(func(Stamp) { writeDone = tc.eng.Now() }), 0)
 	})
 	tc.eng.Schedule(700, func() {
-		tc.reps[1].ClientRead(3, 0, func(Stamp) { readDone = tc.eng.Now() })
+		tc.reps[1].ClientRead(3, 0, stampDone(func(Stamp) { readDone = tc.eng.Now() }), 0)
 	})
 	tc.run()
 	if writeDone < 0 || readDone < 0 {
@@ -218,7 +238,7 @@ func TestCausalEndToEndPropagation(t *testing.T) {
 	tc := newTestCluster(mdl(core.Causal, core.Synchronous), 3, nil)
 	var wdone int64 = -1
 	tc.eng.Schedule(0, func() {
-		tc.reps[0].ClientWrite(9, 0, 0, func(Stamp) { wdone = tc.eng.Now() })
+		tc.reps[0].ClientWrite(9, 0, 0, stampDone(func(Stamp) { wdone = tc.eng.Now() }), 0)
 	})
 	tc.run()
 	if wdone < 0 {
@@ -245,16 +265,16 @@ func TestCausalSynchronousReadsServePersistedVersion(t *testing.T) {
 	_ = seen
 	var readVersion uint64
 	tc.eng.Schedule(0, func() {
-		r0.ClientWrite(4, 0, 0, func(Stamp) {})
+		r0.ClientWrite(4, 0, 0, stampDone(func(Stamp) {}), 0)
 		// Immediately read: the persist (400ns) cannot have finished; the
 		// read must serve from the persisted image, which is still empty.
-		r0.ClientRead(4, 0, func(Stamp) {
+		r0.ClientRead(4, 0, stampDone(func(Stamp) {
 			it, ok := r0.PersistedStore().Get(4)
 			if ok {
 				readVersion = it.Version
 			}
 			_ = it
-		})
+		}), 0)
 	})
 	tc.eng.Run(460) // stop before worker+persist pipeline can finish
 	if readVersion != 0 && tc.eng.Now() < 400 {
@@ -275,15 +295,15 @@ func TestWeakReadEnforcedPersistencyStallsUntilPersist(t *testing.T) {
 	var readDone int64 = -1
 	var persistedAtRead Stamp
 	tc.eng.Schedule(0, func() {
-		r0.ClientWrite(4, 0, 0, func(Stamp) {})
+		r0.ClientWrite(4, 0, 0, stampDone(func(Stamp) {}), 0)
 	})
 	// Issue the read after the write became visible but well inside the
 	// 400 ns NVM persist window, forcing the Read-Enforced persist stall.
 	tc.eng.Schedule(100, func() {
-		r0.ClientRead(4, 0, func(Stamp) {
+		r0.ClientRead(4, 0, stampDone(func(Stamp) {
 			readDone = tc.eng.Now()
 			persistedAtRead = r0.PersistedVersion(4)
-		})
+		}), 0)
 	})
 	tc.run()
 	if readDone < 0 {
@@ -303,7 +323,7 @@ func TestEventualConsistencyLazyPropagation(t *testing.T) {
 	})
 	var arrived int64 = -1
 	tc.eng.Schedule(0, func() {
-		tc.reps[0].ClientWrite(2, 0, 0, func(Stamp) {})
+		tc.reps[0].ClientWrite(2, 0, 0, stampDone(func(Stamp) {}), 0)
 	})
 	probe := func() {}
 	probe = func() {
@@ -342,14 +362,14 @@ func TestStrictPersistencyStallsWeakWrites(t *testing.T) {
 	strict := newTestCluster(mdl(core.Causal, core.Strict), 3, nil)
 	var strictDone int64 = -1
 	strict.eng.Schedule(0, func() {
-		strict.reps[0].ClientWrite(1, 0, 0, func(Stamp) { strictDone = strict.eng.Now() })
+		strict.reps[0].ClientWrite(1, 0, 0, stampDone(func(Stamp) { strictDone = strict.eng.Now() }), 0)
 	})
 	strict.run()
 
 	sync := newTestCluster(mdl(core.Causal, core.Synchronous), 3, nil)
 	var syncDone int64 = -1
 	sync.eng.Schedule(0, func() {
-		sync.reps[0].ClientWrite(1, 0, 0, func(Stamp) { syncDone = sync.eng.Now() })
+		sync.reps[0].ClientWrite(1, 0, 0, stampDone(func(Stamp) { syncDone = sync.eng.Now() }), 0)
 	})
 	sync.run()
 
@@ -370,14 +390,14 @@ func TestTransactionCommitFlow(t *testing.T) {
 	committed := false
 	tc.eng.Schedule(0, func() {
 		r := tc.reps[0]
-		r.ClientInitTxn(func() { t.Error("unexpected abort") }, func(id uint64) {
+		r.ClientInitTxn(initDone(func() { t.Error("unexpected abort") }, func(id uint64) {
 			txnID = id
-			r.ClientWrite(10, 0, id, func(Stamp) {
-				r.ClientWrite(11, 0, id, func(Stamp) {
-					r.ClientEndTxn(id, func(ok bool) { committed = ok })
-				})
-			})
-		})
+			r.ClientWrite(10, 0, id, stampDone(func(Stamp) {
+				r.ClientWrite(11, 0, id, stampDone(func(Stamp) {
+					r.ClientEndTxn(id, okDone(func(ok bool) { committed = ok }), 0)
+				}), 0)
+			}), 0)
+		}), 0)
 	})
 	tc.run()
 	if txnID == 0 || !committed {
@@ -410,17 +430,17 @@ func TestTransactionConflictSquashes(t *testing.T) {
 	var t1Commits bool
 	tc.eng.Schedule(0, func() {
 		r0, r1 := tc.reps[0], tc.reps[1]
-		r0.ClientInitTxn(nil, func(id1 uint64) {
-			r1.ClientInitTxn(func() { aborted = true }, func(id2 uint64) {
+		r0.ClientInitTxn(initDone(nil, func(id1 uint64) {
+			r1.ClientInitTxn(initDone(func() { aborted = true }, func(id2 uint64) {
 				// Issue both writes back to back so their INV rounds overlap.
-				r0.ClientWrite(20, 0, id1, func(Stamp) {
+				r0.ClientWrite(20, 0, id1, stampDone(func(Stamp) {
 					tc.eng.Schedule(20000, func() {
-						r0.ClientEndTxn(id1, func(ok bool) { t1Commits = ok })
+						r0.ClientEndTxn(id1, okDone(func(ok bool) { t1Commits = ok }), 0)
 					})
-				})
-				r1.ClientWrite(20, 0, id2, func(Stamp) {})
-			})
-		})
+				}), 0)
+				r1.ClientWrite(20, 0, id2, stampDone(func(Stamp) {}), 0)
+			}), 0)
+		}), 0)
 	})
 	tc.run()
 	if !aborted {
@@ -446,26 +466,26 @@ func TestTransactionReadsServeCommittedOnly(t *testing.T) {
 	var beforeCommit, afterCommit Stamp
 	tc.eng.Schedule(0, func() {
 		r0 := tc.reps[0]
-		r0.ClientInitTxn(nil, func(id1 uint64) {
-			r0.ClientWrite(30, 0, id1, func(Stamp) {
+		r0.ClientInitTxn(initDone(nil, func(id1 uint64) {
+			r0.ClientWrite(30, 0, id1, stampDone(func(Stamp) {
 				// A concurrent read (snapshot flavor) must not observe the
 				// uncommitted write and must not squash anything.
 				r1 := tc.reps[1]
 				tc.eng.Schedule(2000, func() {
-					r1.ClientRead(30, 0, func(st Stamp) { beforeCommit = st })
+					r1.ClientRead(30, 0, stampDone(func(st Stamp) { beforeCommit = st }), 0)
 				})
 				tc.eng.Schedule(10000, func() {
-					r0.ClientEndTxn(id1, func(ok bool) {
+					r0.ClientEndTxn(id1, okDone(func(ok bool) {
 						if !ok {
 							t.Error("transaction failed to commit")
 						}
 						tc.eng.Schedule(20000, func() {
-							r1.ClientRead(30, 0, func(st Stamp) { afterCommit = st })
+							r1.ClientRead(30, 0, stampDone(func(st Stamp) { afterCommit = st }), 0)
 						})
-					})
+					}), 0)
 				})
-			})
-		})
+			}), 0)
+		}), 0)
 	})
 	tc.run()
 	if !beforeCommit.IsZero() {
@@ -485,13 +505,13 @@ func TestScopePersistBarrier(t *testing.T) {
 	var w1, w2, persisted int64 = -1, -1, -1
 	tc.eng.Schedule(0, func() {
 		r := tc.reps[0]
-		r.ClientWrite(1, scope, 0, func(Stamp) {
+		r.ClientWrite(1, scope, 0, stampDone(func(Stamp) {
 			w1 = tc.eng.Now()
-			r.ClientWrite(2, scope, 0, func(Stamp) {
+			r.ClientWrite(2, scope, 0, stampDone(func(Stamp) {
 				w2 = tc.eng.Now()
-				r.ClientPersistScope(scope, func() { persisted = tc.eng.Now() })
-			})
-		})
+				r.ClientPersistScope(scope, scopeDone(func() { persisted = tc.eng.Now() }), 0)
+			}), 0)
+		}), 0)
 	})
 	tc.run()
 	if w1 < 0 || w2 < 0 || persisted < 0 {
@@ -521,11 +541,11 @@ func TestScopeLateWritePersistsImmediately(t *testing.T) {
 	tc := newTestCluster(mdl(core.Causal, core.Scope), 2, nil)
 	r0 := tc.reps[0]
 	tc.eng.Schedule(0, func() {
-		r0.ClientPersistScope(7, func() {})
+		r0.ClientPersistScope(7, scopeDone(func() {}), 0)
 	})
 	tc.eng.Schedule(5000, func() {
 		// A write tagged with the already-closed scope persists right away.
-		r0.ClientWrite(3, 7, 0, func(Stamp) {})
+		r0.ClientWrite(3, 7, 0, stampDone(func(Stamp) {}), 0)
 	})
 	tc.run()
 	if r0.PersistedVersion(3).IsZero() {
@@ -541,21 +561,21 @@ func TestSingleServerDegenerateCluster(t *testing.T) {
 			r := tc.reps[0]
 			switch m.C {
 			case core.Transactional:
-				r.ClientInitTxn(nil, func(id uint64) {
-					r.ClientWrite(1, 1, id, func(Stamp) {
-						r.ClientRead(1, id, func(Stamp) {
-							r.ClientEndTxn(id, func(ok bool) {
+				r.ClientInitTxn(initDone(nil, func(id uint64) {
+					r.ClientWrite(1, 1, id, stampDone(func(Stamp) {
+						r.ClientRead(1, id, stampDone(func(Stamp) {
+							r.ClientEndTxn(id, okDone(func(ok bool) {
 								if ok {
 									completed++
 								}
-							})
-						})
-					})
-				})
+							}), 0)
+						}), 0)
+					}), 0)
+				}), 0)
 			default:
-				r.ClientWrite(1, 1, 0, func(Stamp) {
-					r.ClientRead(1, 0, func(Stamp) { completed++ })
-				})
+				r.ClientWrite(1, 1, 0, stampDone(func(Stamp) {
+					r.ClientRead(1, 0, stampDone(func(Stamp) { completed++ }), 0)
+				}), 0)
 			}
 		})
 		tc.run()
@@ -577,7 +597,7 @@ func TestVPDPConformanceAllModels(t *testing.T) {
 			tc := newTestCluster(m, 3, nil)
 			var writeDone int64 = -1
 			tc.eng.Schedule(0, func() {
-				tc.reps[0].ClientWrite(8, 1, 0, func(Stamp) { writeDone = tc.eng.Now() })
+				tc.reps[0].ClientWrite(8, 1, 0, stampDone(func(Stamp) { writeDone = tc.eng.Now() }), 0)
 			})
 			tc.run()
 			if writeDone < 0 {
@@ -677,7 +697,7 @@ func TestTrafficDiffersAcrossModels(t *testing.T) {
 		done := 0
 		tc.eng.Schedule(0, func() {
 			for i := 0; i < 10; i++ {
-				tc.reps[0].ClientWrite(uint64(i), 0, 0, func(Stamp) { done++ })
+				tc.reps[0].ClientWrite(uint64(i), 0, 0, stampDone(func(Stamp) { done++ }), 0)
 			}
 		})
 		tc.run()
@@ -709,10 +729,10 @@ func TestClientScanOrderedEngine(t *testing.T) {
 		var write func(i uint64)
 		write = func(i uint64) {
 			if i == 10 {
-				r0.ClientScan(2, 5, func(n int) { count = n })
+				r0.ClientScan(2, 5, countDone(func(n int) { count = n }), 0)
 				return
 			}
-			r0.ClientWrite(i, 0, 0, func(Stamp) { write(i + 1) })
+			r0.ClientWrite(i, 0, 0, stampDone(func(Stamp) { write(i + 1) }), 0)
 		}
 		write(0)
 	})
@@ -726,10 +746,10 @@ func TestClientScanStallsLikeARead(t *testing.T) {
 	tc := newTestCluster(mdl(core.Linearizable, core.Synchronous), 3, nil)
 	var scanDone, writeDone int64 = -1, -1
 	tc.eng.Schedule(0, func() {
-		tc.reps[0].ClientWrite(5, 0, 0, func(Stamp) { writeDone = tc.eng.Now() })
+		tc.reps[0].ClientWrite(5, 0, 0, stampDone(func(Stamp) { writeDone = tc.eng.Now() }), 0)
 	})
 	tc.eng.Schedule(700, func() {
-		tc.reps[1].ClientScan(5, 3, func(int) { scanDone = tc.eng.Now() })
+		tc.reps[1].ClientScan(5, 3, countDone(func(int) { scanDone = tc.eng.Now() }), 0)
 	})
 	tc.run()
 	if scanDone < 0 || writeDone < 0 {
@@ -744,7 +764,7 @@ func TestClientRMWWritesAfterRead(t *testing.T) {
 	tc := newTestCluster(mdl(core.Linearizable, core.Synchronous), 3, nil)
 	var st Stamp
 	tc.eng.Schedule(0, func() {
-		tc.reps[0].ClientRMW(8, 0, 0, func(s Stamp) { st = s })
+		tc.reps[0].ClientRMW(8, 0, 0, stampDone(func(s Stamp) { st = s }), 0)
 	})
 	tc.run()
 	if st.IsZero() {
@@ -765,11 +785,11 @@ func TestRMWInsideTransaction(t *testing.T) {
 	committed := false
 	tc.eng.Schedule(0, func() {
 		r := tc.reps[0]
-		r.ClientInitTxn(nil, func(id uint64) {
-			r.ClientRMW(5, 0, id, func(Stamp) {
-				r.ClientEndTxn(id, func(ok bool) { committed = ok })
-			})
-		})
+		r.ClientInitTxn(initDone(nil, func(id uint64) {
+			r.ClientRMW(5, 0, id, stampDone(func(Stamp) {
+				r.ClientEndTxn(id, okDone(func(ok bool) { committed = ok }), 0)
+			}), 0)
+		}), 0)
 	})
 	tc.run()
 	if !committed {
@@ -786,7 +806,7 @@ func TestScanOnEmptyRange(t *testing.T) {
 	tc := newTestCluster(mdl(core.Causal, core.EventualP), 2, nil)
 	count := -1
 	tc.eng.Schedule(0, func() {
-		tc.reps[0].ClientScan(50, 10, func(n int) { count = n })
+		tc.reps[0].ClientScan(50, 10, countDone(func(n int) { count = n }), 0)
 	})
 	tc.run()
 	if count != 0 {

@@ -112,13 +112,13 @@ type keyState struct {
 type pendingWrite struct {
 	key          uint64
 	stamp        Stamp
-	scope, txn   uint64 // the write's persist scope and transaction (0 = none)
-	cAcks        int    // consistency acks still expected
-	pAcks        int    // persistency acks still expected
-	localPersist bool   // local persist finished
-	valSent      bool   // consistency VAL broadcast done
-	broadcastAt  int64  // when INV went out (stall accounting)
-	clientDone   func(Stamp)
+	scope, txn   uint64        // the write's persist scope and transaction (0 = none)
+	cAcks        int           // consistency acks still expected
+	pAcks        int           // persistency acks still expected
+	localPersist bool          // local persist finished
+	valSent      bool          // consistency VAL broadcast done
+	broadcastAt  int64         // when INV went out (stall accounting)
+	done         completion    // the client's; zero once delivered
 	early        bool          // completion already delivered to the client
 	next         *pendingWrite // freelist link
 }

@@ -63,7 +63,7 @@ func (scopeDur) readBlocked(r *Replica, ks *keyState) bool { return false }
 type scopeOp struct {
 	acks  int
 	local bool
-	done  func()
+	done  completion
 }
 
 // scopeIsClosed reports whether scope's barrier already ran at this node. A
@@ -98,7 +98,7 @@ func (r *Replica) deferScopePersist(scope uint64, key uint64, st Stamp) {
 
 // persistScope runs the coordinator's side of the [PERSIST]s barrier (see
 // ClientPersistScope) once the request's worker time has elapsed.
-func (r *Replica) persistScope(scope uint64, done func()) {
+func (r *Replica) persistScope(scope uint64, done completion) {
 	r.scopeOps[scope] = scopeOp{acks: r.followers(), done: done}
 	r.broadcast(payload{Kind: MsgPERSIST, Scope: scope})
 	r.persistScopeLocal(scope, cont{kind: contScopeLocal, arg: scope})
@@ -144,7 +144,7 @@ func (r *Replica) scopeProgress(scope uint64, so scopeOp) {
 	}
 	delete(r.scopeOps, scope)
 	r.broadcast(payload{Kind: MsgVALp, Scope: scope})
-	so.done()
+	so.done.fire(0)
 }
 
 // ScopeBacklog returns how many writes are queued for scope barriers at this

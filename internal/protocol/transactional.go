@@ -13,7 +13,7 @@ func (transactionalVis) usesInvAckVal() bool { return true }
 
 // dispatchWrite routes in-transaction writes through conflict detection;
 // writes outside any transaction take the plain strong path.
-func (transactionalVis) dispatchWrite(r *Replica, key, scope, txn uint64, done func(Stamp)) {
+func (transactionalVis) dispatchWrite(r *Replica, key, scope, txn uint64, done completion) {
 	if txn != 0 {
 		r.txnWriteAttempt(key, scope, txn, done)
 		return
@@ -45,7 +45,7 @@ func (transactionalVis) onInvReceive(r *Replica, ks *keyState, from int, p paylo
 		return true
 	}
 	if ks.lockTxn != 0 && ks.lockTxn != p.Txn && p.Txn > ks.lockTxn {
-		r.send(from, payload{Kind: MsgNACK, Txn: p.Txn})
+		r.send(from, payload{Kind: MsgNACK, Stamp: p.Stamp, Txn: p.Txn})
 		return false
 	}
 	if tx := r.txns[p.Txn]; tx != nil {

@@ -11,7 +11,7 @@ const (
 )
 
 // txnState is a transaction's record at one node — at its coordinator it
-// also carries the client callbacks; at followers only locks and deferred
+// also carries the client's completions; at followers only locks and deferred
 // persists. Records recycle through Replica.txnFree, keeping the capacity of
 // their item lists; continuations name a transaction by id and look it up in
 // Replica.txns, never by pointer.
@@ -29,9 +29,11 @@ type txnState struct {
 	localInit bool
 	localEnd  bool
 
-	initDone func(txn uint64)
-	endDone  func(committed bool)
-	onAbort  func()
+	// The coordinator's client: begin completes with the id once INITX is
+	// acknowledged everywhere (initSent), and again with 0 if a squash comes
+	// before ENDX; end completes the ENDX request.
+	begin, end completion
+	initSent   bool
 
 	next *txnState // freelist link
 }
@@ -88,13 +90,12 @@ func (r *Replica) persistsAtTxnBoundaries() bool {
 }
 
 // initTxn runs ClientInitTxn once the request's worker time has elapsed.
-func (r *Replica) initTxn(onAbort func(), done func(txn uint64)) {
+func (r *Replica) initTxn(done completion) {
 	r.txnSeq++
 	id := uint64(r.id+1)<<32 | r.txnSeq
 	tx := r.newTxn(id, r.id)
 	tx.initAcks = r.followers()
-	tx.initDone = done
-	tx.onAbort = onAbort
+	tx.begin = done
 	r.M.TxnStarted++
 	r.broadcast(payload{Kind: MsgINITX, Txn: id})
 	r.atTxnBoundary(id, cont{kind: contTxnInit, arg: id})
@@ -112,10 +113,9 @@ func (r *Replica) atTxnBoundary(txn uint64, then cont) {
 }
 
 func (r *Replica) maybeInitDone(tx *txnState) {
-	if tx.localInit && tx.initAcks == 0 && tx.initDone != nil {
-		done := tx.initDone
-		tx.initDone = nil
-		done(tx.id)
+	if tx.localInit && tx.initAcks == 0 && !tx.initSent {
+		tx.initSent = true
+		tx.begin.fire(tx.id)
 	}
 }
 
@@ -127,14 +127,14 @@ func (r *Replica) onINITX(from int, p payload) {
 }
 
 // endTxn runs ClientEndTxn once the request's worker time has elapsed.
-func (r *Replica) endTxn(txn uint64, done func(committed bool)) {
+func (r *Replica) endTxn(txn uint64, done completion) {
 	tx := r.txns[txn]
 	if tx == nil || tx.status != txnActive {
-		done(false)
+		done.fire(0)
 		return
 	}
 	tx.status = txnCommitting
-	tx.endDone = done
+	tx.end = done
 	tx.endAcks = r.followers()
 	r.broadcast(payload{Kind: MsgENDX, Txn: txn})
 	r.flushTxnPersists(tx, cont{kind: contTxnEnd, arg: txn})
@@ -167,11 +167,9 @@ func (r *Replica) maybeCommit(tx *txnState) {
 	r.broadcast(payload{Kind: MsgVAL, Txn: tx.id})
 	r.commitTxnVersions(tx)
 	r.clearTxnLocks(tx)
-	done := tx.endDone
+	done := tx.end
 	r.dropTxn(tx)
-	if done != nil {
-		done(true)
-	}
+	done.fire(1)
 }
 
 // onENDX completes a transaction's updates at a follower — including the
@@ -193,7 +191,7 @@ func (r *Replica) onTxnEventAck(txn uint64) {
 	if tx == nil || tx.coord != r.id {
 		return
 	}
-	if tx.initDone != nil {
+	if !tx.initSent {
 		tx.initAcks--
 		r.maybeInitDone(tx)
 		return
@@ -236,18 +234,24 @@ func (r *Replica) squash(tx *txnState) {
 	r.M.TxnConflicted++
 	r.broadcast(payload{Kind: MsgABORTX, Txn: tx.id})
 	r.clearTxnLocks(tx)
-	done, abort := tx.endDone, tx.onAbort
+	end, begin := tx.end, tx.begin
 	r.dropTxn(tx)
 	switch {
-	case done != nil:
-		done(false)
-	case abort != nil:
-		abort()
+	case end.c != nil:
+		end.fire(0)
+	case begin.c != nil:
+		begin.fire(0)
 	}
 }
 
 // onNACK handles a follower-reported conflict for one of our transactions.
+// The follower never acknowledges the write it NACKed (p.Stamp), so that
+// write can never complete: its pending record goes now. The transaction's
+// other writes keep theirs, and their rounds run to the end.
 func (r *Replica) onNACK(p payload) {
+	if pw := r.pending[p.Stamp]; pw != nil {
+		r.dropPending(pw)
+	}
 	tx := r.txns[p.Txn]
 	if tx != nil && tx.coord == r.id {
 		r.squash(tx)

@@ -5,7 +5,7 @@ package protocol
 // key (a write is in flight from its INV broadcast until every replica has
 // acknowledged it). The conflicting requester squashes and the client
 // retries — the squash flavor of the actions Section 5.4 permits.
-func (r *Replica) txnWriteAttempt(key uint64, scope, txn uint64, done func(Stamp)) {
+func (r *Replica) txnWriteAttempt(key uint64, scope, txn uint64, done completion) {
 	tx := r.txns[txn]
 	if tx == nil || tx.status != txnActive {
 		return // transaction already aborted; client will retry
@@ -25,7 +25,7 @@ func (r *Replica) txnWriteAttempt(key uint64, scope, txn uint64, done func(Stamp
 // pending write, lets the visibility policy record its read-stall or
 // write-set state, and hands launch control to the durability policy (which
 // may gate the broadcast on a persist — Strict).
-func (r *Replica) strongWrite(key uint64, scope, txn uint64, done func(Stamp)) {
+func (r *Replica) strongWrite(key uint64, scope, txn uint64, done completion) {
 	st := r.nextStamp()
 	ks := r.keys.at(key)
 
@@ -38,8 +38,8 @@ func (r *Replica) strongWrite(key uint64, scope, txn uint64, done func(Stamp)) {
 }
 
 // newPending books a pending write for (key, st), expecting a persistency
-// ACK from every follower.
-func (r *Replica) newPending(key uint64, st Stamp, done func(Stamp)) *pendingWrite {
+// ACK from every follower; done is the client's completion.
+func (r *Replica) newPending(key uint64, st Stamp, done completion) *pendingWrite {
 	pw := r.pwFree
 	if pw == nil {
 		pw = new(pendingWrite)
@@ -47,7 +47,7 @@ func (r *Replica) newPending(key uint64, st Stamp, done func(Stamp)) *pendingWri
 		r.pwFree = pw.next
 		pw.next = nil
 	}
-	pw.key, pw.stamp, pw.pAcks, pw.clientDone = key, st, r.followers(), done
+	pw.key, pw.stamp, pw.pAcks, pw.done = key, st, r.followers(), done
 	r.pending[st] = pw
 	return pw
 }
@@ -184,22 +184,22 @@ func (r *Replica) validateP(pw *pendingWrite) {
 	r.wake(&ks.consWait)
 }
 
-// completeWrite fires the client's completion callback exactly once and
-// records coordinator-side write-stall metrics.
+// completeWrite completes the client's write exactly once and records
+// coordinator-side write-stall metrics.
 func (r *Replica) completeWrite(pw *pendingWrite) {
-	if pw.clientDone == nil {
+	if pw.done.c == nil {
 		return
 	}
 	if r.tracer != nil {
 		r.trace("WR k%d complete", pw.key)
 	}
-	done := pw.clientDone
-	pw.clientDone = nil
+	done := pw.done
+	pw.done = completion{}
 	if !pw.early && pw.broadcastAt > 0 {
 		r.M.WriteStalls++
 		r.M.WriteStallTime += r.eng.Now() - pw.broadcastAt
 	}
-	done(pw.stamp)
+	done.fire(uint64(pw.stamp))
 }
 
 // onVAL handles VAL / VAL_c at a follower: the write is validated for
@@ -237,7 +237,7 @@ func (r *Replica) onVALp(p payload) {
 // weakWrite implements the UPD-based write paths of Figure 2 (e-h): the
 // visibility policy decides the UPD's history and propagation timing, the
 // durability policy the local persist and the completion point.
-func (r *Replica) weakWrite(key uint64, scope uint64, done func(Stamp)) {
+func (r *Replica) weakWrite(key uint64, scope uint64, done completion) {
 	st := r.nextStamp()
 
 	var pw *pendingWrite
@@ -258,7 +258,7 @@ func (r *Replica) weakWrite(key uint64, scope uint64, done func(Stamp)) {
 	if !r.dur.onWeakWrite(r, pw, key, st, scope) {
 		return // client completion arrives via ACK_p collection
 	}
-	done(st)
+	done.fire(uint64(st))
 }
 
 // selfApplyCausal advances the local applied vector for one of the
@@ -270,12 +270,12 @@ func (r *Replica) selfApplyCausal() {
 // maybeFinishWeakStrictWrite completes a weak-consistency write under Strict
 // persistency once every replica (and the local node) persisted it.
 func (r *Replica) maybeFinishWeakStrictWrite(pw *pendingWrite) {
-	if pw.pAcks == 0 && pw.localPersist && pw.clientDone != nil {
-		done, st := pw.clientDone, pw.stamp
+	if pw.pAcks == 0 && pw.localPersist && pw.done.c != nil {
+		done, st := pw.done, pw.stamp
 		r.M.WriteStalls++
 		r.M.WriteStallTime += r.eng.Now() - pw.broadcastAt
 		r.dropPending(pw)
-		done(st)
+		done.fire(uint64(st))
 	}
 }
 

@@ -64,3 +64,11 @@ func (r *RNG) Float64() float64 {
 func (r *RNG) Fork() *RNG {
 	return NewRNG(r.Uint64())
 }
+
+// ForkValue is Fork by value: the same child stream, for a generator held
+// inside a larger record.
+func (r *RNG) ForkValue() RNG {
+	var c RNG
+	c.Seed(r.Uint64())
+	return c
+}

@@ -197,27 +197,37 @@ func (z *Zipfian) Keys() int { return z.n }
 // analyses use it.
 func (z *Zipfian) HottestKey() uint64 { return 104729 % uint64(z.n) }
 
-// Generator produces a deterministic stream of Ops for one client.
+// Generator produces a deterministic stream of Ops for one client. It holds
+// its random stream by value, so a load engine can embed one in its own
+// record.
 type Generator struct {
 	w   Workload
 	kc  KeyChooser
-	rng *sim.RNG
+	rng sim.RNG
 
 	reads  uint64
 	writes uint64
 }
 
-// NewGenerator builds a per-client generator. Each client should get its own
-// forked RNG so streams are independent but reproducible.
+// NewGenerator builds a per-client generator drawing from a copy of rng's
+// state. Each client should get its own forked RNG so streams are
+// independent but reproducible.
 func NewGenerator(w Workload, kc KeyChooser, rng *sim.RNG) *Generator {
-	return &Generator{w: w, kc: kc, rng: rng}
+	g := MakeGenerator(w, kc, *rng)
+	return &g
+}
+
+// MakeGenerator is NewGenerator by value, for a generator embedded in a
+// client record.
+func MakeGenerator(w Workload, kc KeyChooser, rng sim.RNG) Generator {
+	return Generator{w: w, kc: kc, rng: rng}
 }
 
 // Next returns the next operation.
 func (g *Generator) Next() Op {
 	if g.rng.Float64() < g.w.ReadRatio {
 		g.reads++
-		return Op{Kind: OpRead, Key: g.kc.Next(g.rng)}
+		return Op{Kind: OpRead, Key: g.kc.Next(&g.rng)}
 	}
 	// Non-read remainder: scan, read-modify-write, or plain write.
 	r := g.rng.Float64()
@@ -228,13 +238,13 @@ func (g *Generator) Next() Op {
 		if maxLen < 1 {
 			maxLen = 100
 		}
-		return Op{Kind: OpScan, Key: g.kc.Next(g.rng), ScanLen: 1 + g.rng.Intn(maxLen)}
+		return Op{Kind: OpScan, Key: g.kc.Next(&g.rng), ScanLen: 1 + g.rng.Intn(maxLen)}
 	case g.w.RMWRatio > 0 && r < g.w.ScanRatio+g.w.RMWRatio:
 		g.writes++
-		return Op{Kind: OpRMW, Key: g.kc.Next(g.rng)}
+		return Op{Kind: OpRMW, Key: g.kc.Next(&g.rng)}
 	default:
 		g.writes++
-		return Op{Kind: OpWrite, Key: g.kc.Next(g.rng)}
+		return Op{Kind: OpWrite, Key: g.kc.Next(&g.rng)}
 	}
 }
 
