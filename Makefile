@@ -95,14 +95,19 @@ perf:
 
 # Exact allocation censuses: -memprofile samples every object
 # (runtime.MemProfileRate = 1), so the top-40 sites are counts, not
-# estimates. The first table is the quick Figure 6 matrix, the second one rep
-# of the repo benchmark's scale160 workload (both cells: New, Run, Collect;
-# TestScaleCensus). EXPERIMENTS.md "Allocation census" and "Allocation-free
-# client ops" read these tables.
+# estimates. The first table is the quick Figure 6 matrix (3 servers x 4
+# clients over 1 ms), the second one rep of the repo benchmark's flat_matrix
+# workload (25 bindings at 5x20 plus Table 1's cells; TestFlatCensus), whose
+# mix quick Figure 6 does not share, the third one rep of its scale160
+# workload (both cells: New, Run, Collect; TestScaleCensus). EXPERIMENTS.md
+# "Allocation census", "Allocation-free client ops" and "Zero-allocation
+# replication rounds" read these tables.
 census:
 	mkdir -p .bench_build
 	$(GO) run ./cmd/ddpbench -exp fig6 -quick -parallel 1 -memprofile .bench_build/census.mprof > /dev/null
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/census.mprof
+	FLAT_CENSUS=1 $(GO) test ./internal/cluster/ -run '^TestFlatCensus$$' -count=1 -memprofilerate 1 -memprofile .bench_build/flat_census.mprof -o .bench_build/cluster.test > /dev/null
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/cluster.test .bench_build/flat_census.mprof
 	SCALE_CENSUS=1 $(GO) test ./internal/cluster/ -run '^TestScaleCensus$$' -count=1 -memprofilerate 1 -memprofile .bench_build/scale_census.mprof -o .bench_build/cluster.test > /dev/null
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/cluster.test .bench_build/scale_census.mprof
 

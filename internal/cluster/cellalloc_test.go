@@ -68,43 +68,43 @@ func openLoopCell(warmupNs, measureNs int64) Config {
 // repo benchmark's flat_matrix cell (5 servers x 20 closed-loop clients,
 // YCSB-A, 0.2 ms warm-up + 0.15 ms measured), plus one 16-shard, one
 // open-loop and one scale160-shaped cell (160 nodes, 32 shards). A ceiling is
-// the count measured once client ops rode one request record completed by
-// handler and token, plus 15%, or plus 0.25 where that is more — a closure or
-// a first-touch allocation per op adds 1 or more, slab growth moving by a few
-// objects should not trip it — rounded up to a tenth. The comment column
-// holds that count and the count when every continuation and completion was
-// a closure, 4 to 70 times the ceiling. Counts are exact per seed and Go
-// release; CELLALLOC_PRINT=1 prints them for re-pinning.
+// the count measured once causal histories, transaction and scope lists and
+// the pooled records all came from recycled or chunk-carved storage, plus
+// 15%, or plus 0.25 where that is more — a closure or a first-touch
+// allocation per op adds 1 or more, slab growth moving by a few objects
+// should not trip it — rounded up to a tenth. The comment column holds that
+// count and the count when every continuation and completion was a closure,
+// 15 to 90 times the ceiling. Counts are exact per seed and Go release;
+// CELLALLOC_PRINT=1 prints them for re-pinning.
 func TestCellAllocsPerOp(t *testing.T) {
 	ceilings := map[core.Model]float64{
-		{C: core.Linearizable, P: core.Strict}:         0.5, // 0.21 measured; 19.23 with closures
-		{C: core.Linearizable, P: core.Synchronous}:    0.7, // 0.36; 28.21
-		{C: core.Linearizable, P: core.ReadEnforcedP}:  0.6, // 0.31; 23.72
-		{C: core.Linearizable, P: core.Scope}:          0.8, // 0.49; 24.46
-		{C: core.Linearizable, P: core.EventualP}:      0.4, // 0.15; 13.59
-		{C: core.ReadEnforcedC, P: core.Strict}:        0.5, // 0.21; 19.22
-		{C: core.ReadEnforcedC, P: core.Synchronous}:   0.7, // 0.38; 17.41
-		{C: core.ReadEnforcedC, P: core.ReadEnforcedP}: 0.8, // 0.49; 22.05
-		{C: core.ReadEnforcedC, P: core.Scope}:         1.4, // 1.14; 30.43
-		{C: core.ReadEnforcedC, P: core.EventualP}:     0.7, // 0.38; 16.77
-		// Transactional: follower transaction records and their write and
-		// persist lists, first used in the short window.
-		{C: core.Transactional, P: core.Strict}:        2.5, // 2.09; 53.90
-		{C: core.Transactional, P: core.Synchronous}:   2.2, // 1.89; 53.33
-		{C: core.Transactional, P: core.ReadEnforcedP}: 1.4, // 1.15; 47.55
-		{C: core.Transactional, P: core.Scope}:         2.9, // 2.46; 57.73
-		{C: core.Transactional, P: core.EventualP}:     1.4, // 1.09; 44.36
-		// Causal: one cauhist clone per write.
-		{C: core.Causal, P: core.Strict}:          1.7, // 1.40; 25.72
-		{C: core.Causal, P: core.Synchronous}:     1.5, // 1.24; 16.26
-		{C: core.Causal, P: core.ReadEnforcedP}:   1.6, // 1.30; 14.06
-		{C: core.Causal, P: core.Scope}:           1.8, // 1.51; 25.97
-		{C: core.Causal, P: core.EventualP}:       1.5, // 1.20; 16.36
-		{C: core.Eventual, P: core.Strict}:        0.4, // 0.14; 13.54
-		{C: core.Eventual, P: core.Synchronous}:   0.3, // 0.05; 6.61
-		{C: core.Eventual, P: core.ReadEnforcedP}: 0.4, // 0.12; 7.39
-		{C: core.Eventual, P: core.Scope}:         0.7, // 0.39; 18.65
-		{C: core.Eventual, P: core.EventualP}:     0.3, // 0.05; 10.55
+		{C: core.Linearizable, P: core.Strict}:         0.4, // 0.12 measured; 19.23 with closures
+		{C: core.Linearizable, P: core.Synchronous}:    0.5, // 0.19; 28.21
+		{C: core.Linearizable, P: core.ReadEnforcedP}:  0.4, // 0.14; 23.72
+		{C: core.Linearizable, P: core.Scope}:          0.4, // 0.11; 24.46
+		{C: core.Linearizable, P: core.EventualP}:      0.4, // 0.07; 13.59
+		{C: core.ReadEnforcedC, P: core.Strict}:        0.4, // 0.11; 19.22
+		{C: core.ReadEnforcedC, P: core.Synchronous}:   0.5, // 0.17; 17.41
+		{C: core.ReadEnforcedC, P: core.ReadEnforcedP}: 0.5, // 0.21; 22.05
+		{C: core.ReadEnforcedC, P: core.Scope}:         0.6, // 0.27; 30.43
+		{C: core.ReadEnforcedC, P: core.EventualP}:     0.5, // 0.17; 16.77
+		// Transactional: squashed attempts and the most records first used
+		// in the short window.
+		{C: core.Transactional, P: core.Strict}:        0.7, // 0.36; 53.90
+		{C: core.Transactional, P: core.Synchronous}:   0.6, // 0.25; 53.33
+		{C: core.Transactional, P: core.ReadEnforcedP}: 0.5, // 0.20; 47.55
+		{C: core.Transactional, P: core.Scope}:         0.9, // 0.57; 57.73
+		{C: core.Transactional, P: core.EventualP}:     0.5, // 0.19; 44.36
+		{C: core.Causal, P: core.Strict}:               0.5, // 0.15; 25.72
+		{C: core.Causal, P: core.Synchronous}:          0.4, // 0.07; 16.26
+		{C: core.Causal, P: core.ReadEnforcedP}:        0.4, // 0.06; 14.06
+		{C: core.Causal, P: core.Scope}:                0.4, // 0.09; 25.97
+		{C: core.Causal, P: core.EventualP}:            0.3, // 0.02; 16.36
+		{C: core.Eventual, P: core.Strict}:             0.4, // 0.06; 13.54
+		{C: core.Eventual, P: core.Synchronous}:        0.3, // 0.02; 6.61
+		{C: core.Eventual, P: core.ReadEnforcedP}:      0.4, // 0.05; 7.39
+		{C: core.Eventual, P: core.Scope}:              0.4, // 0.08; 18.65
+		{C: core.Eventual, P: core.EventualP}:          0.3, // 0.02; 10.55
 	}
 	type row struct {
 		name    string
@@ -122,9 +122,9 @@ func TestCellAllocsPerOp(t *testing.T) {
 			Seed: 1, WarmupNs: 200_000, MeasureNs: 150_000,
 		}, ceiling})
 	}
-	rows = append(rows, row{"sharded16 <Eventual, Eventual>", sharded16Cell(200_000, 300_000), 0.4})        // 0.10; 6.22
-	rows = append(rows, row{"openloop <Linearizable, Synchronous>", openLoopCell(200_000, 1_000_000), 0.5}) // 0.16; 14.58
-	rows = append(rows, row{"scale160 <Eventual, Eventual>", scaleCell(160, 200_000, 300_000), 0.5})        // 0.18; 0.46 with bound completions
+	rows = append(rows, row{"sharded16 <Eventual, Eventual>", sharded16Cell(200_000, 300_000), 0.4})        // 0.08; 6.22
+	rows = append(rows, row{"openloop <Linearizable, Synchronous>", openLoopCell(200_000, 1_000_000), 0.4}) // 0.12; 14.58
+	rows = append(rows, row{"scale160 <Eventual, Eventual>", scaleCell(160, 200_000, 300_000), 0.4})        // 0.08; 0.46 with bound completions
 	print := os.Getenv("CELLALLOC_PRINT") != ""
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {

@@ -216,14 +216,9 @@ func (c *client) barrierDone() {
 // Transactional loop
 // ---------------------------------------------------------------------------
 
-// startTxn plans a fresh transaction of XactionSize requests and runs its
-// first attempt.
+// startTxn plans a fresh transaction of XactionSize requests (New carves the
+// per-op lists) and runs its first attempt.
 func (c *client) startTxn() {
-	if n := c.rt.cl.Cfg.Params.XactionSize; len(c.txnOps) != n {
-		c.txnOps = make([]ycsb.Op, n)
-		c.txnFirst = make([]int64, n)
-		c.txnStamps = make([]protocol.Stamp, n)
-	}
 	for i := range c.txnOps {
 		c.txnOps[i] = c.gen.Next()
 	}

@@ -645,16 +645,30 @@ func New(cfg Config) (*Cluster, error) {
 	// Clients: ClientsPerServer per node in one slab per node, each with an
 	// independent deterministic request stream over the shared key space. A
 	// client's generator forks first, then its own RNG. The node's router
-	// holds one request record per op its clients can have in flight.
+	// holds one request record per op its clients can have in flight. Under
+	// Transactional consistency a client's three per-op transaction lists
+	// are carved from three arrays per node, at XactionSize.
+	txn := core.ImplOf(cfg.Model).C == core.Transactional
 	c.Clients = make([]*client, 0, p.Servers*p.ClientsPerServer)
 	for n, ns := range c.nodes {
 		c.routers[n].prewarm(p.ClientsPerServer * max(p.ClientWindow, 1))
 		ns.clients = make([]client, p.ClientsPerServer)
+		var ops []ycsb.Op
+		var first []int64
+		var stamps []protocol.Stamp
+		if txn {
+			x := p.XactionSize * p.ClientsPerServer
+			ops, first, stamps = make([]ycsb.Op, x), make([]int64, x), make([]protocol.Stamp, x)
+		}
 		for k := range ns.clients {
 			cl := &ns.clients[k]
 			cl.gen = ycsb.MakeGenerator(cfg.Workload, kc, rng.ForkValue())
 			cl.rng = rng.ForkValue()
 			cl.init(len(c.Clients), int32(k), c.routers[n])
+			if txn {
+				lo, hi := k*p.XactionSize, (k+1)*p.XactionSize
+				cl.txnOps, cl.txnFirst, cl.txnStamps = ops[lo:hi:hi], first[lo:hi:hi], stamps[lo:hi:hi]
+			}
 			c.Clients = append(c.Clients, cl)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/params"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -285,6 +286,39 @@ func TestScaleCensus(t *testing.T) {
 	for _, m := range []core.Model{{C: core.Eventual, P: core.EventualP}, {C: core.Linearizable, P: core.Synchronous}} {
 		cfg := scaleCell(160, 200_000, 800_000)
 		cfg.Model = m
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFlatCensus builds, runs and collects every cell of the repo benchmark's
+// flat_matrix workload: the 25 bindings on the flat 5x20 closed-loop cell
+// (YCSB-A) and Table 1's three write-only 3x8 cells, each with a 0.2 ms
+// warm-up and a 0.15 ms measured window, seed 1 — one benchmark rep. quick
+// Figure 6 (3 servers x 4 clients over 1 ms) is a different mix, so its census
+// does not stand in for this one. It runs only when FLAT_CENSUS is set; `make
+// census` runs it under -memprofilerate 1 and prints the exact allocation
+// sites by objects.
+func TestFlatCensus(t *testing.T) {
+	if os.Getenv("FLAT_CENSUS") == "" {
+		t.Skip("set FLAT_CENSUS=1 and -memprofile to take the census (make census)")
+	}
+	var cells []Config
+	for _, m := range core.AllModels() {
+		cells = append(cells, Config{Model: m, Workload: ycsb.WorkloadA, Params: params.Default()})
+	}
+	t1 := params.Default()
+	t1.Servers, t1.ClientsPerServer = 3, 8
+	for _, m := range []core.Model{
+		{C: core.Linearizable, P: core.Synchronous},
+		{C: core.Linearizable, P: core.EventualP},
+		{C: core.Eventual, P: core.EventualP},
+	} {
+		cells = append(cells, Config{Model: m, Workload: ycsb.Workload{Name: "write-only"}, Params: t1})
+	}
+	for _, cfg := range cells {
+		cfg.Seed, cfg.WarmupNs, cfg.MeasureNs = 1, 200_000, 150_000
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -27,10 +27,14 @@ import (
 // keys once, so the guards now also rotate: every measured round uses a key
 // no earlier round touched, held to the same ceiling as the warm key.
 //
-// What is left is the causal history: a Causal write clones its vector clock
-// (causalVis.causalHistory), one object. Everything else — closures, records,
-// per-key state — is recycled, so a ceiling of zero means any per-round
-// closure or first-touch allocation fails immediately.
+// The causal history was the last to go: a Causal write used to clone its
+// vector clock (causalVis.causalHistory), one object per round. Now the
+// sender fills a replica-owned vector, the payload box copies it into storage
+// the box keeps across reuse, and each receiver copies it into rows of its own
+// arena, addressed by the disp and bufs slab tokens. Every binding's write,
+// read and transaction round allocates nothing: closures, records, per-key
+// state and histories are all recycled, so a ceiling of zero means any
+// per-round closure, clone or first-touch allocation fails immediately.
 
 // roundDriver issues one kind of protocol round on a test cluster, with
 // every callback it hands the replicas bound once, so the measured rounds
@@ -115,39 +119,34 @@ func TestWriteHotPathAllocs(t *testing.T) {
 	checkRounds(t, mdl(core.Linearizable, core.EventualP), "write", writeRound, 0)
 }
 
-// TestWeakWriteHotPathAllocs pins the UPD-based write rounds; Causal carries
-// one cauhist clone per write.
+// TestWeakWriteHotPathAllocs pins the UPD-based write rounds, Causal's with
+// its cauhist carried in recycled box storage and replica-owned rows.
 func TestWeakWriteHotPathAllocs(t *testing.T) {
 	cases := []struct {
-		name    string
-		model   core.Model
-		ceiling float64
+		name  string
+		model core.Model
 	}{
-		{"causal-synchronous", mdl(core.Causal, core.Synchronous), 1},
-		{"causal-eventual", mdl(core.Causal, core.EventualP), 1},
-		{"eventual-synchronous", mdl(core.Eventual, core.Synchronous), 0},
-		{"eventual-eventual", mdl(core.Eventual, core.EventualP), 0},
+		{"causal-synchronous", mdl(core.Causal, core.Synchronous)},
+		{"causal-eventual", mdl(core.Causal, core.EventualP)},
+		{"eventual-synchronous", mdl(core.Eventual, core.Synchronous)},
+		{"eventual-eventual", mdl(core.Eventual, core.EventualP)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			checkRounds(t, c.model, "write", writeRound, c.ceiling)
+			checkRounds(t, c.model, "write", writeRound, 0)
 		})
 	}
 }
 
 // TestRoundAllocsAcrossBindings holds the write and read rounds of all five
 // visibility classes, under the lazy, the ack-gated and the launch-gated
-// persist placement, to the same ceilings — and the transaction round where
-// there are transactions.
+// persist placement, to zero — and the transaction round where there are
+// transactions.
 func TestRoundAllocsAcrossBindings(t *testing.T) {
 	for _, c := range []core.Consistency{core.Linearizable, core.ReadEnforcedC, core.Transactional, core.Causal, core.Eventual} {
 		for _, p := range []core.Persistency{core.EventualP, core.Synchronous, core.Strict} {
 			m := mdl(c, p)
-			write := 0.0
-			if c == core.Causal {
-				write = 1 // the cauhist clone
-			}
-			checkRounds(t, m, "write", writeRound, write)
+			checkRounds(t, m, "write", writeRound, 0)
 			checkRounds(t, m, "read", readRound, 0)
 			if c == core.Transactional {
 				checkRounds(t, m, "transaction", txnRound, 0)

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"slices"
+
 	"repro/internal/vclock"
 )
 
@@ -28,12 +30,13 @@ func (causalVis) readBlocked(r *Replica, ks *keyState) bool { return false }
 func (causalVis) servesCommitted() bool                     { return false }
 
 // causalHistory snapshots the write's happens-before history: everything
-// this node has applied, plus the write itself.
+// this node has applied, plus the write itself. The snapshot is the replica's
+// histOut, valid until its next write; the send boxes a copy.
 func (causalVis) causalHistory(r *Replica) []uint64 {
 	r.issued++
-	vc := r.appliedVC.Clone()
-	vc[r.id] = r.issued
-	return vc
+	r.histOut = append(r.histOut[:0], r.appliedVC...)
+	r.histOut[r.id] = r.issued
+	return r.histOut
 }
 
 func (causalVis) propagateWeak(r *Replica, upd payload) { r.propagate(upd) }
@@ -61,9 +64,35 @@ type advance struct {
 	v    uint64
 }
 
+// histRows stores causal histories in replica-owned memory, one row of w
+// counters per token of the slab it shadows (disp or bufs): row t is
+// data[(t-1)*w : t*w], so a row lives exactly as long as its slot, and the
+// arena grows with the slab, by use. Refer to a row by token: a slice from
+// row is read before anything can set a higher token (set may move the
+// arena), never kept in a record.
+type histRows struct {
+	w    int
+	data []uint64
+}
+
+// set copies vc into row t.
+func (h *histRows) set(t int32, vc []uint64) {
+	end := int(t) * h.w
+	if end > len(h.data) {
+		h.data = slices.Grow(h.data, end-len(h.data))[:end]
+	}
+	copy(h.data[end-h.w:end], vc)
+}
+
+// row returns the history in row t.
+func (h *histRows) row(t int32) vclock.VC {
+	end := int(t) * h.w
+	return h.data[end-h.w : end : end]
+}
+
 // causalDeliver handles a UPD carrying a cauhist at a follower: apply it if
 // its happens-before history is already applied here, otherwise buffer it
-// (Figure 2f shows d2 buffered until d1 arrives).
+// (Figure 2f shows d2 buffered until d1 arrives) with a copy of its history.
 func (r *Replica) causalDeliver(from int, p payload) {
 	_ = from
 	src := p.Stamp.Node()
@@ -76,7 +105,9 @@ func (r *Replica) causalDeliver(from int, p payload) {
 	}
 	r.M.BufferedUpdates++
 	r.M.BufferSum += uint64(r.bufCount)
-	r.fileBuffered(bufferedUpd{key: p.Key, stamp: p.Stamp, scope: p.Scope, vc: p.Cauhist})
+	i := r.bufs.put(bufferedUpd{key: p.Key, stamp: p.Stamp, scope: p.Scope})
+	r.bufHist.set(i, p.Cauhist)
+	r.fileBuffered(i)
 	if r.bufCount > r.M.BufferPeak {
 		r.M.BufferPeak = r.bufCount
 	}
@@ -98,12 +129,13 @@ func (r *Replica) causalApplicable(src int, vc vclock.VC) bool {
 	return true
 }
 
-// fileBuffered parks an update under its first unsatisfied dependency.
-// If every dependency is already satisfied it applies (or drops a stale
-// duplicate) immediately.
-func (r *Replica) fileBuffered(u bufferedUpd) {
-	src := u.stamp.Node()
-	for i, v := range u.vc {
+// fileBuffered parks the update held in bufs slot b under its first
+// unsatisfied dependency. If every dependency is already satisfied it frees
+// the slot and applies (or drops a stale duplicate) immediately.
+func (r *Replica) fileBuffered(b int32) {
+	src := r.bufs.at(b).stamp.Node()
+	vc := r.bufHist.row(b)
+	for i, v := range vc {
 		need := v
 		if i == src {
 			need = v - 1
@@ -113,16 +145,18 @@ func (r *Replica) fileBuffered(u bufferedUpd) {
 				r.waiting[i] = make(map[uint64]int32)
 			}
 			tail := r.waiting[i][need]
-			r.bufs.push(&tail, u)
+			r.bufs.link(&tail, b)
 			r.waiting[i][need] = tail
 			r.bufCount++
 			return
 		}
 	}
-	if r.appliedVC[src] >= u.vc[src] {
+	stale := r.appliedVC[src] >= vc[src]
+	u := r.bufs.take(b) // after the last read of the history
+	if stale {
 		return // stale duplicate
 	}
-	r.causalApply(payload{Kind: MsgUPD, Key: u.key, Stamp: u.stamp, Scope: u.scope, Cauhist: u.vc})
+	r.causalApply(payload{Kind: MsgUPD, Key: u.key, Stamp: u.stamp, Scope: u.scope})
 }
 
 // advanceApplied increments the applied vector for node and re-evaluates
@@ -145,20 +179,23 @@ func (r *Replica) advanceApplied(node int) {
 		}
 		delete(r.waiting[a.node], a.v)
 		for head := r.bufs.detach(&tail); head != 0; {
+			b := head
+			head = *r.bufs.next(b)
 			r.bufCount--
-			r.fileBuffered(r.bufs.pop(&head))
+			r.fileBuffered(b)
 		}
 	}
 	r.drainQueue = r.drainQueue[:0]
 	r.draining = false
 }
 
-// causalApply makes the update visible and arranges durability. Under
-// Synchronous (and Strict) persistency the visibility point and durability
-// point coincide, so the applied vector — which gates causally dependent
-// updates — only advances once the persist completes. That persist gating is
-// what makes Causal+Synchronous buffer one to two orders of magnitude more
-// writes than Causal+Eventual (Section 8.1.2).
+// causalApply makes the update visible and arranges durability; it reads
+// none of p's history. Under Synchronous (and Strict) persistency the
+// visibility point and durability point coincide, so the applied vector —
+// which gates causally dependent updates — only advances once the persist
+// completes. That persist gating is what makes Causal+Synchronous buffer one
+// to two orders of magnitude more writes than Causal+Eventual (Section
+// 8.1.2).
 func (r *Replica) causalApply(p payload) {
 	r.applyVisible(p.Key, p.Stamp)
 	r.dur.onCausalApply(r, p, p.Stamp.Node())

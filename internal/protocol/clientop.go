@@ -87,10 +87,12 @@ const (
 func (r *Replica) newOp(kind opKind) *clientOp {
 	op := r.opFree
 	if op == nil {
-		return &clientOp{r: r, kind: kind}
+		op = carve(&r.opSlab, recordChunk)
+		op.r = r
+	} else {
+		r.opFree = op.next
+		op.next = nil
 	}
-	r.opFree = op.next
-	op.next = nil
 	op.kind = kind
 	return op
 }

@@ -90,7 +90,7 @@ type payload struct {
 	Stamp   Stamp
 	Scope   uint64
 	Txn     uint64
-	Cauhist vclock.VC // non-nil only under Causal consistency
+	Cauhist vclock.VC // empty except under Causal consistency (see BoxPool)
 	Chain   bool      // serially-propagated (SerialPropagation ablation)
 
 	// refs counts in-flight messages sharing this box (broadcast shares one
@@ -126,8 +126,15 @@ const payloadChunk = 64
 // fills with its receive surplus while its peers carve — so one pool serves
 // every replica of a sequential cluster and holds no more boxes than were
 // ever in flight at once. The zero value is ready to use.
+//
+// A box owns the storage of the causal history it carries: box copies the
+// sender's vector into it, put keeps its capacity, and a box's first history
+// carves its storage from a chunk like the box itself, so a causal write
+// allocates nothing in steady state. Receivers copy the history out before
+// releasing their reference (see onMessage).
 type BoxPool struct {
 	slab []payload  // chunked fresh-box storage
+	hist []uint64   // chunked history storage for boxes that have none
 	free []*payload // spent boxes
 }
 
@@ -137,24 +144,26 @@ func (b *BoxPool) Spare() int { return len(b.free) }
 // box copies p into a recycled or fresh box shared by refs in-flight messages
 // (a broadcast shares one box across its copies).
 func (b *BoxPool) box(p payload, refs int) *payload {
-	p.refs = int32(refs)
+	var pp *payload
 	if k := len(b.free); k > 0 {
-		pp := b.free[k-1]
+		pp = b.free[k-1]
 		b.free[k-1] = nil
 		b.free = b.free[:k-1]
-		*pp = p
-		return pp
+	} else {
+		pp = carve(&b.slab, payloadChunk)
 	}
-	if len(b.slab) == cap(b.slab) {
-		b.slab = make([]payload, 0, payloadChunk)
+	hist := pp.Cauhist[:0]
+	if n := len(p.Cauhist); cap(hist) < n {
+		hist = carveList(&b.hist, n, payloadChunk)
 	}
-	b.slab = append(b.slab, p)
-	return &b.slab[len(b.slab)-1]
+	p.Cauhist, p.refs = append(hist, p.Cauhist...), int32(refs)
+	*pp = p
+	return pp
 }
 
-// put returns a spent box, dropping its cauhist reference first.
+// put returns a spent box. Its fields stay as they are until box overwrites
+// them all; its history storage is what the next causal write reuses.
 func (b *BoxPool) put(pp *payload) {
-	*pp = payload{}
 	b.free = append(b.free, pp)
 }
 

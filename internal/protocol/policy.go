@@ -81,7 +81,9 @@ type VisibilityPolicy interface {
 	servesCommitted() bool
 
 	// causalHistory snapshots the happens-before history a weak write's UPD
-	// carries (Causal consistency's cauhist; nil otherwise).
+	// carries (Causal consistency's cauhist; nil otherwise). The snapshot is
+	// replica-owned and valid until the replica's next write: the UPD must
+	// be sent before then, and the send copies it into its payload box.
 	causalHistory(r *Replica) []uint64
 
 	// propagateWeak ships a weak write's UPD to the other replicas, now

@@ -129,12 +129,12 @@ type persistItem struct {
 	stamp Stamp
 }
 
-// bufferedUpd is an out-of-order causal update parked at a follower.
+// bufferedUpd is an out-of-order causal update parked at a follower. Its
+// causal history is the Replica.bufHist row of its bufs token.
 type bufferedUpd struct {
 	key   uint64
 	stamp Stamp
 	scope uint64
-	vc    vclock.VC
 }
 
 // Replica is one node's protocol engine. It acts as coordinator for requests
@@ -161,7 +161,8 @@ type Replica struct {
 	lamport uint64
 	keys    keyTable
 	pending map[Stamp]*pendingWrite
-	pwFree  *pendingWrite // spent pendingWrite records
+	pwFree  *pendingWrite  // spent pendingWrite records
+	pwSlab  []pendingWrite // the chunk fresh ones are carved from
 
 	// Replica-level slabs behind the per-key tokens of keyState: the members
 	// of every transC/transP set, every stalled read, and (in conts) every
@@ -172,18 +173,24 @@ type Replica struct {
 	// Continuations waiting on a write-back or parked across a device write
 	// or a delay (conts; contC runs the parked ones), persistItems batches
 	// in flight (fanIns), and client requests in flight (recycled through
-	// opFree). See cont.go and clientop.go.
+	// opFree, carved from opSlab). See cont.go and clientop.go.
 	conts  slab[contRec]
 	contC  contDone
 	fanIns slab[fanIn]
 	opFree *clientOp
+	opSlab []clientOp
 
 	// Causal consistency state. waiting indexes the reorder buffer by the
 	// first unsatisfied dependency: waiting[node][count] is the tail token of
 	// the FIFO (in bufs) of updates that become eligible when appliedVC[node]
-	// reaches count.
+	// reaches count. The causal histories this replica holds live in its own
+	// storage: histOut is the one its next write sends (boxes copy it), and
+	// dispHist and bufHist hold received ones by disp and bufs token.
 	appliedVC  vclock.VC // per-writer applied counters
 	issued     uint64    // own writes issued (stamps cauhist)
+	histOut    vclock.VC
+	dispHist   histRows
+	bufHist    histRows
 	waiting    []map[uint64]int32
 	bufs       slab[bufferedUpd]
 	bufCount   int
@@ -193,6 +200,7 @@ type Replica struct {
 	// Transactional state. Records recycle through txnFree.
 	txns    map[uint64]*txnState
 	txnFree *txnState
+	txnSlab []txnState
 	txnSeq  uint64
 
 	// Scope persistency state. scopeClosed is each session's closed
@@ -202,6 +210,10 @@ type Replica struct {
 	itemFree     [][]persistItem
 	scopeClosed  map[uint32]uint32
 	scopeOps     map[uint64]scopeOp
+
+	// items is the chunk the persist-item lists of transactions and scopes
+	// are carved from; only the bindings that keep such lists touch it.
+	items []persistItem
 
 	sharedVal  []byte   // shared synthetic value payload (avoids allocation)
 	boxes      *BoxPool // payload boxes, recycled by onMessage (see BoxPool)
@@ -219,9 +231,12 @@ type Replica struct {
 	ablC  ablationDone
 }
 
-// dispatchRec parks one received message across its worker service job.
+// dispatchRec parks one received message across its worker service job. A
+// causal history (hist) waits in the Replica.dispHist row of the record's
+// token, not in p.
 type dispatchRec struct {
 	from int32
+	hist bool
 	p    payload
 }
 
@@ -270,6 +285,8 @@ func NewReplica(id int, d Deps) *Replica {
 		keys:         newKeyTable(d.P.Keys, d.Keys),
 		pending:      make(map[Stamp]*pendingWrite),
 		appliedVC:    vclock.New(mem.Size),
+		dispHist:     histRows{w: mem.Size},
+		bufHist:      histRows{w: mem.Size},
 		waiting:      make([]map[uint64]int32, mem.Size),
 		txns:         make(map[uint64]*txnState),
 		scopePending: make(map[uint64][]persistItem),
@@ -496,38 +513,46 @@ func (r *Replica) HandleNetMessage(m simnet.Message) { r.onMessage(m) }
 // dispatch records carry the sender's group rank.
 func (r *Replica) onMessage(m simnet.Message) {
 	pp := m.Payload.(*payload)
-	// A box is spent once every message sharing it has been copied out;
-	// the last receiver recycles it into its own pool (put clears the
-	// cauhist reference). Under concurrent logical processes a
-	// broadcast box is decremented by receivers on different goroutines:
-	// copyBody leaves the racing refs bytes unread, and the atomic
-	// decrement orders each receiver's copy-out above before the last
-	// receiver's zeroing below.
-	var p payload
+	// A box is spent once every message sharing it has been copied out —
+	// its causal history into this replica's dispHist row — and the last
+	// receiver recycles it into its own pool, where the next write reuses
+	// the history storage. Under concurrent logical processes a broadcast
+	// box is decremented by receivers on different goroutines: copyBody
+	// leaves the racing refs bytes unread, and the atomic decrement orders
+	// each receiver's copy-out before the last receiver's put.
+	rec := dispatchRec{from: int32(r.member.rankOf(m.From)), p: pp.copyBody()}
+	hist := rec.p.Cauhist
+	rec.hist, rec.p.Cauhist = len(hist) > 0, nil
+	tok := r.disp.put(rec)
+	if rec.hist {
+		r.dispHist.set(tok, hist)
+	}
 	if r.atomicRefs {
-		p = pp.copyBody()
 		if atomic.AddInt32(&pp.refs, -1) == 0 {
 			r.boxes.put(pp)
 		}
-	} else {
-		p = *pp
-		if pp.refs--; pp.refs == 0 {
-			r.boxes.put(pp)
-		}
+	} else if pp.refs--; pp.refs == 0 {
+		r.boxes.put(pp)
 	}
 	service := r.p.MessageHandle
-	if p.Kind == MsgINV || p.Kind == MsgUPD {
+	if rec.p.Kind == MsgINV || rec.p.Kind == MsgUPD {
 		service += r.mem.DDIOFillLatency()
 	}
-	tok := r.disp.put(dispatchRec{from: int32(r.member.rankOf(m.From)), p: p})
 	r.work.AcquireEvent(service, r, uint64(tok))
 }
 
 // OnEvent dispatches the message parked at token arg. It implements
 // sim.Handler so message handling schedules without a closure per message.
+// The record's slot, and with it the history row, is freed after dispatch,
+// the last reader of the history.
 func (r *Replica) OnEvent(arg uint64) {
-	rec := r.disp.take(int32(arg))
+	tok := int32(arg)
+	rec := *r.disp.at(tok)
+	if rec.hist {
+		rec.p.Cauhist = r.dispHist.row(tok)
+	}
 	r.dispatch(int(rec.from), rec.p)
+	r.disp.take(tok)
 }
 
 func (r *Replica) dispatch(from int, p payload) {

@@ -91,6 +91,9 @@ func (r *Replica) deferScopePersist(scope uint64, key uint64, st Stamp) {
 	if !open {
 		if k := len(r.itemFree); k > 0 {
 			items, r.itemFree = r.itemFree[k-1], r.itemFree[:k-1]
+		} else {
+			// A session's scope spans ScopeSize requests.
+			items = carveList(&r.items, r.p.ScopeSize, recordChunk)
 		}
 	}
 	r.scopePending[scope] = append(items, persistItem{key: key, stamp: st})

@@ -51,8 +51,11 @@ func (s *slab[T]) take(i int32) T {
 // push appends v to the FIFO whose tail token is *tail. The FIFO is a ring
 // (the tail links to the head), so one token per list gives O(1) append and
 // in-order traversal.
-func (s *slab[T]) push(tail *int32, v T) {
-	i := s.put(v)
+func (s *slab[T]) push(tail *int32, v T) { s.link(tail, s.put(v)) }
+
+// link appends the held slot i, which sits in no list, to the FIFO whose tail
+// token is *tail: a record moves between lists without leaving its slot.
+func (s *slab[T]) link(tail *int32, i int32) {
 	if t := *tail; t != 0 {
 		*s.next(i) = *s.next(t)
 		*s.next(t) = i
@@ -81,6 +84,37 @@ func (s *slab[T]) pop(head *int32) T {
 	i := *head
 	*head = *s.next(i)
 	return s.take(i)
+}
+
+// recordChunk is how many records, or persist-item lists, one allocation
+// carves for a replica's recycled pools (clientOp, pendingWrite, txnState,
+// transaction and scope lists). The pools are per replica, so a chunk is
+// kept small: a large one would strand most of a chunk on each of a big
+// cluster's replicas.
+const recordChunk = 8
+
+// carve returns a fresh zero record from *chunk, first replacing a full chunk
+// with a new one of n records: one allocation serves n first uses. The caller
+// recycles the record through its own freelist; the chunk never shrinks.
+func carve[T any](chunk *[]T, n int) *T {
+	if len(*chunk) == cap(*chunk) {
+		*chunk = make([]T, 0, n)
+	}
+	*chunk = (*chunk)[:len(*chunk)+1]
+	return &(*chunk)[len(*chunk)-1]
+}
+
+// carveList returns an empty list with room for n elements, carved from
+// *chunk, first replacing a chunk without room with a new one of lists such
+// lists: a list reaches its full size in one step, and one allocation serves
+// lists of them. The list's capacity ends at n, so growing past it moves the
+// list rather than overrunning its neighbor.
+func carveList[T any](chunk *[]T, n, lists int) []T {
+	if len(*chunk)+n > cap(*chunk) {
+		*chunk = make([]T, 0, lists*n)
+	}
+	*chunk = (*chunk)[:len(*chunk)+n]
+	return (*chunk)[len(*chunk)-n : len(*chunk)-n : len(*chunk)]
 }
 
 // stampSet is a set of stamps threaded through a replica's stampSets slab:

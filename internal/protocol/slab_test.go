@@ -2,24 +2,22 @@ package protocol
 
 import (
 	"testing"
-
-	"repro/internal/vclock"
 )
 
 func TestSlabRecyclesAndZeroes(t *testing.T) {
-	var s slab[bufferedUpd]
-	a := s.put(bufferedUpd{key: 1, vc: vclock.New(3)})
-	b := s.put(bufferedUpd{key: 2})
+	var s slab[*clientOp]
+	a := s.put(&clientOp{key: 1})
+	b := s.put(&clientOp{key: 2})
 	if a == 0 || b == 0 || a == b {
 		t.Fatalf("tokens %d, %d: want distinct and nonzero", a, b)
 	}
-	if got := s.take(a); got.key != 1 || got.vc == nil {
+	if got := s.take(a); got == nil || got.key != 1 {
 		t.Fatalf("take(%d) = %+v, want the record put there", a, got)
 	}
-	if s.at(a).vc != nil {
-		t.Fatal("a freed slot still pins its vector clock")
+	if *s.at(a) != nil {
+		t.Fatal("a freed slot still pins its record")
 	}
-	if c := s.put(bufferedUpd{key: 3}); c != a {
+	if c := s.put(&clientOp{key: 3}); c != a {
 		t.Fatalf("put after take returned token %d, want the freed %d", c, a)
 	}
 	if len(s.slots) != 2 {
@@ -89,5 +87,24 @@ func TestStampSet(t *testing.T) {
 	s.remove(&b, 5)
 	if b != 0 || len(s.slots) != 3 {
 		t.Fatalf("b=%d slots=%d, want empty sets over the 3 slots ever live at once", b, len(s.slots))
+	}
+}
+
+// TestCarveListsDoNotOverlap: lists carved from one chunk start empty at their
+// full size, and one that outgrows it moves instead of writing into the next.
+func TestCarveListsDoNotOverlap(t *testing.T) {
+	var chunk []int
+	a := carveList(&chunk, 3, 4)
+	b := carveList(&chunk, 3, 4)
+	if len(a) != 0 || cap(a) != 3 || cap(chunk) != 12 {
+		t.Fatalf("list len %d cap %d, chunk cap %d: want 0, 3 and 12", len(a), cap(a), cap(chunk))
+	}
+	b = append(b, 7, 8, 9)
+	a = append(a, 1, 2, 3, 4) // past its capacity
+	if b[0] != 7 || b[1] != 8 || b[2] != 9 {
+		t.Fatalf("growing one list overwrote its neighbor: %v", b)
+	}
+	if a[3] != 4 {
+		t.Fatalf("grown list %v", a)
 	}
 }

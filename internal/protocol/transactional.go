@@ -32,7 +32,7 @@ func (transactionalVis) onStrongWriteLaunch(r *Replica, ks *keyState, key uint64
 		return
 	}
 	if tx := r.txns[txn]; tx != nil {
-		tx.writeKeys = append(tx.writeKeys, persistItem{key: key, stamp: st})
+		r.addTxnItem(&tx.writeKeys, key, st)
 	}
 }
 
@@ -49,7 +49,7 @@ func (transactionalVis) onInvReceive(r *Replica, ks *keyState, from int, p paylo
 		return false
 	}
 	if tx := r.txns[p.Txn]; tx != nil {
-		tx.writeKeys = append(tx.writeKeys, persistItem{key: p.Key, stamp: p.Stamp})
+		r.addTxnItem(&tx.writeKeys, p.Key, p.Stamp)
 	}
 	return true
 }

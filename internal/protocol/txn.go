@@ -12,9 +12,9 @@ const (
 
 // txnState is a transaction's record at one node — at its coordinator it
 // also carries the client's completions; at followers only locks and deferred
-// persists. Records recycle through Replica.txnFree, keeping the capacity of
-// their item lists; continuations name a transaction by id and look it up in
-// Replica.txns, never by pointer.
+// persists. Records are carved in chunks and recycle through Replica.txnFree,
+// keeping their item lists (see addTxnItem); continuations name a
+// transaction by id and look it up in Replica.txns, never by pointer.
 type txnState struct {
 	id     uint64
 	coord  int
@@ -43,7 +43,7 @@ type txnState struct {
 func (r *Replica) newTxn(id uint64, coord int) *txnState {
 	tx := r.txnFree
 	if tx == nil {
-		tx = new(txnState)
+		tx = carve(&r.txnSlab, recordChunk)
 	} else {
 		r.txnFree = tx.next
 		tx.next = nil
@@ -65,6 +65,17 @@ func (r *Replica) dropTxn(tx *txnState) {
 	r.txnFree = tx
 }
 
+// addTxnItem appends (key, st) to one of a transaction record's item lists.
+// The list's first item carves it at XactionSize — an attempt locks and
+// defers at most one item per request — so it never grows by doubling, and a
+// list the binding never fills is never carved.
+func (r *Replica) addTxnItem(list *[]persistItem, key uint64, st Stamp) {
+	if cap(*list) == 0 {
+		*list = carveList(&r.items, r.p.XactionSize, recordChunk)
+	}
+	*list = append(*list, persistItem{key: key, stamp: st})
+}
+
 // txnAddr maps a transaction id onto an NVM address for event persists.
 func txnAddr(id uint64) uint64 { return id * 0x9e3779b97f4a7c15 }
 
@@ -79,7 +90,7 @@ func (r *Replica) deferTxnPersist(txn uint64, key uint64, st Stamp) {
 		r.persist(key, st, cont{})
 		return
 	}
-	tx.pendingPersists = append(tx.pendingPersists, persistItem{key: key, stamp: st})
+	r.addTxnItem(&tx.pendingPersists, key, st)
 }
 
 // persistsAtTxnBoundaries reports whether the persistency model persists

@@ -42,7 +42,7 @@ func (r *Replica) strongWrite(key uint64, scope, txn uint64, done completion) {
 func (r *Replica) newPending(key uint64, st Stamp, done completion) *pendingWrite {
 	pw := r.pwFree
 	if pw == nil {
-		pw = new(pendingWrite)
+		pw = carve(&r.pwSlab, recordChunk)
 	} else {
 		r.pwFree = pw.next
 		pw.next = nil

@@ -136,8 +136,8 @@ type txState struct {
 type rxState struct {
 	rxFree  int64 // NIC receive next-free time
 	dropped uint64
-	fast    uint64      // arrivals delivered through the one-hop fast path
-	free    []*delivery // recycled delivery records (LP wiring only)
+	fast    uint64       // arrivals delivered through the one-hop fast path
+	pool    deliveryPool // delivery records (LP wiring only)
 }
 
 // mailEntry is one cross-node arrival parked in its sender's mailbox until
@@ -160,7 +160,7 @@ type Network struct {
 
 	// Sequential wiring: one shared delivery pool; arrivals are scheduled
 	// straight into the shared engine (sim.Engine.AtArrival).
-	seqFree []*delivery
+	seqPool deliveryPool
 
 	// Parallel wiring: per-sender mailboxes drained at epoch barriers.
 	lp       bool
@@ -279,20 +279,34 @@ func (d *delivery) OnEvent(arg uint64) {
 	d.deliver()
 }
 
-// newDelivery pops a recycled record or creates one. at is the allocating
+// deliveryChunk is how many delivery records one allocation carves.
+const deliveryChunk = 64
+
+// deliveryPool recycles delivery records; an empty free stack carves fresh
+// ones from a chunk, so one allocation serves deliveryChunk first uses.
+type deliveryPool struct {
+	free  []*delivery
+	chunk []delivery
+}
+
+// newDelivery pops a recycled record or carves one. at is the allocating
 // (sending) node, whose pool the LP wiring draws from.
 func (n *Network) newDelivery(at int) *delivery {
-	pool := &n.seqFree
+	pool := &n.seqPool
 	if n.lp {
-		pool = &n.rx[at].free
+		pool = &n.rx[at].pool
 	}
-	if k := len(*pool); k > 0 {
-		d := (*pool)[k-1]
-		(*pool)[k-1] = nil
-		*pool = (*pool)[:k-1]
+	if k := len(pool.free); k > 0 {
+		d := pool.free[k-1]
+		pool.free[k-1] = nil
+		pool.free = pool.free[:k-1]
 		return d
 	}
-	return &delivery{n: n}
+	if len(pool.chunk) == cap(pool.chunk) {
+		pool.chunk = make([]delivery, 0, deliveryChunk)
+	}
+	pool.chunk = append(pool.chunk, delivery{n: n})
+	return &pool.chunk[len(pool.chunk)-1]
 }
 
 // arrive runs when the message reaches the destination NIC: the receive-side
@@ -340,9 +354,9 @@ func (d *delivery) deliver() {
 	d.msg = Message{} // drop the payload reference before pooling
 	rx := &n.rx[msg.To]
 	if n.lp {
-		rx.free = append(rx.free, d)
+		rx.pool.free = append(rx.pool.free, d)
 	} else {
-		n.seqFree = append(n.seqFree, d)
+		n.seqPool.free = append(n.seqPool.free, d)
 	}
 	h := n.handlers[msg.To]
 	if h == nil {
