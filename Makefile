@@ -64,7 +64,9 @@ fmt:
 #   - one iteration of the cluster-construction benchmark, against bit-rot;
 #   - the capacity and scaling sweeps at quick scale, flat and sharded;
 #   - the CLI rejecting a knob no cell of the experiment can honor
-#     (-fwdbatch needs a sharded topology; table1 is unsharded).
+#     (-fwdbatch needs a sharded topology; table1 is unsharded);
+#   - the public crash API's callers: the examples/ programs and ddprecover
+#     all call ddp.RunWithCrash.
 check: vet fmt
 	$(GO) test -race ./...
 	(cd bench && $(GO) test .)
@@ -83,6 +85,8 @@ check: vet fmt
 	$(GO) run ./cmd/ddpbench -exp scaling -quick > /dev/null
 	$(GO) run ./cmd/ddpbench -exp scaling -quick -placement load > /dev/null
 	! $(GO) run ./cmd/ddpbench -exp table1 -quick -fwdbatch 8
+	$(MAKE) examples > /dev/null
+	$(GO) run ./cmd/ddprecover > /dev/null
 
 # One testing.B benchmark per paper table/figure plus engine micro-benches.
 bench:

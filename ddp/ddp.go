@@ -12,8 +12,8 @@
 //   - a deterministic discrete-event simulation of a replicated in-memory
 //     store running any of the 25 models over modeled RDMA-class networking
 //     and NVM (Run);
-//   - crash injection with voting-based recovery and durability/intuition
-//     audits (RunWithCrash);
+//   - crash injection (of every node or some) with voting-based recovery
+//     and durability/intuition audits (RunWithCrash, RunWithPartialCrash);
 //   - the full experiment harness regenerating the paper's tables and
 //     figures (package internal/harness, surfaced by cmd/ddpbench).
 //
@@ -148,7 +148,8 @@ func DefaultParams() Params { return params.Default() }
 
 // Config describes one simulation.
 type Config struct {
-	// Model is the DDP model to run (default: Baseline).
+	// Model is the DDP model to run. The zero Model is <Linearizable,
+	// Strict>, not the paper's Baseline <Linearizable, Synchronous>.
 	Model Model
 	// Workload is the request mix (default: WorkloadA).
 	Workload Workload
@@ -267,9 +268,20 @@ func (c *CrashReport) LossRate() float64 {
 
 // RunWithCrash simulates cfg, crashes every node's volatile state at
 // crashAtNs of simulated time, recovers from the NVM images with a
-// newest-vote recovery, and audits what survived.
+// newest-vote recovery, and audits what survived. It is RunWithPartialCrash
+// with every node crashed.
 func RunWithCrash(cfg Config, crashAtNs int64) (*CrashReport, error) {
-	rep, err := recovery.CrashAndRecover(cfg.toCluster(), crashAtNs, recovery.NewestVote)
+	return RunWithPartialCrash(cfg, crashAtNs, nil)
+}
+
+// RunWithPartialCrash fails only the given nodes at crashAtNs (nil: every
+// node, as RunWithCrash); recovery draws on the survivors' volatile replicas
+// plus every NVM image. It demonstrates the paper's motivation: remote
+// replicas mask machine failures, while only NVM survives a full-system one.
+// A node outside [0, Servers), a repeated node or a negative crash time is
+// an error.
+func RunWithPartialCrash(cfg Config, crashAtNs int64, nodes []int) (*CrashReport, error) {
+	rep, err := recovery.CrashAndRecover(cfg.toCluster(), crashAtNs, nodes, recovery.NewestVote)
 	if err != nil {
 		return nil, err
 	}
@@ -281,27 +293,6 @@ func RunWithCrash(cfg Config, crashAtNs int64) (*CrashReport, error) {
 		RecoveredKeys:        rep.Recovered.Keys(),
 		MonotonicReads:       rep.MonotonicReads(),
 		NonStaleReads:        rep.NonStaleReads(),
-	}, nil
-}
-
-// RunWithPartialCrash fails only the given nodes at crashAtNs; recovery
-// draws on the survivors' volatile replicas plus every NVM image. It
-// demonstrates the paper's motivation: remote replicas mask machine
-// failures, while only NVM survives a full-system one (use RunWithCrash
-// for that).
-func RunWithPartialCrash(cfg Config, crashAtNs int64, nodes []int) (*CrashReport, error) {
-	rep, err := recovery.PartialCrashAndRecover(cfg.toCluster(), crashAtNs, nodes)
-	if err != nil {
-		return nil, err
-	}
-	return &CrashReport{
-		Model:                fromCore(rep.Result.Config.Model),
-		AckedWrites:          rep.Audit.AckedWrites,
-		LostWrites:           rep.Audit.LostAcked,
-		LostConfirmedDurable: rep.Audit.LostConfirmedDurable,
-		RecoveredKeys:        rep.Recovered.Keys(),
-		MonotonicReads:       rep.Audit.MonotonicAcrossCrash(),
-		NonStaleReads:        rep.Audit.NonStaleReads(),
 	}, nil
 }
 
@@ -330,12 +321,7 @@ func Verify(cfg Config) (*VerifyReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Start()
-	c.BeginMeasurement()
-	end := c.Cfg.WarmupNs + c.Cfg.MeasureNs
-	c.Eng.Run(end)
-	res := c.Collect(end, 0)
-	lin := recovery.CheckLinearizable(res)
+	lin := recovery.CheckLinearizable(c.RunTo(c.Cfg.WarmupNs + c.Cfg.MeasureNs))
 	rate := 0.0
 	if lin.ReadsChecked > 0 {
 		rate = float64(lin.StaleReadViolations) / float64(lin.ReadsChecked)

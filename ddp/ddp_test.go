@@ -248,3 +248,50 @@ func TestRegisterModelTransactionalAndScoped(t *testing.T) {
 		t.Fatal("no operations completed")
 	}
 }
+
+// TestPartialCrashOfEveryNodeIsRunWithCrash: a full crash is a partial crash
+// of every node — nil, the explicit all-nodes list and RunWithCrash give one
+// report, Table 4's monotonic verdict (live and across the crash) included.
+func TestPartialCrashOfEveryNodeIsRunWithCrash(t *testing.T) {
+	cfg := quickConfig(Model{Consistency: Causal, Persistency: EventualPersistency})
+	full, err := RunWithCrash(cfg, 600_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nodes := range [][]int{nil, {0, 1, 2}, {2, 0, 1}} {
+		part, err := RunWithPartialCrash(cfg, 600_000, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *part != *full {
+			t.Fatalf("partial crash of %v: %+v\nfull crash: %+v", nodes, part, full)
+		}
+	}
+	if full.LostWrites == 0 || full.MonotonicReads {
+		t.Fatalf("<Causal, Eventual> full crash should lose writes and fail monotonic reads: %+v", full)
+	}
+}
+
+func TestCrashRejectsBadInputs(t *testing.T) {
+	cfg := quickConfig(Baseline)
+	cfg.Params.Servers = 5
+	for _, tc := range []struct {
+		at    int64
+		nodes []int
+		want  string
+	}{
+		{600_000, []int{9}, "node 9 outside [0, 5)"},
+		{600_000, []int{1, 1}, "node 1 listed twice"},
+		{-5, nil, "crash time must be >= 0"},
+		{-5, []int{0}, "crash time must be >= 0"},
+	} {
+		rep, err := RunWithPartialCrash(cfg, tc.at, tc.nodes)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunWithPartialCrash(at=%d, nodes=%v) = %+v, %v; want error containing %q",
+				tc.at, tc.nodes, rep, err, tc.want)
+		}
+	}
+	if rep, err := RunWithCrash(cfg, -5); err == nil {
+		t.Errorf("RunWithCrash(-5) = %+v, nil; want an error", rep)
+	}
+}

@@ -330,13 +330,17 @@ func (ns *nodeState) logRead(rec ReadRecord) {
 }
 
 // Cluster is a fully wired simulation, ready to run. Most callers use Run;
-// the recovery package builds a Cluster directly to crash it mid-flight.
+// crash audits and history checkers build a Cluster and call RunTo, so the
+// recovery package can crash it where the run stopped.
 type Cluster struct {
 	Cfg Config
+	// impl is the canonical model whose policies run Cfg.Model, resolved
+	// once so the client hot path never consults the binding registry.
+	impl core.Model
 	// Eng is the shared engine under the sequential engine (the default);
 	// nil under the LP engine, whose per-node engines are private to the
-	// synchronizer. Direct-drive callers (recovery, timelines, checkers)
-	// use the sequential engine.
+	// synchronizer. Direct-drive callers (timelines, tests) use the
+	// sequential engine.
 	Eng      *sim.Engine
 	Net      *simnet.Network
 	Replicas []*protocol.Replica
@@ -411,15 +415,14 @@ func (cfg Config) Validate() error {
 	if err := cfg.Workload.Validate(); err != nil {
 		return err
 	}
-	if cfg.Params.Groups > 1 &&
-		cfg.Model.C != core.Linearizable && cfg.Model.C != core.ReadEnforcedC {
-		return fmt.Errorf("cluster: hybrid groups support Linearizable or Read-Enforced consistency, not %s", cfg.Model.C)
+	impl := core.ImplOf(cfg.Model)
+	if cfg.Params.Groups > 1 && impl.C != core.Linearizable && impl.C != core.ReadEnforcedC {
+		return fmt.Errorf("cluster: hybrid groups support Linearizable or Read-Enforced consistency, not %s", impl.C)
 	}
 	if cfg.Arrivals != nil {
 		if err := cfg.Arrivals.Validate(); err != nil {
 			return err
 		}
-		impl := core.ImplOf(cfg.Model)
 		if impl.C == core.Transactional {
 			return fmt.Errorf("cluster: open-loop arrivals do not support Transactional consistency (transactions are closed-loop session state)")
 		}
@@ -444,7 +447,6 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("cluster: Shards must divide Servers evenly, got %d shards for %d servers", cfg.Shards, p.Servers)
 	}
 	if cfg.Shards > 1 {
-		impl := core.ImplOf(cfg.Model)
 		if impl.C == core.Transactional {
 			return fmt.Errorf("cluster: sharded clusters do not support Transactional consistency (transactions would span shards)")
 		}
@@ -467,8 +469,8 @@ func (cfg Config) Validate() error {
 		if cfg.Shards < 1 {
 			return fmt.Errorf("cluster: ReplicaReads requires a sharded topology (Shards >= 1)")
 		}
-		if core.UsesInvAckVal(cfg.Model.C) {
-			return fmt.Errorf("cluster: ReplicaReads requires a weak visibility model (Causal or Eventual consistency); %s reads must go through the key's coordinator", cfg.Model.C)
+		if core.UsesInvAckVal(impl.C) {
+			return fmt.Errorf("cluster: ReplicaReads requires a weak visibility model (Causal or Eventual consistency); %s reads must go through the key's coordinator", impl.C)
 		}
 	}
 	switch {
@@ -504,7 +506,7 @@ func New(cfg Config) (*Cluster, error) {
 	netCfg := cfg.netConfig()
 	useLP := cfg.useLP()
 
-	c := &Cluster{Cfg: cfg}
+	c := &Cluster{Cfg: cfg, impl: core.ImplOf(cfg.Model)}
 	var net *simnet.Network
 	// Event storage grows with the pending set the run reaches, not with a
 	// guess made from the client count.
@@ -648,7 +650,7 @@ func New(cfg Config) (*Cluster, error) {
 	// holds one request record per op its clients can have in flight. Under
 	// Transactional consistency a client's three per-op transaction lists
 	// are carved from three arrays per node, at XactionSize.
-	txn := core.ImplOf(cfg.Model).C == core.Transactional
+	txn := c.impl.C == core.Transactional
 	c.Clients = make([]*client, 0, p.Servers*p.ClientsPerServer)
 	for n, ns := range c.nodes {
 		c.routers[n].prewarm(p.ClientsPerServer * max(p.ClientWindow, 1))
@@ -774,8 +776,9 @@ func (c *Cluster) Collect(window int64, wall time.Duration) *Result {
 	return res
 }
 
-// Close releases run infrastructure (the LP synchronizer's workers). Run
-// calls it; direct-drive callers never start the synchronizer and need not.
+// Close releases run infrastructure (the LP synchronizer's workers). Run and
+// RunTo call it; direct-drive callers never start the synchronizer and need
+// not.
 func (c *Cluster) Close() {
 	if c.lps != nil {
 		c.lps.Close()
@@ -798,18 +801,32 @@ func runBuilt(c *Cluster) (*Result, error) {
 	defer c.Close()
 	start := time.Now()
 	c.Start()
-	if c.lps != nil {
-		c.lps.Run(c.Cfg.WarmupNs)
-		c.BeginMeasurement()
-		c.lps.Run(c.Cfg.WarmupNs + c.Cfg.MeasureNs)
-		c.StopMeasurement()
-	} else {
-		c.Eng.Run(c.Cfg.WarmupNs)
-		c.BeginMeasurement()
-		c.Eng.Run(c.Cfg.WarmupNs + c.Cfg.MeasureNs)
-		c.StopMeasurement()
-	}
+	c.advance(c.Cfg.WarmupNs)
+	c.BeginMeasurement()
+	c.advance(c.Cfg.WarmupNs + c.Cfg.MeasureNs)
+	c.StopMeasurement()
 	return c.Collect(c.Cfg.MeasureNs, time.Since(start)), nil
+}
+
+// RunTo starts the load, measures from time 0, runs until simulated time t
+// and collects: the whole-history run that crash audits and history
+// checkers inspect. It closes the cluster, which must not run further.
+func (c *Cluster) RunTo(t int64) *Result {
+	defer c.Close()
+	start := time.Now()
+	c.Start()
+	c.BeginMeasurement()
+	c.advance(t)
+	return c.Collect(t, time.Since(start))
+}
+
+// advance runs whichever engine was built until simulated time t.
+func (c *Cluster) advance(t int64) {
+	if c.lps != nil {
+		c.lps.Run(t)
+	} else {
+		c.Eng.Run(t)
+	}
 }
 
 // String renders a one-line result header.

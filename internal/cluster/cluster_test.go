@@ -234,3 +234,36 @@ func TestWorkloadMixAffectsCounts(t *testing.T) {
 			res.ReadHist.Count(), res.WriteHist.Count())
 	}
 }
+
+// TestCustomBindingHybridGroups: hybrid groups check a custom binding through
+// the pair implementing it, so the registry's example — "strong-local",
+// Linearizable visibility with Eventual durability — validates with Groups =
+// 2 and runs exactly like the canonical <Linearizable, Eventual> grouped cell.
+func TestCustomBindingHybridGroups(t *testing.T) {
+	alias, err := core.Register("strong-local", core.Linearizable, core.EventualP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped := func(m core.Model) Config {
+		cfg := smallConfig(m)
+		cfg.Params.Servers = 4
+		cfg.Params.Groups = 2
+		return cfg
+	}
+	if err := grouped(alias).Validate(); err != nil {
+		t.Fatalf("grouped custom binding rejected: %v", err)
+	}
+	got, err := Run(grouped(alias))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(grouped(core.Model{C: core.Linearizable, P: core.EventualP}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Summary.Ops == 0 || got.Summary.Ops != want.Summary.Ops ||
+		got.Events != want.Events || got.NetMessages != want.NetMessages {
+		t.Fatalf("grouped alias: ops %d, events %d, messages %d; canonical: ops %d, events %d, messages %d",
+			got.Summary.Ops, got.Events, got.NetMessages, want.Summary.Ops, want.Events, want.NetMessages)
+	}
+}

@@ -208,3 +208,27 @@ func TestDescribeCoversAllModels(t *testing.T) {
 		t.Fatalf("Ev+Strict write rule wrong: %s", s.WriteCompletion)
 	}
 }
+
+// TestAckDurabilityOf pins the durable-at-ack rule for all 25 pairs, and a
+// registered alias of each pair promises exactly what the pair does.
+func TestAckDurabilityOf(t *testing.T) {
+	for _, m := range AllModels() {
+		want := NotDurableAtAck
+		switch {
+		case m.P == Strict, m == Baseline, m == (Model{Transactional, Synchronous}):
+			want = DurableAtAck
+		case m.P == Scope:
+			want = DurableAtScope
+		}
+		if got := AckDurabilityOf(m); got != want {
+			t.Errorf("AckDurabilityOf(%s) = %d, want %d", m, got, want)
+		}
+		alias, err := Register("ack-alias "+m.String(), m.C, m.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AckDurabilityOf(alias); got != want {
+			t.Errorf("AckDurabilityOf(alias of %s) = %d, want %d", m, got, want)
+		}
+	}
+}

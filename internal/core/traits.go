@@ -151,3 +151,35 @@ func DurabilityOf(m Model) Level {
 		return Low
 	}
 }
+
+// AckDurability states which acknowledged writes a binding promises are
+// durable: the rule a crash audit holds the binding to, and the reason its
+// NVM images need no voting round to reconcile.
+type AckDurability int
+
+const (
+	// NotDurableAtAck promises nothing: an acknowledged write may still be
+	// volatile when the crash comes.
+	NotDurableAtAck AckDurability = iota
+	// DurableAtAck promises every acknowledged write is already persisted
+	// on every replica: Strict persistency, and Synchronous persistency
+	// under a consistency model that acknowledges only after its persists
+	// (Linearizable, Transactional).
+	DurableAtAck
+	// DurableAtScope promises a write once its scope's [PERSIST]s barrier
+	// completed (Scope persistency).
+	DurableAtScope
+)
+
+// AckDurabilityOf returns m's durable-at-ack rule. Custom bindings promise
+// what the canonical pair implementing them does.
+func AckDurabilityOf(m Model) AckDurability {
+	m = ImplOf(m)
+	switch {
+	case m.P == Strict, m.P == Synchronous && (m.C == Linearizable || m.C == Transactional):
+		return DurableAtAck
+	case m.P == Scope:
+		return DurableAtScope
+	}
+	return NotDurableAtAck
+}

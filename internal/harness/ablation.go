@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/recovery"
-	"repro/internal/sweep"
 	"repro/internal/ycsb"
 )
 
@@ -96,7 +95,6 @@ type RecoveryResult struct {
 
 // RecoveryTimes crashes each model mid-run and models its recovery time.
 func RecoveryTimes(o Options) (*RecoveryResult, error) {
-	crashAt := o.WarmupNs + o.MeasureNs/2
 	models := []core.Model{
 		{C: core.Linearizable, P: core.Strict},
 		core.Baseline,
@@ -107,16 +105,12 @@ func RecoveryTimes(o Options) (*RecoveryResult, error) {
 		{C: core.Causal, P: core.EventualP},
 		{C: core.Eventual, P: core.EventualP},
 	}
-	rows, err := sweep.Map(models, o.workers(), func(m core.Model) (RecoveryRow, error) {
-		rep, err := recovery.CrashAndRecover(o.config(m, ycsb.WorkloadA), crashAt, recovery.NewestVote)
-		if err != nil {
-			return RecoveryRow{}, err
-		}
+	rows, err := crashCells(o, models, func(m core.Model, rep *recovery.CrashReport) RecoveryRow {
 		return RecoveryRow{
 			Model:         m,
 			Timing:        recovery.TimeRecoveryOf(rep.Cluster, rep.Recovered),
 			DivergentKeys: recovery.ImageDivergence(rep.Cluster),
-		}, nil
+		}
 	})
 	if err != nil {
 		return nil, err

@@ -3,13 +3,9 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/recovery"
-	"repro/internal/sweep"
-	"repro/internal/ycsb"
 )
 
 // CheckerRow is one model's verified consistency properties.
@@ -39,24 +35,15 @@ func Checker(o Options) (*CheckerResult, error) {
 		{C: core.Eventual, P: core.Synchronous},
 		{C: core.Eventual, P: core.EventualP},
 	}
-	rows, err := sweep.Map(models, o.workers(), func(m core.Model) (CheckerRow, error) {
-		cfg := o.config(m, ycsb.WorkloadA)
-		cfg.TrackHistory = true
-		c, err := cluster.New(cfg)
-		if err != nil {
-			return CheckerRow{}, err
-		}
-		start := time.Now()
-		c.Start()
-		c.BeginMeasurement()
-		c.Eng.Run(o.WarmupNs + o.MeasureNs/2)
-		r := c.Collect(o.WarmupNs+o.MeasureNs/2, time.Since(start))
-		lin := recovery.CheckLinearizable(r)
+	// The checked history is the crash cell's: the run up to the crash
+	// instant, which is all a checker reads.
+	rows, err := crashCells(o, models, func(m core.Model, rep *recovery.CrashReport) CheckerRow {
+		lin := recovery.CheckLinearizable(rep.Result)
 		rate := 0.0
 		if lin.ReadsChecked > 0 {
 			rate = float64(lin.StaleReadViolations) / float64(lin.ReadsChecked)
 		}
-		return CheckerRow{Model: m, Linear: lin, StaleRate: rate}, nil
+		return CheckerRow{Model: m, Linear: lin, StaleRate: rate}
 	})
 	if err != nil {
 		return nil, err

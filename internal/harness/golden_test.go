@@ -85,3 +85,63 @@ func TestGolden5x5ByteIdentical(t *testing.T) {
 		})
 	}
 }
+
+// renderGoldenCrash renders the four crash-and-audit experiments at Quick
+// scale, exactly as ddpbench -exp prints them.
+func renderGoldenCrash(t *testing.T, o Options) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, name := range []string{"durability", "table4", "recovery", "checker"} {
+		if err := RunNamed(&buf, name, o); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestGoldenCrashByteIdentical pins the crash path's output: the durability
+// audit, Table 4, the recovery-time table and the consistency checker render
+// byte-identically to the committed fixture, two ways:
+//
+//   - default: the fixture was generated before the crash path was collapsed
+//     into one Crash/Recover/CrashAndRecover, so this is that refactor's
+//     equivalence proof;
+//   - IntraParallel=4: every crash cell runs to its crash instant on the LP
+//     engine (Cluster.RunTo advances whichever engine was built), and must
+//     reproduce the sequential rendering.
+//
+// Regenerate with: go test ./internal/harness -run 'GoldenCrash/default' -update
+func TestGoldenCrashByteIdentical(t *testing.T) {
+	path := filepath.Join("testdata", "golden_crash.txt")
+	for _, tc := range []struct {
+		name string
+		mut  func(*Options)
+	}{
+		{"default", func(o *Options) { o.Parallel = 2 }},
+		{"IntraParallel=4", func(o *Options) { o.Parallel, o.IntraParallel = 2, 4 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if *updateGolden && tc.name != "default" {
+				t.Skip("the fixture is owned by the default case")
+			}
+			o := DefaultOptions().Quick()
+			tc.mut(&o)
+			got := renderGoldenCrash(t, o)
+			if *updateGolden {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("wrote %s (%d bytes)", path, len(got))
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden fixture (run with -update to create): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("crash experiments diverged from the golden fixture (%d bytes vs %d).\n--- got ---\n%s\n--- want ---\n%s",
+					len(got), len(want), got, want)
+			}
+		})
+	}
+}

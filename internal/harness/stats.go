@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/params"
 	"repro/internal/recovery"
-	"repro/internal/sweep"
 	"repro/internal/ycsb"
 )
 
@@ -120,12 +119,7 @@ type DurabilityResult struct {
 // DurabilityAudit crashes every one of the 25 models mid-run and reports
 // what survived (Section 3's data-loss motivation, measured).
 func DurabilityAudit(o Options) (*DurabilityResult, error) {
-	crashAt := o.WarmupNs + o.MeasureNs/2
-	rows, err := sweep.Map(core.RegisteredModels(), o.workers(), func(m core.Model) (DurabilityRow, error) {
-		rep, err := recovery.CrashAndRecover(o.config(m, ycsb.WorkloadA), crashAt, recovery.NewestVote)
-		if err != nil {
-			return DurabilityRow{}, err
-		}
+	rows, err := crashCells(o, core.RegisteredModels(), func(m core.Model, rep *recovery.CrashReport) DurabilityRow {
 		a := rep.Audit
 		rate := 0.0
 		if a.AckedWrites > 0 {
@@ -139,7 +133,7 @@ func DurabilityAudit(o Options) (*DurabilityResult, error) {
 			Recovered:   rep.Recovered.Keys(),
 			Monotonic:   rep.MonotonicReads(),
 			NonStale:    rep.NonStaleReads(),
-		}, nil
+		}
 	})
 	if err != nil {
 		return nil, err

@@ -31,7 +31,6 @@ type Table4Result struct {
 // Table4 runs a crash experiment per rated model and compares measured
 // monotonic/non-stale verdicts against the paper's columns.
 func Table4(o Options) (*Table4Result, error) {
-	crashAt := o.WarmupNs + o.MeasureNs/2
 	traits := core.Table4()
 
 	// Performance cells: the normalization baseline plus one run per rated
@@ -46,28 +45,43 @@ func Table4(o Options) (*Table4Result, error) {
 		return nil, err
 	}
 
-	// Crash cells: each CrashAndRecover builds its own isolated simulation,
-	// so they parallelize the same way plain cluster runs do.
-	reps, err := sweep.Map(traits, o.workers(), func(tr core.Traits) (*recovery.CrashReport, error) {
-		return recovery.CrashAndRecover(o.config(tr.Model, ycsb.WorkloadA), crashAt, recovery.NewestVote)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Table4Result{}
+	models := make([]core.Model, len(traits))
 	for i, tr := range traits {
-		rep := reps[i]
-		res.Rows = append(res.Rows, Table4Row{
-			Traits:            tr,
+		models[i] = tr.Model
+	}
+	rows, err := crashCells(o, models, func(_ core.Model, rep *recovery.CrashReport) Table4Row {
+		return Table4Row{
 			AckedWrites:       rep.Audit.AckedWrites,
 			LostAcked:         rep.Audit.LostAcked,
 			MeasuredMonotonic: rep.MonotonicReads(),
 			MeasuredNonStale:  rep.NonStaleReads(),
-			ThroughputNorm:    ratio(rs[i+1].Throughput(), rs[0].Throughput()),
-		})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	for i, tr := range traits {
+		rows[i].Traits = tr
+		rows[i].ThroughputNorm = ratio(rs[i+1].Throughput(), rs[0].Throughput())
+	}
+	return &Table4Result{Rows: rows}, nil
+}
+
+// crashCells runs one crash cell per model — workload A, every node crashed
+// halfway through the measurement window, newest-vote recovery — and turns
+// each report into a row. Every cell builds its own isolated simulation, so
+// the cells parallelize the way plain cluster runs do; a report (and its
+// crashed cluster) is dropped once its row is built.
+func crashCells[R any](o Options, models []core.Model, row func(core.Model, *recovery.CrashReport) R) ([]R, error) {
+	crashAt := o.WarmupNs + o.MeasureNs/2
+	return sweep.Map(models, o.workers(), func(m core.Model) (R, error) {
+		rep, err := recovery.CrashAndRecover(o.config(m, ycsb.WorkloadA), crashAt, nil, recovery.NewestVote)
+		if err != nil {
+			var zero R
+			return zero, err
+		}
+		return row(m, rep), nil
+	})
 }
 
 func yn(b bool) string {

@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/protocol"
@@ -49,47 +48,4 @@ func CheckGlobalMonotonic(res *cluster.Result) MonotonicReport {
 		}
 	}
 	return rep
-}
-
-// CrashReport bundles everything a crash experiment produces.
-type CrashReport struct {
-	Cluster   *cluster.Cluster // the crashed cluster (volatile state wiped)
-	Result    *cluster.Result
-	Recovered *RecoveredState
-	Audit     *Audit
-	Live      MonotonicReport
-}
-
-// MonotonicReads reports the combined Table 4 monotonic-reads verdict:
-// reads must not regress while the system runs, nor across a crash.
-func (cr *CrashReport) MonotonicReads() bool {
-	return cr.Live.Holds() && cr.Audit.MonotonicAcrossCrash()
-}
-
-// NonStaleReads reports the Table 4 non-stale-reads verdict.
-func (cr *CrashReport) NonStaleReads() bool { return cr.Audit.NonStaleReads() }
-
-// CrashAndRecover runs cfg until crashAtNs of simulated time, crashes every
-// node's volatile state, recovers from the NVM images with mode, and audits
-// acknowledged operations against what survived.
-func CrashAndRecover(cfg cluster.Config, crashAtNs int64, mode Mode) (*CrashReport, error) {
-	cfg.TrackHistory = true
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	c.Start()
-	c.BeginMeasurement()
-	c.Eng.Run(crashAtNs)
-	Crash(c)
-	res := c.Collect(crashAtNs, time.Since(start))
-	rec := Recover(c, mode)
-	return &CrashReport{
-		Cluster:   c,
-		Result:    res,
-		Recovered: rec,
-		Audit:     RunAudit(res, rec),
-		Live:      CheckGlobalMonotonic(res),
-	}, nil
 }

@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -18,11 +17,7 @@ func trackedRun(t *testing.T, m core.Model) *cluster.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	c.Start()
-	c.BeginMeasurement()
-	c.Eng.Run(1_500_000)
-	return c.Collect(1_500_000, time.Since(start))
+	return c.RunTo(1_500_000)
 }
 
 func TestLinearizableHistoriesPass(t *testing.T) {

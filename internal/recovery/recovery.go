@@ -2,15 +2,20 @@
 // that turn the paper's qualitative durability and programmer-intuition
 // claims (Table 4, Section 6) into measured results.
 //
-// A crash wipes every node's volatile state; what remains is each node's
-// NVM image — the engine instance the protocol's persists wrote into. The
-// recovery algorithm reconstructs a cluster-wide state from those images
-// (the paper notes weak models need an advanced, voting-based recovery).
-// The audits then compare the recovered state with the history of
-// client-acknowledged operations.
+// There is one crash path. CrashAndRecover runs a cluster to the crash
+// instant, Crash wipes the volatile state of the crashed nodes (every node
+// for a full-datacenter power failure), and Recover reconstructs a
+// cluster-wide state from what remains: each node's NVM image — the engine
+// instance the protocol's persists wrote into — plus the volatile replicas
+// of the nodes that survived (the paper notes weak models need an advanced,
+// voting-based recovery). The audits then compare the recovered state with
+// the history of client-acknowledged operations; which of those writes the
+// model promised durable is core.AckDurabilityOf.
 package recovery
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -51,44 +56,14 @@ func (s *RecoveredState) VersionOf(key uint64) protocol.Stamp { return s.Version
 // Keys returns how many keys were recovered.
 func (s *RecoveredState) Keys() int { return len(s.Versions) }
 
-// Recover reconstructs cluster state from the NVM images of a crashed
-// cluster. Volatile state plays no part: this is exactly what survives a
-// full-datacenter power failure.
-func Recover(c *cluster.Cluster, mode Mode) *RecoveredState {
-	st := &RecoveredState{Mode: mode, Versions: make(map[uint64]protocol.Stamp)}
-	n := len(c.Replicas)
-	quorum := n/2 + 1
-
-	perKey := make(map[uint64][]protocol.Stamp)
-	for _, r := range c.Replicas {
-		r.PersistedStore().Range(func(key uint64, it engines.Item) bool {
-			perKey[key] = append(perKey[key], protocol.Stamp(it.Version))
-			return true
-		})
-	}
-
-	for key, stamps := range perKey {
-		sort.Slice(stamps, func(i, j int) bool { return stamps[i] > stamps[j] })
-		switch mode {
-		case NewestVote:
-			st.Versions[key] = stamps[0]
-		case MajorityVote:
-			if len(stamps) >= quorum {
-				// The quorum-th newest stamp is persisted (at least as new)
-				// on a majority of nodes.
-				st.Versions[key] = stamps[quorum-1]
-			}
+// Crash wipes the volatile stores of nodes, leaving their NVM images; nil
+// crashes every node (a full-datacenter power failure). A crashed cluster is
+// not run further: it exists to be Recovered and audited.
+func Crash(c *cluster.Cluster, nodes []int) {
+	for i, r := range c.Replicas {
+		if nodes != nil && !slices.Contains(nodes, i) {
+			continue
 		}
-	}
-	return st
-}
-
-// Crash wipes the volatile protocol and engine state of every replica,
-// leaving only NVM images. After Crash the cluster must not be run further;
-// it exists only to be Recovered and audited.
-func Crash(c *cluster.Cluster) {
-	c.Eng.Stop()
-	for _, r := range c.Replicas {
 		vol := r.VolatileStore()
 		var keys []uint64
 		vol.Range(func(key uint64, _ engines.Item) bool {
@@ -101,6 +76,49 @@ func Crash(c *cluster.Cluster) {
 	}
 }
 
+// Recover reconstructs cluster state after a crash. Each node offers, per
+// key, the newer of its volatile and NVM versions, and mode votes across the
+// nodes' offers. A crashed node's volatile store is empty, so after a full
+// crash only the NVM images vote — exactly what survives a power failure —
+// while after a partial crash the survivors' volatile replicas join them
+// (the Hermes-style remote-replica recovery the paper describes).
+func Recover(c *cluster.Cluster, mode Mode) *RecoveredState {
+	st := &RecoveredState{Mode: mode, Versions: make(map[uint64]protocol.Stamp)}
+	quorum := len(c.Replicas)/2 + 1
+
+	perKey := make(map[uint64][]protocol.Stamp)
+	offer := make(map[uint64]protocol.Stamp)
+	newer := func(key uint64, it engines.Item) bool {
+		if v, ok := offer[key]; !ok || protocol.Stamp(it.Version) > v {
+			offer[key] = protocol.Stamp(it.Version)
+		}
+		return true
+	}
+	for _, r := range c.Replicas {
+		clear(offer)
+		r.VolatileStore().Range(newer)
+		r.PersistedStore().Range(newer)
+		for key, v := range offer {
+			perKey[key] = append(perKey[key], v)
+		}
+	}
+
+	for key, stamps := range perKey {
+		sort.Slice(stamps, func(i, j int) bool { return stamps[i] > stamps[j] })
+		switch mode {
+		case NewestVote:
+			st.Versions[key] = stamps[0]
+		case MajorityVote:
+			if len(stamps) >= quorum {
+				// The quorum-th newest stamp is offered (at least as new)
+				// by a majority of nodes.
+				st.Versions[key] = stamps[quorum-1]
+			}
+		}
+	}
+	return st
+}
+
 // Audit compares acknowledged operations against a recovered state.
 type Audit struct {
 	Mode Mode
@@ -110,8 +128,9 @@ type Audit struct {
 	// newer one) did not survive: a subsequent read would be stale.
 	LostAcked int
 	// LostConfirmedDurable counts writes that the model *claimed* durable
-	// (scope barrier completed, or a strict/synchronous acknowledgment) but
-	// that were lost anyway. It must be zero for a correct protocol.
+	// (core.AckDurabilityOf: an acknowledgment that waited for every
+	// persist, or a completed scope barrier) but that were lost anyway. It
+	// must be zero for a correct protocol.
 	LostConfirmedDurable int
 
 	// MonotonicViolationsAcrossCrash counts keys where a pre-crash read
@@ -134,20 +153,13 @@ func (a *Audit) MonotonicAcrossCrash() bool { return a.MonotonicViolationsAcross
 // confirmedDurable reports whether the model promised the client this write
 // was already durable when it was acknowledged (or when its barrier ran).
 func confirmedDurable(m core.Model, w cluster.WriteRecord) bool {
-	switch m.P {
-	case core.Strict:
-		// Acknowledgment implies persistence everywhere.
+	switch core.AckDurabilityOf(m) {
+	case core.DurableAtAck:
 		return true
-	case core.Synchronous:
-		// Linearizable and Transactional acknowledgments wait for the
-		// persists; Read-Enforced/Causal/Eventual acknowledge early.
-		return m.C == core.Linearizable || m.C == core.Transactional
-	case core.Scope:
-		// Durable once the scope's [PERSIST]s barrier completed.
+	case core.DurableAtScope:
 		return w.ScopePersisted
-	default:
-		return false
 	}
+	return false
 }
 
 // RunAudit checks the recovered state against the run's history. The
@@ -181,4 +193,64 @@ func RunAudit(res *cluster.Result, rec *RecoveredState) *Audit {
 		}
 	}
 	return a
+}
+
+// CrashReport bundles everything a crash experiment produces.
+type CrashReport struct {
+	Crashed   []int            // the crashed nodes, every node for a full crash
+	Cluster   *cluster.Cluster // the crashed cluster (crashed nodes' volatile state wiped)
+	Result    *cluster.Result
+	Recovered *RecoveredState
+	Audit     *Audit
+	Live      MonotonicReport
+}
+
+// MonotonicReads reports the combined Table 4 monotonic-reads verdict:
+// reads must not regress while the system runs, nor across a crash.
+func (cr *CrashReport) MonotonicReads() bool {
+	return cr.Live.Holds() && cr.Audit.MonotonicAcrossCrash()
+}
+
+// NonStaleReads reports the Table 4 non-stale-reads verdict.
+func (cr *CrashReport) NonStaleReads() bool { return cr.Audit.NonStaleReads() }
+
+// CrashAndRecover runs cfg until crashAtNs of simulated time, crashes nodes
+// (nil: every node), recovers with mode, and audits acknowledged operations
+// against what survived. A node outside [0, Servers), a repeated node or a
+// negative crash time is an error.
+func CrashAndRecover(cfg cluster.Config, crashAtNs int64, nodes []int, mode Mode) (*CrashReport, error) {
+	if crashAtNs < 0 {
+		return nil, fmt.Errorf("recovery: crash time must be >= 0, got %d", crashAtNs)
+	}
+	cfg.TrackHistory = true
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	n := len(c.Replicas)
+	if nodes == nil {
+		nodes = make([]int, n)
+		for i := range nodes {
+			nodes[i] = i
+		}
+	}
+	for i, v := range nodes {
+		if v < 0 || v >= n {
+			return nil, fmt.Errorf("recovery: crashed node %d outside [0, %d)", v, n)
+		}
+		if slices.Contains(nodes[:i], v) {
+			return nil, fmt.Errorf("recovery: crashed node %d listed twice", v)
+		}
+	}
+	res := c.RunTo(crashAtNs)
+	Crash(c, nodes)
+	rec := Recover(c, mode)
+	return &CrashReport{
+		Crashed:   nodes,
+		Cluster:   c,
+		Result:    res,
+		Recovered: rec,
+		Audit:     RunAudit(res, rec),
+		Live:      CheckGlobalMonotonic(res),
+	}, nil
 }

@@ -1,12 +1,14 @@
 package recovery
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/params"
-	"repro/internal/protocol"
 	"repro/internal/ycsb"
 )
 
@@ -25,7 +27,7 @@ func crashConfig(m core.Model) cluster.Config {
 
 func mustCrash(t *testing.T, m core.Model) *CrashReport {
 	t.Helper()
-	rep, err := CrashAndRecover(crashConfig(m), 1_500_000, NewestVote)
+	rep, err := CrashAndRecover(crashConfig(m), 1_500_000, nil, NewestVote)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestRelaxedModelsLoseAckedWrites(t *testing.T) {
 		lost := 0
 		staleVerdicts := 0
 		for _, at := range []int64{1_100_000, 1_400_000, 1_700_000, 2_000_000} {
-			rep, err := CrashAndRecover(crashConfig(m), at, NewestVote)
+			rep, err := CrashAndRecover(crashConfig(m), at, nil, NewestVote)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,11 +150,11 @@ func TestLinearizableHoldsLiveMonotonic(t *testing.T) {
 
 func TestMajorityVoteWeakerThanNewest(t *testing.T) {
 	cfg := crashConfig(core.Model{C: core.Causal, P: core.EventualP})
-	newest, err := CrashAndRecover(cfg, 1_500_000, NewestVote)
+	newest, err := CrashAndRecover(cfg, 1_500_000, nil, NewestVote)
 	if err != nil {
 		t.Fatal(err)
 	}
-	majority, err := CrashAndRecover(cfg, 1_500_000, MajorityVote)
+	majority, err := CrashAndRecover(cfg, 1_500_000, nil, MajorityVote)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +183,7 @@ func TestCrashWipesVolatileOnly(t *testing.T) {
 	if persisted == 0 {
 		t.Fatal("no persisted state before crash")
 	}
-	Crash(c)
+	Crash(c, nil)
 	if c.Replicas[0].VolatileStore().Len() != 0 {
 		t.Fatal("volatile state survived the crash")
 	}
@@ -222,4 +224,132 @@ func TestMonotonicReportRates(t *testing.T) {
 	}
 }
 
-var _ = protocol.Stamp(0) // keep import for doc links in this test package
+// TestPartialCrashMaskedByReplicas reproduces the paper's Section 1
+// motivation: a single-node failure is masked by remote volatile replicas
+// even under lazy persistency, while a full-cluster failure is not.
+func TestPartialCrashMaskedByReplicas(t *testing.T) {
+	cfg := crashConfig(core.Model{C: core.Linearizable, P: core.EventualP})
+	part, err := CrashAndRecover(cfg, 1_500_000, []int{0}, NewestVote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.Audit.AckedWrites == 0 {
+		t.Fatal("no writes before the partial crash")
+	}
+	if part.Audit.LostAcked != 0 {
+		t.Fatalf("single-node crash lost %d acknowledged writes despite live replicas",
+			part.Audit.LostAcked)
+	}
+
+	full, err := CrashAndRecover(cfg, 1_500_000, nil, NewestVote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Audit.LostAcked == 0 {
+		t.Fatal("full-cluster crash should lose in-flight acknowledged writes under Eventual persistency")
+	}
+}
+
+func TestPartialCrashMinorityUnderWeakModels(t *testing.T) {
+	// Even <Eventual, Eventual> masks a minority failure: every write that
+	// was acknowledged is visible in the coordinator's volatile store, and
+	// with one of three nodes down, two volatile copies remain... unless
+	// the acknowledged write only ever existed on the crashed node. Losing
+	// the coordinator before lazy propagation CAN lose writes — assert the
+	// loss is at most what the full crash loses.
+	cfg := crashConfig(core.Model{C: core.Eventual, P: core.EventualP})
+	part, err := CrashAndRecover(cfg, 1_500_000, []int{1}, NewestVote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := CrashAndRecover(cfg, 1_500_000, nil, NewestVote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.Audit.LostAcked > full.Audit.LostAcked {
+		t.Fatalf("partial crash (%d lost) cannot exceed full crash (%d lost)",
+			part.Audit.LostAcked, full.Audit.LostAcked)
+	}
+}
+
+// sansHost strips what two equal runs legitimately differ in: the crashed
+// cluster object and the host wall-clock time.
+func sansHost(rep *CrashReport) CrashReport {
+	cp := *rep
+	cp.Cluster = nil
+	res := *rep.Result
+	res.WallTime = 0
+	cp.Result = &res
+	return cp
+}
+
+// TestPartialCrashAllNodesEqualsFullCrash: a full crash is a partial crash
+// of every node, under both voting modes — nil and the explicit all-nodes
+// list give equal whole reports.
+func TestPartialCrashAllNodesEqualsFullCrash(t *testing.T) {
+	cfg := crashConfig(core.Model{C: core.Causal, P: core.EventualP})
+	for _, mode := range []Mode{NewestVote, MajorityVote} {
+		part, err := CrashAndRecover(cfg, 1_500_000, []int{0, 1, 2}, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := CrashAndRecover(cfg, 1_500_000, nil, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Audit.LostAcked == 0 {
+			t.Fatalf("%s: the full crash lost nothing; the comparison is vacuous", mode)
+		}
+		if a, b := sansHost(part), sansHost(full); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: all-node crash %+v\nfull crash %+v", mode, a, b)
+		}
+	}
+}
+
+func TestCrashAndRecoverRejectsBadInputs(t *testing.T) {
+	cfg := crashConfig(core.Baseline)
+	for _, tc := range []struct {
+		at    int64
+		nodes []int
+		want  string
+	}{
+		{1_000_000, []int{3}, "node 3 outside [0, 3)"},
+		{1_000_000, []int{-1}, "node -1 outside [0, 3)"},
+		{1_000_000, []int{0, 2, 0}, "node 0 listed twice"},
+		{-5, nil, "crash time must be >= 0"},
+	} {
+		rep, err := CrashAndRecover(cfg, tc.at, tc.nodes, NewestVote)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("CrashAndRecover(at=%d, nodes=%v) = %v, %v; want error containing %q",
+				tc.at, tc.nodes, rep, err, tc.want)
+		}
+	}
+}
+
+// TestCustomBindingAuditsLikeItsPair: a registered alias of every canonical
+// pair is held to the pair's durable-at-ack rule and pays the pair's
+// recovery, so the crash audit and recovery timing of the two are equal.
+func TestCustomBindingAuditsLikeItsPair(t *testing.T) {
+	for _, m := range core.AllModels() {
+		alias, err := core.Register(fmt.Sprintf("audit-alias %s", m), m.C, m.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scoped := range []bool{false, true} {
+			w := cluster.WriteRecord{ScopePersisted: scoped}
+			if got, want := confirmedDurable(alias, w), confirmedDurable(m, w); got != want {
+				t.Errorf("%s (scope persisted %v): alias confirmed durable %v, pair %v", m, scoped, got, want)
+			}
+		}
+		want, got := mustCrash(t, m), mustCrash(t, alias)
+		if !reflect.DeepEqual(got.Audit, want.Audit) {
+			t.Errorf("%s: alias audit %+v, pair audit %+v", m, got.Audit, want.Audit)
+		}
+		wantT := TimeRecoveryOf(want.Cluster, want.Recovered)
+		gotT := TimeRecoveryOf(got.Cluster, got.Recovered)
+		gotT.Model = m
+		if gotT != wantT {
+			t.Errorf("%s: alias recovery %+v, pair recovery %+v", m, gotT, wantT)
+		}
+	}
+}

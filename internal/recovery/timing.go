@@ -28,25 +28,12 @@ type RecoveryTiming struct {
 	NeedsVoting bool
 }
 
-// needsVoting reports whether a model's NVM images can diverge at a crash
-// in a way that requires cross-node reconciliation. Strict persists before
-// acknowledging anywhere; Linearizable/Transactional+Synchronous complete
-// writes only after persists everywhere, so any divergence is limited to
-// unacknowledged writes and each node's image is already consistent.
-func needsVoting(m core.Model) bool {
-	if m.P == core.Strict {
-		return false
-	}
-	if m.P == core.Synchronous && (m.C == core.Linearizable || m.C == core.Transactional) {
-		return false
-	}
-	return true
-}
-
 // TimeRecovery models the recovery duration for a crashed cluster with
-// recovered key count keys.
+// recovered key count keys. Only a model whose acknowledgments wait for
+// every persist (core.DurableAtAck) skips the voting round: its NVM images
+// diverge only in unacknowledged writes, so each one is already consistent.
 func TimeRecovery(m core.Model, p params.Params, keys int) RecoveryTiming {
-	t := RecoveryTiming{Model: m, NeedsVoting: needsVoting(m)}
+	t := RecoveryTiming{Model: m, NeedsVoting: core.AckDurabilityOf(m) != core.DurableAtAck}
 
 	// Local scan: the node streams its image from NVM; channel/bank
 	// parallelism applies.

@@ -21,8 +21,8 @@ func TestNeedsVotingClassification(t *testing.T) {
 		{C: core.Eventual, P: core.EventualP}:         true,
 	}
 	for m, want := range cases {
-		if got := needsVoting(m); got != want {
-			t.Errorf("needsVoting(%s) = %v, want %v", m, got, want)
+		if got := TimeRecovery(m, params.Default(), 1).NeedsVoting; got != want {
+			t.Errorf("NeedsVoting(%s) = %v, want %v", m, got, want)
 		}
 	}
 }
@@ -64,7 +64,7 @@ func TestImageDivergenceAndTimedRecovery(t *testing.T) {
 	}
 	c.Start()
 	c.Eng.Run(1_500_000)
-	Crash(c)
+	Crash(c, nil)
 	rec := Recover(c, NewestVote)
 	timing := TimeRecoveryOf(c, rec)
 	if timing.TotalNs <= 0 {
@@ -87,7 +87,7 @@ func TestImageDivergenceAndTimedRecovery(t *testing.T) {
 	}
 	cs.Start()
 	cs.Eng.Run(1_500_000)
-	Crash(cs)
+	Crash(cs, nil)
 	// In-flight writes may leave small divergence even under Strict; it
 	// must be far below the eventual model's.
 	if dS, dE := ImageDivergence(cs), ImageDivergence(c); dS >= dE {
