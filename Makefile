@@ -28,8 +28,14 @@ fmt:
 #   - the allocation guards — one round per binding on warm and on rotating
 #     keys, allocations per op of whole cells against per-binding ceilings,
 #     construction objects per added client, the zero-allocation request
-#     record (routed, open-loop and batched paths), and the pending-write
-#     records a coordinator holds under transactional conflicts;
+#     record (routed, open-loop and batched paths), the pending-write
+#     records a coordinator holds under transactional conflicts, and the
+#     received message read in its box (every binding, flat and sharded,
+#     with spent boxes reused while messages wait for a busy worker pool);
+#   - the LP engine against the sequential one and the 5x5 golden under 4 LP
+#     workers, under the race detector again by name: the receivers of a
+#     broadcast read one payload box on different goroutines until each
+#     handler returns;
 #   - the barrier-arrival differential: both engines schedule cross-node
 #     arrivals with AtArrival, the sequential one at send time and the LP one
 #     at epoch barriers, and the (src, seq) key alone fixes their order;
@@ -70,8 +76,10 @@ fmt:
 check: vet fmt
 	$(GO) test -race ./...
 	(cd bench && $(GO) test .)
-	$(GO) test ./internal/protocol/ -run 'HotPathAllocs|TestRoundAllocsAcrossBindings|TestPendingWritesBounded'
+	$(GO) test ./internal/protocol/ -run 'HotPathAllocs|TestRoundAllocsAcrossBindings|TestPendingWritesBounded|TestReceivedMessageReadInItsBox'
 	$(GO) test ./internal/cluster/ -run 'TestCellAllocsPerOp|TestConstructionObjectsPerClient|TestRoutedClientZeroAlloc|TestOpenLoopSessionPoolZeroAlloc|TestFwdBatchZeroAlloc'
+	$(GO) test -race ./internal/cluster/ -run 'TestLPMatchesSequentialDifferential|TestLPWorkerCountInvariance'
+	$(GO) test -race ./internal/harness/ -run 'TestGolden5x5ByteIdentical/IntraParallel=4'
 	$(GO) test -race ./internal/sim/ -run TestBarrierArrivalsMatchSendTime
 	$(GO) test -race ./internal/cluster/ -run 'TestNICFastPathDifferential|TestNICFastPathEventReduction'
 	$(GO) test -race ./internal/cluster/ -run 'TestFlatRoutingReport|TestSharded'
@@ -102,16 +110,19 @@ perf:
 # estimates. The first table is the quick Figure 6 matrix (3 servers x 4
 # clients over 1 ms), the second one rep of the repo benchmark's flat_matrix
 # workload (25 bindings at 5x20 plus Table 1's cells; TestFlatCensus), whose
-# mix quick Figure 6 does not share, the third one rep of its scale160
+# mix quick Figure 6 does not share, then the same rep by bytes: collections
+# follow bytes allocated, not objects, and TestFlatCensus logs the rep's
+# bytes and collection count. The last table is one rep of its scale160
 # workload (both cells: New, Run, Collect; TestScaleCensus). EXPERIMENTS.md
-# "Allocation census", "Allocation-free client ops" and "Zero-allocation
-# replication rounds" read these tables.
+# "Allocation census", "Allocation-free client ops", "Zero-allocation
+# replication rounds" and "Messages read in their box" read these tables.
 census:
 	mkdir -p .bench_build
 	$(GO) run ./cmd/ddpbench -exp fig6 -quick -parallel 1 -memprofile .bench_build/census.mprof > /dev/null
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/census.mprof
-	FLAT_CENSUS=1 $(GO) test ./internal/cluster/ -run '^TestFlatCensus$$' -count=1 -memprofilerate 1 -memprofile .bench_build/flat_census.mprof -o .bench_build/cluster.test > /dev/null
+	FLAT_CENSUS=1 $(GO) test ./internal/cluster/ -run '^TestFlatCensus$$' -count=1 -v -memprofilerate 1 -memprofile .bench_build/flat_census.mprof -o .bench_build/cluster.test | grep 'rep allocated'
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/cluster.test .bench_build/flat_census.mprof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=40 .bench_build/cluster.test .bench_build/flat_census.mprof
 	SCALE_CENSUS=1 $(GO) test ./internal/cluster/ -run '^TestScaleCensus$$' -count=1 -memprofilerate 1 -memprofile .bench_build/scale_census.mprof -o .bench_build/cluster.test > /dev/null
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/cluster.test .bench_build/scale_census.mprof
 

@@ -24,7 +24,7 @@ func (causalVis) earlyWriteCompletion() bool { return false }
 // INV/ACK/VAL broadcast.
 func (causalVis) onStrongWriteLaunch(r *Replica, ks *keyState, key uint64, st Stamp, txn uint64) {
 }
-func (causalVis) onInvReceive(r *Replica, ks *keyState, from int, p payload) bool { return true }
+func (causalVis) onInvReceive(r *Replica, ks *keyState, from int, p *payload) bool { return true }
 
 func (causalVis) readBlocked(r *Replica, ks *keyState) bool { return false }
 func (causalVis) servesCommitted() bool                     { return false }
@@ -42,8 +42,8 @@ func (causalVis) causalHistory(r *Replica) []uint64 {
 func (causalVis) propagateWeak(r *Replica, upd payload) { r.propagate(upd) }
 
 // onUpdate routes the UPD through the reorder buffer.
-func (causalVis) onUpdate(r *Replica, from int, p payload) {
-	r.causalDeliver(from, p)
+func (causalVis) onUpdate(r *Replica, from int, p *payload) {
+	r.causalDeliver(p)
 }
 
 // selfApply advances the applied vector for the coordinator's own write at
@@ -64,9 +64,9 @@ type advance struct {
 	v    uint64
 }
 
-// histRows stores causal histories in replica-owned memory, one row of w
-// counters per token of the slab it shadows (disp or bufs): row t is
-// data[(t-1)*w : t*w], so a row lives exactly as long as its slot, and the
+// histRows stores the causal histories of buffered updates in replica-owned
+// memory, one row of w counters per token of the bufs slab it shadows: row t
+// is data[(t-1)*w : t*w], so a row lives exactly as long as its slot, and the
 // arena grows with the slab, by use. Refer to a row by token: a slice from
 // row is read before anything can set a higher token (set may move the
 // arena), never kept in a record.
@@ -92,15 +92,15 @@ func (h *histRows) row(t int32) vclock.VC {
 
 // causalDeliver handles a UPD carrying a cauhist at a follower: apply it if
 // its happens-before history is already applied here, otherwise buffer it
-// (Figure 2f shows d2 buffered until d1 arrives) with a copy of its history.
-func (r *Replica) causalDeliver(from int, p payload) {
-	_ = from
+// (Figure 2f shows d2 buffered until d1 arrives). The history is read in the
+// UPD's box; a buffered update outlives its box, so it keeps a copy.
+func (r *Replica) causalDeliver(p *payload) {
 	src := p.Stamp.Node()
 	if r.appliedVC[src] >= p.Cauhist[src] {
 		return // duplicate delivery of an already-applied update
 	}
 	if r.causalApplicable(src, p.Cauhist) {
-		r.causalApply(p)
+		r.causalApply(p.Key, p.Stamp, p.Scope)
 		return
 	}
 	r.M.BufferedUpdates++
@@ -156,7 +156,7 @@ func (r *Replica) fileBuffered(b int32) {
 	if stale {
 		return // stale duplicate
 	}
-	r.causalApply(payload{Kind: MsgUPD, Key: u.key, Stamp: u.stamp, Scope: u.scope})
+	r.causalApply(u.key, u.stamp, u.scope)
 }
 
 // advanceApplied increments the applied vector for node and re-evaluates
@@ -189,16 +189,15 @@ func (r *Replica) advanceApplied(node int) {
 	r.draining = false
 }
 
-// causalApply makes the update visible and arranges durability; it reads
-// none of p's history. Under Synchronous (and Strict) persistency the
-// visibility point and durability point coincide, so the applied vector —
-// which gates causally dependent updates — only advances once the persist
-// completes. That persist gating is what makes Causal+Synchronous buffer one
-// to two orders of magnitude more writes than Causal+Eventual (Section
-// 8.1.2).
-func (r *Replica) causalApply(p payload) {
-	r.applyVisible(p.Key, p.Stamp)
-	r.dur.onCausalApply(r, p, p.Stamp.Node())
+// causalApply makes the update visible and arranges durability. Under
+// Synchronous (and Strict) persistency the visibility point and durability
+// point coincide, so the applied vector — which gates causally dependent
+// updates — only advances once the persist completes. That persist gating is
+// what makes Causal+Synchronous buffer one to two orders of magnitude more
+// writes than Causal+Eventual (Section 8.1.2).
+func (r *Replica) causalApply(key uint64, st Stamp, scope uint64) {
+	r.applyVisible(key, st)
+	r.dur.onCausalApply(r, payload{Kind: MsgUPD, Key: key, Stamp: st, Scope: scope}, st.Node())
 }
 
 // AppliedVC exposes the applied vector for tests and recovery tooling.

@@ -34,8 +34,8 @@ func scribble(r *Replica) {
 // and the box it arrived in is then reused for writes with other histories —
 // between the receive and the service job's dispatch, and again while the
 // update waits in the reorder buffer. The update must still apply in causal
-// order, with its own vector: a receiver copies the history out of the box
-// before releasing it.
+// order, with its own vector: a receiver holds the box until its handler
+// returns, and a buffered update copies its history out before then.
 func TestCausalHistoryOutlivesItsBox(t *testing.T) {
 	tc := newTestCluster(mdl(core.Causal, core.EventualP), 3, nil)
 	r2 := tc.reps[2]

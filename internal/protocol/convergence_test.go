@@ -149,7 +149,7 @@ func TestStalenessOrdering(t *testing.T) {
 	tc.eng.Schedule(0, func() {
 		last := Stamp(0)
 		for _, st := range stamps {
-			r1.dispatch(0, payload{Kind: MsgUPD, Key: 1, Stamp: st})
+			r1.dispatch(0, &payload{Kind: MsgUPD, Key: 1, Stamp: st})
 			if v := r1.VisibleVersion(1); v < last {
 				t.Errorf("visible regressed: %v after %v", v, last)
 			} else {

@@ -18,7 +18,7 @@ func (eventualVis) earlyWriteCompletion() bool { return false }
 // INV/ACK/VAL broadcast.
 func (eventualVis) onStrongWriteLaunch(r *Replica, ks *keyState, key uint64, st Stamp, txn uint64) {
 }
-func (eventualVis) onInvReceive(r *Replica, ks *keyState, from int, p payload) bool { return true }
+func (eventualVis) onInvReceive(r *Replica, ks *keyState, from int, p *payload) bool { return true }
 
 func (eventualVis) readBlocked(r *Replica, ks *keyState) bool { return false }
 func (eventualVis) servesCommitted() bool                     { return false }
@@ -31,7 +31,7 @@ func (eventualVis) propagateWeak(r *Replica, upd payload) {
 }
 
 // onUpdate applies in arrival order, last-writer-wins.
-func (eventualVis) onUpdate(r *Replica, from int, p payload) {
+func (eventualVis) onUpdate(r *Replica, from int, p *payload) {
 	r.applyVisible(p.Key, p.Stamp)
 	r.dur.onFollowerUpdate(r, from, p)
 }

@@ -26,7 +26,7 @@ func (eventualDur) startLocalDurability(r *Replica, pw *pendingWrite) {
 
 func (eventualDur) onLocalPersist(r *Replica, pw *pendingWrite) {}
 
-func (eventualDur) onInvReceive(r *Replica, from int, p payload) {
+func (eventualDur) onInvReceive(r *Replica, from int, p *payload) {
 	r.applyVisible(p.Key, p.Stamp)
 	r.send(from, payload{Kind: MsgACKc, Stamp: p.Stamp, Txn: p.Txn})
 	r.lazyPersist(p.Key, p.Stamp)
@@ -51,7 +51,7 @@ func (eventualDur) onCausalApply(r *Replica, p payload, src int) {
 	r.advanceApplied(src)
 }
 
-func (eventualDur) onFollowerUpdate(r *Replica, from int, p payload) {
+func (eventualDur) onFollowerUpdate(r *Replica, from int, p *payload) {
 	r.lazyPersist(p.Key, p.Stamp)
 }
 

@@ -24,7 +24,7 @@ func (strongVis) onStrongWriteLaunch(r *Replica, ks *keyState, key uint64, st St
 
 // onInvReceive mirrors the coordinator's transient bookkeeping at the
 // follower.
-func (strongVis) onInvReceive(r *Replica, ks *keyState, from int, p payload) bool {
+func (strongVis) onInvReceive(r *Replica, ks *keyState, from int, p *payload) bool {
 	r.stamps.add(&ks.transC, p.Stamp)
 	if r.dur.tracksTransP() {
 		r.stamps.add(&ks.transP, p.Stamp)
@@ -50,7 +50,7 @@ func (strongVis) causalHistory(r *Replica) []uint64     { return nil }
 func (strongVis) propagateWeak(r *Replica, upd payload) { r.propagate(upd) }
 
 // onUpdate applies a lazy UPD from a remote hybrid group last-writer-wins.
-func (strongVis) onUpdate(r *Replica, from int, p payload) {
+func (strongVis) onUpdate(r *Replica, from int, p *payload) {
 	r.applyVisible(p.Key, p.Stamp)
 	r.dur.onFollowerUpdate(r, from, p)
 }

@@ -93,45 +93,32 @@ type payload struct {
 	Cauhist vclock.VC // empty except under Causal consistency (see BoxPool)
 	Chain   bool      // serially-propagated (SerialPropagation ablation)
 
-	// refs counts in-flight messages sharing this box (broadcast shares one
-	// box across every copy). Meaningful only in the boxed instance; value
-	// copies carry it inertly. Not part of the wire format.
+	// refs counts the messages sharing this box (broadcast shares one box
+	// across every copy) whose handlers have not yet returned. Meaningful
+	// only in the boxed instance; value copies carry it inertly. Not part of
+	// the wire format.
 	refs int32
-}
-
-// copyBody returns the message fields of a shared box without reading the
-// refcount. Under concurrent logical processes every receiver of a broadcast
-// copies out of the same box while the others atomically decrement refs, so
-// the copy must not touch the refs bytes (a whole-struct copy would).
-// Keep the field list in sync with payload.
-func (pp *payload) copyBody() payload {
-	return payload{
-		Kind:    pp.Kind,
-		Key:     pp.Key,
-		Stamp:   pp.Stamp,
-		Scope:   pp.Scope,
-		Txn:     pp.Txn,
-		Cauhist: pp.Cauhist,
-		Chain:   pp.Chain,
-	}
 }
 
 // payloadChunk is how many payloads one slab block amortizes (see BoxPool).
 const payloadChunk = 64
 
 // BoxPool recycles the boxes payloads travel in (a pointer boxes into
-// simnet.Message.Payload without allocating): the sender takes a box, the
-// receiver's onMessage returns it, and an empty free stack carves from a
+// simnet.Message.Payload without allocating): the sender takes a box, a
+// received message waits for its worker in it and its handler reads it
+// there, and a box is spent when the last receiver's handler returns — that
+// receiver puts it back (Replica.OnEvent). An empty free stack carves from a
 // chunked slab. Senders and receivers are not balanced — a pool per replica
 // fills with its receive surplus while its peers carve — so one pool serves
 // every replica of a sequential cluster and holds no more boxes than were
-// ever in flight at once. The zero value is ready to use.
+// ever held at once. The zero value is ready to use.
 //
 // A box owns the storage of the causal history it carries: box copies the
 // sender's vector into it, put keeps its capacity, and a box's first history
 // carves its storage from a chunk like the box itself, so a causal write
-// allocates nothing in steady state. Receivers copy the history out before
-// releasing their reference (see onMessage).
+// allocates nothing in steady state. Receivers read the history in the box;
+// only an update buffered for causal order, which outlives its box, copies
+// it out (causalDeliver).
 type BoxPool struct {
 	slab []payload  // chunked fresh-box storage
 	hist []uint64   // chunked history storage for boxes that have none
@@ -141,7 +128,7 @@ type BoxPool struct {
 // Spare returns the number of spent boxes waiting on the free stack.
 func (b *BoxPool) Spare() int { return len(b.free) }
 
-// box copies p into a recycled or fresh box shared by refs in-flight messages
+// box copies p into a recycled or fresh box shared by refs messages
 // (a broadcast shares one box across its copies).
 func (b *BoxPool) box(p payload, refs int) *payload {
 	var pp *payload

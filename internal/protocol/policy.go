@@ -32,6 +32,9 @@ import (
 //     construction (resolvePolicies). No hook allocates beyond what the
 //     equivalent inline protocol code allocated, preserving the
 //     steady-state zero-allocation guarantees (see alloc_test.go).
+//   - A hook handed a received message (*payload) reads the box the message
+//     arrived in, shared with its other receivers: it never writes it, and
+//     copies out whatever must outlive the handler.
 //   - Policies are stateless values: all mutable protocol state lives in
 //     the Replica (keyState, pendingWrite, txnState, scope tables), so a
 //     policy value could be shared across replicas.
@@ -70,7 +73,7 @@ type VisibilityPolicy interface {
 	// onInvReceive applies follower-side bookkeeping for an arriving INV
 	// before the durability policy acts on it. It returns false when the
 	// INV was rejected (transactional write-write conflict NACK).
-	onInvReceive(r *Replica, ks *keyState, from int, p payload) bool
+	onInvReceive(r *Replica, ks *keyState, from int, p *payload) bool
 
 	// readBlocked reports whether a read of ks must stall for consistency
 	// validation (Linearizable / Read-Enforced block on unvalidated writes).
@@ -92,7 +95,7 @@ type VisibilityPolicy interface {
 
 	// onUpdate handles a UPD at a follower: causal delivery through the
 	// reorder buffer, or last-writer-wins application.
-	onUpdate(r *Replica, from int, p payload)
+	onUpdate(r *Replica, from int, p *payload)
 
 	// selfApply advances causal bookkeeping after one of the coordinator's
 	// own writes reaches its visibility/durability point.
@@ -137,7 +140,7 @@ type DurabilityPolicy interface {
 
 	// onInvReceive makes an INV's update visible and durable at a follower
 	// in the persistency model's order, and sends the matching ACK flavor.
-	onInvReceive(r *Replica, from int, p payload)
+	onInvReceive(r *Replica, from int, p *payload)
 
 	// onConsistencyAcked runs at the coordinator when every consistency ACK
 	// for a strong write is in: validation, completion, or further waiting.
@@ -164,7 +167,7 @@ type DurabilityPolicy interface {
 
 	// onFollowerUpdate arranges durability for a weak-consistency update
 	// that just became visible at this follower.
-	onFollowerUpdate(r *Replica, from int, p payload)
+	onFollowerUpdate(r *Replica, from int, p *payload)
 
 	// readBlocked reports whether a read of ks must stall for local
 	// persistence (Read-Enforced persistency under weak consistency;

@@ -213,14 +213,14 @@ func TestCausalBuffersOutOfOrderUpdates(t *testing.T) {
 		// Handcraft two causally ordered updates from node 0.
 		upd1 := payload{Kind: MsgUPD, Key: 1, Stamp: MakeStamp(1, 0), Cauhist: []uint64{1, 0, 0}}
 		upd2 := payload{Kind: MsgUPD, Key: 2, Stamp: MakeStamp(2, 0), Cauhist: []uint64{2, 0, 0}}
-		r2.dispatch(0, upd2) // arrives first: must buffer
+		r2.dispatch(0, &upd2) // arrives first: must buffer
 		if r2.BufferLen() != 1 {
 			t.Errorf("buffer = %d after early upd2, want 1", r2.BufferLen())
 		}
 		if !r2.VisibleVersion(2).IsZero() {
 			t.Error("upd2 applied before its causal dependency")
 		}
-		r2.dispatch(0, upd1) // unblocks upd2
+		r2.dispatch(0, &upd1) // unblocks upd2
 	})
 	tc.run()
 	if r2.BufferLen() != 0 {
@@ -349,8 +349,8 @@ func TestEventualLastWriterWins(t *testing.T) {
 	r1 := tc.reps[1]
 	tc.eng.Schedule(0, func() {
 		// Deliver two UPDs for the same key out of stamp order.
-		r1.dispatch(0, payload{Kind: MsgUPD, Key: 1, Stamp: MakeStamp(5, 0)})
-		r1.dispatch(0, payload{Kind: MsgUPD, Key: 1, Stamp: MakeStamp(3, 0)})
+		r1.dispatch(0, &payload{Kind: MsgUPD, Key: 1, Stamp: MakeStamp(5, 0)})
+		r1.dispatch(0, &payload{Kind: MsgUPD, Key: 1, Stamp: MakeStamp(3, 0)})
 	})
 	tc.run()
 	if got := r1.VisibleVersion(1); got != MakeStamp(5, 0) {
@@ -819,7 +819,7 @@ func TestScopeVALpIgnoredByKeyState(t *testing.T) {
 	// key state or panic.
 	tc := newTestCluster(mdl(core.Linearizable, core.Scope), 2, nil)
 	tc.eng.Schedule(0, func() {
-		tc.reps[1].dispatch(0, payload{Kind: MsgVALp, Scope: 9})
+		tc.reps[1].dispatch(0, &payload{Kind: MsgVALp, Scope: 9})
 	})
 	tc.run()
 	if got := tc.reps[1].VisibleVersion(0); !got.IsZero() {
@@ -831,9 +831,9 @@ func TestStaleAckIgnored(t *testing.T) {
 	// ACKs for unknown stamps (e.g. duplicated or post-completion) no-op.
 	tc := newTestCluster(mdl(core.Linearizable, core.Synchronous), 2, nil)
 	tc.eng.Schedule(0, func() {
-		tc.reps[0].dispatch(1, payload{Kind: MsgACK, Stamp: MakeStamp(99, 1)})
-		tc.reps[0].dispatch(1, payload{Kind: MsgACKp, Stamp: MakeStamp(99, 1)})
-		tc.reps[0].dispatch(1, payload{Kind: MsgACKc, Stamp: MakeStamp(99, 1)})
+		tc.reps[0].dispatch(1, &payload{Kind: MsgACK, Stamp: MakeStamp(99, 1)})
+		tc.reps[0].dispatch(1, &payload{Kind: MsgACKp, Stamp: MakeStamp(99, 1)})
+		tc.reps[0].dispatch(1, &payload{Kind: MsgACKc, Stamp: MakeStamp(99, 1)})
 	})
 	tc.run() // must not panic
 }

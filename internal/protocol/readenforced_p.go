@@ -26,7 +26,7 @@ func (d readEnforcedDur) onLocalPersist(r *Replica, pw *pendingWrite) { d.maybeF
 
 // onInvReceive ACKs consistency immediately and persistency when the local
 // persist completes — the split-ACK flavor of Figure 3a.
-func (readEnforcedDur) onInvReceive(r *Replica, from int, p payload) {
+func (readEnforcedDur) onInvReceive(r *Replica, from int, p *payload) {
 	r.applyVisible(p.Key, p.Stamp)
 	r.send(from, payload{Kind: MsgACKc, Stamp: p.Stamp, Txn: p.Txn})
 	r.persist(p.Key, p.Stamp, ackTo(MsgACKp, from, 0))
@@ -66,7 +66,7 @@ func (readEnforcedDur) onCausalApply(r *Replica, p payload, src int) {
 	r.advanceApplied(src)
 }
 
-func (readEnforcedDur) onFollowerUpdate(r *Replica, from int, p payload) {
+func (readEnforcedDur) onFollowerUpdate(r *Replica, from int, p *payload) {
 	r.persist(p.Key, p.Stamp, cont{})
 }
 

@@ -183,13 +183,12 @@ type Replica struct {
 	// Causal consistency state. waiting indexes the reorder buffer by the
 	// first unsatisfied dependency: waiting[node][count] is the tail token of
 	// the FIFO (in bufs) of updates that become eligible when appliedVC[node]
-	// reaches count. The causal histories this replica holds live in its own
-	// storage: histOut is the one its next write sends (boxes copy it), and
-	// dispHist and bufHist hold received ones by disp and bufs token.
+	// reaches count. histOut is the history this replica's next write sends
+	// (boxes copy it); a received history is read in its box, and only a
+	// buffered update's is copied out, into the bufHist row of its bufs token.
 	appliedVC  vclock.VC // per-writer applied counters
 	issued     uint64    // own writes issued (stamps cauhist)
 	histOut    vclock.VC
-	dispHist   histRows
 	bufHist    histRows
 	waiting    []map[uint64]int32
 	bufs       slab[bufferedUpd]
@@ -216,13 +215,18 @@ type Replica struct {
 	items []persistItem
 
 	sharedVal  []byte   // shared synthetic value payload (avoids allocation)
-	boxes      *BoxPool // payload boxes, recycled by onMessage (see BoxPool)
+	boxes      *BoxPool // payload boxes, recycled by OnEvent (see BoxPool)
 	atomicRefs bool     // see Deps.AtomicRefs
 	tracer     func(node int, what string)
 
-	// Received messages parked across their worker-pool service job, so
-	// message dispatch schedules closure-free (see onMessage / OnEvent).
+	// Received messages parked, in their boxes, across their worker-pool
+	// service job, so message dispatch schedules closure-free (see onMessage
+	// / OnEvent).
 	disp slab[dispatchRec]
+
+	// watch, when set by a test, sees each received message as it parks and
+	// again as its handler reads it, under its disp token.
+	watch func(tok int32, p *payload)
 
 	// persC dispatches coalesced write-back completions (see issuePersist);
 	// ablC completes the NoPersistCoalescing ablation's per-update device
@@ -231,13 +235,12 @@ type Replica struct {
 	ablC  ablationDone
 }
 
-// dispatchRec parks one received message across its worker service job. A
-// causal history (hist) waits in the Replica.dispHist row of the record's
-// token, not in p.
+// dispatchRec parks one received message across its worker service job: the
+// box it arrived in, which this receiver's reference keeps from being reused,
+// and the sender's group rank.
 type dispatchRec struct {
+	p    *payload
 	from int32
-	hist bool
-	p    payload
 }
 
 // ablationDone completes a NoPersistCoalescing device write: install the
@@ -285,7 +288,6 @@ func NewReplica(id int, d Deps) *Replica {
 		keys:         newKeyTable(d.P.Keys, d.Keys),
 		pending:      make(map[Stamp]*pendingWrite),
 		appliedVC:    vclock.New(mem.Size),
-		dispHist:     histRows{w: mem.Size},
 		bufHist:      histRows{w: mem.Size},
 		waiting:      make([]map[uint64]int32, mem.Size),
 		txns:         make(map[uint64]*txnState),
@@ -427,13 +429,15 @@ func (r *Replica) nextOnRing() int {
 }
 
 // forwardChain passes a serially-propagated message to the next replica on
-// the ring, stopping before it would return to its origin.
-func (r *Replica) forwardChain(p payload) {
+// the ring, stopping before it would return to its origin. The send boxes a
+// copy of the received body: a chain hop has one receiver, so no other
+// handler shares the box it copies, refcount included.
+func (r *Replica) forwardChain(p *payload) {
 	next := r.nextOnRing()
 	if next == p.Stamp.Node() {
 		return
 	}
-	r.send(next, p)
+	r.send(next, *p)
 }
 
 // broadcast transmits p to every follower in this replica's strong-
@@ -508,25 +512,39 @@ func (r *Replica) broadcastRemoteGroups(p payload) {
 // messages here.
 func (r *Replica) HandleNetMessage(m simnet.Message) { r.onMessage(m) }
 
-// onMessage is the network receive entry point: it charges a worker for the
-// handling cost, then dispatches. Message From/To are global node IDs; the
-// dispatch records carry the sender's group rank.
+// onMessage is the network receive entry point: it parks the message, still
+// in its box, and charges a worker for the handling cost; the worker's
+// completion dispatches it (OnEvent). Message From/To are global node IDs;
+// the dispatch records carry the sender's group rank.
 func (r *Replica) onMessage(m simnet.Message) {
 	pp := m.Payload.(*payload)
-	// A box is spent once every message sharing it has been copied out —
-	// its causal history into this replica's dispHist row — and the last
-	// receiver recycles it into its own pool, where the next write reuses
-	// the history storage. Under concurrent logical processes a broadcast
-	// box is decremented by receivers on different goroutines: copyBody
-	// leaves the racing refs bytes unread, and the atomic decrement orders
-	// each receiver's copy-out before the last receiver's put.
-	rec := dispatchRec{from: int32(r.member.rankOf(m.From)), p: pp.copyBody()}
-	hist := rec.p.Cauhist
-	rec.hist, rec.p.Cauhist = len(hist) > 0, nil
-	tok := r.disp.put(rec)
-	if rec.hist {
-		r.dispHist.set(tok, hist)
+	tok := r.disp.put(dispatchRec{p: pp, from: int32(r.member.rankOf(m.From))})
+	if r.watch != nil {
+		r.watch(tok, pp)
 	}
+	service := r.p.MessageHandle
+	if pp.Kind == MsgINV || pp.Kind == MsgUPD {
+		service += r.mem.DDIOFillLatency()
+	}
+	r.work.AcquireEvent(service, r, uint64(tok))
+}
+
+// OnEvent dispatches the message parked at token arg straight from its box.
+// It implements sim.Handler so message handling schedules without a closure
+// per message. A box is spent when the last receiver's handler returns: that
+// receiver recycles it into its own pool, where the next write reuses its
+// history storage. Under concurrent logical processes the receivers of a
+// broadcast read one box on different goroutines; handlers read its fields,
+// not refs (a whole-struct copy would: forwardChain makes one only of a box
+// no other receiver shares), and the atomic decrement orders each receiver's
+// reads before the last receiver's put.
+func (r *Replica) OnEvent(arg uint64) {
+	rec := r.disp.take(int32(arg))
+	pp := rec.p
+	if r.watch != nil {
+		r.watch(int32(arg), pp)
+	}
+	r.dispatch(int(rec.from), pp)
 	if r.atomicRefs {
 		if atomic.AddInt32(&pp.refs, -1) == 0 {
 			r.boxes.put(pp)
@@ -534,28 +552,12 @@ func (r *Replica) onMessage(m simnet.Message) {
 	} else if pp.refs--; pp.refs == 0 {
 		r.boxes.put(pp)
 	}
-	service := r.p.MessageHandle
-	if rec.p.Kind == MsgINV || rec.p.Kind == MsgUPD {
-		service += r.mem.DDIOFillLatency()
-	}
-	r.work.AcquireEvent(service, r, uint64(tok))
 }
 
-// OnEvent dispatches the message parked at token arg. It implements
-// sim.Handler so message handling schedules without a closure per message.
-// The record's slot, and with it the history row, is freed after dispatch,
-// the last reader of the history.
-func (r *Replica) OnEvent(arg uint64) {
-	tok := int32(arg)
-	rec := *r.disp.at(tok)
-	if rec.hist {
-		rec.p.Cauhist = r.dispHist.row(tok)
-	}
-	r.dispatch(int(rec.from), rec.p)
-	r.disp.take(tok)
-}
-
-func (r *Replica) dispatch(from int, p payload) {
+// dispatch runs the handler of a received message. p is its box, shared with
+// the message's other receivers: handlers read it and never write it, and
+// what outlives the handler is copied out (bufHist, sends that box anew).
+func (r *Replica) dispatch(from int, p *payload) {
 	if r.tracer != nil {
 		r.trace("recv %s (from %d)", p.Kind, from)
 	}

@@ -23,7 +23,7 @@ func (scopeDur) startLocalDurability(r *Replica, pw *pendingWrite) {
 
 func (scopeDur) onLocalPersist(r *Replica, pw *pendingWrite) {}
 
-func (scopeDur) onInvReceive(r *Replica, from int, p payload) {
+func (scopeDur) onInvReceive(r *Replica, from int, p *payload) {
 	r.applyVisible(p.Key, p.Stamp)
 	r.deferScopePersist(p.Scope, p.Key, p.Stamp)
 	r.send(from, payload{Kind: MsgACKc, Stamp: p.Stamp, Txn: p.Txn})
@@ -48,7 +48,7 @@ func (scopeDur) onCausalApply(r *Replica, p payload, src int) {
 	r.advanceApplied(src)
 }
 
-func (scopeDur) onFollowerUpdate(r *Replica, from int, p payload) {
+func (scopeDur) onFollowerUpdate(r *Replica, from int, p *payload) {
 	r.deferScopePersist(p.Scope, p.Key, p.Stamp)
 }
 
@@ -126,7 +126,7 @@ func (r *Replica) persistScopeLocal(scope uint64, then cont) {
 }
 
 // onPERSIST handles the scope barrier at a follower.
-func (r *Replica) onPERSIST(from int, p payload) {
+func (r *Replica) onPERSIST(from int, p *payload) {
 	r.persistScopeLocal(p.Scope, cont{kind: contScopeAck, node: int32(from), arg: p.Scope})
 }
 

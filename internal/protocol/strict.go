@@ -33,7 +33,7 @@ func (d strictDur) onLocalPersist(r *Replica, pw *pendingWrite) {
 }
 
 // onInvReceive persists before the volatile replica becomes visible.
-func (strictDur) onInvReceive(r *Replica, from int, p payload) {
+func (strictDur) onInvReceive(r *Replica, from int, p *payload) {
 	r.persist(p.Key, p.Stamp, cont{kind: contApplyAck, node: int32(from), arg: p.Txn})
 }
 
@@ -73,7 +73,7 @@ func (strictDur) onCausalApply(r *Replica, p payload, src int) {
 
 // onFollowerUpdate persists and reports back so the writer's stalled
 // completion can make progress.
-func (strictDur) onFollowerUpdate(r *Replica, from int, p payload) {
+func (strictDur) onFollowerUpdate(r *Replica, from int, p *payload) {
 	r.persist(p.Key, p.Stamp, ackTo(MsgACKp, from, 0))
 }
 

@@ -35,7 +35,7 @@ func (d synchronousDur) onLocalPersist(r *Replica, pw *pendingWrite) { d.maybeFi
 // onInvReceive applies, persists, then ACKs — the follower's acknowledgment
 // implies its NVM copy. Transactional writes ACK on the volatile update and
 // persist at ENDX (Figure 4).
-func (d synchronousDur) onInvReceive(r *Replica, from int, p payload) {
+func (d synchronousDur) onInvReceive(r *Replica, from int, p *payload) {
 	r.applyVisible(p.Key, p.Stamp)
 	if d.transactional && p.Txn != 0 {
 		r.deferTxnPersist(p.Txn, p.Key, p.Stamp)
@@ -91,7 +91,7 @@ func (synchronousDur) onCausalApply(r *Replica, p payload, src int) {
 	r.persist(p.Key, p.Stamp, cont{kind: contAdvance, node: int32(src)})
 }
 
-func (synchronousDur) onFollowerUpdate(r *Replica, from int, p payload) {
+func (synchronousDur) onFollowerUpdate(r *Replica, from int, p *payload) {
 	r.persist(p.Key, p.Stamp, cont{})
 }
 

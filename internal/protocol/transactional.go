@@ -40,7 +40,7 @@ func (transactionalVis) onStrongWriteLaunch(r *Replica, ks *keyState, key uint64
 // its own in-flight transactional write to the key. Wound-wait tie-break:
 // the younger transaction (larger id) is squashed, so exactly one side
 // dies.
-func (transactionalVis) onInvReceive(r *Replica, ks *keyState, from int, p payload) bool {
+func (transactionalVis) onInvReceive(r *Replica, ks *keyState, from int, p *payload) bool {
 	if p.Txn == 0 {
 		return true
 	}
@@ -65,7 +65,7 @@ func (transactionalVis) servesCommitted() bool { return true }
 func (transactionalVis) causalHistory(r *Replica) []uint64     { return nil }
 func (transactionalVis) propagateWeak(r *Replica, upd payload) { r.propagate(upd) }
 
-func (transactionalVis) onUpdate(r *Replica, from int, p payload) {
+func (transactionalVis) onUpdate(r *Replica, from int, p *payload) {
 	r.applyVisible(p.Key, p.Stamp)
 	r.dur.onFollowerUpdate(r, from, p)
 }

@@ -132,7 +132,7 @@ func (r *Replica) maybeInitDone(tx *txnState) {
 
 // onINITX registers a remote transaction at a follower and acknowledges,
 // persisting the event first under Synchronous/Strict persistency.
-func (r *Replica) onINITX(from int, p payload) {
+func (r *Replica) onINITX(from int, p *payload) {
 	r.newTxn(p.Txn, from)
 	r.atTxnBoundary(p.Txn, ackTo(MsgACK, from, p.Txn))
 }
@@ -185,7 +185,7 @@ func (r *Replica) maybeCommit(tx *txnState) {
 
 // onENDX completes a transaction's updates at a follower — including the
 // deferred persists under Synchronous/Strict persistency — then ACKs.
-func (r *Replica) onENDX(from int, p payload) {
+func (r *Replica) onENDX(from int, p *payload) {
 	tx := r.txns[p.Txn]
 	ack := ackTo(MsgACK, from, p.Txn)
 	if tx == nil {
@@ -259,7 +259,7 @@ func (r *Replica) squash(tx *txnState) {
 // The follower never acknowledges the write it NACKed (p.Stamp), so that
 // write can never complete: its pending record goes now. The transaction's
 // other writes keep theirs, and their rounds run to the end.
-func (r *Replica) onNACK(p payload) {
+func (r *Replica) onNACK(p *payload) {
 	if pw := r.pending[p.Stamp]; pw != nil {
 		r.dropPending(pw)
 	}
@@ -270,7 +270,7 @@ func (r *Replica) onNACK(p payload) {
 }
 
 // onABORTX clears a squashed transaction's state at a follower.
-func (r *Replica) onABORTX(p payload) {
+func (r *Replica) onABORTX(p *payload) {
 	tx := r.txns[p.Txn]
 	if tx == nil {
 		return

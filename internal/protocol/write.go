@@ -99,7 +99,7 @@ func (r *Replica) releaseTxnWriteLock(key uint64) {
 // its bookkeeping (read-stall tracking or transactional conflict
 // detection), then the durability policy orders visibility, persistence,
 // and the ACK flavor.
-func (r *Replica) onINV(from int, p payload) {
+func (r *Replica) onINV(from int, p *payload) {
 	if p.Chain {
 		r.forwardChain(p)
 		from = p.Stamp.Node() // ACKs go to the write's coordinator
@@ -112,7 +112,7 @@ func (r *Replica) onINV(from int, p payload) {
 }
 
 // onACK handles a combined consistency+persistency acknowledgment.
-func (r *Replica) onACK(from int, p payload) {
+func (r *Replica) onACK(from int, p *payload) {
 	if p.Stamp.IsZero() && p.Txn != 0 {
 		r.onTxnEventAck(p.Txn)
 		return
@@ -129,7 +129,7 @@ func (r *Replica) onACK(from int, p payload) {
 }
 
 // onACKc handles a consistency-only acknowledgment.
-func (r *Replica) onACKc(p payload) {
+func (r *Replica) onACKc(p *payload) {
 	pw := r.pending[p.Stamp]
 	if pw == nil {
 		return
@@ -141,7 +141,7 @@ func (r *Replica) onACKc(p payload) {
 }
 
 // onACKp handles a persistency-only acknowledgment (per-write or per-scope).
-func (r *Replica) onACKp(p payload) {
+func (r *Replica) onACKp(p *payload) {
 	if p.Stamp.IsZero() && p.Scope != 0 {
 		r.onScopeAck(p.Scope)
 		return
@@ -205,7 +205,7 @@ func (r *Replica) completeWrite(pw *pendingWrite) {
 // onVAL handles VAL / VAL_c at a follower: the write is validated for
 // consistency; stalled reads may resume (unless VAL_p is still required).
 // A VAL carrying only a transaction id is the commit notification.
-func (r *Replica) onVAL(p payload) {
+func (r *Replica) onVAL(p *payload) {
 	if p.Txn != 0 && p.Stamp.IsZero() {
 		r.commitVAL(p.Txn)
 		return
@@ -218,7 +218,7 @@ func (r *Replica) onVAL(p payload) {
 }
 
 // onVALp handles VAL_p at a follower: persistence validated everywhere.
-func (r *Replica) onVALp(p payload) {
+func (r *Replica) onVALp(p *payload) {
 	if p.Scope != 0 {
 		return // scope VAL_p carries no per-key state
 	}
@@ -280,7 +280,7 @@ func (r *Replica) maybeFinishWeakStrictWrite(pw *pendingWrite) {
 }
 
 // onUPD handles a lazy update at a follower.
-func (r *Replica) onUPD(from int, p payload) {
+func (r *Replica) onUPD(from int, p *payload) {
 	if p.Chain {
 		r.forwardChain(p)
 		from = p.Stamp.Node()

@@ -13,11 +13,11 @@ package sim
 //     is what lets stalled reads deplete — but not deadlock — a node's
 //     worker pool, the paper's high-client-count degradation mechanism.
 //
-// The queue is two ring-buffer FIFOs (fixed jobs, holds) ordered by a shared
-// arrival sequence: dispatch pops the earlier head, except that the hold
-// queue is skipped while holds are at the cap, so dispatch is O(1) per started
-// job however deep the backlog; a fixed job that finds a free server and both
-// rings empty skips them. Fixed-job completions are typed engine events
+// The queue is two ring-buffer FIFOs, of 48-byte fixed jobs and 32-byte
+// holds, ordered by a shared arrival sequence: dispatch pops the earlier head,
+// except that the hold ring is skipped while holds are at the cap, so dispatch
+// is O(1) per started job however deep the backlog; a fixed job that finds a
+// free server and both rings empty skips them. Fixed-job completions are typed engine events
 // (Handler + token into a recycled record slab) and a hold is its Holder plus
 // the Hold token it hands back, so the steady-state dispatch cycle allocates
 // nothing for either flavor (TestPoolDeepQueueAllocs, TestPoolHoldAllocs).
@@ -28,9 +28,9 @@ type Pool struct {
 
 	busy  int
 	holds int
-	fifo  jobRing // fixed-service jobs
-	holdq jobRing // hold jobs, capped at maxHolds running
-	seq   uint64  // arrival order across both rings
+	fifo  ring[fixedJob] // fixed-service jobs
+	holdq ring[holdJob]  // hold jobs, capped at maxHolds running
+	seq   uint64         // arrival order across both rings
 
 	done     []doneRec // fixed-job completion records, freelist-recycled
 	doneFree int32
@@ -41,15 +41,20 @@ type Pool struct {
 	sumWait int64
 }
 
-// poolJob is one queued request: a fixed job (service, and an optional
-// completion h.OnEvent(arg)) or a hold job (hold).
-type poolJob struct {
+// fixedJob is one queued fixed-service request, completed by h.OnEvent(arg).
+type fixedJob struct {
 	seq     uint64 // arrival order across the two rings
 	at      int64  // enqueue time
 	service int64
 	h       Handler
 	arg     uint64
-	hold    Holder
+}
+
+// holdJob is one queued hold request.
+type holdJob struct {
+	seq  uint64 // arrival order across the two rings
+	at   int64  // enqueue time
+	hold Holder
 }
 
 // Holder is a hold job: OnHold runs once a server is acquired, and the job
@@ -73,16 +78,16 @@ type doneRec struct {
 	next int32 // freelist link
 }
 
-// jobRing is a growable FIFO ring buffer of poolJobs.
-type jobRing struct {
-	buf  []poolJob
+// ring is a growable FIFO ring buffer of queued jobs.
+type ring[T any] struct {
+	buf  []T
 	head int
 	n    int
 }
 
-func (r *jobRing) push(j poolJob) {
+func (r *ring[T]) push(j T) {
 	if r.n == len(r.buf) {
-		grown := make([]poolJob, max(4, 2*len(r.buf)))
+		grown := make([]T, max(4, 2*len(r.buf)))
 		n := copy(grown, r.buf[r.head:]) // the ring is full: unwrap it, oldest first
 		copy(grown[n:], r.buf[:r.head])
 		r.buf = grown
@@ -92,11 +97,11 @@ func (r *jobRing) push(j poolJob) {
 	r.n++
 }
 
-func (r *jobRing) front() *poolJob { return &r.buf[r.head] }
+func (r *ring[T]) front() *T { return &r.buf[r.head] }
 
-func (r *jobRing) pop() poolJob {
+func (r *ring[T]) pop() T {
 	j := r.buf[r.head]
-	r.buf[r.head] = poolJob{} // release the handlers for GC
+	r.buf[r.head] = *new(T) // release the handlers for GC
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return j
@@ -127,7 +132,7 @@ func (p *Pool) AcquireEvent(service int64, h Handler, arg uint64) {
 		return
 	}
 	p.seq++
-	p.fifo.push(poolJob{seq: p.seq, at: p.eng.Now(), service: service, h: h, arg: arg})
+	p.fifo.push(fixedJob{seq: p.seq, at: p.eng.Now(), service: service, h: h, arg: arg})
 	p.dispatch()
 }
 
@@ -141,7 +146,7 @@ func (p *Pool) AcquireHold(j Holder) {
 		return
 	}
 	p.seq++
-	p.holdq.push(poolJob{seq: p.seq, at: p.eng.Now(), hold: j})
+	p.holdq.push(holdJob{seq: p.seq, at: p.eng.Now(), hold: j})
 	p.dispatch()
 }
 
@@ -170,30 +175,31 @@ func (p *Pool) dispatch() {
 		holdOK := p.holdq.n > 0 && p.holds < p.maxHolds
 		switch {
 		case p.fifo.n > 0 && (!holdOK || p.fifo.front().seq < p.holdq.front().seq):
-			p.startJob(p.fifo.pop())
+			j := p.fifo.pop()
+			p.waited(j.at)
+			p.startFixed(j.service, j.h, j.arg)
 		case holdOK:
-			p.startJob(p.holdq.pop())
+			j := p.holdq.pop()
+			p.busy++
+			p.holds++
+			j.hold.OnHold(Hold(p.waited(j.at)))
 		default:
 			return
 		}
 	}
 }
 
-func (p *Pool) startJob(j poolJob) {
+// waited counts a queued job that starts now after waiting since at, and
+// returns now.
+func (p *Pool) waited(at int64) int64 {
 	now := p.eng.Now()
-	wait := now - j.at
+	wait := now - at
 	p.jobs++
 	p.sumWait += wait
 	if wait > p.maxWait {
 		p.maxWait = wait
 	}
-	if j.hold != nil {
-		p.busy++
-		p.holds++
-		j.hold.OnHold(Hold(now))
-		return
-	}
-	p.startFixed(j.service, j.h, j.arg)
+	return now
 }
 
 // startFixed occupies a server for service ns: it parks the completion
