@@ -32,6 +32,10 @@ fmt:
 #     records a coordinator holds under transactional conflicts, and the
 #     received message read in its box (every binding, flat and sharded,
 #     with spent boxes reused while messages wait for a busy worker pool);
+#   - the two record recyclers every pool above runs on (sim.Slab's token
+#     reuse and FIFOs, sim.FreeList's LIFO reuse, one allocation per chunk
+#     and allocation-free Gets after Reserve), and the per-field errors for
+#     the composed NVM device config and negative simulated costs;
 #   - the LP engine against the sequential one and the 5x5 golden under 4 LP
 #     workers, under the race detector again by name: the receivers of a
 #     broadcast read one payload box on different goroutines until each
@@ -78,6 +82,7 @@ check: vet fmt
 	(cd bench && $(GO) test .)
 	$(GO) test ./internal/protocol/ -run 'HotPathAllocs|TestRoundAllocsAcrossBindings|TestPendingWritesBounded|TestReceivedMessageReadInItsBox'
 	$(GO) test ./internal/cluster/ -run 'TestCellAllocsPerOp|TestConstructionObjectsPerClient|TestRoutedClientZeroAlloc|TestOpenLoopSessionPoolZeroAlloc|TestFwdBatchZeroAlloc'
+	$(GO) test ./internal/sim/ ./internal/params/ ./internal/cluster/ -run '^(TestSlabRecyclesAndZeroes|TestSlabFIFO|TestCarveListsDoNotOverlap|TestFreeListReuse|TestFreeListAllocs|TestValidateCatchesBadValues|TestConfigValidation)$$'
 	$(GO) test -race ./internal/cluster/ -run 'TestLPMatchesSequentialDifferential|TestLPWorkerCountInvariance'
 	$(GO) test -race ./internal/harness/ -run 'TestGolden5x5ByteIdentical/IntraParallel=4'
 	$(GO) test -race ./internal/sim/ -run TestBarrierArrivalsMatchSendTime

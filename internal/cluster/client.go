@@ -123,7 +123,7 @@ func (c *client) next() {
 // configurations reject those models).
 func (c *client) issueOne() {
 	c.outstanding++
-	q := c.rt.getReq()
+	q := c.rt.reqs.Get(1)
 	q.op = c.gen.Next()
 	if q.op.Kind != ycsb.OpRead {
 		q.scope = c.curScope() // scans ignore it

@@ -399,11 +399,18 @@ func (cfg Config) netConfig() simnet.Config {
 	return nc
 }
 
+// nvmConfig composes each node's NVM device configuration for cfg.
+func (cfg Config) nvmConfig() nvm.Config {
+	p := cfg.Params
+	return nvm.NVMConfig(p.NVMReadLat, p.NVMWriteLat, p.NVMChannels, p.NVMBanks)
+}
+
 // Validate reports the first configuration error: parameter ranges, the
 // engine name, the workload mix, the run window, model/topology compatibility
-// and the composed network configuration (simnet.Config.Validate /
-// ValidateLP). New runs it, so every knob fails through this one path with
-// one message style; sweep builders can also check cells up front.
+// and the composed network and device configurations (simnet.Config.Validate
+// / ValidateLP, nvm.Config.Validate). New runs it, so every knob fails
+// through this one path with one message style; sweep builders can also
+// check cells up front.
 func (cfg Config) Validate() error {
 	cfg = cfg.withDefaults()
 	if err := cfg.Params.Validate(); err != nil {
@@ -486,6 +493,9 @@ func (cfg Config) Validate() error {
 	if err := cfg.netConfig().Validate(); err != nil {
 		return err
 	}
+	if err := cfg.nvmConfig().Validate(); err != nil {
+		return err
+	}
 	if cfg.useLP() {
 		if err := cfg.netConfig().ValidateLP(); err != nil {
 			return fmt.Errorf("cluster: IntraParallel=%d: %w", cfg.IntraParallel, err)
@@ -503,7 +513,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	p := cfg.Params
-	netCfg := cfg.netConfig()
+	netCfg, nvmCfg := cfg.netConfig(), cfg.nvmConfig()
 	useLP := cfg.useLP()
 
 	c := &Cluster{Cfg: cfg, impl: core.ImplOf(cfg.Model)}
@@ -563,7 +573,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		dev := nvm.New(eng, nvm.NVMConfig(p.NVMReadLat, p.NVMWriteLat, p.NVMChannels, p.NVMBanks))
+		dev := nvm.New(eng, nvmCfg)
 		workers := sim.NewPool(eng, p.WorkersPerServer)
 		c.Devices = append(c.Devices, dev)
 		c.Workers = append(c.Workers, workers)
@@ -653,7 +663,7 @@ func New(cfg Config) (*Cluster, error) {
 	txn := c.impl.C == core.Transactional
 	c.Clients = make([]*client, 0, p.Servers*p.ClientsPerServer)
 	for n, ns := range c.nodes {
-		c.routers[n].prewarm(p.ClientsPerServer * max(p.ClientWindow, 1))
+		c.routers[n].reqs.Reserve(p.ClientsPerServer * max(p.ClientWindow, 1))
 		ns.clients = make([]client, p.ClientsPerServer)
 		var ops []ycsb.Op
 		var first []int64
@@ -795,7 +805,7 @@ func Run(cfg Config) (*Result, error) {
 	return runBuilt(c)
 }
 
-// runBuilt runs an already-constructed cluster (tests prewarm pools between
+// runBuilt runs an already-constructed cluster (tests reserve records between
 // New and the run) and closes it.
 func runBuilt(c *Cluster) (*Result, error) {
 	defer c.Close()

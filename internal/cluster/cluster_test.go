@@ -182,6 +182,21 @@ func TestConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "simnet: Nodes") {
 		t.Fatalf("%d servers: got %v, want the simnet Nodes error", cfg.Params.Servers, err)
 	}
+	// The composed device configuration fails the same way, from New and
+	// not as a panic inside it.
+	for _, tc := range []struct {
+		field string
+		edit  func(*params.Params)
+	}{
+		{"ReadLat", func(p *params.Params) { p.NVMReadLat = 0 }},
+		{"WriteLat", func(p *params.Params) { p.NVMWriteLat = -1 }},
+	} {
+		cfg = smallConfig(core.Baseline)
+		tc.edit(&cfg.Params)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "nvm: "+tc.field+" must") {
+			t.Fatalf("got %v, want the nvm %s error", err, tc.field)
+		}
+	}
 }
 
 // TestConfigValidateRunWindowAndWorkload: a negative run window and a

@@ -1,6 +1,9 @@
 package cluster
 
-import "repro/internal/simnet"
+import (
+	"repro/internal/sim"
+	"repro/internal/simnet"
+)
 
 // fwdbatch.go implements doorbell batching on the router's forwarding path
 // (Config.FwdBatch > 0): routed requests and responses headed to the same
@@ -38,7 +41,7 @@ type fwdBatch struct {
 	deadline int64   // sender-side: when the doorbell timer fires
 	bytes    int     // summed per-op body bytes (headers amortize)
 	ops      []*request
-	next     *fwdBatch // freelist link
+	sim.Link[fwdBatch]
 }
 
 // fwdBatcher is one router's sender-side batching state.
@@ -47,7 +50,7 @@ type fwdBatcher struct {
 	limit  int         // flush at this many ops
 	window int64       // ns a partial batch waits for company
 	pend   []*fwdBatch // open batch per destination node (nil = none)
-	free   *fwdBatch
+	free   sim.FreeList[fwdBatch, *fwdBatch]
 }
 
 func newFwdBatcher(rt *router, limit int, window int64) *fwdBatcher {
@@ -57,21 +60,16 @@ func newFwdBatcher(rt *router, limit int, window int64) *fwdBatcher {
 	}
 }
 
-func (fb *fwdBatcher) get() *fwdBatch {
-	if b := fb.free; b != nil {
-		fb.free = b.next
-		return b
-	}
-	return &fwdBatch{ops: make([]*request, 0, fb.limit)}
-}
-
 // add queues q for destination to, opening a batch (and arming its doorbell
 // timer) when none is pending and flushing when the op budget fills. body is
 // the op's payload size beyond the shared message header.
 func (fb *fwdBatcher) add(q *request, to, body int) {
 	b := fb.pend[to]
 	if b == nil {
-		b = fb.get()
+		b = fb.free.Get(1)
+		if b.ops == nil {
+			b.ops = make([]*request, 0, fb.limit)
+		}
 		b.deadline = fb.rt.ns.eng.Now() + fb.window
 		fb.pend[to] = b
 		fb.rt.ns.eng.AtEvent(b.deadline, fb, uint64(to))
@@ -115,8 +113,9 @@ func (fb *fwdBatcher) flush(to int) {
 // charged to one worker — the whole batch amortizes a single MessageHandle.
 // Each entry then takes its normal hop: requests execute on the local
 // replica, responses complete at their waiting client. The record recycles
-// into the receiving router's freelist once drained (batches migrate with
-// traffic, like requests, so pools balance without cross-LP frees).
+// into the receiving router's batcher once drained, keeping its ops capacity
+// (batches migrate with traffic, like requests, so pools balance without
+// cross-LP frees).
 func (b *fwdBatch) OnEvent(uint64) {
 	rt := b.rt
 	for i, q := range b.ops {
@@ -130,16 +129,5 @@ func (b *fwdBatch) OnEvent(uint64) {
 	}
 	b.ops = b.ops[:0]
 	b.bytes = 0
-	b.next = rt.fb.free
-	rt.fb.free = b
-}
-
-// prewarm fills the freelist so the first n concurrent batches allocate
-// nothing (the zero-alloc guard pins this).
-func (fb *fwdBatcher) prewarm(n int) {
-	for i := 0; i < n; i++ {
-		b := fb.get()
-		b.next = fb.free
-		fb.free = b
-	}
+	rt.fb.free.Put(b)
 }

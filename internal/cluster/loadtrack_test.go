@@ -430,23 +430,22 @@ func TestFwdBatchZeroAlloc(t *testing.T) {
 	cl := &Cluster{Cfg: Config{Params: params.Default()}.withDefaults()}
 	rt := &router{cl: cl, ns: &nodeState{eng: eng, measureSet: new(measureSet)}, net: net, node: 0}
 	rt.fb = newFwdBatcher(rt, 8, 500)
-	rt.prewarm(64)
-	rt.fb.prewarm(8)
+	rt.reqs.Reserve(64)
+	rt.fb.free.Reserve(8)
 	net.Register(0, func(m simnet.Message) {})
 	net.Register(1, func(m simnet.Message) {
 		b := m.Payload.(*fwdBatch)
 		for i, q := range b.ops {
 			b.ops[i] = nil
-			rt.putReq(q)
+			rt.reqs.Put(q)
 		}
 		b.ops = b.ops[:0]
 		b.bytes = 0
-		b.next = rt.fb.free
-		rt.fb.free = b
+		rt.fb.free.Put(b)
 	})
 	allocs := testing.AllocsPerRun(200, func() {
 		for k := uint64(0); k < 24; k++ { // 3 full batches of 8
-			q := rt.getReq()
+			q := rt.reqs.Get(1)
 			q.op = ycsb.Op{Kind: ycsb.OpWrite, Key: k}
 			rt.forward(q, 1)
 		}

@@ -16,7 +16,7 @@ import (
 // its arrival event fires.
 //
 // Each in-flight request is one request record from the node's router
-// freelist (request.go), with client -1: a steady-state issue+complete cycle
+// (request.go), with client -1: a steady-state issue+complete cycle
 // allocates nothing, and a million concurrent sessions cost O(in-flight
 // records), not O(clients) goroutine-style state machines.
 type openSource struct {
@@ -90,7 +90,7 @@ func (o *openSource) issue(now int64) {
 		// Hot-key storm: redirect onto the hottest ranks.
 		op.Key = o.kc.KeyOfRank(o.rng.Intn(spec.HotKeys))
 	}
-	q := o.rt.getReq()
+	q := o.rt.reqs.Get(1)
 	q.op = op
 	q.at = now
 	q.client = -1

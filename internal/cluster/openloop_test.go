@@ -147,7 +147,7 @@ func TestOpenLoopCoordinatedOmissionSafety(t *testing.T) {
 }
 
 // TestOpenLoopSessionPoolZeroAlloc pins the session-table claim at scale: with
-// a million prewarmed idle request records, the issue-side machinery — record
+// a million reserved idle request records, the issue-side machinery — record
 // checkout, workload draw, arrival-stream draw, record return — allocates
 // nothing.
 func TestOpenLoopSessionPoolZeroAlloc(t *testing.T) {
@@ -159,14 +159,14 @@ func TestOpenLoopSessionPoolZeroAlloc(t *testing.T) {
 	}
 	defer c.Close()
 	o := c.Sources[0]
-	o.rt.prewarm(1_000_000)
+	o.rt.reqs.Reserve(1_000_000)
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 64; i++ {
-			q := o.rt.getReq()
+			q := o.rt.reqs.Get(1)
 			q.op = o.gen.Next()
 			q.at = o.arr.Next()
 			q.client = -1
-			o.rt.putReq(q)
+			o.rt.reqs.Put(q)
 		}
 	})
 	if allocs > 0 {
@@ -192,9 +192,9 @@ func TestOpenLoopMillionSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Prewarm the pool so the 1M ramp itself is allocation-free on the
+	// Reserve records so the 1M ramp itself is allocation-free on the
 	// session layer (records still cost memory — that is the O(in-flight)).
-	c.routers[0].prewarm(1_250_000)
+	c.routers[0].reqs.Reserve(1_250_000)
 	res, err := runBuilt(c)
 	if err != nil {
 		t.Fatal(err)

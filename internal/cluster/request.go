@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/ycsb"
 )
@@ -13,15 +14,15 @@ import (
 // protocol.Completer and, on a forwarded op, the network payload and the
 // worker-pool job of each hop, so an op carries no closure anywhere.
 //
-// Records recycle through the issuing router's freelist: a steady-state op
-// allocates nothing. Ownership moves with delivery: the origin fills the
+// Records recycle through the issuing router's reqs, zeroed: a steady-state
+// op allocates nothing. Ownership moves with delivery: the origin fills the
 // request fields, the executor reads them and writes the result, and the
 // origin reads the result and recycles the record — so each field is only
 // ever touched by the logical process that currently holds the record, with
 // the epoch barrier ordering the hand-offs.
 type request struct {
-	rt   *router  // the router holding the record (set on each hop)
-	next *request // origin freelist link
+	rt *router // the router holding the record (set on each hop)
+	sim.Link[request]
 
 	op     ycsb.Op // kind, key, scan length
 	scope  uint64  // persist scope (closed loop under Scope persistency)
@@ -97,38 +98,12 @@ func (q *request) respond() {
 	})
 }
 
-// getReq takes a record from the freelist, or a fresh one.
-func (rt *router) getReq() *request {
-	if q := rt.free; q != nil {
-		rt.free = q.next
-		q.next = nil
-		return q
-	}
-	return new(request)
-}
-
-// putReq returns a spent record to the freelist.
-func (rt *router) putReq(q *request) {
-	*q = request{next: rt.free}
-	rt.free = q
-}
-
-// prewarm fills the freelist from one slab of n records, so the first n
-// concurrent requests allocate nothing. New sizes it to what the node's
-// closed-loop clients can have in flight; the zero-alloc and million-session
-// guards prewarm the open loop.
-func (rt *router) prewarm(n int) {
-	recs := make([]request, n)
-	for i := range recs {
-		rt.putReq(&recs[i])
-	}
-}
-
-// finish completes q at its origin: the record goes back to the freelist and
-// v to the client or open-loop source that issued it.
+// finish completes q at its origin: the record goes back to the router's
+// reqs and v to the client or open-loop source that issued it.
 func (rt *router) finish(q *request, v uint64) {
 	op, scope, at, client := q.op, q.scope, q.at, q.client
-	rt.putReq(q)
+	*q = request{}
+	rt.reqs.Put(q)
 	if client < 0 {
 		rt.ns.src.done(op, at, v)
 		return

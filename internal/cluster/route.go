@@ -64,7 +64,7 @@ type router struct {
 	// Forwarding batcher (nil when Config.FwdBatch == 0).
 	fb *fwdBatcher
 
-	free *request // spent records (request.go)
+	reqs sim.FreeList[request, *request] // request records (request.go)
 
 	// Operation accounting over the measurement window.
 	localOps uint64 // ops whose key this node's own shard owns

@@ -299,16 +299,16 @@ func TestRoutedClientZeroAlloc(t *testing.T) {
 	}
 	defer c.Close()
 	rt := c.routers[0]
-	rt.prewarm(256)
+	rt.reqs.Reserve(256)
 	var sink int
 	allocs := testing.AllocsPerRun(200, func() {
 		for k := uint64(0); k < 64; k++ {
 			shard, node := rt.place(k, true)
 			sink += shard + node
-			q := rt.getReq()
+			q := rt.reqs.Get(1)
 			q.op = ycsb.Op{Kind: ycsb.OpRead, Key: k}
 			q.origin = int32(rt.node)
-			rt.putReq(q)
+			rt.reqs.Put(q)
 		}
 	})
 	if allocs > 0 {

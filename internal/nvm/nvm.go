@@ -58,10 +58,9 @@ type Device struct {
 	bank   [][]int64 // next-free time per [channel][bank]
 	chFree []int64   // next-free time per channel bus
 
-	// In-flight completion handlers, parked in a freelist-recycled slab so
-	// each access schedules a typed (closure-free) completion event.
-	acc     []accRec
-	accFree int32
+	// In-flight completion handlers, parked so each access schedules a typed
+	// (closure-free) completion event.
+	acc sim.Slab[sim.Call]
 
 	reads     uint64
 	writes    uint64
@@ -72,21 +71,13 @@ type Device struct {
 	queued    int
 }
 
-// accRec parks one access's completion, a pre-bound (Handler, arg) pair,
-// across its event.
-type accRec struct {
-	h    sim.Handler
-	arg  uint64
-	next int32 // freelist link
-}
-
 // New creates a device on the given engine. The configuration must pass
 // Validate.
 func New(eng *sim.Engine, cfg Config) *Device {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	d := &Device{eng: eng, cfg: cfg, chFree: make([]int64, cfg.Channels), accFree: -1}
+	d := &Device{eng: eng, cfg: cfg, chFree: make([]int64, cfg.Channels)}
 	d.bank = make([][]int64, cfg.Channels)
 	for i := range d.bank {
 		d.bank[i] = make([]int64, cfg.Banks)
@@ -109,7 +100,7 @@ func (d *Device) placement(addr uint64) (int, int) {
 
 // access schedules one operation of the given service time against addr's
 // bank and returns the completion time.
-func (d *Device) access(addr uint64, service int64, rec accRec) int64 {
+func (d *Device) access(addr uint64, service int64, done sim.Call) int64 {
 	ch, bk := d.placement(addr)
 	now := d.eng.Now()
 	start := d.bank[ch][bk]
@@ -132,29 +123,16 @@ func (d *Device) access(addr uint64, service int64, rec accRec) int64 {
 	if d.queued > d.maxQueued {
 		d.maxQueued = d.queued
 	}
-	ni := d.accFree
-	if ni >= 0 {
-		d.accFree = d.acc[ni].next
-		d.acc[ni] = rec
-	} else {
-		d.acc = append(d.acc, rec)
-		ni = int32(len(d.acc) - 1)
-	}
-	d.eng.AtEvent(end, d, uint64(ni))
+	d.eng.AtEvent(end, d, uint64(d.acc.Put(done)))
 	return end
 }
 
-// OnEvent completes the access parked at token arg: it recycles the slab
-// record and fires its handler. It implements sim.Handler so completions
+// OnEvent completes the access parked at token arg: it frees the token and
+// runs the completion. It implements sim.Handler so completions
 // schedule without allocating a closure.
 func (d *Device) OnEvent(arg uint64) {
-	rec := d.acc[arg]
-	d.acc[arg] = accRec{next: d.accFree}
-	d.accFree = int32(arg)
 	d.queued--
-	if rec.h != nil {
-		rec.h.OnEvent(rec.arg)
-	}
+	d.acc.Take(int32(arg)).Run()
 }
 
 // WriteEvent persists one value identified by addr; h.OnEvent(arg) fires
@@ -162,14 +140,14 @@ func (d *Device) OnEvent(arg uint64) {
 // completion time.
 func (d *Device) WriteEvent(addr uint64, h sim.Handler, arg uint64) int64 {
 	d.writes++
-	return d.access(addr, d.cfg.WriteLat, accRec{h: h, arg: arg})
+	return d.access(addr, d.cfg.WriteLat, sim.Call{H: h, Arg: arg})
 }
 
 // ReadEvent fetches one value; h.OnEvent(arg) fires at completion (h may be
 // nil). It returns the simulated completion time.
 func (d *Device) ReadEvent(addr uint64, h sim.Handler, arg uint64) int64 {
 	d.reads++
-	return d.access(addr, d.cfg.ReadLat, accRec{h: h, arg: arg})
+	return d.access(addr, d.cfg.ReadLat, sim.Call{H: h, Arg: arg})
 }
 
 // Writes returns the number of writes issued.

@@ -177,6 +177,27 @@ func (p Params) Validate() error {
 	case p.ValueSize < 1:
 		return fmt.Errorf("params: ValueSize must be >= 1, got %d", p.ValueSize)
 	}
+	// Simulated costs: zero is free, a negative one would run time backwards.
+	for _, c := range []struct {
+		name string
+		v    int64
+	}{
+		{"RequestCompute", p.RequestCompute},
+		{"MessageHandle", p.MessageHandle},
+		{"EngineOpExtra", p.EngineOpExtra},
+		{"EventualLag", p.EventualLag},
+		{"LazyPersist", p.LazyPersist},
+		{"RetryBackoff", p.RetryBackoff},
+		{"MsgHeaderSize", int64(p.MsgHeaderSize)},
+		{"L1Latency", p.L1Latency},
+		{"L2Latency", p.L2Latency},
+		{"LLCLatency", p.LLCLatency},
+		{"DRAMLatency", p.DRAMLatency},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("params: %s must be >= 0, got %d", c.name, c.v)
+		}
+	}
 	return nil
 }
 

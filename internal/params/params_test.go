@@ -60,6 +60,17 @@ func TestValidateCatchesBadValues(t *testing.T) {
 		{"xact", func(p *Params) { p.XactionSize = 0 }, "XactionSize"},
 		{"scope", func(p *Params) { p.ScopeSize = 0 }, "ScopeSize"},
 		{"value", func(p *Params) { p.ValueSize = 0 }, "ValueSize"},
+		{"compute", func(p *Params) { p.RequestCompute = -1 }, "RequestCompute must"},
+		{"handle", func(p *Params) { p.MessageHandle = -1 }, "MessageHandle must"},
+		{"engineop", func(p *Params) { p.EngineOpExtra = -1 }, "EngineOpExtra must"},
+		{"evlag", func(p *Params) { p.EventualLag = -1 }, "EventualLag must"},
+		{"lazy", func(p *Params) { p.LazyPersist = -1 }, "LazyPersist must"},
+		{"backoff", func(p *Params) { p.RetryBackoff = -1 }, "RetryBackoff must"},
+		{"header", func(p *Params) { p.MsgHeaderSize = -1 }, "MsgHeaderSize must"},
+		{"l1", func(p *Params) { p.L1Latency = -1 }, "L1Latency must"},
+		{"l2", func(p *Params) { p.L2Latency = -1 }, "L2Latency must"},
+		{"llc", func(p *Params) { p.LLCLatency = -1 }, "LLCLatency must"},
+		{"dram", func(p *Params) { p.DRAMLatency = -1 }, "DRAMLatency must"},
 	}
 	for _, tc := range cases {
 		p := Default()
@@ -71,6 +82,14 @@ func TestValidateCatchesBadValues(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+	// A cost of zero is free, not invalid.
+	p := Default()
+	p.RequestCompute, p.MessageHandle, p.EngineOpExtra, p.EventualLag = 0, 0, 0, 0
+	p.LazyPersist, p.RetryBackoff, p.MsgHeaderSize = 0, 0, 0
+	p.L1Latency, p.L2Latency, p.LLCLatency, p.DRAMLatency = 0, 0, 0, 0
+	if err := p.Validate(); err != nil {
+		t.Fatalf("zero costs rejected: %v", err)
 	}
 }
 

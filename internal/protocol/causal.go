@@ -105,7 +105,7 @@ func (r *Replica) causalDeliver(p *payload) {
 	}
 	r.M.BufferedUpdates++
 	r.M.BufferSum += uint64(r.bufCount)
-	i := r.bufs.put(bufferedUpd{key: p.Key, stamp: p.Stamp, scope: p.Scope})
+	i := r.bufs.Put(bufferedUpd{key: p.Key, stamp: p.Stamp, scope: p.Scope})
 	r.bufHist.set(i, p.Cauhist)
 	r.fileBuffered(i)
 	if r.bufCount > r.M.BufferPeak {
@@ -133,7 +133,7 @@ func (r *Replica) causalApplicable(src int, vc vclock.VC) bool {
 // unsatisfied dependency. If every dependency is already satisfied it frees
 // the slot and applies (or drops a stale duplicate) immediately.
 func (r *Replica) fileBuffered(b int32) {
-	src := r.bufs.at(b).stamp.Node()
+	src := r.bufs.At(b).stamp.Node()
 	vc := r.bufHist.row(b)
 	for i, v := range vc {
 		need := v
@@ -145,14 +145,14 @@ func (r *Replica) fileBuffered(b int32) {
 				r.waiting[i] = make(map[uint64]int32)
 			}
 			tail := r.waiting[i][need]
-			r.bufs.link(&tail, b)
+			r.bufs.Link(&tail, b)
 			r.waiting[i][need] = tail
 			r.bufCount++
 			return
 		}
 	}
 	stale := r.appliedVC[src] >= vc[src]
-	u := r.bufs.take(b) // after the last read of the history
+	u := r.bufs.Take(b) // after the last read of the history
 	if stale {
 		return // stale duplicate
 	}
@@ -178,9 +178,9 @@ func (r *Replica) advanceApplied(node int) {
 			continue
 		}
 		delete(r.waiting[a.node], a.v)
-		for head := r.bufs.detach(&tail); head != 0; {
+		for head := r.bufs.Detach(&tail); head != 0; {
 			b := head
-			head = *r.bufs.next(b)
+			head = *r.bufs.Next(b)
 			r.bufCount--
 			r.fileBuffered(b)
 		}

@@ -43,7 +43,7 @@ func (d completion) fire(v uint64) { d.c.Complete(d.tok, v) }
 // clientOp carries one client request through the replica: worker
 // acquisition, service time, the operation's own steps, completion. The
 // record is its own sim.Handler and sim.Holder, so no step of the pipeline
-// schedules a closure, and it recycles through the replica's freelist: the
+// schedules a closure, and it recycles through the replica's ops: the
 // steady-state request path allocates nothing beyond what the protocol round
 // itself books.
 type clientOp struct {
@@ -62,7 +62,7 @@ type clientOp struct {
 	stalled bool
 	ver     Stamp
 
-	next *clientOp // freelist link
+	sim.Link[clientOp]
 }
 
 type opKind uint8
@@ -85,23 +85,16 @@ const (
 )
 
 func (r *Replica) newOp(kind opKind) *clientOp {
-	op := r.opFree
-	if op == nil {
-		op = carve(&r.opSlab, recordChunk)
-		op.r = r
-	} else {
-		r.opFree = op.next
-		op.next = nil
-	}
-	op.kind = kind
+	op := r.ops.Get(recordChunk)
+	op.r, op.kind = r, kind
 	return op
 }
 
-// recycle returns op to the freelist, dropping its completion.
+// recycle returns op to r.ops, zeroed but for r.
 func (op *clientOp) recycle() {
 	r := op.r
-	*op = clientOp{r: r, next: r.opFree}
-	r.opFree = op
+	*op = clientOp{r: r}
+	r.ops.Put(op)
 }
 
 // opServiceTime is the worker time a data request costs before it touches

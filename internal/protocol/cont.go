@@ -97,9 +97,9 @@ func (r *Replica) run(c cont, key uint64, st Stamp) {
 			r.dur.onLocalPersist(r, pw)
 		}
 	case contFanIn:
-		f := r.fanIns.at(int32(c.arg))
+		f := r.fanIns.At(int32(c.arg))
 		if f.left--; f.left == 0 {
-			r.run(r.fanIns.take(int32(c.arg)).then, 0, 0)
+			r.run(r.fanIns.Take(int32(c.arg)).then, 0, 0)
 		}
 	case contTxnInit:
 		if tx := r.txns[c.arg]; tx != nil {
@@ -145,13 +145,13 @@ type contRec struct {
 type contDone struct{ r *Replica }
 
 func (cd *contDone) OnEvent(tok uint64) {
-	rec := cd.r.conts.take(int32(tok))
+	rec := cd.r.conts.Take(int32(tok))
 	cd.r.run(rec.c, rec.key, rec.st)
 }
 
 // after runs c for (key, st) once delay has elapsed.
 func (r *Replica) after(delay int64, c cont, key uint64, st Stamp) {
-	r.eng.ScheduleEvent(delay, &r.contC, uint64(r.conts.put(contRec{key: key, st: st, c: c})))
+	r.eng.ScheduleEvent(delay, &r.contC, uint64(r.conts.Put(contRec{key: key, st: st, c: c})))
 }
 
 // fanIn is one persistItems batch in flight: items still to persist, and the
@@ -167,7 +167,7 @@ func (r *Replica) persistItems(items []persistItem, then cont) {
 		r.run(then, 0, 0)
 		return
 	}
-	each := cont{kind: contFanIn, arg: uint64(r.fanIns.put(fanIn{left: len(items), then: then}))}
+	each := cont{kind: contFanIn, arg: uint64(r.fanIns.Put(fanIn{left: len(items), then: then}))}
 	for _, it := range items {
 		r.persist(it.key, it.stamp, each)
 	}
@@ -176,5 +176,5 @@ func (r *Replica) persistItems(items []persistItem, then cont) {
 // persistEvent persists a non-key protocol event (transaction begin) to NVM.
 func (r *Replica) persistEvent(addr uint64, then cont) {
 	r.M.Persists++
-	r.dev.WriteEvent(addr, &r.contC, uint64(r.conts.put(contRec{c: then})))
+	r.dev.WriteEvent(addr, &r.contC, uint64(r.conts.Put(contRec{c: then})))
 }

@@ -23,10 +23,13 @@
 // replica.go (state, messaging, persist coalescing, read stalls), clientop.go
 // (the client request pipeline), write.go (write rounds), causal.go (reorder
 // buffer), txn.go (transaction lifecycle), cont.go (continuations as data)
-// and slab.go (the recycled record stores behind them).
+// and slab.go (stamp sets, and the chunk size of the recycled records).
 package protocol
 
-import "repro/internal/vclock"
+import (
+	"repro/internal/sim"
+	"repro/internal/vclock"
+)
 
 // MsgKind enumerates Table 3's protocol messages, plus the two auxiliary
 // messages (NACK, ABORTX) of the transactional conflict-handling
@@ -98,50 +101,42 @@ type payload struct {
 	// only in the boxed instance; value copies carry it inertly. Not part of
 	// the wire format.
 	refs int32
+
+	sim.Link[payload]
 }
 
-// payloadChunk is how many payloads one slab block amortizes (see BoxPool).
+// payloadChunk is how many boxes, or box histories, one allocation carves.
 const payloadChunk = 64
 
 // BoxPool recycles the boxes payloads travel in (a pointer boxes into
 // simnet.Message.Payload without allocating): the sender takes a box, a
 // received message waits for its worker in it and its handler reads it
-// there, and a box is spent when the last receiver's handler returns — that
-// receiver puts it back (Replica.OnEvent). An empty free stack carves from a
-// chunked slab. Senders and receivers are not balanced — a pool per replica
-// fills with its receive surplus while its peers carve — so one pool serves
-// every replica of a sequential cluster and holds no more boxes than were
-// ever held at once. The zero value is ready to use.
+// there, and the last receiver puts it back once its handler returns
+// (Replica.OnEvent). Senders and receivers are not balanced — a pool per
+// replica fills with its receive surplus while its peers carve — so one pool
+// serves every replica of a sequential cluster. The zero value is ready to
+// use.
 //
-// A box owns the storage of the causal history it carries: box copies the
-// sender's vector into it, put keeps its capacity, and a box's first history
-// carves its storage from a chunk like the box itself, so a causal write
-// allocates nothing in steady state. Receivers read the history in the box;
-// only an update buffered for causal order, which outlives its box, copies
-// it out (causalDeliver).
+// A box keeps its causal history's storage across reuse: box copies the
+// sender's vector into it, and only a box without room carves new storage,
+// so a causal write allocates nothing in steady state. Receivers read the
+// history in the box; only an update buffered for causal order, which
+// outlives its box, copies it out (causalDeliver).
 type BoxPool struct {
-	slab []payload  // chunked fresh-box storage
-	hist []uint64   // chunked history storage for boxes that have none
-	free []*payload // spent boxes
+	free sim.FreeList[payload, *payload]
+	hist []uint64 // chunked history storage for boxes that have none
 }
 
-// Spare returns the number of spent boxes waiting on the free stack.
-func (b *BoxPool) Spare() int { return len(b.free) }
+// Spare returns the number of spent boxes waiting for reuse.
+func (b *BoxPool) Spare() int { return b.free.Len() }
 
 // box copies p into a recycled or fresh box shared by refs messages
 // (a broadcast shares one box across its copies).
 func (b *BoxPool) box(p payload, refs int) *payload {
-	var pp *payload
-	if k := len(b.free); k > 0 {
-		pp = b.free[k-1]
-		b.free[k-1] = nil
-		b.free = b.free[:k-1]
-	} else {
-		pp = carve(&b.slab, payloadChunk)
-	}
+	pp := b.free.Get(payloadChunk)
 	hist := pp.Cauhist[:0]
 	if n := len(p.Cauhist); cap(hist) < n {
-		hist = carveList(&b.hist, n, payloadChunk)
+		hist = sim.CarveList(&b.hist, n, payloadChunk)
 	}
 	p.Cauhist, p.refs = append(hist, p.Cauhist...), int32(refs)
 	*pp = p
@@ -150,9 +145,7 @@ func (b *BoxPool) box(p payload, refs int) *payload {
 
 // put returns a spent box. Its fields stay as they are until box overwrites
 // them all; its history storage is what the next causal write reuses.
-func (b *BoxPool) put(pp *payload) {
-	b.free = append(b.free, pp)
-}
+func (b *BoxPool) put(pp *payload) { b.free.Put(pp) }
 
 // wireSize returns the modeled on-the-wire size of a message.
 func (r *Replica) wireSize(p payload) int {

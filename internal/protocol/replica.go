@@ -107,20 +107,20 @@ type keyState struct {
 }
 
 // pendingWrite tracks a coordinator-side in-flight write. Records recycle
-// through Replica.pwFree; continuations name a write by its stamp and look it
+// through Replica.pws; continuations name a write by its stamp and look it
 // up in Replica.pending, never by pointer.
 type pendingWrite struct {
 	key          uint64
 	stamp        Stamp
-	scope, txn   uint64        // the write's persist scope and transaction (0 = none)
-	cAcks        int           // consistency acks still expected
-	pAcks        int           // persistency acks still expected
-	localPersist bool          // local persist finished
-	valSent      bool          // consistency VAL broadcast done
-	broadcastAt  int64         // when INV went out (stall accounting)
-	done         completion    // the client's; zero once delivered
-	early        bool          // completion already delivered to the client
-	next         *pendingWrite // freelist link
+	scope, txn   uint64     // the write's persist scope and transaction (0 = none)
+	cAcks        int        // consistency acks still expected
+	pAcks        int        // persistency acks still expected
+	localPersist bool       // local persist finished
+	valSent      bool       // consistency VAL broadcast done
+	broadcastAt  int64      // when INV went out (stall accounting)
+	done         completion // the client's; zero once delivered
+	early        bool       // completion already delivered to the client
+	sim.Link[pendingWrite]
 }
 
 // persistItem is a deferred persist (scope or transaction).
@@ -161,24 +161,22 @@ type Replica struct {
 	lamport uint64
 	keys    keyTable
 	pending map[Stamp]*pendingWrite
-	pwFree  *pendingWrite  // spent pendingWrite records
-	pwSlab  []pendingWrite // the chunk fresh ones are carved from
+	pws     sim.FreeList[pendingWrite, *pendingWrite]
 
 	// Replica-level slabs behind the per-key tokens of keyState: the members
 	// of every transC/transP set, every stalled read, and (in conts) every
 	// continuation waiting on an in-flight write-back.
 	stamps  stampSets
-	waiters slab[*clientOp]
+	waiters sim.Slab[*clientOp]
 
 	// Continuations waiting on a write-back or parked across a device write
 	// or a delay (conts; contC runs the parked ones), persistItems batches
-	// in flight (fanIns), and client requests in flight (recycled through
-	// opFree, carved from opSlab). See cont.go and clientop.go.
-	conts  slab[contRec]
+	// in flight (fanIns), and client requests in flight (ops). See cont.go
+	// and clientop.go.
+	conts  sim.Slab[contRec]
 	contC  contDone
-	fanIns slab[fanIn]
-	opFree *clientOp
-	opSlab []clientOp
+	fanIns sim.Slab[fanIn]
+	ops    sim.FreeList[clientOp, *clientOp]
 
 	// Causal consistency state. waiting indexes the reorder buffer by the
 	// first unsatisfied dependency: waiting[node][count] is the tail token of
@@ -191,15 +189,14 @@ type Replica struct {
 	histOut    vclock.VC
 	bufHist    histRows
 	waiting    []map[uint64]int32
-	bufs       slab[bufferedUpd]
+	bufs       sim.Slab[bufferedUpd]
 	bufCount   int
 	drainQueue []advance
 	draining   bool
 
-	// Transactional state. Records recycle through txnFree.
+	// Transactional state.
 	txns    map[uint64]*txnState
-	txnFree *txnState
-	txnSlab []txnState
+	txnRecs sim.FreeList[txnState, *txnState]
 	txnSeq  uint64
 
 	// Scope persistency state. scopeClosed is each session's closed
@@ -222,7 +219,7 @@ type Replica struct {
 	// Received messages parked, in their boxes, across their worker-pool
 	// service job, so message dispatch schedules closure-free (see onMessage
 	// / OnEvent).
-	disp slab[dispatchRec]
+	disp sim.Slab[dispatchRec]
 
 	// watch, when set by a test, sees each received message as it parks and
 	// again as its handler reads it, under its disp token.
@@ -249,7 +246,7 @@ type ablationDone struct{ r *Replica }
 
 func (a *ablationDone) OnEvent(tok uint64) {
 	r := a.r
-	rec := r.conts.take(int32(tok))
+	rec := r.conts.Take(int32(tok))
 	ks := r.keys.at(rec.key)
 	if rec.st > ks.persisted {
 		ks.persisted = rec.st
@@ -518,7 +515,7 @@ func (r *Replica) HandleNetMessage(m simnet.Message) { r.onMessage(m) }
 // the dispatch records carry the sender's group rank.
 func (r *Replica) onMessage(m simnet.Message) {
 	pp := m.Payload.(*payload)
-	tok := r.disp.put(dispatchRec{p: pp, from: int32(r.member.rankOf(m.From))})
+	tok := r.disp.Put(dispatchRec{p: pp, from: int32(r.member.rankOf(m.From))})
 	if r.watch != nil {
 		r.watch(tok, pp)
 	}
@@ -539,7 +536,7 @@ func (r *Replica) onMessage(m simnet.Message) {
 // no other receiver shares), and the atomic decrement orders each receiver's
 // reads before the last receiver's put.
 func (r *Replica) OnEvent(arg uint64) {
-	rec := r.disp.take(int32(arg))
+	rec := r.disp.Take(int32(arg))
 	pp := rec.p
 	if r.watch != nil {
 		r.watch(int32(arg), pp)
@@ -619,7 +616,7 @@ func (r *Replica) persist(key uint64, st Stamp, then cont) {
 	if r.p.NoPersistCoalescing {
 		// Ablation: one device write per update, no write-back batching.
 		r.M.Persists++
-		r.dev.WriteEvent(key, &r.ablC, uint64(r.conts.put(contRec{key: key, st: st, c: then})))
+		r.dev.WriteEvent(key, &r.ablC, uint64(r.conts.Put(contRec{key: key, st: st, c: then})))
 		return
 	}
 	if st <= ks.persisted {
@@ -629,7 +626,7 @@ func (r *Replica) persist(key uint64, st Stamp, then cont) {
 		return
 	}
 	if then.kind != contNone {
-		r.conts.push(&ks.persistCbs, contRec{key: key, st: st, c: then})
+		r.conts.Push(&ks.persistCbs, contRec{key: key, st: st, c: then})
 	}
 	if ks.persistInFlight {
 		if st > ks.dirtyStamp {
@@ -679,12 +676,12 @@ func (r *Replica) writeBackDone(key uint64) {
 	// Detach before running: a continuation may re-enter persist() for this
 	// key, and what it appends joins the entries this write-back leaves
 	// uncovered, in the order they come up.
-	for head := r.conts.detach(&ks.persistCbs); head != 0; {
-		cb := r.conts.pop(&head)
+	for head := r.conts.Detach(&ks.persistCbs); head != 0; {
+		cb := r.conts.Pop(&head)
 		if cb.st <= ks.persisted {
 			r.run(cb.c, key, cb.st)
 		} else {
-			r.conts.push(&ks.persistCbs, cb)
+			r.conts.Push(&ks.persistCbs, cb)
 		}
 	}
 	r.wake(&ks.persWait)
@@ -697,8 +694,8 @@ func (r *Replica) writeBackDone(key uint64) {
 // persWait). The list empties first: a read that is still blocked files
 // itself again.
 func (r *Replica) wake(tail *int32) {
-	for head := r.waiters.detach(tail); head != 0; {
-		r.readAttempt(r.waiters.pop(&head))
+	for head := r.waiters.Detach(tail); head != 0; {
+		r.readAttempt(r.waiters.Pop(&head))
 	}
 }
 
@@ -717,7 +714,7 @@ func (r *Replica) readAttempt(op *clientOp) {
 				r.trace("RD k%d stalls", key)
 			}
 		}
-		r.waiters.push(&ks.consWait, op)
+		r.waiters.Push(&ks.consWait, op)
 		return
 	}
 	if r.dur.readBlocked(r, ks) {
@@ -728,7 +725,7 @@ func (r *Replica) readAttempt(op *clientOp) {
 				r.trace("RD k%d stalls (persist)", key)
 			}
 		}
-		r.waiters.push(&ks.persWait, op)
+		r.waiters.Push(&ks.persWait, op)
 		return
 	}
 

@@ -1,5 +1,7 @@
 package protocol
 
+import "repro/internal/sim"
+
 // scopeDur implements Scope persistency: updates are durable before or at
 // their scope's end (Table 2). Writes buffer under their scope id and the
 // [PERSIST]s barrier of Figure 5 flushes a scope on every replica. The
@@ -93,7 +95,7 @@ func (r *Replica) deferScopePersist(scope uint64, key uint64, st Stamp) {
 			items, r.itemFree = r.itemFree[k-1], r.itemFree[:k-1]
 		} else {
 			// A session's scope spans ScopeSize requests.
-			items = carveList(&r.items, r.p.ScopeSize, recordChunk)
+			items = sim.CarveList(&r.items, r.p.ScopeSize, recordChunk)
 		}
 	}
 	r.scopePending[scope] = append(items, persistItem{key: key, stamp: st})

@@ -1,5 +1,7 @@
 package protocol
 
+import "repro/internal/sim"
+
 // txnStatus tracks a transaction's lifecycle at a node.
 type txnStatus int
 
@@ -12,8 +14,8 @@ const (
 
 // txnState is a transaction's record at one node — at its coordinator it
 // also carries the client's completions; at followers only locks and deferred
-// persists. Records are carved in chunks and recycle through Replica.txnFree,
-// keeping their item lists (see addTxnItem); continuations name a
+// persists. Records recycle through Replica.txnRecs, keeping their item lists
+// (see addTxnItem); continuations name a
 // transaction by id and look it up in Replica.txns, never by pointer.
 type txnState struct {
 	id     uint64
@@ -35,19 +37,13 @@ type txnState struct {
 	begin, end completion
 	initSent   bool
 
-	next *txnState // freelist link
+	sim.Link[txnState]
 }
 
 // newTxn registers a fresh active record for transaction id, coordinated by
 // the replica at rank coord.
 func (r *Replica) newTxn(id uint64, coord int) *txnState {
-	tx := r.txnFree
-	if tx == nil {
-		tx = carve(&r.txnSlab, recordChunk)
-	} else {
-		r.txnFree = tx.next
-		tx.next = nil
-	}
+	tx := r.txnRecs.Get(recordChunk)
 	tx.id, tx.coord, tx.status = id, coord, txnActive
 	r.txns[id] = tx
 	return tx
@@ -60,9 +56,8 @@ func (r *Replica) dropTxn(tx *txnState) {
 	*tx = txnState{
 		writeKeys:       tx.writeKeys[:0],
 		pendingPersists: tx.pendingPersists[:0],
-		next:            r.txnFree,
 	}
-	r.txnFree = tx
+	r.txnRecs.Put(tx)
 }
 
 // addTxnItem appends (key, st) to one of a transaction record's item lists.
@@ -71,7 +66,7 @@ func (r *Replica) dropTxn(tx *txnState) {
 // list the binding never fills is never carved.
 func (r *Replica) addTxnItem(list *[]persistItem, key uint64, st Stamp) {
 	if cap(*list) == 0 {
-		*list = carveList(&r.items, r.p.XactionSize, recordChunk)
+		*list = sim.CarveList(&r.items, r.p.XactionSize, recordChunk)
 	}
 	*list = append(*list, persistItem{key: key, stamp: st})
 }

@@ -40,13 +40,7 @@ func (r *Replica) strongWrite(key uint64, scope, txn uint64, done completion) {
 // newPending books a pending write for (key, st), expecting a persistency
 // ACK from every follower; done is the client's completion.
 func (r *Replica) newPending(key uint64, st Stamp, done completion) *pendingWrite {
-	pw := r.pwFree
-	if pw == nil {
-		pw = carve(&r.pwSlab, recordChunk)
-	} else {
-		r.pwFree = pw.next
-		pw.next = nil
-	}
+	pw := r.pws.Get(recordChunk)
 	pw.key, pw.stamp, pw.pAcks, pw.done = key, st, r.followers(), done
 	r.pending[st] = pw
 	return pw
@@ -56,8 +50,8 @@ func (r *Replica) newPending(key uint64, st Stamp, done completion) *pendingWrit
 // pw must not be used afterwards.
 func (r *Replica) dropPending(pw *pendingWrite) {
 	delete(r.pending, pw.stamp)
-	*pw = pendingWrite{next: r.pwFree}
-	r.pwFree = pw
+	*pw = pendingWrite{}
+	r.pws.Put(pw)
 }
 
 // launchStrongWrite makes the update visible locally, broadcasts the INV,

@@ -44,6 +44,20 @@ type Func func()
 // OnEvent calls f.
 func (f Func) OnEvent(uint64) { f() }
 
+// Call is a completion parked across an event, H.OnEvent(Arg), such as a
+// worker's or a device's. H may be nil.
+type Call struct {
+	H   Handler
+	Arg uint64
+}
+
+// Run calls H.OnEvent(Arg) unless H is nil.
+func (c Call) Run() {
+	if c.H != nil {
+		c.H.OnEvent(c.Arg)
+	}
+}
+
 // event is one scheduled action, a (Handler, arg) pair. seq is the tie-break
 // key within a timestamp: localBit | insertion sequence for locally scheduled
 // events, src<<48 | sender sequence (top bit clear) for cross-node arrivals.

@@ -32,8 +32,7 @@ type Pool struct {
 	holdq ring[holdJob]  // hold jobs, capped at maxHolds running
 	seq   uint64         // arrival order across both rings
 
-	done     []doneRec // fixed-job completion records, freelist-recycled
-	doneFree int32
+	done Slab[Call] // fixed-job completions parked across their service events
 
 	jobs    uint64
 	busyAcc int64
@@ -70,13 +69,6 @@ type Holder interface {
 type Hold int64
 
 const noHold Hold = -1
-
-// doneRec parks a fixed job's completion across its service-time event.
-type doneRec struct {
-	h    Handler
-	arg  uint64
-	next int32 // freelist link
-}
 
 // ring is a growable FIFO ring buffer of queued jobs.
 type ring[T any] struct {
@@ -116,7 +108,7 @@ func NewPool(eng *Engine, n int) *Pool {
 	if maxHolds < 1 {
 		maxHolds = 1 // single-server pools run holds without blocking (see AcquireHold)
 	}
-	return &Pool{eng: eng, size: n, maxHolds: maxHolds, doneFree: -1}
+	return &Pool{eng: eng, size: n, maxHolds: maxHolds}
 }
 
 // AcquireEvent enqueues a fixed-service job whose completion runs
@@ -207,28 +199,15 @@ func (p *Pool) waited(at int64) int64 {
 func (p *Pool) startFixed(service int64, h Handler, arg uint64) {
 	p.busy++
 	p.busyAcc += service
-	ni := p.doneFree
-	if ni >= 0 {
-		p.doneFree = p.done[ni].next
-	} else {
-		p.done = append(p.done, doneRec{})
-		ni = int32(len(p.done) - 1)
-	}
-	p.done[ni] = doneRec{h: h, arg: arg}
-	p.eng.ScheduleEvent(service, p, uint64(ni))
+	p.eng.ScheduleEvent(service, p, uint64(p.done.Put(Call{h, arg})))
 }
 
 // OnEvent completes the fixed job parked at token arg: free a server, fire
 // the completion, refill from the queue. It implements Handler so the
 // service-time event schedules closure-free.
 func (p *Pool) OnEvent(arg uint64) {
-	rec := p.done[arg]
-	p.done[arg] = doneRec{next: p.doneFree}
-	p.doneFree = int32(arg)
 	p.busy--
-	if rec.h != nil {
-		rec.h.OnEvent(rec.arg)
-	}
+	p.done.Take(int32(arg)).Run()
 	p.dispatch()
 }
 

@@ -136,8 +136,8 @@ type txState struct {
 type rxState struct {
 	rxFree  int64 // NIC receive next-free time
 	dropped uint64
-	fast    uint64       // arrivals delivered through the one-hop fast path
-	pool    deliveryPool // delivery records (LP wiring only)
+	fast    uint64                            // arrivals delivered through the one-hop fast path
+	pool    sim.FreeList[delivery, *delivery] // delivery records (LP wiring only)
 }
 
 // mailEntry is one cross-node arrival parked in its sender's mailbox until
@@ -160,7 +160,7 @@ type Network struct {
 
 	// Sequential wiring: one shared delivery pool; arrivals are scheduled
 	// straight into the shared engine (sim.Engine.AtArrival).
-	seqPool deliveryPool
+	seqPool sim.FreeList[delivery, *delivery]
 
 	// Parallel wiring: per-sender mailboxes drained at epoch barriers.
 	lp       bool
@@ -261,6 +261,7 @@ type delivery struct {
 	n   *Network
 	msg Message
 	ser int64
+	sim.Link[delivery]
 }
 
 // The two hops of a delivery, as typed-event arguments.
@@ -282,31 +283,16 @@ func (d *delivery) OnEvent(arg uint64) {
 // deliveryChunk is how many delivery records one allocation carves.
 const deliveryChunk = 64
 
-// deliveryPool recycles delivery records; an empty free stack carves fresh
-// ones from a chunk, so one allocation serves deliveryChunk first uses.
-type deliveryPool struct {
-	free  []*delivery
-	chunk []delivery
-}
-
-// newDelivery pops a recycled record or carves one. at is the allocating
+// newDelivery takes a spent record or a fresh one. at is the allocating
 // (sending) node, whose pool the LP wiring draws from.
 func (n *Network) newDelivery(at int) *delivery {
 	pool := &n.seqPool
 	if n.lp {
 		pool = &n.rx[at].pool
 	}
-	if k := len(pool.free); k > 0 {
-		d := pool.free[k-1]
-		pool.free[k-1] = nil
-		pool.free = pool.free[:k-1]
-		return d
-	}
-	if len(pool.chunk) == cap(pool.chunk) {
-		pool.chunk = make([]delivery, 0, deliveryChunk)
-	}
-	pool.chunk = append(pool.chunk, delivery{n: n})
-	return &pool.chunk[len(pool.chunk)-1]
+	d := pool.Get(deliveryChunk)
+	d.n = n
+	return d
 }
 
 // arrive runs when the message reaches the destination NIC: the receive-side
@@ -354,9 +340,9 @@ func (d *delivery) deliver() {
 	d.msg = Message{} // drop the payload reference before pooling
 	rx := &n.rx[msg.To]
 	if n.lp {
-		rx.pool.free = append(rx.pool.free, d)
+		rx.pool.Put(d)
 	} else {
-		n.seqPool.free = append(n.seqPool.free, d)
+		n.seqPool.Put(d)
 	}
 	h := n.handlers[msg.To]
 	if h == nil {
