@@ -8,7 +8,8 @@
 // Point). The library provides:
 //
 //   - the 5x5 model matrix and the paper's qualitative trade-off ratings
-//     (Table 4) via Traits and AllModels;
+//     (Table 4) via Traits and AllModels. The 25 cells are the only models:
+//     a Model outside the matrix fails Run with an error naming it;
 //   - a deterministic discrete-event simulation of a replicated in-memory
 //     store running any of the 25 models over modeled RDMA-class networking
 //     and NVM (Run);
@@ -93,37 +94,6 @@ func AllModels() []Model {
 
 // Baseline is the model the paper normalizes everything to.
 var Baseline = fromCore(core.Baseline)
-
-// RegisterModel registers a named custom DDP binding: a fresh Model value
-// that runs the given consistency implementation paired with the given
-// persistency implementation. The name must be unique (it becomes the
-// model's String rendering and is accepted by ParseModel), and vis/dur must
-// be canonical implementations (Linearizable..EventualConsistency,
-// Strict..EventualPersistency). Registered models run anywhere a canonical
-// Model does — Run, RunWithCrash, Verify — and join the registry-driven
-// experiment matrices (fig6, durability, models).
-//
-// Registration is typically done once at program start:
-//
-//	m, err := ddp.RegisterModel("strong-local", ddp.Linearizable, ddp.EventualPersistency)
-//	res, err := ddp.Run(ddp.Config{Model: m})
-func RegisterModel(name string, vis Consistency, dur Persistency) (Model, error) {
-	m, err := core.Register(name, vis, dur)
-	if err != nil {
-		return Model{}, err
-	}
-	return fromCore(m), nil
-}
-
-// RegisteredModels enumerates every registered binding: the canonical 25 in
-// matrix order, then custom bindings in registration order.
-func RegisteredModels() []Model {
-	var out []Model
-	for _, m := range core.RegisteredModels() {
-		out = append(out, fromCore(m))
-	}
-	return out
-}
 
 // Workload identifies a YCSB request mix.
 type Workload = ycsb.Workload

@@ -51,8 +51,10 @@ func TestParseModelFacade(t *testing.T) {
 	if m.Consistency != Causal || m.Persistency != Synchronous {
 		t.Fatalf("parse wrong: %+v", m)
 	}
-	if _, err := ParseModel("bogus"); err == nil {
-		t.Fatal("bogus model accepted")
+	for _, bad := range []string{"bogus", "strong-local"} {
+		if _, err := ParseModel(bad); err == nil {
+			t.Fatalf("model %q accepted", bad)
+		}
 	}
 	if m.String() != "<Causal, Synchronous>" {
 		t.Fatalf("string = %q", m.String())
@@ -117,6 +119,14 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	cfg.Engine = "bogus"
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("bogus engine accepted")
+	}
+	// A Model outside the 5x5 matrix is an error naming it, not a run of
+	// some other cell.
+	for _, m := range []Model{{Consistency: 7}, {Persistency: -1}, {Consistency: 1000, Persistency: 1000}} {
+		res, err := Run(quickConfig(m))
+		if err == nil || res != nil || !strings.Contains(err.Error(), m.String()+" is not one of the 25 DDP models") {
+			t.Fatalf("Run(%v) = %v, %v; want the out-of-matrix error", m, res, err)
+		}
 	}
 }
 
@@ -190,62 +200,19 @@ func TestVerifyZeroWindowsTakeConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestRegisterModelRunsLikeItsImpl(t *testing.T) {
-	m, err := RegisterModel("test-causal-lazy", Causal, EventualPersistency)
+// TestTransactionalScopeRun runs <Transactional, Scope> through the public
+// API: the client's behaviour switches (transaction grouping, scope
+// barriers) read the model directly, not just the protocol layer.
+func TestTransactionalScopeRun(t *testing.T) {
+	res, err := Run(quickConfig(Model{Consistency: Transactional, Persistency: Scope}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.String() != "test-causal-lazy" {
-		t.Fatalf("custom model renders %q", m)
-	}
-	custom, err := Run(quickConfig(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	canon, err := Run(quickConfig(Model{Consistency: Causal, Persistency: EventualPersistency}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if custom.Ops != canon.Ops || custom.MeanReadNs != canon.MeanReadNs ||
-		custom.MeanWriteNs != canon.MeanWriteNs || custom.Persists != canon.Persists {
-		t.Fatalf("custom binding diverged from its implementation pair:\ncustom: %+v\ncanon:  %+v", custom, canon)
-	}
-	found := false
-	for _, rm := range RegisteredModels() {
-		if rm == m {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("RegisteredModels is missing the custom binding")
-	}
-	parsed, err := ParseModel("test-causal-lazy")
-	if err != nil || parsed != m {
-		t.Fatalf("ParseModel(custom name) = %v, %v", parsed, err)
-	}
-}
-
-func TestRegisterModelTransactionalAndScoped(t *testing.T) {
-	// Transactional consistency and Scope persistency exercise the client's
-	// registry-resolved behavior switches (transaction grouping, scope
-	// barriers), not just the protocol layer.
-	m, err := RegisterModel("test-txn-scoped", Transactional, Scope)
-	if err != nil {
-		t.Fatal(err)
-	}
-	custom, err := Run(quickConfig(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	canon, err := Run(quickConfig(Model{Consistency: Transactional, Persistency: Scope}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if custom.Ops != canon.Ops || custom.Persists != canon.Persists {
-		t.Fatalf("custom <Transactional, Scope> diverged:\ncustom: %+v\ncanon:  %+v", custom, canon)
-	}
-	if custom.Ops == 0 {
+	if res.Ops == 0 {
 		t.Fatal("no operations completed")
+	}
+	if res.Persists == 0 {
+		t.Fatal("no persists under Scope persistency")
 	}
 }
 

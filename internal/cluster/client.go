@@ -82,11 +82,11 @@ func (c *client) window() int {
 }
 
 // transactional reports whether operations group into transactions in this
-// run. Custom bindings answer for the model implementing them.
-func (c *client) transactional() bool { return c.rt.cl.impl.C == core.Transactional }
+// run.
+func (c *client) transactional() bool { return c.rt.cl.Cfg.Model.C == core.Transactional }
 
 // scoped reports whether writes carry persist scopes in this run.
-func (c *client) scoped() bool { return c.rt.cl.impl.P == core.Scope }
+func (c *client) scoped() bool { return c.rt.cl.Cfg.Model.P == core.Scope }
 
 // curScope returns this client's current scope id (globally unique, nonzero).
 func (c *client) curScope() uint64 {

@@ -83,11 +83,6 @@ type Config struct {
 	// message, byte-identical to the unbatched router.
 	FwdBatch int
 
-	// FwdWindowNs bounds how long a partial forwarding batch waits for
-	// company before its doorbell flushes it. 0 with FwdBatch > 0 defaults
-	// to the one-way network latency.
-	FwdWindowNs int64
-
 	// WarmupNs and MeasureNs bound the run in simulated time. Zero values
 	// take the defaults (1 ms warmup, 5 ms measurement); negative ones fail.
 	WarmupNs  int64
@@ -139,12 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Params.Servers == 0 {
 		c.Params = params.Default()
-	}
-	if c.FwdBatch > 0 && c.FwdWindowNs == 0 {
-		c.FwdWindowNs = c.Params.OneWayNet()
-		if c.FwdWindowNs < 1 {
-			c.FwdWindowNs = 1
-		}
 	}
 	return c
 }
@@ -334,9 +323,6 @@ func (ns *nodeState) logRead(rec ReadRecord) {
 // recovery package can crash it where the run stopped.
 type Cluster struct {
 	Cfg Config
-	// impl is the canonical model whose policies run Cfg.Model, resolved
-	// once so the client hot path never consults the binding registry.
-	impl core.Model
 	// Eng is the shared engine under the sequential engine (the default);
 	// nil under the LP engine, whose per-node engines are private to the
 	// synchronizer. Direct-drive callers (timelines, tests) use the
@@ -422,18 +408,21 @@ func (cfg Config) Validate() error {
 	if err := cfg.Workload.Validate(); err != nil {
 		return err
 	}
-	impl := core.ImplOf(cfg.Model)
-	if cfg.Params.Groups > 1 && impl.C != core.Linearizable && impl.C != core.ReadEnforcedC {
-		return fmt.Errorf("cluster: hybrid groups support Linearizable or Read-Enforced consistency, not %s", impl.C)
+	m := cfg.Model
+	if !m.Valid() {
+		return fmt.Errorf("cluster: Model %s is not one of the 25 DDP models", m)
+	}
+	if cfg.Params.Groups > 1 && m.C != core.Linearizable && m.C != core.ReadEnforcedC {
+		return fmt.Errorf("cluster: hybrid groups support Linearizable or Read-Enforced consistency, not %s", m.C)
 	}
 	if cfg.Arrivals != nil {
 		if err := cfg.Arrivals.Validate(); err != nil {
 			return err
 		}
-		if impl.C == core.Transactional {
+		if m.C == core.Transactional {
 			return fmt.Errorf("cluster: open-loop arrivals do not support Transactional consistency (transactions are closed-loop session state)")
 		}
-		if impl.P == core.Scope {
+		if m.P == core.Scope {
 			return fmt.Errorf("cluster: open-loop arrivals do not support Scope persistency (scope barriers are closed-loop session state)")
 		}
 		if a := cfg.Arrivals; a.HotFrac > 0 && a.HotKeys > cfg.Params.Keys {
@@ -454,10 +443,10 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("cluster: Shards must divide Servers evenly, got %d shards for %d servers", cfg.Shards, p.Servers)
 	}
 	if cfg.Shards > 1 {
-		if impl.C == core.Transactional {
+		if m.C == core.Transactional {
 			return fmt.Errorf("cluster: sharded clusters do not support Transactional consistency (transactions would span shards)")
 		}
-		if impl.P == core.Scope {
+		if m.P == core.Scope {
 			return fmt.Errorf("cluster: sharded clusters do not support Scope persistency (scope barriers would span shards)")
 		}
 		if p.Groups > 1 {
@@ -476,8 +465,8 @@ func (cfg Config) Validate() error {
 		if cfg.Shards < 1 {
 			return fmt.Errorf("cluster: ReplicaReads requires a sharded topology (Shards >= 1)")
 		}
-		if core.UsesInvAckVal(impl.C) {
-			return fmt.Errorf("cluster: ReplicaReads requires a weak visibility model (Causal or Eventual consistency); %s reads must go through the key's coordinator", impl.C)
+		if core.UsesInvAckVal(m.C) {
+			return fmt.Errorf("cluster: ReplicaReads requires a weak visibility model (Causal or Eventual consistency); %s reads must go through the key's coordinator", m.C)
 		}
 	}
 	switch {
@@ -485,10 +474,6 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("cluster: FwdBatch must be >= 0, got %d", cfg.FwdBatch)
 	case cfg.FwdBatch > 0 && cfg.Shards < 1:
 		return fmt.Errorf("cluster: FwdBatch requires a sharded topology (Shards >= 1)")
-	case cfg.FwdWindowNs < 0:
-		return fmt.Errorf("cluster: FwdWindowNs must be >= 0, got %d", cfg.FwdWindowNs)
-	case cfg.FwdWindowNs > 0 && cfg.FwdBatch == 0:
-		return fmt.Errorf("cluster: FwdWindowNs only applies with FwdBatch > 0")
 	}
 	if err := cfg.netConfig().Validate(); err != nil {
 		return err
@@ -516,7 +501,7 @@ func New(cfg Config) (*Cluster, error) {
 	netCfg, nvmCfg := cfg.netConfig(), cfg.nvmConfig()
 	useLP := cfg.useLP()
 
-	c := &Cluster{Cfg: cfg, impl: core.ImplOf(cfg.Model)}
+	c := &Cluster{Cfg: cfg}
 	var net *simnet.Network
 	// Event storage grows with the pending set the run reaches, not with a
 	// guess made from the client count.
@@ -614,7 +599,7 @@ func New(cfg Config) (*Cluster, error) {
 			rt.rreads = cfg.ReplicaReads
 		}
 		if cfg.FwdBatch > 0 {
-			rt.fb = newFwdBatcher(rt, cfg.FwdBatch, cfg.FwdWindowNs)
+			rt.fb = newFwdBatcher(rt, cfg.FwdBatch)
 		}
 		c.routers = append(c.routers, rt)
 		if shards == 1 {
@@ -660,7 +645,7 @@ func New(cfg Config) (*Cluster, error) {
 	// holds one request record per op its clients can have in flight. Under
 	// Transactional consistency a client's three per-op transaction lists
 	// are carved from three arrays per node, at XactionSize.
-	txn := c.impl.C == core.Transactional
+	txn := cfg.Model.C == core.Transactional
 	c.Clients = make([]*client, 0, p.Servers*p.ClientsPerServer)
 	for n, ns := range c.nodes {
 		c.routers[n].reqs.Reserve(p.ClientsPerServer * max(p.ClientWindow, 1))

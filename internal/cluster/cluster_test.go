@@ -197,6 +197,18 @@ func TestConfigValidation(t *testing.T) {
 			t.Fatalf("got %v, want the nvm %s error", err, tc.field)
 		}
 	}
+	// A Model outside the 5x5 matrix fails Validate and New with an error
+	// naming it; it never runs as some other cell.
+	for _, m := range []core.Model{{C: 7}, {P: -1}, {C: 1000, P: 1000}} {
+		cfg = smallConfig(m)
+		want := "cluster: Model " + m.String() + " is not one of the 25 DDP models"
+		if err := cfg.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("Validate(%v): got %v, want %q", m, err, want)
+		}
+		if c, err := New(cfg); err == nil || c != nil || err.Error() != want {
+			t.Fatalf("New(%v): got %v, %v, want %q", m, c, err, want)
+		}
+	}
 }
 
 // TestConfigValidateRunWindowAndWorkload: a negative run window and a
@@ -247,38 +259,5 @@ func TestWorkloadMixAffectsCounts(t *testing.T) {
 	if res.ReadHist.Count() <= res.WriteHist.Count() {
 		t.Fatalf("workload-B should be read-dominated: %d reads vs %d writes",
 			res.ReadHist.Count(), res.WriteHist.Count())
-	}
-}
-
-// TestCustomBindingHybridGroups: hybrid groups check a custom binding through
-// the pair implementing it, so the registry's example — "strong-local",
-// Linearizable visibility with Eventual durability — validates with Groups =
-// 2 and runs exactly like the canonical <Linearizable, Eventual> grouped cell.
-func TestCustomBindingHybridGroups(t *testing.T) {
-	alias, err := core.Register("strong-local", core.Linearizable, core.EventualP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grouped := func(m core.Model) Config {
-		cfg := smallConfig(m)
-		cfg.Params.Servers = 4
-		cfg.Params.Groups = 2
-		return cfg
-	}
-	if err := grouped(alias).Validate(); err != nil {
-		t.Fatalf("grouped custom binding rejected: %v", err)
-	}
-	got, err := Run(grouped(alias))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(grouped(core.Model{C: core.Linearizable, P: core.EventualP}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Summary.Ops == 0 || got.Summary.Ops != want.Summary.Ops ||
-		got.Events != want.Events || got.NetMessages != want.NetMessages {
-		t.Fatalf("grouped alias: ops %d, events %d, messages %d; canonical: ops %d, events %d, messages %d",
-			got.Summary.Ops, got.Events, got.NetMessages, want.Summary.Ops, want.Events, want.NetMessages)
 	}
 }

@@ -8,10 +8,10 @@ import (
 // fwdbatch.go implements doorbell batching on the router's forwarding path
 // (Config.FwdBatch > 0): routed requests and responses headed to the same
 // destination coalesce into one pooled multi-op simnet message, held until
-// either FwdBatch ops have gathered or FwdWindowNs has elapsed since the
-// batch opened. One message header and one MessageHandle worker charge then
-// amortize over the whole batch — the classic doorbell/IO-ring trade of a
-// little added latency for per-op overhead.
+// either FwdBatch ops have gathered or one one-way network latency has
+// elapsed since the batch opened. One message header and one MessageHandle
+// worker charge then amortize over the whole batch — the classic
+// doorbell/IO-ring trade of a little added latency for per-op overhead.
 //
 // Batching changes modeled timing only, never op outcomes: every entry is
 // the same request record the unbatched path would have sent, executed by
@@ -53,9 +53,11 @@ type fwdBatcher struct {
 	free   sim.FreeList[fwdBatch, *fwdBatch]
 }
 
-func newFwdBatcher(rt *router, limit int, window int64) *fwdBatcher {
+// newFwdBatcher builds rt's batcher; a partial batch waits one one-way
+// network latency (at least 1 ns) for company.
+func newFwdBatcher(rt *router, limit int) *fwdBatcher {
 	return &fwdBatcher{
-		rt: rt, limit: limit, window: window,
+		rt: rt, limit: limit, window: max(rt.cl.Cfg.Params.OneWayNet(), 1),
 		pend: make([]*fwdBatch, rt.cl.Cfg.Params.Servers),
 	}
 }

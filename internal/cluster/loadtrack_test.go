@@ -359,8 +359,6 @@ func TestShardedKnobValidation(t *testing.T) {
 		}},
 		{"negative fwdbatch", func(c *Config) { c.FwdBatch = -1 }},
 		{"fwdbatch unsharded", func(c *Config) { c.Shards = 0; c.FwdBatch = 8 }},
-		{"negative fwd window", func(c *Config) { c.FwdBatch = 8; c.FwdWindowNs = -5 }},
-		{"fwd window without batching", func(c *Config) { c.FwdWindowNs = 500 }},
 	}
 	for _, tc := range cases {
 		cfg := base()
@@ -377,7 +375,6 @@ func TestShardedKnobValidation(t *testing.T) {
 	good.Placement = "load"
 	good.ReplicaReads = true
 	good.FwdBatch = 8
-	good.FwdWindowNs = 500
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid skew-adaptive config rejected: %v", err)
 	}
@@ -429,7 +426,7 @@ func TestFwdBatchZeroAlloc(t *testing.T) {
 	})
 	cl := &Cluster{Cfg: Config{Params: params.Default()}.withDefaults()}
 	rt := &router{cl: cl, ns: &nodeState{eng: eng, measureSet: new(measureSet)}, net: net, node: 0}
-	rt.fb = newFwdBatcher(rt, 8, 500)
+	rt.fb = newFwdBatcher(rt, 8)
 	rt.reqs.Reserve(64)
 	rt.fb.free.Reserve(8)
 	net.Register(0, func(m simnet.Message) {})

@@ -14,11 +14,9 @@ type Semantics struct {
 	Messages        []string // the message kinds the protocol uses
 }
 
-// Describe derives the operational semantics of m. Custom bindings describe
-// the canonical implementation pair they resolve to (under their own name).
+// Describe derives the operational semantics of m.
 func Describe(m Model) Semantics {
 	s := Semantics{Model: m}
-	m = ImplOf(m)
 
 	// Write completion: consistency first, persistency may strengthen it.
 	switch m.C {

@@ -5,8 +5,10 @@
 //
 // The package encodes Table 2 (VP/DP definitions), the legality and
 // semantics of each of the 25 <consistency, persistency> bindings, and the
-// paper's Table 4 qualitative trade-off ratings. The runnable protocols for
-// these models live in internal/protocol.
+// paper's Table 4 qualitative trade-off ratings. Model{C, P} is the only
+// model space: every layer takes a Model at face value, and Model.Valid
+// rejects any code outside the matrix. The runnable protocols for these
+// models live in internal/protocol.
 package core
 
 import (
@@ -45,10 +47,6 @@ func (c Consistency) String() string {
 	case Eventual:
 		return "Eventual"
 	default:
-		// Custom binding codes render as their implementing model.
-		if ic := implC(c); ic != c {
-			return ic.String()
-		}
 		return fmt.Sprintf("Consistency(%d)", int(c))
 	}
 }
@@ -84,10 +82,6 @@ func (p Persistency) String() string {
 	case EventualP:
 		return "Eventual"
 	default:
-		// Custom binding codes render as their implementing model.
-		if ip := implP(p); ip != p {
-			return ip.String()
-		}
 		return fmt.Sprintf("Persistency(%d)", int(p))
 	}
 }
@@ -99,15 +93,14 @@ type Model struct {
 	P Persistency
 }
 
-// String renders the paper's <C, P> notation; custom bindings render their
-// registered name.
+// String renders the paper's <C, P> notation.
 func (m Model) String() string {
-	if m.C >= customBase {
-		if name, ok := customName(m); ok {
-			return name
-		}
-	}
 	return fmt.Sprintf("<%s, %s>", m.C, m.P)
+}
+
+// Valid reports whether m is one of the 25 cells of the matrix.
+func (m Model) Valid() bool {
+	return m.C >= Linearizable && m.C <= Eventual && m.P >= Strict && m.P <= EventualP
 }
 
 // AllModels enumerates the full 5x5 matrix, consistency-major (the order of
@@ -126,12 +119,8 @@ func AllModels() []Model {
 var Baseline = Model{C: Linearizable, P: Synchronous}
 
 // ParseModel accepts "<Causal, Synchronous>", "Causal,Synchronous" or
-// "causal/synchronous" style names, plus the name of any registered custom
-// binding.
+// "causal/synchronous" style names.
 func ParseModel(s string) (Model, error) {
-	if m, ok := lookupName(strings.TrimSpace(s)); ok {
-		return m, nil
-	}
 	t := strings.NewReplacer("<", "", ">", "", " ", "").Replace(s)
 	t = strings.ReplaceAll(t, "/", ",")
 	parts := strings.Split(t, ",")
@@ -223,9 +212,8 @@ func DPDescription(p Persistency) string {
 
 // UsesInvAckVal reports whether the consistency model runs the
 // INV/ACK/VAL broadcast protocol (strong models) rather than lazy UPDs.
-// Custom binding codes resolve through their registered implementation.
 func UsesInvAckVal(c Consistency) bool {
-	switch implC(c) {
+	switch c {
 	case Linearizable, ReadEnforcedC, Transactional:
 		return true
 	}
@@ -233,4 +221,4 @@ func UsesInvAckVal(c Consistency) bool {
 }
 
 // CarriesCausalHistory reports whether UPD messages carry a cauhist.
-func CarriesCausalHistory(c Consistency) bool { return implC(c) == Causal }
+func CarriesCausalHistory(c Consistency) bool { return c == Causal }

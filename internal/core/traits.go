@@ -106,9 +106,7 @@ func Table4() []Traits {
 }
 
 // TraitsOf returns the Table 4 row for m and whether the paper rated it.
-// Custom bindings rate as the canonical pair implementing them.
 func TraitsOf(m Model) (Traits, bool) {
-	m = ImplOf(m)
 	for _, t := range table4 {
 		if t.Model == m {
 			return t, true
@@ -121,7 +119,6 @@ func TraitsOf(m Model) (Traits, bool) {
 // the paper's reasoning: it is driven by the persistency model, demoted one
 // step when the consistency model lets acknowledged writes race persists.
 func DurabilityOf(m Model) Level {
-	m = ImplOf(m)
 	if t, ok := TraitsOf(m); ok {
 		return t.Durability
 	}
@@ -171,10 +168,8 @@ const (
 	DurableAtScope
 )
 
-// AckDurabilityOf returns m's durable-at-ack rule. Custom bindings promise
-// what the canonical pair implementing them does.
+// AckDurabilityOf returns m's durable-at-ack rule.
 func AckDurabilityOf(m Model) AckDurability {
-	m = ImplOf(m)
 	switch {
 	case m.P == Strict, m.P == Synchronous && (m.C == Linearizable || m.C == Transactional):
 		return DurableAtAck

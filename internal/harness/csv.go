@@ -35,27 +35,6 @@ func (f *Fig6Result) WriteCSV(w io.Writer) error {
 			}
 		}
 	}
-	// Custom bindings: the registered name keys the consistency column (it
-	// cannot collide with canonical model names), the persistency column
-	// carries the implementing durability model.
-	for _, b := range core.Bindings() {
-		if !b.Custom() {
-			continue
-		}
-		r, ok := f.Cells[b.Model]
-		if !ok {
-			continue
-		}
-		for metric := Fig6Throughput; metric <= Fig6P95Write; metric++ {
-			if err := cw.Write([]string{
-				b.Name, b.DurImpl.String(), metric.String(),
-				strconv.FormatFloat(fig6Metric(r, metric), 'g', -1, 64),
-				strconv.FormatFloat(f.Normalized(b.Model, metric), 'g', -1, 64),
-			}); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 

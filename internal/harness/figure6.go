@@ -48,24 +48,13 @@ type Fig6Result struct {
 	Base  *cluster.Result
 }
 
-// Figure6 runs the 5x5 matrix on YCSB-A, plus any custom bindings
-// registered via core.Register (ddp.RegisterModel).
+// Figure6 runs the 5x5 matrix on YCSB-A, spreading the cells across cores.
+// The baseline every value normalizes to is one of the 25 cells.
 func Figure6(o Options) (*Fig6Result, error) {
-	return figureMatrix(o, core.RegisteredModels(), ycsb.WorkloadA)
-}
-
-// figureMatrix runs an arbitrary model list on one workload, spreading the
-// cells (plus the normalization baseline, when it is not in the list) across
-// cores.
-func figureMatrix(o Options, models []core.Model, w ycsb.Workload) (*Fig6Result, error) {
-	hasBase := false
-	cells := make([]cell, 0, len(models)+1)
-	for _, m := range models {
-		hasBase = hasBase || m == core.Baseline
-		cells = append(cells, cell{o, m, w})
-	}
-	if !hasBase {
-		cells = append(cells, cell{o, core.Baseline, w})
+	models := core.AllModels()
+	cells := make([]cell, len(models))
+	for i, m := range models {
+		cells[i] = cell{o, m, ycsb.WorkloadA}
 	}
 	rs, err := runCells(o, cells)
 	if err != nil {
@@ -75,11 +64,7 @@ func figureMatrix(o Options, models []core.Model, w ycsb.Workload) (*Fig6Result,
 	for i, m := range models {
 		res.Cells[m] = rs[i]
 	}
-	if hasBase {
-		res.Base = res.Cells[core.Baseline]
-	} else {
-		res.Base = rs[len(models)]
-	}
+	res.Base = res.Cells[core.Baseline]
 	return res, nil
 }
 
@@ -130,16 +115,6 @@ func (f *Fig6Result) WriteText(w io.Writer) {
 				fmt.Fprintf(w, " %12.2f", f.Normalized(core.Model{C: c, P: p}, metric))
 			}
 			fmt.Fprintln(w)
-		}
-		// Custom bindings occupy one cell each; they print after the grid.
-		for _, b := range core.Bindings() {
-			if !b.Custom() {
-				continue
-			}
-			if _, ok := f.Cells[b.Model]; !ok {
-				continue
-			}
-			fmt.Fprintf(w, "%-14s %12.2f\n", b.Name, f.Normalized(b.Model, metric))
 		}
 	}
 }

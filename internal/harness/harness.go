@@ -195,27 +195,13 @@ func ratio(a, b float64) float64 {
 	return a / b
 }
 
-// WriteModelReference prints the derived operational semantics of every
-// registered DDP model (the canonical 25 plus custom bindings) — a generated
-// reference that always matches the protocol implementation.
+// WriteModelReference prints the derived operational semantics of each of
+// the 25 DDP models — a generated reference that always matches the protocol
+// implementation.
 func WriteModelReference(w io.Writer) {
 	header(w, "The 25 DDP models: operational semantics",
 		"Derived from the VP/DP bindings; matches internal/protocol by construction.")
-	for _, m := range core.RegisteredModels() {
+	for _, m := range core.AllModels() {
 		fmt.Fprintf(w, "\n%s\n", core.Describe(m))
-	}
-}
-
-// WriteBindings lists every registered binding and the policy pair it
-// resolves to — the registry view of the 5x5 matrix plus custom models.
-func WriteBindings(w io.Writer) {
-	header(w, "Registered DDP bindings",
-		"Each binding resolves to a (visibility, durability) policy pair; custom bindings are marked *.")
-	for _, b := range core.Bindings() {
-		mark := " "
-		if b.Custom() {
-			mark = "*"
-		}
-		fmt.Fprintf(w, "%s %-40s vis=%-14s dur=%s\n", mark, b.Name, b.VisImpl, b.DurImpl)
 	}
 }

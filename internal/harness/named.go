@@ -26,8 +26,7 @@ type Experiment struct {
 
 // capacity and scaling stay out of "all": their sweeps (36 open-loop cells;
 // up-to-160-node sharded grids) are studies of their own rather than part
-// of the paper reproduction. bindings is a registry listing, not a paper
-// artifact.
+// of the paper reproduction.
 var experiments = []Experiment{
 	{"table1", true, false, func(o Options) (textWriter, error) { return Table1(o) }},
 	{"table5", true, false, func(o Options) (textWriter, error) {
@@ -48,7 +47,6 @@ var experiments = []Experiment{
 	{"capacity", false, true, func(o Options) (textWriter, error) { return Capacity(o) }},
 	{"scaling", false, true, func(o Options) (textWriter, error) { return Scaling(o) }},
 	{"models", true, false, func(Options) (textWriter, error) { return writeFunc(WriteModelReference), nil }},
-	{"bindings", false, false, func(Options) (textWriter, error) { return writeFunc(WriteBindings), nil }},
 }
 
 // Experiments returns the experiment table in order.

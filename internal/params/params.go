@@ -29,13 +29,11 @@ type Params struct {
 	LLCLatency int64 // 38 cycles -> 19 ns
 
 	// Main memory round trips in ns.
-	DRAMLatency  int64 // 100 ns read/write
-	NVMReadLat   int64 // 140 ns
-	NVMWriteLat  int64 // 400 ns
-	NVMChannels  int   // 2
-	NVMBanks     int   // 8 per channel
-	DRAMChannels int   // 4
-	DRAMBanks    int   // 8 per channel
+	DRAMLatency int64 // 100 ns read/write
+	NVMReadLat  int64 // 140 ns
+	NVMWriteLat int64 // 400 ns
+	NVMChannels int   // 2
+	NVMBanks    int   // 8 per channel
 
 	// Network.
 	NetRoundTrip  int64 // NIC-to-NIC round trip, ns (paper default 1000)
@@ -55,7 +53,6 @@ type Params struct {
 	// time a worker spends on each activity, in ns.
 	RequestCompute int64 // coordinator-side work to process a client read/write
 	MessageHandle  int64 // handling one incoming protocol message at any node
-	EngineOpExtra  int64 // extra per-op cost added by heavier engines (scaled)
 
 	// Workload / store shape.
 	Keys         int     // distinct keys (replicated on every server)
@@ -100,13 +97,11 @@ func Default() Params {
 		L2Latency:  6,
 		LLCLatency: 19,
 
-		DRAMLatency:  100,
-		NVMReadLat:   140,
-		NVMWriteLat:  400,
-		NVMChannels:  2,
-		NVMBanks:     8,
-		DRAMChannels: 4,
-		DRAMBanks:    8,
+		DRAMLatency: 100,
+		NVMReadLat:  140,
+		NVMWriteLat: 400,
+		NVMChannels: 2,
+		NVMBanks:    8,
 
 		NetRoundTrip:  1000,
 		NetJitter:     150,
@@ -116,7 +111,6 @@ func Default() Params {
 
 		RequestCompute: 600,
 		MessageHandle:  100,
-		EngineOpExtra:  0,
 
 		Keys:         2000,
 		ValueSize:    128,
@@ -184,7 +178,6 @@ func (p Params) Validate() error {
 	}{
 		{"RequestCompute", p.RequestCompute},
 		{"MessageHandle", p.MessageHandle},
-		{"EngineOpExtra", p.EngineOpExtra},
 		{"EventualLag", p.EventualLag},
 		{"LazyPersist", p.LazyPersist},
 		{"RetryBackoff", p.RetryBackoff},

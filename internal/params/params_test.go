@@ -25,7 +25,7 @@ func TestDefaultMatchesTable5(t *testing.T) {
 	if p.NetRoundTrip != 1000 || p.NetBandwidth != 200_000_000_000 || p.QueuePairs != 400 {
 		t.Fatalf("network params wrong: %+v", p)
 	}
-	if p.NVMChannels != 2 || p.NVMBanks != 8 || p.DRAMChannels != 4 || p.DRAMBanks != 8 {
+	if p.NVMChannels != 2 || p.NVMBanks != 8 {
 		t.Fatalf("memory geometry wrong: %+v", p)
 	}
 	if p.XactionSize != 5 || p.ScopeSize != 10 {
@@ -62,7 +62,6 @@ func TestValidateCatchesBadValues(t *testing.T) {
 		{"value", func(p *Params) { p.ValueSize = 0 }, "ValueSize"},
 		{"compute", func(p *Params) { p.RequestCompute = -1 }, "RequestCompute must"},
 		{"handle", func(p *Params) { p.MessageHandle = -1 }, "MessageHandle must"},
-		{"engineop", func(p *Params) { p.EngineOpExtra = -1 }, "EngineOpExtra must"},
 		{"evlag", func(p *Params) { p.EventualLag = -1 }, "EventualLag must"},
 		{"lazy", func(p *Params) { p.LazyPersist = -1 }, "LazyPersist must"},
 		{"backoff", func(p *Params) { p.RetryBackoff = -1 }, "RetryBackoff must"},
@@ -85,7 +84,7 @@ func TestValidateCatchesBadValues(t *testing.T) {
 	}
 	// A cost of zero is free, not invalid.
 	p := Default()
-	p.RequestCompute, p.MessageHandle, p.EngineOpExtra, p.EventualLag = 0, 0, 0, 0
+	p.RequestCompute, p.MessageHandle, p.EventualLag = 0, 0, 0
 	p.LazyPersist, p.RetryBackoff, p.MsgHeaderSize = 0, 0, 0
 	p.L1Latency, p.L2Latency, p.LLCLatency, p.DRAMLatency = 0, 0, 0, 0
 	if err := p.Validate(); err != nil {

@@ -100,7 +100,7 @@ func (op *clientOp) recycle() {
 // opServiceTime is the worker time a data request costs before it touches
 // the store: the request compute, scaled by the engine's per-op cost.
 func (r *Replica) opServiceTime() int64 {
-	return int64(float64(r.p.RequestCompute)*r.vol.OpCost()) + r.p.EngineOpExtra
+	return int64(float64(r.p.RequestCompute) * r.vol.OpCost())
 }
 
 // Every Client* call takes a non-nil Completer and a token: at completion the

@@ -17,9 +17,8 @@
 // eventual_c.go) and each persistency model a DurabilityPolicy (strict.go,
 // synchronous.go, readenforced_p.go, scope.go, eventual_p.go); policy.go
 // defines the two interfaces, their hook contract, and the resolver that
-// binds a core.Model to its policy pair once at Replica construction.
-// Custom bindings registered via core.Register resolve onto the same
-// implementations. The remaining files are the plumbing the policies drive:
+// binds a core.Model — one of the 25 matrix cells, taken at face value — to
+// its policy pair once at Replica construction. The remaining files are the plumbing the policies drive:
 // replica.go (state, messaging, persist coalescing, read stalls), clientop.go
 // (the client request pipeline), write.go (write rounds), causal.go (reorder
 // buffer), txn.go (transaction lifecycle), cont.go (continuations as data)

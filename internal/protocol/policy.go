@@ -44,8 +44,8 @@ import (
 //     terms of the Visibility Point, so this coupling is semantic, not a
 //     layering leak.
 //
-// Custom bindings registered via core.Register (public: ddp.RegisterModel)
-// resolve through core.ImplOf onto these same implementations.
+// The resolver reads a core.Model's two dimensions directly: the 25 cells of
+// the matrix are the only models, so each cell names its policy pair.
 
 // VisibilityPolicy encodes the consistency dimension of a DDP model: when
 // an update becomes visible at the replicas and what reads may observe.
@@ -185,14 +185,11 @@ type durClass struct {
 }
 
 // resolvePolicies maps a DDP model to its (visibility, durability) policy
-// pair. Custom bindings resolve through the core registry onto the
-// canonical implementations. It is called once per Replica, at
-// construction; every later policy interaction is a direct interface call
-// on the resolved values.
+// pair. It is called once per Replica, at construction; every later policy
+// interaction is a direct interface call on the resolved values.
 func resolvePolicies(m core.Model) (VisibilityPolicy, DurabilityPolicy) {
-	impl := core.ImplOf(m)
 	var vis VisibilityPolicy
-	switch impl.C {
+	switch m.C {
 	case core.Linearizable:
 		vis = linearizableVis{}
 	case core.ReadEnforcedC:
@@ -204,14 +201,14 @@ func resolvePolicies(m core.Model) (VisibilityPolicy, DurabilityPolicy) {
 	case core.Eventual:
 		vis = eventualVis{}
 	default:
-		panic(fmt.Sprintf("protocol: no visibility policy for %v", impl.C))
+		panic(fmt.Sprintf("protocol: no visibility policy for %v", m.C))
 	}
 	cls := durClass{
-		weak:          !core.UsesInvAckVal(impl.C),
-		transactional: impl.C == core.Transactional,
+		weak:          !core.UsesInvAckVal(m.C),
+		transactional: m.C == core.Transactional,
 	}
 	var dur DurabilityPolicy
-	switch impl.P {
+	switch m.P {
 	case core.Strict:
 		dur = strictDur{cls}
 	case core.Synchronous:
@@ -223,7 +220,7 @@ func resolvePolicies(m core.Model) (VisibilityPolicy, DurabilityPolicy) {
 	case core.EventualP:
 		dur = eventualDur{cls}
 	default:
-		panic(fmt.Sprintf("protocol: no durability policy for %v", impl.P))
+		panic(fmt.Sprintf("protocol: no durability policy for %v", m.P))
 	}
 	return vis, dur
 }

@@ -380,16 +380,6 @@ func (r *Replica) groupSize() int {
 	return r.member.Size / r.p.Groups
 }
 
-// sameGroup reports whether the replica at rank node shares this replica's
-// hybrid group.
-func (r *Replica) sameGroup(node int) bool {
-	if r.p.Groups <= 1 {
-		return true
-	}
-	g := r.member.Size / r.p.Groups
-	return node/g == r.id/g
-}
-
 // send transmits one protocol message to the group member at rank to.
 func (r *Replica) send(to int, p payload) {
 	if r.tracer != nil {
@@ -743,12 +733,6 @@ func (r *Replica) readAttempt(op *clientOp) {
 		op.ver = ks.committed
 	}
 	r.eng.ScheduleEvent(r.mem.ReadLatency(), op, opReadDone)
-}
-
-// weakConsistency reports whether the consistency model is Causal or
-// Eventual (no INV/ACK/VAL machinery).
-func (r *Replica) weakConsistency() bool {
-	return !r.vis.usesInvAckVal()
 }
 
 // readSource returns the engine image reads serve from: the volatile store,

@@ -1,7 +1,6 @@
 package recovery
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -322,34 +321,6 @@ func TestCrashAndRecoverRejectsBadInputs(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("CrashAndRecover(at=%d, nodes=%v) = %v, %v; want error containing %q",
 				tc.at, tc.nodes, rep, err, tc.want)
-		}
-	}
-}
-
-// TestCustomBindingAuditsLikeItsPair: a registered alias of every canonical
-// pair is held to the pair's durable-at-ack rule and pays the pair's
-// recovery, so the crash audit and recovery timing of the two are equal.
-func TestCustomBindingAuditsLikeItsPair(t *testing.T) {
-	for _, m := range core.AllModels() {
-		alias, err := core.Register(fmt.Sprintf("audit-alias %s", m), m.C, m.P)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, scoped := range []bool{false, true} {
-			w := cluster.WriteRecord{ScopePersisted: scoped}
-			if got, want := confirmedDurable(alias, w), confirmedDurable(m, w); got != want {
-				t.Errorf("%s (scope persisted %v): alias confirmed durable %v, pair %v", m, scoped, got, want)
-			}
-		}
-		want, got := mustCrash(t, m), mustCrash(t, alias)
-		if !reflect.DeepEqual(got.Audit, want.Audit) {
-			t.Errorf("%s: alias audit %+v, pair audit %+v", m, got.Audit, want.Audit)
-		}
-		wantT := TimeRecoveryOf(want.Cluster, want.Recovered)
-		gotT := TimeRecoveryOf(got.Cluster, got.Recovered)
-		gotT.Model = m
-		if gotT != wantT {
-			t.Errorf("%s: alias recovery %+v, pair recovery %+v", m, gotT, wantT)
 		}
 	}
 }
