@@ -65,7 +65,9 @@ fmt:
 #     spares against the peak of messages in flight;
 #   - memory that scales with use: one measurement set per engine (and one
 #     scope histogram per set, on first use), a cluster's retained heap per
-#     added node at 160 vs 40 nodes, the hash table's 24-byte slot, its
+#     added node at 160 vs 40 nodes, the Causal reorder buffer's retained
+#     bytes per buffered update (a buffered update holds its shared box), the
+#     hash table's 24-byte slot, its
 #     value entries (Get returns the stored slice; entries never outnumber
 #     live keys; one shared value is held once), its size under Put/Delete
 #     churn, every key across its same-size rebuilds, its zero-allocation
@@ -93,7 +95,7 @@ check: vet fmt
 	$(GO) test -race ./internal/cluster/ -run 'TestHotSketchGoldenSeed|TestP2CSpreadDeterministic'
 	$(GO) test ./internal/cluster/ ./internal/sim/ -run 'TestScheduleFingerprint|TestPoolReacquireFromCompletionQueuesBehindBacklog'
 	$(GO) test ./internal/simnet/ ./internal/cluster/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas'
-	$(GO) test ./internal/cluster/ ./internal/engines/ ./internal/stats/ -run 'TestMeasurementSetPerEngine|TestScopeHistogramAllocatedOnFirstUse|TestRetainedHeapLinearInNodes|TestHashTableSlotSize|TestHashTableGetReturnsStoredSlice|TestHashTableSharedValueHeldOnce|TestHashTableInternedWithinLiveKeys|TestHashTableChurnBounded|TestHashTableRebuildKeepsEveryKey|TestHashTableOpAllocFree|TestBucketIndexMatchesLoopOracle'
+	$(GO) test ./internal/cluster/ ./internal/engines/ ./internal/stats/ -run 'TestMeasurementSetPerEngine|TestScopeHistogramAllocatedOnFirstUse|TestRetainedHeapLinearInNodes|TestCausalBufferBytesPerEntry|TestHashTableSlotSize|TestHashTableGetReturnsStoredSlice|TestHashTableSharedValueHeldOnce|TestHashTableInternedWithinLiveKeys|TestHashTableChurnBounded|TestHashTableRebuildKeepsEveryKey|TestHashTableOpAllocFree|TestBucketIndexMatchesLoopOracle'
 	$(GO) test -run='^$$' -bench BenchmarkClusterNew -benchtime=1x -benchmem .
 	$(GO) run ./cmd/ddpbench -exp capacity -quick > /dev/null
 	$(GO) run ./cmd/ddpbench -exp capacity -quick -shards 4 > /dev/null
@@ -136,15 +138,19 @@ census:
 	SCALE_CENSUS=1 $(GO) test ./internal/cluster/ -run '^TestScaleCensus$$' -count=1 -memprofilerate 1 -memprofile .bench_build/scale_census.mprof -o .bench_build/cluster.test > /dev/null
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/cluster.test .bench_build/scale_census.mprof
 
-# Live heap of the repo benchmark's scale160 <Ev,Ev> cell, the memory twin of
-# census: the cell is built and run, a collection is forced with the cluster
-# still live (the state live_heap_mb samples), and the exact in-use heap
-# profile (runtime.MemProfileRate = 1) prints its top-20 sites by bytes.
-# EXPERIMENTS.md "Per-node state" reads this table.
+# Live heap of two repo benchmark cells, the memory twin of census: scale160's
+# <Ev,Ev> cell and flat_matrix's 5x20 <Causal, Sync> cell (the largest live
+# heap of that workload, set by its Causal reorder buffer). Each cell is built
+# and run, a collection is forced with the cluster still live (the state
+# live_heap_mb samples), and the exact in-use heap profile
+# (runtime.MemProfileRate = 1) prints its top-20 sites by bytes.
+# EXPERIMENTS.md "Per-node state" and "Buffered updates hold their box" read
+# these tables.
 footprint:
 	mkdir -p .bench_build
 	FOOTPRINT_PROFILE=$(CURDIR)/.bench_build/footprint.pprof $(GO) test ./internal/cluster/ -run '^TestFootprintProfile$$' -count=1 -v
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=20 .bench_build/footprint.pprof
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=20 .bench_build/footprint_causal_sync.pprof
 
 # Host cost of one simulated event at 40, 160 and 320 nodes (the scaling
 # study's <Ev,Ev> cell, Shards = N/5): ns/event should not climb with N.

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -66,6 +68,42 @@ func TestRetainedHeapLinearInNodes(t *testing.T) {
 	t.Logf("retained heap %d B at 40 nodes, %d B at 160: %.0f B per added node", small, large, perNode)
 }
 
+// TestCausalBufferBytesPerEntry pins what the Causal reorder buffer holds per
+// buffered update, where it sets the flagship workload's live heap: the repo
+// benchmark's flat 5x20 <Causal, Sync> cell, whose persist-gated applies
+// leave tens of thousands of updates buffered at the end of its window,
+// retains at most 48 B per buffered entry more than its <Causal, EventualP>
+// twin, whose buffers stay near empty (about 36 B measured). A buffered
+// update holds its UPD's box, shared by every receiver that buffers it, and
+// waits in one ring slot per writer count; a private copy of the update and
+// its history per receiver, filed in a (node, count) map, cost 88 B.
+func TestCausalBufferBytesPerEntry(t *testing.T) {
+	const budget = 48
+	entries := 0
+	backlog := runRetained(t, flatCell(core.Model{C: core.Causal, P: core.Synchronous}), func(c *Cluster) {
+		for _, r := range c.Replicas {
+			entries += r.BufferLen()
+		}
+	})
+	twin := runRetained(t, flatCell(core.Model{C: core.Causal, P: core.EventualP}), nil)
+	if entries < 10_000 {
+		t.Fatalf("only %d updates buffered at the end of the <Causal, Sync> window; the cell no longer builds a backlog", entries)
+	}
+	perEntry := (float64(backlog) - float64(twin)) / float64(entries)
+	if perEntry > budget {
+		t.Fatalf("<Causal, Sync> retains %d B, its <Causal, EventualP> twin %d B: %.1f B per each of %d buffered updates, want <= %d",
+			backlog, twin, perEntry, entries, budget)
+	}
+	t.Logf("<Causal, Sync> retains %d B, its <Causal, EventualP> twin %d B: %.1f B per each of %d buffered updates", backlog, twin, perEntry, entries)
+}
+
+// flatCell is the repo benchmark's flat_matrix cell for binding m: 5 servers
+// x 20 closed-loop clients on YCSB-A, 0.2 ms warm-up + 0.15 ms measured,
+// seed 1.
+func flatCell(m core.Model) Config {
+	return Config{Model: m, Workload: ycsb.WorkloadA, Params: params.Default(), Seed: 1, WarmupNs: 200_000, MeasureNs: 150_000}
+}
+
 // TestConstructionObjectsPerClient pins what a closed-loop client costs to
 // build: on the 40- and on the 160-node scaling cell, New + Start with 20
 // clients per server allocate at most 0.1 objects per client more than with
@@ -96,29 +134,41 @@ func TestConstructionObjectsPerClient(t *testing.T) {
 	}
 }
 
-// TestFootprintProfile writes the exact in-use heap profile of the repo
-// benchmark's scale160 <Ev,Ev> cell, taken after a forced collection with the
-// cluster built and run: the live_heap_mb sample, by allocation site. It runs
-// only when FOOTPRINT_PROFILE names the output file; `make footprint` sets it
-// and prints the top 20 sites by inuse_space.
+// TestFootprintProfile writes the exact in-use heap profiles of two repo
+// benchmark cells, each taken after a forced collection with the cluster
+// built and run — the live_heap_mb sample, by allocation site: scale160's
+// <Ev,Ev> cell, and flat_matrix's 5x20 <Causal, Sync> cell, whose reorder
+// buffer makes it the largest live heap of that workload. It runs only when
+// FOOTPRINT_PROFILE names the first output file; the second goes next to it,
+// with "_causal_sync" before the extension. `make footprint` sets it and
+// prints the top 20 sites of each by inuse_space.
 func TestFootprintProfile(t *testing.T) {
 	out := os.Getenv("FOOTPRINT_PROFILE")
 	if out == "" {
-		t.Skip("set FOOTPRINT_PROFILE=<file> to write the profile (make footprint)")
+		t.Skip("set FOOTPRINT_PROFILE=<file> to write the profiles (make footprint)")
 	}
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	live := runRetained(t, scaleCell(160, 200_000, 800_000), func(*Cluster) {
-		f, err := os.Create(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("scale160 <Ev,Ev>: %.2f MB retained; profile in %s", float64(live)/(1<<20), out)
+	ext := filepath.Ext(out)
+	for _, cell := range []struct {
+		name, file string
+		cfg        Config
+	}{
+		{"scale160 <Ev,Ev>", out, scaleCell(160, 200_000, 800_000)},
+		{"flat 5x20 <Causal, Sync>", strings.TrimSuffix(out, ext) + "_causal_sync" + ext, flatCell(core.Model{C: core.Causal, P: core.Synchronous})},
+	} {
+		live := runRetained(t, cell.cfg, func(*Cluster) {
+			f, err := os.Create(cell.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.2f MB retained; profile in %s", cell.name, float64(live)/(1<<20), cell.file)
+	}
 }
 
 // TestSharedChooserKeepsStreams checks that sharing one chooser across a

@@ -1,10 +1,6 @@
 package protocol
 
-import (
-	"slices"
-
-	"repro/internal/vclock"
-)
+import "repro/internal/vclock"
 
 // causalVis implements Causal consistency: an update is visible with respect
 // to a node when the node has observed everything the update causally
@@ -57,43 +53,56 @@ func (causalVis) selfApply(r *Replica) { r.advanceApplied(r.id) }
 // work is O(components) amortized — a flat scan per apply degrades to
 // O(buffer^2) under Synchronous persistency, whose persist-gated applies
 // grow the buffer by orders of magnitude (Section 8.1.2).
+//
+// A parked update is its UPD's payload box: the receiver takes one more
+// reference on the box, so the box, its body and its history stay put —
+// shared by every receiver that buffers the same update — until the update
+// applies or is dropped as a stale duplicate and the reference is released.
 
-// advance is one queued applied-vector increment awaiting drain.
-type advance struct {
-	node int
-	v    uint64
+// waitRing is one writer's index of the reorder buffer: the FIFO (in bufs)
+// of updates waiting for the writer's count done+1+k has its tail token in
+// tails[(head+k) mod len(tails)]. The drain visits the writer's counts in
+// order as its applied counter advances, so each visit pops the front, and
+// every count filed is above done. The zero value is an empty ring.
+type waitRing struct {
+	tails []int32 // power-of-two ring of FIFO tail tokens, 0 = none waiting
+	head  int     // slot of count done+1
+	done  uint64  // counts visited so far
 }
 
-// histRows stores the causal histories of buffered updates in replica-owned
-// memory, one row of w counters per token of the bufs slab it shadows: row t
-// is data[(t-1)*w : t*w], so a row lives exactly as long as its slot, and the
-// arena grows with the slab, by use. Refer to a row by token: a slice from
-// row is read before anything can set a higher token (set may move the
-// arena), never kept in a record.
-type histRows struct {
-	w    int
-	data []uint64
-}
-
-// set copies vc into row t.
-func (h *histRows) set(t int32, vc []uint64) {
-	end := int(t) * h.w
-	if end > len(h.data) {
-		h.data = slices.Grow(h.data, end-len(h.data))[:end]
+// at returns the tail token of the FIFO for count c > done, first growing the
+// ring to reach it.
+func (w *waitRing) at(c uint64) *int32 {
+	k := int(c - w.done - 1)
+	if k >= len(w.tails) {
+		size := max(8, 2*len(w.tails))
+		for size <= k {
+			size *= 2
+		}
+		grown := make([]int32, size)
+		n := copy(grown, w.tails[w.head:])
+		copy(grown[n:], w.tails[:w.head])
+		w.tails, w.head = grown, 0
 	}
-	copy(h.data[end-h.w:end], vc)
+	return &w.tails[(w.head+k)&(len(w.tails)-1)]
 }
 
-// row returns the history in row t.
-func (h *histRows) row(t int32) vclock.VC {
-	end := int(t) * h.w
-	return h.data[end-h.w : end : end]
+// pop visits count done+1: it returns the tail token of that count's FIFO,
+// or 0 when nothing waits for it, and empties its slot for count done+1+len.
+func (w *waitRing) pop() (tail int32) {
+	w.done++
+	if len(w.tails) == 0 {
+		return 0
+	}
+	tail, w.tails[w.head] = w.tails[w.head], 0
+	w.head = (w.head + 1) & (len(w.tails) - 1)
+	return tail
 }
 
 // causalDeliver handles a UPD carrying a cauhist at a follower: apply it if
 // its happens-before history is already applied here, otherwise buffer it
-// (Figure 2f shows d2 buffered until d1 arrives). The history is read in the
-// UPD's box; a buffered update outlives its box, so it keeps a copy.
+// (Figure 2f shows d2 buffered until d1 arrives). p is the UPD's box; a
+// buffered update holds a reference on it, so it outlives its handler.
 func (r *Replica) causalDeliver(p *payload) {
 	src := p.Stamp.Node()
 	if r.appliedVC[src] >= p.Cauhist[src] {
@@ -105,9 +114,8 @@ func (r *Replica) causalDeliver(p *payload) {
 	}
 	r.M.BufferedUpdates++
 	r.M.BufferSum += uint64(r.bufCount)
-	i := r.bufs.Put(bufferedUpd{key: p.Key, stamp: p.Stamp, scope: p.Scope})
-	r.bufHist.set(i, p.Cauhist)
-	r.fileBuffered(i)
+	r.hold(p)
+	r.fileBuffered(r.bufs.Put(p))
 	if r.bufCount > r.M.BufferPeak {
 		r.M.BufferPeak = r.bufCount
 	}
@@ -131,53 +139,45 @@ func (r *Replica) causalApplicable(src int, vc vclock.VC) bool {
 
 // fileBuffered parks the update held in bufs slot b under its first
 // unsatisfied dependency. If every dependency is already satisfied it frees
-// the slot and applies (or drops a stale duplicate) immediately.
+// the slot, applies the update (or drops a stale duplicate) and releases its
+// box.
 func (r *Replica) fileBuffered(b int32) {
-	src := r.bufs.At(b).stamp.Node()
-	vc := r.bufHist.row(b)
-	for i, v := range vc {
+	p := *r.bufs.At(b)
+	src := p.Stamp.Node()
+	for i, v := range p.Cauhist {
 		need := v
 		if i == src {
 			need = v - 1
 		}
 		if r.appliedVC[i] < need {
-			if r.waiting[i] == nil {
-				r.waiting[i] = make(map[uint64]int32)
-			}
-			tail := r.waiting[i][need]
-			r.bufs.Link(&tail, b)
-			r.waiting[i][need] = tail
+			r.bufs.Link(r.waiting[i].at(need), b)
 			r.bufCount++
 			return
 		}
 	}
-	stale := r.appliedVC[src] >= vc[src]
-	u := r.bufs.Take(b) // after the last read of the history
-	if stale {
-		return // stale duplicate
+	r.bufs.Take(b)
+	if r.appliedVC[src] < p.Cauhist[src] {
+		r.causalApply(p.Key, p.Stamp, p.Scope)
 	}
-	r.causalApply(u.key, u.stamp, u.scope)
+	r.release(p)
 }
 
 // advanceApplied increments the applied vector for node and re-evaluates
 // every update that was waiting on the new count. The drain loop is
 // iterative: re-evaluations can cascade (a chain of dependent updates
-// unblocking serially) and must not recurse.
+// unblocking serially) and must not recurse. Every increment queues its
+// node and is visited, each node's in count order, so the visit pops the
+// front of the node's waitRing.
 func (r *Replica) advanceApplied(node int) {
 	r.appliedVC[node]++
-	r.drainQueue = append(r.drainQueue, advance{node: node, v: r.appliedVC[node]})
+	r.drainQueue = append(r.drainQueue, node)
 	if r.draining {
 		return
 	}
 	r.draining = true
 	// Drain by index: re-evaluations append to the queue while it drains.
 	for i := 0; i < len(r.drainQueue); i++ {
-		a := r.drainQueue[i]
-		tail, ok := r.waiting[a.node][a.v]
-		if !ok {
-			continue
-		}
-		delete(r.waiting[a.node], a.v)
+		tail := r.waiting[r.drainQueue[i]].pop()
 		for head := r.bufs.Detach(&tail); head != 0; {
 			b := head
 			head = *r.bufs.Next(b)

@@ -95,8 +95,9 @@ type payload struct {
 	Cauhist vclock.VC // empty except under Causal consistency (see BoxPool)
 	Chain   bool      // serially-propagated (SerialPropagation ablation)
 
-	// refs counts the messages sharing this box (broadcast shares one box
-	// across every copy) whose handlers have not yet returned. Meaningful
+	// refs counts the holders of this box: the messages sharing it (broadcast
+	// shares one box across every copy) whose handlers have not yet returned,
+	// plus the receivers' buffered causal updates parked in it. Meaningful
 	// only in the boxed instance; value copies carry it inertly. Not part of
 	// the wire format.
 	refs int32
@@ -119,8 +120,12 @@ const payloadChunk = 64
 // A box keeps its causal history's storage across reuse: box copies the
 // sender's vector into it, and only a box without room carves new storage,
 // so a causal write allocates nothing in steady state. Receivers read the
-// history in the box; only an update buffered for causal order, which
-// outlives its box, copies it out (causalDeliver).
+// history in the box. An update buffered for causal order keeps its box: the
+// receiver takes one more reference (causalDeliver) and releases it when the
+// update applies or is dropped as a stale duplicate, so every receiver that
+// buffers the same update shares one body and one history, and a box comes
+// back to a pool only once its last holder, handler or buffered update, is
+// done with it.
 type BoxPool struct {
 	free sim.FreeList[payload, *payload]
 	hist []uint64 // chunked history storage for boxes that have none

@@ -129,14 +129,6 @@ type persistItem struct {
 	stamp Stamp
 }
 
-// bufferedUpd is an out-of-order causal update parked at a follower. Its
-// causal history is the Replica.bufHist row of its bufs token.
-type bufferedUpd struct {
-	key   uint64
-	stamp Stamp
-	scope uint64
-}
-
 // Replica is one node's protocol engine. It acts as coordinator for requests
 // submitted locally and as follower for everything else.
 type Replica struct {
@@ -178,20 +170,21 @@ type Replica struct {
 	fanIns sim.Slab[fanIn]
 	ops    sim.FreeList[clientOp, *clientOp]
 
-	// Causal consistency state. waiting indexes the reorder buffer by the
-	// first unsatisfied dependency: waiting[node][count] is the tail token of
-	// the FIFO (in bufs) of updates that become eligible when appliedVC[node]
-	// reaches count. histOut is the history this replica's next write sends
-	// (boxes copy it); a received history is read in its box, and only a
-	// buffered update's is copied out, into the bufHist row of its bufs token.
+	// Causal consistency state. bufs is the reorder buffer: each
+	// out-of-order update parked at this follower is its UPD's payload box,
+	// on which it holds a reference until it applies (see causalDeliver),
+	// sharing the body and history with every other receiver that buffers
+	// it. waiting[node] indexes the buffer by first unsatisfied dependency:
+	// it holds the FIFOs (in bufs) of updates that become eligible as
+	// appliedVC[node] reaches each count. histOut is the history this
+	// replica's next write sends (boxes copy it).
 	appliedVC  vclock.VC // per-writer applied counters
 	issued     uint64    // own writes issued (stamps cauhist)
 	histOut    vclock.VC
-	bufHist    histRows
-	waiting    []map[uint64]int32
-	bufs       sim.Slab[bufferedUpd]
+	waiting    []waitRing
+	bufs       sim.Slab[*payload]
 	bufCount   int
-	drainQueue []advance
+	drainQueue []int // nodes whose applied count rose, awaiting drain
 	draining   bool
 
 	// Transactional state.
@@ -285,8 +278,6 @@ func NewReplica(id int, d Deps) *Replica {
 		keys:         newKeyTable(d.P.Keys, d.Keys),
 		pending:      make(map[Stamp]*pendingWrite),
 		appliedVC:    vclock.New(mem.Size),
-		bufHist:      histRows{w: mem.Size},
-		waiting:      make([]map[uint64]int32, mem.Size),
 		txns:         make(map[uint64]*txnState),
 		scopePending: make(map[uint64][]persistItem),
 		scopeClosed:  make(map[uint32]uint32),
@@ -297,6 +288,9 @@ func NewReplica(id int, d Deps) *Replica {
 	}
 	if r.boxes = d.Boxes; r.boxes == nil || d.AtomicRefs {
 		r.boxes = new(BoxPool)
+	}
+	if d.Model.C == core.Causal { // only Causal consistency buffers updates
+		r.waiting = make([]waitRing, mem.Size)
 	}
 	r.persC.r = r
 	r.ablC.r = r
@@ -518,13 +512,14 @@ func (r *Replica) onMessage(m simnet.Message) {
 
 // OnEvent dispatches the message parked at token arg straight from its box.
 // It implements sim.Handler so message handling schedules without a closure
-// per message. A box is spent when the last receiver's handler returns: that
-// receiver recycles it into its own pool, where the next write reuses its
+// per message. A box is spent when its last reference is released — the last
+// receiver's handler returns, or the last update buffered in it applies: that
+// holder recycles it into its own pool, where the next write reuses its
 // history storage. Under concurrent logical processes the receivers of a
 // broadcast read one box on different goroutines; handlers read its fields,
 // not refs (a whole-struct copy would: forwardChain makes one only of a box
-// no other receiver shares), and the atomic decrement orders each receiver's
-// reads before the last receiver's put.
+// no other receiver shares), and the atomic reference counts order each
+// holder's reads before the last holder's put.
 func (r *Replica) OnEvent(arg uint64) {
 	rec := r.disp.Take(int32(arg))
 	pp := rec.p
@@ -532,6 +527,23 @@ func (r *Replica) OnEvent(arg uint64) {
 		r.watch(int32(arg), pp)
 	}
 	r.dispatch(int(rec.from), pp)
+	r.release(pp)
+}
+
+// hold takes one more reference on box pp for a receiver that keeps it past
+// its handler (a buffered causal update). The receiver still holds its
+// message's reference, so the box cannot be spent meanwhile.
+func (r *Replica) hold(pp *payload) {
+	if r.atomicRefs {
+		atomic.AddInt32(&pp.refs, 1)
+	} else {
+		pp.refs++
+	}
+}
+
+// release drops one reference on box pp; the last holder puts it back in its
+// own pool.
+func (r *Replica) release(pp *payload) {
 	if r.atomicRefs {
 		if atomic.AddInt32(&pp.refs, -1) == 0 {
 			r.boxes.put(pp)
@@ -542,8 +554,9 @@ func (r *Replica) OnEvent(arg uint64) {
 }
 
 // dispatch runs the handler of a received message. p is its box, shared with
-// the message's other receivers: handlers read it and never write it, and
-// what outlives the handler is copied out (bufHist, sends that box anew).
+// the message's other receivers: handlers read it and never write it. What
+// outlives the handler either holds a reference on the box (a buffered causal
+// update) or is copied out (a send boxes its body anew).
 func (r *Replica) dispatch(from int, p *payload) {
 	if r.tracer != nil {
 		r.trace("recv %s (from %d)", p.Kind, from)
