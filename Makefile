@@ -58,6 +58,10 @@ fmt:
 #     over a slower cross-shard spine) and the pool's FIFO re-acquire pin: a
 #     dispatch reorder the two-decimal goldens cannot see moves an exact
 #     counter here;
+#   - the engine-choice fingerprint (every engine under YCSB-A and YCSB-E on
+#     the small flat cell in three bindings and on the 16-shard cell, plus
+#     the versions a full and a partial crash recover) and the one version
+#     record per key (a replica's retained heap per added key);
 #   - per-node state that does not grow with the cluster: the NIC send path
 #     against its per-pair-table oracle (arrival time and in-flight count
 #     after every send), simnet.New's bytes at 320 vs 40 nodes, the ring's
@@ -94,6 +98,7 @@ check: vet fmt
 	$(GO) test -race ./internal/cluster/ -run 'TestFlatRoutingReport|TestSharded'
 	$(GO) test -race ./internal/cluster/ -run 'TestHotSketchGoldenSeed|TestP2CSpreadDeterministic'
 	$(GO) test ./internal/cluster/ ./internal/sim/ -run 'TestScheduleFingerprint|TestPoolReacquireFromCompletionQueuesBehindBacklog'
+	$(GO) test ./internal/cluster/ -run '^(TestEngineChoiceFingerprint|TestReplicaHoldsOneRecordPerKey)$$'
 	$(GO) test ./internal/simnet/ ./internal/cluster/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas'
 	$(GO) test ./internal/cluster/ ./internal/engines/ ./internal/stats/ -run 'TestMeasurementSetPerEngine|TestScopeHistogramAllocatedOnFirstUse|TestRetainedHeapLinearInNodes|TestCausalBufferBytesPerEntry|TestHashTableSlotSize|TestHashTableGetReturnsStoredSlice|TestHashTableSharedValueHeldOnce|TestHashTableInternedWithinLiveKeys|TestHashTableChurnBounded|TestHashTableRebuildKeepsEveryKey|TestHashTableOpAllocFree|TestBucketIndexMatchesLoopOracle'
 	$(GO) test -run='^$$' -bench BenchmarkClusterNew -benchtime=1x -benchmem .

@@ -123,8 +123,10 @@ type Config struct {
 	Model Model
 	// Workload is the request mix (default: WorkloadA).
 	Workload Workload
-	// Engine picks the KV store backing each node: "hashtable" (default),
-	// "map" (skiplist), "btree", "bplustree", or "memcache".
+	// Engine picks the KV store each node models: "hashtable" (default),
+	// "map" (skiplist), "btree", "bplustree", "memcache" or "walstore". It
+	// sets the per-request compute weight and the order a scan visits keys
+	// in; a replica keeps its versions in its own key table either way.
 	Engine string
 	// Params overrides the modeled architecture (default: DefaultParams).
 	Params Params

@@ -1,5 +1,5 @@
 // Package cluster assembles the full simulated system: N server nodes (each
-// a protocol replica with its own KV engine images, NVM device, memory
+// a protocol replica with its key table, NVM device, memory
 // hierarchy, worker pool, and NIC) plus closed-loop YCSB clients pinned to
 // their local server, as in the paper's evaluation (Section 7).
 //
@@ -402,7 +402,7 @@ func (cfg Config) Validate() error {
 	if err := cfg.Params.Validate(); err != nil {
 		return err
 	}
-	if err := engines.Known(cfg.Engine); err != nil {
+	if _, err := engines.ProfileOf(cfg.Engine); err != nil {
 		return err
 	}
 	if err := cfg.Workload.Validate(); err != nil {
@@ -500,6 +500,7 @@ func New(cfg Config) (*Cluster, error) {
 	p := cfg.Params
 	netCfg, nvmCfg := cfg.netConfig(), cfg.nvmConfig()
 	useLP := cfg.useLP()
+	store, _ := engines.ProfileOf(cfg.Engine) // Validate checked the name
 
 	c := &Cluster{Cfg: cfg}
 	var net *simnet.Network
@@ -550,14 +551,6 @@ func New(cfg Config) (*Cluster, error) {
 	owned, c.ring.owners = protocol.PartitionKeys(p.Keys, shards, c.ring.owner)
 	for i := 0; i < p.Servers; i++ {
 		eng := c.nodes[i].eng
-		vol, err := engines.New(cfg.Engine)
-		if err != nil {
-			return nil, err
-		}
-		img, err := engines.New(cfg.Engine)
-		if err != nil {
-			return nil, err
-		}
 		dev := nvm.New(eng, nvmCfg)
 		workers := sim.NewPool(eng, p.WorkersPerServer)
 		c.Devices = append(c.Devices, dev)
@@ -575,8 +568,7 @@ func New(cfg Config) (*Cluster, error) {
 			NVM:        dev,
 			Mem:        memhier.New(p, rng.Fork()),
 			Workers:    workers,
-			Vol:        vol,
-			Img:        img,
+			Store:      store,
 			Member:     protocol.Membership{Base: base, Size: rf, Rank: i - base},
 			Keys:       keys,
 			Trace:      tracer,

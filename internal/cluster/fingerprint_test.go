@@ -13,7 +13,7 @@ import (
 	"repro/internal/ycsb"
 )
 
-var updateFingerprint = flag.Bool("update", false, "rewrite testdata/schedule_fingerprint.txt")
+var updateFingerprint = flag.Bool("update", false, "rewrite the testdata fixtures of the fingerprint tests that run")
 
 // fingerprint renders the exact counters of one run: every one of them is a
 // sum over the whole dispatch order, so a reordered event moves at least one

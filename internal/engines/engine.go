@@ -2,10 +2,12 @@
 // the role of the paper's evaluated applications: a HashTable, an ordered Map
 // (skiplist), a B-Tree, a B+Tree, and a memcached-like slab store.
 //
-// Each node in the simulated cluster holds two engine instances — the
-// volatile store and the NVM image — so recovery tests operate on real data
-// structures rather than assumptions. Engines are not safe for concurrent
-// use; the simulator is single-goroutine by design.
+// The simulator builds no engine: a replica keeps each key's visible and
+// persisted versions in its own key table, and of the chosen engine it reads
+// only the Profile — the per-operation compute weight a request pays and the
+// key order a scan walks. The implementations are real data structures with
+// their own tests and the benchmark's hashtable kernel. Engines are not safe
+// for concurrent use.
 package engines
 
 import "fmt"
@@ -38,48 +40,51 @@ type Engine interface {
 	OpCost() float64
 }
 
-// constructors maps every accepted engine name to its constructor.
-var constructors = map[string]func() Engine{
-	"":          func() Engine { return NewHashTable() },
-	"hashtable": func() Engine { return NewHashTable() },
-	"map":       func() Engine { return NewSkipList() },
-	"skiplist":  func() Engine { return NewSkipList() },
-	"btree":     func() Engine { return NewBTree() },
-	"bplustree": func() Engine { return NewBPlusTree() },
-	"memcache":  func() Engine { return NewMemcache(64 << 20) },
-	"memcached": func() Engine { return NewMemcache(64 << 20) },
-	"walstore":  func() Engine { return NewWALStore() },
-	"wal":       func() Engine { return NewWALStore() },
+// Profile is what the simulator reads of an engine, without building one.
+type Profile struct {
+	OpCost  float64 // the engine's Engine.OpCost
+	Ordered bool    // whether its Range visits keys in ascending order
 }
 
-// Known reports whether New accepts name, without building an engine.
-func Known(name string) error {
-	if _, ok := constructors[name]; !ok {
-		return fmt.Errorf("engines: unknown engine %q", name)
+// kinds maps every accepted engine name, aliases included, to its
+// constructor and profile.
+var kinds = map[string]struct {
+	new func() Engine
+	Profile
+}{
+	"":          {func() Engine { return NewHashTable() }, Profile{OpCost: 1.0}},
+	"hashtable": {func() Engine { return NewHashTable() }, Profile{OpCost: 1.0}},
+	"map":       {func() Engine { return NewSkipList() }, Profile{OpCost: 1.6, Ordered: true}},
+	"skiplist":  {func() Engine { return NewSkipList() }, Profile{OpCost: 1.6, Ordered: true}},
+	"btree":     {func() Engine { return NewBTree() }, Profile{OpCost: 1.8, Ordered: true}},
+	"bplustree": {func() Engine { return NewBPlusTree() }, Profile{OpCost: 1.7, Ordered: true}},
+	"memcache":  {func() Engine { return NewMemcache(64 << 20) }, Profile{OpCost: 1.2}},
+	"memcached": {func() Engine { return NewMemcache(64 << 20) }, Profile{OpCost: 1.2}},
+	"walstore":  {func() Engine { return NewWALStore() }, Profile{OpCost: 1.1}},
+	"wal":       {func() Engine { return NewWALStore() }, Profile{OpCost: 1.1}},
+}
+
+// ProfileOf returns the profile of the engine New builds for name, or the
+// error New returns for a name it does not accept.
+func ProfileOf(name string) (Profile, error) {
+	k, ok := kinds[name]
+	if !ok {
+		return Profile{}, fmt.Errorf("engines: unknown engine %q", name)
 	}
-	return nil
+	return k.Profile, nil
 }
 
 // New constructs an engine by name. Supported names: "hashtable" (also ""),
 // "map" (skiplist), "btree", "bplustree", "memcache", "walstore".
 func New(name string) (Engine, error) {
-	if err := Known(name); err != nil {
+	if _, err := ProfileOf(name); err != nil {
 		return nil, err
 	}
-	return constructors[name](), nil
+	return kinds[name].new(), nil
 }
 
 // Names lists the supported engine names, in the order the paper mentions
 // the applications.
 func Names() []string {
 	return []string{"memcache", "hashtable", "map", "btree", "bplustree", "walstore"}
-}
-
-// Ordered reports whether the named engine iterates in key order.
-func Ordered(name string) bool {
-	switch name {
-	case "map", "skiplist", "btree", "bplustree":
-		return true
-	}
-	return false
 }

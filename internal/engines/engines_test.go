@@ -33,16 +33,16 @@ func TestNewByName(t *testing.T) {
 			t.Fatalf("New(%q).Name() = %q", name, e.Name())
 		}
 	}
-	// Known answers for every name New does, aliases included, without
+	// ProfileOf answers for every name New does, aliases included, without
 	// building anything.
 	for _, name := range append(Names(), "", "skiplist", "memcached", "wal") {
-		if err := Known(name); err != nil {
-			t.Fatalf("Known(%q): %v", name, err)
+		if _, err := ProfileOf(name); err != nil {
+			t.Fatalf("ProfileOf(%q): %v", name, err)
 		}
 	}
 	_, newErr := New("nope")
-	if knownErr := Known("nope"); newErr == nil || knownErr == nil || newErr.Error() != knownErr.Error() {
-		t.Fatalf("unknown engine: New says %v, Known says %v; want the same error", newErr, knownErr)
+	if _, profErr := ProfileOf("nope"); newErr == nil || profErr == nil || newErr.Error() != profErr.Error() {
+		t.Fatalf("unknown engine: New says %v, ProfileOf says %v; want the same error", newErr, profErr)
 	}
 	if e, err := New(""); err != nil || e.Name() != "hashtable" {
 		t.Fatalf("default engine = %v, %v", e, err)
@@ -50,12 +50,43 @@ func TestNewByName(t *testing.T) {
 }
 
 func TestOrderedFlag(t *testing.T) {
-	if Ordered("hashtable") || Ordered("memcache") {
+	ordered := func(name string) bool {
+		p, err := ProfileOf(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Ordered
+	}
+	if ordered("hashtable") || ordered("memcache") || ordered("walstore") {
 		t.Fatal("hash engines reported ordered")
 	}
 	for _, n := range []string{"map", "btree", "bplustree"} {
-		if !Ordered(n) {
+		if !ordered(n) {
 			t.Fatalf("%s should be ordered", n)
+		}
+	}
+}
+
+// TestProfileOfMatchesNew checks every accepted name's profile against the
+// engine New builds for it: the same OpCost, and Ordered exactly when its
+// Range visits keys in ascending order.
+func TestProfileOfMatchesNew(t *testing.T) {
+	for _, name := range append(Names(), "", "skiplist", "memcached", "wal") {
+		p, err := ProfileOf(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _ := New(name)
+		if p.OpCost != e.OpCost() {
+			t.Errorf("%q: profile OpCost %v, engine %v", name, p.OpCost, e.OpCost())
+		}
+		for k := uint64(0); k < 64; k++ {
+			e.Put((k*37)%64, item('x', k))
+		}
+		var keys []uint64
+		e.Range(func(k uint64, _ Item) bool { keys = append(keys, k); return true })
+		if inOrder := sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }); inOrder != p.Ordered {
+			t.Errorf("%q: profile Ordered %v, Range in key order %v", name, p.Ordered, inOrder)
 		}
 	}
 }

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engines"
 	"repro/internal/params"
 )
 
@@ -98,16 +98,24 @@ func (f *refFiler) advance(node int) {
 	f.queue, f.draining = f.queue[:0], false
 }
 
-// applyLog is a replica's volatile store that records every version
-// installed in it: under this test's traffic, the causal applies in order.
-type applyLog struct {
-	engines.Engine
-	got []keyStamp
-}
-
-func (l *applyLog) Put(key uint64, it engines.Item) {
-	l.got = append(l.got, keyStamp{key, Stamp(it.Version)})
-	l.Engine.Put(key, it)
+// logApplies records every version r installs, read from the "update
+// replica" line its trace prints for each: under this test's traffic, the
+// causal applies in order.
+func logApplies(t *testing.T, r *Replica) *[]keyStamp {
+	var got []keyStamp
+	r.tracer = func(_ int, what string) {
+		line, ok := strings.CutPrefix(what, "update replica ")
+		if !ok {
+			return
+		}
+		var key, ts uint64
+		var node int
+		if _, err := fmt.Sscanf(line, "k%d=%d.%d", &key, &ts, &node); err != nil {
+			t.Fatalf("trace line %q: %v", what, err)
+		}
+		got = append(got, keyStamp{key, MakeStamp(ts, node)})
+	}
+	return &got
 }
 
 // causalStream returns n writes of writers 0..writers-1 in issue order, each
@@ -171,10 +179,9 @@ func checkApplyOrder(t *testing.T, p core.Persistency, chain, dups bool, writers
 	})
 	ref := make([]*refFiler, size)
 	want := make([][]keyStamp, size)
-	logs := make([]*applyLog, size)
+	logs := make([]*[]keyStamp, size)
 	for i, r := range tc.reps {
-		logs[i] = &applyLog{Engine: r.vol}
-		r.vol = logs[i]
+		logs[i] = logApplies(t, r)
 		f := &refFiler{applied: make([]uint64, size), waiting: make([]map[uint64][]refUpd, size)}
 		installed := map[uint64]bool{}
 		f.apply = func(u refUpd) {
@@ -246,8 +253,8 @@ func checkApplyOrder(t *testing.T, p core.Persistency, chain, dups bool, writers
 			if moved > 1 {
 				t.Fatalf("event %d: node %d advanced %d writers' counts in one event; the oracle cannot order them", events, i, moved)
 			}
-			if !slices.Equal(logs[i].got, want[i]) {
-				t.Fatalf("event %d: node %d applied %v, reference %v", events, i, tail(logs[i].got), tail(want[i]))
+			if !slices.Equal(*logs[i], want[i]) {
+				t.Fatalf("event %d: node %d applied %v, reference %v", events, i, tail(*logs[i]), tail(want[i]))
 			}
 			if r.BufferLen() != f.n || r.M.BufferedUpdates != f.m.BufferedUpdates ||
 				r.M.BufferPeak != f.m.BufferPeak || r.M.BufferSum != f.m.BufferSum {

@@ -1,9 +1,6 @@
 package protocol
 
-import (
-	"repro/internal/engines"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Completer receives the outcome of a client call (Replica.Client*), the way
 // a sim.Handler receives an event: a long-lived record — a cluster request, a
@@ -100,7 +97,7 @@ func (op *clientOp) recycle() {
 // opServiceTime is the worker time a data request costs before it touches
 // the store: the request compute, scaled by the engine's per-op cost.
 func (r *Replica) opServiceTime() int64 {
-	return int64(float64(r.p.RequestCompute) * r.vol.OpCost())
+	return int64(float64(r.p.RequestCompute) * r.store.OpCost)
 }
 
 // Every Client* call takes a non-nil Completer and a token: at completion the
@@ -136,8 +133,8 @@ func (r *Replica) ClientWrite(key uint64, scope, txn uint64, c Completer, tok ui
 }
 
 // ClientScan reads up to maxLen consecutive keys starting at start,
-// completing with the number of keys found. Ordered engines serve the scan
-// with a real Range; hash engines degrade to a multi-get over the key range.
+// completing with the number of keys found (see scanEngine for the order an
+// ordered engine and a hash engine visit them in).
 // The model's read-stall rules apply to the start key (a per-key stall check
 // over a whole range would serialize scans on any write activity; real
 // scan-supporting stores take the same snapshot-ish shortcut).
@@ -287,27 +284,28 @@ func (op *clientOp) readDone() {
 	}
 }
 
-// scanEngine performs the real data-structure traversal.
+// scanEngine counts the keys a scan of up to maxLen entries from start finds
+// readable, walking the key table in the modeled engine's order: an ordered
+// engine visits keys >= start in ascending order until it has maxLen, a hash
+// engine multi-gets the dense key range [start, start+maxLen).
 func (r *Replica) scanEngine(start uint64, maxLen int) int {
-	src := r.readSource()
 	count := 0
-	if engines.Ordered(src.Name()) {
-		src.Range(func(k uint64, _ engines.Item) bool {
-			if k < start {
-				return true
+	if r.store.Ordered {
+		for k := start; k < uint64(r.p.Keys); k++ {
+			if ks := r.keys.find(k); ks != nil && r.readable(ks) != 0 {
+				if count++; count >= maxLen {
+					break
+				}
 			}
-			count++
-			return count < maxLen
-		})
+		}
 		return count
 	}
-	// Hash engines: multi-get over the dense key range.
 	end := start + uint64(maxLen)
 	if end > uint64(r.p.Keys) {
 		end = uint64(r.p.Keys)
 	}
 	for k := start; k < end; k++ {
-		if _, ok := src.Get(k); ok {
+		if ks := r.keys.find(k); ks != nil && r.readable(ks) != 0 {
 			count++
 		}
 	}

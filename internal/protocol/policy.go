@@ -118,9 +118,9 @@ type DurabilityPolicy interface {
 	// at INITX/ENDX (Synchronous and Strict; Figure 4).
 	persistsAtTxnBoundaries() bool
 
-	// servesPersistedImage reports whether reads serve the NVM image rather
-	// than the volatile store (Synchronous/Strict under weak consistency;
-	// Figure 2 e-h).
+	// servesPersistedImage reports whether reads serve a key's persisted
+	// version (its NVM image) rather than its visible one (Synchronous/Strict
+	// under weak consistency; Figure 2 e-h).
 	servesPersistedImage() bool
 
 	// onStrongWriteLaunch gates a strong write's INV broadcast on the

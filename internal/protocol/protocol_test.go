@@ -36,9 +36,8 @@ func newTestCluster(model core.Model, servers int, mutate func(*params.Params)) 
 	})
 	tc := &testCluster{eng: eng, net: net, p: p}
 	rng := sim.NewRNG(1)
+	store, _ := engines.ProfileOf("hashtable")
 	for i := 0; i < servers; i++ {
-		vol, _ := engines.New("hashtable")
-		img, _ := engines.New("hashtable")
 		tc.reps = append(tc.reps, NewReplica(i, Deps{
 			Eng:     eng,
 			P:       p,
@@ -47,8 +46,7 @@ func newTestCluster(model core.Model, servers int, mutate func(*params.Params)) 
 			NVM:     nvm.New(eng, nvm.NVMConfig(p.NVMReadLat, p.NVMWriteLat, p.NVMChannels, p.NVMBanks)),
 			Mem:     memhier.New(p, rng.Fork()),
 			Workers: sim.NewPool(eng, p.WorkersPerServer),
-			Vol:     vol,
-			Img:     img,
+			Store:   store,
 		}))
 	}
 	return tc
@@ -269,11 +267,7 @@ func TestCausalSynchronousReadsServePersistedVersion(t *testing.T) {
 		// Immediately read: the persist (400ns) cannot have finished; the
 		// read must serve from the persisted image, which is still empty.
 		r0.ClientRead(4, 0, stampDone(func(Stamp) {
-			it, ok := r0.PersistedStore().Get(4)
-			if ok {
-				readVersion = it.Version
-			}
-			_ = it
+			readVersion = uint64(r0.PersistedVersion(4))
 		}), 0)
 	})
 	tc.eng.Run(460) // stop before worker+persist pipeline can finish

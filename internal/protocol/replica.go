@@ -42,8 +42,10 @@ type Deps struct {
 	NVM     *nvm.Device
 	Mem     *memhier.Hierarchy
 	Workers *sim.Pool
-	Vol     engines.Engine // volatile store image
-	Img     engines.Engine // NVM store image (what survives a crash)
+
+	// Store is the KV engine the replica models: a request's compute scales
+	// by its OpCost (0 in the zero Profile), a scan walks keys in its order.
+	Store engines.Profile
 
 	// Member is the replica group this replica runs its protocol over. The
 	// zero value means the flat paper cluster: all P.Servers nodes form one
@@ -72,10 +74,13 @@ type Deps struct {
 	Boxes *BoxPool
 }
 
-// keyState is the per-key protocol state at one replica. It holds no slice or
-// map of its own: every per-key collection is a token into a replica-level
-// slab (or, for stalled reads, a link through the operation records), so the
-// first touch of a key allocates nothing.
+// keyState is the per-key protocol state at one replica, and the replica's
+// only record of the key's version: visible is what the volatile store holds
+// (a read serves it, a crash loses it), persisted what the NVM image holds
+// (what a crash keeps). It holds no slice or map of its own: every per-key
+// collection is a token into a replica-level slab (or, for stalled reads, a
+// link through the operation records), so the first touch of a key allocates
+// nothing.
 type keyState struct {
 	visible   Stamp // stamp of the current visible (volatile) version
 	persisted Stamp // stamp of the latest locally persisted version
@@ -144,8 +149,7 @@ type Replica struct {
 	work   *sim.Pool
 	mem    *memhier.Hierarchy
 	dev    *nvm.Device
-	vol    engines.Engine
-	img    engines.Engine
+	store  engines.Profile
 
 	// M collects this replica's protocol metrics.
 	M Metrics
@@ -204,7 +208,6 @@ type Replica struct {
 	// are carved from; only the bindings that keep such lists touch it.
 	items []persistItem
 
-	sharedVal  []byte   // shared synthetic value payload (avoids allocation)
 	boxes      *BoxPool // payload boxes, recycled by OnEvent (see BoxPool)
 	atomicRefs bool     // see Deps.AtomicRefs
 	tracer     func(node int, what string)
@@ -243,7 +246,6 @@ func (a *ablationDone) OnEvent(tok uint64) {
 	ks := r.keys.at(rec.key)
 	if rec.st > ks.persisted {
 		ks.persisted = rec.st
-		r.img.Put(rec.key, engines.Item{Value: r.sharedVal, Version: uint64(rec.st)})
 	}
 	r.wake(&ks.persWait)
 	r.run(rec.c, rec.key, rec.st)
@@ -273,8 +275,7 @@ func NewReplica(id int, d Deps) *Replica {
 		work:         d.Workers,
 		mem:          d.Mem,
 		dev:          d.NVM,
-		vol:          d.Vol,
-		img:          d.Img,
+		store:        d.Store,
 		keys:         newKeyTable(d.P.Keys, d.Keys),
 		pending:      make(map[Stamp]*pendingWrite),
 		appliedVC:    vclock.New(mem.Size),
@@ -282,7 +283,6 @@ func NewReplica(id int, d Deps) *Replica {
 		scopePending: make(map[uint64][]persistItem),
 		scopeClosed:  make(map[uint32]uint32),
 		scopeOps:     make(map[uint64]scopeOp),
-		sharedVal:    make([]byte, d.P.ValueSize),
 		atomicRefs:   d.AtomicRefs,
 		tracer:       d.Trace,
 	}
@@ -320,12 +320,6 @@ func (r *Replica) Boxes() *BoxPool { return r.boxes }
 // Model returns the DDP model this replica runs.
 func (r *Replica) Model() core.Model { return r.model }
 
-// VolatileStore exposes the volatile engine image (for recovery tooling).
-func (r *Replica) VolatileStore() engines.Engine { return r.vol }
-
-// PersistedStore exposes the NVM engine image (what survives a crash).
-func (r *Replica) PersistedStore() engines.Engine { return r.img }
-
 // VisibleVersion returns the stamp of key's current visible version.
 func (r *Replica) VisibleVersion(key uint64) Stamp {
 	if ks := r.keys.find(key); ks != nil {
@@ -340,6 +334,27 @@ func (r *Replica) PersistedVersion(key uint64) Stamp {
 		return ks.persisted
 	}
 	return 0
+}
+
+// Versions calls fn, in key order, with the visible and persisted stamps of
+// every key this replica holds a version of — its volatile store and its NVM
+// image, for recovery tooling.
+func (r *Replica) Versions(fn func(key uint64, visible, persisted Stamp)) {
+	for k := uint64(0); k < uint64(r.p.Keys); k++ {
+		if ks := r.keys.find(k); ks != nil && (ks.visible != 0 || ks.persisted != 0) {
+			fn(k, ks.visible, ks.persisted)
+		}
+	}
+}
+
+// LoseVolatile is what a power failure takes from this node: every key's
+// visible version. The persisted versions, its NVM image, stay.
+func (r *Replica) LoseVolatile() {
+	for k := uint64(0); k < uint64(r.p.Keys); k++ {
+		if ks := r.keys.find(k); ks != nil {
+			ks.visible = 0
+		}
+	}
 }
 
 // BufferLen returns the current causal reorder-buffer length.
@@ -602,7 +617,6 @@ func (r *Replica) applyVisible(key uint64, st Stamp) bool {
 		return false
 	}
 	ks.visible = st
-	r.vol.Put(key, engines.Item{Value: r.sharedVal, Version: uint64(st)})
 	if r.tracer != nil {
 		r.trace("update replica k%d=%v", key, st)
 	}
@@ -613,7 +627,7 @@ func (r *Replica) applyVisible(key uint64, st Stamp) bool {
 // version at least as new as st is in NVM. Persists coalesce per key the way
 // cacheline write-backs do: if a persist covering st is already durable or in
 // flight, no new device write is issued — then just joins the in-flight
-// completion. The NVM image and the persisted stamp advance monotonically.
+// completion. The persisted stamp advances monotonically.
 func (r *Replica) persist(key uint64, st Stamp, then cont) {
 	ks := r.keys.at(key)
 	if r.p.NoPersistCoalescing {
@@ -663,15 +677,14 @@ type persistDone struct{ r *Replica }
 func (pd *persistDone) OnEvent(key uint64) { pd.r.writeBackDone(key) }
 
 // writeBackDone completes the in-flight coalesced persist for key: advance
-// the persisted stamp and NVM image, run covered continuations, wake stalled
-// readers, and write back again if the key got dirtier meanwhile.
+// the persisted stamp, run covered continuations, wake stalled readers, and
+// write back again if the key got dirtier meanwhile.
 func (r *Replica) writeBackDone(key uint64) {
 	ks := r.keys.at(key)
 	st := ks.issuedStamp
 	ks.persistInFlight = false
 	if st > ks.persisted {
 		ks.persisted = st
-		r.img.Put(key, engines.Item{Value: r.sharedVal, Version: uint64(st)})
 	}
 	if r.tracer != nil {
 		r.trace("persist k%d=%v done", key, st)
@@ -735,11 +748,7 @@ func (r *Replica) readAttempt(op *clientOp) {
 	if op.stalled {
 		r.M.ReadStallTime += r.eng.Now() - op.start
 	}
-	// Perform the real engine lookup against the policy-selected image.
-	op.ver = 0
-	if it, ok := r.readSource().Get(key); ok {
-		op.ver = Stamp(it.Version)
-	}
+	op.ver = r.readable(ks)
 	if r.vis.servesCommitted() {
 		// Operations may only see the effects of transactions that have
 		// completed (Section 2.1): serve the latest committed version.
@@ -748,12 +757,13 @@ func (r *Replica) readAttempt(op *clientOp) {
 	r.eng.ScheduleEvent(r.mem.ReadLatency(), op, opReadDone)
 }
 
-// readSource returns the engine image reads serve from: the volatile store,
-// or the NVM image when Synchronous/Strict persistency under weak
-// consistency makes only persisted versions readable (Figure 2 e-h).
-func (r *Replica) readSource() engines.Engine {
+// readable returns the version of ks a read or scan sees (zero: none yet):
+// the visible one, or the persisted one when Synchronous/Strict persistency
+// under weak consistency makes only persisted versions readable (Figure 2
+// e-h).
+func (r *Replica) readable(ks *keyState) Stamp {
 	if r.dur.servesPersistedImage() {
-		return r.img
+		return ks.persisted
 	}
-	return r.vol
+	return ks.visible
 }

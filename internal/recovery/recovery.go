@@ -5,12 +5,12 @@
 // There is one crash path. CrashAndRecover runs a cluster to the crash
 // instant, Crash wipes the volatile state of the crashed nodes (every node
 // for a full-datacenter power failure), and Recover reconstructs a
-// cluster-wide state from what remains: each node's NVM image — the engine
-// instance the protocol's persists wrote into — plus the volatile replicas
-// of the nodes that survived (the paper notes weak models need an advanced,
-// voting-based recovery). The audits then compare the recovered state with
-// the history of client-acknowledged operations; which of those writes the
-// model promised durable is core.AckDurabilityOf.
+// cluster-wide state from what remains: each node's NVM image — the
+// persisted version of every key, which the protocol's persists advanced —
+// plus the visible versions of the nodes that survived (the paper notes weak
+// models need an advanced, voting-based recovery). The audits then compare
+// the recovered state with the history of client-acknowledged operations;
+// which of those writes the model promised durable is core.AckDurabilityOf.
 package recovery
 
 import (
@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/engines"
 	"repro/internal/protocol"
 )
 
@@ -56,30 +55,21 @@ func (s *RecoveredState) VersionOf(key uint64) protocol.Stamp { return s.Version
 // Keys returns how many keys were recovered.
 func (s *RecoveredState) Keys() int { return len(s.Versions) }
 
-// Crash wipes the volatile stores of nodes, leaving their NVM images; nil
+// Crash wipes the volatile versions of nodes, leaving their NVM images; nil
 // crashes every node (a full-datacenter power failure). A crashed cluster is
 // not run further: it exists to be Recovered and audited.
 func Crash(c *cluster.Cluster, nodes []int) {
 	for i, r := range c.Replicas {
-		if nodes != nil && !slices.Contains(nodes, i) {
-			continue
-		}
-		vol := r.VolatileStore()
-		var keys []uint64
-		vol.Range(func(key uint64, _ engines.Item) bool {
-			keys = append(keys, key)
-			return true
-		})
-		for _, k := range keys {
-			vol.Delete(k)
+		if nodes == nil || slices.Contains(nodes, i) {
+			r.LoseVolatile()
 		}
 	}
 }
 
 // Recover reconstructs cluster state after a crash. Each node offers, per
-// key, the newer of its volatile and NVM versions, and mode votes across the
-// nodes' offers. A crashed node's volatile store is empty, so after a full
-// crash only the NVM images vote — exactly what survives a power failure —
+// key, the newer of its visible and persisted versions, and mode votes across
+// the nodes' offers. A crashed node has no visible version left, so after a
+// full crash only the NVM images vote — exactly what survives a power failure —
 // while after a partial crash the survivors' volatile replicas join them
 // (the Hermes-style remote-replica recovery the paper describes).
 func Recover(c *cluster.Cluster, mode Mode) *RecoveredState {
@@ -87,20 +77,10 @@ func Recover(c *cluster.Cluster, mode Mode) *RecoveredState {
 	quorum := len(c.Replicas)/2 + 1
 
 	perKey := make(map[uint64][]protocol.Stamp)
-	offer := make(map[uint64]protocol.Stamp)
-	newer := func(key uint64, it engines.Item) bool {
-		if v, ok := offer[key]; !ok || protocol.Stamp(it.Version) > v {
-			offer[key] = protocol.Stamp(it.Version)
-		}
-		return true
-	}
 	for _, r := range c.Replicas {
-		clear(offer)
-		r.VolatileStore().Range(newer)
-		r.PersistedStore().Range(newer)
-		for key, v := range offer {
-			perKey[key] = append(perKey[key], v)
-		}
+		r.Versions(func(key uint64, visible, persisted protocol.Stamp) {
+			perKey[key] = append(perKey[key], max(visible, persisted))
+		})
 	}
 
 	for key, stamps := range perKey {

@@ -2,12 +2,14 @@ package recovery
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/params"
+	"repro/internal/protocol"
 	"repro/internal/ycsb"
 )
 
@@ -166,6 +168,9 @@ func TestMajorityVoteWeakerThanNewest(t *testing.T) {
 	}
 }
 
+// TestCrashWipesVolatileOnly crashes node 0 of three: every key's visible
+// version there reads 0 and its persisted version is unchanged, and the
+// survivors' visible and persisted versions are untouched.
 func TestCrashWipesVolatileOnly(t *testing.T) {
 	cfg := crashConfig(core.Baseline)
 	cfg.TrackHistory = true
@@ -175,19 +180,40 @@ func TestCrashWipesVolatileOnly(t *testing.T) {
 	}
 	c.Start()
 	c.Eng.Run(1_000_000)
-	if c.Replicas[0].VolatileStore().Len() == 0 {
-		t.Fatal("no volatile state before crash")
+	type versions struct{ visible, persisted []protocol.Stamp }
+	snapshot := func() []versions {
+		out := make([]versions, len(c.Replicas))
+		for i, r := range c.Replicas {
+			for k := range uint64(cfg.Params.Keys) {
+				out[i].visible = append(out[i].visible, r.VisibleVersion(k))
+				out[i].persisted = append(out[i].persisted, r.PersistedVersion(k))
+			}
+		}
+		return out
 	}
-	persisted := c.Replicas[0].PersistedStore().Len()
-	if persisted == 0 {
-		t.Fatal("no persisted state before crash")
+	before := snapshot()
+	for i, v := range before {
+		if !slices.ContainsFunc(v.visible, func(s protocol.Stamp) bool { return !s.IsZero() }) {
+			t.Fatalf("node %d: no visible version before the crash", i)
+		}
+		if !slices.ContainsFunc(v.persisted, func(s protocol.Stamp) bool { return !s.IsZero() }) {
+			t.Fatalf("node %d: no persisted version before the crash", i)
+		}
 	}
-	Crash(c, nil)
-	if c.Replicas[0].VolatileStore().Len() != 0 {
-		t.Fatal("volatile state survived the crash")
+	Crash(c, []int{0})
+	after := snapshot()
+	for k, st := range after[0].visible {
+		if !st.IsZero() {
+			t.Fatalf("crashed node 0: key %d still visible at %v", k, st)
+		}
 	}
-	if c.Replicas[0].PersistedStore().Len() != persisted {
-		t.Fatal("crash corrupted the NVM image")
+	if !slices.Equal(after[0].persisted, before[0].persisted) {
+		t.Fatal("crashed node 0: the crash changed the NVM image")
+	}
+	for i := 1; i < len(after); i++ {
+		if !slices.Equal(after[i].visible, before[i].visible) || !slices.Equal(after[i].persisted, before[i].persisted) {
+			t.Fatalf("surviving node %d: the crash changed its versions", i)
+		}
 	}
 }
 

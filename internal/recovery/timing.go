@@ -3,8 +3,8 @@ package recovery
 import (
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/engines"
 	"repro/internal/params"
+	"repro/internal/protocol"
 )
 
 // RecoveryTiming models how long post-crash recovery takes under a DDP
@@ -61,9 +61,13 @@ func TimeRecoveryOf(c *cluster.Cluster, rec *RecoveredState) RecoveryTiming {
 	if keys == 0 {
 		// Fall back to image sizes (recovery still scans them).
 		for _, r := range c.Replicas {
-			if n := r.PersistedStore().Len(); n > keys {
-				keys = n
-			}
+			n := 0
+			r.Versions(func(_ uint64, _, persisted protocol.Stamp) {
+				if persisted != 0 {
+					n++
+				}
+			})
+			keys = max(keys, n)
 		}
 	}
 	return TimeRecovery(c.Cfg.Model, c.Cfg.Params, keys)
@@ -72,16 +76,18 @@ func TimeRecoveryOf(c *cluster.Cluster, rec *RecoveredState) RecoveryTiming {
 // imageDivergence counts keys whose persisted stamp differs across nodes —
 // the work a voting recovery actually reconciles. Exposed for experiments.
 func ImageDivergence(c *cluster.Cluster) int {
-	versions := make(map[uint64]uint64)
+	versions := make(map[uint64]protocol.Stamp)
 	diverged := make(map[uint64]bool)
 	for _, r := range c.Replicas {
-		r.PersistedStore().Range(func(key uint64, it engines.Item) bool {
-			if prev, seen := versions[key]; seen && prev != it.Version {
+		r.Versions(func(key uint64, _, persisted protocol.Stamp) {
+			if persisted == 0 {
+				return
+			}
+			if prev, seen := versions[key]; seen && prev != persisted {
 				diverged[key] = true
 			} else {
-				versions[key] = it.Version
+				versions[key] = persisted
 			}
-			return true
 		})
 	}
 	return len(diverged)
