@@ -81,8 +81,10 @@ fmt:
 #   - the capacity and scaling sweeps at quick scale, flat and sharded;
 #   - the CLI rejecting a knob no cell of the experiment can honor
 #     (-fwdbatch needs a sharded topology; table1 is unsharded);
-#   - ddpsim end to end on a small cell, rejecting a model name outside the
-#     5x5 matrix, and ddpbench rejecting the retired bindings experiment;
+#   - ddpsim end to end on a small cell, once with an ordered engine profile,
+#     rejecting a model name outside the 5x5 matrix and an engine name
+#     outside the profile table, and ddpbench rejecting the retired bindings
+#     experiment;
 #   - the public crash API's callers: the examples/ programs and ddprecover
 #     all call ddp.RunWithCrash.
 check: vet fmt
@@ -108,12 +110,15 @@ check: vet fmt
 	$(GO) run ./cmd/ddpbench -exp scaling -quick -placement load > /dev/null
 	! $(GO) run ./cmd/ddpbench -exp table1 -quick -fwdbatch 8
 	$(GO) run ./cmd/ddpsim -servers 3 -clients 2 -measure 200000 > /dev/null
+	$(GO) run ./cmd/ddpsim -servers 3 -clients 2 -measure 200000 -engine btree > /dev/null
 	! $(GO) run ./cmd/ddpsim -model strong-local
+	! $(GO) run ./cmd/ddpsim -engine skiplist
 	! $(GO) run ./cmd/ddpbench -exp bindings -quick
 	$(MAKE) examples > /dev/null
 	$(GO) run ./cmd/ddprecover > /dev/null
 
-# One testing.B benchmark per paper table/figure plus engine micro-benches.
+# One testing.B benchmark per paper table/figure plus the layer micro-benches
+# (scheduler, network, NVM, hash table, ...).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -35,6 +35,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
+	"repro/internal/engines"
 	"repro/internal/harness"
 )
 
@@ -59,7 +60,7 @@ func main() {
 	placement := flag.String("placement", "hash", "sharded placement policy: hash (fixed per-key coordinator) or load (power-of-two-choices spreading of sketch-detected hot keys; load needs -shards)")
 	replicareads := flag.Bool("replicareads", false, "route sharded reads to the least-loaded owning replica (needs -shards; weak-visibility models only — model sweeps apply it to their weak-visibility cells)")
 	fwdbatch := flag.Int("fwdbatch", 0, "coalesce routed ops per destination into multi-op messages of up to this many ops (0 = unbatched, byte-identical to the classic router; N > 0 needs -shards)")
-	engine := flag.String("engine", "", "kv engine: hashtable, map, btree, bplustree, memcache, walstore (default hashtable)")
+	engine := flag.String("engine", "", "kv engine cost profile: "+strings.Join(engines.Names(), ", ")+" (default hashtable)")
 	csvOut := flag.Bool("csv", false, "emit tidy CSV instead of text ("+strings.Join(csvNames, ", ")+")")
 	parallel := flag.Int("parallel", 0, "experiment cells to run concurrently (0 = all cores, 1 = sequential; never changes results)")
 	lps := flag.Int("lps", 1, "logical-process workers inside each cell (1 = sequential engine, 0 = auto-split cores with -parallel, N = N workers; never changes results)")

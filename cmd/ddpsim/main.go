@@ -10,15 +10,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/ddp"
+	"repro/internal/engines"
 	"repro/internal/ycsb"
 )
 
 func main() {
 	model := flag.String("model", "linearizable,synchronous", "DDP model as <consistency>,<persistency>")
 	workload := flag.String("workload", "A", "YCSB workload: A, B, C, W, E (scans), or F (read-modify-write)")
-	engine := flag.String("engine", "", "kv engine: hashtable, map, btree, bplustree, memcache")
+	engine := flag.String("engine", "", "kv engine cost profile: "+strings.Join(engines.Names(), ", ")+" (default hashtable)")
 	servers := flag.Int("servers", 0, "number of servers (default: paper's 5)")
 	clients := flag.Int("clients", 0, "clients per server (default: paper's 20)")
 	keys := flag.Int("keys", 0, "distinct keys (default 2000)")

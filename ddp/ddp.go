@@ -123,10 +123,11 @@ type Config struct {
 	Model Model
 	// Workload is the request mix (default: WorkloadA).
 	Workload Workload
-	// Engine picks the KV store each node models: "hashtable" (default),
-	// "map" (skiplist), "btree", "bplustree", "memcache" or "walstore". It
-	// sets the per-request compute weight and the order a scan visits keys
-	// in; a replica keeps its versions in its own key table either way.
+	// Engine names the KV engine whose cost profile each node models; ""
+	// is "hashtable", and the -engine help of ddpsim and ddpbench lists
+	// every name. It sets the per-request compute weight and the order a
+	// scan visits keys in; a replica keeps its versions in its own key
+	// table either way.
 	Engine string
 	// Params overrides the modeled architecture (default: DefaultParams).
 	Params Params

@@ -40,7 +40,7 @@ import (
 type Config struct {
 	Model    core.Model
 	Workload ycsb.Workload
-	Engine   string // engines.New name; "" = hashtable
+	Engine   string // engines.ProfileOf name; "" = hashtable
 	Params   params.Params
 	Seed     uint64
 

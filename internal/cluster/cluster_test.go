@@ -234,21 +234,6 @@ func TestConfigValidateRunWindowAndWorkload(t *testing.T) {
 	}
 }
 
-func TestEnginesAllWork(t *testing.T) {
-	for _, name := range []string{"hashtable", "map", "btree", "bplustree", "memcache", "walstore"} {
-		cfg := smallConfig(core.Model{C: core.Causal, P: core.Synchronous})
-		cfg.Engine = name
-		cfg.MeasureNs = 300_000
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if res.Summary.Ops == 0 {
-			t.Fatalf("%s: no ops", name)
-		}
-	}
-}
-
 func TestWorkloadMixAffectsCounts(t *testing.T) {
 	cfg := smallConfig(core.Model{C: core.Causal, P: core.EventualP})
 	cfg.Workload = ycsb.WorkloadB

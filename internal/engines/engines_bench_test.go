@@ -1,95 +1,9 @@
 package engines
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 )
-
-// benchEngines mirrors the application set of the paper's Section 7.
-func benchEngines() map[string]func() Engine {
-	return map[string]func() Engine{
-		"hashtable": func() Engine { return NewHashTable() },
-		"skiplist":  func() Engine { return NewSkipList() },
-		"btree":     func() Engine { return NewBTree() },
-		"bplustree": func() Engine { return NewBPlusTree() },
-		"memcache":  func() Engine { return NewMemcache(256 << 20) },
-		"walstore":  func() Engine { return NewWALStore() },
-	}
-}
-
-func BenchmarkEnginePut(b *testing.B) {
-	for name, mk := range benchEngines() {
-		b.Run(name, func(b *testing.B) {
-			e := mk()
-			val := Item{Value: make([]byte, 128)}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				val.Version = uint64(i)
-				e.Put(uint64(i)%65536, val)
-			}
-		})
-	}
-}
-
-func BenchmarkEngineGet(b *testing.B) {
-	for name, mk := range benchEngines() {
-		b.Run(name, func(b *testing.B) {
-			e := mk()
-			val := Item{Value: make([]byte, 128)}
-			for i := uint64(0); i < 65536; i++ {
-				e.Put(i, val)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Get(uint64(i) * 2654435761 % 65536)
-			}
-		})
-	}
-}
-
-func BenchmarkEngineMixed(b *testing.B) {
-	for name, mk := range benchEngines() {
-		b.Run(name, func(b *testing.B) {
-			e := mk()
-			val := Item{Value: make([]byte, 128)}
-			for i := uint64(0); i < 16384; i++ {
-				e.Put(i, val)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := uint64(i) * 2654435761 % 16384
-				if i%2 == 0 {
-					e.Get(k)
-				} else {
-					val.Version = uint64(i)
-					e.Put(k, val)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkEngineOrderedScan(b *testing.B) {
-	for _, name := range []string{"skiplist", "btree", "bplustree"} {
-		mk := benchEngines()[name]
-		b.Run(name, func(b *testing.B) {
-			e := mk()
-			val := Item{Value: make([]byte, 128)}
-			for i := uint64(0); i < 16384; i++ {
-				e.Put(i, val)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := 0
-				e.Range(func(uint64, Item) bool {
-					n++
-					return n < 100
-				})
-			}
-		})
-	}
-}
 
 // BenchmarkHashTableDistinctValues measures the hash table on the traffic
 // its interning is not tuned for: every key holds its own value. "fill"
@@ -140,15 +54,4 @@ func BenchmarkHashTableDistinctValues(b *testing.B) {
 			}
 		}
 	})
-}
-
-func ExampleNew() {
-	e, err := New("bplustree")
-	if err != nil {
-		panic(err)
-	}
-	e.Put(1, Item{Value: []byte("v"), Version: 1})
-	it, ok := e.Get(1)
-	fmt.Println(ok, string(it.Value))
-	// Output: true v
 }

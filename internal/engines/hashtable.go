@@ -3,16 +3,16 @@ package engines
 import "unsafe"
 
 // HashTable is an open-addressing hash table with linear probing and
-// tombstone deletion. It is the cheapest engine per operation and the
-// baseline for OpCost.
+// tombstone deletion.
 //
 // A slot is 24 bytes: the key, the version, and a reference to a refcounted
 // value entry. A Put that stores the same slice (the same data pointer, length
 // and capacity) as the entry made last shares that entry; any other value gets
 // an entry of its own. Get returns the slice exactly as stored, and an entry
 // is released when its last key is overwritten or deleted, so entries never
-// outnumber live keys. The layout is tuned for a replica's store, whose every
-// value is one shared payload: it holds one entry however many keys it has.
+// outnumber live keys. The layout is tuned for a store whose every value is
+// one shared payload, as in the benchmark kernel: it holds one entry however
+// many keys it has.
 // A table whose keys hold distinct values pays a 32-byte entry per key on top
 // of the slot: it retains a little less than the 48-byte slot with an inline
 // value did, and an overwrite that changes a key's value costs about a fifth
@@ -167,7 +167,7 @@ func (h *HashTable) release(r uint32) {
 	}
 }
 
-// Get implements Engine.
+// Get returns the item for key and whether it exists.
 func (h *HashTable) Get(key uint64) (Item, bool) {
 	idx, ok := h.probe(key)
 	if !ok {
@@ -177,7 +177,7 @@ func (h *HashTable) Get(key uint64) (Item, bool) {
 	return Item{Value: h.vals[s.val].b, Version: s.version}, true
 }
 
-// Put implements Engine.
+// Put inserts or replaces the item for key.
 func (h *HashTable) Put(key uint64, item Item) {
 	if (h.n+h.dead+1)*4 >= len(h.slots)*3 { // load factor 0.75 incl tombstones
 		h.rebuild()
@@ -200,7 +200,7 @@ func (h *HashTable) Put(key uint64, item Item) {
 	s.version = item.Version
 }
 
-// Delete implements Engine.
+// Delete removes key, reporting whether it was present.
 func (h *HashTable) Delete(key uint64) bool {
 	idx, ok := h.probe(key)
 	if !ok {
@@ -214,10 +214,11 @@ func (h *HashTable) Delete(key uint64) bool {
 	return true
 }
 
-// Len implements Engine.
+// Len returns the number of stored keys.
 func (h *HashTable) Len() int { return h.n }
 
-// Range implements Engine. Iteration order is unspecified.
+// Range calls fn for every key, in unspecified order, until fn returns
+// false.
 func (h *HashTable) Range(fn func(key uint64, item Item) bool) {
 	for i := range h.slots {
 		if s := &h.slots[i]; s.state == htFull {
@@ -227,9 +228,3 @@ func (h *HashTable) Range(fn func(key uint64, item Item) bool) {
 		}
 	}
 }
-
-// Name implements Engine.
-func (h *HashTable) Name() string { return "hashtable" }
-
-// OpCost implements Engine.
-func (h *HashTable) OpCost() float64 { return 1.0 }
