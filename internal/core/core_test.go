@@ -232,3 +232,69 @@ func TestAckDurabilityOf(t *testing.T) {
 		}
 	}
 }
+
+// TestRulesTable pins RulesOf for all 25 bindings. The rows were taken from
+// the per-model policy methods and the durable-at-ack rule that RulesOf
+// replaced, so a rule that moves is a protocol change, not a refactor.
+// Columns, in order: InvAckVal, ReadsStallOnTransient, EarlyAck,
+// ServesCommitted, SplitAcks, PersistsAtTxnBoundaries, ServesPersisted,
+// ReadsWaitLocalPersist, WeakWriteWaitsPersists (1 = true).
+func TestRulesTable(t *testing.T) {
+	const (
+		no    = NotDurableAtAck
+		ack   = DurableAtAck
+		scope = DurableAtScope
+	)
+	rows := []struct {
+		m     Model
+		flags string
+		dur   AckDurability
+	}{
+		{Model{Linearizable, Strict}, "110001001", ack},
+		{Model{Linearizable, Synchronous}, "110001000", ack},
+		{Model{Linearizable, ReadEnforcedP}, "110010000", no},
+		{Model{Linearizable, Scope}, "110000000", scope},
+		{Model{Linearizable, EventualP}, "110000000", no},
+		{Model{ReadEnforcedC, Strict}, "110001001", ack},
+		{Model{ReadEnforcedC, Synchronous}, "111001000", no},
+		{Model{ReadEnforcedC, ReadEnforcedP}, "111010000", no},
+		{Model{ReadEnforcedC, Scope}, "111000000", scope},
+		{Model{ReadEnforcedC, EventualP}, "111000000", no},
+		{Model{Transactional, Strict}, "100101001", ack},
+		{Model{Transactional, Synchronous}, "101101000", ack},
+		{Model{Transactional, ReadEnforcedP}, "101110000", no},
+		{Model{Transactional, Scope}, "101100000", scope},
+		{Model{Transactional, EventualP}, "101100000", no},
+		{Model{Causal, Strict}, "000001101", ack},
+		{Model{Causal, Synchronous}, "000001100", no},
+		{Model{Causal, ReadEnforcedP}, "000010010", no},
+		{Model{Causal, Scope}, "000000000", scope},
+		{Model{Causal, EventualP}, "000000000", no},
+		{Model{Eventual, Strict}, "000001101", ack},
+		{Model{Eventual, Synchronous}, "000001100", no},
+		{Model{Eventual, ReadEnforcedP}, "000010010", no},
+		{Model{Eventual, Scope}, "000000000", scope},
+		{Model{Eventual, EventualP}, "000000000", no},
+	}
+	if len(rows) != len(AllModels()) {
+		t.Fatalf("table has %d rows, want one per binding (%d)", len(rows), len(AllModels()))
+	}
+	for _, row := range rows {
+		f := func(i int) bool { return row.flags[i] == '1' }
+		want := Rules{
+			InvAckVal:               f(0),
+			ReadsStallOnTransient:   f(1),
+			EarlyAck:                f(2),
+			ServesCommitted:         f(3),
+			SplitAcks:               f(4),
+			PersistsAtTxnBoundaries: f(5),
+			ServesPersisted:         f(6),
+			ReadsWaitLocalPersist:   f(7),
+			WeakWriteWaitsPersists:  f(8),
+			AckDurability:           row.dur,
+		}
+		if got := RulesOf(row.m); got != want {
+			t.Errorf("RulesOf(%s) =\n  %+v\nwant\n  %+v", row.m, got, want)
+		}
+	}
+}

@@ -145,3 +145,29 @@ func TestGoldenCrashByteIdentical(t *testing.T) {
 		})
 	}
 }
+
+// TestModelReferenceFixture pins WriteModelReference (ddpbench -exp models):
+// the 25 bindings' operational semantics as core.Describe renders them from
+// core.RulesOf.
+//
+// Regenerate with: go test ./internal/harness -run TestModelReferenceFixture -update
+func TestModelReferenceFixture(t *testing.T) {
+	path := filepath.Join("testdata", "models.txt")
+	var buf bytes.Buffer
+	WriteModelReference(&buf)
+	got := buf.Bytes()
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing model reference fixture (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("model reference diverged from the fixture.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
