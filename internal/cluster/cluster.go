@@ -465,7 +465,7 @@ func (cfg Config) Validate() error {
 		if cfg.Shards < 1 {
 			return fmt.Errorf("cluster: ReplicaReads requires a sharded topology (Shards >= 1)")
 		}
-		if core.UsesInvAckVal(m.C) {
+		if core.RulesOf(m).InvAckVal {
 			return fmt.Errorf("cluster: ReplicaReads requires a weak visibility model (Causal or Eventual consistency); %s reads must go through the key's coordinator", m.C)
 		}
 	}

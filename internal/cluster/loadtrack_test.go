@@ -288,7 +288,7 @@ func TestShardedPlacementDifferential(t *testing.T) {
 		cfg.Seed = 9100 + seed
 		cfg.Params.ZipfTheta = 0.999
 		cfg.Placement = "load"
-		if !core.UsesInvAckVal(m.C) {
+		if !core.RulesOf(m).InvAckVal {
 			cfg.ReplicaReads = seed%2 == 0
 		}
 		if seed%3 == 0 {

@@ -104,19 +104,23 @@ func TestVPAndDPDescriptionsComplete(t *testing.T) {
 	}
 }
 
+// TestProtocolClassPredicates checks that the protocol class is a property
+// of the consistency model alone: the strong models run INV/ACK/VAL under
+// every persistency model, the weak ones never do, and only Causal's UPDs
+// carry a cauhist.
 func TestProtocolClassPredicates(t *testing.T) {
-	for _, c := range []Consistency{Linearizable, ReadEnforcedC, Transactional} {
-		if !UsesInvAckVal(c) {
-			t.Fatalf("%s should use INV/ACK/VAL", c)
+	for _, m := range AllModels() {
+		strong := m.C == Linearizable || m.C == ReadEnforcedC || m.C == Transactional
+		if got := RulesOf(m).InvAckVal; got != strong {
+			t.Fatalf("%s: InvAckVal = %v, want %v", m, got, strong)
 		}
-	}
-	for _, c := range []Consistency{Causal, Eventual} {
-		if UsesInvAckVal(c) {
-			t.Fatalf("%s should not use INV/ACK/VAL", c)
+		cauhist := false
+		for _, msg := range Describe(m).Messages {
+			cauhist = cauhist || msg == "UPD(+cauhist)"
 		}
-	}
-	if !CarriesCausalHistory(Causal) || CarriesCausalHistory(Eventual) {
-		t.Fatal("cauhist predicate wrong")
+		if cauhist != (m.C == Causal) {
+			t.Fatalf("%s: UPD carries a cauhist = %v, want %v", m, cauhist, m.C == Causal)
+		}
 	}
 }
 
@@ -227,8 +231,8 @@ func TestAckDurabilityOf(t *testing.T) {
 		case m.P == Scope:
 			want = DurableAtScope
 		}
-		if got := AckDurabilityOf(m); got != want {
-			t.Errorf("AckDurabilityOf(%s) = %d, want %d", m, got, want)
+		if got := RulesOf(m).AckDurability; got != want {
+			t.Errorf("RulesOf(%s).AckDurability = %d, want %d", m, got, want)
 		}
 	}
 }

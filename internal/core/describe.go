@@ -3,9 +3,8 @@ package core
 import "fmt"
 
 // Semantics spells out one DDP model's operational rules — how its protocol
-// completes writes, serves reads, and schedules persists. It is derived
-// mechanically from the model's VP/DP bindings, so it always matches what
-// internal/protocol implements.
+// completes writes, serves reads, and schedules persists. Every yes/no choice
+// in it is read off RulesOf(m), the row internal/protocol's replicas run by.
 type Semantics struct {
 	Model           Model
 	WriteCompletion string   // when the client's write acknowledges
@@ -16,48 +15,39 @@ type Semantics struct {
 
 // Describe derives the operational semantics of m.
 func Describe(m Model) Semantics {
+	r := RulesOf(m)
 	s := Semantics{Model: m}
 
-	// Write completion: consistency first, persistency may strengthen it.
-	switch m.C {
-	case Linearizable:
-		s.WriteCompletion = "after every replica acknowledged the INV and the VAL went out"
-	case ReadEnforcedC:
-		s.WriteCompletion = "immediately after the local update and INV broadcast"
-	case Transactional:
+	switch {
+	case r.WeakWriteWaitsPersists:
+		s.WriteCompletion = "only once the update is persisted on every replica (Strict persistency overrides the consistency model's earlier completion)"
+	case r.EarlyAck && r.ServesCommitted:
 		s.WriteCompletion = "immediately within the transaction; End-Xaction waits for every replica (and the model's persists)"
-	case Causal:
+	case r.EarlyAck:
+		s.WriteCompletion = "immediately after the local update and INV broadcast"
+	case r.InvAckVal:
+		s.WriteCompletion = "after every replica acknowledged the INV and the VAL went out"
+	case m.C == Causal:
 		s.WriteCompletion = "immediately after the local update and UPD(+cauhist) broadcast"
-	case Eventual:
+	default:
 		s.WriteCompletion = "immediately after the local update; UPDs propagate lazily"
 	}
-	if m.P == Strict {
-		s.WriteCompletion = "only once the update is persisted on every replica (Strict persistency overrides the consistency model's earlier completion)"
-	}
 
-	// Read rule.
-	switch m.C {
-	case Linearizable, ReadEnforcedC:
-		switch m.P {
-		case ReadEnforcedP:
-			s.ReadRule = "stalls while the key has writes not yet validated for persistency (until VAL_p)"
-		default:
-			s.ReadRule = "stalls while the key has unvalidated writes (until VAL)"
-		}
-	case Transactional:
+	switch {
+	case r.ReadsStallOnTransient && r.SplitAcks:
+		s.ReadRule = "stalls while the key has writes not yet validated for persistency (until VAL_p)"
+	case r.ReadsStallOnTransient:
+		s.ReadRule = "stalls while the key has unvalidated writes (until VAL)"
+	case r.ServesCommitted:
 		s.ReadRule = "returns the latest committed version immediately (snapshot flavor); write-write conflicts squash"
-	case Causal, Eventual:
-		switch m.P {
-		case Synchronous, Strict:
-			s.ReadRule = "returns the latest locally persisted version, never stalling"
-		case ReadEnforcedP:
-			s.ReadRule = "stalls until the latest visible version is locally persisted"
-		default:
-			s.ReadRule = "returns the latest visible version, never stalling"
-		}
+	case r.ServesPersisted:
+		s.ReadRule = "returns the latest locally persisted version, never stalling"
+	case r.ReadsWaitLocalPersist:
+		s.ReadRule = "stalls until the latest visible version is locally persisted"
+	default:
+		s.ReadRule = "returns the latest visible version, never stalling"
 	}
 
-	// Persist schedule.
 	switch m.P {
 	case Strict:
 		s.PersistSchedule = "before the update becomes visible anywhere (coordinator persists before propagating)"
@@ -75,18 +65,24 @@ func Describe(m Model) Semantics {
 		s.PersistSchedule = "lazily, some time after each volatile update"
 	}
 
-	// Messages.
-	if UsesInvAckVal(m.C) {
+	// Messages (Table 3).
+	if r.InvAckVal {
 		s.Messages = append(s.Messages, "INV(+data)")
-		switch m.P {
-		case ReadEnforcedP:
-			s.Messages = append(s.Messages, "ACK_c", "ACK_p", "VAL_p")
-		case Strict, Synchronous:
+		// One ACK/VAL pair where a follower's ACK carries its persist, and
+		// for a transaction's INITX/ENDX acknowledgments and its commit.
+		if r.PersistsAtTxnBoundaries || r.ServesCommitted {
 			s.Messages = append(s.Messages, "ACK", "VAL")
+		}
+		switch {
+		case r.SplitAcks:
+			s.Messages = append(s.Messages, "ACK_c", "ACK_p", "VAL_p")
+		case r.PersistsAtTxnBoundaries:
+		case r.ServesCommitted: // the commit validates: there is no per-write VAL
+			s.Messages = append(s.Messages, "ACK_c")
 		default:
 			s.Messages = append(s.Messages, "ACK_c", "VAL_c")
 		}
-		if m.C == Transactional {
+		if r.ServesCommitted {
 			s.Messages = append(s.Messages, "INITX", "ENDX", "NACK", "ABORTX")
 		}
 	} else {
@@ -95,7 +91,7 @@ func Describe(m Model) Semantics {
 		} else {
 			s.Messages = append(s.Messages, "UPD")
 		}
-		if m.P == Strict {
+		if r.WeakWriteWaitsPersists {
 			s.Messages = append(s.Messages, "ACK_p")
 		}
 	}

@@ -209,16 +209,3 @@ func DPDescription(p Persistency) string {
 		return "unknown"
 	}
 }
-
-// UsesInvAckVal reports whether the consistency model runs the
-// INV/ACK/VAL broadcast protocol (strong models) rather than lazy UPDs.
-func UsesInvAckVal(c Consistency) bool {
-	switch c {
-	case Linearizable, ReadEnforcedC, Transactional:
-		return true
-	}
-	return false
-}
-
-// CarriesCausalHistory reports whether UPD messages carry a cauhist.
-func CarriesCausalHistory(c Consistency) bool { return c == Causal }

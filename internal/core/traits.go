@@ -148,14 +148,3 @@ func DurabilityOf(m Model) Level {
 		return Low
 	}
 }
-
-// AckDurabilityOf returns m's durable-at-ack rule.
-func AckDurabilityOf(m Model) AckDurability {
-	switch {
-	case m.P == Strict, m.P == Synchronous && (m.C == Linearizable || m.C == Transactional):
-		return DurableAtAck
-	case m.P == Scope:
-		return DurableAtScope
-	}
-	return NotDurableAtAck
-}

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden 5x5 fixture")
+var updateGolden = flag.Bool("update", false, "rewrite the golden fixtures")
 
 // renderGolden produces the canonical 5x5 determinism fixture: the full
 // Figure 6 matrix (text and CSV renderings) plus Table 1, all at Quick scale.

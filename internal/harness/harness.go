@@ -84,7 +84,7 @@ func (o Options) config(m core.Model, w ycsb.Workload) cluster.Config {
 	cfg := o.Config
 	cfg.Model, cfg.Workload = m, w
 	cfg.IntraParallel = 0
-	cfg.ReplicaReads = o.ReplicaReads && !core.UsesInvAckVal(m.C)
+	cfg.ReplicaReads = o.ReplicaReads && !core.RulesOf(m).InvAckVal
 	return cfg
 }
 

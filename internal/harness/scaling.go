@@ -178,7 +178,7 @@ func Scaling(o Options) (*ScalingResult, error) {
 			vars = append(vars, variant{theta, "hash", false})
 		}
 		vars = append(vars, variant{heavy, "load", false})
-		if !core.UsesInvAckVal(m.C) {
+		if !core.RulesOf(m).InvAckVal {
 			vars = append(vars, variant{heavy, "load", true})
 		}
 		for _, v := range vars {

@@ -81,7 +81,7 @@ func TestScalingSmoke(t *testing.T) {
 			t.Errorf("%s: load placement group imbalance %.2f not below hash's %.2f",
 				c.Model, gl, gh)
 		}
-		if !core.UsesInvAckVal(c.Model.C) {
+		if !core.RulesOf(c.Model).InvAckVal {
 			rr := &res.Skew[idx]
 			idx++
 			if !rr.ReplicaReads || rr.Placement != "load" {

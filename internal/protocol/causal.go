@@ -8,22 +8,15 @@ import "repro/internal/vclock"
 // followers apply through the reorder buffer below.
 type causalVis struct{}
 
-func (causalVis) usesInvAckVal() bool { return false }
-
 func (causalVis) dispatchWrite(r *Replica, key, scope, txn uint64, done completion) {
 	r.weakWrite(key, scope, done)
 }
-
-func (causalVis) earlyWriteCompletion() bool { return false }
 
 // The strong-write hooks are unreachable — causal writes never run the
 // INV/ACK/VAL broadcast.
 func (causalVis) onStrongWriteLaunch(r *Replica, ks *keyState, key uint64, st Stamp, txn uint64) {
 }
 func (causalVis) onInvReceive(r *Replica, ks *keyState, from int, p *payload) bool { return true }
-
-func (causalVis) readBlocked(r *Replica, ks *keyState) bool { return false }
-func (causalVis) servesCommitted() bool                     { return false }
 
 // causalHistory snapshots the write's happens-before history: everything
 // this node has applied, plus the write itself. The snapshot is the replica's

@@ -6,22 +6,15 @@ package protocol
 // arrival order, last-writer-wins.
 type eventualVis struct{}
 
-func (eventualVis) usesInvAckVal() bool { return false }
-
 func (eventualVis) dispatchWrite(r *Replica, key, scope, txn uint64, done completion) {
 	r.weakWrite(key, scope, done)
 }
-
-func (eventualVis) earlyWriteCompletion() bool { return false }
 
 // The strong-write hooks are unreachable — eventual writes never run the
 // INV/ACK/VAL broadcast.
 func (eventualVis) onStrongWriteLaunch(r *Replica, ks *keyState, key uint64, st Stamp, txn uint64) {
 }
 func (eventualVis) onInvReceive(r *Replica, ks *keyState, from int, p *payload) bool { return true }
-
-func (eventualVis) readBlocked(r *Replica, ks *keyState) bool { return false }
-func (eventualVis) servesCommitted() bool                     { return false }
 
 func (eventualVis) causalHistory(r *Replica) []uint64 { return nil }
 

@@ -6,8 +6,6 @@ package protocol
 // (the eventual tier of a hybrid deployment) apply last-writer-wins.
 type strongVis struct{}
 
-func (strongVis) usesInvAckVal() bool { return true }
-
 func (strongVis) dispatchWrite(r *Replica, key, scope, txn uint64, done completion) {
 	r.strongWrite(key, scope, txn, done)
 }
@@ -17,7 +15,7 @@ func (strongVis) dispatchWrite(r *Replica, key, scope, txn uint64, done completi
 // it until VAL_p (Figure 3).
 func (strongVis) onStrongWriteLaunch(r *Replica, ks *keyState, key uint64, st Stamp, txn uint64) {
 	r.stamps.add(&ks.transC, st)
-	if r.dur.tracksTransP() {
+	if r.rules.SplitAcks {
 		r.stamps.add(&ks.transP, st)
 	}
 }
@@ -26,23 +24,11 @@ func (strongVis) onStrongWriteLaunch(r *Replica, ks *keyState, key uint64, st St
 // follower.
 func (strongVis) onInvReceive(r *Replica, ks *keyState, from int, p *payload) bool {
 	r.stamps.add(&ks.transC, p.Stamp)
-	if r.dur.tracksTransP() {
+	if r.rules.SplitAcks {
 		r.stamps.add(&ks.transP, p.Stamp)
 	}
 	return true
 }
-
-// readBlocked stalls reads while any write to the key is not yet validated;
-// under Read-Enforced persistency validation additionally requires VAL_p
-// (Figure 3).
-func (strongVis) readBlocked(r *Replica, ks *keyState) bool {
-	if ks.transC != 0 {
-		return true
-	}
-	return r.dur.tracksTransP() && ks.transP != 0
-}
-
-func (strongVis) servesCommitted() bool { return false }
 
 // The weak-write hooks are unreachable under strong consistency — writes
 // never take the UPD path — but keep safe defaults.
@@ -61,5 +47,3 @@ func (strongVis) selfApply(r *Replica) {}
 // with respect to all nodes when it takes place (Table 2) — the write
 // completes only after every replica acknowledged and the VAL went out.
 type linearizableVis struct{ strongVis }
-
-func (linearizableVis) earlyWriteCompletion() bool { return false }

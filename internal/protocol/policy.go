@@ -26,23 +26,31 @@ import (
 // bookkeeping, broadcast, persist coalescing, worker/NVM queueing — and
 // invokes the two policies at fixed hook points.
 //
+// Data and behaviour are split. Every yes/no fact about a binding — does a
+// write run INV/ACK/VAL, is the client acknowledged early, what does a read
+// serve or wait for, are ACKs split, does transactional state persist at
+// INITX/ENDX — is one field of the binding's core.Rules row, which the
+// Replica resolves once (Replica.rules) and branches on inline. The two
+// interfaces below hold only the hooks that act: each sends, persists,
+// validates or completes something, in its model's own order.
+//
 // Hook contract:
 //
 //   - Policies are resolved to concrete structs exactly once, at Replica
-//     construction (resolvePolicies). No hook allocates beyond what the
-//     equivalent inline protocol code allocated, preserving the
-//     steady-state zero-allocation guarantees (see alloc_test.go).
+//     construction (resolvePolicies), together with the rules row. No hook
+//     allocates beyond what the equivalent inline protocol code allocated,
+//     preserving the steady-state zero-allocation guarantees (see
+//     alloc_test.go).
 //   - A hook handed a received message (*payload) reads the box the message
 //     arrived in, shared with its other receivers: it never writes it, and
 //     copies out whatever must outlive the handler.
-//   - Policies are stateless values: all mutable protocol state lives in
-//     the Replica (keyState, pendingWrite, txnState, scope tables), so a
+//   - Policies are stateless empty structs: all mutable protocol state lives
+//     in the Replica (keyState, pendingWrite, txnState, scope tables), so a
 //     policy value could be shared across replicas.
-//   - A DurabilityPolicy is constructed against durClass — the
-//     consistency-side facts it composes with (weak propagation,
-//     transactional grouping). Table 2 defines every Durability Point in
-//     terms of the Visibility Point, so this coupling is semantic, not a
-//     layering leak.
+//   - Table 2 defines every Durability Point in terms of the Visibility
+//     Point, so a durability hook may ask about the consistency side it
+//     composes with: r.rules.InvAckVal (strong broadcast or lazy UPDs) and
+//     r.model.C (transactional grouping).
 //
 // The resolver reads a core.Model's two dimensions directly: the 25 cells of
 // the matrix are the only models, so each cell names its policy pair.
@@ -50,20 +58,9 @@ import (
 // VisibilityPolicy encodes the consistency dimension of a DDP model: when
 // an update becomes visible at the replicas and what reads may observe.
 type VisibilityPolicy interface {
-	// usesInvAckVal reports whether writes run the strong INV/ACK/VAL
-	// broadcast (Linearizable, Read-Enforced, Transactional) rather than
-	// lazy UPD propagation (Causal, Eventual).
-	usesInvAckVal() bool
-
 	// dispatchWrite routes a client write (or the write half of an RMW)
 	// onto the model's write path.
 	dispatchWrite(r *Replica, key, scope, txn uint64, done completion)
-
-	// earlyWriteCompletion reports whether a strong write acknowledges the
-	// client as soon as the local update and INV broadcast are out
-	// (Read-Enforced and Transactional consistency; Figure 3/4) — unless
-	// the durability policy vetoes it (Strict).
-	earlyWriteCompletion() bool
 
 	// onStrongWriteLaunch records coordinator-side bookkeeping when a
 	// strong write starts: read-stall tracking (transC/transP) or
@@ -74,14 +71,6 @@ type VisibilityPolicy interface {
 	// before the durability policy acts on it. It returns false when the
 	// INV was rejected (transactional write-write conflict NACK).
 	onInvReceive(r *Replica, ks *keyState, from int, p *payload) bool
-
-	// readBlocked reports whether a read of ks must stall for consistency
-	// validation (Linearizable / Read-Enforced block on unvalidated writes).
-	readBlocked(r *Replica, ks *keyState) bool
-
-	// servesCommitted reports whether reads serve the latest transactionally
-	// committed version instead of the visible one (Section 2.1).
-	servesCommitted() bool
 
 	// causalHistory snapshots the happens-before history a weak write's UPD
 	// carries (Causal consistency's cauhist; nil otherwise). The snapshot is
@@ -105,24 +94,6 @@ type VisibilityPolicy interface {
 // DurabilityPolicy encodes the persistency dimension of a DDP model: when
 // an update reaches NVM relative to its visibility point.
 type DurabilityPolicy interface {
-	// tracksTransP reports whether writes are tracked as
-	// persistency-transient until VAL_p (Read-Enforced persistency's
-	// read-stall state; Figure 3).
-	tracksTransP() bool
-
-	// allowsEarlyCompletion reports whether the consistency model's early
-	// write acknowledgment may stand (everything but Strict).
-	allowsEarlyCompletion() bool
-
-	// persistsAtTxnBoundaries reports whether transactional state persists
-	// at INITX/ENDX (Synchronous and Strict; Figure 4).
-	persistsAtTxnBoundaries() bool
-
-	// servesPersistedImage reports whether reads serve a key's persisted
-	// version (its NVM image) rather than its visible one (Synchronous/Strict
-	// under weak consistency; Figure 2 e-h).
-	servesPersistedImage() bool
-
 	// onStrongWriteLaunch gates a strong write's INV broadcast on the
 	// durability model: Strict persists locally before the update
 	// propagates (Table 2); everyone else launches immediately via
@@ -150,10 +121,6 @@ type DurabilityPolicy interface {
 	// a pending write at the coordinator.
 	onPersistAck(r *Replica, pw *pendingWrite)
 
-	// weakWriteNeedsAcks reports whether a weak-consistency write must
-	// collect follower persist ACKs before completing (Strict; Section 8.2).
-	weakWriteNeedsAcks() bool
-
 	// onWeakWrite arranges local durability for a weak-consistency write
 	// and reports whether the write completes to the client now (false for
 	// Strict, whose completion arrives via ACK_p collection).
@@ -168,20 +135,6 @@ type DurabilityPolicy interface {
 	// onFollowerUpdate arranges durability for a weak-consistency update
 	// that just became visible at this follower.
 	onFollowerUpdate(r *Replica, from int, p *payload)
-
-	// readBlocked reports whether a read of ks must stall for local
-	// persistence (Read-Enforced persistency under weak consistency;
-	// Figure 3 c-d).
-	readBlocked(r *Replica, ks *keyState) bool
-}
-
-// durClass carries the consistency-side facts a durability policy composes
-// against: the paper defines each Durability Point relative to the
-// Visibility Point (Table 2), so the persistency dimension is composable
-// but not blind.
-type durClass struct {
-	weak          bool // paired consistency propagates by lazy UPDs
-	transactional bool // paired consistency groups writes into transactions
 }
 
 // resolvePolicies maps a DDP model to its (visibility, durability) policy
@@ -203,22 +156,18 @@ func resolvePolicies(m core.Model) (VisibilityPolicy, DurabilityPolicy) {
 	default:
 		panic(fmt.Sprintf("protocol: no visibility policy for %v", m.C))
 	}
-	cls := durClass{
-		weak:          !core.UsesInvAckVal(m.C),
-		transactional: m.C == core.Transactional,
-	}
 	var dur DurabilityPolicy
 	switch m.P {
 	case core.Strict:
-		dur = strictDur{cls}
+		dur = strictDur{}
 	case core.Synchronous:
-		dur = synchronousDur{cls}
+		dur = synchronousDur{}
 	case core.ReadEnforcedP:
-		dur = readEnforcedDur{cls}
+		dur = readEnforcedDur{}
 	case core.Scope:
-		dur = scopeDur{cls}
+		dur = scopeDur{}
 	case core.EventualP:
-		dur = eventualDur{cls}
+		dur = eventualDur{}
 	default:
 		panic(fmt.Sprintf("protocol: no durability policy for %v", m.P))
 	}
@@ -230,8 +179,8 @@ func resolvePolicies(m core.Model) (VisibilityPolicy, DurabilityPolicy) {
 // (Scope, Eventual): broadcast VAL_c, complete, and — under Transactional
 // consistency — just release the conflict window (the transaction's
 // ENDX/VAL closes everything; Figure 4).
-func consAckedValidateC(r *Replica, pw *pendingWrite, transactional bool) {
-	if transactional {
+func consAckedValidateC(r *Replica, pw *pendingWrite) {
+	if r.model.C == core.Transactional {
 		r.releaseTxnWriteLock(pw.key)
 		r.dropPending(pw)
 		return

@@ -6,5 +6,3 @@ package protocol
 // local update and the INV broadcast are out — reads enforce the rest
 // (Figure 3a) — unless Strict persistency vetoes the early completion.
 type readEnforcedVis struct{ strongVis }
-
-func (readEnforcedVis) earlyWriteCompletion() bool { return true }

@@ -1,17 +1,14 @@
 package protocol
 
+import "repro/internal/core"
+
 // readEnforcedDur implements Read-Enforced persistency: an update must be
 // durable before it is read (Table 2). Writes complete on the consistency
 // ACKs; persists run in the background and a separate VAL_p releases
 // readers once every replica persisted (Figure 3). Under weak consistency
 // the enforcement point moves into the read path: a read stalls until the
 // latest visible version is locally persisted (Figure 3 c-d).
-type readEnforcedDur struct{ durClass }
-
-func (readEnforcedDur) tracksTransP() bool            { return true }
-func (readEnforcedDur) allowsEarlyCompletion() bool   { return true }
-func (readEnforcedDur) persistsAtTxnBoundaries() bool { return false }
-func (readEnforcedDur) servesPersistedImage() bool    { return false }
+type readEnforcedDur struct{}
 
 func (readEnforcedDur) onStrongWriteLaunch(r *Replica, pw *pendingWrite) {
 	r.launchStrongWrite(pw)
@@ -35,7 +32,7 @@ func (readEnforcedDur) onInvReceive(r *Replica, from int, p *payload) {
 // onConsistencyAcked completes the write at the client on all ACK_c; the
 // VAL_p flows later, once every replica (and the coordinator) persisted.
 func (d readEnforcedDur) onConsistencyAcked(r *Replica, pw *pendingWrite) {
-	if d.transactional {
+	if r.model.C == core.Transactional {
 		r.releaseTxnWriteLock(pw.key)
 	}
 	r.completeWrite(pw)
@@ -53,8 +50,6 @@ func (readEnforcedDur) maybeFinish(r *Replica, pw *pendingWrite) {
 	}
 }
 
-func (readEnforcedDur) weakWriteNeedsAcks() bool { return false }
-
 func (readEnforcedDur) onWeakWrite(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope uint64) bool {
 	r.persist(key, st, cont{})
 	r.selfApplyCausal()
@@ -68,13 +63,4 @@ func (readEnforcedDur) onCausalApply(r *Replica, p payload, src int) {
 
 func (readEnforcedDur) onFollowerUpdate(r *Replica, from int, p *payload) {
 	r.persist(p.Key, p.Stamp, cont{})
-}
-
-// readBlocked stalls weak-consistency reads until the latest visible
-// version is locally persisted (Figure 3 c-d).
-func (d readEnforcedDur) readBlocked(r *Replica, ks *keyState) bool {
-	if !d.weak {
-		return false
-	}
-	return ks.persisted < ks.visible
 }

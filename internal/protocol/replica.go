@@ -143,6 +143,7 @@ type Replica struct {
 	eng    *sim.Engine
 	p      params.Params
 	model  core.Model
+	rules  core.Rules       // the binding's yes/no rules, resolved at construction
 	vis    VisibilityPolicy // consistency dimension, resolved at construction
 	dur    DurabilityPolicy // persistency dimension, resolved at construction
 	net    *simnet.Network
@@ -271,6 +272,7 @@ func NewReplica(id int, d Deps) *Replica {
 		eng:          d.Eng,
 		p:            d.P,
 		model:        d.Model,
+		rules:        core.RulesOf(d.Model),
 		net:          d.Net,
 		work:         d.Workers,
 		mem:          d.Mem,
@@ -715,14 +717,17 @@ func (r *Replica) wake(tail *int32) {
 	}
 }
 
-// readAttempt applies the model's read-stall rules to op's key, filing op as
-// a waiter until every rule passes, then completes the read after the memory
-// latency.
+// readAttempt applies the binding's read rules to op's key, filing op as a
+// waiter until every rule passes, then completes the read after the memory
+// latency. Linearizable and Read-Enforced consistency stall on writes not yet
+// validated (under Read-Enforced persistency, until VAL_p; Figure 3);
+// Read-Enforced persistency under weak consistency stalls until the latest
+// visible version is locally persisted (Figure 3 c-d).
 func (r *Replica) readAttempt(op *clientOp) {
 	key := op.key
 	ks := r.keys.at(key)
 
-	if r.vis.readBlocked(r, ks) {
+	if r.rules.ReadsStallOnTransient && (ks.transC != 0 || r.rules.SplitAcks && ks.transP != 0) {
 		if !op.stalled {
 			op.stalled = true
 			r.M.ReadStalls++
@@ -733,7 +738,7 @@ func (r *Replica) readAttempt(op *clientOp) {
 		r.waiters.Push(&ks.consWait, op)
 		return
 	}
-	if r.dur.readBlocked(r, ks) {
+	if r.rules.ReadsWaitLocalPersist && ks.persisted < ks.visible {
 		if !op.stalled {
 			op.stalled = true
 			r.M.ReadStalls++
@@ -749,7 +754,7 @@ func (r *Replica) readAttempt(op *clientOp) {
 		r.M.ReadStallTime += r.eng.Now() - op.start
 	}
 	op.ver = r.readable(ks)
-	if r.vis.servesCommitted() {
+	if r.rules.ServesCommitted {
 		// Operations may only see the effects of transactions that have
 		// completed (Section 2.1): serve the latest committed version.
 		op.ver = ks.committed
@@ -762,7 +767,7 @@ func (r *Replica) readAttempt(op *clientOp) {
 // under weak consistency makes only persisted versions readable (Figure 2
 // e-h).
 func (r *Replica) readable(ks *keyState) Stamp {
-	if r.dur.servesPersistedImage() {
+	if r.rules.ServesPersisted {
 		return ks.persisted
 	}
 	return ks.visible

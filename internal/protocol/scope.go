@@ -7,12 +7,7 @@ import "repro/internal/sim"
 // [PERSIST]s barrier of Figure 5 flushes a scope on every replica. The
 // barrier plumbing (scope tables, PERSIST/ACK_p/VAL_p exchange) lives on
 // the Replica below; the policy only decides that writes defer to it.
-type scopeDur struct{ durClass }
-
-func (scopeDur) tracksTransP() bool            { return false }
-func (scopeDur) allowsEarlyCompletion() bool   { return true }
-func (scopeDur) persistsAtTxnBoundaries() bool { return false }
-func (scopeDur) servesPersistedImage() bool    { return false }
+type scopeDur struct{}
 
 func (scopeDur) onStrongWriteLaunch(r *Replica, pw *pendingWrite) {
 	r.launchStrongWrite(pw)
@@ -31,13 +26,9 @@ func (scopeDur) onInvReceive(r *Replica, from int, p *payload) {
 	r.send(from, payload{Kind: MsgACKc, Stamp: p.Stamp, Txn: p.Txn})
 }
 
-func (d scopeDur) onConsistencyAcked(r *Replica, pw *pendingWrite) {
-	consAckedValidateC(r, pw, d.transactional)
-}
+func (scopeDur) onConsistencyAcked(r *Replica, pw *pendingWrite) { consAckedValidateC(r, pw) }
 
 func (scopeDur) onPersistAck(r *Replica, pw *pendingWrite) {}
-
-func (scopeDur) weakWriteNeedsAcks() bool { return false }
 
 func (scopeDur) onWeakWrite(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope uint64) bool {
 	r.deferScopePersist(scope, key, st)
@@ -53,8 +44,6 @@ func (scopeDur) onCausalApply(r *Replica, p payload, src int) {
 func (scopeDur) onFollowerUpdate(r *Replica, from int, p *payload) {
 	r.deferScopePersist(p.Scope, p.Key, p.Stamp)
 }
-
-func (scopeDur) readBlocked(r *Replica, ks *keyState) bool { return false }
 
 // ---------------------------------------------------------------------------
 // Scope barrier plumbing (model-agnostic; driven by scopeDur and the

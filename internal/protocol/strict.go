@@ -1,16 +1,13 @@
 package protocol
 
+import "repro/internal/core"
+
 // strictDur implements Strict persistency: an update is durable when it
 // takes place (Table 2) — the persist precedes visibility everywhere, the
 // coordinator persists before the update even propagates, and nothing
 // completes early. Under weak consistency the write still stalls until
 // persisted on every replica (Section 8.2).
-type strictDur struct{ durClass }
-
-func (strictDur) tracksTransP() bool            { return false }
-func (strictDur) allowsEarlyCompletion() bool   { return false }
-func (strictDur) persistsAtTxnBoundaries() bool { return true }
-func (d strictDur) servesPersistedImage() bool  { return d.weak }
+type strictDur struct{}
 
 // onStrongWriteLaunch persists the coordinator's update before the INV goes
 // out (Table 2: the DP is "when the update takes place").
@@ -23,8 +20,8 @@ func (strictDur) startLocalDurability(r *Replica, pw *pendingWrite) {}
 
 // onLocalPersist launches the gated strong write; under weak consistency it
 // is the coordinator's share of persisted-everywhere (Section 8.2).
-func (d strictDur) onLocalPersist(r *Replica, pw *pendingWrite) {
-	if d.weak {
+func (strictDur) onLocalPersist(r *Replica, pw *pendingWrite) {
+	if !r.rules.InvAckVal {
 		r.selfApplyCausal()
 		r.maybeFinishWeakStrictWrite(pw)
 		return
@@ -39,8 +36,8 @@ func (strictDur) onInvReceive(r *Replica, from int, p *payload) {
 
 // onConsistencyAcked completes the write: ACKs imply persistence
 // everywhere, and the local persist preceded launch.
-func (d strictDur) onConsistencyAcked(r *Replica, pw *pendingWrite) {
-	if d.transactional {
+func (strictDur) onConsistencyAcked(r *Replica, pw *pendingWrite) {
+	if r.model.C == core.Transactional {
 		r.releaseTxnWriteLock(pw.key)
 	}
 	r.validate(pw, MsgVAL)
@@ -50,13 +47,11 @@ func (d strictDur) onConsistencyAcked(r *Replica, pw *pendingWrite) {
 
 // onPersistAck collects follower persists for the weak-consistency path;
 // under strong consistency the combined ACK already carried persistence.
-func (d strictDur) onPersistAck(r *Replica, pw *pendingWrite) {
-	if d.weak {
+func (strictDur) onPersistAck(r *Replica, pw *pendingWrite) {
+	if !r.rules.InvAckVal {
 		r.maybeFinishWeakStrictWrite(pw)
 	}
 }
-
-func (strictDur) weakWriteNeedsAcks() bool { return true }
 
 // onWeakWrite persists locally and defers client completion to ACK_p
 // collection (Section 8.2 stalls the write until persisted everywhere).
@@ -76,5 +71,3 @@ func (strictDur) onCausalApply(r *Replica, p payload, src int) {
 func (strictDur) onFollowerUpdate(r *Replica, from int, p *payload) {
 	r.persist(p.Key, p.Stamp, ackTo(MsgACKp, from, 0))
 }
-
-func (strictDur) readBlocked(r *Replica, ks *keyState) bool { return false }

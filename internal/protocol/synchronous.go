@@ -1,5 +1,7 @@
 package protocol
 
+import "repro/internal/core"
+
 // synchronousDur implements Synchronous persistency: an update is durable
 // at its visibility point (Table 2) — the persist sits inside each
 // replica's acknowledgment path, so validation waits for it. Under
@@ -7,12 +9,7 @@ package protocol
 // ENDX instead (Figure 4); under weak consistency the visibility and
 // durability points coincide, gating causal applies on persists
 // (Section 8.1.2).
-type synchronousDur struct{ durClass }
-
-func (synchronousDur) tracksTransP() bool            { return false }
-func (synchronousDur) allowsEarlyCompletion() bool   { return true }
-func (synchronousDur) persistsAtTxnBoundaries() bool { return true }
-func (d synchronousDur) servesPersistedImage() bool  { return d.weak }
+type synchronousDur struct{}
 
 // onStrongWriteLaunch launches immediately; durability rides the ACK path.
 func (synchronousDur) onStrongWriteLaunch(r *Replica, pw *pendingWrite) {
@@ -21,8 +18,8 @@ func (synchronousDur) onStrongWriteLaunch(r *Replica, pw *pendingWrite) {
 
 // startLocalDurability persists the coordinator's copy; the VAL waits for
 // it (Figure 2a). Transactional writes defer to ENDX (Figure 4).
-func (d synchronousDur) startLocalDurability(r *Replica, pw *pendingWrite) {
-	if d.transactional && pw.txn != 0 {
+func (synchronousDur) startLocalDurability(r *Replica, pw *pendingWrite) {
+	if r.model.C == core.Transactional && pw.txn != 0 {
 		r.deferTxnPersist(pw.txn, pw.key, pw.stamp)
 		pw.localPersist = true
 		return
@@ -35,9 +32,9 @@ func (d synchronousDur) onLocalPersist(r *Replica, pw *pendingWrite) { d.maybeFi
 // onInvReceive applies, persists, then ACKs — the follower's acknowledgment
 // implies its NVM copy. Transactional writes ACK on the volatile update and
 // persist at ENDX (Figure 4).
-func (d synchronousDur) onInvReceive(r *Replica, from int, p *payload) {
+func (synchronousDur) onInvReceive(r *Replica, from int, p *payload) {
 	r.applyVisible(p.Key, p.Stamp)
-	if d.transactional && p.Txn != 0 {
+	if r.model.C == core.Transactional && p.Txn != 0 {
 		r.deferTxnPersist(p.Txn, p.Key, p.Stamp)
 		r.send(from, payload{Kind: MsgACK, Stamp: p.Stamp, Txn: p.Txn})
 		return
@@ -48,8 +45,8 @@ func (d synchronousDur) onInvReceive(r *Replica, from int, p *payload) {
 // onConsistencyAcked validates only after the local persist finishes
 // (Figure 2a); under Transactional consistency the write's conflict window
 // just closes — the transaction's ENDX/VAL finishes everything.
-func (d synchronousDur) onConsistencyAcked(r *Replica, pw *pendingWrite) {
-	if d.transactional {
+func (synchronousDur) onConsistencyAcked(r *Replica, pw *pendingWrite) {
+	if r.model.C == core.Transactional {
 		r.releaseTxnWriteLock(pw.key)
 		r.dropPending(pw)
 		return
@@ -76,8 +73,6 @@ func (synchronousDur) maybeFinish(r *Replica, pw *pendingWrite) {
 	}
 }
 
-func (synchronousDur) weakWriteNeedsAcks() bool { return false }
-
 // onWeakWrite persists locally; the applied vector (which gates dependent
 // causal applies) only advances at persist completion.
 func (synchronousDur) onWeakWrite(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope uint64) bool {
@@ -94,5 +89,3 @@ func (synchronousDur) onCausalApply(r *Replica, p payload, src int) {
 func (synchronousDur) onFollowerUpdate(r *Replica, from int, p *payload) {
 	r.persist(p.Key, p.Stamp, cont{})
 }
-
-func (synchronousDur) readBlocked(r *Replica, ks *keyState) bool { return false }

@@ -9,8 +9,6 @@ package protocol
 // squash and retry) lives in txn.go.
 type transactionalVis struct{}
 
-func (transactionalVis) usesInvAckVal() bool { return true }
-
 // dispatchWrite routes in-transaction writes through conflict detection;
 // writes outside any transaction take the plain strong path.
 func (transactionalVis) dispatchWrite(r *Replica, key, scope, txn uint64, done completion) {
@@ -20,10 +18,6 @@ func (transactionalVis) dispatchWrite(r *Replica, key, scope, txn uint64, done c
 	}
 	r.strongWrite(key, scope, txn, done)
 }
-
-// earlyWriteCompletion acknowledges writes immediately within the
-// transaction; End-Xaction waits for every replica (Figure 4).
-func (transactionalVis) earlyWriteCompletion() bool { return true }
 
 // onStrongWriteLaunch grows the transaction's write set; per-key transient
 // tracking is not needed because reads serve committed versions.
@@ -53,12 +47,6 @@ func (transactionalVis) onInvReceive(r *Replica, ks *keyState, from int, p *payl
 	}
 	return true
 }
-
-// readBlocked never stalls: operations only see the effects of completed
-// transactions (Section 2.1), served from the committed version.
-func (transactionalVis) readBlocked(r *Replica, ks *keyState) bool { return false }
-
-func (transactionalVis) servesCommitted() bool { return true }
 
 // The weak-write hooks are unreachable (transactional writes never take the
 // UPD path); lazy UPDs from remote hybrid groups apply last-writer-wins.

@@ -88,13 +88,6 @@ func (r *Replica) deferTxnPersist(txn uint64, key uint64, st Stamp) {
 	r.addTxnItem(&tx.pendingPersists, key, st)
 }
 
-// persistsAtTxnBoundaries reports whether the persistency model persists
-// transactional state at INITX/ENDX (Synchronous and Strict do; the others
-// have their own durability schedule).
-func (r *Replica) persistsAtTxnBoundaries() bool {
-	return r.dur.persistsAtTxnBoundaries()
-}
-
 // initTxn runs ClientInitTxn once the request's worker time has elapsed.
 func (r *Replica) initTxn(done completion) {
 	r.txnSeq++
@@ -111,7 +104,7 @@ func (r *Replica) initTxn(done completion) {
 // atTxnBoundary runs then once transaction txn's begin event is durable
 // under Synchronous/Strict persistency, at once under the others.
 func (r *Replica) atTxnBoundary(txn uint64, then cont) {
-	if r.persistsAtTxnBoundaries() {
+	if r.rules.PersistsAtTxnBoundaries {
 		r.persistEvent(txnAddr(txn), then)
 	} else {
 		r.run(then, 0, 0)
@@ -152,7 +145,7 @@ func (r *Replica) endTxn(txn uint64, done completion) {
 // flushTxnPersists runs then once the persists the transaction deferred to
 // its end are durable (Synchronous/Strict), at once under the others.
 func (r *Replica) flushTxnPersists(tx *txnState, then cont) {
-	if !r.persistsAtTxnBoundaries() {
+	if !r.rules.PersistsAtTxnBoundaries {
 		r.run(then, 0, 0)
 		return
 	}

@@ -74,7 +74,7 @@ func (r *Replica) launchStrongWrite(pw *pendingWrite) {
 	// acknowledge the client as soon as the local update and the INV
 	// broadcast are out — unless Strict persistency forces the write to
 	// wait for persists everywhere.
-	if r.vis.earlyWriteCompletion() && r.dur.allowsEarlyCompletion() {
+	if r.rules.EarlyAck {
 		pw.early = true
 		r.completeWrite(pw)
 	}
@@ -164,7 +164,7 @@ func (r *Replica) validate(pw *pendingWrite, kind MsgKind) {
 	r.broadcast(payload{Kind: kind, Key: pw.key, Stamp: pw.stamp})
 	ks := r.keys.at(pw.key)
 	r.stamps.remove(&ks.transC, pw.stamp)
-	if !r.dur.tracksTransP() {
+	if !r.rules.SplitAcks {
 		r.wake(&ks.consWait)
 	}
 }
@@ -206,7 +206,7 @@ func (r *Replica) onVAL(p *payload) {
 	}
 	ks := r.keys.at(p.Key)
 	r.stamps.remove(&ks.transC, p.Stamp)
-	if ks.transC == 0 && (!r.dur.tracksTransP() || ks.transP == 0) {
+	if ks.transC == 0 && (!r.rules.SplitAcks || ks.transP == 0) {
 		r.wake(&ks.consWait)
 	}
 }
@@ -235,7 +235,7 @@ func (r *Replica) weakWrite(key uint64, scope uint64, done completion) {
 	st := r.nextStamp()
 
 	var pw *pendingWrite
-	if r.dur.weakWriteNeedsAcks() {
+	if r.rules.WeakWriteWaitsPersists {
 		// Strict persistency stalls the write until persisted everywhere,
 		// even under weak consistency (Section 8.2).
 		pw = r.newPending(key, st, done)

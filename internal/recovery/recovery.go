@@ -10,7 +10,8 @@
 // plus the visible versions of the nodes that survived (the paper notes weak
 // models need an advanced, voting-based recovery). The audits then compare
 // the recovered state with the history of client-acknowledged operations;
-// which of those writes the model promised durable is core.AckDurabilityOf.
+// which of those writes the model promised durable is its
+// core.Rules.AckDurability.
 package recovery
 
 import (
@@ -108,7 +109,7 @@ type Audit struct {
 	// newer one) did not survive: a subsequent read would be stale.
 	LostAcked int
 	// LostConfirmedDurable counts writes that the model *claimed* durable
-	// (core.AckDurabilityOf: an acknowledgment that waited for every
+	// (core.Rules.AckDurability: an acknowledgment that waited for every
 	// persist, or a completed scope barrier) but that were lost anyway. It
 	// must be zero for a correct protocol.
 	LostConfirmedDurable int
@@ -133,7 +134,7 @@ func (a *Audit) MonotonicAcrossCrash() bool { return a.MonotonicViolationsAcross
 // confirmedDurable reports whether the model promised the client this write
 // was already durable when it was acknowledged (or when its barrier ran).
 func confirmedDurable(m core.Model, w cluster.WriteRecord) bool {
-	switch core.AckDurabilityOf(m) {
+	switch core.RulesOf(m).AckDurability {
 	case core.DurableAtAck:
 		return true
 	case core.DurableAtScope:

@@ -33,7 +33,7 @@ type RecoveryTiming struct {
 // every persist (core.DurableAtAck) skips the voting round: its NVM images
 // diverge only in unacknowledged writes, so each one is already consistent.
 func TimeRecovery(m core.Model, p params.Params, keys int) RecoveryTiming {
-	t := RecoveryTiming{Model: m, NeedsVoting: core.AckDurabilityOf(m) != core.DurableAtAck}
+	t := RecoveryTiming{Model: m, NeedsVoting: core.RulesOf(m).AckDurability != core.DurableAtAck}
 
 	// Local scan: the node streams its image from NVM; channel/bank
 	// parallelism applies.
