@@ -77,14 +77,18 @@ fmt:
 #     churn, every key across its same-size rebuilds, its zero-allocation
 #     Put+Get loop, and the histogram's bucket index against the bit-loop
 #     oracle;
+#   - the binding rules: core.RulesOf's 25 rows against the literal taken
+#     from the policy methods it replaced, Describe's message list against
+#     the kinds each binding's run sends, and the rendered model reference
+#     against its fixture;
 #   - one iteration of the cluster-construction benchmark, against bit-rot;
 #   - the capacity and scaling sweeps at quick scale, flat and sharded;
 #   - the CLI rejecting a knob no cell of the experiment can honor
 #     (-fwdbatch needs a sharded topology; table1 is unsharded);
 #   - ddpsim end to end on a small cell, once with an ordered engine profile,
-#     rejecting a model name outside the 5x5 matrix and an engine name
-#     outside the profile table, and ddpbench rejecting the retired bindings
-#     experiment;
+#     rejecting a model name outside the 5x5 matrix, an engine name outside
+#     the profile table and a negative server count, and ddpbench rejecting
+#     the retired bindings experiment;
 #   - the public crash API's callers: the examples/ programs and ddprecover
 #     all call ddp.RunWithCrash.
 check: vet fmt
@@ -103,6 +107,7 @@ check: vet fmt
 	$(GO) test ./internal/cluster/ -run '^(TestEngineChoiceFingerprint|TestReplicaHoldsOneRecordPerKey)$$'
 	$(GO) test ./internal/simnet/ ./internal/cluster/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas'
 	$(GO) test ./internal/cluster/ ./internal/engines/ ./internal/stats/ -run 'TestMeasurementSetPerEngine|TestScopeHistogramAllocatedOnFirstUse|TestRetainedHeapLinearInNodes|TestCausalBufferBytesPerEntry|TestHashTableSlotSize|TestHashTableGetReturnsStoredSlice|TestHashTableSharedValueHeldOnce|TestHashTableInternedWithinLiveKeys|TestHashTableChurnBounded|TestHashTableRebuildKeepsEveryKey|TestHashTableOpAllocFree|TestBucketIndexMatchesLoopOracle'
+	$(GO) test ./internal/core/ ./internal/cluster/ ./internal/harness/ -run '^(TestRulesTable|TestDescribeMessagesMatchTraffic|TestModelReferenceFixture)$$'
 	$(GO) test -run='^$$' -bench BenchmarkClusterNew -benchtime=1x -benchmem .
 	$(GO) run ./cmd/ddpbench -exp capacity -quick > /dev/null
 	$(GO) run ./cmd/ddpbench -exp capacity -quick -shards 4 > /dev/null
@@ -113,6 +118,7 @@ check: vet fmt
 	$(GO) run ./cmd/ddpsim -servers 3 -clients 2 -measure 200000 -engine btree > /dev/null
 	! $(GO) run ./cmd/ddpsim -model strong-local
 	! $(GO) run ./cmd/ddpsim -engine skiplist
+	! $(GO) run ./cmd/ddpsim -servers -1
 	! $(GO) run ./cmd/ddpbench -exp bindings -quick
 	$(MAKE) examples > /dev/null
 	$(GO) run ./cmd/ddprecover > /dev/null

@@ -39,16 +39,16 @@ func main() {
 	}
 
 	p := ddp.DefaultParams()
-	if *servers > 0 {
+	if *servers != 0 {
 		p.Servers = *servers
 	}
-	if *clients > 0 {
+	if *clients != 0 {
 		p.ClientsPerServer = *clients
 	}
-	if *keys > 0 {
+	if *keys != 0 {
 		p.Keys = *keys
 	}
-	if *netRT > 0 {
+	if *netRT != 0 {
 		p.NetRoundTrip = *netRT
 	}
 

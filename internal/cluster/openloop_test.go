@@ -105,8 +105,7 @@ func TestOpenLoopLPInvariance(t *testing.T) {
 		{C: core.Eventual, P: core.EventualP},
 	} {
 		cfg := openConfig(m, 4e6)
-		cfg.Arrivals.Shape = ycsb.ShapeDiurnal
-		cfg.Arrivals.Amplitude = 0.6
+		cfg.Arrivals.Shape = ycsb.ShapeBursty
 		cfg.Arrivals.PeriodNs = 200_000
 		cfg.TrackHistory = true
 		runPair(t, "open-loop "+m.String(), cfg, 3)

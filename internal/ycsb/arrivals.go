@@ -14,9 +14,6 @@ type ArrivalShape int
 const (
 	// ShapePoisson is a homogeneous Poisson process at RatePerSec.
 	ShapePoisson ArrivalShape = iota
-	// ShapeDiurnal modulates the rate sinusoidally around RatePerSec:
-	// lambda(t) = RatePerSec * (1 + Amplitude*sin(2*pi*t/PeriodNs)).
-	ShapeDiurnal
 	// ShapeBursty is a square wave: for the first BurstFrac of every period
 	// the rate is RatePerSec*BurstFactor, otherwise it is scaled down so the
 	// long-run mean stays RatePerSec.
@@ -27,8 +24,6 @@ func (s ArrivalShape) String() string {
 	switch s {
 	case ShapePoisson:
 		return "poisson"
-	case ShapeDiurnal:
-		return "diurnal"
 	case ShapeBursty:
 		return "bursty"
 	default:
@@ -36,16 +31,11 @@ func (s ArrivalShape) String() string {
 	}
 }
 
-// ArrivalSpec describes a deterministic open-loop arrival process. The zero
-// Amplitude/BurstFactor values make every shape degenerate gracefully to
-// plain Poisson.
+// ArrivalSpec describes a deterministic open-loop arrival process.
 type ArrivalSpec struct {
 	Shape      ArrivalShape
 	RatePerSec float64 // long-run mean arrival rate, ops/s
-	PeriodNs   int64   // diurnal/bursty period (default 1 ms)
-
-	// Amplitude is the diurnal swing as a fraction of the mean, in [0, 1).
-	Amplitude float64
+	PeriodNs   int64   // bursty period (default 1 ms)
 
 	// BurstFactor is the in-burst rate multiplier (> 1); BurstFrac is the
 	// fraction of each period spent bursting, in (0, 1).
@@ -84,8 +74,6 @@ func (s ArrivalSpec) Validate() error {
 		return fmt.Errorf("ycsb: arrival RatePerSec must be positive, got %g", s.RatePerSec)
 	case s.PeriodNs < 0:
 		return fmt.Errorf("ycsb: arrival PeriodNs must be >= 0, got %d", s.PeriodNs)
-	case s.Amplitude < 0 || s.Amplitude >= 1:
-		return fmt.Errorf("ycsb: arrival Amplitude must be in [0,1), got %g", s.Amplitude)
 	case s.Shape == ShapeBursty && s.BurstFactor < 1:
 		return fmt.Errorf("ycsb: arrival BurstFactor must be >= 1, got %g", s.BurstFactor)
 	case s.Shape == ShapeBursty && (s.BurstFrac <= 0 || s.BurstFrac >= 1):
@@ -125,8 +113,6 @@ func NewArrivals(spec ArrivalSpec, rng *sim.RNG) (*Arrivals, error) {
 	a := &Arrivals{spec: spec, rng: rng}
 	mean := spec.RatePerSec / 1e9 // per ns
 	switch spec.Shape {
-	case ShapeDiurnal:
-		a.lambdaMax = mean * (1 + spec.Amplitude)
 	case ShapeBursty:
 		a.lambdaMax = mean * spec.BurstFactor
 		// Off-burst rate keeps the long-run mean at RatePerSec:
@@ -142,9 +128,6 @@ func NewArrivals(spec ArrivalSpec, rng *sim.RNG) (*Arrivals, error) {
 func (a *Arrivals) rate(t float64) float64 {
 	mean := a.spec.RatePerSec / 1e9
 	switch a.spec.Shape {
-	case ShapeDiurnal:
-		phase := 2 * math.Pi * t / float64(a.spec.PeriodNs)
-		return mean * (1 + a.spec.Amplitude*math.Sin(phase))
 	case ShapeBursty:
 		if a.inBurst(int64(t)) {
 			return mean * a.spec.BurstFactor

@@ -22,11 +22,6 @@ func TestArrivalsGoldenSeeds(t *testing.T) {
 			want: []int64{215, 1042, 1708, 2024, 3652, 4525, 4884, 6471},
 		},
 		{
-			name: "diurnal",
-			spec: ArrivalSpec{Shape: ShapeDiurnal, RatePerSec: 1e6, Amplitude: 0.5, PeriodNs: 100_000},
-			want: []int64{143, 587, 1672, 3834, 4099, 4465, 4475, 5467},
-		},
-		{
 			name: "bursty",
 			spec: ArrivalSpec{Shape: ShapeBursty, RatePerSec: 1e6, BurstFactor: 4, BurstFrac: 0.1, PeriodNs: 100_000},
 			want: []int64{53, 220, 627, 717, 1438, 1537, 1674, 1678},
@@ -64,7 +59,6 @@ func TestArrivalsGoldenSeeds(t *testing.T) {
 func TestArrivalsMeanRate(t *testing.T) {
 	specs := []ArrivalSpec{
 		{Shape: ShapePoisson, RatePerSec: 2e6},
-		{Shape: ShapeDiurnal, RatePerSec: 2e6, Amplitude: 0.8, PeriodNs: 50_000},
 		{Shape: ShapeBursty, RatePerSec: 2e6, BurstFactor: 5, BurstFrac: 0.1, PeriodNs: 50_000},
 	}
 	const horizon = int64(50_000_000) // 50 ms
@@ -114,7 +108,6 @@ func TestArrivalsBurstConcentration(t *testing.T) {
 func TestArrivalsMonotone(t *testing.T) {
 	for _, spec := range []ArrivalSpec{
 		{Shape: ShapePoisson, RatePerSec: 5e7},
-		{Shape: ShapeDiurnal, RatePerSec: 5e7, Amplitude: 0.9},
 		{Shape: ShapeBursty, RatePerSec: 5e7},
 	} {
 		a, err := NewArrivals(spec, sim.NewRNG(3))
@@ -137,8 +130,6 @@ func TestArrivalSpecValidate(t *testing.T) {
 	bad := []ArrivalSpec{
 		{RatePerSec: 0},
 		{RatePerSec: -1},
-		{RatePerSec: 1e6, Amplitude: 1.0},
-		{RatePerSec: 1e6, Amplitude: -0.1},
 		{RatePerSec: 1e6, Shape: ShapeBursty, BurstFactor: 0.5, BurstFrac: 0.1},
 		{RatePerSec: 1e6, Shape: ShapeBursty, BurstFactor: 4, BurstFrac: 1.5},
 		{RatePerSec: 1e6, Shape: ShapeBursty, BurstFactor: 20, BurstFrac: 0.5},
