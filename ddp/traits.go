@@ -77,6 +77,6 @@ func DurabilityPoint(p Persistency) string { return core.DPDescription(p) }
 // behavior, persist schedule, messages used).
 type Semantics = core.Semantics
 
-// Describe derives the operational semantics of m — a reference that
-// matches the protocol implementation by construction.
+// Describe derives the operational semantics of m from the same rules row
+// the protocol implementation runs by.
 func Describe(m Model) Semantics { return core.Describe(m.toCore()) }

@@ -76,11 +76,11 @@ func Describe(m Model) Semantics {
 		switch {
 		case r.SplitAcks:
 			s.Messages = append(s.Messages, "ACK_c", "ACK_p", "VAL_p")
-		case r.PersistsAtTxnBoundaries:
-		case r.ServesCommitted: // the commit validates: there is no per-write VAL
+		case !r.PersistsAtTxnBoundaries:
 			s.Messages = append(s.Messages, "ACK_c")
-		default:
-			s.Messages = append(s.Messages, "ACK_c", "VAL_c")
+			if !r.ServesCommitted { // a transaction's commit validates its writes
+				s.Messages = append(s.Messages, "VAL_c")
+			}
 		}
 		if r.ServesCommitted {
 			s.Messages = append(s.Messages, "INITX", "ENDX", "NACK", "ABORTX")

@@ -18,7 +18,9 @@
 // synchronous.go, readenforced_p.go, scope.go, eventual_p.go); policy.go
 // defines the two interfaces, their hook contract, and the resolver that
 // binds a core.Model — one of the 25 matrix cells, taken at face value — to
-// its policy pair once at Replica construction. The remaining files are the plumbing the policies drive:
+// its policy pair once at Replica construction, next to the model's
+// core.Rules row, which holds every yes/no rule the replica branches on.
+// The remaining files are the plumbing the policies drive:
 // replica.go (state, messaging, persist coalescing, read stalls), clientop.go
 // (the client request pipeline), write.go (write rounds), causal.go (reorder
 // buffer), txn.go (transaction lifecycle), cont.go (continuations as data)

@@ -11,15 +11,15 @@ import (
 // consistency model (Visibility Point) with a memory persistency model
 // (Durability Point):
 //
-//   - A VisibilityPolicy decides when an update becomes visible: whether
-//     writes run the strong INV/ACK/VAL broadcast or lazy UPDs, which reads
-//     stall on unvalidated writes, and how causal history gates application.
+//   - A VisibilityPolicy carries out how an update becomes visible: the
+//     strong INV/ACK/VAL broadcast or lazy UPDs, transient and
+//     transactional bookkeeping, and how causal history gates application.
 //     One implementation per consistency model, one file each:
 //     linearizable.go, readenforced_c.go, transactional.go, causal.go,
 //     eventual_c.go.
-//   - A DurabilityPolicy decides when an update becomes durable: where the
-//     NVM persist sits relative to propagation, acknowledgment, and read
-//     service. One implementation per persistency model, one file each:
+//   - A DurabilityPolicy carries out when an update becomes durable: where
+//     the NVM persist sits relative to propagation and acknowledgment, and
+//     which ACK flavor reports it. One implementation per persistency model, one file each:
 //     strict.go, synchronous.go, readenforced_p.go, scope.go, eventual_p.go.
 //
 // The Replica core is model-agnostic plumbing — stamps, pending-write
@@ -55,8 +55,9 @@ import (
 // The resolver reads a core.Model's two dimensions directly: the 25 cells of
 // the matrix are the only models, so each cell names its policy pair.
 
-// VisibilityPolicy encodes the consistency dimension of a DDP model: when
-// an update becomes visible at the replicas and what reads may observe.
+// VisibilityPolicy encodes the steps of the consistency dimension of a DDP
+// model: how an update becomes visible at the replicas. What a read may
+// observe is stated in the binding's core.Rules row.
 type VisibilityPolicy interface {
 	// dispatchWrite routes a client write (or the write half of an RMW)
 	// onto the model's write path.
