@@ -18,6 +18,7 @@ func Describe(m Model) Semantics {
 	r := RulesOf(m)
 	s := Semantics{Model: m}
 
+	// Write completion: Strict persistency overrides the consistency model's.
 	switch {
 	case r.WeakWriteWaitsPersists:
 		s.WriteCompletion = "only once the update is persisted on every replica (Strict persistency overrides the consistency model's earlier completion)"
@@ -33,6 +34,7 @@ func Describe(m Model) Semantics {
 		s.WriteCompletion = "immediately after the local update; UPDs propagate lazily"
 	}
 
+	// Read rule.
 	switch {
 	case r.ReadsStallOnTransient && r.SplitAcks:
 		s.ReadRule = "stalls while the key has writes not yet validated for persistency (until VAL_p)"
@@ -48,6 +50,7 @@ func Describe(m Model) Semantics {
 		s.ReadRule = "returns the latest visible version, never stalling"
 	}
 
+	// Persist schedule.
 	switch m.P {
 	case Strict:
 		s.PersistSchedule = "before the update becomes visible anywhere (coordinator persists before propagating)"
