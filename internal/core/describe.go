@@ -20,7 +20,7 @@ func Describe(m Model) Semantics {
 
 	// Write completion: Strict persistency overrides the consistency model's.
 	switch {
-	case r.WeakWriteWaitsPersists:
+	case r.PersistsBeforeVisible:
 		s.WriteCompletion = "only once the update is persisted on every replica (Strict persistency overrides the consistency model's earlier completion)"
 	case r.EarlyAck && r.ServesCommitted:
 		s.WriteCompletion = "immediately within the transaction; End-Xaction waits for every replica (and the model's persists)"
@@ -51,20 +51,18 @@ func Describe(m Model) Semantics {
 	}
 
 	// Persist schedule.
-	switch m.P {
-	case Strict:
+	switch {
+	case r.PersistsBeforeVisible:
 		s.PersistSchedule = "before the update becomes visible anywhere (coordinator persists before propagating)"
-	case Synchronous:
-		if m.C == Transactional {
-			s.PersistSchedule = "deferred to transaction end; ENDX completes only when the transaction's writes are durable everywhere"
-		} else {
-			s.PersistSchedule = "at each replica's visibility point, inside the acknowledgment path"
-		}
-	case ReadEnforcedP:
+	case r.PersistsInAckPath && r.ServesCommitted:
+		s.PersistSchedule = "deferred to transaction end; ENDX completes only when the transaction's writes are durable everywhere"
+	case r.PersistsInAckPath:
+		s.PersistSchedule = "at each replica's visibility point, inside the acknowledgment path"
+	case r.SplitAcks:
 		s.PersistSchedule = "in the background immediately after each volatile update; reads enforce completion"
-	case Scope:
+	case r.Persist == PersistAtScope:
 		s.PersistSchedule = "batched per scope; the [PERSIST]s barrier persists the scope on every replica"
-	case EventualP:
+	default:
 		s.PersistSchedule = "lazily, some time after each volatile update"
 	}
 
@@ -73,13 +71,13 @@ func Describe(m Model) Semantics {
 		s.Messages = append(s.Messages, "INV(+data)")
 		// One ACK/VAL pair where a follower's ACK carries its persist, and
 		// for a transaction's INITX/ENDX acknowledgments and its commit.
-		if r.PersistsAtTxnBoundaries || r.ServesCommitted {
+		if r.PersistsInAckPath || r.ServesCommitted {
 			s.Messages = append(s.Messages, "ACK", "VAL")
 		}
 		switch {
 		case r.SplitAcks:
 			s.Messages = append(s.Messages, "ACK_c", "ACK_p", "VAL_p")
-		case !r.PersistsAtTxnBoundaries:
+		case !r.PersistsInAckPath:
 			s.Messages = append(s.Messages, "ACK_c")
 			if !r.ServesCommitted { // a transaction's commit validates its writes
 				s.Messages = append(s.Messages, "VAL_c")
@@ -94,11 +92,11 @@ func Describe(m Model) Semantics {
 		} else {
 			s.Messages = append(s.Messages, "UPD")
 		}
-		if r.WeakWriteWaitsPersists {
+		if r.PersistsBeforeVisible {
 			s.Messages = append(s.Messages, "ACK_p")
 		}
 	}
-	if m.P == Scope {
+	if r.Persist == PersistAtScope {
 		s.Messages = append(s.Messages, "[PERSIST]s", "ACK_p", "VAL_p")
 	}
 	return s

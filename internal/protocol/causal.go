@@ -182,15 +182,11 @@ func (r *Replica) advanceApplied(node int) {
 	r.draining = false
 }
 
-// causalApply makes the update visible and arranges durability. Under
-// Synchronous (and Strict) persistency the visibility point and durability
-// point coincide, so the applied vector — which gates causally dependent
-// updates — only advances once the persist completes. That persist gating is
-// what makes Causal+Synchronous buffer one to two orders of magnitude more
-// writes than Causal+Eventual (Section 8.1.2).
+// causalApply makes the update visible, then arranges its durability and
+// the applied-vector advance (persistCausalApply).
 func (r *Replica) causalApply(key uint64, st Stamp, scope uint64) {
 	r.applyVisible(key, st)
-	r.dur.onCausalApply(r, payload{Kind: MsgUPD, Key: key, Stamp: st, Scope: scope}, st.Node())
+	r.persistCausalApply(key, st, scope)
 }
 
 // AppliedVC exposes the applied vector for tests and recovery tooling.

@@ -33,7 +33,7 @@ const (
 	// write at its durability point.
 	contSelfApply
 	// contLocalPersist marks the pending write stamped st locally persisted
-	// and lets the durability policy continue the round.
+	// and continues its round (onLocalPersist).
 	contLocalPersist
 	// contFanIn counts one item of persistItems batch arg down.
 	contFanIn
@@ -94,7 +94,7 @@ func (r *Replica) run(c cont, key uint64, st Stamp) {
 	case contLocalPersist:
 		if pw := r.pending[st]; pw != nil {
 			pw.localPersist = true
-			r.dur.onLocalPersist(r, pw)
+			r.onLocalPersist(pw)
 		}
 	case contFanIn:
 		f := r.fanIns.At(int32(c.arg))

@@ -26,7 +26,7 @@ func (eventualVis) propagateWeak(r *Replica, upd payload) {
 // onUpdate applies in arrival order, last-writer-wins.
 func (eventualVis) onUpdate(r *Replica, from int, p *payload) {
 	r.applyVisible(p.Key, p.Stamp)
-	r.dur.onFollowerUpdate(r, from, p)
+	r.persistFollowerUpdate(from, p)
 }
 
 func (eventualVis) selfApply(r *Replica) {}

@@ -38,7 +38,7 @@ func (strongVis) propagateWeak(r *Replica, upd payload) { r.propagate(upd) }
 // onUpdate applies a lazy UPD from a remote hybrid group last-writer-wins.
 func (strongVis) onUpdate(r *Replica, from int, p *payload) {
 	r.applyVisible(p.Key, p.Stamp)
-	r.dur.onFollowerUpdate(r, from, p)
+	r.persistFollowerUpdate(from, p)
 }
 
 func (strongVis) selfApply(r *Replica) {}

@@ -121,7 +121,6 @@ type pendingWrite struct {
 	cAcks        int        // consistency acks still expected
 	pAcks        int        // persistency acks still expected
 	localPersist bool       // local persist finished
-	valSent      bool       // consistency VAL broadcast done
 	broadcastAt  int64      // when INV went out (stall accounting)
 	done         completion // the client's; zero once delivered
 	early        bool       // completion already delivered to the client
@@ -145,7 +144,6 @@ type Replica struct {
 	model  core.Model
 	rules  core.Rules       // the binding's yes/no rules, resolved at construction
 	vis    VisibilityPolicy // consistency dimension, resolved at construction
-	dur    DurabilityPolicy // persistency dimension, resolved at construction
 	net    *simnet.Network
 	work   *sim.Pool
 	mem    *memhier.Hierarchy
@@ -297,7 +295,7 @@ func NewReplica(id int, d Deps) *Replica {
 	r.persC.r = r
 	r.ablC.r = r
 	r.contC.r = r
-	r.vis, r.dur = resolvePolicies(d.Model)
+	r.vis = resolveVisibility(d.Model)
 	d.Net.Register(id, r.onMessage)
 	return r
 }

@@ -2,53 +2,10 @@ package protocol
 
 import "repro/internal/sim"
 
-// scopeDur implements Scope persistency: updates are durable before or at
-// their scope's end (Table 2). Writes buffer under their scope id and the
-// [PERSIST]s barrier of Figure 5 flushes a scope on every replica. The
-// barrier plumbing (scope tables, PERSIST/ACK_p/VAL_p exchange) lives on
-// the Replica below; the policy only decides that writes defer to it.
-type scopeDur struct{}
-
-func (scopeDur) onStrongWriteLaunch(r *Replica, pw *pendingWrite) {
-	r.launchStrongWrite(pw)
-}
-
-func (scopeDur) startLocalDurability(r *Replica, pw *pendingWrite) {
-	r.deferScopePersist(pw.scope, pw.key, pw.stamp)
-	pw.localPersist = true
-}
-
-func (scopeDur) onLocalPersist(r *Replica, pw *pendingWrite) {}
-
-func (scopeDur) onInvReceive(r *Replica, from int, p *payload) {
-	r.applyVisible(p.Key, p.Stamp)
-	r.deferScopePersist(p.Scope, p.Key, p.Stamp)
-	r.send(from, payload{Kind: MsgACKc, Stamp: p.Stamp, Txn: p.Txn})
-}
-
-func (scopeDur) onConsistencyAcked(r *Replica, pw *pendingWrite) { consAckedValidateC(r, pw) }
-
-func (scopeDur) onPersistAck(r *Replica, pw *pendingWrite) {}
-
-func (scopeDur) onWeakWrite(r *Replica, pw *pendingWrite, key uint64, st Stamp, scope uint64) bool {
-	r.deferScopePersist(scope, key, st)
-	r.selfApplyCausal()
-	return true
-}
-
-func (scopeDur) onCausalApply(r *Replica, p payload, src int) {
-	r.deferScopePersist(p.Scope, p.Key, p.Stamp)
-	r.advanceApplied(src)
-}
-
-func (scopeDur) onFollowerUpdate(r *Replica, from int, p *payload) {
-	r.deferScopePersist(p.Scope, p.Key, p.Stamp)
-}
-
-// ---------------------------------------------------------------------------
-// Scope barrier plumbing (model-agnostic; driven by scopeDur and the
-// ClientPersistScope entry point)
-// ---------------------------------------------------------------------------
+// Scope persistency's barrier: writes queue under their scope id
+// (persistBackground, core.PersistAtScope) and the [PERSIST]s barrier of
+// Figure 5 flushes a scope on every replica, with its PERSIST/ACK_p/VAL_p
+// exchange. The ClientPersistScope entry point starts it.
 
 // scopeOp tracks an in-flight scope persist barrier at its coordinator.
 type scopeOp struct {
@@ -71,8 +28,7 @@ func (r *Replica) scopeIsClosed(scope uint64) bool {
 
 // deferScopePersist queues a write for its scope's persist barrier. Writes
 // arriving after the barrier already ran (possible under weak consistency)
-// persist immediately so durability is never silently skipped. Only scopeDur
-// hooks call this; every other durability policy has its own schedule.
+// persist immediately so durability is never silently skipped.
 func (r *Replica) deferScopePersist(scope uint64, key uint64, st Stamp) {
 	if r.scopeIsClosed(scope) {
 		r.persist(key, st, cont{})

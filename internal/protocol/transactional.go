@@ -55,7 +55,7 @@ func (transactionalVis) propagateWeak(r *Replica, upd payload) { r.propagate(upd
 
 func (transactionalVis) onUpdate(r *Replica, from int, p *payload) {
 	r.applyVisible(p.Key, p.Stamp)
-	r.dur.onFollowerUpdate(r, from, p)
+	r.persistFollowerUpdate(from, p)
 }
 
 func (transactionalVis) selfApply(r *Replica) {}

@@ -104,7 +104,7 @@ func (r *Replica) initTxn(done completion) {
 // atTxnBoundary runs then once transaction txn's begin event is durable
 // under Synchronous/Strict persistency, at once under the others.
 func (r *Replica) atTxnBoundary(txn uint64, then cont) {
-	if r.rules.PersistsAtTxnBoundaries {
+	if r.rules.PersistsInAckPath {
 		r.persistEvent(txnAddr(txn), then)
 	} else {
 		r.run(then, 0, 0)
@@ -145,7 +145,7 @@ func (r *Replica) endTxn(txn uint64, done completion) {
 // flushTxnPersists runs then once the persists the transaction deferred to
 // its end are durable (Synchronous/Strict), at once under the others.
 func (r *Replica) flushTxnPersists(tx *txnState, then cont) {
-	if !r.rules.PersistsAtTxnBoundaries {
+	if !r.rules.PersistsInAckPath {
 		r.run(then, 0, 0)
 		return
 	}

@@ -23,8 +23,8 @@ func (r *Replica) txnWriteAttempt(key uint64, scope, txn uint64, done completion
 // strongWrite starts the INV/ACK/VAL broadcast round for Linearizable,
 // Read-Enforced, and Transactional consistency (Figures 2-5): it books the
 // pending write, lets the visibility policy record its read-stall or
-// write-set state, and hands launch control to the durability policy (which
-// may gate the broadcast on a persist — Strict).
+// write-set state, and starts it (startStrongWrite, which gates the
+// broadcast on a persist under Strict persistency).
 func (r *Replica) strongWrite(key uint64, scope, txn uint64, done completion) {
 	st := r.nextStamp()
 	ks := r.keys.at(key)
@@ -34,7 +34,7 @@ func (r *Replica) strongWrite(key uint64, scope, txn uint64, done completion) {
 	pw.cAcks = r.followers()
 
 	r.vis.onStrongWriteLaunch(r, ks, key, st, txn)
-	r.dur.onStrongWriteLaunch(r, pw)
+	r.startStrongWrite(pw)
 }
 
 // newPending books a pending write for (key, st), expecting a persistency
@@ -56,8 +56,8 @@ func (r *Replica) dropPending(pw *pendingWrite) {
 
 // launchStrongWrite makes the update visible locally, broadcasts the INV,
 // arranges local durability, and applies the model's write-completion rule.
-// The durability policy calls it — immediately, or once the local persist
-// completed under Strict persistency.
+// It runs at once, or under Strict persistency once the local persist
+// completed.
 func (r *Replica) launchStrongWrite(pw *pendingWrite) {
 	key, st := pw.key, pw.stamp
 	r.applyVisible(key, st)
@@ -68,7 +68,7 @@ func (r *Replica) launchStrongWrite(pw *pendingWrite) {
 		// group; the remaining groups learn eventually via lazy UPDs.
 		r.after(r.p.EventualLag, cont{kind: contRemoteGroups, arg: pw.scope}, key, st)
 	}
-	r.dur.startLocalDurability(r, pw)
+	r.startLocalDurability(pw)
 
 	// Early write completion: Read-Enforced and Transactional consistency
 	// acknowledge the client as soon as the local update and the INV
@@ -91,8 +91,8 @@ func (r *Replica) releaseTxnWriteLock(key uint64) {
 
 // onINV handles an invalidation at a follower: the visibility policy does
 // its bookkeeping (read-stall tracking or transactional conflict
-// detection), then the durability policy orders visibility, persistence,
-// and the ACK flavor.
+// detection), then applyInv orders visibility, persistence, and the ACK
+// flavor.
 func (r *Replica) onINV(from int, p *payload) {
 	if p.Chain {
 		r.forwardChain(p)
@@ -102,7 +102,7 @@ func (r *Replica) onINV(from int, p *payload) {
 	if !r.vis.onInvReceive(r, ks, from, p) {
 		return // transactional write-write conflict: NACKed
 	}
-	r.dur.onInvReceive(r, from, p)
+	r.applyInv(from, p)
 }
 
 // onACK handles a combined consistency+persistency acknowledgment.
@@ -145,22 +145,11 @@ func (r *Replica) onACKp(p *payload) {
 		return
 	}
 	pw.pAcks--
-	r.dur.onPersistAck(r, pw)
-}
-
-// consistencyAcked runs when all consistency ACKs for a strong write are
-// in; what happens next — validation, completion, or more waiting — is the
-// durability policy's call.
-func (r *Replica) consistencyAcked(pw *pendingWrite) {
-	r.dur.onConsistencyAcked(r, pw)
+	r.onPersistAck(pw)
 }
 
 // validate broadcasts the consistency VAL and clears local transient state.
 func (r *Replica) validate(pw *pendingWrite, kind MsgKind) {
-	if pw.valSent {
-		return
-	}
-	pw.valSent = true
 	r.broadcast(payload{Kind: kind, Key: pw.key, Stamp: pw.stamp})
 	ks := r.keys.at(pw.key)
 	r.stamps.remove(&ks.transC, pw.stamp)
@@ -229,13 +218,13 @@ func (r *Replica) onVALp(p *payload) {
 // ---------------------------------------------------------------------------
 
 // weakWrite implements the UPD-based write paths of Figure 2 (e-h): the
-// visibility policy decides the UPD's history and propagation timing, the
-// durability policy the local persist and the completion point.
+// visibility policy decides the UPD's history and propagation timing,
+// persistWeakWrite the local persist and the completion point.
 func (r *Replica) weakWrite(key uint64, scope uint64, done completion) {
 	st := r.nextStamp()
 
 	var pw *pendingWrite
-	if r.rules.WeakWriteWaitsPersists {
+	if r.rules.PersistsBeforeVisible {
 		// Strict persistency stalls the write until persisted everywhere,
 		// even under weak consistency (Section 8.2).
 		pw = r.newPending(key, st, done)
@@ -249,7 +238,7 @@ func (r *Replica) weakWrite(key uint64, scope uint64, done completion) {
 	upd := payload{Kind: MsgUPD, Key: key, Stamp: st, Scope: scope, Cauhist: hist}
 	r.vis.propagateWeak(r, upd)
 
-	if !r.dur.onWeakWrite(r, pw, key, st, scope) {
+	if !r.persistWeakWrite(key, st, scope) {
 		return // client completion arrives via ACK_p collection
 	}
 	done.fire(uint64(st))
