@@ -11,15 +11,16 @@
 // models insert persist points and, where needed, split ACK/VAL into _c
 // (consistency) and _p (persistency) variants — Table 3's message taxonomy.
 //
-// The package is organized as a policy layer over a model-agnostic replica
-// core. Each consistency model is a VisibilityPolicy (one file per model:
-// linearizable.go, readenforced_c.go, transactional.go, causal.go,
-// eventual_c.go) and each persistency model a DurabilityPolicy (strict.go,
-// synchronous.go, readenforced_p.go, scope.go, eventual_p.go); policy.go
-// defines the two interfaces, their hook contract, and the resolver that
-// binds a core.Model — one of the 25 matrix cells, taken at face value — to
-// its policy pair once at Replica construction, next to the model's
-// core.Rules row, which holds every yes/no rule the replica branches on.
+// The package is organized as a visibility policy layer and one durability
+// path over a model-agnostic replica core. Each consistency model is a
+// VisibilityPolicy (one file per model: linearizable.go, readenforced_c.go,
+// transactional.go, causal.go, eventual_c.go); policy.go defines the
+// interface, its hook contract, and the resolver that binds a core.Model —
+// one of the 25 matrix cells, taken at face value — to its policy once at
+// Replica construction, next to the model's core.Rules row, which holds
+// every rule the replica branches on. The five persistency models share one
+// durability path (durability.go) that branches on that row, with Scope
+// persistency's barrier in scope.go.
 // The remaining files are the plumbing the policies drive:
 // replica.go (state, messaging, persist coalescing, read stalls), clientop.go
 // (the client request pipeline), write.go (write rounds), causal.go (reorder
