@@ -537,10 +537,12 @@ func New(cfg Config) (*Cluster, error) {
 	// both engines build byte-identical initial states.
 	rng := sim.NewRNG(cfg.Seed ^ 0xddf0ddf0)
 
-	// Sequential wiring: one payload-box pool, as simnet shares one delivery pool.
-	var boxes *protocol.BoxPool
+	// Sequential wiring: one arena of replica records and payload boxes for
+	// the one logical process, as simnet shares one delivery pool and the
+	// engine one call slab. LP wiring leaves it nil: one arena per replica.
+	var arena *protocol.Arena
 	if !useLP {
-		boxes = new(protocol.BoxPool)
+		arena = new(protocol.Arena)
 	}
 	// Every cluster routes through a ring: Shards = 0 builds the same single
 	// all-servers shard Shards = 1 does.
@@ -573,7 +575,7 @@ func New(cfg Config) (*Cluster, error) {
 			Keys:       keys,
 			Trace:      tracer,
 			AtomicRefs: useLP,
-			Boxes:      boxes,
+			Arena:      arena,
 		}))
 	}
 	// Client routers share each node's NIC with protocol traffic: a per-node

@@ -271,18 +271,90 @@ func TestBoxPoolSharedAcrossReplicas(t *testing.T) {
 	if _, err := runBuilt(c); err != nil {
 		t.Fatal(err)
 	}
-	pools := map[*protocol.BoxPool]bool{}
+	pools := map[*protocol.Arena]bool{}
 	spare := 0
 	for _, rep := range c.Replicas {
-		if b := rep.Boxes(); !pools[b] {
-			pools[b] = true
-			spare += b.Spare()
+		if a := rep.Arena(); !pools[a] {
+			pools[a] = true
+			spare += a.SpareBoxes()
 		}
 	}
 	if len(pools) != 1 || spare > 2*peak {
 		t.Fatalf("%d box pools hold %d spare boxes, want one pool within 2x the peak of %d messages in flight", len(pools), spare, peak)
 	}
 	t.Logf("%d spare boxes, peak %d messages in flight", spare, peak)
+}
+
+// TestRecyclersOnePerLogicalProcess pins where record recyclers live: a
+// sequential cluster's replicas share one protocol.Arena and its worker
+// pools and NVM devices park their completions on the one engine's call
+// slab; an LP cluster has one arena per replica and one call slab per node's
+// engine, so no recycler is shared between goroutines.
+func TestRecyclersOnePerLogicalProcess(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		cfg := smallConfig(core.Model{C: core.Linearizable, P: core.Synchronous})
+		cfg.IntraParallel = workers
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lps := 1
+		if workers > 1 {
+			lps = len(c.nodes)
+		}
+		arenas := map[*protocol.Arena]bool{}
+		engs := map[*sim.Engine]bool{}
+		for i, rep := range c.Replicas {
+			arenas[rep.Arena()] = true
+			engs[c.nodes[i].eng] = true
+		}
+		if len(arenas) != lps || len(engs) != lps {
+			t.Fatalf("IntraParallel=%d: %d arenas and %d engines among %d replicas, want %d of each",
+				workers, len(arenas), len(engs), len(c.Replicas), lps)
+		}
+		// One completion parked by each node's pool and one by its device:
+		// each lands on its node's engine.
+		for i := range c.nodes {
+			c.Workers[i].AcquireEvent(1, nil, 0)
+			c.Devices[i].WriteEvent(0, nil, 0)
+		}
+		for e := range engs {
+			if got, want := e.Parked(), 2*len(c.nodes)/lps; got != want {
+				t.Fatalf("IntraParallel=%d: an engine holds %d call slots, want %d", workers, got, want)
+			}
+		}
+		c.Close()
+	}
+}
+
+// runObjects returns the heap objects that New, Start, Run and Collect of
+// cfg allocate: one benchmark cell from construction to its result.
+func runObjects(t testing.TB, cfg Config) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestRunObjectsPerAddedNode pins the objects a whole cell allocates per node:
+// from 40 to 160 nodes the scaling cell's New + Start + Run + Collect grows
+// by at most 32 objects per added node (about 25 measured: the node's own
+// records — replica, pool, device, router, memory hierarchy, key table —
+// and its NIC's and worker queue's growth). Record recyclers per replica,
+// pool and device, each growing its own slabs by use, cost 58.
+func TestRunObjectsPerAddedNode(t *testing.T) {
+	const budget = 32
+	small := runObjects(t, scaleCell(40, 20_000, 30_000))
+	large := runObjects(t, scaleCell(160, 20_000, 30_000))
+	perNode := (float64(large) - float64(small)) / 120
+	if perNode > budget {
+		t.Fatalf("%d objects at 40 nodes, %d at 160: %.1f per added node, want <= %d", small, large, perNode, budget)
+	}
+	t.Logf("%d objects at 40 nodes, %d at 160: %.1f per added node", small, large, perNode)
 }
 
 // TestMeasurementSetPerEngine pins where latency histograms live: a
@@ -353,11 +425,14 @@ func TestScopeHistogramAllocatedOnFirstUse(t *testing.T) {
 // shards x rf 5, 20 clients per server, 0.2 ms warm-up + 0.8 ms measured,
 // seed 1): one benchmark rep. It runs only when SCALE_CENSUS is set; `make
 // census` runs it under -memprofilerate 1 and prints the exact allocation
-// sites by objects.
+// sites by objects. It logs the bytes and objects the rep allocated and the
+// collections they cost, as TestFlatCensus does.
 func TestScaleCensus(t *testing.T) {
 	if os.Getenv("SCALE_CENSUS") == "" {
 		t.Skip("set SCALE_CENSUS=1 and -memprofile to take the census (make census)")
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for _, m := range []core.Model{{C: core.Eventual, P: core.EventualP}, {C: core.Linearizable, P: core.Synchronous}} {
 		cfg := scaleCell(160, 200_000, 800_000)
 		cfg.Model = m
@@ -365,6 +440,9 @@ func TestScaleCensus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	runtime.ReadMemStats(&after)
+	t.Logf("one scale160 rep allocated %.1f MB in %d objects and ran %d collections",
+		float64(after.TotalAlloc-before.TotalAlloc)/1e6, after.Mallocs-before.Mallocs, after.NumGC-before.NumGC)
 }
 
 // TestFlatCensus builds, runs and collects every cell of the repo benchmark's

@@ -53,14 +53,14 @@ func NVMConfig(readLat, writeLat int64, channels, banks int) Config {
 
 // Device is one memory device instance attached to a node.
 type Device struct {
-	eng    *sim.Engine
-	cfg    Config
-	bank   [][]int64 // next-free time per [channel][bank]
-	chFree []int64   // next-free time per channel bus
+	eng *sim.Engine
+	cfg Config
 
-	// In-flight completion handlers, parked so each access schedules a typed
-	// (closure-free) completion event.
-	acc sim.Slab[sim.Call]
+	// Next-free times, carved from one table: bus per channel bus, bank per
+	// bank at ch*Banks+bk. Completion handlers park on the engine
+	// (Engine.Park), so each access schedules a typed, closure-free event.
+	bus  []int64
+	bank []int64
 
 	reads     uint64
 	writes    uint64
@@ -77,35 +77,32 @@ func New(eng *sim.Engine, cfg Config) *Device {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	d := &Device{eng: eng, cfg: cfg, chFree: make([]int64, cfg.Channels)}
-	d.bank = make([][]int64, cfg.Channels)
-	for i := range d.bank {
-		d.bank[i] = make([]int64, cfg.Banks)
-	}
-	return d
+	free := make([]int64, cfg.Channels*(1+cfg.Banks))
+	return &Device{eng: eng, cfg: cfg, bus: free[:cfg.Channels], bank: free[cfg.Channels:]}
 }
 
-// placement maps an address onto a channel and bank. Addresses are hashed
-// first, modeling physical-address interleaving: adjacent or popular keys
-// should not pile onto one bank deterministically.
-func (d *Device) placement(addr uint64) (int, int) {
+// placement maps an address onto a channel and the index of its bank in
+// d.bank. Addresses are hashed first, modeling physical-address
+// interleaving: adjacent or popular keys should not pile onto one bank
+// deterministically.
+func (d *Device) placement(addr uint64) (ch, bank int) {
 	h := addr
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	ch := int(h % uint64(d.cfg.Channels))
+	ch = int(h % uint64(d.cfg.Channels))
 	bk := int((h / uint64(d.cfg.Channels)) % uint64(d.cfg.Banks))
-	return ch, bk
+	return ch, ch*d.cfg.Banks + bk
 }
 
 // access schedules one operation of the given service time against addr's
 // bank and returns the completion time.
 func (d *Device) access(addr uint64, service int64, done sim.Call) int64 {
-	ch, bk := d.placement(addr)
+	ch, bank := d.placement(addr)
 	now := d.eng.Now()
-	start := d.bank[ch][bk]
-	if d.chFree[ch] > start {
-		start = d.chFree[ch]
+	start := d.bank[bank]
+	if d.bus[ch] > start {
+		start = d.bus[ch]
 	}
 	if start < now {
 		start = now
@@ -116,23 +113,23 @@ func (d *Device) access(addr uint64, service int64, done sim.Call) int64 {
 		d.maxWait = wait
 	}
 	end := start + service
-	d.bank[ch][bk] = end
-	d.chFree[ch] = start + d.cfg.ChannelBus
+	d.bank[bank] = end
+	d.bus[ch] = start + d.cfg.ChannelBus
 	d.busy += service
 	d.queued++
 	if d.queued > d.maxQueued {
 		d.maxQueued = d.queued
 	}
-	d.eng.AtEvent(end, d, uint64(d.acc.Put(done)))
+	d.eng.AtEvent(end, d, uint64(d.eng.Park(done)))
 	return end
 }
 
-// OnEvent completes the access parked at token arg: it frees the token and
-// runs the completion. It implements sim.Handler so completions
-// schedule without allocating a closure.
+// OnEvent completes the access parked at token arg: it unparks the
+// completion and runs it. It implements sim.Handler so completions schedule
+// without allocating a closure.
 func (d *Device) OnEvent(arg uint64) {
 	d.queued--
-	d.acc.Take(int32(arg)).Run()
+	d.eng.Unpark(int32(arg)).Run()
 }
 
 // WriteEvent persists one value identified by addr; h.OnEvent(arg) fires

@@ -108,7 +108,7 @@ func (r *Replica) causalDeliver(p *payload) {
 	r.M.BufferedUpdates++
 	r.M.BufferSum += uint64(r.bufCount)
 	r.hold(p)
-	r.fileBuffered(r.bufs.Put(p))
+	r.fileBuffered(r.arena.bufs.Put(p))
 	if r.bufCount > r.M.BufferPeak {
 		r.M.BufferPeak = r.bufCount
 	}
@@ -135,7 +135,7 @@ func (r *Replica) causalApplicable(src int, vc vclock.VC) bool {
 // the slot, applies the update (or drops a stale duplicate) and releases its
 // box.
 func (r *Replica) fileBuffered(b int32) {
-	p := *r.bufs.At(b)
+	p := *r.arena.bufs.At(b)
 	src := p.Stamp.Node()
 	for i, v := range p.Cauhist {
 		need := v
@@ -143,12 +143,12 @@ func (r *Replica) fileBuffered(b int32) {
 			need = v - 1
 		}
 		if r.appliedVC[i] < need {
-			r.bufs.Link(r.waiting[i].at(need), b)
+			r.arena.bufs.Link(r.waiting[i].at(need), b)
 			r.bufCount++
 			return
 		}
 	}
-	r.bufs.Take(b)
+	r.arena.bufs.Take(b)
 	if r.appliedVC[src] < p.Cauhist[src] {
 		r.causalApply(p.Key, p.Stamp, p.Scope)
 	}
@@ -171,9 +171,9 @@ func (r *Replica) advanceApplied(node int) {
 	// Drain by index: re-evaluations append to the queue while it drains.
 	for i := 0; i < len(r.drainQueue); i++ {
 		tail := r.waiting[r.drainQueue[i]].pop()
-		for head := r.bufs.Detach(&tail); head != 0; {
+		for head := r.arena.bufs.Detach(&tail); head != 0; {
 			b := head
-			head = *r.bufs.Next(b)
+			head = *r.arena.bufs.Next(b)
 			r.bufCount--
 			r.fileBuffered(b)
 		}

@@ -41,7 +41,7 @@ func BenchmarkCausalReorder(b *testing.B) {
 	setup := func() *testCluster {
 		tc := newTestCluster(mdl(core.Causal, core.EventualP), size, nil)
 		for _, r := range tc.reps[1:] {
-			r.boxes = tc.reps[0].boxes // one pool, as a sequential cluster has
+			r.arena = tc.reps[0].arena // one arena, as a sequential cluster has
 		}
 		return tc
 	}
@@ -70,7 +70,7 @@ func BenchmarkCausalReorder(b *testing.B) {
 				hist[w] = v + uint64(n)*total[w]
 			}
 			st := MakeStamp(uint64(n*updates)+u.st.TS(), u.st.Node())
-			boxes[i] = tc.reps[0].boxes.box(payload{Kind: MsgUPD, Key: u.key % 64, Stamp: st, Cauhist: hist}, receivers)
+			boxes[i] = tc.reps[0].arena.boxes.box(payload{Kind: MsgUPD, Key: u.key % 64, Stamp: st, Cauhist: hist}, receivers)
 		}
 		return boxes
 	}
@@ -90,7 +90,7 @@ func BenchmarkCausalReorder(b *testing.B) {
 	if n := tc.reps[writers].BufferLen() * receivers; n != buffered {
 		b.Fatalf("%d updates buffered, want %d", n, buffered)
 	}
-	spare := tc.reps[0].boxes.Spare() * int(unsafe.Sizeof(payload{})+uintptr(size)*8)
+	spare := tc.reps[0].arena.SpareBoxes() * int(unsafe.Sizeof(payload{})+uintptr(size)*8)
 	retained := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)-int64(spare)) / float64(buffered)
 	runtime.KeepAlive(tc)
 

@@ -14,7 +14,7 @@ import (
 // pool, so the box r releases is the one r's next send or scribble reuses. It
 // returns the box.
 func deliverBoxed(r *Replica, from int, p payload) *payload {
-	pp := r.boxes.box(p, 1)
+	pp := r.arena.boxes.box(p, 1)
 	r.HandleNetMessage(simnet.Message{From: from, To: r.ID(), Kind: int(p.Kind), Payload: pp})
 	return pp
 }
@@ -26,12 +26,12 @@ func scribble(r *Replica) {
 	for i := range garbage {
 		garbage[i] = 99
 	}
-	held := make([]*payload, r.boxes.Spare())
+	held := make([]*payload, r.arena.SpareBoxes())
 	for i := range held {
-		held[i] = r.boxes.box(payload{Kind: MsgUPD, Stamp: MakeStamp(99, 1), Cauhist: garbage}, 1)
+		held[i] = r.arena.boxes.box(payload{Kind: MsgUPD, Stamp: MakeStamp(99, 1), Cauhist: garbage}, 1)
 	}
 	for _, pp := range held {
-		r.boxes.put(pp)
+		r.arena.boxes.put(pp)
 	}
 }
 
@@ -40,14 +40,14 @@ func scribble(r *Replica) {
 func spares(reps []*Replica, pp *payload) int {
 	n := 0
 	for _, r := range reps {
-		held := make([]*payload, r.boxes.Spare())
+		held := make([]*payload, r.arena.SpareBoxes())
 		for i := range held {
-			if held[i] = r.boxes.free.Get(payloadChunk); held[i] == pp {
+			if held[i] = r.arena.boxes.free.Get(payloadChunk); held[i] == pp {
 				n++
 			}
 		}
 		for i := len(held) - 1; i >= 0; i-- {
-			r.boxes.put(held[i])
+			r.arena.boxes.put(held[i])
 		}
 	}
 	return n

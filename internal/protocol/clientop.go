@@ -1,6 +1,10 @@
 package protocol
 
-import "repro/internal/sim"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Completer receives the outcome of a client call (Replica.Client*), the way
 // a sim.Handler receives an event: a long-lived record — a cluster request, a
@@ -40,7 +44,7 @@ func (d completion) fire(v uint64) { d.c.Complete(d.tok, v) }
 // clientOp carries one client request through the replica: worker
 // acquisition, service time, the operation's own steps, completion. The
 // record is its own sim.Handler and sim.Holder, so no step of the pipeline
-// schedules a closure, and it recycles through the replica's ops: the
+// schedules a closure, and it recycles through its arena's ops: the
 // steady-state request path allocates nothing beyond what the protocol round
 // itself books.
 type clientOp struct {
@@ -82,16 +86,16 @@ const (
 )
 
 func (r *Replica) newOp(kind opKind) *clientOp {
-	op := r.ops.Get(recordChunk)
+	op := r.arena.ops.Get(recordChunk)
 	op.r, op.kind = r, kind
 	return op
 }
 
-// recycle returns op to r.ops, zeroed but for r.
+// recycle returns op to its arena's ops, zeroed but for r.
 func (op *clientOp) recycle() {
 	r := op.r
 	*op = clientOp{r: r}
-	r.ops.Put(op)
+	r.arena.ops.Put(op)
 }
 
 // opServiceTime is the worker time a data request costs before it touches
@@ -162,8 +166,12 @@ func (r *Replica) ClientRMW(key uint64, scope, txn uint64, c Completer, tok uint
 // ClientInitTxn begins a transaction at this node. It completes with the new
 // transaction id once every replica has acknowledged INITX (Figure 4), and
 // completes a second time, with 0, if a conflict squashes the transaction
-// before ClientEndTxn is called.
+// before ClientEndTxn is called. Only a Transactional binding runs
+// transactions; under another it panics.
 func (r *Replica) ClientInitTxn(c Completer, tok uint64) {
+	if r.txns == nil {
+		panic(fmt.Sprintf("protocol: ClientInitTxn under %v: transactions need Transactional consistency", r.model))
+	}
 	op := r.newOp(opInitTxn)
 	op.done = completion{c, tok}
 	r.work.AcquireEvent(r.p.RequestCompute, op, opRun)
@@ -182,8 +190,12 @@ func (r *Replica) ClientEndTxn(txn uint64, c Completer, tok uint64) {
 // PERSIST, persist the local scope writes, collect every follower's ACK_p,
 // broadcast VAL_p, and complete. The scopes of one session (the id's high 32
 // bits) must close in increasing id order — a session issues its next barrier
-// only after the previous one completed, so they do.
+// only after the previous one completed, so they do. Only a Scope binding
+// has barriers; under another it panics.
 func (r *Replica) ClientPersistScope(scope uint64, c Completer, tok uint64) {
+	if r.scopeOps == nil {
+		panic(fmt.Sprintf("protocol: ClientPersistScope under %v: barriers need Scope persistency", r.model))
+	}
 	op := r.newOp(opPersistScope)
 	op.scope, op.done = scope, completion{c, tok}
 	r.work.AcquireEvent(r.p.RequestCompute, op, opRun)

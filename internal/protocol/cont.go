@@ -5,8 +5,9 @@ package protocol
 // not a func(): the hot rounds (persist-then-ACK, persist-gated causal apply,
 // lazy persist, lazy propagation, transaction and scope fan-in) would
 // otherwise heap-allocate one closure per step per replica. A cont waits in a
-// replica-level slab (the per-key persist FIFO, the fan-in slots, or the
-// delayed-action records below) and Replica.run executes it with one switch.
+// slab of the replica's Arena (the per-key persist FIFO, the fan-in slots, or
+// the delayed-action records below) and Replica.run executes it with one
+// switch.
 // Records that a cont refers to are named by what the protocol already keys
 // them on — a write by its stamp, a transaction or scope by its id — and
 // looked up when it runs, so a continuation that outlives its record (a
@@ -97,9 +98,9 @@ func (r *Replica) run(c cont, key uint64, st Stamp) {
 			r.onLocalPersist(pw)
 		}
 	case contFanIn:
-		f := r.fanIns.At(int32(c.arg))
+		f := r.arena.fanIns.At(int32(c.arg))
 		if f.left--; f.left == 0 {
-			r.run(r.fanIns.Take(int32(c.arg)).then, 0, 0)
+			r.run(r.arena.fanIns.Take(int32(c.arg)).then, 0, 0)
 		}
 	case contTxnInit:
 		if tx := r.txns[c.arg]; tx != nil {
@@ -145,13 +146,13 @@ type contRec struct {
 type contDone struct{ r *Replica }
 
 func (cd *contDone) OnEvent(tok uint64) {
-	rec := cd.r.conts.Take(int32(tok))
+	rec := cd.r.arena.conts.Take(int32(tok))
 	cd.r.run(rec.c, rec.key, rec.st)
 }
 
 // after runs c for (key, st) once delay has elapsed.
 func (r *Replica) after(delay int64, c cont, key uint64, st Stamp) {
-	r.eng.ScheduleEvent(delay, &r.contC, uint64(r.conts.Put(contRec{key: key, st: st, c: c})))
+	r.eng.ScheduleEvent(delay, &r.contC, uint64(r.arena.conts.Put(contRec{key: key, st: st, c: c})))
 }
 
 // fanIn is one persistItems batch in flight: items still to persist, and the
@@ -167,7 +168,7 @@ func (r *Replica) persistItems(items []persistItem, then cont) {
 		r.run(then, 0, 0)
 		return
 	}
-	each := cont{kind: contFanIn, arg: uint64(r.fanIns.Put(fanIn{left: len(items), then: then}))}
+	each := cont{kind: contFanIn, arg: uint64(r.arena.fanIns.Put(fanIn{left: len(items), then: then}))}
 	for _, it := range items {
 		r.persist(it.key, it.stamp, each)
 	}
@@ -176,5 +177,5 @@ func (r *Replica) persistItems(items []persistItem, then cont) {
 // persistEvent persists a non-key protocol event (transaction begin) to NVM.
 func (r *Replica) persistEvent(addr uint64, then cont) {
 	r.M.Persists++
-	r.dev.WriteEvent(addr, &r.contC, uint64(r.conts.Put(contRec{c: then})))
+	r.dev.WriteEvent(addr, &r.contC, uint64(r.arena.conts.Put(contRec{c: then})))
 }

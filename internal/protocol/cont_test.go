@@ -47,8 +47,8 @@ func TestPersistContinuationOrder(t *testing.T) {
 	if r.M.Persists != 2 || r.PersistedVersion(3) != 4 {
 		t.Fatalf("persists=%d persisted=%v, want 2 coalesced write-backs ending at stamp 4", r.M.Persists, r.PersistedVersion(3))
 	}
-	if r.conts.Slots() > 3 {
-		t.Fatalf("continuation slab grew to %d slots for at most 3 waiting at once", r.conts.Slots())
+	if r.arena.conts.Slots() > 3 {
+		t.Fatalf("continuation slab grew to %d slots for at most 3 waiting at once", r.arena.conts.Slots())
 	}
 
 	// A stamp that is already durable: the continuation still runs from an
@@ -92,7 +92,7 @@ func TestPersistItemsFanIn(t *testing.T) {
 		if fmt.Sprint(log) != "[empty batch]" {
 			t.Fatalf("coalescing off=%v: log=%q, want each batch continued exactly once", ablate, log)
 		}
-		if r.fanIns.Slots() != 1 || r.fanIns.Put(fanIn{}) != 1 { // the one slot is free
+		if r.arena.fanIns.Slots() != 1 || r.arena.fanIns.Put(fanIn{}) != 1 { // the one slot is free
 			t.Fatalf("coalescing off=%v: fan-in slot not recycled", ablate)
 		}
 	}

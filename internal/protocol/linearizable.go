@@ -14,18 +14,18 @@ func (strongVis) dispatchWrite(r *Replica, key, scope, txn uint64, done completi
 // key stall until validation; Read-Enforced persistency additionally tracks
 // it until VAL_p (Figure 3).
 func (strongVis) onStrongWriteLaunch(r *Replica, ks *keyState, key uint64, st Stamp, txn uint64) {
-	r.stamps.add(&ks.transC, st)
+	r.arena.stamps.add(&ks.transC, st)
 	if r.rules.SplitAcks {
-		r.stamps.add(&ks.transP, st)
+		r.arena.stamps.add(&ks.transP, st)
 	}
 }
 
 // onInvReceive mirrors the coordinator's transient bookkeeping at the
 // follower.
 func (strongVis) onInvReceive(r *Replica, ks *keyState, from int, p *payload) bool {
-	r.stamps.add(&ks.transC, p.Stamp)
+	r.arena.stamps.add(&ks.transC, p.Stamp)
 	if r.rules.SplitAcks {
-		r.stamps.add(&ks.transP, p.Stamp)
+		r.arena.stamps.add(&ks.transP, p.Stamp)
 	}
 	return true
 }

@@ -95,7 +95,7 @@ type payload struct {
 	Stamp   Stamp
 	Scope   uint64
 	Txn     uint64
-	Cauhist vclock.VC // empty except under Causal consistency (see BoxPool)
+	Cauhist vclock.VC // empty except under Causal consistency (see boxPool)
 	Chain   bool      // serially-propagated (SerialPropagation ablation)
 
 	// refs counts the holders of this box: the messages sharing it (broadcast
@@ -111,14 +111,14 @@ type payload struct {
 // payloadChunk is how many boxes, or box histories, one allocation carves.
 const payloadChunk = 64
 
-// BoxPool recycles the boxes payloads travel in (a pointer boxes into
+// boxPool recycles the boxes payloads travel in (a pointer boxes into
 // simnet.Message.Payload without allocating): the sender takes a box, a
 // received message waits for its worker in it and its handler reads it
 // there, and the last receiver puts it back once its handler returns
 // (Replica.OnEvent). Senders and receivers are not balanced — a pool per
-// replica fills with its receive surplus while its peers carve — so one pool
-// serves every replica of a sequential cluster. The zero value is ready to
-// use.
+// replica fills with its receive surplus while its peers carve — so the
+// pool lives in the Arena every replica of a sequential cluster shares. The
+// zero value is ready to use.
 //
 // A box keeps its causal history's storage across reuse: box copies the
 // sender's vector into it, and only a box without room carves new storage,
@@ -129,17 +129,14 @@ const payloadChunk = 64
 // buffers the same update shares one body and one history, and a box comes
 // back to a pool only once its last holder, handler or buffered update, is
 // done with it.
-type BoxPool struct {
+type boxPool struct {
 	free sim.FreeList[payload, *payload]
 	hist []uint64 // chunked history storage for boxes that have none
 }
 
-// Spare returns the number of spent boxes waiting for reuse.
-func (b *BoxPool) Spare() int { return b.free.Len() }
-
 // box copies p into a recycled or fresh box shared by refs messages
 // (a broadcast shares one box across its copies).
-func (b *BoxPool) box(p payload, refs int) *payload {
+func (b *boxPool) box(p payload, refs int) *payload {
 	pp := b.free.Get(payloadChunk)
 	hist := pp.Cauhist[:0]
 	if n := len(p.Cauhist); cap(hist) < n {
@@ -152,7 +149,7 @@ func (b *BoxPool) box(p payload, refs int) *payload {
 
 // put returns a spent box. Its fields stay as they are until box overwrites
 // them all; its history storage is what the next causal write reuses.
-func (b *BoxPool) put(pp *payload) { b.free.Put(pp) }
+func (b *boxPool) put(pp *payload) { b.free.Put(pp) }
 
 // wireSize returns the modeled on-the-wire size of a message.
 func (r *Replica) wireSize(p payload) int {

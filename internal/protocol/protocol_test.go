@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -830,4 +832,35 @@ func TestStaleAckIgnored(t *testing.T) {
 		tc.reps[0].dispatch(1, &payload{Kind: MsgACKc, Stamp: MakeStamp(99, 1)})
 	})
 	tc.run() // must not panic
+}
+
+// TestReplicaBuildsOnlyTheMapsItsBindingWrites pins NewReplica's gate on the
+// binding: the transaction table exists under Transactional consistency
+// only and the three scope tables under Scope persistency only (a nil map
+// reads as empty), and a client call that would write a table its binding
+// lacks panics at the call, naming the binding.
+func TestReplicaBuildsOnlyTheMapsItsBindingWrites(t *testing.T) {
+	panics := func(call func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		call()
+		return ""
+	}
+	ignore := Func(func(uint64) {})
+	for _, m := range core.AllModels() {
+		r := newTestCluster(m, 2, nil).reps[0]
+		txn, scope := m.C == core.Transactional, m.P == core.Scope
+		if (r.txns != nil) != txn {
+			t.Errorf("%v: transaction table built = %v, want %v", m, r.txns != nil, txn)
+		}
+		if (r.scopePending != nil) != scope || (r.scopeClosed != nil) != scope || (r.scopeOps != nil) != scope {
+			t.Errorf("%v: scope tables built = %v %v %v, want %v", m,
+				r.scopePending != nil, r.scopeClosed != nil, r.scopeOps != nil, scope)
+		}
+		if msg := panics(func() { r.ClientInitTxn(ignore, 0) }); !txn && !strings.Contains(msg, m.String()) {
+			t.Errorf("%v: ClientInitTxn panicked with %q, want a panic naming the binding", m, msg)
+		}
+		if msg := panics(func() { r.ClientPersistScope(1, ignore, 0) }); !scope && !strings.Contains(msg, m.String()) {
+			t.Errorf("%v: ClientPersistScope panicked with %q, want a panic naming the binding", m, msg)
+		}
+	}
 }

@@ -69,18 +69,20 @@ type Deps struct {
 	// off to keep the plain decrement on the message hot path.
 	AtomicRefs bool
 
-	// Boxes is the payload-box pool shared by a sequential cluster's
-	// replicas. Nil, or AtomicRefs set, gives the replica its own.
-	Boxes *BoxPool
+	// Arena holds the record recyclers and payload boxes of the replicas
+	// that share a logical process: a sequential cluster passes one arena to
+	// all of its replicas. Nil, or AtomicRefs set (each replica on a logical
+	// process of its own), gives the replica its own arena.
+	Arena *Arena
 }
 
 // keyState is the per-key protocol state at one replica, and the replica's
 // only record of the key's version: visible is what the volatile store holds
 // (a read serves it, a crash loses it), persisted what the NVM image holds
 // (what a crash keeps). It holds no slice or map of its own: every per-key
-// collection is a token into a replica-level slab (or, for stalled reads, a
-// link through the operation records), so the first touch of a key allocates
-// nothing.
+// collection is a token into a slab of the replica's Arena (or, for stalled
+// reads, a link through the operation records), so the first touch of a key
+// allocates nothing.
 type keyState struct {
 	visible   Stamp // stamp of the current visible (volatile) version
 	persisted Stamp // stamp of the latest locally persisted version
@@ -90,7 +92,7 @@ type keyState struct {
 	transC stampSet
 	transP stampSet
 
-	// Reads stalled on this key, as tail tokens of FIFOs in Replica.waiters:
+	// Reads stalled on this key, as tail tokens of FIFOs in Arena.waiters:
 	// consWait waits for consistency validation, persWait for local
 	// persistence.
 	consWait int32
@@ -104,7 +106,7 @@ type keyState struct {
 	// write-back. Continuations run once their stamp is covered. issuedStamp
 	// is the stamp the in-flight write covers (at most one, so it lives here
 	// rather than in a per-write record); persistCbs is the tail token of the
-	// key's FIFO of waiting continuations in Replica.conts.
+	// key's FIFO of waiting continuations in Arena.conts.
 	persistInFlight bool
 	persistCbs      int32
 	dirtyStamp      Stamp
@@ -112,7 +114,7 @@ type keyState struct {
 }
 
 // pendingWrite tracks a coordinator-side in-flight write. Records recycle
-// through Replica.pws; continuations name a write by its stamp and look it
+// through Arena.pws; continuations name a write by its stamp and look it
 // up in Replica.pending, never by pointer.
 type pendingWrite struct {
 	key          uint64
@@ -156,65 +158,42 @@ type Replica struct {
 	lamport uint64
 	keys    keyTable
 	pending map[Stamp]*pendingWrite
-	pws     sim.FreeList[pendingWrite, *pendingWrite]
 
-	// Replica-level slabs behind the per-key tokens of keyState: the members
-	// of every transC/transP set, every stalled read, and (in conts) every
-	// continuation waiting on an in-flight write-back.
-	stamps  stampSets
-	waiters sim.Slab[*clientOp]
+	// arena holds every record this replica recycles (see Arena); contC runs
+	// the continuations parked in its conts.
+	arena *Arena
+	contC contDone
 
-	// Continuations waiting on a write-back or parked across a device write
-	// or a delay (conts; contC runs the parked ones), persistItems batches
-	// in flight (fanIns), and client requests in flight (ops). See cont.go
-	// and clientop.go.
-	conts  sim.Slab[contRec]
-	contC  contDone
-	fanIns sim.Slab[fanIn]
-	ops    sim.FreeList[clientOp, *clientOp]
-
-	// Causal consistency state. bufs is the reorder buffer: each
-	// out-of-order update parked at this follower is its UPD's payload box,
-	// on which it holds a reference until it applies (see causalDeliver),
-	// sharing the body and history with every other receiver that buffers
-	// it. waiting[node] indexes the buffer by first unsatisfied dependency:
-	// it holds the FIFOs (in bufs) of updates that become eligible as
+	// Causal consistency state. The reorder buffer holds each out-of-order
+	// update parked at this follower as its UPD's payload box, on which it
+	// holds a reference until it applies (see causalDeliver), sharing the
+	// body and history with every other receiver that buffers it.
+	// waiting[node] indexes the buffer by first unsatisfied dependency: it
+	// holds the FIFOs (in arena.bufs) of updates that become eligible as
 	// appliedVC[node] reaches each count. histOut is the history this
 	// replica's next write sends (boxes copy it).
 	appliedVC  vclock.VC // per-writer applied counters
 	issued     uint64    // own writes issued (stamps cauhist)
 	histOut    vclock.VC
 	waiting    []waitRing
-	bufs       sim.Slab[*payload]
 	bufCount   int
 	drainQueue []int // nodes whose applied count rose, awaiting drain
 	draining   bool
 
-	// Transactional state.
-	txns    map[uint64]*txnState
-	txnRecs sim.FreeList[txnState, *txnState]
-	txnSeq  uint64
+	// Transactional state: txns is built under Transactional consistency
+	// only (a nil map reads as empty).
+	txns   map[uint64]*txnState
+	txnSeq uint64
 
-	// Scope persistency state. scopeClosed is each session's closed
-	// high-water mark (see scopeIsClosed); itemFree keeps the spent item
-	// lists of flushed scopes for the next ones.
+	// Scope persistency state, built under Scope persistency only.
+	// scopeClosed is each session's closed high-water mark (see
+	// scopeIsClosed).
 	scopePending map[uint64][]persistItem
-	itemFree     [][]persistItem
 	scopeClosed  map[uint32]uint32
 	scopeOps     map[uint64]scopeOp
 
-	// items is the chunk the persist-item lists of transactions and scopes
-	// are carved from; only the bindings that keep such lists touch it.
-	items []persistItem
-
-	boxes      *BoxPool // payload boxes, recycled by OnEvent (see BoxPool)
-	atomicRefs bool     // see Deps.AtomicRefs
+	atomicRefs bool // see Deps.AtomicRefs
 	tracer     func(node int, what string)
-
-	// Received messages parked, in their boxes, across their worker-pool
-	// service job, so message dispatch schedules closure-free (see onMessage
-	// / OnEvent).
-	disp sim.Slab[dispatchRec]
 
 	// watch, when set by a test, sees each received message as it parks and
 	// again as its handler reads it, under its disp token.
@@ -241,7 +220,7 @@ type ablationDone struct{ r *Replica }
 
 func (a *ablationDone) OnEvent(tok uint64) {
 	r := a.r
-	rec := r.conts.Take(int32(tok))
+	rec := r.arena.conts.Take(int32(tok))
 	ks := r.keys.at(rec.key)
 	if rec.st > ks.persisted {
 		ks.persisted = rec.st
@@ -264,30 +243,35 @@ func NewReplica(id int, d Deps) *Replica {
 			id, mem.Rank, mem.Base, mem.Base+mem.Size))
 	}
 	r := &Replica{
-		id:           mem.Rank,
-		gid:          id,
-		member:       mem,
-		eng:          d.Eng,
-		p:            d.P,
-		model:        d.Model,
-		rules:        core.RulesOf(d.Model),
-		net:          d.Net,
-		work:         d.Workers,
-		mem:          d.Mem,
-		dev:          d.NVM,
-		store:        d.Store,
-		keys:         newKeyTable(d.P.Keys, d.Keys),
-		pending:      make(map[Stamp]*pendingWrite),
-		appliedVC:    vclock.New(mem.Size),
-		txns:         make(map[uint64]*txnState),
-		scopePending: make(map[uint64][]persistItem),
-		scopeClosed:  make(map[uint32]uint32),
-		scopeOps:     make(map[uint64]scopeOp),
-		atomicRefs:   d.AtomicRefs,
-		tracer:       d.Trace,
+		id:         mem.Rank,
+		gid:        id,
+		member:     mem,
+		eng:        d.Eng,
+		p:          d.P,
+		model:      d.Model,
+		rules:      core.RulesOf(d.Model),
+		net:        d.Net,
+		work:       d.Workers,
+		mem:        d.Mem,
+		dev:        d.NVM,
+		store:      d.Store,
+		keys:       newKeyTable(d.P.Keys, d.Keys),
+		pending:    make(map[Stamp]*pendingWrite),
+		appliedVC:  vclock.New(mem.Size),
+		atomicRefs: d.AtomicRefs,
+		tracer:     d.Trace,
 	}
-	if r.boxes = d.Boxes; r.boxes == nil || d.AtomicRefs {
-		r.boxes = new(BoxPool)
+	if r.arena = d.Arena; r.arena == nil || d.AtomicRefs {
+		r.arena = new(Arena)
+	}
+	// Build only the maps the binding writes.
+	if d.Model.C == core.Transactional {
+		r.txns = make(map[uint64]*txnState)
+	}
+	if r.rules.Persist == core.PersistAtScope {
+		r.scopePending = make(map[uint64][]persistItem)
+		r.scopeClosed = make(map[uint32]uint32)
+		r.scopeOps = make(map[uint64]scopeOp)
 	}
 	if d.Model.C == core.Causal { // only Causal consistency buffers updates
 		r.waiting = make([]waitRing, mem.Size)
@@ -314,8 +298,9 @@ func (r *Replica) ID() int { return r.gid }
 // Member returns the replica group this node belongs to.
 func (r *Replica) Member() Membership { return r.member }
 
-// Boxes returns the pool this replica's payload boxes come from.
-func (r *Replica) Boxes() *BoxPool { return r.boxes }
+// Arena returns the arena this replica's records and payload boxes come
+// from.
+func (r *Replica) Arena() *Arena { return r.arena }
 
 // Model returns the DDP model this replica runs.
 func (r *Replica) Model() core.Model { return r.model }
@@ -399,7 +384,7 @@ func (r *Replica) send(to int, p payload) {
 		To:      r.member.global(to),
 		Size:    r.wireSize(p),
 		Kind:    int(p.Kind),
-		Payload: r.boxes.box(p, 1),
+		Payload: r.arena.boxes.box(p, 1),
 	})
 }
 
@@ -450,7 +435,7 @@ func (r *Replica) broadcast(p payload) {
 			From:    r.gid,
 			Size:    r.wireSize(p),
 			Kind:    int(p.Kind),
-			Payload: r.boxes.box(p, r.member.Size-1),
+			Payload: r.arena.boxes.box(p, r.member.Size-1),
 		}, r.member.Base, r.member.Size, -1)
 		return
 	}
@@ -468,7 +453,7 @@ func (r *Replica) broadcast(p payload) {
 		From:    r.gid,
 		Size:    r.wireSize(p),
 		Kind:    int(p.Kind),
-		Payload: r.boxes.box(p, g-1),
+		Payload: r.arena.boxes.box(p, g-1),
 	}, r.member.global(base), g, -1)
 }
 
@@ -496,7 +481,7 @@ func (r *Replica) broadcastRemoteGroups(p payload) {
 			From:    r.gid,
 			Size:    r.wireSize(p),
 			Kind:    int(p.Kind),
-			Payload: r.boxes.box(p, hi-lo),
+			Payload: r.arena.boxes.box(p, hi-lo),
 		}, r.member.global(lo), hi-lo, -1)
 	}
 }
@@ -514,7 +499,7 @@ func (r *Replica) HandleNetMessage(m simnet.Message) { r.onMessage(m) }
 // the dispatch records carry the sender's group rank.
 func (r *Replica) onMessage(m simnet.Message) {
 	pp := m.Payload.(*payload)
-	tok := r.disp.Put(dispatchRec{p: pp, from: int32(r.member.rankOf(m.From))})
+	tok := r.arena.disp.Put(dispatchRec{p: pp, from: int32(r.member.rankOf(m.From))})
 	if r.watch != nil {
 		r.watch(tok, pp)
 	}
@@ -529,14 +514,14 @@ func (r *Replica) onMessage(m simnet.Message) {
 // It implements sim.Handler so message handling schedules without a closure
 // per message. A box is spent when its last reference is released — the last
 // receiver's handler returns, or the last update buffered in it applies: that
-// holder recycles it into its own pool, where the next write reuses its
+// holder recycles it into its own arena, where the next write reuses its
 // history storage. Under concurrent logical processes the receivers of a
 // broadcast read one box on different goroutines; handlers read its fields,
 // not refs (a whole-struct copy would: forwardChain makes one only of a box
 // no other receiver shares), and the atomic reference counts order each
 // holder's reads before the last holder's put.
 func (r *Replica) OnEvent(arg uint64) {
-	rec := r.disp.Take(int32(arg))
+	rec := r.arena.disp.Take(int32(arg))
 	pp := rec.p
 	if r.watch != nil {
 		r.watch(int32(arg), pp)
@@ -557,14 +542,14 @@ func (r *Replica) hold(pp *payload) {
 }
 
 // release drops one reference on box pp; the last holder puts it back in its
-// own pool.
+// own arena.
 func (r *Replica) release(pp *payload) {
 	if r.atomicRefs {
 		if atomic.AddInt32(&pp.refs, -1) == 0 {
-			r.boxes.put(pp)
+			r.arena.boxes.put(pp)
 		}
 	} else if pp.refs--; pp.refs == 0 {
-		r.boxes.put(pp)
+		r.arena.boxes.put(pp)
 	}
 }
 
@@ -633,7 +618,7 @@ func (r *Replica) persist(key uint64, st Stamp, then cont) {
 	if r.p.NoPersistCoalescing {
 		// Ablation: one device write per update, no write-back batching.
 		r.M.Persists++
-		r.dev.WriteEvent(key, &r.ablC, uint64(r.conts.Put(contRec{key: key, st: st, c: then})))
+		r.dev.WriteEvent(key, &r.ablC, uint64(r.arena.conts.Put(contRec{key: key, st: st, c: then})))
 		return
 	}
 	if st <= ks.persisted {
@@ -643,7 +628,7 @@ func (r *Replica) persist(key uint64, st Stamp, then cont) {
 		return
 	}
 	if then.kind != contNone {
-		r.conts.Push(&ks.persistCbs, contRec{key: key, st: st, c: then})
+		r.arena.conts.Push(&ks.persistCbs, contRec{key: key, st: st, c: then})
 	}
 	if ks.persistInFlight {
 		if st > ks.dirtyStamp {
@@ -692,12 +677,12 @@ func (r *Replica) writeBackDone(key uint64) {
 	// Detach before running: a continuation may re-enter persist() for this
 	// key, and what it appends joins the entries this write-back leaves
 	// uncovered, in the order they come up.
-	for head := r.conts.Detach(&ks.persistCbs); head != 0; {
-		cb := r.conts.Pop(&head)
+	for head := r.arena.conts.Detach(&ks.persistCbs); head != 0; {
+		cb := r.arena.conts.Pop(&head)
 		if cb.st <= ks.persisted {
 			r.run(cb.c, key, cb.st)
 		} else {
-			r.conts.Push(&ks.persistCbs, cb)
+			r.arena.conts.Push(&ks.persistCbs, cb)
 		}
 	}
 	r.wake(&ks.persWait)
@@ -710,8 +695,8 @@ func (r *Replica) writeBackDone(key uint64) {
 // persWait). The list empties first: a read that is still blocked files
 // itself again.
 func (r *Replica) wake(tail *int32) {
-	for head := r.waiters.Detach(tail); head != 0; {
-		r.readAttempt(r.waiters.Pop(&head))
+	for head := r.arena.waiters.Detach(tail); head != 0; {
+		r.readAttempt(r.arena.waiters.Pop(&head))
 	}
 }
 
@@ -733,7 +718,7 @@ func (r *Replica) readAttempt(op *clientOp) {
 				r.trace("RD k%d stalls", key)
 			}
 		}
-		r.waiters.Push(&ks.consWait, op)
+		r.arena.waiters.Push(&ks.consWait, op)
 		return
 	}
 	if r.rules.ReadsWaitLocalPersist && ks.persisted < ks.visible {
@@ -744,7 +729,7 @@ func (r *Replica) readAttempt(op *clientOp) {
 				r.trace("RD k%d stalls (persist)", key)
 			}
 		}
-		r.waiters.Push(&ks.persWait, op)
+		r.arena.waiters.Push(&ks.persWait, op)
 		return
 	}
 

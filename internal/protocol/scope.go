@@ -36,11 +36,11 @@ func (r *Replica) deferScopePersist(scope uint64, key uint64, st Stamp) {
 	}
 	items, open := r.scopePending[scope]
 	if !open {
-		if k := len(r.itemFree); k > 0 {
-			items, r.itemFree = r.itemFree[k-1], r.itemFree[:k-1]
+		if k := len(r.arena.itemFree); k > 0 {
+			items, r.arena.itemFree = r.arena.itemFree[k-1], r.arena.itemFree[:k-1]
 		} else {
 			// A session's scope spans ScopeSize requests.
-			items = sim.CarveList(&r.items, r.p.ScopeSize, recordChunk)
+			items = sim.CarveList(&r.arena.items, r.p.ScopeSize, recordChunk)
 		}
 	}
 	r.scopePending[scope] = append(items, persistItem{key: key, stamp: st})
@@ -68,7 +68,7 @@ func (r *Replica) persistScopeLocal(scope uint64, then cont) {
 	}
 	r.persistItems(items, then)
 	if items != nil {
-		r.itemFree = append(r.itemFree, items[:0])
+		r.arena.itemFree = append(r.arena.itemFree, items[:0])
 	}
 }
 

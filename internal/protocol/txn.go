@@ -14,9 +14,9 @@ const (
 
 // txnState is a transaction's record at one node — at its coordinator it
 // also carries the client's completions; at followers only locks and deferred
-// persists. Records recycle through Replica.txnRecs, keeping their item lists
-// (see addTxnItem); continuations name a
-// transaction by id and look it up in Replica.txns, never by pointer.
+// persists. Records recycle through Arena.txnRecs, keeping their item lists
+// (see addTxnItem); continuations name a transaction by id and look it up in
+// Replica.txns, never by pointer.
 type txnState struct {
 	id     uint64
 	coord  int
@@ -43,7 +43,7 @@ type txnState struct {
 // newTxn registers a fresh active record for transaction id, coordinated by
 // the replica at rank coord.
 func (r *Replica) newTxn(id uint64, coord int) *txnState {
-	tx := r.txnRecs.Get(recordChunk)
+	tx := r.arena.txnRecs.Get(recordChunk)
 	tx.id, tx.coord, tx.status = id, coord, txnActive
 	r.txns[id] = tx
 	return tx
@@ -57,7 +57,7 @@ func (r *Replica) dropTxn(tx *txnState) {
 		writeKeys:       tx.writeKeys[:0],
 		pendingPersists: tx.pendingPersists[:0],
 	}
-	r.txnRecs.Put(tx)
+	r.arena.txnRecs.Put(tx)
 }
 
 // addTxnItem appends (key, st) to one of a transaction record's item lists.
@@ -66,7 +66,7 @@ func (r *Replica) dropTxn(tx *txnState) {
 // list the binding never fills is never carved.
 func (r *Replica) addTxnItem(list *[]persistItem, key uint64, st Stamp) {
 	if cap(*list) == 0 {
-		*list = sim.CarveList(&r.items, r.p.XactionSize, recordChunk)
+		*list = sim.CarveList(&r.arena.items, r.p.XactionSize, recordChunk)
 	}
 	*list = append(*list, persistItem{key: key, stamp: st})
 }

@@ -40,7 +40,7 @@ func (r *Replica) strongWrite(key uint64, scope, txn uint64, done completion) {
 // newPending books a pending write for (key, st), expecting a persistency
 // ACK from every follower; done is the client's completion.
 func (r *Replica) newPending(key uint64, st Stamp, done completion) *pendingWrite {
-	pw := r.pws.Get(recordChunk)
+	pw := r.arena.pws.Get(recordChunk)
 	pw.key, pw.stamp, pw.pAcks, pw.done = key, st, r.followers(), done
 	r.pending[st] = pw
 	return pw
@@ -51,7 +51,7 @@ func (r *Replica) newPending(key uint64, st Stamp, done completion) *pendingWrit
 func (r *Replica) dropPending(pw *pendingWrite) {
 	delete(r.pending, pw.stamp)
 	*pw = pendingWrite{}
-	r.pws.Put(pw)
+	r.arena.pws.Put(pw)
 }
 
 // launchStrongWrite makes the update visible locally, broadcasts the INV,
@@ -152,7 +152,7 @@ func (r *Replica) onACKp(p *payload) {
 func (r *Replica) validate(pw *pendingWrite, kind MsgKind) {
 	r.broadcast(payload{Kind: kind, Key: pw.key, Stamp: pw.stamp})
 	ks := r.keys.at(pw.key)
-	r.stamps.remove(&ks.transC, pw.stamp)
+	r.arena.stamps.remove(&ks.transC, pw.stamp)
 	if !r.rules.SplitAcks {
 		r.wake(&ks.consWait)
 	}
@@ -162,8 +162,8 @@ func (r *Replica) validate(pw *pendingWrite, kind MsgKind) {
 func (r *Replica) validateP(pw *pendingWrite) {
 	r.broadcast(payload{Kind: MsgVALp, Key: pw.key, Stamp: pw.stamp})
 	ks := r.keys.at(pw.key)
-	r.stamps.remove(&ks.transC, pw.stamp)
-	r.stamps.remove(&ks.transP, pw.stamp)
+	r.arena.stamps.remove(&ks.transC, pw.stamp)
+	r.arena.stamps.remove(&ks.transP, pw.stamp)
 	r.wake(&ks.consWait)
 }
 
@@ -194,7 +194,7 @@ func (r *Replica) onVAL(p *payload) {
 		return
 	}
 	ks := r.keys.at(p.Key)
-	r.stamps.remove(&ks.transC, p.Stamp)
+	r.arena.stamps.remove(&ks.transC, p.Stamp)
 	if ks.transC == 0 && (!r.rules.SplitAcks || ks.transP == 0) {
 		r.wake(&ks.consWait)
 	}
@@ -206,8 +206,8 @@ func (r *Replica) onVALp(p *payload) {
 		return // scope VAL_p carries no per-key state
 	}
 	ks := r.keys.at(p.Key)
-	r.stamps.remove(&ks.transC, p.Stamp)
-	r.stamps.remove(&ks.transP, p.Stamp)
+	r.arena.stamps.remove(&ks.transC, p.Stamp)
+	r.arena.stamps.remove(&ks.transP, p.Stamp)
 	if ks.transC == 0 && ks.transP == 0 {
 		r.wake(&ks.consWait)
 	}

@@ -135,6 +135,11 @@ type Engine struct {
 	runUntil int64
 
 	wheel timingWheel
+
+	// calls parks the completions of this engine's service centers (worker
+	// pools, NVM devices) across their service events: one recycler for the
+	// logical process, however many nodes it runs.
+	calls Slab[Call]
 }
 
 // New returns an Engine starting at simulated time 0.
@@ -161,6 +166,18 @@ func (e *Engine) Stats() EngineStats {
 		Ingress:    e.arrived,
 	}
 }
+
+// Park parks c across an event and returns the token that Unpark takes. A
+// pool or device schedules itself with the token as the event argument and
+// unparks the completion when the event fires, so the completion needs no
+// closure and no recycler of its own.
+func (e *Engine) Park(c Call) int32 { return e.calls.Put(c) }
+
+// Unpark frees the token Park returned and returns the parked call.
+func (e *Engine) Unpark(tok int32) Call { return e.calls.Take(tok) }
+
+// Parked returns how many call slots the engine holds, parked or free.
+func (e *Engine) Parked() int { return e.calls.Slots() }
 
 // Reserve grows the pending-event storage so at least n events can be in
 // flight without reallocation. Without it the storage grows with the pending

@@ -17,10 +17,11 @@ package sim
 // holds, ordered by a shared arrival sequence: dispatch pops the earlier head,
 // except that the hold ring is skipped while holds are at the cap, so dispatch
 // is O(1) per started job however deep the backlog; a fixed job that finds a
-// free server and both rings empty skips them. Fixed-job completions are typed engine events
-// (Handler + token into a recycled record slab) and a hold is its Holder plus
-// the Hold token it hands back, so the steady-state dispatch cycle allocates
-// nothing for either flavor (TestPoolDeepQueueAllocs, TestPoolHoldAllocs).
+// free server and both rings empty skips them. Fixed-job completions are
+// typed engine events (Handler + the token the engine parks the completion
+// under, Engine.Park) and a hold is its Holder plus the Hold token it hands
+// back, so the steady-state dispatch cycle allocates nothing for either
+// flavor (TestPoolDeepQueueAllocs, TestPoolHoldAllocs).
 type Pool struct {
 	eng      *Engine
 	size     int
@@ -31,8 +32,6 @@ type Pool struct {
 	fifo  ring[fixedJob] // fixed-service jobs
 	holdq ring[holdJob]  // hold jobs, capped at maxHolds running
 	seq   uint64         // arrival order across both rings
-
-	done Slab[Call] // fixed-job completions parked across their service events
 
 	jobs    uint64
 	busyAcc int64
@@ -195,11 +194,11 @@ func (p *Pool) waited(at int64) int64 {
 }
 
 // startFixed occupies a server for service ns: it parks the completion
-// h.OnEvent(arg) in a recycled record and schedules the record's token.
+// h.OnEvent(arg) on the engine and schedules the park's token.
 func (p *Pool) startFixed(service int64, h Handler, arg uint64) {
 	p.busy++
 	p.busyAcc += service
-	p.eng.ScheduleEvent(service, p, uint64(p.done.Put(Call{h, arg})))
+	p.eng.ScheduleEvent(service, p, uint64(p.eng.Park(Call{h, arg})))
 }
 
 // OnEvent completes the fixed job parked at token arg: free a server, fire
@@ -207,7 +206,7 @@ func (p *Pool) startFixed(service int64, h Handler, arg uint64) {
 // service-time event schedules closure-free.
 func (p *Pool) OnEvent(arg uint64) {
 	p.busy--
-	p.done.Take(int32(arg)).Run()
+	p.eng.Unpark(int32(arg)).Run()
 	p.dispatch()
 }
 

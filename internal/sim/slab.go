@@ -6,7 +6,11 @@ package sim
 // event argument, a list link), a FreeList when it is named by a pointer that
 // must stay valid while the record is live. A recycler belongs to one
 // logical process — a node's, or the one sequential engine's — and is never
-// locked. The rule for resetting a recycled record stays with its owner.
+// locked: every node the process runs shares it, so it holds about the
+// process's peak of records in flight rather than the sum of each node's own
+// peak. The Engine's call slab (Engine.Park) serves every worker pool and
+// NVM device on the engine, and protocol.Arena every replica. The rule for
+// resetting a recycled record stays with its owner.
 
 // Slab is a freelist-recycled record store addressed by int32 tokens: Put
 // parks a value and returns its token, Take frees it. A token is the slot
