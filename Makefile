@@ -69,8 +69,12 @@ fmt:
 #   - per-node state that does not grow with the cluster: the NIC send path
 #     against its per-pair-table oracle (arrival time and in-flight count
 #     after every send), simnet.New's bytes at 320 vs 40 nodes, the ring's
-#     owner table against its vnode search, and the shared payload-box pool's
-#     spares against the peak of messages in flight;
+#     owner table against its vnode search, the shared payload-box pool's
+#     spares against the peak of messages in flight, one set of record
+#     recyclers per logical process (one arena for a sequential cluster's
+#     replicas, one call slab per engine for its pools and devices), a whole
+#     cell's objects per added node at 160 vs 40 nodes, and the transaction
+#     and scope tables built only where the binding writes them;
 #   - memory that scales with use: one measurement set per engine (and one
 #     scope histogram per set, on first use), a cluster's retained heap per
 #     added node at 160 vs 40 nodes, the Causal reorder buffer's retained
@@ -110,7 +114,7 @@ check: vet fmt
 	$(GO) test -race ./internal/cluster/ -run 'TestHotSketchGoldenSeed|TestP2CSpreadDeterministic'
 	$(GO) test ./internal/cluster/ ./internal/sim/ -run 'TestScheduleFingerprint|TestTraceOrderFingerprint|TestPoolReacquireFromCompletionQueuesBehindBacklog'
 	$(GO) test ./internal/cluster/ -run '^(TestEngineChoiceFingerprint|TestReplicaHoldsOneRecordPerKey)$$'
-	$(GO) test ./internal/simnet/ ./internal/cluster/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas'
+	$(GO) test ./internal/simnet/ ./internal/cluster/ ./internal/protocol/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas|TestRecyclersOnePerLogicalProcess|TestRunObjectsPerAddedNode|TestReplicaBuildsOnlyTheMapsItsBindingWrites'
 	$(GO) test ./internal/cluster/ ./internal/engines/ ./internal/stats/ -run 'TestMeasurementSetPerEngine|TestScopeHistogramAllocatedOnFirstUse|TestRetainedHeapLinearInNodes|TestCausalBufferBytesPerEntry|TestHashTableSlotSize|TestHashTableGetReturnsStoredSlice|TestHashTableSharedValueHeldOnce|TestHashTableInternedWithinLiveKeys|TestHashTableChurnBounded|TestHashTableRebuildKeepsEveryKey|TestHashTableOpAllocFree|TestBucketIndexMatchesLoopOracle'
 	$(GO) test ./internal/core/ ./internal/cluster/ ./internal/harness/ -run '^(TestRulesTable|TestDescribeMessagesMatchTraffic|TestModelReferenceFixture)$$'
 	$(GO) test -run='^$$' -bench BenchmarkClusterNew -benchtime=1x -benchmem .
@@ -146,7 +150,8 @@ perf:
 # mix quick Figure 6 does not share, then the same rep by bytes: collections
 # follow bytes allocated, not objects, and TestFlatCensus logs the rep's
 # bytes and collection count. The last table is one rep of its scale160
-# workload (both cells: New, Run, Collect; TestScaleCensus). EXPERIMENTS.md
+# workload (both cells: New, Run, Collect; TestScaleCensus, which logs the
+# same three numbers). EXPERIMENTS.md
 # "Allocation census", "Allocation-free client ops", "Zero-allocation
 # replication rounds" and "Messages read in their box" read these tables.
 census:
@@ -156,7 +161,7 @@ census:
 	FLAT_CENSUS=1 $(GO) test ./internal/cluster/ -run '^TestFlatCensus$$' -count=1 -v -memprofilerate 1 -memprofile .bench_build/flat_census.mprof -o .bench_build/cluster.test | grep 'rep allocated'
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/cluster.test .bench_build/flat_census.mprof
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=40 .bench_build/cluster.test .bench_build/flat_census.mprof
-	SCALE_CENSUS=1 $(GO) test ./internal/cluster/ -run '^TestScaleCensus$$' -count=1 -memprofilerate 1 -memprofile .bench_build/scale_census.mprof -o .bench_build/cluster.test > /dev/null
+	SCALE_CENSUS=1 $(GO) test ./internal/cluster/ -run '^TestScaleCensus$$' -count=1 -v -memprofilerate 1 -memprofile .bench_build/scale_census.mprof -o .bench_build/cluster.test | grep 'rep allocated'
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/cluster.test .bench_build/scale_census.mprof
 
 # Live heap of two repo benchmark cells, the memory twin of census: scale160's

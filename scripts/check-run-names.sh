@@ -10,8 +10,12 @@
 # package arguments and its -run / -bench patterns. A pattern is split into
 # its alternatives: `^(A|B)$` into `^A$` and `^B$`, `A|B` into `A` and `B`.
 # Each alternative must match at least one name that `go test -list` prints
-# for the line's packages. Only the top-level part of a subtest pattern
-# (before the first `/`) is checked. `^$` (run nothing) and `.` are skipped.
+# for the line's packages; for a subtest alternative (one with a `/`) that is
+# its top-level part, before the first `/`. `go test -list` does not descend
+# into subtests, so a subtest alternative is also run, `go test -v -run ALT`,
+# and must print an `=== RUN` line for a test at least as deep as ALT (one
+# `/` per level): a renamed subtest runs only its parent. `^$` (run nothing)
+# and `.` are skipped.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,7 +45,22 @@ check_pattern() { # file, package arguments, pattern
 		body=${body:2:${#body}-4} pre='^' suf='$'
 	fi
 	IFS='|' read -ra alts <<<"$body"
-	for alt in "${alts[@]}"; do check_alt "$1" "$2" "$pre${alt%%/*}$suf" "$3"; done
+	for alt in "${alts[@]}"; do
+		check_alt "$1" "$2" "$pre${alt%%/*}$suf" "$3"
+		if [[ $alt == */* ]]; then check_sub "$1" "$2" "$pre$alt$suf" "$3"; fi
+	done
+}
+
+check_sub() { # file, package arguments, subtest alternative, whole pattern
+	local slashes=${3//[^\/]/} out
+	checked=$((checked + 1))
+	# The test's own verdict is the gate's business, not this check's.
+	# shellcheck disable=SC2086 # package arguments split on purpose
+	out=$(go test -v -run "$3" $2 2>&1 || true)
+	if ! grep -Eq -- "^=== RUN +([^/ ]*/){${#slashes}}" <<<"$out"; then
+		echo "$1: '$3' (in '$4') runs no subtest in $2" >&2
+		fail=1
+	fi
 }
 
 check_alt() { # file, package arguments, alternative, whole pattern
