@@ -73,8 +73,10 @@ fmt:
 #     spares against the peak of messages in flight, one set of record
 #     recyclers per logical process (one arena for a sequential cluster's
 #     replicas, one call slab per engine for its pools and devices), a whole
-#     cell's objects per added node at 160 vs 40 nodes, and the transaction
-#     and scope tables built only where the binding writes them;
+#     cell's objects per added node at 160 vs 40 nodes, the transaction
+#     and scope tables built only where the binding writes them, and the
+#     bytes a closed-loop client holds (a session only under Transactional
+#     consistency or Scope persistency);
 #   - memory that scales with use: one measurement set per engine (and one
 #     scope histogram per set, on first use), a cluster's retained heap per
 #     added node at 160 vs 40 nodes, the Causal reorder buffer's retained
@@ -114,7 +116,7 @@ check: vet fmt
 	$(GO) test -race ./internal/cluster/ -run 'TestHotSketchGoldenSeed|TestP2CSpreadDeterministic'
 	$(GO) test ./internal/cluster/ ./internal/sim/ -run 'TestScheduleFingerprint|TestTraceOrderFingerprint|TestPoolReacquireFromCompletionQueuesBehindBacklog'
 	$(GO) test ./internal/cluster/ -run '^(TestEngineChoiceFingerprint|TestReplicaHoldsOneRecordPerKey)$$'
-	$(GO) test ./internal/simnet/ ./internal/cluster/ ./internal/protocol/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas|TestRecyclersOnePerLogicalProcess|TestRunObjectsPerAddedNode|TestReplicaBuildsOnlyTheMapsItsBindingWrites'
+	$(GO) test ./internal/simnet/ ./internal/cluster/ ./internal/protocol/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas|TestRecyclersOnePerLogicalProcess|TestRunObjectsPerAddedNode|TestReplicaBuildsOnlyTheMapsItsBindingWrites|TestClientBytesPerClient'
 	$(GO) test ./internal/cluster/ ./internal/engines/ ./internal/stats/ -run 'TestMeasurementSetPerEngine|TestScopeHistogramAllocatedOnFirstUse|TestRetainedHeapLinearInNodes|TestCausalBufferBytesPerEntry|TestHashTableSlotSize|TestHashTableGetReturnsStoredSlice|TestHashTableSharedValueHeldOnce|TestHashTableInternedWithinLiveKeys|TestHashTableChurnBounded|TestHashTableRebuildKeepsEveryKey|TestHashTableOpAllocFree|TestBucketIndexMatchesLoopOracle'
 	$(GO) test ./internal/core/ ./internal/cluster/ ./internal/harness/ -run '^(TestRulesTable|TestDescribeMessagesMatchTraffic|TestModelReferenceFixture)$$'
 	$(GO) test -run='^$$' -bench BenchmarkClusterNew -benchtime=1x -benchmem .

@@ -13,11 +13,14 @@ import (
 // transactions under Transactional consistency and in persist scopes under
 // Scope persistency.
 //
-// A node's clients live in one slab (nodeState.clients) holding each
-// client's generator and random streams by value. Plain ops ride request
-// records through the node's router; the transactional and scope session
-// calls go to the home replica with the client itself as their completer and
-// a token naming the call (see sessionTok), so no op binds a closure.
+// A cluster's clients live in one slab (Cluster.Clients, sliced per node into
+// nodeState.clients) holding each client's generator and random streams by
+// value. Plain ops ride request records through the node's router; the
+// transactional and scope session calls go to the home replica with the
+// client itself as their completer and a token naming the call (see
+// sessionTok), so no op binds a closure. A client holds only what every
+// binding runs; the scope and transaction bookkeeping lives in its session,
+// which only those bindings build.
 type client struct {
 	id   int   // global client ID
 	slot int32 // index in the node's slab (request.client)
@@ -30,6 +33,14 @@ type client struct {
 	// transactions and scopes).
 	outstanding int
 
+	ses *session // nil unless the binding is Transactional or Scope
+}
+
+// session is one client's scope and transaction bookkeeping. New builds it,
+// one slab per node, only under Transactional consistency or Scope
+// persistency: every other binding runs plain ops alone, and its clients
+// hold a nil session.
+type session struct {
 	// Scope persistency bookkeeping. A client runs one barrier at a time
 	// (its pipeline drains first), so the barrier in flight lives here.
 	scopeSeq     uint64
@@ -51,7 +62,7 @@ type client struct {
 
 // init wires a slab slot whose generator and RNG New has already forked.
 func (c *client) init(id int, slot int32, rt *router) {
-	c.id, c.slot, c.ns, c.rt, c.scopeSeq = id, slot, rt.ns, rt, 1
+	c.id, c.slot, c.ns, c.rt = id, slot, rt.ns, rt
 }
 
 // clientStart is the event token Cluster.Start schedules a client with; a
@@ -65,7 +76,7 @@ func (c *client) OnEvent(tok uint64) {
 	switch {
 	case tok == clientStart:
 		c.next()
-	case tok == c.txnGen:
+	case c.ses != nil && tok == c.ses.txnGen:
 		c.attemptTxn()
 	}
 }
@@ -93,7 +104,7 @@ func (c *client) curScope() uint64 {
 	if !c.scoped() {
 		return 0
 	}
-	return uint64(c.id+1)<<32 | c.scopeSeq
+	return uint64(c.id+1)<<32 | c.ses.scopeSeq
 }
 
 // next keeps the client's pipeline full: it issues requests until the
@@ -101,7 +112,7 @@ func (c *client) curScope() uint64 {
 // first drains the pipeline (its writes must be complete before [PERSIST]s
 // makes sense), then runs, then the pipeline refills.
 func (c *client) next() {
-	if c.scoped() && c.opsInScope+c.outstanding >= c.rt.cl.Cfg.Params.ScopeSize {
+	if c.scoped() && c.ses.opsInScope+c.outstanding >= c.rt.cl.Cfg.Params.ScopeSize {
 		if c.outstanding > 0 {
 			return // draining toward the barrier; completions re-enter next()
 		}
@@ -146,10 +157,12 @@ func (c *client) done(op ycsb.Op, scope uint64, at int64, v uint64) {
 	default: // write, rmw
 		idx := c.ns.finishWrite(at, op.Key, protocol.Stamp(v), c.id, scope, !c.scoped())
 		if idx >= 0 && c.scoped() {
-			c.scopeRecs = append(c.scopeRecs, idx)
+			c.ses.scopeRecs = append(c.ses.scopeRecs, idx)
 		}
 	}
-	c.opsInScope++
+	if c.ses != nil {
+		c.ses.opsInScope++
+	}
 	c.next()
 }
 
@@ -172,16 +185,17 @@ func (c *client) Complete(tok, v uint64) {
 		c.barrierDone()
 		return
 	}
-	if tok>>32 != c.txnGen {
+	s := c.ses
+	if tok>>32 != s.txnGen {
 		return // from a squashed attempt
 	}
 	switch {
 	case step == stepInit && v == 0:
 		c.txnAborted()
 	case step == stepInit:
-		c.txnID = v
+		s.txnID = v
 		c.txnStep(0)
-	case step == len(c.txnOps): // ENDX
+	case step == len(s.txnOps): // ENDX
 		if v != 0 {
 			c.txnCommitted()
 		} else {
@@ -194,17 +208,19 @@ func (c *client) Complete(tok, v uint64) {
 
 // persistScope runs the [PERSIST]s barrier; barrierDone continues the loop.
 func (c *client) persistScope() {
+	s := c.ses
 	scope := c.curScope()
-	c.barrierRecs, c.scopeRecs = c.scopeRecs, c.barrierRecs[:0]
-	c.scopeSeq++
-	c.opsInScope = 0
-	c.barrierStart = c.ns.eng.Now()
+	s.barrierRecs, s.scopeRecs = s.scopeRecs, s.barrierRecs[:0]
+	s.scopeSeq++
+	s.opsInScope = 0
+	s.barrierStart = c.ns.eng.Now()
 	c.rt.rep.ClientPersistScope(scope, c, stepBarrier)
 }
 
 func (c *client) barrierDone() {
-	c.ns.recordScope(c.ns.eng.Now() - c.barrierStart)
-	for _, i := range c.barrierRecs {
+	s := c.ses
+	c.ns.recordScope(c.ns.eng.Now() - s.barrierStart)
+	for _, i := range s.barrierRecs {
 		c.ns.writeLog[i].ScopePersisted = true
 	}
 	c.next()
@@ -217,51 +233,55 @@ func (c *client) barrierDone() {
 // startTxn plans a fresh transaction of XactionSize requests (New carves the
 // per-op lists) and runs its first attempt.
 func (c *client) startTxn() {
-	for i := range c.txnOps {
-		c.txnOps[i] = c.gen.Next()
+	s := c.ses
+	for i := range s.txnOps {
+		s.txnOps[i] = c.gen.Next()
 	}
-	clear(c.txnFirst)
-	clear(c.txnStamps)
-	c.txnAttempts = 0
+	clear(s.txnFirst)
+	clear(s.txnStamps)
+	s.txnAttempts = 0
 	c.attemptTxn()
 }
 
 // attemptTxn runs one attempt of the current transaction.
 func (c *client) attemptTxn() {
-	c.txnAttempts++
-	c.txnGen++
-	c.rt.rep.ClientInitTxn(c, sessionTok(c.txnGen, stepInit))
+	s := c.ses
+	s.txnAttempts++
+	s.txnGen++
+	c.rt.rep.ClientInitTxn(c, sessionTok(s.txnGen, stepInit))
 }
 
 // txnStep issues op idx of the live attempt, then ENDX after the last.
 func (c *client) txnStep(idx int) {
-	tok := sessionTok(c.txnGen, idx)
-	if idx == len(c.txnOps) {
-		c.rt.rep.ClientEndTxn(c.txnID, c, tok)
+	s := c.ses
+	tok := sessionTok(s.txnGen, idx)
+	if idx == len(s.txnOps) {
+		c.rt.rep.ClientEndTxn(s.txnID, c, tok)
 		return
 	}
-	op := c.txnOps[idx]
-	c.stepAt = c.ns.eng.Now()
-	if c.txnFirst[idx] == 0 {
-		c.txnFirst[idx] = c.stepAt
+	op := s.txnOps[idx]
+	s.stepAt = c.ns.eng.Now()
+	if s.txnFirst[idx] == 0 {
+		s.txnFirst[idx] = s.stepAt
 	}
 	if op.Kind == ycsb.OpRead || op.Kind == ycsb.OpScan {
-		c.rt.rep.ClientRead(op.Key, c.txnID, c, tok)
+		c.rt.rep.ClientRead(op.Key, s.txnID, c, tok)
 		return
 	}
-	c.rt.rep.ClientWrite(op.Key, c.curScope(), c.txnID, c, tok)
+	c.rt.rep.ClientWrite(op.Key, c.curScope(), s.txnID, c, tok)
 }
 
 // stepDone completes one read or write of the attempt and issues the next.
 func (c *client) stepDone(idx int, st protocol.Stamp) {
-	if op := c.txnOps[idx]; op.Kind == ycsb.OpRead || op.Kind == ycsb.OpScan {
+	s := c.ses
+	if op := s.txnOps[idx]; op.Kind == ycsb.OpRead || op.Kind == ycsb.OpScan {
 		// Reads are served immediately within the transaction (Figure 4)
 		// and measured per attempt; the retry cost of conflicts lands on
 		// the writes, whose latency spans to the commit (Section 8.1.1:
 		// writes bunch up and pay for restarts).
-		c.ns.finishRead(c.stepAt, op.Key, st, c.id, c.rt.node)
+		c.ns.finishRead(s.stepAt, op.Key, st, c.id, c.rt.node)
 	} else {
-		c.txnStamps[idx] = st
+		s.txnStamps[idx] = st
 	}
 	c.txnStep(idx + 1)
 }
@@ -269,17 +289,18 @@ func (c *client) stepDone(idx int, st protocol.Stamp) {
 // txnCommitted records the committed writes — a transactional write is only
 // "satisfied" once its transaction commits (Section 8.1.1) — and loops.
 func (c *client) txnCommitted() {
-	for i, op := range c.txnOps {
+	s := c.ses
+	for i, op := range s.txnOps {
 		if op.Kind != ycsb.OpWrite {
 			continue
 		}
-		idx := c.ns.finishWrite(c.txnFirst[i], op.Key, c.txnStamps[i], c.id, c.curScope(), !c.scoped())
+		idx := c.ns.finishWrite(s.txnFirst[i], op.Key, s.txnStamps[i], c.id, c.curScope(), !c.scoped())
 		if idx >= 0 && c.scoped() {
-			c.scopeRecs = append(c.scopeRecs, idx)
+			s.scopeRecs = append(s.scopeRecs, idx)
 		}
 	}
-	c.opsInScope += len(c.txnOps)
-	c.txnGen++
+	s.opsInScope += len(s.txnOps)
+	s.txnGen++
 	c.next()
 }
 
@@ -287,9 +308,10 @@ func (c *client) txnCommitted() {
 // backoff, bounded at 8x the base — conflicts on hot keys otherwise degrade
 // into retry storms.
 func (c *client) txnAborted() {
-	c.txnGen++
+	s := c.ses
+	s.txnGen++
 	backoff := c.rt.cl.Cfg.Params.RetryBackoff
-	scale := int64(1) << uint(min(c.txnAttempts-1, 3))
+	scale := int64(1) << uint(min(s.txnAttempts-1, 3))
 	delay := backoff*scale + c.rng.Int63n(backoff*scale+1)
-	c.ns.eng.ScheduleEvent(delay, c, c.txnGen)
+	c.ns.eng.ScheduleEvent(delay, c, s.txnGen)
 }

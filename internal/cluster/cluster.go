@@ -265,9 +265,10 @@ func (m *measureSet) recordScope(lat int64) {
 
 // nodeState is the per-server-node slice of cluster-side state: the node's
 // engine, the measurement set of that engine, the node's load engine (its
-// closed-loop clients in one slab, or its open-loop source) and the node's
-// own history logs. Logs stay per node and concatenate in node order, which
-// preserves each client's record order (a client is pinned to one node).
+// closed-loop clients, a slice of Cluster.Clients, or its open-loop source)
+// and the node's own history logs. Logs stay per node and concatenate in node
+// order, which preserves each client's record order (a client is pinned to
+// one node).
 type nodeState struct {
 	eng *sim.Engine
 	*measureSet
@@ -332,9 +333,9 @@ type Cluster struct {
 	Replicas []*protocol.Replica
 	Devices  []*nvm.Device
 	Workers  []*sim.Pool
-	// Clients lists every closed-loop client in node order; each node's
-	// clients live in one slab (nodeState.clients).
-	Clients []*client
+	// Clients is every closed-loop client in one slab, in node order; each
+	// node's clients are its slice of it (nodeState.clients).
+	Clients []client
 	// Sources are the per-node open-loop load engines (Config.Arrivals runs
 	// only); Clients is empty then.
 	Sources []*openSource
@@ -584,9 +585,21 @@ func New(cfg Config) (*Cluster, error) {
 	// so no routing message ever arrives and its replicas keep their own
 	// handler, sparing every delivery the extra call (EXPERIMENTS.md, "One
 	// client-op path", measures what it costs a flat cell).
+	//
+	// Request records recycle per logical process, as the replicas' arena
+	// does: a sequential cluster's routers share one list, an LP cluster has
+	// one per router. A closed loop reserves each list one record per op its
+	// process's clients can have in flight, in one allocation.
 	needLT := cfg.Placement == "load" || cfg.ReplicaReads
+	var reqs *sim.FreeList[request, *request]
 	for i := 0; i < p.Servers; i++ {
-		rt := newRouter(c, c.ring, c.nodes[i], c.Replicas[i], net, c.Workers[i], i)
+		if reqs == nil || useLP {
+			reqs = new(sim.FreeList[request, *request])
+			if cfg.Arrivals == nil {
+				reqs.Reserve(p.Servers / len(c.sets) * p.ClientsPerServer * max(p.ClientWindow, 1))
+			}
+		}
+		rt := newRouter(c, c.ring, c.nodes[i], c.Replicas[i], net, c.Workers[i], reqs, i)
 		if needLT {
 			rt.lt = newLoadTracker(p.Servers)
 			rt.loadPlace = cfg.Placement == "load"
@@ -621,7 +634,7 @@ func New(cfg Config) (*Cluster, error) {
 		spec.RatePerSec /= float64(p.Servers)
 		for n, ns := range c.nodes {
 			src := &openSource{ns: ns, rt: c.routers[n], kc: kc}
-			src.gen = ycsb.MakeGenerator(cfg.Workload, kc, rng.ForkValue())
+			src.gen = ycsb.MakeGenerator(&c.Cfg.Workload, kc, rng.ForkValue())
 			arr, err := ycsb.NewArrivals(spec, rng.Fork())
 			if err != nil {
 				return nil, err
@@ -633,34 +646,44 @@ func New(cfg Config) (*Cluster, error) {
 		return c, nil
 	}
 
-	// Clients: ClientsPerServer per node in one slab per node, each with an
-	// independent deterministic request stream over the shared key space. A
-	// client's generator forks first, then its own RNG. The node's router
-	// holds one request record per op its clients can have in flight. Under
-	// Transactional consistency a client's three per-op transaction lists
-	// are carved from three arrays per node, at XactionSize.
+	// Clients: ClientsPerServer per node, all in one slab in node order, each
+	// with an independent deterministic request stream over the shared key
+	// space. A client's generator forks first, then its own RNG. Under
+	// Transactional consistency or Scope persistency each client's session
+	// comes from one slab per node, and under Transactional consistency its
+	// three per-op transaction lists are carved from three arrays per node,
+	// at XactionSize.
 	txn := cfg.Model.C == core.Transactional
-	c.Clients = make([]*client, 0, p.Servers*p.ClientsPerServer)
+	sessions := txn || cfg.Model.P == core.Scope
+	per := p.ClientsPerServer
+	c.Clients = make([]client, p.Servers*per)
 	for n, ns := range c.nodes {
-		c.routers[n].reqs.Reserve(p.ClientsPerServer * max(p.ClientWindow, 1))
-		ns.clients = make([]client, p.ClientsPerServer)
+		ns.clients = c.Clients[n*per : (n+1)*per : (n+1)*per]
+		var ses []session
+		if sessions {
+			ses = make([]session, per)
+		}
 		var ops []ycsb.Op
 		var first []int64
 		var stamps []protocol.Stamp
 		if txn {
-			x := p.XactionSize * p.ClientsPerServer
+			x := p.XactionSize * per
 			ops, first, stamps = make([]ycsb.Op, x), make([]int64, x), make([]protocol.Stamp, x)
 		}
 		for k := range ns.clients {
 			cl := &ns.clients[k]
-			cl.gen = ycsb.MakeGenerator(cfg.Workload, kc, rng.ForkValue())
+			cl.gen = ycsb.MakeGenerator(&c.Cfg.Workload, kc, rng.ForkValue())
 			cl.rng = rng.ForkValue()
-			cl.init(len(c.Clients), int32(k), c.routers[n])
-			if txn {
-				lo, hi := k*p.XactionSize, (k+1)*p.XactionSize
-				cl.txnOps, cl.txnFirst, cl.txnStamps = ops[lo:hi:hi], first[lo:hi:hi], stamps[lo:hi:hi]
+			cl.init(n*per+k, int32(k), c.routers[n])
+			if sessions {
+				s := &ses[k]
+				s.scopeSeq = 1
+				if txn {
+					lo, hi := k*p.XactionSize, (k+1)*p.XactionSize
+					s.txnOps, s.txnFirst, s.txnStamps = ops[lo:hi:hi], first[lo:hi:hi], stamps[lo:hi:hi]
+				}
+				cl.ses = s
 			}
-			c.Clients = append(c.Clients, cl)
 		}
 	}
 	return c, nil
@@ -672,7 +695,8 @@ func (c *Cluster) Start() {
 	for _, src := range c.Sources {
 		src.ns.eng.ScheduleEvent(0, src, srcStart)
 	}
-	for _, cl := range c.Clients {
+	for i := range c.Clients {
+		cl := &c.Clients[i]
 		cl.ns.eng.ScheduleEvent(0, cl, clientStart)
 	}
 }

@@ -24,6 +24,13 @@ import (
 // before New was freed), so the figure is meaningless and the test fails.
 func runRetained(t testing.TB, cfg Config, held func(*Cluster)) int64 {
 	t.Helper()
+	return retained(t, cfg, true, held)
+}
+
+// retained is runRetained, running the cell only if run is set: unrun, it
+// measures what New alone leaves live.
+func retained(t testing.TB, cfg Config, run bool, held func(*Cluster)) int64 {
+	t.Helper()
 	var ms runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
@@ -32,11 +39,13 @@ func runRetained(t testing.TB, cfg Config, held func(*Cluster)) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
-	c.Eng.Run(cfg.WarmupNs)
-	c.BeginMeasurement()
-	c.Eng.Run(cfg.WarmupNs + cfg.MeasureNs)
-	c.StopMeasurement()
+	if run {
+		c.Start()
+		c.Eng.Run(cfg.WarmupNs)
+		c.BeginMeasurement()
+		c.Eng.Run(cfg.WarmupNs + cfg.MeasureNs)
+		c.StopMeasurement()
+	}
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	if held != nil {
@@ -100,26 +109,36 @@ func TestCausalBufferBytesPerEntry(t *testing.T) {
 // TestReplicaHoldsOneRecordPerKey pins what a replica keeps per key: on a
 // flat 5-server <Lin, Sync> cell under uniform keys (ZipfTheta 0, so the run
 // writes nearly every key), 0.2 ms warm-up + 0.8 ms measured, the retained
-// heap grows by at most 80 B per key per replica from 2,000 to 20,000 keys.
-// The replica's key table slot (keyState, 72 B) is the one version record of
-// a key: its visible and persisted stamps are what a read serves and a crash
-// keeps. A volatile store and an NVM image beside it, each holding the same
-// stamp again, read 106 B.
+// heap grows by at most 64 B per key per replica from 2,000 to 20,000 keys
+// (about 58 measured). The replica's key table slot (keyState, 56 B) is the
+// one version record of a key: its visible and persisted stamps are what a
+// read serves and a crash keeps. A volatile store and an NVM image beside it,
+// each holding the same stamp again, read 106 B; the transaction lock and
+// committed version in every binding's slot (a 72-B keyState), 74. The
+// <Transactional, Sync> twin may hold 16 B more per key: the side table of
+// those two fields, which only Transactional consistency builds.
 func TestReplicaHoldsOneRecordPerKey(t *testing.T) {
-	const budget = 80
-	cell := func(keys int) Config {
-		p := params.Default()
-		p.Servers, p.Keys, p.ZipfTheta = 5, keys, 0
-		return Config{Model: core.Model{C: core.Linearizable, P: core.Synchronous}, Workload: ycsb.WorkloadA,
-			Params: p, Seed: 1, WarmupNs: 200_000, MeasureNs: 800_000}
+	for _, tc := range []struct {
+		m      core.Model
+		budget float64
+	}{
+		{core.Model{C: core.Linearizable, P: core.Synchronous}, 64},
+		{core.Model{C: core.Transactional, P: core.Synchronous}, 64 + 16},
+	} {
+		cell := func(keys int) Config {
+			p := params.Default()
+			p.Servers, p.Keys, p.ZipfTheta = 5, keys, 0
+			return Config{Model: tc.m, Workload: ycsb.WorkloadA,
+				Params: p, Seed: 1, WarmupNs: 200_000, MeasureNs: 800_000}
+		}
+		small := runRetained(t, cell(2_000), nil)
+		large := runRetained(t, cell(20_000), nil)
+		perKey := (float64(large) - float64(small)) / (18_000 * 5)
+		if perKey > tc.budget {
+			t.Errorf("%v: retained heap %d B at 2,000 keys, %d B at 20,000: %.1f B per added key per replica, want <= %.0f", tc.m, small, large, perKey, tc.budget)
+		}
+		t.Logf("%v: retained heap %d B at 2,000 keys, %d B at 20,000: %.1f B per added key per replica", tc.m, small, large, perKey)
 	}
-	small := runRetained(t, cell(2_000), nil)
-	large := runRetained(t, cell(20_000), nil)
-	perKey := (float64(large) - float64(small)) / (18_000 * 5)
-	if perKey > budget {
-		t.Fatalf("retained heap %d B at 2,000 keys, %d B at 20,000: %.1f B per added key per replica, want <= %d", small, large, perKey, budget)
-	}
-	t.Logf("retained heap %d B at 2,000 keys, %d B at 20,000: %.1f B per added key per replica", small, large, perKey)
 }
 
 // flatCell is the repo benchmark's flat_matrix cell for binding m: 5 servers
@@ -132,8 +151,8 @@ func flatCell(m core.Model) Config {
 // TestConstructionObjectsPerClient pins what a closed-loop client costs to
 // build: on the 40- and on the 160-node scaling cell, New + Start with 20
 // clients per server allocate at most 0.1 objects per client more than with
-// one. A node's clients, their generators and random streams share one slab,
-// its request records another, and Start schedules each client as a handler;
+// one. The clients, their generators and random streams share one slab, the
+// request records one list, and Start schedules each client as a handler;
 // a client built from its own record, generator, two forked RNGs and a start
 // closure costs 5.
 func TestConstructionObjectsPerClient(t *testing.T) {
@@ -155,6 +174,49 @@ func TestConstructionObjectsPerClient(t *testing.T) {
 		added := nodes * 19
 		if per := float64(twenty-one) / float64(added); per > 0.1 {
 			t.Errorf("%d nodes: %d objects with 1 client per server, %d with 20: %.2f per added client, want <= 0.1", nodes, one, twenty, per)
+		}
+	}
+}
+
+// TestClientBytesPerClient pins what a closed-loop client holds: on the
+// scaling cell's shape (160 nodes, Shards 32) under <Lin, Sync>, the heap New
+// leaves live grows by at most 192 B per added client from 20 to 40 clients
+// per server (about 184 measured: the 104-B client and the 80-B request
+// record reserved for its op in flight). The heap a run adds per client is
+// the run's records in flight, not the client's, so the cell is not run.
+// With the scope and transaction bookkeeping inline in every client, a copy
+// of the workload in its generator, and a client slab and a request list per
+// node, it read 445 B. It also checks that exactly the Transactional and
+// Scope bindings build a client session.
+func TestClientBytesPerClient(t *testing.T) {
+	const budget = 192
+	cell := func(perServer int) Config {
+		cfg := scaleCell(160, 200_000, 800_000)
+		cfg.Model = core.Model{C: core.Linearizable, P: core.Synchronous}
+		cfg.Params.ClientsPerServer = perServer
+		return cfg
+	}
+	// The first build of a test process leaves about 38 kB less live than
+	// later ones; a throwaway build settles that before the two measured.
+	retained(t, cell(20), false, nil)
+	small := retained(t, cell(20), false, nil)
+	large := retained(t, cell(40), false, nil)
+	perClient := (float64(large) - float64(small)) / (160 * 20)
+	if perClient > budget {
+		t.Errorf("New retains %d B at 20 clients per server, %d B at 40: %.1f B per added client, want <= %d", small, large, perClient, budget)
+	}
+	t.Logf("New retains %d B at 20 clients per server, %d B at 40: %.1f B per added client", small, large, perClient)
+
+	for _, m := range core.AllModels() {
+		c, err := New(smallConfig(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := m.C == core.Transactional || m.P == core.Scope
+		for i := range c.Clients {
+			if got := c.Clients[i].ses != nil; got != want {
+				t.Fatalf("%v: client %d has a session = %v, want %v", m, i, got, want)
+			}
 		}
 	}
 }
@@ -213,8 +275,8 @@ func TestSharedChooserKeepsStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 		var gens []*ycsb.Generator
-		for _, cl := range c.Clients {
-			gens = append(gens, &cl.gen)
+		for i := range c.Clients {
+			gens = append(gens, &c.Clients[i].gen)
 		}
 		for _, src := range c.Sources {
 			gens = append(gens, &src.gen)
@@ -342,12 +404,15 @@ func runObjects(t testing.TB, cfg Config) uint64 {
 
 // TestRunObjectsPerAddedNode pins the objects a whole cell allocates per node:
 // from 40 to 160 nodes the scaling cell's New + Start + Run + Collect grows
-// by at most 32 objects per added node (about 25 measured: the node's own
+// by at most 18 objects per added node (about 17 measured: the node's own
 // records — replica, pool, device, router, memory hierarchy, key table —
-// and its NIC's and worker queue's growth). Record recyclers per replica,
-// pool and device, each growing its own slabs by use, cost 58.
+// and its worker queue's growth, and its NIC's past the in-flight list's
+// first 64 sends). Record recyclers per replica, pool and device, each
+// growing its own slabs by use, cost 58; with those shared, a client slab and
+// a request list per node and NIC in-flight lists grown by append from empty
+// still cost 25.
 func TestRunObjectsPerAddedNode(t *testing.T) {
-	const budget = 32
+	const budget = 18
 	small := runObjects(t, scaleCell(40, 20_000, 30_000))
 	large := runObjects(t, scaleCell(160, 20_000, 30_000))
 	perNode := (float64(large) - float64(small)) / 120

@@ -425,7 +425,8 @@ func TestFwdBatchZeroAlloc(t *testing.T) {
 		MaxKind: kindRouteBatch,
 	})
 	cl := &Cluster{Cfg: Config{Params: params.Default()}.withDefaults()}
-	rt := &router{cl: cl, ns: &nodeState{eng: eng, measureSet: new(measureSet)}, net: net, node: 0}
+	rt := &router{cl: cl, ns: &nodeState{eng: eng, measureSet: new(measureSet)}, net: net, node: 0,
+		reqs: new(sim.FreeList[request, *request])}
 	rt.fb = newFwdBatcher(rt, 8)
 	rt.reqs.Reserve(64)
 	rt.fb.free.Reserve(8)

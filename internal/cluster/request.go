@@ -15,11 +15,12 @@ import (
 // worker-pool job of each hop, so an op carries no closure anywhere.
 //
 // Records recycle through the issuing router's reqs, zeroed: a steady-state
-// op allocates nothing. Ownership moves with delivery: the origin fills the
-// request fields, the executor reads them and writes the result, and the
-// origin reads the result and recycles the record — so each field is only
-// ever touched by the logical process that currently holds the record, with
-// the epoch barrier ordering the hand-offs.
+// op allocates nothing. The list belongs to the router's logical process, so
+// a sequential cluster's routers share one. Ownership moves with delivery:
+// the origin fills the request fields, the executor reads them and writes
+// the result, and the origin reads the result and recycles the record — so
+// each field is only ever touched by the logical process that currently
+// holds the record, with the epoch barrier ordering the hand-offs.
 type request struct {
 	rt *router // the router holding the record (set on each hop)
 	sim.Link[request]

@@ -64,7 +64,7 @@ type router struct {
 	// Forwarding batcher (nil when Config.FwdBatch == 0).
 	fb *fwdBatcher
 
-	reqs sim.FreeList[request, *request] // request records (request.go)
+	reqs *sim.FreeList[request, *request] // request records (request.go), one list per logical process
 
 	// Operation accounting over the measurement window.
 	localOps uint64 // ops whose key this node's own shard owns
@@ -72,9 +72,9 @@ type router struct {
 	execOps  uint64 // remote-origin ops executed here
 }
 
-func newRouter(cl *Cluster, rg *ring, ns *nodeState, rep *protocol.Replica, net *simnet.Network, work *sim.Pool, node int) *router {
+func newRouter(cl *Cluster, rg *ring, ns *nodeState, rep *protocol.Replica, net *simnet.Network, work *sim.Pool, reqs *sim.FreeList[request, *request], node int) *router {
 	return &router{
-		cl: cl, ring: rg, ns: ns, rep: rep, net: net, work: work,
+		cl: cl, ring: rg, ns: ns, rep: rep, net: net, work: work, reqs: reqs,
 		node: node, shard: rg.shardOf(node),
 	}
 }

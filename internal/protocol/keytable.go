@@ -34,12 +34,27 @@ func PartitionKeys(keys, shards int, owner func(key uint64) int) ([]KeyIndex, []
 // group) it is one slot per key, indexed directly. With one it holds a slot
 // per owned key; a key of another shard — which the router never sends here —
 // has no slot and reads as the zero keyState until something writes to it.
+//
+// Transactional consistency keeps two more fields per key in txn, a table
+// beside slots that only that binding builds (NewReplica). It is dense over
+// the whole key space, indexed by key: Validate keeps Transactional cells
+// flat, so every key has a slot there anyway.
 type keyTable struct {
 	slots []keyState
 	index []KeyOwner           // nil = dense
 	shard int32                // the shard whose keys slots holds
 	stray map[uint64]*keyState // unowned keys, materialised on first touch
+	txn   []txnKey             // nil outside Transactional consistency
 }
+
+// txnKey is a key's transactional state at one replica.
+type txnKey struct {
+	lockTxn   uint64 // transaction with an in-flight write to this key
+	committed Stamp  // latest transactionally committed version
+}
+
+// txnAt returns key's transactional state (Transactional consistency only).
+func (t *keyTable) txnAt(key uint64) *txnKey { return &t.txn[key] }
 
 func newKeyTable(keys int, ix *KeyIndex) keyTable {
 	if ix == nil {

@@ -407,7 +407,7 @@ func TestTransactionCommitFlow(t *testing.T) {
 			if r.PersistedVersion(k).IsZero() {
 				t.Fatalf("replica %d: txn write %d not persisted at ENDX under Synchronous", i, k)
 			}
-			if r.keys.at(k).lockTxn != 0 {
+			if r.keys.txnAt(k).lockTxn != 0 {
 				t.Fatalf("replica %d: lock leaked on key %d", i, k)
 			}
 		}
@@ -451,7 +451,7 @@ func TestTransactionConflictSquashes(t *testing.T) {
 	}
 	// Conflict-window locks must be fully released.
 	for i, r := range tc.reps {
-		if r.keys.at(20).lockTxn != 0 {
+		if r.keys.txnAt(20).lockTxn != 0 {
 			t.Fatalf("replica %d: lock leaked", i)
 		}
 	}
@@ -849,8 +849,8 @@ func TestReplicaBuildsOnlyTheMapsItsBindingWrites(t *testing.T) {
 	for _, m := range core.AllModels() {
 		r := newTestCluster(m, 2, nil).reps[0]
 		txn, scope := m.C == core.Transactional, m.P == core.Scope
-		if (r.txns != nil) != txn {
-			t.Errorf("%v: transaction table built = %v, want %v", m, r.txns != nil, txn)
+		if (r.txns != nil) != txn || (r.keys.txn != nil) != txn {
+			t.Errorf("%v: transaction tables built = %v %v, want %v", m, r.txns != nil, r.keys.txn != nil, txn)
 		}
 		if (r.scopePending != nil) != scope || (r.scopeClosed != nil) != scope || (r.scopeOps != nil) != scope {
 			t.Errorf("%v: scope tables built = %v %v %v, want %v", m,

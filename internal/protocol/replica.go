@@ -82,7 +82,9 @@ type Deps struct {
 // (what a crash keeps). It holds no slice or map of its own: every per-key
 // collection is a token into a slab of the replica's Arena (or, for stalled
 // reads, a link through the operation records), so the first touch of a key
-// allocates nothing.
+// allocates nothing. It holds only what every binding reads (56 B): the
+// transaction lock and committed version sit in keyTable.txn, which only
+// Transactional consistency builds.
 type keyState struct {
 	visible   Stamp // stamp of the current visible (volatile) version
 	persisted Stamp // stamp of the latest locally persisted version
@@ -97,9 +99,6 @@ type keyState struct {
 	// persistence.
 	consWait int32
 	persWait int32
-
-	lockTxn   uint64 // transaction with an in-flight write to this key
-	committed Stamp  // latest transactionally committed version (Xact only)
 
 	// Write-back coalescing: at most one persist per key is in flight; newer
 	// stamps arriving meanwhile mark the key dirty and ride the follow-up
@@ -267,6 +266,7 @@ func NewReplica(id int, d Deps) *Replica {
 	// Build only the maps the binding writes.
 	if d.Model.C == core.Transactional {
 		r.txns = make(map[uint64]*txnState)
+		r.keys.txn = make([]txnKey, d.P.Keys)
 	}
 	if r.rules.Persist == core.PersistAtScope {
 		r.scopePending = make(map[uint64][]persistItem)
@@ -740,7 +740,7 @@ func (r *Replica) readAttempt(op *clientOp) {
 	if r.rules.ServesCommitted {
 		// Operations may only see the effects of transactions that have
 		// completed (Section 2.1): serve the latest committed version.
-		op.ver = ks.committed
+		op.ver = r.keys.txnAt(key).committed
 	}
 	r.eng.ScheduleEvent(r.mem.ReadLatency(), op, opReadDone)
 }

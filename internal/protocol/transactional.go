@@ -38,7 +38,7 @@ func (transactionalVis) onInvReceive(r *Replica, ks *keyState, from int, p *payl
 	if p.Txn == 0 {
 		return true
 	}
-	if ks.lockTxn != 0 && ks.lockTxn != p.Txn && p.Txn > ks.lockTxn {
+	if lock := r.keys.txnAt(p.Key).lockTxn; lock != 0 && lock != p.Txn && p.Txn > lock {
 		r.send(from, payload{Kind: MsgNACK, Stamp: p.Stamp, Txn: p.Txn})
 		return false
 	}

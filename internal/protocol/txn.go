@@ -216,8 +216,8 @@ func (r *Replica) commitVAL(txn uint64) {
 // commitTxnVersions promotes the transaction's writes to committed-visible.
 func (r *Replica) commitTxnVersions(tx *txnState) {
 	for _, w := range tx.writeKeys {
-		if ks := r.keys.at(w.key); w.stamp > ks.committed {
-			ks.committed = w.stamp
+		if tk := r.keys.txnAt(w.key); w.stamp > tk.committed {
+			tk.committed = w.stamp
 		}
 	}
 }
@@ -272,8 +272,8 @@ func (r *Replica) onABORTX(p *payload) {
 // ended or aborted).
 func (r *Replica) clearTxnLocks(tx *txnState) {
 	for _, w := range tx.writeKeys {
-		if r.keys.at(w.key).lockTxn == tx.id {
-			r.keys.at(w.key).lockTxn = 0
+		if tk := r.keys.txnAt(w.key); tk.lockTxn == tx.id {
+			tk.lockTxn = 0
 		}
 	}
 }

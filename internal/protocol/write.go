@@ -10,13 +10,13 @@ func (r *Replica) txnWriteAttempt(key uint64, scope, txn uint64, done completion
 	if tx == nil || tx.status != txnActive {
 		return // transaction already aborted; client will retry
 	}
-	ks := r.keys.at(key)
-	if ks.lockTxn != 0 && ks.lockTxn != txn {
+	tk := r.keys.txnAt(key)
+	if tk.lockTxn != 0 && tk.lockTxn != txn {
 		tx.conflicted = true
 		r.squash(tx)
 		return
 	}
-	ks.lockTxn = txn
+	tk.lockTxn = txn
 	r.strongWrite(key, scope, txn, done)
 }
 
@@ -86,7 +86,7 @@ func (r *Replica) launchStrongWrite(pw *pendingWrite) {
 // releaseTxnWriteLock ends a transactional write's conflict-detection
 // window once the write has been applied everywhere.
 func (r *Replica) releaseTxnWriteLock(key uint64) {
-	r.keys.at(key).lockTxn = 0
+	r.keys.txnAt(key).lockTxn = 0
 }
 
 // onINV handles an invalidation at a follower: the visibility policy does

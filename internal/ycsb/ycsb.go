@@ -199,9 +199,10 @@ func (z *Zipfian) HottestKey() uint64 { return 104729 % uint64(z.n) }
 
 // Generator produces a deterministic stream of Ops for one client. It holds
 // its random stream by value, so a load engine can embed one in its own
-// record.
+// record, and reads its workload through a pointer, so every generator of a
+// cluster shares the cluster's one copy.
 type Generator struct {
-	w   Workload
+	w   *Workload
 	kc  KeyChooser
 	rng sim.RNG
 
@@ -213,13 +214,14 @@ type Generator struct {
 // state. Each client should get its own forked RNG so streams are
 // independent but reproducible.
 func NewGenerator(w Workload, kc KeyChooser, rng *sim.RNG) *Generator {
-	g := MakeGenerator(w, kc, *rng)
+	g := MakeGenerator(&w, kc, *rng)
 	return &g
 }
 
 // MakeGenerator is NewGenerator by value, for a generator embedded in a
-// client record.
-func MakeGenerator(w Workload, kc KeyChooser, rng sim.RNG) Generator {
+// client record. The generator reads *w on every draw, so w must not change
+// while it is in use.
+func MakeGenerator(w *Workload, kc KeyChooser, rng sim.RNG) Generator {
 	return Generator{w: w, kc: kc, rng: rng}
 }
 
