@@ -84,23 +84,35 @@ func TestScheduleFingerprint(t *testing.T) {
 // issue device writes: a hash of the protocol trace, every event in (time,
 // issue) order. Two calls of one handler that schedule events at different
 // times can be swapped without moving TestScheduleFingerprint's counters;
-// the trace records the calls themselves.
+// the trace records the calls themselves. The hybrid rows run the
+// Linearizable and Read-Enforced bindings on 4 servers in two groups, so the
+// strong models' handler for a remote group's lazy UPD is pinned too.
 func TestTraceOrderFingerprint(t *testing.T) {
 	var b strings.Builder
-	for _, md := range core.AllModels() {
-		cfg := smallConfig(md)
+	trace := func(label string, cfg Config) {
 		cfg.WarmupNs, cfg.MeasureNs = 0, 100_000
 		cfg.TraceProtocol = true
 		c, err := New(cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", md, err)
+			t.Fatalf("%s: %v", label, err)
 		}
 		c.RunTo(cfg.MeasureNs)
 		h := fnv.New64a()
 		for _, e := range c.Trace.Events() {
 			fmt.Fprintf(h, "%d %d %s\n", e.At, e.Node, e.What)
 		}
-		fmt.Fprintf(&b, "%s: events=%d trace=%016x\n", md, c.Trace.Len(), h.Sum64())
+		fmt.Fprintf(&b, "%s: events=%d trace=%016x\n", label, c.Trace.Len(), h.Sum64())
+	}
+	for _, md := range core.AllModels() {
+		trace(md.String(), smallConfig(md))
+	}
+	for _, md := range core.AllModels() {
+		if md.C != core.Linearizable && md.C != core.ReadEnforcedC {
+			continue
+		}
+		cfg := smallConfig(md)
+		cfg.Params.Servers, cfg.Params.Groups = 4, 2
+		trace("hybrid 2x2 "+md.String(), cfg)
 	}
 	matchFixture(t, "trace_order_fingerprint.txt", "trace order moved", b.String())
 }

@@ -240,12 +240,13 @@ func TestAckDurabilityOf(t *testing.T) {
 // TestRulesTable pins RulesOf for all 25 bindings. The rows were taken from
 // the per-model policy methods and the durable-at-ack rule that RulesOf
 // replaced, and the Persist column from where each per-model durability
-// policy scheduled its background persists, so a rule that moves is a
-// protocol change, not a refactor.
+// policy scheduled its background persists, and the CausalOrder column from
+// the one visibility policy that carried a cauhist (Causal's), so a rule
+// that moves is a protocol change, not a refactor.
 // Columns, in order: InvAckVal, ReadsStallOnTransient, EarlyAck,
 // ServesCommitted, SplitAcks, PersistsInAckPath, ServesPersisted,
-// ReadsWaitLocalPersist, PersistsBeforeVisible (1 = true); then
-// AckDurability and Persist.
+// ReadsWaitLocalPersist, PersistsBeforeVisible, CausalOrder (1 = true);
+// then AckDurability and Persist.
 func TestRulesTable(t *testing.T) {
 	const (
 		no    = NotDurableAtAck
@@ -262,31 +263,31 @@ func TestRulesTable(t *testing.T) {
 		dur     AckDurability
 		persist PersistAt
 	}{
-		{Model{Linearizable, Strict}, "110001001", ack, now},
-		{Model{Linearizable, Synchronous}, "110001000", ack, now},
-		{Model{Linearizable, ReadEnforcedP}, "110010000", no, now},
-		{Model{Linearizable, Scope}, "110000000", scope, atScope},
-		{Model{Linearizable, EventualP}, "110000000", no, lazy},
-		{Model{ReadEnforcedC, Strict}, "110001001", ack, now},
-		{Model{ReadEnforcedC, Synchronous}, "111001000", no, now},
-		{Model{ReadEnforcedC, ReadEnforcedP}, "111010000", no, now},
-		{Model{ReadEnforcedC, Scope}, "111000000", scope, atScope},
-		{Model{ReadEnforcedC, EventualP}, "111000000", no, lazy},
-		{Model{Transactional, Strict}, "100101001", ack, now},
-		{Model{Transactional, Synchronous}, "101101000", ack, now},
-		{Model{Transactional, ReadEnforcedP}, "101110000", no, now},
-		{Model{Transactional, Scope}, "101100000", scope, atScope},
-		{Model{Transactional, EventualP}, "101100000", no, lazy},
-		{Model{Causal, Strict}, "000001101", ack, now},
-		{Model{Causal, Synchronous}, "000001100", no, now},
-		{Model{Causal, ReadEnforcedP}, "000010010", no, now},
-		{Model{Causal, Scope}, "000000000", scope, atScope},
-		{Model{Causal, EventualP}, "000000000", no, lazy},
-		{Model{Eventual, Strict}, "000001101", ack, now},
-		{Model{Eventual, Synchronous}, "000001100", no, now},
-		{Model{Eventual, ReadEnforcedP}, "000010010", no, now},
-		{Model{Eventual, Scope}, "000000000", scope, atScope},
-		{Model{Eventual, EventualP}, "000000000", no, lazy},
+		{Model{Linearizable, Strict}, "1100010010", ack, now},
+		{Model{Linearizable, Synchronous}, "1100010000", ack, now},
+		{Model{Linearizable, ReadEnforcedP}, "1100100000", no, now},
+		{Model{Linearizable, Scope}, "1100000000", scope, atScope},
+		{Model{Linearizable, EventualP}, "1100000000", no, lazy},
+		{Model{ReadEnforcedC, Strict}, "1100010010", ack, now},
+		{Model{ReadEnforcedC, Synchronous}, "1110010000", no, now},
+		{Model{ReadEnforcedC, ReadEnforcedP}, "1110100000", no, now},
+		{Model{ReadEnforcedC, Scope}, "1110000000", scope, atScope},
+		{Model{ReadEnforcedC, EventualP}, "1110000000", no, lazy},
+		{Model{Transactional, Strict}, "1001010010", ack, now},
+		{Model{Transactional, Synchronous}, "1011010000", ack, now},
+		{Model{Transactional, ReadEnforcedP}, "1011100000", no, now},
+		{Model{Transactional, Scope}, "1011000000", scope, atScope},
+		{Model{Transactional, EventualP}, "1011000000", no, lazy},
+		{Model{Causal, Strict}, "0000011011", ack, now},
+		{Model{Causal, Synchronous}, "0000011001", no, now},
+		{Model{Causal, ReadEnforcedP}, "0000100101", no, now},
+		{Model{Causal, Scope}, "0000000001", scope, atScope},
+		{Model{Causal, EventualP}, "0000000001", no, lazy},
+		{Model{Eventual, Strict}, "0000011010", ack, now},
+		{Model{Eventual, Synchronous}, "0000011000", no, now},
+		{Model{Eventual, ReadEnforcedP}, "0000100100", no, now},
+		{Model{Eventual, Scope}, "0000000000", scope, atScope},
+		{Model{Eventual, EventualP}, "0000000000", no, lazy},
 	}
 	if len(rows) != len(AllModels()) {
 		t.Fatalf("table has %d rows, want one per binding (%d)", len(rows), len(AllModels()))
@@ -303,6 +304,7 @@ func TestRulesTable(t *testing.T) {
 			ServesPersisted:       f(6),
 			ReadsWaitLocalPersist: f(7),
 			PersistsBeforeVisible: f(8),
+			CausalOrder:           f(9),
 			Persist:               row.persist,
 			AckDurability:         row.dur,
 		}

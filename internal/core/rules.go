@@ -13,6 +13,12 @@ type Rules struct {
 	// (Causal, Eventual).
 	InvAckVal bool
 
+	// CausalOrder: a UPD carries its write's cauhist, followers apply it
+	// through the reorder buffer once its history is applied, and the
+	// coordinator advances its applied vector for each of its own writes
+	// (Causal; Figure 2f). Without it a UPD applies last-writer-wins.
+	CausalOrder bool
+
 	// ReadsStallOnTransient: a read of a key stalls while a write to it is
 	// not yet validated (Linearizable, Read-Enforced).
 	ReadsStallOnTransient bool
@@ -106,6 +112,7 @@ func RulesOf(m Model) Rules {
 	strong := m.C == Linearizable || m.C == ReadEnforcedC || m.C == Transactional
 	r := Rules{
 		InvAckVal:             strong,
+		CausalOrder:           m.C == Causal,
 		ReadsStallOnTransient: m.C == Linearizable || m.C == ReadEnforcedC,
 		EarlyAck:              (m.C == ReadEnforcedC || m.C == Transactional) && m.P != Strict,
 		ServesCommitted:       m.C == Transactional,
