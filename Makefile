@@ -60,8 +60,9 @@ fmt:
 #     flat cell, one 16-shard cell, one open-loop cell, one 16-shard cell
 #     over a slower cross-shard spine, and every binding on one server), the
 #     trace-order fingerprint (each binding's sends and persists in issue
-#     order) and the pool's FIFO re-acquire pin: a dispatch reorder the
-#     two-decimal goldens cannot see moves an exact counter here;
+#     order, plus the strong bindings in two hybrid groups, whose replicas
+#     apply remote lazy UPDs) and the pool's FIFO re-acquire pin: a dispatch
+#     reorder the two-decimal goldens cannot see moves an exact counter here;
 #   - the engine-choice fingerprint (every engine under YCSB-A and YCSB-E on
 #     the small flat cell in three bindings and on the 16-shard cell, plus
 #     the versions a full and a partial crash recover) and the one version
@@ -89,8 +90,9 @@ fmt:
 #     oracle;
 #   - the binding rules: core.RulesOf's 25 rows against the literal taken
 #     from the per-model policy code it replaced, Describe's message list
-#     against the kinds each binding's run sends, and the rendered model
-#     reference against its fixture;
+#     against the kinds each binding's run sends, the rendered model
+#     reference against its fixture, and no binding constant named in
+#     internal/protocol's code (a replica branches on its rules row only);
 #   - one iteration of the cluster-construction benchmark, against bit-rot;
 #   - the capacity and scaling sweeps at quick scale, flat and sharded;
 #   - the CLI rejecting a knob no cell of the experiment can honor
@@ -118,7 +120,7 @@ check: vet fmt
 	$(GO) test ./internal/cluster/ -run '^(TestEngineChoiceFingerprint|TestReplicaHoldsOneRecordPerKey)$$'
 	$(GO) test ./internal/simnet/ ./internal/cluster/ ./internal/protocol/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas|TestRecyclersOnePerLogicalProcess|TestRunObjectsPerAddedNode|TestReplicaBuildsOnlyTheMapsItsBindingWrites|TestClientBytesPerClient'
 	$(GO) test ./internal/cluster/ ./internal/engines/ ./internal/stats/ -run 'TestMeasurementSetPerEngine|TestScopeHistogramAllocatedOnFirstUse|TestRetainedHeapLinearInNodes|TestCausalBufferBytesPerEntry|TestHashTableSlotSize|TestHashTableGetReturnsStoredSlice|TestHashTableSharedValueHeldOnce|TestHashTableInternedWithinLiveKeys|TestHashTableChurnBounded|TestHashTableRebuildKeepsEveryKey|TestHashTableOpAllocFree|TestBucketIndexMatchesLoopOracle'
-	$(GO) test ./internal/core/ ./internal/cluster/ ./internal/harness/ -run '^(TestRulesTable|TestDescribeMessagesMatchTraffic|TestModelReferenceFixture)$$'
+	$(GO) test ./internal/core/ ./internal/cluster/ ./internal/harness/ ./internal/protocol/ -run '^(TestRulesTable|TestDescribeMessagesMatchTraffic|TestModelReferenceFixture|TestProtocolReadsOnlyTheRulesRow)$$'
 	$(GO) test -run='^$$' -bench BenchmarkClusterNew -benchtime=1x -benchmem .
 	$(GO) run ./cmd/ddpbench -exp capacity -quick > /dev/null
 	$(GO) run ./cmd/ddpbench -exp capacity -quick -shards 4 > /dev/null

@@ -28,7 +28,7 @@ func Describe(m Model) Semantics {
 		s.WriteCompletion = "immediately after the local update and INV broadcast"
 	case r.InvAckVal:
 		s.WriteCompletion = "after every replica acknowledged the INV and the VAL went out"
-	case m.C == Causal:
+	case r.CausalOrder:
 		s.WriteCompletion = "immediately after the local update and UPD(+cauhist) broadcast"
 	default:
 		s.WriteCompletion = "immediately after the local update; UPDs propagate lazily"
@@ -87,7 +87,7 @@ func Describe(m Model) Semantics {
 			s.Messages = append(s.Messages, "INITX", "ENDX", "NACK", "ABORTX")
 		}
 	} else {
-		if m.C == Causal {
+		if r.CausalOrder {
 			s.Messages = append(s.Messages, "UPD(+cauhist)")
 		} else {
 			s.Messages = append(s.Messages, "UPD")

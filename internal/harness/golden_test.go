@@ -38,9 +38,9 @@ func renderGolden(t *testing.T, o Options) []byte {
 // cells render byte-identically to the committed fixture, two ways:
 //
 //   - default: the fixture was generated before the policy-layer refactor,
-//     so this is its equivalence proof — resolving each model to its
-//     VisibilityPolicy and running the one durability path on its rules row
-//     must not move a single event.
+//     so this is its equivalence proof — running the one visibility path and
+//     the one durability path on each binding's rules row must not move a
+//     single event.
 //     It was also generated before clients routed through a ring, so it
 //     proves the one-shard router wiring every flat cell now runs moves
 //     nothing either.

@@ -28,7 +28,7 @@ import (
 // no earlier round touched, held to the same ceiling as the warm key.
 //
 // The causal history was the last to go: a Causal write used to clone its
-// vector clock (causalVis.causalHistory), one object per round. Now the
+// vector clock (Replica.causalHistory), one object per round. Now the
 // sender fills a replica-owned vector, the payload box copies it into storage
 // the box keeps across reuse, and each receiver copies it into rows of its own
 // arena, addressed by the disp and bufs slab tokens. Every binding's write,

@@ -2,42 +2,16 @@ package protocol
 
 import "repro/internal/vclock"
 
-// causalVis implements Causal consistency: an update is visible with respect
-// to a node when the node has observed everything the update causally
-// depends on (Table 2). Writes complete locally and carry a cauhist vector;
-// followers apply through the reorder buffer below.
-type causalVis struct{}
-
-func (causalVis) dispatchWrite(r *Replica, key, scope, txn uint64, done completion) {
-	r.weakWrite(key, scope, done)
-}
-
-// The strong-write hooks are unreachable — causal writes never run the
-// INV/ACK/VAL broadcast.
-func (causalVis) onStrongWriteLaunch(r *Replica, ks *keyState, key uint64, st Stamp, txn uint64) {
-}
-func (causalVis) onInvReceive(r *Replica, ks *keyState, from int, p *payload) bool { return true }
-
-// causalHistory snapshots the write's happens-before history: everything
-// this node has applied, plus the write itself. The snapshot is the replica's
-// histOut, valid until its next write; the send boxes a copy.
-func (causalVis) causalHistory(r *Replica) []uint64 {
+// causalHistory snapshots a Causal write's happens-before history, the
+// cauhist its UPD carries: everything this node has applied, plus the write
+// itself. The snapshot is the replica's histOut, valid until its next write:
+// the UPD must be sent before then, and the send copies it into its box.
+func (r *Replica) causalHistory() []uint64 {
 	r.issued++
 	r.histOut = append(r.histOut[:0], r.appliedVC...)
 	r.histOut[r.id] = r.issued
 	return r.histOut
 }
-
-func (causalVis) propagateWeak(r *Replica, upd payload) { r.propagate(upd) }
-
-// onUpdate routes the UPD through the reorder buffer.
-func (causalVis) onUpdate(r *Replica, from int, p *payload) {
-	r.causalDeliver(p)
-}
-
-// selfApply advances the applied vector for the coordinator's own write at
-// its visibility/durability point, draining dependents it unblocks.
-func (causalVis) selfApply(r *Replica) { r.advanceApplied(r.id) }
 
 // The causal reorder buffer is indexed, not scanned: every parked update is
 // filed under the first (node, count) dependency it is waiting for, and is

@@ -253,7 +253,7 @@ func (op *clientOp) run() {
 		if r.tracer != nil {
 			r.trace("WR k%d", key)
 		}
-		r.vis.dispatchWrite(r, key, scope, txn, done)
+		r.dispatchWrite(key, scope, txn, done)
 	case opInitTxn:
 		done := op.done
 		op.recycle()
@@ -292,7 +292,7 @@ func (op *clientOp) readDone() {
 		op.recycle()
 		r.work.Release(hold)
 		r.M.Writes++
-		r.vis.dispatchWrite(r, key, scope, txn, done)
+		r.dispatchWrite(key, scope, txn, done)
 	}
 }
 

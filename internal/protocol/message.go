@@ -11,21 +11,21 @@
 // models insert persist points and, where needed, split ACK/VAL into _c
 // (consistency) and _p (persistency) variants — Table 3's message taxonomy.
 //
-// The package is organized as a visibility policy layer and one durability
-// path over a model-agnostic replica core. Each consistency model is a
-// VisibilityPolicy (one file per model: linearizable.go, readenforced_c.go,
-// transactional.go, causal.go, eventual_c.go); policy.go defines the
-// interface, its hook contract, and the resolver that binds a core.Model —
-// one of the 25 matrix cells, taken at face value — to its policy once at
-// Replica construction, next to the model's core.Rules row, which holds
-// every rule the replica branches on. The five persistency models share one
-// durability path (durability.go) that branches on that row, with Scope
-// persistency's barrier in scope.go.
-// The remaining files are the plumbing the policies drive:
-// replica.go (state, messaging, persist coalescing, read stalls), clientop.go
-// (the client request pipeline), write.go (write rounds), causal.go (reorder
-// buffer), txn.go (transaction lifecycle), cont.go (continuations as data)
-// and slab.go (stamp sets, and the chunk size of the recycled records).
+// The package is one model-agnostic replica core that branches on its
+// binding's core.Rules row, resolved once at Replica construction: every
+// fact about a binding — INV/ACK/VAL or UPD, read stalls, early acks, causal
+// ordering, where a persist sits — is a field of that row, and no file here
+// names a consistency or persistency constant. Visibility is one path:
+// write.go runs the strong INV/ACK/VAL round (Linearizable, Read-Enforced,
+// Transactional) and the weak UPD writes; a UPD applies through causal.go's
+// reorder buffer under the row's CausalOrder (Causal consistency) and
+// last-writer-wins otherwise. Durability is one path for the five
+// persistency models (durability.go), with Scope persistency's barrier in
+// scope.go. The remaining files: replica.go (state, messaging, persist
+// coalescing, read stalls), clientop.go (the client request pipeline),
+// txn.go (transaction lifecycle and conflict detection), cont.go
+// (continuations as data) and slab.go (stamp sets, and the chunk size of the
+// recycled records).
 package protocol
 
 import (

@@ -143,8 +143,7 @@ type Replica struct {
 	eng    *sim.Engine
 	p      params.Params
 	model  core.Model
-	rules  core.Rules       // the binding's yes/no rules, resolved at construction
-	vis    VisibilityPolicy // consistency dimension, resolved at construction
+	rules  core.Rules // the binding's rules, resolved at construction
 	net    *simnet.Network
 	work   *sim.Pool
 	mem    *memhier.Hierarchy
@@ -264,7 +263,7 @@ func NewReplica(id int, d Deps) *Replica {
 		r.arena = new(Arena)
 	}
 	// Build only the maps the binding writes.
-	if d.Model.C == core.Transactional {
+	if r.rules.ServesCommitted {
 		r.txns = make(map[uint64]*txnState)
 		r.keys.txn = make([]txnKey, d.P.Keys)
 	}
@@ -273,13 +272,12 @@ func NewReplica(id int, d Deps) *Replica {
 		r.scopeClosed = make(map[uint32]uint32)
 		r.scopeOps = make(map[uint64]scopeOp)
 	}
-	if d.Model.C == core.Causal { // only Causal consistency buffers updates
+	if r.rules.CausalOrder { // only Causal consistency buffers updates
 		r.waiting = make([]waitRing, mem.Size)
 	}
 	r.persC.r = r
 	r.ablC.r = r
 	r.contC.r = r
-	r.vis = resolveVisibility(d.Model)
 	d.Net.Register(id, r.onMessage)
 	return r
 }

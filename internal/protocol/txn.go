@@ -71,6 +71,48 @@ func (r *Replica) addTxnItem(list *[]persistItem, key uint64, st Stamp) {
 	*list = append(*list, persistItem{key: key, stamp: st})
 }
 
+// txnWriteAttempt applies Section 5.4's conflict handling: a transactional
+// write conflicts with another transaction's *in-flight* write to the same
+// key (a write is in flight from its INV broadcast until every replica has
+// acknowledged it). The conflicting requester squashes and the client
+// retries — the squash flavor of the actions Section 5.4 permits.
+func (r *Replica) txnWriteAttempt(key uint64, scope, txn uint64, done completion) {
+	tx := r.txns[txn]
+	if tx == nil || tx.status != txnActive {
+		return // transaction already aborted; client will retry
+	}
+	tk := r.keys.txnAt(key)
+	if tk.lockTxn != 0 && tk.lockTxn != txn {
+		tx.conflicted = true
+		r.squash(tx)
+		return
+	}
+	tk.lockTxn = txn
+	r.strongWrite(key, scope, txn, done)
+}
+
+// addWriteKey grows transaction txn's write set at this replica with a write
+// it coordinates or follows.
+func (r *Replica) addWriteKey(txn, key uint64, st Stamp) {
+	if tx := r.txns[txn]; tx != nil {
+		r.addTxnItem(&tx.writeKeys, key, st)
+	}
+}
+
+// acceptTxnInv detects a cross-node write-write conflict for a
+// transactional INV: this node may have its own in-flight transactional
+// write to the key. Wound-wait tie-break: the younger transaction (larger
+// id) is NACKed and squashed, so exactly one side dies. An accepted INV
+// joins the transaction's write set here.
+func (r *Replica) acceptTxnInv(from int, p *payload) bool {
+	if lock := r.keys.txnAt(p.Key).lockTxn; lock != 0 && lock != p.Txn && p.Txn > lock {
+		r.send(from, payload{Kind: MsgNACK, Stamp: p.Stamp, Txn: p.Txn})
+		return false
+	}
+	r.addWriteKey(p.Txn, p.Key, p.Stamp)
+	return true
+}
+
 // txnAddr maps a transaction id onto an NVM address for event persists.
 func txnAddr(id uint64) uint64 { return id * 0x9e3779b97f4a7c15 }
 
