@@ -187,6 +187,49 @@ func TestDurabilityOfDerivation(t *testing.T) {
 	}
 }
 
+// TestDurabilityOfEveryBinding pins the durability rating of all 25
+// bindings: the paper's ten Table 4 ratings and the derived fifteen.
+func TestDurabilityOfEveryBinding(t *testing.T) {
+	rows := []struct {
+		m    Model
+		want Level
+	}{
+		{Model{Linearizable, Strict}, High},
+		{Model{Linearizable, Synchronous}, High},
+		{Model{Linearizable, ReadEnforcedP}, Medium},
+		{Model{Linearizable, Scope}, High},
+		{Model{Linearizable, EventualP}, Low},
+		{Model{ReadEnforcedC, Strict}, High},
+		{Model{ReadEnforcedC, Synchronous}, Medium},
+		{Model{ReadEnforcedC, ReadEnforcedP}, Medium},
+		{Model{ReadEnforcedC, Scope}, High},
+		{Model{ReadEnforcedC, EventualP}, Low},
+		{Model{Transactional, Strict}, High},
+		{Model{Transactional, Synchronous}, High},
+		{Model{Transactional, ReadEnforcedP}, Medium},
+		{Model{Transactional, Scope}, High},
+		{Model{Transactional, EventualP}, Low},
+		{Model{Causal, Strict}, High},
+		{Model{Causal, Synchronous}, Medium},
+		{Model{Causal, ReadEnforcedP}, Medium},
+		{Model{Causal, Scope}, High},
+		{Model{Causal, EventualP}, Low},
+		{Model{Eventual, Strict}, High},
+		{Model{Eventual, Synchronous}, Low},
+		{Model{Eventual, ReadEnforcedP}, Low},
+		{Model{Eventual, Scope}, High},
+		{Model{Eventual, EventualP}, Low},
+	}
+	if len(rows) != len(AllModels()) {
+		t.Fatalf("table has %d rows, want one per binding (%d)", len(rows), len(AllModels()))
+	}
+	for _, row := range rows {
+		if got := DurabilityOf(row.m); got != row.want {
+			t.Errorf("DurabilityOf(%s) = %s, want %s", row.m, got, row.want)
+		}
+	}
+}
+
 func TestLevelStrings(t *testing.T) {
 	if Low.String() != "low" || Medium.Arrow() != "→" || High.Arrow() != "↑" {
 		t.Fatal("level rendering wrong")
