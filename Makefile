@@ -57,8 +57,8 @@ fmt:
 #     coordinators from sender-local state (fwdbatch=0 byte-identity rides on
 #     the goldens and the schedule fingerprint's 16-shard cells);
 #   - the exact schedule fingerprint (53 cells: every binding on a deep-queue
-#     flat cell, one 16-shard cell, one open-loop cell, one 16-shard cell
-#     over a slower cross-shard spine, and every binding on one server), the
+#     flat cell, one 16-shard cell, one open-loop cell, the 16-shard cell
+#     under <Linearizable, Synchronous>, and every binding on one server), the
 #     trace-order fingerprint (each binding's sends and persists in issue
 #     order, plus the strong bindings in two hybrid groups, whose replicas
 #     apply remote lazy UPDs) and the pool's FIFO re-acquire pin: a dispatch

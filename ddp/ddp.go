@@ -254,7 +254,7 @@ func RunWithCrash(cfg Config, crashAtNs int64) (*CrashReport, error) {
 // A node outside [0, Servers), a repeated node or a negative crash time is
 // an error.
 func RunWithPartialCrash(cfg Config, crashAtNs int64, nodes []int) (*CrashReport, error) {
-	rep, err := recovery.CrashAndRecover(cfg.toCluster(), crashAtNs, nodes, recovery.NewestVote)
+	rep, err := recovery.CrashAndRecover(cfg.toCluster(), crashAtNs, nodes)
 	if err != nil {
 		return nil, err
 	}

@@ -93,11 +93,12 @@ func (c *client) window() int {
 }
 
 // transactional reports whether operations group into transactions in this
-// run.
-func (c *client) transactional() bool { return c.rt.cl.Cfg.Model.C == core.Transactional }
+// run: reads serve transactionally committed versions.
+func (c *client) transactional() bool { return c.rt.cl.rules.ServesCommitted }
 
-// scoped reports whether writes carry persist scopes in this run.
-func (c *client) scoped() bool { return c.rt.cl.Cfg.Model.P == core.Scope }
+// scoped reports whether writes carry persist scopes in this run: persists
+// wait for their scope's barrier.
+func (c *client) scoped() bool { return c.rt.cl.rules.Persist == core.PersistAtScope }
 
 // curScope returns this client's current scope id (globally unique, nonzero).
 func (c *client) curScope() uint64 {

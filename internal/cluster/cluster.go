@@ -324,6 +324,9 @@ func (ns *nodeState) logRead(rec ReadRecord) {
 // recovery package can crash it where the run stopped.
 type Cluster struct {
 	Cfg Config
+	// rules is Cfg.Model's row of protocol rules, resolved once: the
+	// clients read it to learn whether they run transactions and scopes.
+	rules core.Rules
 	// Eng is the shared engine under the sequential engine (the default);
 	// nil under the LP engine, whose per-node engines are private to the
 	// synchronizer. Direct-drive callers (timelines, tests) use the
@@ -360,13 +363,11 @@ func (cfg Config) useLP() bool {
 	return cfg.IntraParallel > 1 && !cfg.TraceProtocol && cfg.Params.Servers > 1
 }
 
-// netConfig composes the simulated-network configuration for cfg. A
-// multi-shard cluster with a distinct cross-shard round trip gets a block
-// fabric, one block per shard (rack-local replica groups over a slower
-// inter-rack spine); every other shape keeps the uniform fabric.
+// netConfig composes the simulated-network configuration for cfg: one
+// uniform fabric for every shape, sharded or not.
 func (cfg Config) netConfig() simnet.Config {
 	p := cfg.Params
-	nc := simnet.Config{
+	return simnet.Config{
 		Nodes:      p.Servers,
 		OneWayLat:  p.OneWayNet(),
 		Jitter:     p.NetJitter,
@@ -379,11 +380,6 @@ func (cfg Config) netConfig() simnet.Config {
 		// keeps the send hot path growth-free.
 		MaxKind: kindRouteBatch,
 	}
-	if cfg.Shards > 1 && p.CrossShardRT != 0 {
-		nc.BlockSize = p.Servers / cfg.Shards
-		nc.CrossLat = p.CrossShardOneWay()
-	}
-	return nc
 }
 
 // nvmConfig composes each node's NVM device configuration for cfg.
@@ -413,17 +409,21 @@ func (cfg Config) Validate() error {
 	if !m.Valid() {
 		return fmt.Errorf("cluster: Model %s is not one of the 25 DDP models", m)
 	}
-	if cfg.Params.Groups > 1 && m.C != core.Linearizable && m.C != core.ReadEnforcedC {
+	// Transactions (ServesCommitted) and scope barriers (PersistAtScope) are
+	// closed-loop session state confined to one replica group.
+	r := core.RulesOf(m)
+	txn, scoped := r.ServesCommitted, r.Persist == core.PersistAtScope
+	if cfg.Params.Groups > 1 && (!r.InvAckVal || txn) {
 		return fmt.Errorf("cluster: hybrid groups support Linearizable or Read-Enforced consistency, not %s", m.C)
 	}
 	if cfg.Arrivals != nil {
 		if err := cfg.Arrivals.Validate(); err != nil {
 			return err
 		}
-		if m.C == core.Transactional {
+		if txn {
 			return fmt.Errorf("cluster: open-loop arrivals do not support Transactional consistency (transactions are closed-loop session state)")
 		}
-		if m.P == core.Scope {
+		if scoped {
 			return fmt.Errorf("cluster: open-loop arrivals do not support Scope persistency (scope barriers are closed-loop session state)")
 		}
 		if a := cfg.Arrivals; a.HotFrac > 0 && a.HotKeys > cfg.Params.Keys {
@@ -444,10 +444,10 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("cluster: Shards must divide Servers evenly, got %d shards for %d servers", cfg.Shards, p.Servers)
 	}
 	if cfg.Shards > 1 {
-		if m.C == core.Transactional {
+		if txn {
 			return fmt.Errorf("cluster: sharded clusters do not support Transactional consistency (transactions would span shards)")
 		}
-		if m.P == core.Scope {
+		if scoped {
 			return fmt.Errorf("cluster: sharded clusters do not support Scope persistency (scope barriers would span shards)")
 		}
 		if p.Groups > 1 {
@@ -466,7 +466,7 @@ func (cfg Config) Validate() error {
 		if cfg.Shards < 1 {
 			return fmt.Errorf("cluster: ReplicaReads requires a sharded topology (Shards >= 1)")
 		}
-		if core.RulesOf(m).InvAckVal {
+		if r.InvAckVal {
 			return fmt.Errorf("cluster: ReplicaReads requires a weak visibility model (Causal or Eventual consistency); %s reads must go through the key's coordinator", m.C)
 		}
 	}
@@ -503,7 +503,7 @@ func New(cfg Config) (*Cluster, error) {
 	useLP := cfg.useLP()
 	store, _ := engines.ProfileOf(cfg.Engine) // Validate checked the name
 
-	c := &Cluster{Cfg: cfg}
+	c := &Cluster{Cfg: cfg, rules: core.RulesOf(cfg.Model)}
 	var net *simnet.Network
 	// Event storage grows with the pending set the run reaches, not with a
 	// guess made from the client count.
@@ -579,9 +579,10 @@ func New(cfg Config) (*Cluster, error) {
 			Arena:      arena,
 		}))
 	}
-	// Client routers share each node's NIC with protocol traffic: a per-node
-	// demultiplexer replaces the handler NewReplica registered, splitting on
-	// the routing kinds' dedicated range. A one-shard ring forwards nothing,
+	// Client routers share each node's NIC with protocol traffic: one
+	// demultiplexer for the whole cluster replaces the handlers NewReplica
+	// registered, picking the destination's router and splitting on the
+	// routing kinds' dedicated range. A one-shard ring forwards nothing,
 	// so no routing message ever arrives and its replicas keep their own
 	// handler, sparing every delivery the extra call (EXPERIMENTS.md, "One
 	// client-op path", measures what it costs a flat cell).
@@ -609,17 +610,19 @@ func New(cfg Config) (*Cluster, error) {
 			rt.fb = newFwdBatcher(rt, cfg.FwdBatch)
 		}
 		c.routers = append(c.routers, rt)
-		if shards == 1 {
-			continue
-		}
-		rep := c.Replicas[i]
-		net.Register(i, func(m simnet.Message) {
+	}
+	if shards > 1 {
+		demux := func(m simnet.Message) {
+			rt := c.routers[m.To]
 			if m.Kind >= kindRouteReq {
 				rt.onMessage(m)
 			} else {
-				rep.HandleNetMessage(m)
+				rt.rep.HandleNetMessage(m)
 			}
-		})
+		}
+		for i := range c.routers {
+			net.Register(i, demux)
+		}
 	}
 
 	// One key chooser for the whole cluster: it is immutable (every draw
@@ -653,8 +656,8 @@ func New(cfg Config) (*Cluster, error) {
 	// comes from one slab per node, and under Transactional consistency its
 	// three per-op transaction lists are carved from three arrays per node,
 	// at XactionSize.
-	txn := cfg.Model.C == core.Transactional
-	sessions := txn || cfg.Model.P == core.Scope
+	txn := c.rules.ServesCommitted
+	sessions := txn || c.rules.Persist == core.PersistAtScope
 	per := p.ClientsPerServer
 	c.Clients = make([]client, p.Servers*per)
 	for n, ns := range c.nodes {

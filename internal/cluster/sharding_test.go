@@ -343,10 +343,6 @@ func TestShardedConfigValidation(t *testing.T) {
 			c.Shards = 4
 			c.Params.Groups = 2
 		}},
-		{"negative cross-shard rtt", func(c *Config) {
-			c.Shards = 4
-			c.Params.CrossShardRT = -1
-		}},
 		{"lp on zero-latency fabric", func(c *Config) {
 			c.Shards = 4
 			c.IntraParallel = 2
@@ -370,40 +366,6 @@ func TestShardedConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("valid sharded config rejected: %v", err)
 	}
-}
-
-// TestCrossShardLatencyApplied asserts the block latency matrix reaches the
-// fabric: slowing only the inter-shard spine must slow forwarded traffic
-// (mean latency up) while a single-shard cluster is unaffected by the knob.
-func TestCrossShardLatencyApplied(t *testing.T) {
-	cfg := shardedConfig(core.Model{C: core.Eventual, P: core.EventualP}, 4, 3)
-	fast, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := cfg
-	slow.Params.CrossShardRT = 40_000 // 40us spine vs 1us rack
-	slowRes, err := Run(slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slowRes.Summary.MeanAll <= fast.Summary.MeanAll {
-		t.Fatalf("cross-shard RTT 40us did not raise mean latency: %.0f vs %.0f",
-			slowRes.Summary.MeanAll, fast.Summary.MeanAll)
-	}
-	// Shards=1 has no cross-shard pairs: the knob must be inert.
-	one := smallConfig(core.Model{C: core.Eventual, P: core.EventualP})
-	one.Shards = 1
-	a, err := Run(one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one.Params.CrossShardRT = 40_000
-	b, err := Run(one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equivalentResults(t, "shards=1 cross-shard knob", a, b)
 }
 
 // TestHotShardSkew asserts the imbalance instrument: a heavily skewed

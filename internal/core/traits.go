@@ -115,36 +115,22 @@ func TraitsOf(m Model) (Traits, bool) {
 	return Traits{}, false
 }
 
-// DurabilityOf derives the durability rating for any of the 25 models from
-// the paper's reasoning: it is driven by the persistency model, demoted one
-// step when the consistency model lets acknowledged writes race persists.
+// DurabilityOf returns the durability rating of any of the 25 models: the
+// paper's Table 4 rating where it rated the model, else a read of its rules
+// row. A binding that promises its acknowledged (or scope-closed) writes
+// durable is High; one whose persists are lazy, or that neither validates a
+// write on every replica nor orders its updates causally, is Low; the rest
+// are Medium.
 func DurabilityOf(m Model) Level {
 	if t, ok := TraitsOf(m); ok {
 		return t.Durability
 	}
-	switch m.P {
-	case Strict:
+	r := RulesOf(m)
+	switch {
+	case r.AckDurability == DurableAtAck, r.AckDurability == DurableAtScope:
 		return High
-	case Synchronous:
-		// High only if the write is not acknowledged before its persists
-		// (Linearizable, Transactional); otherwise Medium; Eventual
-		// consistency gives no guarantee at all.
-		switch m.C {
-		case Linearizable, Transactional:
-			return High
-		case Eventual:
-			return Low
-		default:
-			return Medium
-		}
-	case ReadEnforcedP:
-		if m.C == Eventual {
-			return Low
-		}
-		return Medium
-	case Scope:
-		return High
-	default: // EventualP
+	case r.Persist == PersistLazy, !r.InvAckVal && !r.CausalOrder:
 		return Low
 	}
+	return Medium
 }

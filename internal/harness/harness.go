@@ -5,10 +5,13 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/pprof"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -152,31 +155,42 @@ type cell struct {
 // order) is returned after in-flight cells drain.
 func runCells(parent Options, cells []cell) ([]*cluster.Result, error) {
 	cw, lw := sweep.Arbitrate(len(cells), parent.Parallel, parent.IntraParallel, runtime.GOMAXPROCS(0))
-	scells := make([]sweep.Cell, len(cells))
-	for i := range cells {
-		c := cells[i]
+	return sweep.Map(cells, cw, func(c cell) (*cluster.Result, error) {
 		cfg := c.o.config(c.m, c.w)
 		cfg.IntraParallel = lw
-		label := c.m.String()
-		if parent.Experiment != "" {
-			label += "/" + parent.Experiment
+		var r *cluster.Result
+		err := parent.runCell(c.m, func() (err error) {
+			r, err = cluster.Run(cfg)
+			return err
+		}, func(w io.Writer) { progressLine(w, c.m, c.w, r, parent.EventStats) })
+		if err != nil {
+			return nil, fmt.Errorf("%s on %s: %w", c.m, c.w.Name, err)
 		}
-		scells[i] = sweep.Cell{Config: cfg, Label: label}
-		if parent.Progress != nil {
-			scells[i].OnDone = func(r *cluster.Result) {
-				progressLine(parent.Progress, c.m, c.w, r, parent.EventStats)
-			}
-		}
+		return r, nil
+	})
+}
+
+// progressMu serializes the progress lines of concurrent cells.
+var progressMu sync.Mutex
+
+// runCell runs one cell of model m on the calling goroutine under the pprof
+// label "cell" => "<model>/<experiment>", so CPU profiles of a sweep
+// attribute samples per cell (go tool pprof -tagfocus). When run succeeds
+// and Progress is set, progress writes the cell's line to it under
+// progressMu, so the lines of concurrent cells never interleave.
+func (o Options) runCell(m core.Model, run func() error, progress func(io.Writer)) error {
+	label := m.String()
+	if o.Experiment != "" {
+		label += "/" + o.Experiment
 	}
-	rs := sweep.Run(scells, cw)
-	out := make([]*cluster.Result, len(rs))
-	for i := range rs {
-		if rs[i].Err != nil {
-			return nil, fmt.Errorf("%s on %s: %w", cells[i].m, cells[i].w.Name, rs[i].Err)
-		}
-		out[i] = rs[i].Res
+	var err error
+	pprof.Do(context.Background(), pprof.Labels("cell", label), func(context.Context) { err = run() })
+	if err == nil && o.Progress != nil && progress != nil {
+		progressMu.Lock()
+		progress(o.Progress)
+		progressMu.Unlock()
 	}
-	return out, nil
+	return err
 }
 
 // header prints an experiment banner.

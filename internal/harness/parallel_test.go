@@ -2,7 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"runtime"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestFigure6ParallelMatchesSequential is the tentpole's correctness
@@ -35,24 +39,45 @@ func TestFigure6ParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestProgressLinesCompleteUnderParallelism checks that concurrent cells
-// produce exactly one whole progress line each (the sweep scheduler
-// serializes OnDone callbacks).
+// TestProgressLinesCompleteUnderParallelism checks that 25 cells on 12
+// workers produce exactly one whole progress line each, and that no two
+// cells write to Progress at once (runCell serializes the lines; under
+// -race an unserialized write to the shared buffer is also a reported race).
+// sweep.Arbitrate caps cell workers at GOMAXPROCS, so the test raises it to
+// 12 for its duration.
 func TestProgressLinesCompleteUnderParallelism(t *testing.T) {
-	var buf bytes.Buffer
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(12))
+	w := &exclusiveWriter{t: t}
 	o := DefaultOptions().Quick()
-	o.Parallel = 8
-	o.Progress = &buf
-	if _, err := Table1(o); err != nil {
+	o.Parallel = 12
+	o.Progress = w
+	if _, err := Figure6(o); err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.Split(bytes.TrimRight(buf.Bytes(), "\n"), []byte("\n"))
-	if len(lines) != 3 {
-		t.Fatalf("progress lines = %d, want 3:\n%s", len(lines), buf.String())
+	lines := bytes.Split(bytes.TrimRight(w.buf.Bytes(), "\n"), []byte("\n"))
+	if len(lines) != len(core.AllModels()) {
+		t.Fatalf("progress lines = %d, want %d:\n%s", len(lines), len(core.AllModels()), w.buf.String())
 	}
 	for _, l := range lines {
 		if !bytes.HasPrefix(l, []byte("  ran ")) || !bytes.Contains(l, []byte("Mops/s")) {
 			t.Fatalf("malformed progress line %q", l)
 		}
 	}
+}
+
+// exclusiveWriter fails the test when two Writes overlap.
+type exclusiveWriter struct {
+	t    *testing.T
+	busy atomic.Int32
+	buf  bytes.Buffer
+}
+
+func (w *exclusiveWriter) Write(p []byte) (int, error) {
+	if w.busy.Add(1) != 1 {
+		w.t.Error("two cells wrote progress lines at once")
+	}
+	runtime.Gosched() // widen the window an unserialized writer would race in
+	n, err := w.buf.Write(p)
+	w.busy.Add(-1)
+	return n, err
 }

@@ -75,7 +75,11 @@ func Table4(o Options) (*Table4Result, error) {
 func crashCells[R any](o Options, models []core.Model, row func(core.Model, *recovery.CrashReport) R) ([]R, error) {
 	crashAt := o.WarmupNs + o.MeasureNs/2
 	return sweep.Map(models, o.workers(), func(m core.Model) (R, error) {
-		rep, err := recovery.CrashAndRecover(o.config(m, ycsb.WorkloadA), crashAt, nil, recovery.NewestVote)
+		var rep *recovery.CrashReport
+		err := o.runCell(m, func() (err error) {
+			rep, err = recovery.CrashAndRecover(o.config(m, ycsb.WorkloadA), crashAt, nil)
+			return err
+		}, nil)
 		if err != nil {
 			var zero R
 			return zero, err

@@ -23,9 +23,6 @@ type Hierarchy struct {
 	l1Hit  float64
 	l2Hit  float64
 	llcHit float64
-
-	accesses  uint64
-	ddioFills uint64
 }
 
 // New creates a hierarchy model with the given parameters and an RNG used to
@@ -42,7 +39,6 @@ func New(p params.Params, rng *sim.RNG) *Hierarchy {
 
 // ReadLatency returns the simulated cost of one demand load of a key's value.
 func (h *Hierarchy) ReadLatency() int64 {
-	h.accesses++
 	r := h.rng.Float64()
 	switch {
 	case r < h.l1Hit:
@@ -60,7 +56,6 @@ func (h *Hierarchy) ReadLatency() int64 {
 // complete into the cache hierarchy; we charge the LLC round trip, matching
 // the paper's "update local cache" step.
 func (h *Hierarchy) WriteLatency() int64 {
-	h.accesses++
 	return h.p.LLCLatency
 }
 
@@ -68,13 +63,5 @@ func (h *Hierarchy) WriteLatency() int64 {
 // directly into the LLC's DDIO slice (Intel Data Direct I/O). It is an LLC
 // write from the device's point of view.
 func (h *Hierarchy) DDIOFillLatency() int64 {
-	h.accesses++
-	h.ddioFills++
 	return h.p.LLCLatency
 }
-
-// Accesses returns the number of modeled accesses so far.
-func (h *Hierarchy) Accesses() uint64 { return h.accesses }
-
-// DDIOFills returns the number of NIC-direct cache fills so far.
-func (h *Hierarchy) DDIOFills() uint64 { return h.ddioFills }

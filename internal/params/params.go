@@ -42,13 +42,6 @@ type Params struct {
 	QueuePairs    int   // max concurrently scheduled messages per NIC (400)
 	MsgHeaderSize int   // bytes of header per protocol message
 
-	// CrossShardRT is the NIC-to-NIC round trip between nodes of different
-	// shards in a sharded cluster (cluster.Config.Shards > 1), modeling
-	// rack-local replica groups over a slower inter-rack spine. 0 (the
-	// default) uses NetRoundTrip for every pair. Ignored when the cluster is
-	// not sharded.
-	CrossShardRT int64
-
 	// Request processing costs (the Pin-trace substitution): simulated CPU
 	// time a worker spends on each activity, in ns.
 	RequestCompute int64 // coordinator-side work to process a client read/write
@@ -130,15 +123,6 @@ func (p Params) Clients() int { return p.Servers * p.ClientsPerServer }
 // OneWayNet returns the one-way NIC-to-NIC propagation delay.
 func (p Params) OneWayNet() int64 { return p.NetRoundTrip / 2 }
 
-// CrossShardOneWay returns the one-way propagation delay between nodes of
-// different shards — OneWayNet when CrossShardRT is unset.
-func (p Params) CrossShardOneWay() int64 {
-	if p.CrossShardRT == 0 {
-		return p.OneWayNet()
-	}
-	return p.CrossShardRT / 2
-}
-
 // Validate reports the first configuration error, if any.
 func (p Params) Validate() error {
 	switch {
@@ -158,8 +142,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("params: NVM geometry must be >= 1 channel and bank, got %dx%d", p.NVMChannels, p.NVMBanks)
 	case p.NetRoundTrip < 0:
 		return fmt.Errorf("params: NetRoundTrip must be >= 0, got %d", p.NetRoundTrip)
-	case p.CrossShardRT < 0:
-		return fmt.Errorf("params: CrossShardRT must be >= 0, got %d", p.CrossShardRT)
 	case p.NetBandwidth <= 0:
 		return fmt.Errorf("params: NetBandwidth must be > 0, got %d", p.NetBandwidth)
 	case p.ZipfTheta < 0 || p.ZipfTheta >= 1:

@@ -11,10 +11,10 @@ import (
 )
 
 // TestProtocolReadsOnlyTheRulesRow keeps the binding's core.Rules row the
-// only place a replica learns what its binding does: no non-test file of this
-// package may name a core.Consistency or core.Persistency constant. The
-// constants are read off internal/core/model.go, so a model added there is
-// covered too.
+// only place a replica or the cluster around it learns what its binding
+// does: no non-test file of this package or of internal/cluster may name a
+// core.Consistency or core.Persistency constant. The constants are read off
+// internal/core/model.go, so a model added there is covered too.
 func TestProtocolReadsOnlyTheRulesRow(t *testing.T) {
 	fset := token.NewFileSet()
 	model, err := parser.ParseFile(fset, filepath.Join("..", "core", "model.go"), nil, 0)
@@ -41,28 +41,30 @@ func TestProtocolReadsOnlyTheRulesRow(t *testing.T) {
 		t.Fatalf("found %d consistency and persistency constants in core/model.go, want 10", len(banned))
 	}
 
-	files, err := os.ReadDir(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range files {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, 0)
+	for _, dir := range []string{".", filepath.Join("..", "cluster")} {
+		files, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
+		for _, e := range files {
+			name := e.Name()
+			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "core" && banned[sel.Sel.Name] {
+					t.Errorf("%s: core.%s: branch on a core.Rules field instead", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
 				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "core" && banned[sel.Sel.Name] {
-				t.Errorf("%s: core.%s: branch on a core.Rules field instead", fset.Position(sel.Pos()), sel.Sel.Name)
-			}
-			return true
-		})
+			})
+		}
 	}
 }

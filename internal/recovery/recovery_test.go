@@ -28,7 +28,7 @@ func crashConfig(m core.Model) cluster.Config {
 
 func mustCrash(t *testing.T, m core.Model) *CrashReport {
 	t.Helper()
-	rep, err := CrashAndRecover(crashConfig(m), 1_500_000, nil, NewestVote)
+	rep, err := CrashAndRecover(crashConfig(m), 1_500_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRelaxedModelsLoseAckedWrites(t *testing.T) {
 		lost := 0
 		staleVerdicts := 0
 		for _, at := range []int64{1_100_000, 1_400_000, 1_700_000, 2_000_000} {
-			rep, err := CrashAndRecover(crashConfig(m), at, nil, NewestVote)
+			rep, err := CrashAndRecover(crashConfig(m), at, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,25 +149,6 @@ func TestLinearizableHoldsLiveMonotonic(t *testing.T) {
 	}
 }
 
-func TestMajorityVoteWeakerThanNewest(t *testing.T) {
-	cfg := crashConfig(core.Model{C: core.Causal, P: core.EventualP})
-	newest, err := CrashAndRecover(cfg, 1_500_000, nil, NewestVote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	majority, err := CrashAndRecover(cfg, 1_500_000, nil, MajorityVote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if majority.Audit.LostAcked < newest.Audit.LostAcked {
-		t.Fatalf("majority vote (%d lost) cannot beat newest vote (%d lost)",
-			majority.Audit.LostAcked, newest.Audit.LostAcked)
-	}
-	if majority.Recovered.Keys() > newest.Recovered.Keys() {
-		t.Fatal("majority vote recovered more keys than newest vote")
-	}
-}
-
 // TestCrashWipesVolatileOnly crashes node 0 of three: every key's visible
 // version there reads 0 and its persisted version is unchanged, and the
 // survivors' visible and persisted versions are untouched.
@@ -232,12 +213,6 @@ func TestRecoveredStateVersionsAreRealStamps(t *testing.T) {
 	}
 }
 
-func TestModeStrings(t *testing.T) {
-	if NewestVote.String() != "newest-vote" || MajorityVote.String() != "majority-vote" {
-		t.Fatal("mode strings wrong")
-	}
-}
-
 func TestMonotonicReportRates(t *testing.T) {
 	var empty MonotonicReport
 	if empty.ViolationRate() != 0 || !empty.Holds() {
@@ -254,7 +229,7 @@ func TestMonotonicReportRates(t *testing.T) {
 // even under lazy persistency, while a full-cluster failure is not.
 func TestPartialCrashMaskedByReplicas(t *testing.T) {
 	cfg := crashConfig(core.Model{C: core.Linearizable, P: core.EventualP})
-	part, err := CrashAndRecover(cfg, 1_500_000, []int{0}, NewestVote)
+	part, err := CrashAndRecover(cfg, 1_500_000, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +241,7 @@ func TestPartialCrashMaskedByReplicas(t *testing.T) {
 			part.Audit.LostAcked)
 	}
 
-	full, err := CrashAndRecover(cfg, 1_500_000, nil, NewestVote)
+	full, err := CrashAndRecover(cfg, 1_500_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +258,11 @@ func TestPartialCrashMinorityUnderWeakModels(t *testing.T) {
 	// the coordinator before lazy propagation CAN lose writes — assert the
 	// loss is at most what the full crash loses.
 	cfg := crashConfig(core.Model{C: core.Eventual, P: core.EventualP})
-	part, err := CrashAndRecover(cfg, 1_500_000, []int{1}, NewestVote)
+	part, err := CrashAndRecover(cfg, 1_500_000, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := CrashAndRecover(cfg, 1_500_000, nil, NewestVote)
+	full, err := CrashAndRecover(cfg, 1_500_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,25 +284,23 @@ func sansHost(rep *CrashReport) CrashReport {
 }
 
 // TestPartialCrashAllNodesEqualsFullCrash: a full crash is a partial crash
-// of every node, under both voting modes — nil and the explicit all-nodes
-// list give equal whole reports.
+// of every node — nil and the explicit all-nodes list give equal whole
+// reports.
 func TestPartialCrashAllNodesEqualsFullCrash(t *testing.T) {
 	cfg := crashConfig(core.Model{C: core.Causal, P: core.EventualP})
-	for _, mode := range []Mode{NewestVote, MajorityVote} {
-		part, err := CrashAndRecover(cfg, 1_500_000, []int{0, 1, 2}, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := CrashAndRecover(cfg, 1_500_000, nil, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.Audit.LostAcked == 0 {
-			t.Fatalf("%s: the full crash lost nothing; the comparison is vacuous", mode)
-		}
-		if a, b := sansHost(part), sansHost(full); !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: all-node crash %+v\nfull crash %+v", mode, a, b)
-		}
+	part, err := CrashAndRecover(cfg, 1_500_000, []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := CrashAndRecover(cfg, 1_500_000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Audit.LostAcked == 0 {
+		t.Fatal("the full crash lost nothing; the comparison is vacuous")
+	}
+	if a, b := sansHost(part), sansHost(full); !reflect.DeepEqual(a, b) {
+		t.Fatalf("all-node crash %+v\nfull crash %+v", a, b)
 	}
 }
 
@@ -343,7 +316,7 @@ func TestCrashAndRecoverRejectsBadInputs(t *testing.T) {
 		{1_000_000, []int{0, 2, 0}, "node 0 listed twice"},
 		{-5, nil, "crash time must be >= 0"},
 	} {
-		rep, err := CrashAndRecover(cfg, tc.at, tc.nodes, NewestVote)
+		rep, err := CrashAndRecover(cfg, tc.at, tc.nodes)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("CrashAndRecover(at=%d, nodes=%v) = %v, %v; want error containing %q",
 				tc.at, tc.nodes, rep, err, tc.want)

@@ -57,20 +57,7 @@ func TimeRecovery(m core.Model, p params.Params, keys int) RecoveryTiming {
 // TimeRecoveryOf measures a crashed cluster's actual recovered-key count
 // and returns its modeled recovery time.
 func TimeRecoveryOf(c *cluster.Cluster, rec *RecoveredState) RecoveryTiming {
-	keys := rec.Keys()
-	if keys == 0 {
-		// Fall back to image sizes (recovery still scans them).
-		for _, r := range c.Replicas {
-			n := 0
-			r.Versions(func(_ uint64, _, persisted protocol.Stamp) {
-				if persisted != 0 {
-					n++
-				}
-			})
-			keys = max(keys, n)
-		}
-	}
-	return TimeRecovery(c.Cfg.Model, c.Cfg.Params, keys)
+	return TimeRecovery(c.Cfg.Model, c.Cfg.Params, rec.Keys())
 }
 
 // imageDivergence counts keys whose persisted stamp differs across nodes —

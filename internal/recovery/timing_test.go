@@ -65,7 +65,7 @@ func TestImageDivergenceAndTimedRecovery(t *testing.T) {
 	c.Start()
 	c.Eng.Run(1_500_000)
 	Crash(c, nil)
-	rec := Recover(c, NewestVote)
+	rec := Recover(c)
 	timing := TimeRecoveryOf(c, rec)
 	if timing.TotalNs <= 0 {
 		t.Fatalf("non-positive recovery time: %+v", timing)

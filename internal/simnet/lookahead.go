@@ -11,8 +11,9 @@ import "fmt"
 //	arrive = txDone + lat + jitter (+ FIFO clamp)
 //
 // where txDone >= sentAt + serialization >= sentAt + 1 (serialization is
-// floored at 1 ns), lat >= MinCrossLat (the smallest cross-pair one-way
-// latency), and jitter and the pair-FIFO clamp only ever add delay. So
+// floored at 1 ns), lat = MinCrossLat (the fabric's one-way latency, the
+// same for every pair), and jitter and the pair-FIFO clamp only ever add
+// delay. So
 //
 //	arrive >= sentAt + 1 + MinCrossLat = sentAt + Lookahead()
 //
@@ -23,21 +24,13 @@ import "fmt"
 // whose jitter could make a link *faster* than OneWayLat would need
 // MinCrossLat reduced by that bound instead.
 
-// MinCrossLat returns the smallest one-way propagation latency over all
-// cross-node (src != dst) pairs: OneWayLat when some pair shares a block (or
-// the fabric is uniform), CrossLat when some pair spans two, the smaller of
-// the two when both kinds exist. Returns 0 when no cross pair exists
-// (Nodes < 2).
+// MinCrossLat returns the one-way propagation latency of a cross-node
+// (src != dst) pair: OneWayLat, or 0 when no cross pair exists (Nodes < 2).
 func (cfg Config) MinCrossLat() int64 {
-	switch {
-	case cfg.Nodes < 2:
+	if cfg.Nodes < 2 {
 		return 0
-	case cfg.BlockSize == 0 || cfg.Nodes <= cfg.BlockSize:
-		return cfg.OneWayLat // one block holds every pair
-	case cfg.BlockSize == 1:
-		return cfg.CrossLat // every pair spans two blocks
 	}
-	return min(cfg.OneWayLat, cfg.CrossLat)
+	return cfg.OneWayLat
 }
 
 // Lookahead returns the safe epoch width for LP execution: the minimum

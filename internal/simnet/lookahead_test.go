@@ -30,59 +30,17 @@ func TestLookaheadIgnoresJitter(t *testing.T) {
 	}
 }
 
-// TestLookaheadHeterogeneousPairLat: on a block fabric the bound comes from
-// the faster of the two pair kinds that exist — intra-block pairs at
-// OneWayLat, cross-block pairs at CrossLat — and a kind with no pair (one
-// block holding every node, or single-node blocks) must not participate.
-func TestLookaheadHeterogeneousPairLat(t *testing.T) {
-	for _, tc := range []struct {
-		name              string
-		nodes, block      int
-		intra, cross, min int64
-	}{
-		{"slow spine", 6, 3, 300, 1200, 300},
-		{"fast spine", 6, 3, 900, 300, 300},
-		{"partial last block", 5, 3, 700, 400, 400},
-		{"one block", 3, 3, 300, 100, 300},
-		{"one block, oversized", 3, 8, 300, 100, 300},
-		{"single-node blocks", 3, 1, 300, 700, 700},
-	} {
-		cfg := netCfg(tc.nodes)
-		cfg.OneWayLat, cfg.BlockSize, cfg.CrossLat = tc.intra, tc.block, tc.cross
-		if got := cfg.MinCrossLat(); got != tc.min {
-			t.Errorf("%s: MinCrossLat = %d, want %d", tc.name, got, tc.min)
-		}
-		if got := cfg.Lookahead(); got != tc.min+1 {
-			t.Errorf("%s: Lookahead = %d, want %d", tc.name, got, tc.min+1)
-		}
-		// The closed form must agree with the minimum over every cross pair.
-		scan := int64(-1)
-		for i := 0; i < cfg.Nodes; i++ {
-			for j := 0; j < cfg.Nodes; j++ {
-				if l := cfg.latFor(i, j); i != j && (scan < 0 || l < scan) {
-					scan = l
-				}
-			}
-		}
-		if scan != tc.min {
-			t.Errorf("%s: pair scan minimum %d, want %d", tc.name, scan, tc.min)
-		}
-	}
-}
-
 // TestLookaheadSafetyProperty is the load-bearing property behind epoch
 // synchronization: every cross-node send arrives at least Lookahead() after
-// it was sent, under jitter, queue-pair backpressure, bursts, and a
-// two-tier block fabric all at once. The LP engine's correctness
-// rests on this inequality, so it is asserted for every single delivery.
+// it was sent, under jitter, queue-pair backpressure and bursts all at once.
+// The LP engine's correctness rests on this inequality, so it is asserted
+// for every single delivery.
 func TestLookaheadSafetyProperty(t *testing.T) {
 	cfg := netCfg(4)
 	cfg.Jitter = 750
 	cfg.QueuePairs = 2
 	cfg.Seed = 42
-	cfg.OneWayLat = 350 // pairs {0,1} and {2,3}
-	cfg.BlockSize = 2
-	cfg.CrossLat = 900
+	cfg.OneWayLat = 350
 	look := cfg.Lookahead()
 	if look != 351 {
 		t.Fatalf("Lookahead = %d, want 351", look)
@@ -139,13 +97,6 @@ func TestValidateLPRejections(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "sequential") {
 		t.Fatalf("error should point at the sequential engine, got: %v", err)
-	}
-
-	// A block fabric with a zero-latency spine also admits no lookahead.
-	spine := netCfg(4)
-	spine.BlockSize = 2
-	if err := spine.ValidateLP(); err == nil {
-		t.Fatal("ValidateLP accepted a block fabric with a zero cross-block latency")
 	}
 
 	// Invalid base fields surface through ValidateLP too.

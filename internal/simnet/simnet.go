@@ -49,15 +49,8 @@ type Message struct {
 
 // Config describes the fabric.
 type Config struct {
-	Nodes     int
-	OneWayLat int64 // ns propagation NIC-to-NIC
-	// BlockSize > 0 groups the nodes into contiguous blocks of BlockSize IDs
-	// (rack-local replica groups over a slower inter-rack spine): pairs
-	// inside a block propagate in OneWayLat, pairs spanning two blocks in
-	// CrossLat. 0 (the default) is the uniform fabric, where CrossLat must
-	// stay 0.
-	BlockSize  int
-	CrossLat   int64 // ns propagation between blocks (BlockSize > 0 only)
+	Nodes      int
+	OneWayLat  int64 // ns propagation NIC-to-NIC, the same for every pair
 	Jitter     int64 // max extra one-way delay, ns (uniform; 0 = none)
 	Bandwidth  int64 // bits/s per NIC (each direction)
 	QueuePairs int   // max in-flight sends per NIC; extra sends queue
@@ -97,22 +90,8 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("simnet: QueuePairs must be >= 0, got %d", cfg.QueuePairs)
 	case cfg.MaxKind < 0:
 		return fmt.Errorf("simnet: MaxKind must be >= 0, got %d", cfg.MaxKind)
-	case cfg.BlockSize < 0:
-		return fmt.Errorf("simnet: BlockSize must be >= 0, got %d", cfg.BlockSize)
-	case cfg.CrossLat < 0:
-		return fmt.Errorf("simnet: CrossLat must be >= 0 ns, got %d", cfg.CrossLat)
-	case cfg.CrossLat != 0 && cfg.BlockSize == 0:
-		return fmt.Errorf("simnet: CrossLat only applies with BlockSize > 0")
 	}
 	return nil
-}
-
-// latFor returns the one-way propagation latency from src to dst.
-func (cfg Config) latFor(src, dst int) int64 {
-	if cfg.BlockSize > 0 && src/cfg.BlockSize != dst/cfg.BlockSize {
-		return cfg.CrossLat
-	}
-	return cfg.OneWayLat
 }
 
 // Per-(src,dst) FIFO is guaranteed even with jitter: an early jittered
@@ -412,7 +391,7 @@ func (n *Network) prepSend(msg *Message, eng *sim.Engine) (ser, arrive int64) {
 
 	var lat int64
 	if msg.To != msg.From {
-		lat = n.cfg.latFor(msg.From, msg.To)
+		lat = n.cfg.OneWayLat
 		if n.cfg.Jitter > 0 {
 			lat += jitterFor(n.cfg.Seed, uint64(msg.From*N+msg.To), tx.seq, n.cfg.Jitter)
 		}

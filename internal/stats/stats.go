@@ -154,23 +154,6 @@ func (h *Histogram) String() string {
 		h.n, h.Mean(), h.Percentile(50), h.Percentile(95), h.Percentile(99), h.max)
 }
 
-// Counter is a named monotonically increasing counter.
-type Counter struct {
-	v uint64
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.v = 0 }
-
 // Throughput converts an operation count over a simulated window to
 // operations per second. A non-positive window returns 0.
 func Throughput(ops uint64, windowNs int64) float64 {
@@ -178,20 +161,6 @@ func Throughput(ops uint64, windowNs int64) float64 {
 		return 0
 	}
 	return float64(ops) / (float64(windowNs) / 1e9)
-}
-
-// Normalize divides every value by base, returning 0s if base is 0.
-// It is used to produce the paper's "normalized to <Linearizable,
-// Synchronous>" plots.
-func Normalize(values []float64, base float64) []float64 {
-	out := make([]float64, len(values))
-	if base == 0 {
-		return out
-	}
-	for i, v := range values {
-		out[i] = v / base
-	}
-	return out
 }
 
 // Summary bundles the metrics reported per experiment cell.

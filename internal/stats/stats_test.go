@@ -202,19 +202,6 @@ func TestHistogramMeanBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestThroughput(t *testing.T) {
 	if got := Throughput(1000, 1e9); got != 1000 {
 		t.Fatalf("throughput = %g, want 1000", got)
@@ -224,20 +211,6 @@ func TestThroughput(t *testing.T) {
 	}
 	if got := Throughput(500, 5e8); got != 1000 {
 		t.Fatalf("half-second window = %g, want 1000", got)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4, 6}, 2)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("normalize = %v, want %v", out, want)
-		}
-	}
-	zero := Normalize([]float64{1, 2}, 0)
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Fatal("normalize by zero should yield zeros")
 	}
 }
 

@@ -205,9 +205,6 @@ type Generator struct {
 	w   *Workload
 	kc  KeyChooser
 	rng sim.RNG
-
-	reads  uint64
-	writes uint64
 }
 
 // NewGenerator builds a per-client generator drawing from a copy of rng's
@@ -228,27 +225,20 @@ func MakeGenerator(w *Workload, kc KeyChooser, rng sim.RNG) Generator {
 // Next returns the next operation.
 func (g *Generator) Next() Op {
 	if g.rng.Float64() < g.w.ReadRatio {
-		g.reads++
 		return Op{Kind: OpRead, Key: g.kc.Next(&g.rng)}
 	}
 	// Non-read remainder: scan, read-modify-write, or plain write.
 	r := g.rng.Float64()
 	switch {
 	case g.w.ScanRatio > 0 && r < g.w.ScanRatio:
-		g.reads++
 		maxLen := g.w.MaxScanLen
 		if maxLen < 1 {
 			maxLen = 100
 		}
 		return Op{Kind: OpScan, Key: g.kc.Next(&g.rng), ScanLen: 1 + g.rng.Intn(maxLen)}
 	case g.w.RMWRatio > 0 && r < g.w.ScanRatio+g.w.RMWRatio:
-		g.writes++
 		return Op{Kind: OpRMW, Key: g.kc.Next(&g.rng)}
 	default:
-		g.writes++
 		return Op{Kind: OpWrite, Key: g.kc.Next(&g.rng)}
 	}
 }
-
-// Counts returns how many reads and writes were generated.
-func (g *Generator) Counts() (reads, writes uint64) { return g.reads, g.writes }

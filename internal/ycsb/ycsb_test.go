@@ -119,10 +119,15 @@ func TestGeneratorMixMatchesWorkload(t *testing.T) {
 	for _, w := range []Workload{WorkloadA, WorkloadB, WorkloadC, WorkloadW} {
 		g := NewGenerator(w, Uniform{N: 100}, sim.NewRNG(5))
 		const n = 50000
+		reads, writes := 0, 0
 		for i := 0; i < n; i++ {
-			g.Next()
+			switch g.Next().Kind {
+			case OpRead, OpScan:
+				reads++
+			case OpWrite, OpRMW:
+				writes++
+			}
 		}
-		reads, writes := g.Counts()
 		if reads+writes != n {
 			t.Fatalf("%s: counts do not sum: %d+%d", w.Name, reads, writes)
 		}
