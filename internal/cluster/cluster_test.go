@@ -234,6 +234,24 @@ func TestConfigValidateRunWindowAndWorkload(t *testing.T) {
 	}
 }
 
+// TestHybridGroupsOnlyLinearizableOrReadEnforced pins Validate's hybrid-group
+// rule for all 25 bindings: consistency groups run under Linearizable or
+// Read-Enforced consistency only, so every Transactional, Causal and
+// Eventual binding is refused with its consistency model named.
+func TestHybridGroupsOnlyLinearizableOrReadEnforced(t *testing.T) {
+	for _, m := range core.AllModels() {
+		cfg := smallConfig(m)
+		cfg.Params.Servers, cfg.Params.Groups = 4, 2
+		err := cfg.Validate()
+		if ok := m.C == core.Linearizable || m.C == core.ReadEnforcedC; ok != (err == nil) {
+			t.Errorf("%s in two groups: Validate = %v, want accepted %v", m, err, ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "hybrid groups support Linearizable or Read-Enforced consistency, not "+m.C.String()) {
+			t.Errorf("%s in two groups: error %q does not name the consistency model", m, err)
+		}
+	}
+}
+
 func TestWorkloadMixAffectsCounts(t *testing.T) {
 	cfg := smallConfig(core.Model{C: core.Causal, P: core.EventualP})
 	cfg.Workload = ycsb.WorkloadB
