@@ -39,10 +39,10 @@ fmt:
 #     reuse and FIFOs, sim.FreeList's LIFO reuse, one allocation per chunk
 #     and allocation-free Gets after Reserve), and the per-field errors for
 #     the composed NVM device config and negative simulated costs;
-#   - the LP engine against the sequential one and the 5x5 golden under 4 LP
-#     workers, under the race detector again by name: the receivers of a
-#     broadcast read one payload box on different goroutines until each
-#     handler returns;
+#   - the LP engine against the sequential one and the 5x5 and crash goldens
+#     under 4 LP workers, under the race detector again by name: the
+#     receivers of a broadcast read one payload box on different goroutines
+#     until each handler returns;
 #   - the barrier-arrival differential: both engines schedule cross-node
 #     arrivals with AtArrival, the sequential one at send time and the LP one
 #     at epoch barriers, and the (src, seq) key alone fixes their order;
@@ -111,7 +111,7 @@ check: vet fmt
 	$(GO) test ./internal/cluster/ -run 'TestCellAllocsPerOp|TestConstructionObjectsPerClient|TestRoutedClientZeroAlloc|TestOpenLoopSessionPoolZeroAlloc|TestFwdBatchZeroAlloc'
 	$(GO) test ./internal/sim/ ./internal/params/ ./internal/cluster/ -run '^(TestSlabRecyclesAndZeroes|TestSlabFIFO|TestCarveListsDoNotOverlap|TestFreeListReuse|TestFreeListAllocs|TestValidateCatchesBadValues|TestConfigValidation)$$'
 	$(GO) test -race ./internal/cluster/ -run 'TestLPMatchesSequentialDifferential|TestLPWorkerCountInvariance'
-	$(GO) test -race ./internal/harness/ -run 'TestGolden5x5ByteIdentical/IntraParallel=4'
+	$(GO) test -race ./internal/harness/ -run 'TestGolden5x5ByteIdentical/IntraParallel=4|TestGoldenCrashByteIdentical/IntraParallel=4'
 	$(GO) test -race ./internal/sim/ -run TestBarrierArrivalsMatchSendTime
 	$(GO) test -race ./internal/cluster/ -run 'TestNICFastPathDifferential|TestNICFastPathEventReduction'
 	$(GO) test -race ./internal/cluster/ -run 'TestFlatRoutingReport|TestSharded'

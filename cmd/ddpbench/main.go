@@ -22,9 +22,10 @@
 // (events/sim-second, peak queue depth, timing-wheel occupancy) on stderr
 // alongside the normal progress lines — including the hops the NIC fast path
 // elided — plus logical-process synchronizer counters (epochs, cross-LP mail)
-// when -lps engages the parallel intra-cell engine. -parallel and -lps share
-// the core budget (cells x LP workers never exceeds GOMAXPROCS); neither
-// changes any reported number.
+// when -lps engages the parallel intra-cell engine. -parallel N runs N cells
+// at once and -lps N runs N LP workers inside each cell, both as given (0 and
+// 1 select the sequential engine, as in cluster.Config); neither changes any
+// reported number.
 package main
 
 import (
@@ -63,7 +64,7 @@ func main() {
 	engine := flag.String("engine", "", "kv engine cost profile: "+strings.Join(engines.Names(), ", ")+" (default hashtable)")
 	csvOut := flag.Bool("csv", false, "emit tidy CSV instead of text ("+strings.Join(csvNames, ", ")+")")
 	parallel := flag.Int("parallel", 0, "experiment cells to run concurrently (0 = all cores, 1 = sequential; never changes results)")
-	lps := flag.Int("lps", 1, "logical-process workers inside each cell (1 = sequential engine, 0 = auto-split cores with -parallel, N = N workers; never changes results)")
+	lps := flag.Int("lps", 1, "logical-process workers inside each cell (0 or 1 = sequential engine, N >= 2 = N workers; never changes results)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an exact allocation profile (every object sampled; after the run) to this file")
 	eventstats := flag.Bool("eventstats", false, "print per-cell event-scheduler stats on stderr")

@@ -44,7 +44,7 @@ func Ablations(o Options) (*AblationResult, error) {
 		cells = append(cells, cell{o, m, ycsb.WorkloadA},
 			cell{serial, m, ycsb.WorkloadA}, cell{nocoal, m, ycsb.WorkloadA})
 	}
-	rs, err := runCells(o, cells)
+	rs, err := runCells(o, cells, measured)
 	if err != nil {
 		return nil, err
 	}
@@ -105,13 +105,13 @@ func RecoveryTimes(o Options) (*RecoveryResult, error) {
 		{C: core.Causal, P: core.EventualP},
 		{C: core.Eventual, P: core.EventualP},
 	}
-	rows, err := crashCells(o, models, func(m core.Model, rep *recovery.CrashReport) RecoveryRow {
+	rows, err := runCells(o, onWorkloadA(o, models), crashed(func(m core.Model, rep *recovery.CrashReport) RecoveryRow {
 		return RecoveryRow{
 			Model:         m,
 			Timing:        recovery.TimeRecoveryOf(rep.Cluster, rep.Recovered),
 			DivergentKeys: recovery.ImageDivergence(rep.Cluster),
 		}
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}

@@ -110,11 +110,7 @@ type CapacityResult struct {
 // storm damage is measured below raw overload.
 func Capacity(o Options) (*CapacityResult, error) {
 	models := capacityModels()
-	base := make([]cell, len(models))
-	for i, m := range models {
-		base[i] = cell{o, m, ycsb.WorkloadA}
-	}
-	baseRes, err := runCells(o, base)
+	baseRes, err := runCells(o, onWorkloadA(o, models), measured)
 	if err != nil {
 		return nil, fmt.Errorf("capacity baselines: %w", err)
 	}
@@ -138,7 +134,7 @@ func Capacity(o Options) (*CapacityResult, error) {
 			open = append(open, cell{oo, m, ycsb.WorkloadA})
 		}
 	}
-	openRes, err := runCells(o, open)
+	openRes, err := runCells(o, open, measured)
 	if err != nil {
 		return nil, fmt.Errorf("capacity sweep: %w", err)
 	}
@@ -177,7 +173,7 @@ func Capacity(o Options) (*CapacityResult, error) {
 		}
 		storms[i] = cell{oo, c.Model, ycsb.WorkloadA}
 	}
-	stormRes, err := runCells(o, storms)
+	stormRes, err := runCells(o, storms, measured)
 	if err != nil {
 		return nil, fmt.Errorf("capacity storms: %w", err)
 	}

@@ -37,14 +37,14 @@ func Checker(o Options) (*CheckerResult, error) {
 	}
 	// The checked history is the crash cell's: the run up to the crash
 	// instant, which is all a checker reads.
-	rows, err := crashCells(o, models, func(m core.Model, rep *recovery.CrashReport) CheckerRow {
+	rows, err := runCells(o, onWorkloadA(o, models), crashed(func(m core.Model, rep *recovery.CrashReport) CheckerRow {
 		lin := recovery.CheckLinearizable(rep.Result)
 		rate := 0.0
 		if lin.ReadsChecked > 0 {
 			rate = float64(lin.StaleReadViolations) / float64(lin.ReadsChecked)
 		}
 		return CheckerRow{Model: m, Linear: lin, StaleRate: rate}
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}

@@ -157,8 +157,8 @@ func (r *ScalingResult) WriteCSV(w io.Writer) error {
 			strconv.FormatFloat(s.Throughput, 'g', -1, 64),
 			strconv.FormatInt(s.P95Read, 10), strconv.FormatInt(s.P95Write, 10),
 			strconv.FormatFloat(ratio(float64(res.Routed), float64(total)), 'g', -1, 64),
-			strconv.FormatFloat(shardImbalance(res), 'g', -1, 64),
-			strconv.FormatFloat(nodeImbalance(res), 'g', -1, 64),
+			strconv.FormatFloat(imbalance(res.ShardOps), 'g', -1, 64),
+			strconv.FormatFloat(imbalance(res.NodeOps), 'g', -1, 64),
 			strconv.FormatFloat(groupImbalance(res, r.RF), 'g', -1, 64),
 		})
 	}

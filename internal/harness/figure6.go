@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/ycsb"
 )
 
 // Fig6Metric identifies one of Figure 6's six plots.
@@ -52,11 +51,7 @@ type Fig6Result struct {
 // The baseline every value normalizes to is one of the 25 cells.
 func Figure6(o Options) (*Fig6Result, error) {
 	models := core.AllModels()
-	cells := make([]cell, len(models))
-	for i, m := range models {
-		cells[i] = cell{o, m, ycsb.WorkloadA}
-	}
-	rs, err := runCells(o, cells)
+	rs, err := runCells(o, onWorkloadA(o, models), measured)
 	if err != nil {
 		return nil, fmt.Errorf("figure matrix: %w", err)
 	}

@@ -105,8 +105,9 @@ func renderGoldenCrash(t *testing.T, o Options) []byte {
 // byte-identically to the committed fixture, two ways:
 //
 //   - default: the fixture was generated before the crash path was collapsed
-//     into one Crash/Recover/CrashAndRecover, so this is that refactor's
-//     equivalence proof;
+//     into one CrashAndRecover, and before a crash stopped wiping the
+//     crashed nodes' visible versions (Recover now reads only their NVM
+//     images), so this is both refactors' equivalence proof;
 //   - IntraParallel=4: every crash cell runs to its crash instant on the LP
 //     engine (Cluster.RunTo advances whichever engine was built), and must
 //     reproduce the sequential rendering.

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/params"
+	"repro/internal/recovery"
 	"repro/internal/sweep"
 	"repro/internal/ycsb"
 )
@@ -26,17 +26,11 @@ type Options struct {
 	// Config is the template every cell starts from: each cell sets its
 	// own Model and Workload, and an experiment overrides only the knobs it
 	// sweeps (Params fields, Shards, Arrivals, ...). Every other knob
-	// reaches every cell unchanged, so a knob a cell cannot honor fails
-	// there with Validate's per-field error instead of being dropped.
-	// Two fields are read differently:
-	//
-	//   - IntraParallel is the per-cell LP worker budget handed to
-	//     sweep.Arbitrate: 1 (the DefaultOptions value) runs every cell on
-	//     the sequential engine, 0 splits the core budget between cells and
-	//     LPs. Cells built outside runCells (crash, checker and timeline
-	//     runs drive their engine directly) stay sequential.
-	//   - ReplicaReads applies to the weak-visibility cells of a sweep
-	//     only, since invalidation-based models reject it.
+	// reaches every cell unchanged, IntraParallel included, so a knob a
+	// cell cannot honor fails there with Validate's per-field error instead
+	// of being dropped. One field is read per cell: ReplicaReads applies to
+	// the weak-visibility cells of a sweep only, since invalidation-based
+	// models reject it.
 	cluster.Config
 
 	// Parallel is how many experiment cells run concurrently: 0 (the
@@ -64,11 +58,10 @@ type Options struct {
 // DefaultOptions returns the paper's evaluation configuration.
 func DefaultOptions() Options {
 	return Options{Config: cluster.Config{
-		Params:        params.Default(),
-		Seed:          1,
-		WarmupNs:      1_000_000,
-		MeasureNs:     5_000_000,
-		IntraParallel: 1,
+		Params:    params.Default(),
+		Seed:      1,
+		WarmupNs:  1_000_000,
+		MeasureNs: 5_000_000,
 	}}
 }
 
@@ -86,13 +79,9 @@ func (o Options) Quick() Options {
 func (o Options) config(m core.Model, w ycsb.Workload) cluster.Config {
 	cfg := o.Config
 	cfg.Model, cfg.Workload = m, w
-	cfg.IntraParallel = 0
 	cfg.ReplicaReads = o.ReplicaReads && !core.RulesOf(m).InvAckVal
 	return cfg
 }
-
-// workers resolves the Parallel option to a concrete worker count.
-func (o Options) workers() int { return sweep.Workers(o.Parallel) }
 
 // progressLine prints the one-line completion record of a cell, plus the
 // scheduler counters when stats is set.
@@ -121,21 +110,18 @@ func progressLine(w io.Writer, m core.Model, wl ycsb.Workload, r *cluster.Result
 			lp.Workers, lp.LPs, lp.Lookahead, lp.Epochs, lp.Mail)
 	}
 	if shards := r.Config.Shards; shards > 0 {
-		var total uint64
-		for _, n := range r.ShardOps {
-			total += n
-		}
+		_, total := maxTotal(r.ShardOps)
 		routedPct := float64(0)
 		if total > 0 {
 			routedPct = 100 * float64(r.Routed) / float64(total)
 		}
 		fmt.Fprintf(w, "      shards %d  nodes %d  rf %d  routed %5.1f%%  shard imbalance %.2fx\n",
 			shards, r.Config.Params.Servers, r.Config.Params.Servers/shards,
-			routedPct, shardImbalance(r))
+			routedPct, imbalance(r.ShardOps))
 		if r.Config.Placement == "load" || r.Config.ReplicaReads {
 			fmt.Fprintf(w, "      placement %s  replica-reads %v  node imbalance %.2fx  group imbalance %.2fx\n",
 				r.Config.Placement, r.Config.ReplicaReads,
-				nodeImbalance(r), groupImbalance(r, r.Config.Params.Servers/shards))
+				imbalance(r.NodeOps), groupImbalance(r, r.Config.Params.Servers/shards))
 		}
 	}
 }
@@ -149,48 +135,67 @@ type cell struct {
 	w ycsb.Workload
 }
 
-// runCells executes the cells across a core budget arbitrated between
-// cell-level workers and per-cell LP workers (sweep.Arbitrate), returning
-// results in cell order. The first failing cell's error (by submission
-// order) is returned after in-flight cells drain.
-func runCells(parent Options, cells []cell) ([]*cluster.Result, error) {
-	cw, lw := sweep.Arbitrate(len(cells), parent.Parallel, parent.IntraParallel, runtime.GOMAXPROCS(0))
-	return sweep.Map(cells, cw, func(c cell) (*cluster.Result, error) {
-		cfg := c.o.config(c.m, c.w)
-		cfg.IntraParallel = lw
-		var r *cluster.Result
-		err := parent.runCell(c.m, func() (err error) {
-			r, err = cluster.Run(cfg)
-			return err
-		}, func(w io.Writer) { progressLine(w, c.m, c.w, r, parent.EventStats) })
-		if err != nil {
-			return nil, fmt.Errorf("%s on %s: %w", c.m, c.w.Name, err)
-		}
-		return r, nil
-	})
+// onWorkloadA returns one cell per model on YCSB workload A.
+func onWorkloadA(o Options, models []core.Model) []cell {
+	cells := make([]cell, len(models))
+	for i, m := range models {
+		cells[i] = cell{o, m, ycsb.WorkloadA}
+	}
+	return cells
 }
 
 // progressMu serializes the progress lines of concurrent cells.
 var progressMu sync.Mutex
 
-// runCell runs one cell of model m on the calling goroutine under the pprof
-// label "cell" => "<model>/<experiment>", so CPU profiles of a sweep
-// attribute samples per cell (go tool pprof -tagfocus). When run succeeds
-// and Progress is set, progress writes the cell's line to it under
-// progressMu, so the lines of concurrent cells never interleave.
-func (o Options) runCell(m core.Model, run func() error, progress func(io.Writer)) error {
-	label := m.String()
-	if o.Experiment != "" {
-		label += "/" + o.Experiment
+// runCells runs every cell of a grid on up to parent.Parallel workers and
+// returns what run makes of each, in cell order. run gets the cell's config
+// and returns its outcome plus the cluster result its progress line reports.
+// Each cell runs under the pprof label "cell" => "<model>/<experiment>", so
+// CPU profiles of a sweep attribute samples per cell (go tool pprof
+// -tagfocus); its progress line is written under progressMu, so the lines of
+// concurrent cells never interleave. The first failing cell's error (by
+// submission order) is returned after in-flight cells drain.
+func runCells[R any](parent Options, cells []cell, run func(cluster.Config) (R, *cluster.Result, error)) ([]R, error) {
+	return sweep.Map(cells, parent.Parallel, func(c cell) (out R, err error) {
+		label := c.m.String()
+		if parent.Experiment != "" {
+			label += "/" + parent.Experiment
+		}
+		var r *cluster.Result
+		pprof.Do(context.Background(), pprof.Labels("cell", label), func(context.Context) {
+			out, r, err = run(c.o.config(c.m, c.w))
+		})
+		if err != nil {
+			return out, fmt.Errorf("%s on %s: %w", c.m, c.w.Name, err)
+		}
+		if parent.Progress != nil {
+			progressMu.Lock()
+			progressLine(parent.Progress, c.m, c.w, r, parent.EventStats)
+			progressMu.Unlock()
+		}
+		return out, nil
+	})
+}
+
+// measured runs a cell through its warm-up and measurement windows.
+func measured(cfg cluster.Config) (*cluster.Result, *cluster.Result, error) {
+	r, err := cluster.Run(cfg)
+	return r, r, err
+}
+
+// crashed returns a cell run that crashes every node halfway through the
+// measurement window, recovers by newest vote and turns the report into a
+// row; the report (and its crashed cluster) is dropped once its row is
+// built.
+func crashed[R any](row func(core.Model, *recovery.CrashReport) R) func(cluster.Config) (R, *cluster.Result, error) {
+	return func(cfg cluster.Config) (R, *cluster.Result, error) {
+		rep, err := recovery.CrashAndRecover(cfg, cfg.WarmupNs+cfg.MeasureNs/2, nil)
+		if err != nil {
+			var zero R
+			return zero, nil, err
+		}
+		return row(cfg.Model, rep), rep.Result, nil
 	}
-	var err error
-	pprof.Do(context.Background(), pprof.Labels("cell", label), func(context.Context) { err = run() })
-	if err == nil && o.Progress != nil && progress != nil {
-		progressMu.Lock()
-		progress(o.Progress)
-		progressMu.Unlock()
-	}
-	return err
 }
 
 // header prints an experiment banner.

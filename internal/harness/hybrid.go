@@ -43,7 +43,7 @@ func Hybrid(o Options) (*HybridResult, error) {
 	for i, row := range rows {
 		cells[i] = cell{row.o, row.m, ycsb.WorkloadA}
 	}
-	rs, err := runCells(o, cells)
+	rs, err := runCells(o, cells, measured)
 	if err != nil {
 		return nil, err
 	}

@@ -41,10 +41,9 @@ func setNonZero(t *testing.T, v reflect.Value) {
 // Options field, or dropped on the way to the cell, fails here.
 func TestOptionsReachEveryCell(t *testing.T) {
 	perCell := map[string]bool{
-		"Model":         true, // the cell's own model
-		"Workload":      true, // the cell's own workload
-		"IntraParallel": true, // runCells hands out the arbitrated LP count
-		"ReplicaReads":  true, // weak-visibility cells only
+		"Model":        true, // the cell's own model
+		"Workload":     true, // the cell's own workload
+		"ReplicaReads": true, // weak-visibility cells only
 	}
 	var o Options
 	cfgType := reflect.TypeOf(o.Config)
@@ -71,9 +70,9 @@ func TestOptionsReachEveryCell(t *testing.T) {
 	}
 
 	cfg := o.config(m, ycsb.WorkloadB)
-	if cfg.Model != m || cfg.Workload != ycsb.WorkloadB || cfg.IntraParallel != 0 || !cfg.ReplicaReads {
-		t.Fatalf("per-cell fields: model %v workload %s intra %d replica reads %v",
-			cfg.Model, cfg.Workload.Name, cfg.IntraParallel, cfg.ReplicaReads)
+	if cfg.Model != m || cfg.Workload != ycsb.WorkloadB || !cfg.ReplicaReads {
+		t.Fatalf("per-cell fields: model %v workload %s replica reads %v",
+			cfg.Model, cfg.Workload.Name, cfg.ReplicaReads)
 	}
 	if o.config(core.Baseline, ycsb.WorkloadA).ReplicaReads {
 		t.Fatal("replica reads reached an invalidation-based cell")

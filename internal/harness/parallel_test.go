@@ -2,10 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
@@ -41,12 +44,9 @@ func TestFigure6ParallelMatchesSequential(t *testing.T) {
 
 // TestProgressLinesCompleteUnderParallelism checks that 25 cells on 12
 // workers produce exactly one whole progress line each, and that no two
-// cells write to Progress at once (runCell serializes the lines; under
+// cells write to Progress at once (runCells serializes the lines; under
 // -race an unserialized write to the shared buffer is also a reported race).
-// sweep.Arbitrate caps cell workers at GOMAXPROCS, so the test raises it to
-// 12 for its duration.
 func TestProgressLinesCompleteUnderParallelism(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(12))
 	w := &exclusiveWriter{t: t}
 	o := DefaultOptions().Quick()
 	o.Parallel = 12
@@ -62,6 +62,32 @@ func TestProgressLinesCompleteUnderParallelism(t *testing.T) {
 		if !bytes.HasPrefix(l, []byte("  ran ")) || !bytes.Contains(l, []byte("Mops/s")) {
 			t.Fatalf("malformed progress line %q", l)
 		}
+	}
+}
+
+// TestParallelIsNotCappedByCores runs four cells with Parallel 4 on one
+// core: each cell waits until all four have started, which happens only if
+// runCells runs Parallel cells at once whatever GOMAXPROCS is.
+func TestParallelIsNotCappedByCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	o := DefaultOptions().Quick()
+	o.Parallel = 4
+	var started atomic.Int32
+	all := make(chan struct{})
+	_, err := runCells(o, onWorkloadA(o, core.AllModels()[:o.Parallel]),
+		func(cluster.Config) (int, *cluster.Result, error) {
+			if started.Add(1) == int32(o.Parallel) {
+				close(all)
+			}
+			select {
+			case <-all:
+				return 0, nil, nil
+			case <-time.After(10 * time.Second):
+				return 0, nil, errors.New("fewer than Parallel cells ran at once")
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -38,10 +39,7 @@ type ScalingPoint struct {
 
 // RoutedFrac returns the fraction of routed ops forwarded across shards.
 func (p *ScalingPoint) RoutedFrac() float64 {
-	var total uint64
-	for _, n := range p.Res.ShardOps {
-		total += n
-	}
+	_, total := maxTotal(p.Res.ShardOps)
 	return ratio(float64(p.Res.Routed), float64(total))
 }
 
@@ -72,43 +70,27 @@ type ScalingResult struct {
 	Skew       []SkewPoint // models x scalingSkewTheta, theta-major per model
 }
 
-// shardImbalance returns max/mean of per-shard executed ops (1 = perfectly
-// balanced; 0 when the run recorded no shard accounting).
-func shardImbalance(r *cluster.Result) float64 {
-	if len(r.ShardOps) == 0 {
-		return 0
-	}
-	var total, max uint64
-	for _, n := range r.ShardOps {
+// maxTotal returns the largest of ops and their sum.
+func maxTotal(ops []uint64) (max, total uint64) {
+	for _, n := range ops {
 		total += n
 		if n > max {
 			max = n
 		}
 	}
-	if total == 0 {
-		return 0
-	}
-	return float64(max) * float64(len(r.ShardOps)) / float64(total)
+	return max, total
 }
 
-// nodeImbalance returns max/mean of per-node executed ops across the whole
-// cluster — the grain that sees placement policies move work inside a
-// replica group (shard totals are fixed by data ownership).
-func nodeImbalance(r *cluster.Result) float64 {
-	if len(r.NodeOps) == 0 {
-		return 0
-	}
-	var total, max uint64
-	for _, n := range r.NodeOps {
-		total += n
-		if n > max {
-			max = n
-		}
-	}
+// imbalance returns max/mean of executed ops, one count per shard or per
+// node (1 = perfectly balanced; 0 when the run recorded no such accounting).
+// Per node it is the grain that sees placement policies move work inside a
+// replica group; per-shard totals are fixed by data ownership.
+func imbalance(ops []uint64) float64 {
+	max, total := maxTotal(ops)
 	if total == 0 {
 		return 0
 	}
-	return float64(max) * float64(len(r.NodeOps)) / float64(total)
+	return float64(max) * float64(len(ops)) / float64(total)
 }
 
 // groupImbalance returns max/mean executed ops across the replicas of the
@@ -120,23 +102,9 @@ func groupImbalance(r *cluster.Result, rf int) float64 {
 	if len(r.NodeOps) == 0 || len(r.ShardOps) == 0 || rf <= 0 {
 		return 0
 	}
-	hot := 0
-	for s, n := range r.ShardOps {
-		if n > r.ShardOps[hot] {
-			hot = s
-		}
-	}
-	var sum, max uint64
-	for _, n := range r.NodeOps[hot*rf : hot*rf+rf] {
-		sum += n
-		if n > max {
-			max = n
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return float64(max) * float64(rf) / float64(sum)
+	hottest, _ := maxTotal(r.ShardOps)
+	hot := slices.Index(r.ShardOps, hottest)
+	return imbalance(r.NodeOps[hot*rf : hot*rf+rf])
 }
 
 // Scaling runs the scale-out grid: for each corner model and shard count it
@@ -195,7 +163,7 @@ func Scaling(o Options) (*ScalingResult, error) {
 		}
 	}
 
-	rs, err := runCells(o, cells)
+	rs, err := runCells(o, cells, measured)
 	if err != nil {
 		return nil, fmt.Errorf("scaling sweep: %w", err)
 	}
@@ -241,20 +209,14 @@ func (r *ScalingResult) WriteText(w io.Writer) {
 		"model", "theta", "place", "rr", "Mops/s", "shard imb", "node imb", "group imb", "hottest")
 	for i := range r.Skew {
 		sp := &r.Skew[i]
-		var total, max uint64
-		for _, n := range sp.Res.ShardOps {
-			total += n
-			if n > max {
-				max = n
-			}
-		}
+		max, total := maxTotal(sp.Res.ShardOps)
 		rr := "-"
 		if sp.ReplicaReads {
 			rr = "y"
 		}
 		fmt.Fprintf(w, "  %-34s %6.3f %6s %3s %12.2f %8.2fx %8.2fx %8.2fx %7.1f%%\n",
 			sp.Model, sp.Theta, sp.Placement, rr, sp.Res.Summary.Throughput/1e6,
-			shardImbalance(sp.Res), nodeImbalance(sp.Res), groupImbalance(sp.Res, r.RF),
+			imbalance(sp.Res.ShardOps), imbalance(sp.Res.NodeOps), groupImbalance(sp.Res, r.RF),
 			100*ratio(float64(max), float64(total)))
 	}
 	fmt.Fprintln(w, "  shard imb = max/mean ops per shard (fixed by data ownership — no placement policy can move it);")

@@ -73,7 +73,7 @@ func TestScalingSmoke(t *testing.T) {
 			t.Fatalf("%s: ablation ladder out of order: %+v %+v %+v",
 				c.Model, uniform, skewed, load)
 		}
-		if si, ui := shardImbalance(skewed.Res), shardImbalance(uniform.Res); si <= ui {
+		if si, ui := imbalance(skewed.Res.ShardOps), imbalance(uniform.Res.ShardOps); si <= ui {
 			t.Errorf("%s: theta=%.3f shard imbalance %.2f not above theta=%.3f's %.2f",
 				c.Model, skewed.Theta, si, uniform.Theta, ui)
 		}

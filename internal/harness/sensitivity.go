@@ -82,7 +82,7 @@ func sweepGrid(parent Options, title, note string, labels []string, points []swe
 			cells = append(cells, cell{pt.o, m, pt.w})
 		}
 	}
-	rs, err := runCells(parent, cells)
+	rs, err := runCells(parent, cells, measured)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", title, err)
 	}
@@ -128,7 +128,7 @@ func Figure7(o Options) (*SweepResult, error) {
 	xr, err := runCells(o, []cell{
 		{points[0].o, xact, ycsb.WorkloadA},
 		{points[1].o, xact, ycsb.WorkloadA},
-	})
+	}, measured)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/params"
 	"repro/internal/recovery"
-	"repro/internal/ycsb"
 )
 
 // PaperStatsResult reproduces the scattered quantitative claims of
@@ -48,11 +47,7 @@ func PaperStats(o Options) (*PaperStatsResult, error) {
 		{C: core.Causal, P: core.EventualP},
 		{C: core.Transactional, P: core.Synchronous},
 	}
-	cells := make([]cell, len(models))
-	for i, m := range models {
-		cells[i] = cell{o, m, ycsb.WorkloadA}
-	}
-	rs, err := runCells(o, cells)
+	rs, err := runCells(o, onWorkloadA(o, models), measured)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +116,7 @@ type DurabilityResult struct {
 // DurabilityAudit crashes every one of the 25 models mid-run and reports
 // what survived (Section 3's data-loss motivation, measured).
 func DurabilityAudit(o Options) (*DurabilityResult, error) {
-	rows, err := crashCells(o, core.AllModels(), func(m core.Model, rep *recovery.CrashReport) DurabilityRow {
+	rows, err := runCells(o, onWorkloadA(o, core.AllModels()), crashed(func(m core.Model, rep *recovery.CrashReport) DurabilityRow {
 		a := rep.Audit
 		rate := 0.0
 		if a.AckedWrites > 0 {
@@ -136,7 +131,7 @@ func DurabilityAudit(o Options) (*DurabilityResult, error) {
 			Monotonic:   rep.MonotonicReads(),
 			NonStale:    rep.NonStaleReads(),
 		}
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}

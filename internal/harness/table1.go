@@ -53,7 +53,7 @@ func Table1(o Options) (*Table1Result, error) {
 	for i, env := range envs {
 		cells[i] = cell{o, env.m, writeOnly}
 	}
-	rs, err := runCells(o, cells)
+	rs, err := runCells(o, cells, measured)
 	if err != nil {
 		return nil, err
 	}

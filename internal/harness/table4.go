@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/recovery"
-	"repro/internal/sweep"
-	"repro/internal/ycsb"
 )
 
 // Table4Row pairs the paper's qualitative ratings with this
@@ -32,31 +30,26 @@ type Table4Result struct {
 // monotonic/non-stale verdicts against the paper's columns.
 func Table4(o Options) (*Table4Result, error) {
 	traits := core.Table4()
-
-	// Performance cells: the normalization baseline plus one run per rated
-	// model, scheduled as one grid.
-	cells := make([]cell, 0, len(traits)+1)
-	cells = append(cells, cell{o, core.Baseline, ycsb.WorkloadA})
-	for _, tr := range traits {
-		cells = append(cells, cell{o, tr.Model, ycsb.WorkloadA})
-	}
-	rs, err := runCells(o, cells)
-	if err != nil {
-		return nil, err
-	}
-
 	models := make([]core.Model, len(traits))
 	for i, tr := range traits {
 		models[i] = tr.Model
 	}
-	rows, err := crashCells(o, models, func(_ core.Model, rep *recovery.CrashReport) Table4Row {
+
+	// Performance cells: the normalization baseline plus one run per rated
+	// model, scheduled as one grid.
+	rs, err := runCells(o, onWorkloadA(o, append([]core.Model{core.Baseline}, models...)), measured)
+	if err != nil {
+		return nil, err
+	}
+
+	rows, err := runCells(o, onWorkloadA(o, models), crashed(func(_ core.Model, rep *recovery.CrashReport) Table4Row {
 		return Table4Row{
 			AckedWrites:       rep.Audit.AckedWrites,
 			LostAcked:         rep.Audit.LostAcked,
 			MeasuredMonotonic: rep.MonotonicReads(),
 			MeasuredNonStale:  rep.NonStaleReads(),
 		}
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -65,27 +58,6 @@ func Table4(o Options) (*Table4Result, error) {
 		rows[i].ThroughputNorm = ratio(rs[i+1].Throughput(), rs[0].Throughput())
 	}
 	return &Table4Result{Rows: rows}, nil
-}
-
-// crashCells runs one crash cell per model — workload A, every node crashed
-// halfway through the measurement window, newest-vote recovery — and turns
-// each report into a row. Every cell builds its own isolated simulation, so
-// the cells parallelize the way plain cluster runs do; a report (and its
-// crashed cluster) is dropped once its row is built.
-func crashCells[R any](o Options, models []core.Model, row func(core.Model, *recovery.CrashReport) R) ([]R, error) {
-	crashAt := o.WarmupNs + o.MeasureNs/2
-	return sweep.Map(models, o.workers(), func(m core.Model) (R, error) {
-		var rep *recovery.CrashReport
-		err := o.runCell(m, func() (err error) {
-			rep, err = recovery.CrashAndRecover(o.config(m, ycsb.WorkloadA), crashAt, nil)
-			return err
-		}, nil)
-		if err != nil {
-			var zero R
-			return zero, err
-		}
-		return row(m, rep), nil
-	})
 }
 
 func yn(b bool) string {

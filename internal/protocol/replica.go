@@ -330,16 +330,6 @@ func (r *Replica) Versions(fn func(key uint64, visible, persisted Stamp)) {
 	}
 }
 
-// LoseVolatile is what a power failure takes from this node: every key's
-// visible version. The persisted versions, its NVM image, stay.
-func (r *Replica) LoseVolatile() {
-	for k := uint64(0); k < uint64(r.p.Keys); k++ {
-		if ks := r.keys.find(k); ks != nil {
-			ks.visible = 0
-		}
-	}
-}
-
 // BufferLen returns the current causal reorder-buffer length.
 func (r *Replica) BufferLen() int { return r.bufCount }
 

@@ -3,12 +3,12 @@
 // claims (Table 4, Section 6) into measured results.
 //
 // There is one crash path. CrashAndRecover runs a cluster to the crash
-// instant, Crash wipes the volatile state of the crashed nodes (every node
-// for a full-datacenter power failure), and Recover reconstructs a
-// cluster-wide state from what remains: each node's NVM image (the
-// persisted version of every key, which the protocol's persists advanced)
-// plus the visible versions of the nodes that survived. Per key it adopts
-// the newest version any node offers, the voting-based recovery the paper
+// instant and Recover reconstructs a cluster-wide state from what the crash
+// leaves (every node crashed for a full-datacenter power failure): each
+// node's NVM image (the persisted version of every key, which the protocol's
+// persists advanced) plus the visible versions of the nodes that survived.
+// A crash reads state; it wipes nothing. Per key Recover adopts the newest
+// version any node offers, the voting-based recovery the paper
 // notes weak models need. The audits then compare the recovered state with
 // the history of client-acknowledged operations; which of those writes the
 // model promised durable is its core.Rules.AckDurability.
@@ -34,29 +34,24 @@ func (s *RecoveredState) VersionOf(key uint64) protocol.Stamp { return s.Version
 // Keys returns how many keys were recovered.
 func (s *RecoveredState) Keys() int { return len(s.Versions) }
 
-// Crash wipes the volatile versions of nodes, leaving their NVM images; nil
-// crashes every node (a full-datacenter power failure). A crashed cluster is
-// not run further: it exists to be Recovered and audited.
-func Crash(c *cluster.Cluster, nodes []int) {
-	for i, r := range c.Replicas {
-		if nodes == nil || slices.Contains(nodes, i) {
-			r.LoseVolatile()
-		}
-	}
-}
-
-// Recover reconstructs cluster state after a crash. Each node offers, per
-// key, the newer of its visible and persisted versions, and the newest offer
-// wins. A crashed node has no visible version left, so after a full crash
-// only the NVM images vote — exactly what survives a power failure — while
-// after a partial crash the survivors' volatile replicas join them (the
-// Hermes-style remote-replica recovery the paper describes).
-func Recover(c *cluster.Cluster) *RecoveredState {
+// Recover reconstructs cluster state after the nodes in crashed failed. A
+// crashed node offers only its NVM image, the persisted version of each key;
+// a survivor offers, per key, the newer of its visible and persisted
+// versions. The newest offer wins. After a full crash only the NVM images
+// vote — exactly what survives a power failure — while after a partial crash
+// the survivors' volatile replicas join them (the Hermes-style
+// remote-replica recovery the paper describes). Recover changes no replica.
+func Recover(c *cluster.Cluster, crashed []int) *RecoveredState {
 	st := &RecoveredState{Versions: make(map[uint64]protocol.Stamp)}
-	for _, r := range c.Replicas {
+	for i, r := range c.Replicas {
+		down := slices.Contains(crashed, i)
 		r.Versions(func(key uint64, visible, persisted protocol.Stamp) {
-			if v := max(visible, persisted); v >= st.Versions[key] {
-				st.Versions[key] = v // >= so a key offered only at 0 is recovered too
+			v := persisted
+			if !down {
+				v = max(visible, persisted)
+			}
+			if v > st.Versions[key] {
+				st.Versions[key] = v
 			}
 		})
 	}
@@ -140,7 +135,7 @@ func RunAudit(res *cluster.Result, rec *RecoveredState) *Audit {
 // CrashReport bundles everything a crash experiment produces.
 type CrashReport struct {
 	Crashed   []int            // the crashed nodes, every node for a full crash
-	Cluster   *cluster.Cluster // the crashed cluster (crashed nodes' volatile state wiped)
+	Cluster   *cluster.Cluster // the cluster as the crash found it
 	Result    *cluster.Result
 	Recovered *RecoveredState
 	Audit     *Audit
@@ -185,8 +180,7 @@ func CrashAndRecover(cfg cluster.Config, crashAtNs int64, nodes []int) (*CrashRe
 		}
 	}
 	res := c.RunTo(crashAtNs)
-	Crash(c, nodes)
-	rec := Recover(c)
+	rec := Recover(c, nodes)
 	return &CrashReport{
 		Crashed:   nodes,
 		Cluster:   c,

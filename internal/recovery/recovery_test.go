@@ -149,12 +149,14 @@ func TestLinearizableHoldsLiveMonotonic(t *testing.T) {
 	}
 }
 
-// TestCrashWipesVolatileOnly crashes node 0 of three: every key's visible
-// version there reads 0 and its persisted version is unchanged, and the
-// survivors' visible and persisted versions are untouched.
-func TestCrashWipesVolatileOnly(t *testing.T) {
-	cfg := crashConfig(core.Baseline)
-	cfg.TrackHistory = true
+// TestRecoverReadsCrashedNodesNVMOnly crashes nodes 0 and 1 of three under
+// <Eventual, Eventual>, where a node's own writes are visible before they
+// persist or propagate: each recovered version is the newest of the crashed
+// nodes' persisted versions and the survivor's visible and persisted ones,
+// so a crashed node's visible versions do not vote, and Recover leaves every
+// replica's versions as it found them.
+func TestRecoverReadsCrashedNodesNVMOnly(t *testing.T) {
+	cfg := crashConfig(core.Model{C: core.Eventual, P: core.EventualP})
 	c, err := cluster.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,30 +174,34 @@ func TestCrashWipesVolatileOnly(t *testing.T) {
 		}
 		return out
 	}
+	crashed := []int{0, 1}
 	before := snapshot()
-	for i, v := range before {
-		if !slices.ContainsFunc(v.visible, func(s protocol.Stamp) bool { return !s.IsZero() }) {
-			t.Fatalf("node %d: no visible version before the crash", i)
+	rec := Recover(c, crashed)
+	if after := snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatal("Recover changed a replica's versions")
+	}
+	outvoted := 0
+	for k := range uint64(cfg.Params.Keys) {
+		var want, crashedVisible protocol.Stamp
+		for i, v := range before {
+			want = max(want, v.persisted[k])
+			if slices.Contains(crashed, i) {
+				crashedVisible = max(crashedVisible, v.visible[k])
+			} else {
+				want = max(want, v.visible[k])
+			}
 		}
-		if !slices.ContainsFunc(v.persisted, func(s protocol.Stamp) bool { return !s.IsZero() }) {
-			t.Fatalf("node %d: no persisted version before the crash", i)
+		if got := rec.VersionOf(k); got != want {
+			t.Fatalf("key %d recovered at %v, want %v", k, got, want)
+		}
+		if crashedVisible > want {
+			outvoted++
 		}
 	}
-	Crash(c, []int{0})
-	after := snapshot()
-	for k, st := range after[0].visible {
-		if !st.IsZero() {
-			t.Fatalf("crashed node 0: key %d still visible at %v", k, st)
-		}
+	if outvoted == 0 {
+		t.Fatal("no crashed node held a visible version newer than every offer; the check is vacuous")
 	}
-	if !slices.Equal(after[0].persisted, before[0].persisted) {
-		t.Fatal("crashed node 0: the crash changed the NVM image")
-	}
-	for i := 1; i < len(after); i++ {
-		if !slices.Equal(after[i].visible, before[i].visible) || !slices.Equal(after[i].persisted, before[i].persisted) {
-			t.Fatalf("surviving node %d: the crash changed its versions", i)
-		}
-	}
+	t.Logf("%d keys held a newer visible version on a crashed node only", outvoted)
 }
 
 func TestRecoveredStateVersionsAreRealStamps(t *testing.T) {

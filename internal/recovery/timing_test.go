@@ -64,8 +64,7 @@ func TestImageDivergenceAndTimedRecovery(t *testing.T) {
 	}
 	c.Start()
 	c.Eng.Run(1_500_000)
-	Crash(c, nil)
-	rec := Recover(c)
+	rec := Recover(c, []int{0, 1, 2})
 	timing := TimeRecoveryOf(c, rec)
 	if timing.TotalNs <= 0 {
 		t.Fatalf("non-positive recovery time: %+v", timing)
@@ -87,7 +86,6 @@ func TestImageDivergenceAndTimedRecovery(t *testing.T) {
 	}
 	cs.Start()
 	cs.Eng.Run(1_500_000)
-	Crash(cs, nil)
 	// In-flight writes may leave small divergence even under Strict; it
 	// must be far below the eventual model's.
 	if dS, dE := ImageDivergence(cs), ImageDivergence(c); dS >= dE {

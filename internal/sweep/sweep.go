@@ -9,49 +9,15 @@
 // workers=N are byte-identical to workers=1 — only wall-clock time changes.
 //
 // Map is the one scheduler: it fans any cell function over a bounded worker
-// pool, so plain cluster runs and crash/recovery runs share it, and
-// Arbitrate splits the core budget between cells and each cell's LP workers.
+// pool, so plain cluster runs and crash/recovery runs share it. Its worker
+// count is how many cells run at once, whatever the core count; how many LP
+// workers run inside each cell is that cell's cluster.Config.IntraParallel.
 package sweep
 
 import (
 	"runtime"
 	"sync"
 )
-
-// Arbitrate splits a core budget between cell-level and intra-cell (LP)
-// parallelism so a sweep never oversubscribes the host:
-// cellWorkers x lpWorkers <= procs.
-//
-// cellWorkers/lpWorkers follow the option convention: < 1 means "auto".
-// Auto cell workers take min(procs, cells); auto LP workers take whatever
-// budget remains per cell (procs / cellWorkers). When both are pinned and
-// their product exceeds the budget, the explicit LP request wins — LP
-// workers waiting at an epoch barrier waste more than idle cell slots — and
-// cell workers shrink to fit. Results are always >= 1 each.
-func Arbitrate(cells, cellWorkers, lpWorkers, procs int) (cw, lw int) {
-	if procs < 1 {
-		procs = 1
-	}
-	if cells < 1 {
-		cells = 1
-	}
-	if cellWorkers < 1 {
-		cellWorkers = procs
-	}
-	if cellWorkers > cells {
-		cellWorkers = cells
-	}
-	if lpWorkers < 1 {
-		lpWorkers = procs / cellWorkers
-		if lpWorkers < 1 {
-			lpWorkers = 1
-		}
-	}
-	for cellWorkers > 1 && cellWorkers*lpWorkers > procs {
-		cellWorkers--
-	}
-	return cellWorkers, lpWorkers
-}
 
 // Workers resolves a worker-count option: values < 1 mean "one worker per
 // available core" (runtime.GOMAXPROCS(0)).
