@@ -96,7 +96,8 @@ fmt:
 #   - one iteration of the cluster-construction benchmark, against bit-rot;
 #   - the capacity and scaling sweeps at quick scale, flat and sharded;
 #   - the CLI rejecting a knob no cell of the experiment can honor
-#     (-fwdbatch needs a sharded topology; table1 is unsharded);
+#     (-fwdbatch needs a sharded topology; table1 is unsharded), and a
+#     negative worker count (-lps, -parallel);
 #   - ddpsim end to end on a small cell, once with an ordered engine profile,
 #     rejecting a model name outside the 5x5 matrix, an engine name outside
 #     the profile table and a negative server count, and ddpbench rejecting
@@ -118,7 +119,7 @@ check: vet fmt
 	$(GO) test -race ./internal/cluster/ -run 'TestHotSketchGoldenSeed|TestP2CSpreadDeterministic'
 	$(GO) test ./internal/cluster/ ./internal/sim/ -run 'TestScheduleFingerprint|TestTraceOrderFingerprint|TestPoolReacquireFromCompletionQueuesBehindBacklog'
 	$(GO) test ./internal/cluster/ -run '^(TestEngineChoiceFingerprint|TestReplicaHoldsOneRecordPerKey)$$'
-	$(GO) test ./internal/simnet/ ./internal/cluster/ ./internal/protocol/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas|TestRecyclersOnePerLogicalProcess|TestRunObjectsPerAddedNode|TestReplicaBuildsOnlyTheMapsItsBindingWrites|TestClientBytesPerClient'
+	$(GO) test ./internal/sim/ ./internal/simnet/ ./internal/cluster/ ./internal/protocol/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas|TestRecyclersOnePerLogicalProcess|TestRunObjectsPerAddedNode|TestReplicaBuildsOnlyTheMapsItsBindingWrites|TestClientBytesPerClient|TestPendingRecordBytes'
 	$(GO) test ./internal/cluster/ ./internal/engines/ ./internal/stats/ -run 'TestMeasurementSetPerEngine|TestScopeHistogramAllocatedOnFirstUse|TestRetainedHeapLinearInNodes|TestCausalBufferBytesPerEntry|TestHashTableSlotSize|TestHashTableGetReturnsStoredSlice|TestHashTableSharedValueHeldOnce|TestHashTableInternedWithinLiveKeys|TestHashTableChurnBounded|TestHashTableRebuildKeepsEveryKey|TestHashTableOpAllocFree|TestBucketIndexMatchesLoopOracle'
 	$(GO) test ./internal/core/ ./internal/cluster/ ./internal/harness/ ./internal/protocol/ -run '^(TestRulesTable|TestDescribeMessagesMatchTraffic|TestModelReferenceFixture|TestProtocolReadsOnlyTheRulesRow)$$'
 	$(GO) test -run='^$$' -bench BenchmarkClusterNew -benchtime=1x -benchmem .
@@ -127,6 +128,7 @@ check: vet fmt
 	$(GO) run ./cmd/ddpbench -exp scaling -quick > /dev/null
 	$(GO) run ./cmd/ddpbench -exp scaling -quick -placement load > /dev/null
 	! $(GO) run ./cmd/ddpbench -exp table1 -quick -fwdbatch 8
+	! $(GO) run ./cmd/ddpbench -exp table1 -quick -lps -5 -parallel -3
 	$(GO) run ./cmd/ddpsim -servers 3 -clients 2 -measure 200000 > /dev/null
 	$(GO) run ./cmd/ddpsim -servers 3 -clients 2 -measure 200000 -engine btree > /dev/null
 	! $(GO) run ./cmd/ddpsim -model strong-local
@@ -168,18 +170,20 @@ census:
 	SCALE_CENSUS=1 $(GO) test ./internal/cluster/ -run '^TestScaleCensus$$' -count=1 -v -memprofilerate 1 -memprofile .bench_build/scale_census.mprof -o .bench_build/cluster.test | grep 'rep allocated'
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/cluster.test .bench_build/scale_census.mprof
 
-# Live heap of two repo benchmark cells, the memory twin of census: scale160's
-# <Ev,Ev> cell and flat_matrix's 5x20 <Causal, Sync> cell (the largest live
-# heap of that workload, set by its Causal reorder buffer). Each cell is built
-# and run, a collection is forced with the cluster still live (the state
-# live_heap_mb samples), and the exact in-use heap profile
-# (runtime.MemProfileRate = 1) prints its top-20 sites by bytes.
-# EXPERIMENTS.md "Per-node state" and "Buffered updates hold their box" read
-# these tables.
+# Live heap of three repo benchmark cells, the memory twin of census:
+# scale160's <Ev,Ev> and <Lin,Sync> cells at the benchmark's windows (the
+# larger sets that workload's live_heap_mb) and flat_matrix's 5x20 <Causal,
+# Sync> cell (the largest live heap of that workload, set by its Causal
+# reorder buffer). Each cell is built and run, a collection is forced with
+# the cluster still live (the state live_heap_mb samples), and the exact
+# in-use heap profile (runtime.MemProfileRate = 1) prints its top-20 sites by
+# bytes. EXPERIMENTS.md "Per-node state", "Buffered updates hold their box"
+# and "Fewer bytes per pending event" read these tables.
 footprint:
 	mkdir -p .bench_build
 	FOOTPRINT_PROFILE=$(CURDIR)/.bench_build/footprint.pprof $(GO) test ./internal/cluster/ -run '^TestFootprintProfile$$' -count=1 -v
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=20 .bench_build/footprint.pprof
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=20 .bench_build/footprint_lin_sync.pprof
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=20 .bench_build/footprint_causal_sync.pprof
 
 # Host cost of one simulated event at 40, 160 and 320 nodes (the scaling

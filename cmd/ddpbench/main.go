@@ -24,8 +24,8 @@
 // elided — plus logical-process synchronizer counters (epochs, cross-LP mail)
 // when -lps engages the parallel intra-cell engine. -parallel N runs N cells
 // at once and -lps N runs N LP workers inside each cell, both as given (0 and
-// 1 select the sequential engine, as in cluster.Config); neither changes any
-// reported number.
+// 1 select the sequential engine, as in cluster.Config; a negative count is
+// an error); neither changes any reported number.
 package main
 
 import (
@@ -89,6 +89,10 @@ func main() {
 	// -nodes pins the total and must agree with shards*rf when both given.
 	if *shards < 0 || *nodes < 0 || *rf < 0 {
 		fmt.Fprintln(os.Stderr, "ddpbench: -shards/-nodes/-rf must be >= 0")
+		os.Exit(1)
+	}
+	if *parallel < 0 || *lps < 0 {
+		fmt.Fprintf(os.Stderr, "ddpbench: -parallel and -lps must be >= 0, got %d and %d\n", *parallel, *lps)
 		os.Exit(1)
 	}
 	groupSize := o.Params.Servers

@@ -100,11 +100,12 @@ type Config struct {
 	Arrivals *ycsb.ArrivalSpec
 
 	// IntraParallel is how many worker goroutines advance this cell's
-	// per-node logical processes concurrently. Values <= 1 select the
+	// per-node logical processes concurrently. 0 and 1 select the
 	// sequential engine (the default, and the only choice on single-core
 	// hosts); values >= 2 select the LP engine, clamped to the server
-	// count. Never changes any reported number — only wall-clock time.
-	// Ignored (sequential) when TraceProtocol is set or Servers == 1.
+	// count; a negative value fails Validate. Never changes any reported
+	// number — only wall-clock time. Ignored (sequential) when
+	// TraceProtocol is set or Servers == 1.
 	IntraParallel int
 
 	// TrackHistory records every acknowledged write and completed read for
@@ -436,6 +437,8 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("cluster: WarmupNs must be >= 0, got %d", cfg.WarmupNs)
 	case cfg.MeasureNs < 0:
 		return fmt.Errorf("cluster: MeasureNs must be >= 0, got %d", cfg.MeasureNs)
+	case cfg.IntraParallel < 0:
+		return fmt.Errorf("cluster: IntraParallel must be >= 0, got %d", cfg.IntraParallel)
 	case cfg.Shards < 0:
 		return fmt.Errorf("cluster: Shards must be >= 0, got %d", cfg.Shards)
 	case cfg.Shards > p.Servers:

@@ -211,9 +211,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestConfigValidateRunWindowAndWorkload: a negative run window and a
-// malformed workload mix fail Validate with the offending field's error
-// instead of running (WarmupNs: -1 and ReadRatio: 2 used to run).
+// TestConfigValidateRunWindowAndWorkload: a negative run window, a malformed
+// workload mix and a negative worker count fail Validate with the offending
+// field's error instead of running (WarmupNs: -1, ReadRatio: 2 and
+// IntraParallel: -5 used to run).
 func TestConfigValidateRunWindowAndWorkload(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -223,6 +224,7 @@ func TestConfigValidateRunWindowAndWorkload(t *testing.T) {
 		{"MeasureNs", func(c *Config) { c.MeasureNs = -1 }},
 		{"ReadRatio", func(c *Config) { c.Workload.ReadRatio = 2 }},
 		{"ScanRatio+RMWRatio", func(c *Config) { c.Workload.ScanRatio, c.Workload.RMWRatio = 0.5, 0.75 }},
+		{"IntraParallel", func(c *Config) { c.IntraParallel = -5 }},
 	} {
 		t.Run(tc.field, func(t *testing.T) {
 			cfg := smallConfig(core.Baseline)

@@ -110,24 +110,35 @@ func TestCausalBufferBytesPerEntry(t *testing.T) {
 // flat 5-server <Lin, Sync> cell under uniform keys (ZipfTheta 0, so the run
 // writes nearly every key), 0.2 ms warm-up + 0.8 ms measured, the retained
 // heap grows by at most 64 B per key per replica from 2,000 to 20,000 keys
-// (about 58 measured). The replica's key table slot (keyState, 56 B) is the
+// (about 62 measured). The replica's key table slot (keyState, 48 B) is the
 // one version record of a key: its visible and persisted stamps are what a
-// read serves and a crash keeps. A volatile store and an NVM image beside it,
+// read serves and a crash keeps; the INV/ACK/VAL bindings add a 12-B side
+// table of read-stall state. A volatile store and an NVM image beside it,
 // each holding the same stamp again, read 106 B; the transaction lock and
 // committed version in every binding's slot (a 72-B keyState), 74. The
 // <Transactional, Sync> twin may hold 16 B more per key: the side table of
-// those two fields, which only Transactional consistency builds.
+// those two fields, which only Transactional consistency builds. The
+// <Eventual, Eventual> row, which builds neither side table, holds at most 52
+// B (about 50 measured; 58 with the read-stall state in every slot). It runs
+// 2 clients per server: at 20, its lazy write-backs back up at the NVM banks,
+// and less so the more keys they coalesce over, so the backlog, not the key
+// table, sets its slope (115 B).
 func TestReplicaHoldsOneRecordPerKey(t *testing.T) {
 	for _, tc := range []struct {
-		m      core.Model
-		budget float64
+		m       core.Model
+		clients int // per server; 0 = the default 20
+		budget  float64
 	}{
-		{core.Model{C: core.Linearizable, P: core.Synchronous}, 64},
-		{core.Model{C: core.Transactional, P: core.Synchronous}, 64 + 16},
+		{core.Model{C: core.Linearizable, P: core.Synchronous}, 0, 64},
+		{core.Model{C: core.Transactional, P: core.Synchronous}, 0, 64 + 16},
+		{core.Model{C: core.Eventual, P: core.EventualP}, 2, 52},
 	} {
 		cell := func(keys int) Config {
 			p := params.Default()
 			p.Servers, p.Keys, p.ZipfTheta = 5, keys, 0
+			if tc.clients > 0 {
+				p.ClientsPerServer = tc.clients
+			}
 			return Config{Model: tc.m, Workload: ycsb.WorkloadA,
 				Params: p, Seed: 1, WarmupNs: 200_000, MeasureNs: 800_000}
 		}
@@ -221,14 +232,16 @@ func TestClientBytesPerClient(t *testing.T) {
 	}
 }
 
-// TestFootprintProfile writes the exact in-use heap profiles of two repo
+// TestFootprintProfile writes the exact in-use heap profiles of three repo
 // benchmark cells, each taken after a forced collection with the cluster
 // built and run — the live_heap_mb sample, by allocation site: scale160's
-// <Ev,Ev> cell, and flat_matrix's 5x20 <Causal, Sync> cell, whose reorder
-// buffer makes it the largest live heap of that workload. It runs only when
-// FOOTPRINT_PROFILE names the first output file; the second goes next to it,
-// with "_causal_sync" before the extension. `make footprint` sets it and
-// prints the top 20 sites of each by inuse_space.
+// <Ev,Ev> and <Lin,Sync> cells at the benchmark's windows (0.2 ms warm-up +
+// 0.2 ms measured; the larger of the two sets that workload's live_heap_mb),
+// and flat_matrix's 5x20 <Causal, Sync> cell, whose reorder buffer makes it
+// the largest live heap of that workload. It runs only when
+// FOOTPRINT_PROFILE names the first output file; the others go next to it,
+// with "_lin_sync" and "_causal_sync" before the extension. `make footprint`
+// sets it and prints the top 20 sites of each by inuse_space.
 func TestFootprintProfile(t *testing.T) {
 	out := os.Getenv("FOOTPRINT_PROFILE")
 	if out == "" {
@@ -237,12 +250,16 @@ func TestFootprintProfile(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 	ext := filepath.Ext(out)
+	sibling := func(suffix string) string { return strings.TrimSuffix(out, ext) + suffix + ext }
+	linSync := scaleCell(160, 200_000, 200_000)
+	linSync.Model = core.Model{C: core.Linearizable, P: core.Synchronous}
 	for _, cell := range []struct {
 		name, file string
 		cfg        Config
 	}{
-		{"scale160 <Ev,Ev>", out, scaleCell(160, 200_000, 800_000)},
-		{"flat 5x20 <Causal, Sync>", strings.TrimSuffix(out, ext) + "_causal_sync" + ext, flatCell(core.Model{C: core.Causal, P: core.Synchronous})},
+		{"scale160 <Ev,Ev>", out, scaleCell(160, 200_000, 200_000)},
+		{"scale160 <Lin,Sync>", sibling("_lin_sync"), linSync},
+		{"flat 5x20 <Causal, Sync>", sibling("_causal_sync"), flatCell(core.Model{C: core.Causal, P: core.Synchronous})},
 	} {
 		live := runRetained(t, cell.cfg, func(*Cluster) {
 			f, err := os.Create(cell.file)

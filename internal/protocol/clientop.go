@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -46,24 +47,25 @@ func (d completion) fire(v uint64) { d.c.Complete(d.tok, v) }
 // record is its own sim.Handler and sim.Holder, so no step of the pipeline
 // schedules a closure, and it recycles through its arena's ops: the
 // steady-state request path allocates nothing beyond what the protocol round
-// itself books.
+// itself books. Its 104 B keep the three small fields in one word at the end.
 type clientOp struct {
-	r    *Replica
-	kind opKind
+	r *Replica
 
 	key, scope, txn uint64
-	n               int   // scan: maximum length, then the keys found
 	service         int64 // worker service time before the operation runs
 	done            completion
 
 	// Read phase (read, scan, RMW): the worker held across it, when it first
-	// ran and whether it stalled (stall accounting), and the version served.
-	hold    sim.Hold
-	start   int64
-	stalled bool
-	ver     Stamp
+	// ran (stall accounting), and the version served.
+	hold  sim.Hold
+	start int64
+	ver   Stamp
 
 	sim.Link[clientOp]
+
+	kind    opKind
+	stalled bool  // the read phase stalled (stall accounting)
+	n       int32 // scan: maximum length, then the keys found
 }
 
 type opKind uint8
@@ -147,7 +149,8 @@ func (r *Replica) ClientScan(start uint64, maxLen int, c Completer, tok uint64) 
 		maxLen = 1
 	}
 	op := r.newOp(opScan)
-	op.key, op.n, op.done = start, maxLen, completion{c, tok}
+	// A scan finds at most Keys entries, and key slots are int32 already.
+	op.key, op.n, op.done = start, int32(min(maxLen, math.MaxInt32)), completion{c, tok}
 	op.service = r.opServiceTime()
 	r.work.AcquireHold(op)
 }
@@ -282,7 +285,7 @@ func (op *clientOp) readDone() {
 		r.work.Release(hold)
 		done.fire(uint64(ver))
 	case opScan:
-		op.n = r.scanEngine(op.key, op.n)
+		op.n = int32(r.scanEngine(op.key, int(op.n)))
 		// Per-entry traversal cost on top of the first access.
 		r.eng.ScheduleEvent(int64(op.n)*2, op, opScanDone)
 	case opRMW:

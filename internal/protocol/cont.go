@@ -53,21 +53,17 @@ const (
 	// propagation delays.
 	contPropagate
 	contRemoteGroups
-	// contFunc calls fn. The escape slot is for cold callers only — tests,
-	// recovery and ablation tooling — never for a per-operation path: a
-	// closure per op is what the other kinds exist to avoid.
-	contFunc
 )
 
-// cont is one continuation: a kind and its operands. The key and stamp a
-// continuation acts on are not stored in it; they arrive from whatever it
-// waited on (see run).
+// cont is one continuation: a kind and its operands, 16 B. The key and stamp
+// a continuation acts on are not stored in it; they arrive from whatever it
+// waited on (see run). It has no func() escape slot: the one pointer word
+// would make every parked continuation's slab slot 48 B instead of 40.
 type cont struct {
 	kind contKind
 	msg  MsgKind // contAck: the acknowledgment flavor
 	node int32   // peer rank: ACK target or applied-vector writer
 	arg  uint64  // transaction, scope or fan-in id
-	fn   func()  // contFunc only
 }
 
 func ackTo(msg MsgKind, node int, txn uint64) cont {
@@ -127,8 +123,6 @@ func (r *Replica) run(c cont, key uint64, st Stamp) {
 		r.propagate(payload{Kind: MsgUPD, Key: key, Stamp: st, Scope: c.arg})
 	case contRemoteGroups:
 		r.broadcastRemoteGroups(payload{Kind: MsgUPD, Key: key, Stamp: st, Scope: c.arg})
-	case contFunc:
-		c.fn()
 	}
 }
 

@@ -8,41 +8,54 @@ import (
 	"repro/internal/params"
 )
 
-// note returns a contFunc continuation that appends name to *log — the
-// escape slot doing what it is for: a cold caller (this test) observing the
-// order continuations run in.
-func note(log *[]string, name string, also func()) cont {
-	return cont{kind: contFunc, fn: func() {
-		*log = append(*log, name)
-		if also != nil {
-			also()
+// ackLog makes r log, through its tracer, the target rank of every message
+// it sends: a continuation ackTo(MsgACK, to, 0) logs to as it runs, so
+// continuations told apart by their targets leave their run order in the log.
+// also, if set, runs with each target inside the send — from within the
+// continuation that sent it.
+func ackLog(r *Replica, also func(to int)) *[]int {
+	var log []int
+	r.tracer = func(_ int, what string) {
+		var kind string
+		var to int
+		if n, _ := fmt.Sscanf(what, "%s -> node %d", &kind, &to); n == 2 {
+			log = append(log, to)
+			if also != nil {
+				also(to)
+			}
 		}
-	}}
+	}
+	return &log
 }
 
 // TestPersistContinuationOrder pins the per-key continuation FIFO through a
 // coalesced write-back: continuations run in the order they were filed, only
 // once their stamp is covered, and one that re-enters persist() for the key
 // queues behind nothing it should not — its entry rides the follow-up
-// write-back together with the ones the first left uncovered.
+// write-back together with the ones the first left uncovered. Each
+// continuation is an ACK to its own rank; the one to rank 1 files the ACK to
+// rank 4 as it runs.
 func TestPersistContinuationOrder(t *testing.T) {
-	tc := newTestCluster(mdl(core.Eventual, core.Synchronous), 1, nil)
+	tc := newTestCluster(mdl(core.Eventual, core.Synchronous), 5, nil)
 	r := tc.reps[0]
-	var log []string
+	reentered := false
+	log := ackLog(r, func(to int) {
+		if to == 1 && !reentered {
+			reentered = true
+			r.persist(3, 4, ackTo(MsgACK, 4, 0))
+		}
+	})
 	tc.eng.Schedule(0, func() {
-		r.persist(3, 1, note(&log, "st1", func() {
-			r.persist(3, 4, note(&log, "st4 (filed by st1)", nil))
-		}))
-		r.persist(3, 2, note(&log, "st2", nil))
-		r.persist(3, 3, note(&log, "st3", nil))
-		if len(log) != 0 {
+		r.persist(3, 1, ackTo(MsgACK, 1, 0))
+		r.persist(3, 2, ackTo(MsgACK, 2, 0))
+		r.persist(3, 3, ackTo(MsgACK, 3, 0))
+		if len(*log) != 0 {
 			t.Error("a continuation ran inside persist()")
 		}
 	})
 	tc.run()
-	want := []string{"st1", "st4 (filed by st1)", "st2", "st3"}
-	if fmt.Sprint(log) != fmt.Sprint(want) {
-		t.Fatalf("continuations ran as %q, want %q", log, want)
+	if want := []int{1, 4, 2, 3}; fmt.Sprint(*log) != fmt.Sprint(want) {
+		t.Fatalf("continuations ran as %v, want %v", *log, want)
 	}
 	if r.M.Persists != 2 || r.PersistedVersion(3) != 4 {
 		t.Fatalf("persists=%d persisted=%v, want 2 coalesced write-backs ending at stamp 4", r.M.Persists, r.PersistedVersion(3))
@@ -54,43 +67,46 @@ func TestPersistContinuationOrder(t *testing.T) {
 	// A stamp that is already durable: the continuation still runs from an
 	// event, never inside persist(), and no device write is issued.
 	tc.eng.Schedule(0, func() {
-		r.persist(3, 2, note(&log, "covered", nil))
-		if log[len(log)-1] == "covered" {
+		r.persist(3, 2, ackTo(MsgACKp, 1, 0))
+		if len(*log) != 4 {
 			t.Error("the continuation of a covered stamp ran inside persist()")
 		}
 	})
 	tc.run()
-	if log[len(log)-1] != "covered" || r.M.Persists != 2 {
-		t.Fatalf("log=%q persists=%d, want the covered continuation run and no new write-back", log, r.M.Persists)
+	if want := []int{1, 4, 2, 3, 1}; fmt.Sprint(*log) != fmt.Sprint(want) || r.M.Persists != 2 {
+		t.Fatalf("log=%v persists=%d, want the covered continuation run and no new write-back", *log, r.M.Persists)
 	}
 }
 
 // TestPersistItemsFanIn: a batch's continuation runs once, after its last
-// item is durable; an empty batch continues at once.
+// item is durable; an empty batch continues at once. The empty batch's
+// continuation ACKs rank 1, the full one's rank 2.
 func TestPersistItemsFanIn(t *testing.T) {
 	for _, ablate := range []bool{false, true} {
-		tc := newTestCluster(mdl(core.Eventual, core.Synchronous), 1, func(p *params.Params) {
+		tc := newTestCluster(mdl(core.Eventual, core.Synchronous), 3, func(p *params.Params) {
 			p.NoPersistCoalescing = ablate
 		})
 		r := tc.reps[0]
-		var log []string
+		log := ackLog(r, func(to int) {
+			if to != 2 {
+				return
+			}
+			for _, k := range []uint64{1, 2} {
+				if r.PersistedVersion(k).IsZero() {
+					t.Errorf("batch continued before key %d was durable", k)
+				}
+			}
+		})
 		tc.eng.Schedule(0, func() {
-			r.persistItems(nil, note(&log, "empty", nil))
-			if len(log) != 1 {
+			r.persistItems(nil, ackTo(MsgACK, 1, 0))
+			if len(*log) != 1 {
 				t.Error("an empty batch did not continue at once")
 			}
-			r.persistItems([]persistItem{{key: 1, stamp: 1}, {key: 2, stamp: 1}, {key: 1, stamp: 2}},
-				note(&log, "batch", func() {
-					for _, k := range []uint64{1, 2} {
-						if r.PersistedVersion(k).IsZero() {
-							t.Errorf("batch continued before key %d was durable", k)
-						}
-					}
-				}))
+			r.persistItems([]persistItem{{key: 1, stamp: 1}, {key: 2, stamp: 1}, {key: 1, stamp: 2}}, ackTo(MsgACK, 2, 0))
 		})
 		tc.run()
-		if fmt.Sprint(log) != "[empty batch]" {
-			t.Fatalf("coalescing off=%v: log=%q, want each batch continued exactly once", ablate, log)
+		if fmt.Sprint(*log) != "[1 2]" {
+			t.Fatalf("coalescing off=%v: log=%v, want each batch continued exactly once", ablate, *log)
 		}
 		if r.arena.fanIns.Slots() != 1 || r.arena.fanIns.Put(fanIn{}) != 1 { // the one slot is free
 			t.Fatalf("coalescing off=%v: fan-in slot not recycled", ablate)

@@ -35,16 +35,39 @@ func PartitionKeys(keys, shards int, owner func(key uint64) int) ([]KeyIndex, []
 // per owned key; a key of another shard — which the router never sends here —
 // has no slot and reads as the zero keyState until something writes to it.
 //
-// Transactional consistency keeps two more fields per key in txn, a table
-// beside slots that only that binding builds (NewReplica). It is dense over
-// the whole key space, indexed by key: Validate keeps Transactional cells
-// flat, so every key has a slot there anyway.
+// Two side tables beside slots hold what only some bindings write, so the
+// others do not carry it in every key's slot; NewReplica builds each only
+// under its bindings. trans, the read-stall state of the INV/ACK/VAL round,
+// is parallel to slots (a stray key keeps its own beside its keyState); it
+// exists under Linearizable, Read-Enforced and Transactional consistency.
+// txn, Transactional consistency's two more fields per key, is dense over the
+// whole key space, indexed by key: Validate keeps Transactional cells flat,
+// so every key has a slot there anyway.
 type keyTable struct {
 	slots []keyState
 	index []KeyOwner           // nil = dense
 	shard int32                // the shard whose keys slots holds
-	stray map[uint64]*keyState // unowned keys, materialised on first touch
+	stray map[uint64]*strayKey // unowned keys, materialised on first touch
+	trans []transKey           // nil outside the INV/ACK/VAL bindings
 	txn   []txnKey             // nil outside Transactional consistency
+}
+
+// strayKey is the state of a key without a slot: its keyState and, under
+// the INV/ACK/VAL bindings, its transKey.
+type strayKey struct {
+	ks keyState
+	tk transKey
+}
+
+// transKey is a key's read-stall state at one replica under the INV/ACK/VAL
+// bindings (12 B): transC holds stamps INVed but not yet validated for
+// consistency, transP stamps not yet validated for persistency (VAL_p), and
+// consWait is the tail token of the FIFO in Arena.waiters of the reads
+// stalled until they are.
+type transKey struct {
+	transC   stampSet
+	transP   stampSet
+	consWait int32
 }
 
 // txnKey is a key's transactional state at one replica.
@@ -55,6 +78,19 @@ type txnKey struct {
 
 // txnAt returns key's transactional state (Transactional consistency only).
 func (t *keyTable) txnAt(key uint64) *txnKey { return &t.txn[key] }
+
+// transAt returns key's read-stall state for update, materialising a stray
+// key if need be (INV/ACK/VAL bindings only).
+func (t *keyTable) transAt(key uint64) *transKey {
+	if t.index == nil {
+		return &t.trans[key]
+	}
+	if o := t.index[key]; o.Shard == t.shard {
+		return &t.trans[o.Slot]
+	}
+	t.at(key)
+	return &t.stray[key].tk
+}
 
 func newKeyTable(keys int, ix *KeyIndex) keyTable {
 	if ix == nil {
@@ -71,7 +107,10 @@ func (t *keyTable) find(key uint64) *keyState {
 	if o := t.index[key]; o.Shard == t.shard {
 		return &t.slots[o.Slot]
 	}
-	return t.stray[key]
+	if sk := t.stray[key]; sk != nil {
+		return &sk.ks
+	}
+	return nil
 }
 
 // at returns key's state for update, materialising it if need be.
@@ -87,9 +126,9 @@ func (t *keyTable) at(key uint64) *keyState {
 //go:noinline
 func (t *keyTable) touch(key uint64) *keyState {
 	if t.stray == nil {
-		t.stray = make(map[uint64]*keyState)
+		t.stray = make(map[uint64]*strayKey)
 	}
-	ks := new(keyState)
-	t.stray[key] = ks
-	return ks
+	sk := new(strayKey)
+	t.stray[key] = sk
+	return &sk.ks
 }

@@ -69,4 +69,21 @@ func TestKeyTableOwnedSlots(t *testing.T) {
 	if len(tab.stray) != 1 || len(tab.slots) != idx[1].owned {
 		t.Fatalf("first touch changed the owned slots (%d owned, %d stray)", len(tab.slots), len(tab.stray))
 	}
+
+	// The read-stall side table is parallel to the slots; a stray key keeps
+	// its entry beside its keyState, and asking for one materialises the key.
+	tab.trans = make([]transKey, len(tab.slots))
+	for k := uint64(0); k < keys; k++ {
+		if o := idx[1].owners[k]; o.Shard == 1 && tab.transAt(k) != &tab.trans[o.Slot] {
+			t.Fatalf("owned key %d does not share its slot number with its read-stall entry", k)
+		}
+	}
+	if tk := tab.transAt(stray); tk != &tab.stray[stray].tk || tab.transAt(stray) != tk || tab.find(stray) != ks {
+		t.Fatalf("stray key's read-stall entry is not the one beside its keyState")
+	}
+	const untouched = 1 // owned by shard 3, never touched
+	tab.transAt(untouched).transC = 1
+	if tab.find(untouched) == nil || tab.transAt(untouched).transC != 1 || len(tab.stray) != 2 {
+		t.Fatalf("read-stall entry of an untouched stray key did not materialise it")
+	}
 }

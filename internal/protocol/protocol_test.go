@@ -835,10 +835,12 @@ func TestStaleAckIgnored(t *testing.T) {
 }
 
 // TestReplicaBuildsOnlyTheMapsItsBindingWrites pins NewReplica's gate on the
-// binding: the transaction table exists under Transactional consistency
-// only and the three scope tables under Scope persistency only (a nil map
-// reads as empty), and a client call that would write a table its binding
-// lacks panics at the call, naming the binding.
+// binding: the transaction tables exist under Transactional consistency
+// only, the read-stall side table (one entry per key slot) under the
+// INV/ACK/VAL consistency models only (Linearizable, Read-Enforced,
+// Transactional) and the three scope tables under Scope persistency only (a
+// nil map reads as empty), and a client call that would write a table its
+// binding lacks panics at the call, naming the binding.
 func TestReplicaBuildsOnlyTheMapsItsBindingWrites(t *testing.T) {
 	panics := func(call func()) (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
@@ -849,8 +851,12 @@ func TestReplicaBuildsOnlyTheMapsItsBindingWrites(t *testing.T) {
 	for _, m := range core.AllModels() {
 		r := newTestCluster(m, 2, nil).reps[0]
 		txn, scope := m.C == core.Transactional, m.P == core.Scope
+		inv := txn || m.C == core.Linearizable || m.C == core.ReadEnforcedC
 		if (r.txns != nil) != txn || (r.keys.txn != nil) != txn {
 			t.Errorf("%v: transaction tables built = %v %v, want %v", m, r.txns != nil, r.keys.txn != nil, txn)
+		}
+		if (r.keys.trans != nil) != inv || inv && len(r.keys.trans) != len(r.keys.slots) {
+			t.Errorf("%v: read-stall table of %d entries for %d key slots, want one per slot = %v", m, len(r.keys.trans), len(r.keys.slots), inv)
 		}
 		if (r.scopePending != nil) != scope || (r.scopeClosed != nil) != scope || (r.scopeOps != nil) != scope {
 			t.Errorf("%v: scope tables built = %v %v %v, want %v", m,

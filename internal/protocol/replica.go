@@ -82,23 +82,13 @@ type Deps struct {
 // (what a crash keeps). It holds no slice or map of its own: every per-key
 // collection is a token into a slab of the replica's Arena (or, for stalled
 // reads, a link through the operation records), so the first touch of a key
-// allocates nothing. It holds only what every binding reads (56 B): the
-// transaction lock and committed version sit in keyTable.txn, which only
-// Transactional consistency builds.
+// allocates nothing. It holds only what every binding reads (48 B): the
+// INV/ACK/VAL round's read-stall state sits in keyTable.trans and the
+// transaction lock and committed version in keyTable.txn, which only the
+// bindings that write them build.
 type keyState struct {
 	visible   Stamp // stamp of the current visible (volatile) version
 	persisted Stamp // stamp of the latest locally persisted version
-
-	// transC holds stamps INVed but not yet validated for consistency;
-	// transP holds stamps not yet validated for persistency (VAL_p).
-	transC stampSet
-	transP stampSet
-
-	// Reads stalled on this key, as tail tokens of FIFOs in Arena.waiters:
-	// consWait waits for consistency validation, persWait for local
-	// persistence.
-	consWait int32
-	persWait int32
 
 	// Write-back coalescing: at most one persist per key is in flight; newer
 	// stamps arriving meanwhile mark the key dirty and ride the follow-up
@@ -106,10 +96,14 @@ type keyState struct {
 	// is the stamp the in-flight write covers (at most one, so it lives here
 	// rather than in a per-write record); persistCbs is the tail token of the
 	// key's FIFO of waiting continuations in Arena.conts.
-	persistInFlight bool
-	persistCbs      int32
 	dirtyStamp      Stamp
 	issuedStamp     Stamp
+	persistCbs      int32
+	persistInFlight bool
+
+	// persWait is the tail token of the FIFO in Arena.waiters of the reads
+	// stalled on this key until it is locally persisted.
+	persWait int32
 }
 
 // pendingWrite tracks a coordinator-side in-flight write. Records recycle
@@ -263,6 +257,9 @@ func NewReplica(id int, d Deps) *Replica {
 		r.arena = new(Arena)
 	}
 	// Build only the maps the binding writes.
+	if r.rules.InvAckVal {
+		r.keys.trans = make([]transKey, len(r.keys.slots))
+	}
 	if r.rules.ServesCommitted {
 		r.txns = make(map[uint64]*txnState)
 		r.keys.txn = make([]txnKey, d.P.Keys)
@@ -698,16 +695,18 @@ func (r *Replica) readAttempt(op *clientOp) {
 	key := op.key
 	ks := r.keys.at(key)
 
-	if r.rules.ReadsStallOnTransient && (ks.transC != 0 || r.rules.SplitAcks && ks.transP != 0) {
-		if !op.stalled {
-			op.stalled = true
-			r.M.ReadStalls++
-			if r.tracer != nil {
-				r.trace("RD k%d stalls", key)
+	if r.rules.ReadsStallOnTransient {
+		if tk := r.keys.transAt(key); tk.transC != 0 || r.rules.SplitAcks && tk.transP != 0 {
+			if !op.stalled {
+				op.stalled = true
+				r.M.ReadStalls++
+				if r.tracer != nil {
+					r.trace("RD k%d stalls", key)
+				}
 			}
+			r.arena.waiters.Push(&tk.consWait, op)
+			return
 		}
-		r.arena.waiters.Push(&ks.consWait, op)
-		return
 	}
 	if r.rules.ReadsWaitLocalPersist && ks.persisted < ks.visible {
 		if !op.stalled {

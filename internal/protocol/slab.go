@@ -17,10 +17,10 @@ type Arena struct {
 	// Replica.onMessage / OnEvent).
 	disp sim.Slab[dispatchRec]
 
-	// The slabs behind the per-key tokens of keyState: every continuation
-	// waiting on an in-flight write-back or parked across a device write or
-	// a delay (conts; see cont.go), the members of every transC/transP set
-	// (stamps) and every stalled read (waiters).
+	// The slabs behind the per-key tokens of keyState and transKey: every
+	// continuation waiting on an in-flight write-back or parked across a
+	// device write or a delay (conts; see cont.go), the members of every
+	// transC/transP set (stamps) and every stalled read (waiters).
 	conts   sim.Slab[contRec]
 	stamps  stampSets
 	waiters sim.Slab[*clientOp]

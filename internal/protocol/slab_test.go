@@ -1,6 +1,11 @@
 package protocol
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+
+	"repro/internal/sim"
+)
 
 func TestStampSet(t *testing.T) {
 	var s stampSets
@@ -24,5 +29,33 @@ func TestStampSet(t *testing.T) {
 	s.remove(&b, 5)
 	if b != 0 || s.Slots() != 3 {
 		t.Fatalf("b=%d slots=%d, want empty sets over the 3 slots ever live at once", b, s.Slots())
+	}
+}
+
+// TestPendingRecordBytes pins the protocol records that live while an event
+// is pending, and the per-key slot every key costs a replica:
+//   - a parked continuation's slab slot, 40 B: key, stamp, a 16-B cont and
+//     the slot's link (a func() escape slot in cont made it 48);
+//   - clientOp, at most 104 B, with its kind, stall flag and 32-bit scan
+//     count sharing one word (each in a word of its own made it 120);
+//   - keyState, 48 B, with the INV/ACK/VAL round's read-stall state in a
+//     12-B side table only those bindings build (inline it made keyState 56).
+//
+// internal/sim and internal/simnet pin their pending records in tests of the
+// same name.
+func TestPendingRecordBytes(t *testing.T) {
+	var conts sim.Slab[contRec]
+	a, b := conts.Put(contRec{}), conts.Put(contRec{})
+	if got := uintptr(unsafe.Pointer(conts.At(b))) - uintptr(unsafe.Pointer(conts.At(a))); got != 40 {
+		t.Errorf("a continuation slot is %d B, want 40", got)
+	}
+	if got := unsafe.Sizeof(clientOp{}); got > 104 {
+		t.Errorf("clientOp is %d B, want <= 104", got)
+	}
+	if got := unsafe.Sizeof(keyState{}); got != 48 {
+		t.Errorf("keyState is %d B, want 48", got)
+	}
+	if got := unsafe.Sizeof(transKey{}); got != 12 {
+		t.Errorf("transKey is %d B, want 12", got)
 	}
 }

@@ -27,7 +27,7 @@ func (r *Replica) strongWrite(key uint64, scope, txn uint64, done completion) {
 	pw.cAcks = r.followers()
 
 	if r.rules.ReadsStallOnTransient {
-		r.markTransient(r.keys.at(key), st)
+		r.markTransient(key, st)
 	}
 	if txn != 0 {
 		r.addWriteKey(txn, key, st)
@@ -90,10 +90,11 @@ func (r *Replica) releaseTxnWriteLock(key uint64) {
 // markTransient marks a strong write consistency-transient at this replica,
 // so reads to the key stall until its VAL; under split ACKs it also stays
 // persistency-transient until its VAL_p (Figure 3).
-func (r *Replica) markTransient(ks *keyState, st Stamp) {
-	r.arena.stamps.add(&ks.transC, st)
+func (r *Replica) markTransient(key uint64, st Stamp) {
+	tk := r.keys.transAt(key)
+	r.arena.stamps.add(&tk.transC, st)
 	if r.rules.SplitAcks {
-		r.arena.stamps.add(&ks.transP, st)
+		r.arena.stamps.add(&tk.transP, st)
 	}
 }
 
@@ -106,7 +107,7 @@ func (r *Replica) onINV(from int, p *payload) {
 		from = p.Stamp.Node() // ACKs go to the write's coordinator
 	}
 	if r.rules.ReadsStallOnTransient {
-		r.markTransient(r.keys.at(p.Key), p.Stamp)
+		r.markTransient(p.Key, p.Stamp)
 	}
 	if p.Txn != 0 && !r.acceptTxnInv(from, p) {
 		return // transactional write-write conflict: NACKed
@@ -160,20 +161,20 @@ func (r *Replica) onACKp(p *payload) {
 // validate broadcasts the consistency VAL and clears local transient state.
 func (r *Replica) validate(pw *pendingWrite, kind MsgKind) {
 	r.broadcast(payload{Kind: kind, Key: pw.key, Stamp: pw.stamp})
-	ks := r.keys.at(pw.key)
-	r.arena.stamps.remove(&ks.transC, pw.stamp)
+	tk := r.keys.transAt(pw.key)
+	r.arena.stamps.remove(&tk.transC, pw.stamp)
 	if !r.rules.SplitAcks {
-		r.wake(&ks.consWait)
+		r.wake(&tk.consWait)
 	}
 }
 
 // validateP broadcasts VAL_p and clears both transient sets locally.
 func (r *Replica) validateP(pw *pendingWrite) {
 	r.broadcast(payload{Kind: MsgVALp, Key: pw.key, Stamp: pw.stamp})
-	ks := r.keys.at(pw.key)
-	r.arena.stamps.remove(&ks.transC, pw.stamp)
-	r.arena.stamps.remove(&ks.transP, pw.stamp)
-	r.wake(&ks.consWait)
+	tk := r.keys.transAt(pw.key)
+	r.arena.stamps.remove(&tk.transC, pw.stamp)
+	r.arena.stamps.remove(&tk.transP, pw.stamp)
+	r.wake(&tk.consWait)
 }
 
 // completeWrite completes the client's write exactly once and records
@@ -202,10 +203,10 @@ func (r *Replica) onVAL(p *payload) {
 		r.commitVAL(p.Txn)
 		return
 	}
-	ks := r.keys.at(p.Key)
-	r.arena.stamps.remove(&ks.transC, p.Stamp)
-	if ks.transC == 0 && (!r.rules.SplitAcks || ks.transP == 0) {
-		r.wake(&ks.consWait)
+	tk := r.keys.transAt(p.Key)
+	r.arena.stamps.remove(&tk.transC, p.Stamp)
+	if tk.transC == 0 && (!r.rules.SplitAcks || tk.transP == 0) {
+		r.wake(&tk.consWait)
 	}
 }
 
@@ -214,11 +215,11 @@ func (r *Replica) onVALp(p *payload) {
 	if p.Scope != 0 {
 		return // scope VAL_p carries no per-key state
 	}
-	ks := r.keys.at(p.Key)
-	r.arena.stamps.remove(&ks.transC, p.Stamp)
-	r.arena.stamps.remove(&ks.transP, p.Stamp)
-	if ks.transC == 0 && ks.transP == 0 {
-		r.wake(&ks.consWait)
+	tk := r.keys.transAt(p.Key)
+	r.arena.stamps.remove(&tk.transC, p.Stamp)
+	r.arena.stamps.remove(&tk.transP, p.Stamp)
+	if tk.transC == 0 && tk.transP == 0 {
+		r.wake(&tk.consWait)
 	}
 }
 

@@ -45,9 +45,13 @@ const (
 	sumWords   = occWords / 64
 )
 
-// eventNode is one slab entry: an event plus its intra-bucket chain link.
+// eventNode is one slab entry: an event without its time, which its bucket
+// gives (a bucket spans exactly 1 ns; see popIfAtMost), plus its intra-bucket
+// chain link. 40 B: the time word would make it 48.
 type eventNode struct {
-	ev   event
+	seq  uint64
+	h    Handler
+	arg  uint64
 	next int32
 }
 
@@ -138,15 +142,15 @@ func (w *timingWheel) insert(ev *event, ordered bool) {
 		b.head, b.tail = ni, ni
 		w.occ[slot>>6] |= 1 << uint(slot&63)
 		w.sum[slot>>12] |= 1 << uint((slot>>6)&63)
-	} else if seq := ev.seq; !ordered || w.nodes[b.tail].ev.seq < seq {
+	} else if seq := ev.seq; !ordered || w.nodes[b.tail].seq < seq {
 		w.nodes[b.tail].next = ni
 		b.tail = ni
-	} else if w.nodes[b.head].ev.seq > seq {
+	} else if w.nodes[b.head].seq > seq {
 		w.nodes[ni].next = b.head
 		b.head = ni
 	} else {
 		prev := b.head
-		for w.nodes[w.nodes[prev].next].ev.seq < seq {
+		for w.nodes[w.nodes[prev].next].seq < seq {
 			prev = w.nodes[prev].next
 		}
 		w.nodes[ni].next = w.nodes[prev].next
@@ -164,11 +168,11 @@ func (w *timingWheel) alloc(ev *event) int32 {
 	if ni := w.free; ni >= 0 {
 		n := &w.nodes[ni]
 		w.free = n.next
-		n.ev.at, n.ev.seq, n.ev.h, n.ev.arg = ev.at, ev.seq, ev.h, ev.arg
+		n.seq, n.h, n.arg = ev.seq, ev.h, ev.arg
 		n.next = -1
 		return ni
 	}
-	w.nodes = append(w.nodes, eventNode{ev: *ev, next: -1})
+	w.nodes = append(w.nodes, eventNode{seq: ev.seq, h: ev.h, arg: ev.arg, next: -1})
 	return int32(len(w.nodes) - 1)
 }
 
@@ -223,7 +227,7 @@ func (w *timingWheel) popIfAtMost(limit int64) (at int64, seq uint64, h Handler,
 	}
 	ni := w.buckets[slot].head
 	n := &w.nodes[ni]
-	seq, h, arg = n.ev.seq, n.ev.h, n.ev.arg
+	seq, h, arg = n.seq, n.h, n.arg
 	w.buckets[slot].head = n.next
 	if n.next < 0 {
 		w.occ[slot>>6] &^= 1 << uint(slot&63)
@@ -231,7 +235,7 @@ func (w *timingWheel) popIfAtMost(limit int64) (at int64, seq uint64, h Handler,
 			w.sum[slot>>12] &^= 1 << uint((slot>>6)&63)
 		}
 	}
-	n.ev.h = nil // release the handler for GC
+	n.h = nil // release the handler for GC
 	n.next = w.free
 	w.free = ni
 	w.count--

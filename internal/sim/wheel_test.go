@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // orderRecorder is a typed-event sink that appends its argument to a shared
 // execution log — the typed-path counterpart of a recording closure.
@@ -297,5 +300,17 @@ func TestPoolHoldAllocs(t *testing.T) {
 	}
 	if p.Queued() != 0 || p.Held() != 0 {
 		t.Fatalf("pool did not drain: queued=%d held=%d", p.Queued(), p.Held())
+	}
+}
+
+// TestPendingRecordBytes pins the wheel's node at 40 B: it is what every
+// pending event occupies (scale160's <Ev,Ev> cell keeps about 15,000 of them
+// live). The node holds the event's key, handler and argument and its chain
+// link; its time is its bucket's, so storing it too made the node 48 B.
+// internal/protocol and internal/simnet pin their pending records in tests of
+// the same name.
+func TestPendingRecordBytes(t *testing.T) {
+	if got := unsafe.Sizeof(eventNode{}); got != 40 {
+		t.Fatalf("eventNode is %d B, want 40", got)
 	}
 }

@@ -3,6 +3,7 @@ package simnet
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -31,4 +32,14 @@ func TestNewFootprintLinearInNodes(t *testing.T) {
 		t.Fatalf("New allocates %d B at 320 nodes, %d B at 40: %.1fx, want <= 9x", large, small, float64(large)/float64(small))
 	}
 	t.Logf("New allocates %d B at 40 nodes, %d B at 320 (%.1fx)", small, large, float64(large)/float64(small))
+}
+
+// TestPendingRecordBytes pins the delivery record, which every message in
+// flight occupies, at 72 B: the network pointer, the message and the pool
+// link. The receive-side serialization time follows from the message size,
+// so arrive recomputes it; stored, it made the record 80 B.
+func TestPendingRecordBytes(t *testing.T) {
+	if got := unsafe.Sizeof(delivery{}); got != 72 {
+		t.Fatalf("delivery is %d B, want 72", got)
+	}
 }

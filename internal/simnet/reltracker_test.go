@@ -76,8 +76,11 @@ func (f *refFabric) send(src, dst, size int, now int64) (arrive int64, inflight 
 // random steps between sends. After every send the arrival time prepSend
 // returns and the sender's in-flight count must equal the oracle's. The
 // jittered fabrics must also see the pair-FIFO clamp fire, so the
-// clamp is exercised, not merely agreed on.
+// clamp is exercised, not merely agreed on; likewise the 5-node fabrics' hot
+// senders must outgrow their carves, and some NIC must give its overflow
+// block back.
 func TestRelTrackerMatchesFullScan(t *testing.T) {
+	returned := false
 	for _, nodes := range []int{1, 5, 40} {
 		for _, fab := range []struct {
 			name   string
@@ -96,6 +99,7 @@ func TestRelTrackerMatchesFullScan(t *testing.T) {
 				n := New(eng, cfg)
 				ref := newRefFabric(n)
 				rng := sim.NewRNG(seed)
+				borrowed := false
 				for step := 0; step < 3000; step++ {
 					if rng.Intn(3) == 0 {
 						eng.Run(eng.Now() + int64(rng.Intn(400)))
@@ -121,11 +125,20 @@ func TestRelTrackerMatchesFullScan(t *testing.T) {
 					if l := n.tx[src].rel.len(); l != inflight {
 						t.Fatalf("%s step %d: node %d has %d sends in flight, oracle %d", name, step, src, l, inflight)
 					}
+					rel := &n.tx[src].rel
+					borrowed = borrowed || rel.more != nil
+					returned = returned || len(rel.spare.free) > 0
+				}
+				if nodes == 5 && !borrowed {
+					t.Fatalf("%s: no NIC outgrew its carve", name)
 				}
 				if nodes > 1 && fab.jitter > 0 && ref.clamps == 0 {
 					t.Fatalf("%s: the pair-FIFO clamp never fired", name)
 				}
 			}
 		}
+	}
+	if !returned {
+		t.Fatal("no NIC gave an overflow block back")
 	}
 }

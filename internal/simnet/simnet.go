@@ -177,6 +177,9 @@ func NewParallel(engs []*sim.Engine, cfg Config) *Network {
 	n := newNetwork(engs, cfg)
 	n.lp = true
 	n.mail = make([][]mailEntry, cfg.Nodes)
+	for i := range n.tx {
+		n.tx[i].rel.spare = new(sendBlocks) // touched by node i's LP only
+	}
 	return n
 }
 
@@ -192,18 +195,21 @@ func newNetwork(engs []*sim.Engine, cfg Config) *Network {
 	if cfg.MaxKind+1 > kinds {
 		kinds = cfg.MaxKind + 1
 	}
-	// Every NIC's in-flight list starts as a carve of one chunk per network.
+	// Every NIC's in-flight list starts as a carve of one chunk per network;
+	// under sequential wiring the NICs share one pool of overflow blocks.
 	var sends []inflight
+	spare := new(sendBlocks)
 	for i := range n.tx {
 		n.tx[i].byKind = make([]uint64, kinds)
-		n.tx[i].rel = relTracker{sends: sim.CarveList(&sends, inflightCarve, cfg.Nodes), next: math.MaxInt64}
+		n.tx[i].rel = relTracker{sends: sim.CarveList(&sends, inflightCarve, cfg.Nodes), spare: spare, next: math.MaxInt64}
 	}
 	return n
 }
 
-// inflightCarve is the room each NIC's in-flight list starts with. The
-// busiest NIC of a flat 5x20 cell or of the 160-node scaling cell peaks at
-// 58-123 sends in flight, so a list that outgrows its carve moves out once.
+// inflightCarve is the room each NIC's in-flight list starts with, and the
+// size of an overflow block. The busiest NIC of a flat 5x20 cell or of the
+// 160-node scaling cell peaks at 58-123 sends in flight, so a burst borrows
+// at most one block.
 const inflightCarve = 64
 
 // Register installs the receive handler for node id.
@@ -242,28 +248,31 @@ func jitterFor(seed, pair, seq uint64, max int64) int64 {
 // per-node under LP wiring, where a record allocated by the sender is
 // recycled by the receiver) and both hops are typed engine events on the
 // record itself, so the steady-state send path schedules zero closures and
-// allocates nothing.
+// allocates nothing. The record does not keep the message's serialization
+// time: the arrival event carries it (arriveArg), which keeps the record at
+// 72 B without a second division per message.
 type delivery struct {
 	n   *Network
 	msg Message
-	ser int64
 	sim.Link[delivery]
 }
 
-// The two hops of a delivery, as typed-event arguments.
-const (
-	hopArrive = iota
-	hopDeliver
-)
+// The two hops of a delivery, as typed-event arguments: the dispatch hop's
+// is hopDeliver, and the arrival hop's is arriveArg(ser), which is even.
+const hopDeliver = 1
+
+// arriveArg is the arrival event's argument for a message whose
+// serialization time is ser.
+func arriveArg(ser int64) uint64 { return uint64(ser) << 1 }
 
 // OnEvent advances the delivery through its hops. It implements sim.Handler
 // so the record's events schedule closure-free.
 func (d *delivery) OnEvent(arg uint64) {
-	if arg == hopArrive {
-		d.arrive()
+	if arg == hopDeliver {
+		d.deliver()
 		return
 	}
-	d.deliver()
+	d.arrive(int64(arg >> 1))
 }
 
 // deliveryChunk is how many delivery records one allocation carves.
@@ -297,7 +306,7 @@ func (n *Network) newDelivery(at int) *delivery {
 // identically — so only the event count differs. A busy receive queue falls
 // back automatically: the predecessor's pending deliver event at old rxFree
 // <= rxDone makes TryAdvance fail.
-func (d *delivery) arrive() {
+func (d *delivery) arrive(ser int64) {
 	n := d.n
 	to := d.msg.To
 	eng := n.engs[to]
@@ -307,7 +316,7 @@ func (d *delivery) arrive() {
 	if rxStart < now {
 		rxStart = now
 	}
-	rxDone := rxStart + d.ser
+	rxDone := rxStart + ser
 	rx.rxFree = rxDone
 	if !n.cfg.NoFastPath && rxStart == now && eng.TryAdvance(rxDone) {
 		rx.fast++
@@ -414,11 +423,10 @@ func (n *Network) Send(msg Message) {
 
 	d := n.newDelivery(msg.From)
 	d.msg = msg
-	d.ser = ser
 
 	if msg.To == msg.From {
 		// Loopback stays on the sender's own engine in both wirings.
-		eng.AtEvent(arrive, d, hopArrive)
+		eng.AtEvent(arrive, d, arriveArg(ser))
 		return
 	}
 	seq := n.tx[msg.From].seq
@@ -426,7 +434,7 @@ func (n *Network) Send(msg Message) {
 		n.mail[msg.From] = append(n.mail[msg.From], mailEntry{at: arrive, seq: seq, d: d})
 		return
 	}
-	eng.AtArrival(arrive, int32(msg.From), seq, d, hopArrive)
+	eng.AtArrival(arrive, int32(msg.From), seq, d, arriveArg(ser))
 }
 
 // DeliverMail schedules every parked arrival on its destination engine with
@@ -441,7 +449,7 @@ func (n *Network) DeliverMail() int {
 	for src, b := range n.mail {
 		for i := range b {
 			e := &b[i]
-			n.engs[e.d.msg.To].AtArrival(e.at, int32(src), e.seq, e.d, hopArrive)
+			n.engs[e.d.msg.To].AtArrival(e.at, int32(src), e.seq, e.d, arriveArg(n.serialization(e.d.msg.Size)))
 			e.d = nil
 		}
 		moved += len(b)
@@ -524,11 +532,18 @@ func (n *Network) BroadcastRange(msg Message, base, size, except int) {
 
 // relTracker is one NIC's sends in flight, in send order: queue-pair
 // occupancy (a send holds a queue pair until its arrival time) and the
-// pair-FIFO clamp's memory, O(sends in flight) however large the fabric. A
-// cached earliest arrival makes the common no-op release O(1).
+// pair-FIFO clamp's memory, O(sends in flight) however large the fabric. The
+// oldest sends fill the NIC's carve; once it is full, newer ones go to an
+// overflow block borrowed from a pool that every NIC of a logical process
+// shares, and the block goes back as soon as the carve takes in what is left
+// of it. So a burst neither moves the list nor strands its carve, and blocks
+// follow the process's peak of bursting NICs. A cached earliest arrival makes
+// the common no-op release O(1).
 type relTracker struct {
-	sends []inflight
-	next  int64 // earliest arrival in sends; max int64 when empty
+	sends []inflight  // the oldest sends; full whenever more is in use
+	more  []inflight  // the newer sends of a burst; nil when none
+	spare *sendBlocks // where more comes from and goes back to
+	next  int64       // earliest arrival in the list; max int64 when empty
 }
 
 type inflight struct {
@@ -536,9 +551,28 @@ type inflight struct {
 	dst int32
 }
 
-func (h *relTracker) len() int { return len(h.sends) }
+// sendBlocks is a pool of spent overflow blocks.
+type sendBlocks struct {
+	free  [][]inflight
+	chunk []inflight
+}
 
-// release drops every send that has arrived by now, keeping send order.
+func (b *sendBlocks) get() []inflight {
+	if n := len(b.free); n > 0 {
+		blk := b.free[n-1]
+		b.free = b.free[:n-1]
+		return blk
+	}
+	return sim.CarveList(&b.chunk, inflightCarve, 8)
+}
+
+func (b *sendBlocks) put(blk []inflight) { b.free = append(b.free, blk[:0]) }
+
+func (h *relTracker) len() int { return len(h.sends) + len(h.more) }
+
+// release drops every send that has arrived by now, keeping send order: the
+// carve keeps its own survivors, then takes the overflow block's oldest ones
+// while it has room.
 func (h *relTracker) release(now int64) {
 	if now < h.next {
 		return
@@ -551,6 +585,25 @@ func (h *relTracker) release(now int64) {
 			next = min(next, s.at)
 		}
 	}
+	if h.more != nil {
+		rest := h.more[:0]
+		for _, s := range h.more {
+			if s.at <= now {
+				continue
+			}
+			next = min(next, s.at)
+			if len(keep) < cap(keep) {
+				keep = append(keep, s)
+			} else {
+				rest = append(rest, s)
+			}
+		}
+		h.more = rest
+		if len(rest) == 0 {
+			h.spare.put(rest)
+			h.more = nil
+		}
+	}
 	h.sends = keep
 	h.next = next
 }
@@ -559,13 +612,30 @@ func (h *relTracker) release(now int64) {
 // dst still in flight, and returns the arrival. After release(now) this is
 // exact: a released arrival is <= now < t, so it could never clamp.
 func (h *relTracker) push(dst int, t int64) int64 {
-	for i := len(h.sends) - 1; i >= 0; i-- {
-		if s := h.sends[i]; int(s.dst) == dst {
-			t = max(t, s.at)
-			break
-		}
+	if at, ok := lastTo(h.more, dst); ok {
+		t = max(t, at)
+	} else if at, ok := lastTo(h.sends, dst); ok {
+		t = max(t, at)
 	}
-	h.sends = append(h.sends, inflight{at: t, dst: int32(dst)})
+	s := inflight{at: t, dst: int32(dst)}
+	if len(h.sends) < cap(h.sends) {
+		h.sends = append(h.sends, s)
+	} else {
+		if h.more == nil {
+			h.more = h.spare.get()
+		}
+		h.more = append(h.more, s)
+	}
 	h.next = min(h.next, t)
 	return t
+}
+
+// lastTo returns the arrival of the newest send to dst in sends.
+func lastTo(sends []inflight, dst int) (int64, bool) {
+	for i := len(sends) - 1; i >= 0; i-- {
+		if s := sends[i]; int(s.dst) == dst {
+			return s.at, true
+		}
+	}
+	return 0, false
 }
