@@ -94,7 +94,8 @@ fmt:
 #     reference against its fixture, and no binding constant named in
 #     internal/protocol's code (a replica branches on its rules row only);
 #   - one iteration of the cluster-construction benchmark, against bit-rot;
-#   - the capacity and scaling sweeps at quick scale, flat and sharded;
+#   - the capacity and scaling sweeps at quick scale, flat and sharded, and
+#     the durability audit's CSV form (its columns read the crash report);
 #   - the CLI rejecting a knob no cell of the experiment can honor
 #     (-fwdbatch needs a sharded topology; table1 is unsharded), and a
 #     negative worker count (-lps, -parallel);
@@ -127,6 +128,7 @@ check: vet fmt
 	$(GO) run ./cmd/ddpbench -exp capacity -quick -shards 4 > /dev/null
 	$(GO) run ./cmd/ddpbench -exp scaling -quick > /dev/null
 	$(GO) run ./cmd/ddpbench -exp scaling -quick -placement load > /dev/null
+	$(GO) run ./cmd/ddpbench -exp durability -quick -csv > /dev/null
 	! $(GO) run ./cmd/ddpbench -exp table1 -quick -fwdbatch 8
 	! $(GO) run ./cmd/ddpbench -exp table1 -quick -lps -5 -parallel -3
 	$(GO) run ./cmd/ddpsim -servers 3 -clients 2 -measure 200000 > /dev/null

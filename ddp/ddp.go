@@ -259,10 +259,10 @@ func RunWithPartialCrash(cfg Config, crashAtNs int64, nodes []int) (*CrashReport
 		return nil, err
 	}
 	return &CrashReport{
-		Model:                fromCore(rep.Result.Config.Model),
-		AckedWrites:          rep.Audit.AckedWrites,
-		LostWrites:           rep.Audit.LostAcked,
-		LostConfirmedDurable: rep.Audit.LostConfirmedDurable,
+		Model:                fromCore(rep.Model()),
+		AckedWrites:          rep.AckedWrites,
+		LostWrites:           rep.LostAcked,
+		LostConfirmedDurable: rep.LostConfirmedDurable,
 		RecoveredKeys:        rep.Recovered.Keys(),
 		MonotonicReads:       rep.MonotonicReads(),
 		NonStaleReads:        rep.NonStaleReads(),
@@ -286,26 +286,23 @@ type VerifyReport struct {
 // Linearizable-consistency runs must pass; Read-Enforced shows its tiny
 // early-completion staleness window; weak models fail with stale reads.
 // The history covers the whole run, warm-up included (Config's defaults
-// apply to zero windows).
+// apply to zero windows): it is the crash path's, with the crash at the end
+// of the window.
 func Verify(cfg Config) (*VerifyReport, error) {
 	ccfg := cfg.toCluster()
-	ccfg.TrackHistory = true
-	c, err := cluster.New(ccfg)
+	d := ccfg.WithDefaults()
+	rep, err := recovery.CrashAndRecover(ccfg, d.WarmupNs+d.MeasureNs, nil)
 	if err != nil {
 		return nil, err
 	}
-	lin := recovery.CheckLinearizable(c.RunTo(c.Cfg.WarmupNs + c.Cfg.MeasureNs))
-	rate := 0.0
-	if lin.ReadsChecked > 0 {
-		rate = float64(lin.StaleReadViolations) / float64(lin.ReadsChecked)
-	}
+	lin := rep.Linear
 	return &VerifyReport{
 		Model:           cfg.Model,
 		Linearizable:    lin.Linearizable(),
 		WritesChecked:   lin.WritesChecked,
 		ReadsChecked:    lin.ReadsChecked,
 		StaleReads:      lin.StaleReadViolations,
-		StaleReadRate:   rate,
+		StaleReadRate:   lin.StaleRate(),
 		OrderViolations: lin.WriteOrderViolations,
 	}, nil
 }

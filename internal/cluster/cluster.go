@@ -123,7 +123,10 @@ type Config struct {
 	noNICFastPath bool
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with the defaults New applies: a 1 ms warm-up and a
+// 5 ms measurement window, YCSB-A, and the paper's Table 5 parameters. A
+// caller that places an instant in the run window reads it from here.
+func (c Config) WithDefaults() Config {
 	if c.WarmupNs == 0 {
 		c.WarmupNs = 1_000_000
 	}
@@ -396,7 +399,7 @@ func (cfg Config) nvmConfig() nvm.Config {
 // through this one path with one message style; sweep builders can also
 // check cells up front.
 func (cfg Config) Validate() error {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Params.Validate(); err != nil {
 		return err
 	}
@@ -496,7 +499,7 @@ func (cfg Config) Validate() error {
 // New builds a cluster per cfg. It validates the full configuration
 // (Config.Validate) and wires the topology, protocol, and load layers.
 func New(cfg Config) (*Cluster, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -99,6 +99,6 @@ func crashDigest(t *testing.T, cfg cluster.Config, nodes []int) string {
 		fmt.Fprintf(h, "%d=%d;", k, rep.Recovered.Versions[k])
 	}
 	return fmt.Sprintf("keys=%d digest=%016x lost=%d/%d divergent=%d recovery_ns=%d",
-		rep.Recovered.Keys(), h.Sum64(), rep.Audit.LostAcked, rep.Audit.AckedWrites,
-		recovery.ImageDivergence(rep.Cluster), recovery.TimeRecoveryOf(rep.Cluster, rep.Recovered).TotalNs)
+		rep.Recovered.Keys(), h.Sum64(), rep.LostAcked, rep.AckedWrites,
+		rep.DivergentKeys, rep.Timing.TotalNs)
 }

@@ -424,7 +424,7 @@ func TestFwdBatchZeroAlloc(t *testing.T) {
 		Nodes: 2, OneWayLat: 500, Bandwidth: 100e9, Seed: 1,
 		MaxKind: kindRouteBatch,
 	})
-	cl := &Cluster{Cfg: Config{Params: params.Default()}.withDefaults()}
+	cl := &Cluster{Cfg: Config{Params: params.Default()}.WithDefaults()}
 	rt := &router{cl: cl, ns: &nodeState{eng: eng, measureSet: new(measureSet)}, net: net, node: 0,
 		reqs: new(sim.FreeList[request, *request])}
 	rt.fb = newFwdBatcher(rt, 8)

@@ -77,20 +77,12 @@ func (a *AblationResult) WriteText(w io.Writer) {
 	}
 }
 
-// RecoveryRow is one model's modeled recovery time.
-type RecoveryRow struct {
-	Model  core.Model
-	Timing recovery.RecoveryTiming
-	// DivergentKeys counts keys whose NVM images disagreed across nodes at
-	// the crash — the reconciliation work voting recovery exists for.
-	DivergentKeys int
-}
-
 // RecoveryResult reproduces Section 9's recovery-complexity observation as
 // numbers: strict models reload consistent images; weak models pay an extra
-// voting round over divergent ones.
+// voting round over divergent ones. A row is a crash report; the table
+// reads its Timing and DivergentKeys.
 type RecoveryResult struct {
-	Rows []RecoveryRow
+	Rows []*recovery.CrashReport
 }
 
 // RecoveryTimes crashes each model mid-run and models its recovery time.
@@ -105,13 +97,7 @@ func RecoveryTimes(o Options) (*RecoveryResult, error) {
 		{C: core.Causal, P: core.EventualP},
 		{C: core.Eventual, P: core.EventualP},
 	}
-	rows, err := runCells(o, onWorkloadA(o, models), crashed(func(m core.Model, rep *recovery.CrashReport) RecoveryRow {
-		return RecoveryRow{
-			Model:         m,
-			Timing:        recovery.TimeRecoveryOf(rep.Cluster, rep.Recovered),
-			DivergentKeys: recovery.ImageDivergence(rep.Cluster),
-		}
-	}))
+	rows, err := crashReports(o, models)
 	if err != nil {
 		return nil, err
 	}
@@ -127,6 +113,6 @@ func (r *RecoveryResult) WriteText(w io.Writer) {
 	for _, row := range r.Rows {
 		t := row.Timing
 		fmt.Fprintf(w, "%-34s %10v %10dns %10dns %10dns %10d\n",
-			row.Model, t.NeedsVoting, t.LocalScanNs, t.VotingNs, t.TotalNs, row.DivergentKeys)
+			row.Model(), t.NeedsVoting, t.LocalScanNs, t.VotingNs, t.TotalNs, row.DivergentKeys)
 	}
 }

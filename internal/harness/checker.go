@@ -8,18 +8,13 @@ import (
 	"repro/internal/recovery"
 )
 
-// CheckerRow is one model's verified consistency properties.
-type CheckerRow struct {
-	Model     core.Model
-	Linear    *recovery.LinearReport
-	StaleRate float64
-}
-
 // CheckerResult runs the linearizability checker over live histories of
 // representative models — empirical verification that each consistency
-// model provides exactly the guarantees the paper claims.
+// model provides exactly the guarantees the paper claims. A row is a crash
+// report: the checked history is the crash cell's run up to the crash
+// instant, and a row reads its LinearReport.
 type CheckerResult struct {
-	Rows []CheckerRow
+	Rows []*recovery.CrashReport
 }
 
 // Checker verifies consistency guarantees from tracked histories.
@@ -35,16 +30,7 @@ func Checker(o Options) (*CheckerResult, error) {
 		{C: core.Eventual, P: core.Synchronous},
 		{C: core.Eventual, P: core.EventualP},
 	}
-	// The checked history is the crash cell's: the run up to the crash
-	// instant, which is all a checker reads.
-	rows, err := runCells(o, onWorkloadA(o, models), crashed(func(m core.Model, rep *recovery.CrashReport) CheckerRow {
-		lin := recovery.CheckLinearizable(rep.Result)
-		rate := 0.0
-		if lin.ReadsChecked > 0 {
-			rate = float64(lin.StaleReadViolations) / float64(lin.ReadsChecked)
-		}
-		return CheckerRow{Model: m, Linear: lin, StaleRate: rate}
-	}))
+	rows, err := crashReports(o, models)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +45,7 @@ func (c *CheckerResult) WriteText(w io.Writer) {
 		"Model", "linear?", "writes", "reads", "stale", "staleRate")
 	for _, r := range c.Rows {
 		fmt.Fprintf(w, "%-34s %8v %10d %10d %10d %9.2f%%\n",
-			r.Model, r.Linear.Linearizable(), r.Linear.WritesChecked,
-			r.Linear.ReadsChecked, r.Linear.StaleReadViolations, r.StaleRate*100)
+			r.Model(), r.Linear.Linearizable(), r.Linear.WritesChecked,
+			r.Linear.ReadsChecked, r.Linear.StaleReadViolations, r.Linear.StaleRate()*100)
 	}
 }

@@ -73,11 +73,11 @@ func (d *DurabilityResult) WriteCSV(w io.Writer) error {
 	}
 	for _, r := range d.Rows {
 		if err := cw.Write([]string{
-			r.Model.C.String(), r.Model.P.String(),
+			r.Model().C.String(), r.Model().P.String(),
 			strconv.Itoa(r.AckedWrites), strconv.Itoa(r.LostAcked),
-			strconv.FormatFloat(r.LostRate, 'g', -1, 64),
-			strconv.Itoa(r.Recovered),
-			strconv.FormatBool(r.Monotonic), strconv.FormatBool(r.NonStale),
+			strconv.FormatFloat(r.LostRate(), 'g', -1, 64),
+			strconv.Itoa(r.Recovered.Keys()),
+			strconv.FormatBool(r.MonotonicReads()), strconv.FormatBool(r.NonStaleReads()),
 		}); err != nil {
 			return err
 		}

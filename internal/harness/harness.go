@@ -183,19 +183,20 @@ func measured(cfg cluster.Config) (*cluster.Result, *cluster.Result, error) {
 	return r, r, err
 }
 
-// crashed returns a cell run that crashes every node halfway through the
-// measurement window, recovers by newest vote and turns the report into a
-// row; the report (and its crashed cluster) is dropped once its row is
-// built.
-func crashed[R any](row func(core.Model, *recovery.CrashReport) R) func(cluster.Config) (R, *cluster.Result, error) {
-	return func(cfg cluster.Config) (R, *cluster.Result, error) {
-		rep, err := recovery.CrashAndRecover(cfg, cfg.WarmupNs+cfg.MeasureNs/2, nil)
+// crashReports runs each model's workload-A cell to halfway through its
+// measurement window, crashes every node, recovers by newest vote and
+// returns the crash reports in model order. The instant reads the window
+// after cluster's defaults, so a zero window crashes where a measured cell
+// measures.
+func crashReports(o Options, models []core.Model) ([]*recovery.CrashReport, error) {
+	return runCells(o, onWorkloadA(o, models), func(cfg cluster.Config) (*recovery.CrashReport, *cluster.Result, error) {
+		d := cfg.WithDefaults()
+		rep, err := recovery.CrashAndRecover(cfg, d.WarmupNs+d.MeasureNs/2, nil)
 		if err != nil {
-			var zero R
-			return zero, nil, err
+			return nil, nil, err
 		}
-		return row(cfg.Model, rep), rep.Result, nil
-	}
+		return rep, rep.Result, nil
+	})
 }
 
 // header prints an experiment banner.

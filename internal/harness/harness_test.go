@@ -2,10 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"encoding/csv"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/recovery"
 )
 
 func quick() Options { return DefaultOptions().Quick() }
@@ -166,11 +169,11 @@ func TestTable4MeasuredVerdicts(t *testing.T) {
 		t.Fatalf("rows = %d, want 10", len(res.Rows))
 	}
 	for _, r := range res.Rows {
-		if r.AckedWrites == 0 {
+		if r.Crash.AckedWrites == 0 {
 			t.Fatalf("%s: crash run recorded no writes", r.Traits.Model)
 		}
 		// The baseline row must measure as fully intuitive.
-		if r.Traits.Model == core.Baseline && (!r.MeasuredMonotonic || !r.MeasuredNonStale) {
+		if r.Traits.Model == core.Baseline && (!r.Crash.MonotonicReads() || !r.Crash.NonStaleReads()) {
 			t.Fatalf("baseline should measure monotonic+non-stale: %+v", r)
 		}
 	}
@@ -190,8 +193,85 @@ func TestDurabilityAuditCoversMatrix(t *testing.T) {
 		t.Fatalf("rows = %d, want 25", len(d.Rows))
 	}
 	for _, r := range d.Rows {
-		if r.Model.P == core.Strict && r.LostAcked != 0 {
-			t.Fatalf("%s lost %d acked writes", r.Model, r.LostAcked)
+		if r.Model().P == core.Strict && r.LostAcked != 0 {
+			t.Fatalf("%s lost %d acked writes", r.Model(), r.LostAcked)
+		}
+	}
+}
+
+// TestCrashCellsZeroWindowsTakeConfigDefaults checks that a crash cell
+// places its instant in the window cluster.New runs, defaults applied: zero
+// windows give the report that explicit 1 ms + 5 ms windows give.
+func TestCrashCellsZeroWindowsTakeConfigDefaults(t *testing.T) {
+	explicit := quick()
+	explicit.WarmupNs, explicit.MeasureNs = 1_000_000, 5_000_000
+	zero := explicit
+	zero.WarmupNs, zero.MeasureNs = 0, 0
+	var reps []*recovery.CrashReport
+	for _, o := range []Options{explicit, zero} {
+		r, err := crashReports(o, []core.Model{{C: core.Eventual, P: core.EventualP}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := *r[0].Result
+		res.WallTime = 0 // the one host-dependent field
+		r[0].Result = &res
+		reps = append(reps, r[0])
+	}
+	want, got := reps[0], reps[1]
+	if want.AckedWrites == 0 || want.ReadsChecked == 0 || want.DivergentKeys == 0 {
+		t.Fatalf("explicit windows: %d writes, %d reads, %d divergent keys; the comparison is vacuous",
+			want.AckedWrites, want.ReadsChecked, want.DivergentKeys)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("zero windows: %d writes, %d reads, %d divergent keys, recovery %d ns; "+
+			"explicit 1 ms + 5 ms: %d, %d, %d, %d ns",
+			got.AckedWrites, got.ReadsChecked, got.DivergentKeys, got.Timing.TotalNs,
+			want.AckedWrites, want.ReadsChecked, want.DivergentKeys, want.Timing.TotalNs)
+	}
+}
+
+// TestDurabilityCSVMatchesText pins the durability audit's CSV: a header
+// and one row per binding, whose acked, lost, recovered-key, monotonic and
+// non-stale values are the text table's for the same options.
+func TestDurabilityCSVMatchesText(t *testing.T) {
+	var csvOut, text bytes.Buffer
+	if err := RunNamedCSV(&csvOut, "durability", quick()); err != nil {
+		t.Fatal(err)
+	}
+	if err := RunNamed(&text, "durability", quick()); err != nil {
+		t.Fatal(err)
+	}
+	records, err := csv.NewReader(&csvOut).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 1+25 {
+		t.Fatalf("durability csv has %d records, want a header + 25", len(records))
+	}
+	wantHeader := []string{"consistency", "persistency", "acked", "lost", "lost_rate", "recovered_keys", "monotonic", "non_stale"}
+	if !reflect.DeepEqual(records[0], wantHeader) {
+		t.Fatalf("csv header %q, want %q", records[0], wantHeader)
+	}
+	var rows [][]string // text rows: model, acked, lost, rate, keys, mono, nstale
+	for _, line := range strings.Split(text.String(), "\n") {
+		if !strings.HasPrefix(line, "<") {
+			continue
+		}
+		f := strings.Fields(line)
+		n := len(f) - 6
+		rows = append(rows, append([]string{strings.Join(f[:n], " ")}, f[n:]...))
+	}
+	if len(rows) != 25 {
+		t.Fatalf("durability text has %d rows, want 25", len(rows))
+	}
+	yes := map[string]string{"true": "yes", "false": "no"}
+	for i, rec := range records[1:] {
+		txt := rows[i]
+		got := []string{"<" + rec[0] + ", " + rec[1] + ">", rec[2], rec[3], rec[5], yes[rec[6]], yes[rec[7]]}
+		want := []string{txt[0], txt[1], txt[2], txt[4], txt[5], txt[6]}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("row %d: csv %q, text %q", i, got, want)
 		}
 	}
 }
@@ -260,9 +340,9 @@ func TestRecoveryTimesQuick(t *testing.T) {
 	var strictTotal, weakTotal int64
 	for _, row := range r.Rows {
 		if row.Timing.TotalNs <= 0 {
-			t.Fatalf("%s: non-positive recovery time", row.Model)
+			t.Fatalf("%s: non-positive recovery time", row.Model())
 		}
-		switch row.Model {
+		switch row.Model() {
 		case core.Model{C: core.Linearizable, P: core.Strict}:
 			strictTotal = row.Timing.TotalNs
 		case core.Model{C: core.Eventual, P: core.EventualP}:
@@ -367,11 +447,11 @@ func TestCheckerVerifiesGuarantees(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range res.Rows {
-		if r.Model.C == core.Linearizable && !r.Linear.Linearizable() {
-			t.Errorf("%s must be linearizable: %s", r.Model, r.Linear)
+		if r.Model().C == core.Linearizable && !r.Linear.Linearizable() {
+			t.Errorf("%s must be linearizable: %s", r.Model(), r.Linear)
 		}
-		if r.Model.C == core.Eventual && r.Linear.StaleReadViolations == 0 {
-			t.Errorf("%s should show stale reads", r.Model)
+		if r.Model().C == core.Eventual && r.Linear.StaleReadViolations == 0 {
+			t.Errorf("%s should show stale reads", r.Model())
 		}
 	}
 	var buf bytes.Buffer

@@ -97,41 +97,16 @@ func WriteTable5(w io.Writer, p params.Params) {
 	fmt.Fprintf(w, "Transaction; scope size: %d; %d client requests\n", p.XactionSize, p.ScopeSize)
 }
 
-// DurabilityRow is one model's crash outcome.
-type DurabilityRow struct {
-	Model       core.Model
-	AckedWrites int
-	LostAcked   int
-	LostRate    float64
-	Recovered   int
-	Monotonic   bool
-	NonStale    bool
-}
-
-// DurabilityResult audits every model's crash behaviour.
+// DurabilityResult audits every model's crash behaviour: one crash report
+// per binding, in core.AllModels order.
 type DurabilityResult struct {
-	Rows []DurabilityRow
+	Rows []*recovery.CrashReport
 }
 
 // DurabilityAudit crashes every one of the 25 models mid-run and reports
 // what survived (Section 3's data-loss motivation, measured).
 func DurabilityAudit(o Options) (*DurabilityResult, error) {
-	rows, err := runCells(o, onWorkloadA(o, core.AllModels()), crashed(func(m core.Model, rep *recovery.CrashReport) DurabilityRow {
-		a := rep.Audit
-		rate := 0.0
-		if a.AckedWrites > 0 {
-			rate = float64(a.LostAcked) / float64(a.AckedWrites)
-		}
-		return DurabilityRow{
-			Model:       m,
-			AckedWrites: a.AckedWrites,
-			LostAcked:   a.LostAcked,
-			LostRate:    rate,
-			Recovered:   rep.Recovered.Keys(),
-			Monotonic:   rep.MonotonicReads(),
-			NonStale:    rep.NonStaleReads(),
-		}
-	}))
+	rows, err := crashReports(o, core.AllModels())
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +121,7 @@ func (d *DurabilityResult) WriteText(w io.Writer) {
 		"Model", "Acked", "Lost", "LostRate", "RecKeys", "Mono", "NStale")
 	for _, r := range d.Rows {
 		fmt.Fprintf(w, "%-34s %10d %10d %8.2f%% %10d %6s %6s\n",
-			r.Model, r.AckedWrites, r.LostAcked, r.LostRate*100, r.Recovered,
-			yn(r.Monotonic), yn(r.NonStale))
+			r.Model(), r.AckedWrites, r.LostAcked, r.LostRate()*100, r.Recovered.Keys(),
+			yn(r.MonotonicReads()), yn(r.NonStaleReads()))
 	}
 }

@@ -9,16 +9,12 @@ import (
 )
 
 // Table4Row pairs the paper's qualitative ratings with this
-// implementation's measured evidence from a crash experiment.
+// implementation's measured evidence: a crash report and the normalized
+// throughput.
 type Table4Row struct {
-	Traits core.Traits
-
-	// Measured evidence.
-	AckedWrites       int
-	LostAcked         int
-	MeasuredMonotonic bool
-	MeasuredNonStale  bool
-	ThroughputNorm    float64
+	Traits         core.Traits
+	Crash          *recovery.CrashReport
+	ThroughputNorm float64
 }
 
 // Table4Result reproduces the trade-off comparison.
@@ -42,20 +38,13 @@ func Table4(o Options) (*Table4Result, error) {
 		return nil, err
 	}
 
-	rows, err := runCells(o, onWorkloadA(o, models), crashed(func(_ core.Model, rep *recovery.CrashReport) Table4Row {
-		return Table4Row{
-			AckedWrites:       rep.Audit.AckedWrites,
-			LostAcked:         rep.Audit.LostAcked,
-			MeasuredMonotonic: rep.MonotonicReads(),
-			MeasuredNonStale:  rep.NonStaleReads(),
-		}
-	}))
+	crashes, err := crashReports(o, models)
 	if err != nil {
 		return nil, err
 	}
+	rows := make([]Table4Row, len(traits))
 	for i, tr := range traits {
-		rows[i].Traits = tr
-		rows[i].ThroughputNorm = ratio(rs[i+1].Throughput(), rs[0].Throughput())
+		rows[i] = Table4Row{Traits: tr, Crash: crashes[i], ThroughputNorm: ratio(rs[i+1].Throughput(), rs[0].Throughput())}
 	}
 	return &Table4Result{Rows: rows}, nil
 }
@@ -78,7 +67,7 @@ func (t *Table4Result) WriteText(w io.Writer) {
 			r.Traits.Model.String(),
 			r.Traits.Durability.Arrow(), r.Traits.Performance.Arrow(), r.Traits.Intuition.Arrow(),
 			yn(r.Traits.MonotonicReads), yn(r.Traits.NonStaleReads),
-			yn(r.MeasuredMonotonic), yn(r.MeasuredNonStale),
-			r.ThroughputNorm, r.LostAcked, r.AckedWrites)
+			yn(r.Crash.MonotonicReads()), yn(r.Crash.NonStaleReads()),
+			r.ThroughputNorm, r.Crash.LostAcked, r.Crash.AckedWrites)
 	}
 }

@@ -1,7 +1,8 @@
 package recovery
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/protocol"
@@ -33,8 +34,8 @@ func (m MonotonicReport) Holds() bool { return m.ViolationRate() < 0.005 }
 // CheckGlobalMonotonic runs the live monotonic-read audit over a tracked
 // run's read log.
 func CheckGlobalMonotonic(res *cluster.Result) MonotonicReport {
-	reads := append([]cluster.ReadRecord(nil), res.Reads...)
-	sort.SliceStable(reads, func(i, j int) bool { return reads[i].DoneAt < reads[j].DoneAt })
+	reads := slices.Clone(res.Reads)
+	slices.SortStableFunc(reads, func(a, b cluster.ReadRecord) int { return cmp.Compare(a.DoneAt, b.DoneAt) })
 	newest := make(map[uint64]protocol.Stamp)
 	rep := MonotonicReport{}
 	for _, r := range reads {

@@ -1,7 +1,9 @@
 package recovery
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -27,17 +29,20 @@ type LinearReport struct {
 }
 
 // Linearizable reports whether the history passed every check.
-func (r *LinearReport) Linearizable() bool {
+func (r LinearReport) Linearizable() bool {
 	return r.WriteOrderViolations == 0 && r.StaleReadViolations == 0 && r.FutureReadViolations == 0
 }
 
-// Violations returns the total violation count.
-func (r *LinearReport) Violations() int {
-	return r.WriteOrderViolations + r.StaleReadViolations + r.FutureReadViolations
+// StaleRate returns the fraction of checked reads that were stale.
+func (r LinearReport) StaleRate() float64 {
+	if r.ReadsChecked == 0 {
+		return 0
+	}
+	return float64(r.StaleReadViolations) / float64(r.ReadsChecked)
 }
 
 // String summarizes the report.
-func (r *LinearReport) String() string {
+func (r LinearReport) String() string {
 	return fmt.Sprintf("linearizable=%v (writes=%d reads=%d, order=%d stale=%d future=%d)",
 		r.Linearizable(), r.WritesChecked, r.ReadsChecked,
 		r.WriteOrderViolations, r.StaleReadViolations, r.FutureReadViolations)
@@ -57,77 +62,65 @@ func (r *LinearReport) String() string {
 // Histories from Linearizable-consistency runs must pass; weaker models
 // fail condition 2 by design (stale reads). Zero-stamp reads (key not yet
 // written) are checked against condition 2 with "no version" as the value.
-func CheckLinearizable(res *cluster.Result) *LinearReport {
-	rep := &LinearReport{}
+func CheckLinearizable(res *cluster.Result) LinearReport {
+	rep := LinearReport{WritesChecked: len(res.Writes), ReadsChecked: len(res.Reads)}
 
-	type writeIv struct {
+	// Per key: the writes in ack order, the newest stamp of each prefix of
+	// that order, and each stamp's issue time.
+	type write struct {
 		stamp      protocol.Stamp
 		issue, ack int64
 	}
-	writes := make(map[uint64][]writeIv)
-	for _, w := range res.Writes {
-		writes[w.Key] = append(writes[w.Key], writeIv{stamp: w.Stamp, issue: w.IssueAt, ack: w.AckAt})
-		rep.WritesChecked++
+	type keyIndex struct {
+		writes   []write
+		maxStamp []protocol.Stamp // maxStamp[i]: newest stamp of writes[:i+1]
+		issueOf  map[protocol.Stamp]int64
 	}
-
-	// Condition 1, per key: sort by completion; stamps of non-overlapping
-	// writes must increase.
-	for _, ws := range writes {
-		sort.Slice(ws, func(i, j int) bool { return ws[i].ack < ws[j].ack })
-		// Sweep in ack order maintaining a prefix-max stamp; every write's
-		// stamp must dominate the stamps of all writes acked before it began.
-		type ackedEntry struct {
-			ack   int64
-			stamp protocol.Stamp
+	// newestAckedBefore returns the newest stamp among the key's writes acked
+	// before t (zero if none).
+	newestAckedBefore := func(ki *keyIndex, t int64) protocol.Stamp {
+		j := sort.Search(len(ki.writes), func(i int) bool { return ki.writes[i].ack >= t })
+		if j == 0 {
+			return 0
 		}
-		acked := make([]ackedEntry, len(ws))
+		return ki.maxStamp[j-1]
+	}
+	idx := make(map[uint64]*keyIndex)
+	for _, w := range res.Writes {
+		ki := idx[w.Key]
+		if ki == nil {
+			ki = &keyIndex{}
+			idx[w.Key] = ki
+		}
+		ki.writes = append(ki.writes, write{stamp: w.Stamp, issue: w.IssueAt, ack: w.AckAt})
+	}
+	for _, ki := range idx {
+		slices.SortFunc(ki.writes, func(a, b write) int { return cmp.Compare(a.ack, b.ack) })
+		ki.maxStamp = make([]protocol.Stamp, len(ki.writes))
+		ki.issueOf = make(map[protocol.Stamp]int64, len(ki.writes))
 		var running protocol.Stamp
-		for i, w := range ws {
-			if w.stamp > running {
-				running = w.stamp
-			}
-			acked[i] = ackedEntry{ack: w.ack, stamp: running}
+		for i, w := range ki.writes {
+			running = max(running, w.stamp)
+			ki.maxStamp[i] = running
+			ki.issueOf[w.stamp] = w.issue
 		}
-		for _, w := range ws {
-			idx := sort.Search(len(acked), func(i int) bool { return acked[i].ack >= w.issue })
-			if idx > 0 && acked[idx-1].stamp > w.stamp {
+		// Condition 1: every write's stamp must dominate the stamps of all
+		// writes acked before it began.
+		for _, w := range ki.writes {
+			if newestAckedBefore(ki, w.issue) > w.stamp {
 				rep.WriteOrderViolations++
 			}
 		}
 	}
 
 	// Conditions 2 and 3, per read.
-	// Precompute per key: writes sorted by ack (prefix-max stamp as above)
-	// and a map stamp -> issue time.
-	type keyIndex struct {
-		acks     []int64
-		maxStamp []protocol.Stamp
-		issueOf  map[protocol.Stamp]int64
-	}
-	idx := make(map[uint64]*keyIndex)
-	for key, ws := range writes {
-		ki := &keyIndex{issueOf: make(map[protocol.Stamp]int64, len(ws))}
-		var running protocol.Stamp
-		for _, w := range ws {
-			if w.stamp > running {
-				running = w.stamp
-			}
-			ki.acks = append(ki.acks, w.ack)
-			ki.maxStamp = append(ki.maxStamp, running)
-			ki.issueOf[w.stamp] = w.issue
-		}
-		idx[key] = ki
-	}
-
 	for _, r := range res.Reads {
-		rep.ReadsChecked++
 		ki := idx[r.Key]
 		if ki == nil {
 			continue // key only written outside the tracked history
 		}
 		// Condition 2: newest write completed before the read began.
-		j := sort.Search(len(ki.acks), func(i int) bool { return ki.acks[i] >= r.IssueAt })
-		if j > 0 && ki.maxStamp[j-1] > r.Stamp {
+		if newestAckedBefore(ki, r.IssueAt) > r.Stamp {
 			rep.StaleReadViolations++
 			continue
 		}

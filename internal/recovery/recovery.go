@@ -2,16 +2,22 @@
 // that turn the paper's qualitative durability and programmer-intuition
 // claims (Table 4, Section 6) into measured results.
 //
-// There is one crash path. CrashAndRecover runs a cluster to the crash
-// instant and Recover reconstructs a cluster-wide state from what the crash
-// leaves (every node crashed for a full-datacenter power failure): each
-// node's NVM image (the persisted version of every key, which the protocol's
-// persists advanced) plus the visible versions of the nodes that survived.
-// A crash reads state; it wipes nothing. Per key Recover adopts the newest
-// version any node offers, the voting-based recovery the paper
-// notes weak models need. The audits then compare the recovered state with
-// the history of client-acknowledged operations; which of those writes the
-// model promised durable is its core.Rules.AckDurability.
+// There is one crash path and one record. CrashAndRecover runs a cluster to
+// the crash instant with its history tracked, and Recover reconstructs a
+// cluster-wide state from what the crash leaves (every node crashed for a
+// full-datacenter power failure): each node's NVM image (the persisted
+// version of every key, which the protocol's persists advanced) plus the
+// visible versions of the nodes that survived. A crash reads state; it wipes
+// nothing. Per key Recover adopts the newest version any node offers, the
+// voting-based recovery the paper notes weak models need.
+//
+// CrashAndRecover returns one flat CrashReport: the audit of the
+// client-acknowledged writes and completed reads against the recovered state
+// (which writes the model promised durable is its core.Rules.AckDurability),
+// the live monotonic-read check, the register linearizability check, the NVM
+// images' divergence and the modeled recovery time. Every crash experiment,
+// Table 4's measured columns and the ddp facade render fields of that one
+// report.
 package recovery
 
 import (
@@ -58,8 +64,15 @@ func Recover(c *cluster.Cluster, crashed []int) *RecoveredState {
 	return st
 }
 
-// Audit compares acknowledged operations against a recovered state.
-type Audit struct {
+// CrashReport is everything one crash run measures. Every crash and history
+// verdict the repo prints is one of its fields or a method over them.
+type CrashReport struct {
+	Crashed []int // the crashed nodes, every node for a full crash
+	// Result is the run up to the crash instant. Its Writes and Reads are
+	// dropped once audited: the counts below are what they held.
+	Result    *cluster.Result
+	Recovered *RecoveredState
+
 	AckedWrites int
 	// LostAcked counts client-acknowledged writes whose version (or any
 	// newer one) did not survive: a subsequent read would be stale.
@@ -75,17 +88,37 @@ type Audit struct {
 	// read would travel back in time (the monotonic-reads failure of
 	// Table 4's weaker rows).
 	MonotonicViolationsAcrossCrash int
+	ReadsChecked                   int
 
-	ReadsChecked int
+	// DivergentKeys counts keys whose persisted stamp differs across nodes
+	// at the crash — the reconciliation work voting recovery exists for.
+	DivergentKeys int
+
+	Live   MonotonicReport // reads regressing while the system ran
+	Linear LinearReport    // per-key register linearizability of the history
+	Timing RecoveryTiming  // the modeled recovery time
 }
 
-// NonStaleReads reports whether every acknowledged write survived — the
-// paper's non-stale-read guarantee.
-func (a *Audit) NonStaleReads() bool { return a.LostAcked == 0 }
+// Model returns the crashed run's model.
+func (cr *CrashReport) Model() core.Model { return cr.Result.Config.Model }
 
-// MonotonicAcrossCrash reports whether no pre-crash read could be followed
-// by an older post-crash read.
-func (a *Audit) MonotonicAcrossCrash() bool { return a.MonotonicViolationsAcrossCrash == 0 }
+// LostRate returns the fraction of acknowledged writes lost.
+func (cr *CrashReport) LostRate() float64 {
+	if cr.AckedWrites == 0 {
+		return 0
+	}
+	return float64(cr.LostAcked) / float64(cr.AckedWrites)
+}
+
+// NonStaleReads reports the Table 4 non-stale-reads verdict: every
+// acknowledged write survived.
+func (cr *CrashReport) NonStaleReads() bool { return cr.LostAcked == 0 }
+
+// MonotonicReads reports the combined Table 4 monotonic-reads verdict:
+// reads must not regress while the system runs, nor across a crash.
+func (cr *CrashReport) MonotonicReads() bool {
+	return cr.Live.Holds() && cr.MonotonicViolationsAcrossCrash == 0
+}
 
 // confirmedDurable reports whether the model promised the client this write
 // was already durable when it was acknowledged (or when its barrier ran).
@@ -99,70 +132,20 @@ func confirmedDurable(m core.Model, w cluster.WriteRecord) bool {
 	return false
 }
 
-// RunAudit checks the recovered state against the run's history. The
-// cluster must have been built with Config.TrackHistory.
-func RunAudit(res *cluster.Result, rec *RecoveredState) *Audit {
-	a := &Audit{}
-
-	for _, w := range res.Writes {
-		a.AckedWrites++
-		recovered := rec.VersionOf(w.Key)
-		if recovered < w.Stamp {
-			a.LostAcked++
-			if confirmedDurable(res.Config.Model, w) {
-				a.LostConfirmedDurable++
-			}
-		}
-	}
-
-	// Monotonic-across-crash: the newest version each key was *read* at
-	// must still be recoverable.
-	lastRead := make(map[uint64]protocol.Stamp)
-	for _, r := range res.Reads {
-		a.ReadsChecked++
-		if r.Stamp > lastRead[r.Key] {
-			lastRead[r.Key] = r.Stamp
-		}
-	}
-	for key, st := range lastRead {
-		if rec.VersionOf(key) < st {
-			a.MonotonicViolationsAcrossCrash++
-		}
-	}
-	return a
-}
-
-// CrashReport bundles everything a crash experiment produces.
-type CrashReport struct {
-	Crashed   []int            // the crashed nodes, every node for a full crash
-	Cluster   *cluster.Cluster // the cluster as the crash found it
-	Result    *cluster.Result
-	Recovered *RecoveredState
-	Audit     *Audit
-	Live      MonotonicReport
-}
-
-// MonotonicReads reports the combined Table 4 monotonic-reads verdict:
-// reads must not regress while the system runs, nor across a crash.
-func (cr *CrashReport) MonotonicReads() bool {
-	return cr.Live.Holds() && cr.Audit.MonotonicAcrossCrash()
-}
-
-// NonStaleReads reports the Table 4 non-stale-reads verdict.
-func (cr *CrashReport) NonStaleReads() bool { return cr.Audit.NonStaleReads() }
-
-// CrashAndRecover runs cfg until crashAtNs of simulated time, crashes nodes
-// (nil: every node), recovers, and audits acknowledged operations against
-// what survived. A node outside [0, Servers), a repeated node or a negative
-// crash time is an error.
+// CrashAndRecover runs cfg with its history tracked until crashAtNs of
+// simulated time, crashes nodes (nil: every node), recovers, and reports
+// every verdict over what survived and over the history. A configuration
+// error comes first; then a node outside [0, Servers), a repeated node or a
+// negative crash time is an error.
 func CrashAndRecover(cfg cluster.Config, crashAtNs int64, nodes []int) (*CrashReport, error) {
-	if crashAtNs < 0 {
-		return nil, fmt.Errorf("recovery: crash time must be >= 0, got %d", crashAtNs)
-	}
 	cfg.TrackHistory = true
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
+	}
+	defer c.Close()
+	if crashAtNs < 0 {
+		return nil, fmt.Errorf("recovery: crash time must be >= 0, got %d", crashAtNs)
 	}
 	n := len(c.Replicas)
 	if nodes == nil {
@@ -181,12 +164,36 @@ func CrashAndRecover(cfg cluster.Config, crashAtNs int64, nodes []int) (*CrashRe
 	}
 	res := c.RunTo(crashAtNs)
 	rec := Recover(c, nodes)
-	return &CrashReport{
-		Crashed:   nodes,
-		Cluster:   c,
-		Result:    res,
-		Recovered: rec,
-		Audit:     RunAudit(res, rec),
-		Live:      CheckGlobalMonotonic(res),
-	}, nil
+	cr := &CrashReport{
+		Crashed:       nodes,
+		Result:        res,
+		Recovered:     rec,
+		AckedWrites:   len(res.Writes),
+		ReadsChecked:  len(res.Reads),
+		DivergentKeys: imageDivergence(c),
+		Live:          CheckGlobalMonotonic(res),
+		Linear:        CheckLinearizable(res),
+		Timing:        TimeRecovery(c.Cfg.Model, c.Cfg.Params, rec.Keys()),
+	}
+	for _, w := range res.Writes {
+		if rec.VersionOf(w.Key) < w.Stamp {
+			cr.LostAcked++
+			if confirmedDurable(c.Cfg.Model, w) {
+				cr.LostConfirmedDurable++
+			}
+		}
+	}
+	// Monotonic-across-crash: the newest version each key was *read* at
+	// must still be recoverable.
+	lastRead := make(map[uint64]protocol.Stamp)
+	for _, r := range res.Reads {
+		lastRead[r.Key] = max(lastRead[r.Key], r.Stamp)
+	}
+	for key, st := range lastRead {
+		if rec.VersionOf(key) < st {
+			cr.MonotonicViolationsAcrossCrash++
+		}
+	}
+	res.Writes, res.Reads = nil, nil
+	return cr, nil
 }

@@ -32,7 +32,7 @@ func mustCrash(t *testing.T, m core.Model) *CrashReport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Audit.AckedWrites == 0 {
+	if rep.AckedWrites == 0 {
 		t.Fatalf("%s: crash run acknowledged no writes", m)
 	}
 	return rep
@@ -46,9 +46,9 @@ func TestStrictModelsLoseNothing(t *testing.T) {
 		{C: core.Linearizable, P: core.Synchronous},
 	} {
 		rep := mustCrash(t, m)
-		if rep.Audit.LostAcked != 0 {
+		if rep.LostAcked != 0 {
 			t.Errorf("%s: lost %d of %d acknowledged writes; strict models must lose none",
-				m, rep.Audit.LostAcked, rep.Audit.AckedWrites)
+				m, rep.LostAcked, rep.AckedWrites)
 		}
 		if !rep.NonStaleReads() {
 			t.Errorf("%s: non-stale reads should hold", m)
@@ -58,9 +58,9 @@ func TestStrictModelsLoseNothing(t *testing.T) {
 
 func TestTransactionalSynchronousDurable(t *testing.T) {
 	rep := mustCrash(t, core.Model{C: core.Transactional, P: core.Synchronous})
-	if rep.Audit.LostAcked != 0 {
+	if rep.LostAcked != 0 {
 		t.Fatalf("committed transactional writes lost: %d of %d",
-			rep.Audit.LostAcked, rep.Audit.AckedWrites)
+			rep.LostAcked, rep.AckedWrites)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestRelaxedModelsLoseAckedWrites(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lost += rep.Audit.LostAcked
+			lost += rep.LostAcked
 			if !rep.NonStaleReads() {
 				staleVerdicts++
 			}
@@ -101,24 +101,33 @@ func TestNoConfirmedDurableWriteEverLost(t *testing.T) {
 	// told the client was durable really is.
 	for _, m := range core.AllModels() {
 		rep := mustCrash(t, m)
-		if rep.Audit.LostConfirmedDurable != 0 {
-			t.Errorf("%s: %d confirmed-durable writes lost", m, rep.Audit.LostConfirmedDurable)
+		if rep.LostConfirmedDurable != 0 {
+			t.Errorf("%s: %d confirmed-durable writes lost", m, rep.LostConfirmedDurable)
 		}
 	}
 }
 
 func TestScopeModelRecoversCompletedScopes(t *testing.T) {
-	rep := mustCrash(t, core.Model{C: core.Linearizable, P: core.Scope})
+	// A crash report keeps no history, so this test replays the crash path
+	// itself to read every write.
+	cfg := crashConfig(core.Model{C: core.Linearizable, P: core.Scope})
+	cfg.TrackHistory = true
+	c, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := c.RunTo(1_500_000)
+	rec := Recover(c, []int{0, 1, 2})
 	// Scope runs must have executed barriers and their writes must survive;
 	// unpersisted-scope writes may be lost.
-	if rep.Result.Protocol.ScopePersists == 0 {
+	if res.Protocol.ScopePersists == 0 {
 		t.Fatal("no scope barriers ran before the crash")
 	}
 	persisted := 0
-	for _, w := range rep.Result.Writes {
+	for _, w := range res.Writes {
 		if w.ScopePersisted {
 			persisted++
-			if rep.Recovered.VersionOf(w.Key) < w.Stamp {
+			if rec.VersionOf(w.Key) < w.Stamp {
 				t.Fatalf("scope-persisted write on key %d lost", w.Key)
 			}
 		}
@@ -239,19 +248,19 @@ func TestPartialCrashMaskedByReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if part.Audit.AckedWrites == 0 {
+	if part.AckedWrites == 0 {
 		t.Fatal("no writes before the partial crash")
 	}
-	if part.Audit.LostAcked != 0 {
+	if part.LostAcked != 0 {
 		t.Fatalf("single-node crash lost %d acknowledged writes despite live replicas",
-			part.Audit.LostAcked)
+			part.LostAcked)
 	}
 
 	full, err := CrashAndRecover(cfg, 1_500_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Audit.LostAcked == 0 {
+	if full.LostAcked == 0 {
 		t.Fatal("full-cluster crash should lose in-flight acknowledged writes under Eventual persistency")
 	}
 }
@@ -272,17 +281,16 @@ func TestPartialCrashMinorityUnderWeakModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if part.Audit.LostAcked > full.Audit.LostAcked {
+	if part.LostAcked > full.LostAcked {
 		t.Fatalf("partial crash (%d lost) cannot exceed full crash (%d lost)",
-			part.Audit.LostAcked, full.Audit.LostAcked)
+			part.LostAcked, full.LostAcked)
 	}
 }
 
-// sansHost strips what two equal runs legitimately differ in: the crashed
-// cluster object and the host wall-clock time.
+// sansHost strips what two equal runs legitimately differ in: the host
+// wall-clock time.
 func sansHost(rep *CrashReport) CrashReport {
 	cp := *rep
-	cp.Cluster = nil
 	res := *rep.Result
 	res.WallTime = 0
 	cp.Result = &res
@@ -302,7 +310,7 @@ func TestPartialCrashAllNodesEqualsFullCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Audit.LostAcked == 0 {
+	if full.LostAcked == 0 {
 		t.Fatal("the full crash lost nothing; the comparison is vacuous")
 	}
 	if a, b := sansHost(part), sansHost(full); !reflect.DeepEqual(a, b) {

@@ -54,15 +54,9 @@ func TimeRecovery(m core.Model, p params.Params, keys int) RecoveryTiming {
 	return t
 }
 
-// TimeRecoveryOf measures a crashed cluster's actual recovered-key count
-// and returns its modeled recovery time.
-func TimeRecoveryOf(c *cluster.Cluster, rec *RecoveredState) RecoveryTiming {
-	return TimeRecovery(c.Cfg.Model, c.Cfg.Params, rec.Keys())
-}
-
 // imageDivergence counts keys whose persisted stamp differs across nodes —
-// the work a voting recovery actually reconciles. Exposed for experiments.
-func ImageDivergence(c *cluster.Cluster) int {
+// the work a voting recovery actually reconciles.
+func imageDivergence(c *cluster.Cluster) int {
 	versions := make(map[uint64]protocol.Stamp)
 	diverged := make(map[uint64]bool)
 	for _, r := range c.Replicas {

@@ -3,7 +3,6 @@ package recovery
 import (
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/params"
 )
@@ -56,16 +55,11 @@ func TestTimeRecoveryScalesWithKeys(t *testing.T) {
 }
 
 func TestImageDivergenceAndTimedRecovery(t *testing.T) {
-	cfg := crashConfig(core.Model{C: core.Eventual, P: core.EventualP})
-	cfg.TrackHistory = true
-	c, err := cluster.New(cfg)
+	rep, err := CrashAndRecover(crashConfig(core.Model{C: core.Eventual, P: core.EventualP}), 1_500_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
-	c.Eng.Run(1_500_000)
-	rec := Recover(c, []int{0, 1, 2})
-	timing := TimeRecoveryOf(c, rec)
+	timing := rep.Timing
 	if timing.TotalNs <= 0 {
 		t.Fatalf("non-positive recovery time: %+v", timing)
 	}
@@ -73,22 +67,19 @@ func TestImageDivergenceAndTimedRecovery(t *testing.T) {
 		t.Fatal("eventual model should need voting recovery")
 	}
 	// Lazy persists under load: some keys should have divergent images.
-	if ImageDivergence(c) == 0 {
+	if rep.DivergentKeys == 0 {
 		t.Fatal("expected divergent NVM images under eventual persistency")
 	}
 
 	// Strict images must never diverge... beyond what monotonic persisted
 	// stamps allow; check the strict model separately.
-	cfgS := crashConfig(core.Model{C: core.Linearizable, P: core.Strict})
-	cs, err := cluster.New(cfgS)
+	strict, err := CrashAndRecover(crashConfig(core.Model{C: core.Linearizable, P: core.Strict}), 1_500_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.Start()
-	cs.Eng.Run(1_500_000)
 	// In-flight writes may leave small divergence even under Strict; it
 	// must be far below the eventual model's.
-	if dS, dE := ImageDivergence(cs), ImageDivergence(c); dS >= dE {
+	if dS, dE := strict.DivergentKeys, rep.DivergentKeys; dS >= dE {
 		t.Fatalf("strict divergence (%d) should be below eventual (%d)", dS, dE)
 	}
 }
