@@ -78,8 +78,12 @@ fmt:
 #     and scope tables built only where the binding writes them, and the
 #     bytes a closed-loop client holds (a session only under Transactional
 #     consistency or Scope persistency);
-#   - memory that scales with use: one measurement set per engine (and one
-#     scope histogram per set, on first use), a cluster's retained heap per
+#   - memory that scales with use: one measurement set per engine (whose
+#     scope histogram stores nothing outside Scope persistency), the bytes a
+#     collected Result keeps with its cluster gone, histograms that store only
+#     the rows their samples reach (the fixed 64-row layout's percentiles, one
+#     layout whatever the Record and Merge order, Record allocation-free in
+#     its rows), a cluster's retained heap per
 #     added node at 160 vs 40 nodes, the Causal reorder buffer's retained
 #     bytes per buffered update (a buffered update holds its shared box), the
 #     hash table's 24-byte slot, its
@@ -121,7 +125,7 @@ check: vet fmt
 	$(GO) test ./internal/cluster/ ./internal/sim/ -run 'TestScheduleFingerprint|TestTraceOrderFingerprint|TestPoolReacquireFromCompletionQueuesBehindBacklog'
 	$(GO) test ./internal/cluster/ -run '^(TestEngineChoiceFingerprint|TestReplicaHoldsOneRecordPerKey)$$'
 	$(GO) test ./internal/sim/ ./internal/simnet/ ./internal/cluster/ ./internal/protocol/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas|TestRecyclersOnePerLogicalProcess|TestRunObjectsPerAddedNode|TestReplicaBuildsOnlyTheMapsItsBindingWrites|TestClientBytesPerClient|TestPendingRecordBytes'
-	$(GO) test ./internal/cluster/ ./internal/engines/ ./internal/stats/ -run 'TestMeasurementSetPerEngine|TestScopeHistogramAllocatedOnFirstUse|TestRetainedHeapLinearInNodes|TestCausalBufferBytesPerEntry|TestHashTableSlotSize|TestHashTableGetReturnsStoredSlice|TestHashTableSharedValueHeldOnce|TestHashTableInternedWithinLiveKeys|TestHashTableChurnBounded|TestHashTableRebuildKeepsEveryKey|TestHashTableOpAllocFree|TestBucketIndexMatchesLoopOracle'
+	$(GO) test ./internal/cluster/ ./internal/engines/ ./internal/stats/ -run 'TestMeasurementSetPerEngine|TestScopeHistogramAllocatedOnFirstUse|TestResultBytes|TestHistogramRowsFollowSamples|TestRetainedHeapLinearInNodes|TestCausalBufferBytesPerEntry|TestHashTableSlotSize|TestHashTableGetReturnsStoredSlice|TestHashTableSharedValueHeldOnce|TestHashTableInternedWithinLiveKeys|TestHashTableChurnBounded|TestHashTableRebuildKeepsEveryKey|TestHashTableOpAllocFree|TestBucketIndexMatchesLoopOracle'
 	$(GO) test ./internal/core/ ./internal/cluster/ ./internal/harness/ ./internal/protocol/ -run '^(TestRulesTable|TestDescribeMessagesMatchTraffic|TestModelReferenceFixture|TestProtocolReadsOnlyTheRulesRow)$$'
 	$(GO) test -run='^$$' -bench BenchmarkClusterNew -benchtime=1x -benchmem .
 	$(GO) run ./cmd/ddpbench -exp capacity -quick > /dev/null

@@ -237,13 +237,14 @@ func (r *Result) Throughput() float64 { return r.Summary.Throughput }
 // has one set for the whole cluster, the LP engine one per node, so every set
 // is written by a single LP and no histogram is duplicated per node. Each set
 // merges into the Result once; bucket counters are integers, so how samples
-// split across sets is invisible to results.
+// split across sets is invisible to results. A histogram stores no rows until
+// its first sample, so only Scope bindings pay for the scope histogram.
 type measureSet struct {
 	measuring bool
 
 	read  stats.Histogram
 	write stats.Histogram
-	scope *stats.Histogram // allocated by the first recordScope
+	scope stats.Histogram
 }
 
 func (m *measureSet) recordRead(lat int64) {
@@ -260,9 +261,6 @@ func (m *measureSet) recordWrite(lat int64) {
 
 func (m *measureSet) recordScope(lat int64) {
 	if m.measuring {
-		if m.scope == nil {
-			m.scope = new(stats.Histogram)
-		}
 		m.scope.Record(lat)
 	}
 }
@@ -735,9 +733,7 @@ func (c *Cluster) Collect(window int64, wall time.Duration) *Result {
 	for _, m := range c.sets {
 		res.ReadHist.Merge(&m.read)
 		res.WriteHist.Merge(&m.write)
-		if m.scope != nil {
-			res.ScopeHist.Merge(m.scope)
-		}
+		res.ScopeHist.Merge(&m.scope)
 	}
 	for _, ns := range c.nodes {
 		res.Writes = append(res.Writes, ns.writeLog...)

@@ -1,11 +1,15 @@
 // Package stats provides the measurement primitives used by every
-// experiment: log-bucketed latency histograms with percentile queries,
-// simple counters, and helpers for normalized result tables.
+// experiment: log-bucketed latency histograms with percentile queries, the
+// per-cell Summary built from a read and a write histogram, and the
+// throughput and median helpers the result tables use.
 //
-// Latencies are simulated nanoseconds. Histograms use sub-bucketed
-// power-of-two ranges (an HDR-histogram-like layout) so they are compact,
-// allocation-free on the hot path, and accurate to a few percent across
-// nanoseconds-to-seconds ranges.
+// Latencies are simulated nanoseconds. A histogram splits each power-of-two
+// range into 32 sub-buckets (an HDR-histogram-like layout), one row of
+// counts per range, accurate to a few percent across nanoseconds-to-seconds
+// ranges. It stores only rows 0 up to the 8-row block that holds its largest
+// sample, so a histogram whose samples stay below 2^16 ns keeps 16 of the 64
+// rows (4 KB) and an unused one keeps none; Record allocates only when a sample
+// lands above the stored rows.
 package stats
 
 import (
@@ -15,12 +19,21 @@ import (
 	"sort"
 )
 
-const subBuckets = 32 // resolution within each power-of-two range
+const (
+	subBuckets = 32 // resolution within each power-of-two range
+	blockRows  = 8  // rows are stored in blocks of this many, from row 0 up
+	blockLen   = blockRows * subBuckets
+)
 
 // Histogram records int64 latency samples.
-// The zero value is ready to use.
+// The zero value is ready to use and stores no rows.
+//
+// counts holds rows 0 up to the block of the largest sample recorded or
+// merged, so two histograms holding the same samples have the same layout
+// whatever order they were recorded and merged in. A used Histogram must not
+// be copied by value: the copy would share its rows.
 type Histogram struct {
-	counts [64 * subBuckets]uint64
+	counts []uint64
 	n      uint64
 	sum    int64
 	min    int64
@@ -64,9 +77,20 @@ func (h *Histogram) Record(v int64) {
 	if v > h.max {
 		h.max = v
 	}
-	h.counts[bucketIndex(v)]++
+	i := bucketIndex(v)
+	if i >= len(h.counts) {
+		h.grow(i)
+	}
+	h.counts[i]++
 	h.n++
 	h.sum += v
+}
+
+// grow stores the rows up to the block that holds bucket i.
+func (h *Histogram) grow(i int) {
+	counts := make([]uint64, (i/blockLen+1)*blockLen)
+	copy(counts, h.counts)
+	h.counts = counts
 }
 
 // Count returns the number of samples recorded.
@@ -138,6 +162,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.max > h.max {
 		h.max = other.max
 	}
+	if len(other.counts) > len(h.counts) {
+		h.grow(len(other.counts) - 1)
+	}
 	for i, c := range other.counts {
 		h.counts[i] += c
 	}
@@ -188,16 +215,17 @@ type Summary struct {
 // Summarize computes a Summary from read/write histograms and a window.
 func Summarize(read, write *Histogram, windowNs int64) Summary {
 	total := read.Count() + write.Count()
-	var all Histogram
-	all.Merge(read)
-	all.Merge(write)
+	var meanAll float64
+	if total > 0 {
+		meanAll = float64(read.Sum()+write.Sum()) / float64(total)
+	}
 	return Summary{
 		Ops:        total,
 		WindowNs:   windowNs,
 		Throughput: Throughput(total, windowNs),
 		MeanRead:   read.Mean(),
 		MeanWrite:  write.Mean(),
-		MeanAll:    all.Mean(),
+		MeanAll:    meanAll,
 		P95Read:    read.Percentile(95),
 		P95Write:   write.Percentile(95),
 		P99Read:    read.Percentile(99),

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -269,5 +271,141 @@ func TestSummarizeTailFields(t *testing.T) {
 	// 99.9th of 1..10000 is ~9990; the log buckets land within a few percent.
 	if s.P999Read < 9000 || s.P999Read > 11000 {
 		t.Fatalf("p999 read %d far from ~9990", s.P999Read)
+	}
+}
+
+// refHist is the fixed 64-row layout Histogram used before it stored only the
+// rows its samples reach, kept as the oracle for what the trimmed layout
+// reports.
+type refHist struct {
+	counts          [64 * subBuckets]uint64
+	n               uint64
+	sum, minV, maxV int64
+}
+
+func (r *refHist) record(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	if r.n == 0 || v < r.minV {
+		r.minV = v
+	}
+	if v > r.maxV {
+		r.maxV = v
+	}
+	r.counts[bucketIndex(v)]++
+	r.n++
+	r.sum += v
+}
+
+func (r *refHist) percentile(p float64) int64 {
+	if r.n == 0 {
+		return 0
+	}
+	if p <= 0 {
+		return r.minV
+	}
+	if p >= 100 {
+		return r.maxV
+	}
+	target := uint64(math.Ceil(float64(r.n) * p / 100))
+	if target == 0 {
+		target = 1
+	}
+	var seen uint64
+	for i := range r.counts {
+		seen += r.counts[i]
+		if seen >= target {
+			return min(max(bucketMid(i), r.minV), r.maxV)
+		}
+	}
+	return r.maxV
+}
+
+// storedRows is how many rows of counts h keeps.
+func storedRows(h *Histogram) int { return len(h.counts) / subBuckets }
+
+// TestHistogramRowsFollowSamples pins the row-trimmed layout: the zero value
+// and Reset store no rows; samples below 2^16 ns store at most 16 of the 64
+// rows; one set of samples gives DeepEqual histograms whatever order it was
+// recorded and merged in; percentiles, Min, Max and Mean equal the fixed-array
+// reference's; and a Record inside the stored rows allocates nothing.
+func TestHistogramRowsFollowSamples(t *testing.T) {
+	var zero Histogram
+	if storedRows(&zero) != 0 || !reflect.DeepEqual(zero, Histogram{}) {
+		t.Fatalf("zero value stores %d rows", storedRows(&zero))
+	}
+	reset := &Histogram{}
+	reset.Record(1 << 30)
+	reset.Reset()
+	if storedRows(reset) != 0 || !reflect.DeepEqual(*reset, Histogram{}) {
+		t.Fatalf("Reset leaves %d rows stored", storedRows(reset))
+	}
+
+	rng := rand.New(rand.NewPCG(1, 2))
+	small := &Histogram{}
+	for i := 0; i < 10_000; i++ {
+		small.Record(rng.Int64N(1 << 16))
+	}
+	if rows := storedRows(small); rows > 16 {
+		t.Fatalf("samples below 2^16 ns store %d rows (%d B), want <= 16", rows, len(small.counts)*8)
+	}
+
+	// Samples span 0 to 2^40: a log-uniform exponent, then a uniform value
+	// below it, so every row up to 40 gets some.
+	samples := make([]int64, 5_000)
+	for i := range samples {
+		samples[i] = rng.Int64N(int64(1) << (1 + rng.IntN(40)))
+	}
+	var want refHist
+	inOrder := &Histogram{}
+	for _, v := range samples {
+		want.record(v)
+		inOrder.Record(v)
+	}
+	for _, p := range []float64{1, 5, 25, 50, 75, 95, 99, 99.9} {
+		if got, w := inOrder.Percentile(p), want.percentile(p); got != w {
+			t.Errorf("p%g = %d, fixed-array reference %d", p, got, w)
+		}
+	}
+	if inOrder.Min() != want.minV || inOrder.Max() != want.maxV || inOrder.Mean() != float64(want.sum)/float64(want.n) {
+		t.Errorf("min/max/mean = %d/%d/%g, reference %d/%d/%g", inOrder.Min(), inOrder.Max(), inOrder.Mean(),
+			want.minV, want.maxV, float64(want.sum)/float64(want.n))
+	}
+
+	for trial := 0; trial < 20; trial++ {
+		shuffled := append([]int64(nil), samples...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		recorded := &Histogram{}
+		for _, v := range shuffled {
+			recorded.Record(v)
+		}
+		if !reflect.DeepEqual(recorded, inOrder) {
+			t.Fatalf("trial %d: a shuffled Record order stores %d rows, in order %d, or different counts",
+				trial, storedRows(recorded), storedRows(inOrder))
+		}
+		// Split into parts merged in a random order, some into an empty
+		// histogram first.
+		parts := make([]Histogram, 1+rng.IntN(6))
+		for _, v := range shuffled {
+			parts[rng.IntN(len(parts))].Record(v)
+		}
+		merged := &Histogram{}
+		for _, i := range rng.Perm(len(parts)) {
+			merged.Merge(&parts[i])
+		}
+		if !reflect.DeepEqual(merged, inOrder) {
+			t.Fatalf("trial %d: merging %d parts stores %d rows, in order %d, or different counts",
+				trial, len(parts), storedRows(merged), storedRows(inOrder))
+		}
+	}
+
+	allocs := testing.AllocsPerRun(100, func() {
+		for v := int64(0); v < 1<<16; v += 97 {
+			small.Record(v)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Record inside the stored rows allocates %.1f times per run, want 0", allocs)
 	}
 }
