@@ -75,9 +75,11 @@ fmt:
 #     recyclers per logical process (one arena for a sequential cluster's
 #     replicas, one call slab per engine for its pools and devices), a whole
 #     cell's objects per added node at 160 vs 40 nodes, the transaction
-#     and scope tables built only where the binding writes them, and the
+#     and scope tables built only where the binding writes them, the
 #     bytes a closed-loop client holds (a session only under Transactional
-#     consistency or Scope persistency);
+#     consistency or Scope persistency), and every key's busy record freed
+#     once the key is idle (each binding run to quiescence, flat, with
+#     stray keys and under the persist-coalescing ablation);
 #   - memory that scales with use: one measurement set per engine (whose
 #     scope histogram stores nothing outside Scope persistency), the bytes a
 #     collected Result keeps with its cluster gone, histograms that store only
@@ -124,7 +126,7 @@ check: vet fmt
 	$(GO) test -race ./internal/cluster/ -run 'TestHotSketchGoldenSeed|TestP2CSpreadDeterministic'
 	$(GO) test ./internal/cluster/ ./internal/sim/ -run 'TestScheduleFingerprint|TestTraceOrderFingerprint|TestPoolReacquireFromCompletionQueuesBehindBacklog'
 	$(GO) test ./internal/cluster/ -run '^(TestEngineChoiceFingerprint|TestReplicaHoldsOneRecordPerKey)$$'
-	$(GO) test ./internal/sim/ ./internal/simnet/ ./internal/cluster/ ./internal/protocol/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas|TestRecyclersOnePerLogicalProcess|TestRunObjectsPerAddedNode|TestReplicaBuildsOnlyTheMapsItsBindingWrites|TestClientBytesPerClient|TestPendingRecordBytes'
+	$(GO) test ./internal/sim/ ./internal/simnet/ ./internal/cluster/ ./internal/protocol/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas|TestRecyclersOnePerLogicalProcess|TestRunObjectsPerAddedNode|TestReplicaBuildsOnlyTheMapsItsBindingWrites|TestClientBytesPerClient|TestPendingRecordBytes|TestBusyRecordsDrainAtQuiescence'
 	$(GO) test ./internal/cluster/ ./internal/engines/ ./internal/stats/ -run 'TestMeasurementSetPerEngine|TestScopeHistogramAllocatedOnFirstUse|TestResultBytes|TestHistogramRowsFollowSamples|TestRetainedHeapLinearInNodes|TestCausalBufferBytesPerEntry|TestHashTableSlotSize|TestHashTableGetReturnsStoredSlice|TestHashTableSharedValueHeldOnce|TestHashTableInternedWithinLiveKeys|TestHashTableChurnBounded|TestHashTableRebuildKeepsEveryKey|TestHashTableOpAllocFree|TestBucketIndexMatchesLoopOracle'
 	$(GO) test ./internal/core/ ./internal/cluster/ ./internal/harness/ ./internal/protocol/ -run '^(TestRulesTable|TestDescribeMessagesMatchTraffic|TestModelReferenceFixture|TestProtocolReadsOnlyTheRulesRow)$$'
 	$(GO) test -run='^$$' -bench BenchmarkClusterNew -benchtime=1x -benchmem .
@@ -176,21 +178,24 @@ census:
 	SCALE_CENSUS=1 $(GO) test ./internal/cluster/ -run '^TestScaleCensus$$' -count=1 -v -memprofilerate 1 -memprofile .bench_build/scale_census.mprof -o .bench_build/cluster.test | grep 'rep allocated'
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 .bench_build/cluster.test .bench_build/scale_census.mprof
 
-# Live heap of three repo benchmark cells, the memory twin of census:
+# Live heap of four repo benchmark cells, the memory twin of census:
 # scale160's <Ev,Ev> and <Lin,Sync> cells at the benchmark's windows (the
-# larger sets that workload's live_heap_mb) and flat_matrix's 5x20 <Causal,
+# larger sets that workload's live_heap_mb), flat_matrix's 5x20 <Causal,
 # Sync> cell (the largest live heap of that workload, set by its Causal
-# reorder buffer). Each cell is built and run, a collection is forced with
-# the cluster still live (the state live_heap_mb samples), and the exact
-# in-use heap profile (runtime.MemProfileRate = 1) prints its top-20 sites by
-# bytes. EXPERIMENTS.md "Per-node state", "Buffered updates hold their box"
-# and "Fewer bytes per pending event" read these tables.
+# reorder buffer) and sparse_openloop's 10-server bursty <Ev,Strict> cell
+# (that workload's largest). Each cell is built and run, a collection is
+# forced with the cluster still live (the state live_heap_mb samples), and
+# the exact in-use heap profile (runtime.MemProfileRate = 1) prints its
+# top-20 sites by bytes. EXPERIMENTS.md "Per-node state", "Buffered updates
+# hold their box", "Fewer bytes per pending event" and "Key slots hold only
+# the two versions" read these tables.
 footprint:
 	mkdir -p .bench_build
 	FOOTPRINT_PROFILE=$(CURDIR)/.bench_build/footprint.pprof $(GO) test ./internal/cluster/ -run '^TestFootprintProfile$$' -count=1 -v
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=20 .bench_build/footprint.pprof
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=20 .bench_build/footprint_lin_sync.pprof
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=20 .bench_build/footprint_causal_sync.pprof
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=20 .bench_build/footprint_sparse_ev_strict.pprof
 
 # Host cost of one simulated event at 40, 160 and 320 nodes (the scaling
 # study's <Ev,Ev> cell, Shards = N/5): ns/event should not climb with N.

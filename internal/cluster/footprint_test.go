@@ -111,29 +111,33 @@ func TestCausalBufferBytesPerEntry(t *testing.T) {
 // TestReplicaHoldsOneRecordPerKey pins what a replica keeps per key: on a
 // flat 5-server <Lin, Sync> cell under uniform keys (ZipfTheta 0, so the run
 // writes nearly every key), 0.2 ms warm-up + 0.8 ms measured, the retained
-// heap grows by at most 64 B per key per replica from 2,000 to 20,000 keys
-// (about 62 measured). The replica's key table slot (keyState, 48 B) is the
+// heap grows by at most 28 B per key per replica from 2,000 to 20,000 keys
+// (about 25.8 measured). The replica's key table slot (keyState, 24 B) is the
 // one version record of a key: its visible and persisted stamps are what a
-// read serves and a crash keeps; the INV/ACK/VAL bindings add a 12-B side
-// table of read-stall state. A volatile store and an NVM image beside it,
-// each holding the same stamp again, read 106 B; the transaction lock and
-// committed version in every binding's slot (a 72-B keyState), 74. The
-// <Transactional, Sync> twin may hold 16 B more per key: the side table of
-// those two fields, which only Transactional consistency builds. The
-// <Eventual, Eventual> row, which builds neither side table, holds at most 52
-// B (about 50 measured; 58 with the read-stall state in every slot). It runs
-// 2 clients per server: at 20, its lazy write-backs back up at the NVM banks,
-// and less so the more keys they coalesce over, so the backlog, not the key
-// table, sets its slope (115 B).
+// read serves and a crash keeps, and a token naming the busy record the key
+// holds only while something is in flight on it, taken from the arena the
+// replicas share, so the busy keys, not the key space, size those. A volatile
+// store and an NVM image beside the slot, each holding the same stamp again,
+// read 106 B; the transaction lock and committed version in every binding's
+// slot (a 72-B keyState), 74; the write-back state in every slot (a 48-B
+// keyState) plus a 12-B read-stall side table under the INV/ACK/VAL bindings,
+// 62. The <Transactional, Sync> twin may hold 16 B more per key: the side
+// table of those two fields, which only Transactional consistency builds
+// (about 42.2 measured; 78.6 with the 48-B slot). The <Eventual, Eventual>
+// row holds at most 28 B (about 25.8 measured; 50 with the 48-B slot, 58
+// with the read-stall state in every slot). It runs 2 clients per server: at
+// 20, its lazy write-backs back up at the NVM banks, and less so the more keys
+// they coalesce over, so the backlog, not the key table, sets its slope (115
+// B with the 48-B slot).
 func TestReplicaHoldsOneRecordPerKey(t *testing.T) {
 	for _, tc := range []struct {
 		m       core.Model
 		clients int // per server; 0 = the default 20
 		budget  float64
 	}{
-		{core.Model{C: core.Linearizable, P: core.Synchronous}, 0, 64},
-		{core.Model{C: core.Transactional, P: core.Synchronous}, 0, 64 + 16},
-		{core.Model{C: core.Eventual, P: core.EventualP}, 2, 52},
+		{core.Model{C: core.Linearizable, P: core.Synchronous}, 0, 28},
+		{core.Model{C: core.Transactional, P: core.Synchronous}, 0, 28 + 16},
+		{core.Model{C: core.Eventual, P: core.EventualP}, 2, 28},
 	} {
 		cell := func(keys int) Config {
 			p := params.Default()
@@ -264,16 +268,19 @@ func TestResultBytes(t *testing.T) {
 	t.Logf("a collected Result retains %d B with its cluster dropped", size)
 }
 
-// TestFootprintProfile writes the exact in-use heap profiles of three repo
+// TestFootprintProfile writes the exact in-use heap profiles of four repo
 // benchmark cells, each taken after a forced collection with the cluster
 // built and run — the live_heap_mb sample, by allocation site: scale160's
 // <Ev,Ev> and <Lin,Sync> cells at the benchmark's windows (0.2 ms warm-up +
 // 0.2 ms measured; the larger of the two sets that workload's live_heap_mb),
-// and flat_matrix's 5x20 <Causal, Sync> cell, whose reorder buffer makes it
-// the largest live heap of that workload. It runs only when
+// flat_matrix's 5x20 <Causal, Sync> cell, whose reorder buffer makes it the
+// largest live heap of that workload, and sparse_openloop's 10-server
+// <Ev,Strict> cell under bursty open-loop writes at 4 Mops/s (1 ms warm-up +
+// 5 ms measured), that workload's largest. It runs only when
 // FOOTPRINT_PROFILE names the first output file; the others go next to it,
-// with "_lin_sync" and "_causal_sync" before the extension. `make footprint`
-// sets it and prints the top 20 sites of each by inuse_space.
+// with "_lin_sync", "_causal_sync" and "_sparse_ev_strict" before the
+// extension. `make footprint` sets it and prints the top 20 sites of each by
+// inuse_space.
 func TestFootprintProfile(t *testing.T) {
 	out := os.Getenv("FOOTPRINT_PROFILE")
 	if out == "" {
@@ -285,6 +292,10 @@ func TestFootprintProfile(t *testing.T) {
 	sibling := func(suffix string) string { return strings.TrimSuffix(out, ext) + suffix + ext }
 	linSync := scaleCell(160, 200_000, 200_000)
 	linSync.Model = core.Model{C: core.Linearizable, P: core.Synchronous}
+	sparse := params.Default()
+	sparse.Servers = 10
+	evStrict := Config{Model: core.Model{C: core.Eventual, P: core.Strict}, Workload: ycsb.WorkloadW, Params: sparse,
+		Arrivals: &ycsb.ArrivalSpec{Shape: ycsb.ShapeBursty, RatePerSec: 4e6}, Seed: 1, WarmupNs: 1_000_000, MeasureNs: 5_000_000}
 	for _, cell := range []struct {
 		name, file string
 		cfg        Config
@@ -292,6 +303,7 @@ func TestFootprintProfile(t *testing.T) {
 		{"scale160 <Ev,Ev>", out, scaleCell(160, 200_000, 200_000)},
 		{"scale160 <Lin,Sync>", sibling("_lin_sync"), linSync},
 		{"flat 5x20 <Causal, Sync>", sibling("_causal_sync"), flatCell(core.Model{C: core.Causal, P: core.Synchronous})},
+		{"sparse 10-server <Ev,Strict> bursty", sibling("_sparse_ev_strict"), evStrict},
 	} {
 		live := runRetained(t, cell.cfg, func(*Cluster) {
 			f, err := os.Create(cell.file)

@@ -30,44 +30,23 @@ func PartitionKeys(keys, shards int, owner func(key uint64) int) ([]KeyIndex, []
 	return idx, owners
 }
 
-// keyTable is a replica's per-key protocol state. Without an index (the flat
+// keyTable holds a replica's per-key versions. Without an index (the flat
 // group) it is one slot per key, indexed directly. With one it holds a slot
 // per owned key; a key of another shard — which the router never sends here —
 // has no slot and reads as the zero keyState until something writes to it.
 //
-// Two side tables beside slots hold what only some bindings write, so the
-// others do not carry it in every key's slot; NewReplica builds each only
-// under its bindings. trans, the read-stall state of the INV/ACK/VAL round,
-// is parallel to slots (a stray key keeps its own beside its keyState); it
-// exists under Linearizable, Read-Enforced and Transactional consistency.
-// txn, Transactional consistency's two more fields per key, is dense over the
-// whole key space, indexed by key: Validate keeps Transactional cells flat,
-// so every key has a slot there anyway.
+// A slot holds a keyState only: the key's two versions and the token of its
+// busy record, which the key holds only while something is in flight on it
+// (see busyKey). txn, Transactional consistency's two more fields per key, is
+// the one side table: NewReplica builds it under that consistency only, dense
+// over the whole key space and indexed by key, since Validate keeps
+// Transactional cells flat, so every key has a slot there anyway.
 type keyTable struct {
 	slots []keyState
 	index []KeyOwner           // nil = dense
 	shard int32                // the shard whose keys slots holds
-	stray map[uint64]*strayKey // unowned keys, materialised on first touch
-	trans []transKey           // nil outside the INV/ACK/VAL bindings
+	stray map[uint64]*keyState // unowned keys, materialised on first touch
 	txn   []txnKey             // nil outside Transactional consistency
-}
-
-// strayKey is the state of a key without a slot: its keyState and, under
-// the INV/ACK/VAL bindings, its transKey.
-type strayKey struct {
-	ks keyState
-	tk transKey
-}
-
-// transKey is a key's read-stall state at one replica under the INV/ACK/VAL
-// bindings (12 B): transC holds stamps INVed but not yet validated for
-// consistency, transP stamps not yet validated for persistency (VAL_p), and
-// consWait is the tail token of the FIFO in Arena.waiters of the reads
-// stalled until they are.
-type transKey struct {
-	transC   stampSet
-	transP   stampSet
-	consWait int32
 }
 
 // txnKey is a key's transactional state at one replica.
@@ -78,19 +57,6 @@ type txnKey struct {
 
 // txnAt returns key's transactional state (Transactional consistency only).
 func (t *keyTable) txnAt(key uint64) *txnKey { return &t.txn[key] }
-
-// transAt returns key's read-stall state for update, materialising a stray
-// key if need be (INV/ACK/VAL bindings only).
-func (t *keyTable) transAt(key uint64) *transKey {
-	if t.index == nil {
-		return &t.trans[key]
-	}
-	if o := t.index[key]; o.Shard == t.shard {
-		return &t.trans[o.Slot]
-	}
-	t.at(key)
-	return &t.stray[key].tk
-}
 
 func newKeyTable(keys int, ix *KeyIndex) keyTable {
 	if ix == nil {
@@ -107,10 +73,7 @@ func (t *keyTable) find(key uint64) *keyState {
 	if o := t.index[key]; o.Shard == t.shard {
 		return &t.slots[o.Slot]
 	}
-	if sk := t.stray[key]; sk != nil {
-		return &sk.ks
-	}
-	return nil
+	return t.stray[key]
 }
 
 // at returns key's state for update, materialising it if need be.
@@ -126,9 +89,67 @@ func (t *keyTable) at(key uint64) *keyState {
 //go:noinline
 func (t *keyTable) touch(key uint64) *keyState {
 	if t.stray == nil {
-		t.stray = make(map[uint64]*strayKey)
+		t.stray = make(map[uint64]*keyState)
 	}
-	sk := new(strayKey)
-	t.stray[key] = sk
-	return &sk.ks
+	ks := new(keyState)
+	t.stray[key] = ks
+	return ks
+}
+
+// busyKey is what a key holds while something is in flight on it, in a slot
+// of Arena.busy named by its keyState's busy token (40 B, 48 with the slot's
+// link). No collection is a slice or map of its own: each is a token into
+// another slab of the arena, so taking a record allocates nothing once the
+// slabs are warm.
+//
+// Write-back coalescing: at most one persist per key is in flight
+// (persistInFlight); newer stamps arriving meanwhile raise dirtyStamp and
+// ride the follow-up write-back. issuedStamp is the stamp the in-flight
+// write covers, persistCbs the tail token of the FIFO in Arena.conts of the
+// continuations waiting for a covering write-back, and persWait the tail of
+// the FIFO in Arena.waiters of the reads stalled until the key is locally
+// persisted. Under the INV/ACK/VAL bindings that stall reads, transC holds
+// the stamps INVed but not yet validated for consistency, transP those not
+// yet validated for persistency (VAL_p), and consWait is the FIFO of the
+// reads stalled until they are.
+type busyKey struct {
+	dirtyStamp      Stamp
+	issuedStamp     Stamp
+	persistCbs      int32
+	persWait        int32
+	consWait        int32
+	transC          stampSet
+	transP          stampSet
+	persistInFlight bool
+}
+
+// busyOf returns ks's busy record, taking one from the arena if the key is
+// idle. Taking one may move Arena.busy's backing array, so a caller holds
+// the returned pointer only until its next call that can take a record
+// (one that persists, stalls a read or marks a stamp transient, on any key)
+// and then looks it up again through ks.busy.
+func (r *Replica) busyOf(ks *keyState) *busyKey {
+	if ks.busy == 0 {
+		ks.busy = r.arena.busy.Put(busyKey{})
+	}
+	return r.arena.busy.At(ks.busy)
+}
+
+// settle frees ks's busy record once it holds nothing a freed record would
+// lose: no write-back in flight or owed (dirtyStamp is read only while one
+// is in flight, issuedStamp only at its completion), and every FIFO and
+// stamp set empty. A continuation waiting for a write-back has a stamp at
+// most dirtyStamp, so a record with one is never freed. Every site that
+// empties part of a record calls settle last, after the reads and
+// continuations it resumed ran, so a record those re-filed into stays.
+func (r *Replica) settle(ks *keyState) {
+	if ks.busy == 0 {
+		return
+	}
+	b := r.arena.busy.At(ks.busy)
+	if !b.persistInFlight && b.dirtyStamp <= ks.persisted && b.persistCbs == 0 &&
+		b.persWait == 0 && b.consWait == 0 && b.transC == 0 && b.transP == 0 {
+		r.arena.busy.Take(ks.busy)
+		ks.busy = 0
+	}
 }

@@ -70,20 +70,18 @@ func TestKeyTableOwnedSlots(t *testing.T) {
 		t.Fatalf("first touch changed the owned slots (%d owned, %d stray)", len(tab.slots), len(tab.stray))
 	}
 
-	// The read-stall side table is parallel to the slots; a stray key keeps
-	// its entry beside its keyState, and asking for one materialises the key.
-	tab.trans = make([]transKey, len(tab.slots))
-	for k := uint64(0); k < keys; k++ {
-		if o := idx[1].owners[k]; o.Shard == 1 && tab.transAt(k) != &tab.trans[o.Slot] {
-			t.Fatalf("owned key %d does not share its slot number with its read-stall entry", k)
-		}
-	}
-	if tk := tab.transAt(stray); tk != &tab.stray[stray].tk || tab.transAt(stray) != tk || tab.find(stray) != ks {
-		t.Fatalf("stray key's read-stall entry is not the one beside its keyState")
+	// A stray key materialises a bare keyState, the same 24-B record a slot
+	// holds, with no per-key read-stall state beside it; reading a stray key
+	// materialises nothing.
+	if tab.stray[stray] != ks || *ks != (keyState{visible: MakeStamp(3, 1)}) {
+		t.Fatalf("stray key holds %+v, want a bare keyState with the written version", *tab.stray[stray])
 	}
 	const untouched = 1 // owned by shard 3, never touched
-	tab.transAt(untouched).transC = 1
-	if tab.find(untouched) == nil || tab.transAt(untouched).transC != 1 || len(tab.stray) != 2 {
-		t.Fatalf("read-stall entry of an untouched stray key did not materialise it")
+	if tab.find(untouched) != nil {
+		t.Fatalf("reading an untouched stray key materialised it")
+	}
+	tab.at(untouched).busy = 1
+	if got := tab.find(untouched); got == nil || got.busy != 1 || len(tab.stray) != 2 {
+		t.Fatalf("an untouched stray key did not keep the busy token written to it")
 	}
 }

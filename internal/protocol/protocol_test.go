@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -258,26 +259,44 @@ func TestCausalEndToEndPropagation(t *testing.T) {
 	}
 }
 
+// TestCausalSynchronousReadsServePersistedVersion checks that a read under
+// <Causal, Sync> serves the persisted version, not the visible one (Figure
+// 2e-h): a read issued as the write completes is served while the write's
+// persist is still in flight, and must return the stamp the node had
+// persisted at that instant. The replica's tracer logs "RD k4" as the read is
+// served, in the same event and just before readAttempt, so the test takes
+// both stamps there.
 func TestCausalSynchronousReadsServePersistedVersion(t *testing.T) {
-	tc := newTestCluster(mdl(core.Causal, core.Synchronous), 2, nil)
+	tc := newTestCluster(mdl(core.Causal, core.Synchronous), 2, func(p *params.Params) {
+		p.RequestCompute = 1 // serve the read well inside the 400-ns persist
+	})
 	r0 := tc.reps[0]
-	seen := make(chan struct{}, 1)
-	_ = seen
-	var readVersion uint64
+	var visibleAt, persistedAt Stamp
+	served := false
+	r0.tracer = func(_ int, what string) {
+		if what == "RD k4" {
+			served = true
+			visibleAt, persistedAt = r0.VisibleVersion(4), r0.PersistedVersion(4)
+		}
+	}
+	var written, returned Stamp
 	tc.eng.Schedule(0, func() {
-		r0.ClientWrite(4, 0, 0, stampDone(func(Stamp) {}), 0)
-		// Immediately read: the persist (400ns) cannot have finished; the
-		// read must serve from the persisted image, which is still empty.
-		r0.ClientRead(4, 0, stampDone(func(Stamp) {
-			readVersion = uint64(r0.PersistedVersion(4))
+		r0.ClientWrite(4, 0, 0, stampDone(func(st Stamp) {
+			written = st
+			r0.ClientRead(4, 0, stampDone(func(st Stamp) { returned = st }), 0)
 		}), 0)
 	})
-	tc.eng.Run(460) // stop before worker+persist pipeline can finish
-	if readVersion != 0 && tc.eng.Now() < 400 {
-		t.Fatal("read observed an unpersisted version under Synchronous persistency")
-	}
 	tc.run()
-	if r0.PersistedVersion(4).IsZero() {
+	if !served || written.IsZero() {
+		t.Fatalf("read served %v, write stamped %v: the run did not exercise the read", served, written)
+	}
+	if visibleAt != written || persistedAt >= visibleAt {
+		t.Fatalf("read served with visible %v, persisted %v: want the write %v visible and not yet persisted", visibleAt, persistedAt, written)
+	}
+	if returned != persistedAt {
+		t.Fatalf("read returned %v, want the version persisted when it was served (%v; visible %v)", returned, persistedAt, visibleAt)
+	}
+	if r0.PersistedVersion(4) != written {
 		t.Fatal("write never persisted")
 	}
 }
@@ -836,11 +855,11 @@ func TestStaleAckIgnored(t *testing.T) {
 
 // TestReplicaBuildsOnlyTheMapsItsBindingWrites pins NewReplica's gate on the
 // binding: the transaction tables exist under Transactional consistency
-// only, the read-stall side table (one entry per key slot) under the
-// INV/ACK/VAL consistency models only (Linearizable, Read-Enforced,
-// Transactional) and the three scope tables under Scope persistency only (a
-// nil map reads as empty), and a client call that would write a table its
-// binding lacks panics at the call, naming the binding.
+// only, no binding builds per-key read-stall state (it lives in a key's busy
+// record, taken when the key is first busy), the three scope tables exist
+// under Scope persistency only (a nil map reads as empty), and a client call
+// that would write a table its binding lacks panics at the call, naming the
+// binding.
 func TestReplicaBuildsOnlyTheMapsItsBindingWrites(t *testing.T) {
 	panics := func(call func()) (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
@@ -851,12 +870,20 @@ func TestReplicaBuildsOnlyTheMapsItsBindingWrites(t *testing.T) {
 	for _, m := range core.AllModels() {
 		r := newTestCluster(m, 2, nil).reps[0]
 		txn, scope := m.C == core.Transactional, m.P == core.Scope
-		inv := txn || m.C == core.Linearizable || m.C == core.ReadEnforcedC
 		if (r.txns != nil) != txn || (r.keys.txn != nil) != txn {
 			t.Errorf("%v: transaction tables built = %v %v, want %v", m, r.txns != nil, r.keys.txn != nil, txn)
 		}
-		if (r.keys.trans != nil) != inv || inv && len(r.keys.trans) != len(r.keys.slots) {
-			t.Errorf("%v: read-stall table of %d entries for %d key slots, want one per slot = %v", m, len(r.keys.trans), len(r.keys.slots), inv)
+		// No binding builds per-key read-stall state up front: a key takes
+		// a busy record only when something is in flight on it, and the
+		// key table's only per-key tables are its slots and txn.
+		if n := r.arena.busy.Slots(); n != 0 {
+			t.Errorf("%v: %d busy records built before any request", m, n)
+		}
+		kt := reflect.ValueOf(r.keys)
+		for i := 0; i < kt.NumField(); i++ {
+			if f := kt.Type().Field(i); f.Type.Kind() == reflect.Slice && f.Name != "slots" && f.Name != "index" && f.Name != "txn" && !kt.Field(i).IsNil() {
+				t.Errorf("%v: key table builds a per-key %s table of %d entries up front", m, f.Name, kt.Field(i).Len())
+			}
 		}
 		if (r.scopePending != nil) != scope || (r.scopeClosed != nil) != scope || (r.scopeOps != nil) != scope {
 			t.Errorf("%v: scope tables built = %v %v %v, want %v", m,

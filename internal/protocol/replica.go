@@ -76,34 +76,17 @@ type Deps struct {
 	Arena *Arena
 }
 
-// keyState is the per-key protocol state at one replica, and the replica's
-// only record of the key's version: visible is what the volatile store holds
-// (a read serves it, a crash loses it), persisted what the NVM image holds
-// (what a crash keeps). It holds no slice or map of its own: every per-key
-// collection is a token into a slab of the replica's Arena (or, for stalled
-// reads, a link through the operation records), so the first touch of a key
-// allocates nothing. It holds only what every binding reads (48 B): the
-// INV/ACK/VAL round's read-stall state sits in keyTable.trans and the
-// transaction lock and committed version in keyTable.txn, which only the
-// bindings that write them build.
+// keyState is a key's slot at one replica, and the replica's only record of
+// the key's version: visible is what the volatile store holds (a read serves
+// it, a crash loses it), persisted what the NVM image holds (what a crash
+// keeps). Everything else a key holds only while something is in flight on
+// it — a write-back, waiting continuations, stalled reads, unvalidated
+// stamps — sits in its busy record, named by busy (0 while the key is idle),
+// so every key costs its replica 24 B and a busy one 48 more in the arena.
 type keyState struct {
 	visible   Stamp // stamp of the current visible (volatile) version
 	persisted Stamp // stamp of the latest locally persisted version
-
-	// Write-back coalescing: at most one persist per key is in flight; newer
-	// stamps arriving meanwhile mark the key dirty and ride the follow-up
-	// write-back. Continuations run once their stamp is covered. issuedStamp
-	// is the stamp the in-flight write covers (at most one, so it lives here
-	// rather than in a per-write record); persistCbs is the tail token of the
-	// key's FIFO of waiting continuations in Arena.conts.
-	dirtyStamp      Stamp
-	issuedStamp     Stamp
-	persistCbs      int32
-	persistInFlight bool
-
-	// persWait is the tail token of the FIFO in Arena.waiters of the reads
-	// stalled on this key until it is locally persisted.
-	persWait int32
+	busy      int32 // token of the key's busyKey in Arena.busy; 0 = idle
 }
 
 // pendingWrite tracks a coordinator-side in-flight write. Records recycle
@@ -217,7 +200,10 @@ func (a *ablationDone) OnEvent(tok uint64) {
 	if rec.st > ks.persisted {
 		ks.persisted = rec.st
 	}
-	r.wake(&ks.persWait)
+	if ks.busy != 0 {
+		r.wake(&r.arena.busy.At(ks.busy).persWait)
+		r.settle(ks)
+	}
 	r.run(rec.c, rec.key, rec.st)
 }
 
@@ -257,9 +243,6 @@ func NewReplica(id int, d Deps) *Replica {
 		r.arena = new(Arena)
 	}
 	// Build only the maps the binding writes.
-	if r.rules.InvAckVal {
-		r.keys.trans = make([]transKey, len(r.keys.slots))
-	}
 	if r.rules.ServesCommitted {
 		r.txns = make(map[uint64]*txnState)
 		r.keys.txn = make([]txnKey, d.P.Keys)
@@ -612,26 +595,26 @@ func (r *Replica) persist(key uint64, st Stamp, then cont) {
 		}
 		return
 	}
+	b := r.busyOf(ks)
 	if then.kind != contNone {
-		r.arena.conts.Push(&ks.persistCbs, contRec{key: key, st: st, c: then})
+		r.arena.conts.Push(&b.persistCbs, contRec{key: key, st: st, c: then})
 	}
-	if ks.persistInFlight {
-		if st > ks.dirtyStamp {
-			ks.dirtyStamp = st
+	if b.persistInFlight {
+		if st > b.dirtyStamp {
+			b.dirtyStamp = st
 		}
 		return
 	}
-	r.issuePersist(key, st)
+	r.issuePersist(key, b, st)
 }
 
-// issuePersist puts one device write in flight covering stamp st; at
-// completion it runs covered continuations and writes back again if the key
-// got dirtier meanwhile.
-func (r *Replica) issuePersist(key uint64, st Stamp) {
-	ks := r.keys.at(key)
-	ks.persistInFlight = true
-	ks.dirtyStamp = st
-	ks.issuedStamp = st
+// issuePersist puts one device write in flight covering stamp st, on key's
+// busy record b; at completion it runs covered continuations and writes back
+// again if the key got dirtier meanwhile.
+func (r *Replica) issuePersist(key uint64, b *busyKey, st Stamp) {
+	b.persistInFlight = true
+	b.dirtyStamp = st
+	b.issuedStamp = st
 	r.M.Persists++
 	if r.tracer != nil {
 		r.trace("persist k%d=%v ...", key, st)
@@ -640,19 +623,21 @@ func (r *Replica) issuePersist(key uint64, st Stamp) {
 }
 
 // persistDone routes NVM write-back completions back to their replica
-// closure-free: the token is the key, and keyState.issuedStamp remembers the
-// covered stamp (at most one write-back per key is in flight).
+// closure-free: the token is the key, and its busyKey.issuedStamp remembers
+// the covered stamp (at most one write-back per key is in flight).
 type persistDone struct{ r *Replica }
 
 func (pd *persistDone) OnEvent(key uint64) { pd.r.writeBackDone(key) }
 
 // writeBackDone completes the in-flight coalesced persist for key: advance
 // the persisted stamp, run covered continuations, wake stalled readers, and
-// write back again if the key got dirtier meanwhile.
+// write back again if the key got dirtier meanwhile, then free the key's
+// busy record if nothing is left in flight.
 func (r *Replica) writeBackDone(key uint64) {
 	ks := r.keys.at(key)
-	st := ks.issuedStamp
-	ks.persistInFlight = false
+	b := r.arena.busy.At(ks.busy)
+	st := b.issuedStamp
+	b.persistInFlight = false
 	if st > ks.persisted {
 		ks.persisted = st
 	}
@@ -661,24 +646,30 @@ func (r *Replica) writeBackDone(key uint64) {
 	}
 	// Detach before running: a continuation may re-enter persist() for this
 	// key, and what it appends joins the entries this write-back leaves
-	// uncovered, in the order they come up.
-	for head := r.arena.conts.Detach(&ks.persistCbs); head != 0; {
+	// uncovered, in the order they come up. A continuation may also take
+	// records (moving the slab) or, covering everything left, free this one,
+	// so each push looks the record up again.
+	for head := r.arena.conts.Detach(&b.persistCbs); head != 0; {
 		cb := r.arena.conts.Pop(&head)
 		if cb.st <= ks.persisted {
 			r.run(cb.c, key, cb.st)
 		} else {
-			r.arena.conts.Push(&ks.persistCbs, cb)
+			r.arena.conts.Push(&r.busyOf(ks).persistCbs, cb)
 		}
 	}
-	r.wake(&ks.persWait)
-	if ks.dirtyStamp > ks.persisted && !ks.persistInFlight {
-		r.issuePersist(key, ks.dirtyStamp)
+	if ks.busy == 0 {
+		return // freed by a continuation: nothing waits and nothing is owed
 	}
+	r.wake(&r.arena.busy.At(ks.busy).persWait)
+	if b := r.arena.busy.At(ks.busy); b.dirtyStamp > ks.persisted && !b.persistInFlight {
+		r.issuePersist(key, b, b.dirtyStamp)
+	}
+	r.settle(ks)
 }
 
 // wake resumes the reads stalled in the FIFO at *tail (a key's consWait or
-// persWait). The list empties first: a read that is still blocked files
-// itself again.
+// persWait). The list empties first, so tail is not read again: a read that
+// is still blocked files itself again. The caller settles the key after.
 func (r *Replica) wake(tail *int32) {
 	for head := r.arena.waiters.Detach(tail); head != 0; {
 		r.readAttempt(r.arena.waiters.Pop(&head))
@@ -695,8 +686,8 @@ func (r *Replica) readAttempt(op *clientOp) {
 	key := op.key
 	ks := r.keys.at(key)
 
-	if r.rules.ReadsStallOnTransient {
-		if tk := r.keys.transAt(key); tk.transC != 0 || r.rules.SplitAcks && tk.transP != 0 {
+	if r.rules.ReadsStallOnTransient && ks.busy != 0 {
+		if b := r.arena.busy.At(ks.busy); b.transC != 0 || r.rules.SplitAcks && b.transP != 0 {
 			if !op.stalled {
 				op.stalled = true
 				r.M.ReadStalls++
@@ -704,7 +695,7 @@ func (r *Replica) readAttempt(op *clientOp) {
 					r.trace("RD k%d stalls", key)
 				}
 			}
-			r.arena.waiters.Push(&tk.consWait, op)
+			r.arena.waiters.Push(&b.consWait, op)
 			return
 		}
 	}
@@ -716,7 +707,7 @@ func (r *Replica) readAttempt(op *clientOp) {
 				r.trace("RD k%d stalls (persist)", key)
 			}
 		}
-		r.arena.waiters.Push(&ks.persWait, op)
+		r.arena.waiters.Push(&r.busyOf(ks).persWait, op)
 		return
 	}
 

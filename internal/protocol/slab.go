@@ -17,10 +17,14 @@ type Arena struct {
 	// Replica.onMessage / OnEvent).
 	disp sim.Slab[dispatchRec]
 
-	// The slabs behind the per-key tokens of keyState and transKey: every
-	// continuation waiting on an in-flight write-back or parked across a
-	// device write or a delay (conts; see cont.go), the members of every
-	// transC/transP set (stamps) and every stalled read (waiters).
+	// The busy records of keys with something in flight (busy; see
+	// busyKey), taken at a key's first in-flight event and freed when it is
+	// idle again, so the arena holds the process's busy keys, not its key
+	// space. Behind their tokens: every continuation waiting on an in-flight
+	// write-back or parked across a device write or a delay (conts; see
+	// cont.go), the members of every transC/transP set (stamps) and every
+	// stalled read (waiters).
+	busy    sim.Slab[busyKey]
 	conts   sim.Slab[contRec]
 	stamps  stampSets
 	waiters sim.Slab[*clientOp]

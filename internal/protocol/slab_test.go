@@ -38,8 +38,11 @@ func TestStampSet(t *testing.T) {
 //     the slot's link (a func() escape slot in cont made it 48);
 //   - clientOp, at most 104 B, with its kind, stall flag and 32-bit scan
 //     count sharing one word (each in a word of its own made it 120);
-//   - keyState, 48 B, with the INV/ACK/VAL round's read-stall state in a
-//     12-B side table only those bindings build (inline it made keyState 56).
+//   - keyState, 24 B: the key's two versions and its busy token (with the
+//     write-back state inline it was 48, and the INV/ACK/VAL bindings' 12-B
+//     read-stall side table came on top);
+//   - a busy record's slab slot, 48 B: what a key holds only while something
+//     is in flight on it, and the slot's link.
 //
 // internal/sim and internal/simnet pin their pending records in tests of the
 // same name.
@@ -52,10 +55,12 @@ func TestPendingRecordBytes(t *testing.T) {
 	if got := unsafe.Sizeof(clientOp{}); got > 104 {
 		t.Errorf("clientOp is %d B, want <= 104", got)
 	}
-	if got := unsafe.Sizeof(keyState{}); got != 48 {
-		t.Errorf("keyState is %d B, want 48", got)
+	if got := unsafe.Sizeof(keyState{}); got != 24 {
+		t.Errorf("keyState is %d B, want 24", got)
 	}
-	if got := unsafe.Sizeof(transKey{}); got != 12 {
-		t.Errorf("transKey is %d B, want 12", got)
+	var busy sim.Slab[busyKey]
+	a, b = busy.Put(busyKey{}), busy.Put(busyKey{})
+	if got := uintptr(unsafe.Pointer(busy.At(b))) - uintptr(unsafe.Pointer(busy.At(a))); got != 48 {
+		t.Errorf("a busy record's slot is %d B, want 48", got)
 	}
 }

@@ -91,10 +91,10 @@ func (r *Replica) releaseTxnWriteLock(key uint64) {
 // so reads to the key stall until its VAL; under split ACKs it also stays
 // persistency-transient until its VAL_p (Figure 3).
 func (r *Replica) markTransient(key uint64, st Stamp) {
-	tk := r.keys.transAt(key)
-	r.arena.stamps.add(&tk.transC, st)
+	b := r.busyOf(r.keys.at(key))
+	r.arena.stamps.add(&b.transC, st)
 	if r.rules.SplitAcks {
-		r.arena.stamps.add(&tk.transP, st)
+		r.arena.stamps.add(&b.transP, st)
 	}
 }
 
@@ -161,20 +161,13 @@ func (r *Replica) onACKp(p *payload) {
 // validate broadcasts the consistency VAL and clears local transient state.
 func (r *Replica) validate(pw *pendingWrite, kind MsgKind) {
 	r.broadcast(payload{Kind: kind, Key: pw.key, Stamp: pw.stamp})
-	tk := r.keys.transAt(pw.key)
-	r.arena.stamps.remove(&tk.transC, pw.stamp)
-	if !r.rules.SplitAcks {
-		r.wake(&tk.consWait)
-	}
+	r.validated(pw.key, pw.stamp, false, true)
 }
 
 // validateP broadcasts VAL_p and clears both transient sets locally.
 func (r *Replica) validateP(pw *pendingWrite) {
 	r.broadcast(payload{Kind: MsgVALp, Key: pw.key, Stamp: pw.stamp})
-	tk := r.keys.transAt(pw.key)
-	r.arena.stamps.remove(&tk.transC, pw.stamp)
-	r.arena.stamps.remove(&tk.transP, pw.stamp)
-	r.wake(&tk.consWait)
+	r.validated(pw.key, pw.stamp, true, true)
 }
 
 // completeWrite completes the client's write exactly once and records
@@ -203,11 +196,7 @@ func (r *Replica) onVAL(p *payload) {
 		r.commitVAL(p.Txn)
 		return
 	}
-	tk := r.keys.transAt(p.Key)
-	r.arena.stamps.remove(&tk.transC, p.Stamp)
-	if tk.transC == 0 && (!r.rules.SplitAcks || tk.transP == 0) {
-		r.wake(&tk.consWait)
-	}
+	r.validated(p.Key, p.Stamp, false, false)
 }
 
 // onVALp handles VAL_p at a follower: persistence validated everywhere.
@@ -215,12 +204,33 @@ func (r *Replica) onVALp(p *payload) {
 	if p.Scope != 0 {
 		return // scope VAL_p carries no per-key state
 	}
-	tk := r.keys.transAt(p.Key)
-	r.arena.stamps.remove(&tk.transC, p.Stamp)
-	r.arena.stamps.remove(&tk.transP, p.Stamp)
-	if tk.transC == 0 && tk.transP == 0 {
-		r.wake(&tk.consWait)
+	r.validated(p.Key, p.Stamp, true, false)
+}
+
+// validated clears the validated write st from key's transient sets —
+// transC on a VAL or VAL_c, transP too on a VAL_p — and resumes the key's
+// stalled reads, which re-check the sets: at the coordinator, which sends
+// the validation, on every VAL that is not split from its VAL_p; at a
+// follower once no write keeps the key transient. An idle key (or a stray
+// key never touched) has nothing transient and nothing stalled.
+func (r *Replica) validated(key uint64, st Stamp, valP, coordinator bool) {
+	ks := r.keys.find(key)
+	if ks == nil || ks.busy == 0 {
+		return
 	}
+	b := r.arena.busy.At(ks.busy)
+	r.arena.stamps.remove(&b.transC, st)
+	if valP {
+		r.arena.stamps.remove(&b.transP, st)
+	}
+	wake := b.transC == 0 && (!r.rules.SplitAcks || b.transP == 0)
+	if coordinator {
+		wake = valP || !r.rules.SplitAcks
+	}
+	if wake {
+		r.wake(&b.consWait)
+	}
+	r.settle(ks)
 }
 
 // ---------------------------------------------------------------------------

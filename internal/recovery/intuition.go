@@ -1,9 +1,6 @@
 package recovery
 
 import (
-	"cmp"
-	"slices"
-
 	"repro/internal/cluster"
 	"repro/internal/protocol"
 )
@@ -32,21 +29,72 @@ func (m MonotonicReport) ViolationRate() float64 {
 func (m MonotonicReport) Holds() bool { return m.ViolationRate() < 0.005 }
 
 // CheckGlobalMonotonic runs the live monotonic-read audit over a tracked
-// run's read log.
+// run's read log, visiting the reads in completion order (ties in log order;
+// see byDoneAt).
 func CheckGlobalMonotonic(res *cluster.Result) MonotonicReport {
-	reads := slices.Clone(res.Reads)
-	slices.SortStableFunc(reads, func(a, b cluster.ReadRecord) int { return cmp.Compare(a.DoneAt, b.DoneAt) })
 	newest := make(map[uint64]protocol.Stamp)
 	rep := MonotonicReport{}
-	for _, r := range reads {
+	byDoneAt(res.Reads, func(r *cluster.ReadRecord) {
 		rep.ReadsChecked++
 		if r.Stamp < newest[r.Key] {
 			rep.Violations++
-			continue
+			return
 		}
 		if r.Stamp > newest[r.Key] {
 			newest[r.Key] = r.Stamp
 		}
-	}
+	})
 	return rep
+}
+
+// byDoneAt calls fn on every read of log in the order a stable sort by DoneAt
+// gives, without sorting: Collect concatenates one completion-ordered log per
+// node, so log is a few nondecreasing runs, and a k-way merge of them —
+// equal DoneAt going to the earlier run — visits them in that order in
+// O(n log runs), copying no record.
+func byDoneAt(log []cluster.ReadRecord, fn func(*cluster.ReadRecord)) {
+	// runs is a binary min-heap of run cursors, ordered by the DoneAt of
+	// each run's next read and then by the run's place in log.
+	type run struct{ next, end int }
+	var runs []run
+	for i := 0; i < len(log); {
+		j := i + 1
+		for j < len(log) && log[j].DoneAt >= log[j-1].DoneAt {
+			j++
+		}
+		runs = append(runs, run{i, j})
+		i = j
+	}
+	less := func(a, b run) bool {
+		if da, db := log[a.next].DoneAt, log[b.next].DoneAt; da != db {
+			return da < db
+		}
+		return a.next < b.next
+	}
+	down := func(i int) {
+		for {
+			m := i
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < len(runs) && less(runs[c], runs[m]) {
+					m = c
+				}
+			}
+			if m == i {
+				return
+			}
+			runs[i], runs[m] = runs[m], runs[i]
+			i = m
+		}
+	}
+	for i := len(runs)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(runs) > 0 {
+		fn(&log[runs[0].next])
+		if runs[0].next++; runs[0].next == runs[0].end {
+			runs[0] = runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+		}
+		down(0)
+	}
 }

@@ -63,6 +63,16 @@ func (s *Slab[T]) Take(i int32) T {
 // Slots returns how many slots the slab holds, live or free.
 func (s *Slab[T]) Slots() int { return len(s.slots) }
 
+// Live returns how many slots hold a record: Slots less the free ones. It
+// walks the freelist.
+func (s *Slab[T]) Live() int {
+	n := len(s.slots)
+	for i := s.free; i != 0; i = s.slots[i-1].next {
+		n--
+	}
+	return n
+}
+
 // Push appends v to the FIFO whose tail token is *tail. The FIFO is a ring
 // (the tail links to the head), so one token per list gives O(1) append and
 // in-order traversal.

@@ -23,6 +23,10 @@ func TestSlabRecyclesAndZeroes(t *testing.T) {
 	if s.Slots() != 2 {
 		t.Fatalf("slab grew to %d slots for 2 live records", s.Slots())
 	}
+	s.Take(b)
+	if s.Live() != 1 {
+		t.Fatalf("Live() = %d with one of 2 slots freed, want 1", s.Live())
+	}
 }
 
 // TestSlabFIFO: Push/Detach/Pop walk in insertion order, entries pushed
