@@ -61,7 +61,9 @@ fmt:
 #     under <Linearizable, Synchronous>, and every binding on one server), the
 #     trace-order fingerprint (each binding's sends and persists in issue
 #     order, plus the strong bindings in two hybrid groups, whose replicas
-#     apply remote lazy UPDs) and the pool's FIFO re-acquire pin: a dispatch
+#     apply remote lazy UPDs), every binding's run identical with the trace
+#     on and off, the rendered timelines against their fixture, and the
+#     pool's FIFO re-acquire pin: a dispatch
 #     reorder the two-decimal goldens cannot see moves an exact counter here;
 #   - the engine-choice fingerprint (every engine under YCSB-A and YCSB-E on
 #     the small flat cell in three bindings and on the 16-shard cell, plus
@@ -80,8 +82,7 @@ fmt:
 #     consistency or Scope persistency), and every key's busy record freed
 #     once the key is idle (each binding run to quiescence, flat, with
 #     stray keys and under the persist-coalescing ablation);
-#   - memory that scales with use: one measurement set per engine (whose
-#     scope histogram stores nothing outside Scope persistency), the bytes a
+#   - memory that scales with use: one measurement set per engine, the bytes a
 #     collected Result keeps with its cluster gone, histograms that store only
 #     the rows their samples reach (the fixed 64-row layout's percentiles, one
 #     layout whatever the Record and Merge order, Record allocation-free in
@@ -124,10 +125,10 @@ check: vet fmt
 	$(GO) test -race ./internal/cluster/ -run 'TestNICFastPathDifferential|TestNICFastPathEventReduction'
 	$(GO) test -race ./internal/cluster/ -run 'TestFlatRoutingReport|TestSharded'
 	$(GO) test -race ./internal/cluster/ -run 'TestHotSketchGoldenSeed|TestP2CSpreadDeterministic'
-	$(GO) test ./internal/cluster/ ./internal/sim/ -run 'TestScheduleFingerprint|TestTraceOrderFingerprint|TestPoolReacquireFromCompletionQueuesBehindBacklog'
+	$(GO) test ./internal/cluster/ ./internal/sim/ ./internal/harness/ -run 'TestScheduleFingerprint|TestTraceOrderFingerprint|TestTracingDoesNotPerturbRun|TestTimelinesGolden|TestPoolReacquireFromCompletionQueuesBehindBacklog'
 	$(GO) test ./internal/cluster/ -run '^(TestEngineChoiceFingerprint|TestReplicaHoldsOneRecordPerKey)$$'
 	$(GO) test ./internal/sim/ ./internal/simnet/ ./internal/cluster/ ./internal/protocol/ -run 'TestRelTrackerMatchesFullScan|TestNewFootprintLinearInNodes|TestRingOwnerTableMatchesSearch|TestBoxPoolSharedAcrossReplicas|TestRecyclersOnePerLogicalProcess|TestRunObjectsPerAddedNode|TestReplicaBuildsOnlyTheMapsItsBindingWrites|TestClientBytesPerClient|TestPendingRecordBytes|TestBusyRecordsDrainAtQuiescence'
-	$(GO) test ./internal/cluster/ ./internal/engines/ ./internal/stats/ -run 'TestMeasurementSetPerEngine|TestScopeHistogramAllocatedOnFirstUse|TestResultBytes|TestHistogramRowsFollowSamples|TestRetainedHeapLinearInNodes|TestCausalBufferBytesPerEntry|TestHashTableSlotSize|TestHashTableGetReturnsStoredSlice|TestHashTableSharedValueHeldOnce|TestHashTableInternedWithinLiveKeys|TestHashTableChurnBounded|TestHashTableRebuildKeepsEveryKey|TestHashTableOpAllocFree|TestBucketIndexMatchesLoopOracle'
+	$(GO) test ./internal/cluster/ ./internal/engines/ ./internal/stats/ -run 'TestMeasurementSetPerEngine|TestResultBytes|TestHistogramRowsFollowSamples|TestRetainedHeapLinearInNodes|TestCausalBufferBytesPerEntry|TestHashTableSlotSize|TestHashTableGetReturnsStoredSlice|TestHashTableSharedValueHeldOnce|TestHashTableInternedWithinLiveKeys|TestHashTableChurnBounded|TestHashTableRebuildKeepsEveryKey|TestHashTableOpAllocFree|TestBucketIndexMatchesLoopOracle'
 	$(GO) test ./internal/core/ ./internal/cluster/ ./internal/harness/ ./internal/protocol/ -run '^(TestRulesTable|TestDescribeMessagesMatchTraffic|TestModelReferenceFixture|TestProtocolReadsOnlyTheRulesRow)$$'
 	$(GO) test -run='^$$' -bench BenchmarkClusterNew -benchtime=1x -benchmem .
 	$(GO) run ./cmd/ddpbench -exp capacity -quick > /dev/null

@@ -43,11 +43,10 @@ type client struct {
 type session struct {
 	// Scope persistency bookkeeping. A client runs one barrier at a time
 	// (its pipeline drains first), so the barrier in flight lives here.
-	scopeSeq     uint64
-	opsInScope   int
-	scopeRecs    []int // writeLog indices awaiting the scope barrier
-	barrierRecs  []int // the ones the barrier in flight covers
-	barrierStart int64 // when it was issued
+	scopeSeq    uint64
+	opsInScope  int
+	scopeRecs   []int // writeLog indices awaiting the scope barrier
+	barrierRecs []int // the ones the barrier in flight covers
 
 	// Transactional bookkeeping. txnGen names the live attempt: a completion
 	// whose token carries another generation is stale.
@@ -214,13 +213,11 @@ func (c *client) persistScope() {
 	s.barrierRecs, s.scopeRecs = s.scopeRecs, s.barrierRecs[:0]
 	s.scopeSeq++
 	s.opsInScope = 0
-	s.barrierStart = c.ns.eng.Now()
 	c.rt.rep.ClientPersistScope(scope, c, stepBarrier)
 }
 
 func (c *client) barrierDone() {
 	s := c.ses
-	c.ns.recordScope(c.ns.eng.Now() - s.barrierStart)
 	for _, i := range s.barrierRecs {
 		c.ns.writeLog[i].ScopePersisted = true
 	}

@@ -32,7 +32,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/ycsb"
 )
 
@@ -112,8 +111,8 @@ type Config struct {
 	// the recovery and intuition checkers. Costs memory; off by default.
 	TrackHistory bool
 
-	// TraceProtocol records every protocol event into Cluster.Trace (see
-	// internal/trace). For timeline demonstrations, not measurement runs.
+	// TraceProtocol records every protocol event into Cluster.Trace. For
+	// timeline demonstrations, not measurement runs.
 	TraceProtocol bool
 
 	// noNICFastPath disables the network's flow-level delivery fast path
@@ -188,9 +187,6 @@ type Result struct {
 	DevSchedComps  uint64 // NVM completions, one scheduled event each
 	WorkerMeanWait float64
 
-	// Scope persist barrier latency (only under Scope persistency).
-	ScopeHist stats.Histogram
-
 	// Causal reorder buffering high-water mark across replicas.
 	BufferPeak int
 
@@ -237,14 +233,12 @@ func (r *Result) Throughput() float64 { return r.Summary.Throughput }
 // has one set for the whole cluster, the LP engine one per node, so every set
 // is written by a single LP and no histogram is duplicated per node. Each set
 // merges into the Result once; bucket counters are integers, so how samples
-// split across sets is invisible to results. A histogram stores no rows until
-// its first sample, so only Scope bindings pay for the scope histogram.
+// split across sets is invisible to results.
 type measureSet struct {
 	measuring bool
 
 	read  stats.Histogram
 	write stats.Histogram
-	scope stats.Histogram
 }
 
 func (m *measureSet) recordRead(lat int64) {
@@ -256,12 +250,6 @@ func (m *measureSet) recordRead(lat int64) {
 func (m *measureSet) recordWrite(lat int64) {
 	if m.measuring {
 		m.write.Record(lat)
-	}
-}
-
-func (m *measureSet) recordScope(lat int64) {
-	if m.measuring {
-		m.scope.Record(lat)
 	}
 }
 
@@ -354,8 +342,9 @@ type Cluster struct {
 	ring    *ring
 	routers []*router
 
-	// Trace holds protocol events when Config.TraceProtocol is set.
-	Trace *trace.Log
+	// Trace holds protocol events in dispatch order, so in nondecreasing
+	// At, when Config.TraceProtocol is set.
+	Trace []protocol.Event
 }
 
 // useLP reports whether cfg selects the LP engine. Tracing needs the
@@ -532,11 +521,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.Net = net
 
-	var tracer func(node int, what string)
+	var tracer func(protocol.Event)
 	if cfg.TraceProtocol {
-		c.Trace = trace.New()
-		eng := c.Eng
-		tracer = func(node int, what string) { c.Trace.Add(eng.Now(), node, what) }
+		tracer = func(e protocol.Event) { c.Trace = append(c.Trace, e) }
 	}
 	// One RNG root forked in a fixed order regardless of engine choice, so
 	// both engines build byte-identical initial states.
@@ -733,7 +720,6 @@ func (c *Cluster) Collect(window int64, wall time.Duration) *Result {
 	for _, m := range c.sets {
 		res.ReadHist.Merge(&m.read)
 		res.WriteHist.Merge(&m.write)
-		res.ScopeHist.Merge(&m.scope)
 	}
 	for _, ns := range c.nodes {
 		res.Writes = append(res.Writes, ns.writeLog...)

@@ -135,9 +135,6 @@ func TestScopeModelRunsBarriers(t *testing.T) {
 	if res.Protocol.ScopePersists == 0 {
 		t.Fatal("no scope barriers executed")
 	}
-	if res.ScopeHist.Count() == 0 {
-		t.Fatal("no scope barrier latencies recorded")
-	}
 }
 
 func TestTrackHistoryRecordsLogs(t *testing.T) {

@@ -20,7 +20,6 @@ func equivalentModuloEvents(t *testing.T, label string, slow, fast *Result) {
 		Summary        interface{}
 		ReadHist       interface{}
 		WriteHist      interface{}
-		ScopeHist      interface{}
 		Protocol       interface{}
 		NVMMeanWaitNs  float64
 		NVMMaxQueue    int
@@ -37,7 +36,6 @@ func equivalentModuloEvents(t *testing.T, label string, slow, fast *Result) {
 			Summary:        r.Summary,
 			ReadHist:       r.ReadHist,
 			WriteHist:      r.WriteHist,
-			ScopeHist:      r.ScopeHist,
 			Protocol:       r.Protocol,
 			NVMMeanWaitNs:  r.NVMMeanWaitNs,
 			NVMMaxQueue:    r.NVMMaxQueue,

@@ -6,11 +6,14 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/params"
+	"repro/internal/protocol"
+	"repro/internal/stats"
 	"repro/internal/ycsb"
 )
 
@@ -78,8 +81,8 @@ func TestScheduleFingerprint(t *testing.T) {
 
 // TestTraceOrderFingerprint pins, per binding, the order in which the
 // replicas of a small cell (3 servers x 4 clients, 100 us) send messages and
-// issue device writes: a hash of the protocol trace, every event in (time,
-// issue) order. Two calls of one handler that schedule events at different
+// issue device writes: a hash of the protocol trace, every event in dispatch
+// order, which the test also requires to be nondecreasing in time. Two calls of one handler that schedule events at different
 // times can be swapped without moving TestScheduleFingerprint's counters;
 // the trace records the calls themselves. The hybrid rows run the
 // Linearizable and Read-Enforced bindings on 4 servers in two groups, so the
@@ -95,10 +98,13 @@ func TestTraceOrderFingerprint(t *testing.T) {
 		}
 		c.RunTo(cfg.MeasureNs)
 		h := fnv.New64a()
-		for _, e := range c.Trace.Events() {
-			fmt.Fprintf(h, "%d %d %s\n", e.At, e.Node, e.What)
+		for i, e := range c.Trace {
+			if i > 0 && e.At < c.Trace[i-1].At {
+				t.Fatalf("%s: event %d (%v at %d) precedes its predecessor at %d", label, i, e, e.At, c.Trace[i-1].At)
+			}
+			fmt.Fprintf(h, "%d %d %v\n", e.At, e.Node, e)
 		}
-		fmt.Fprintf(&b, "%s: events=%d trace=%016x\n", label, c.Trace.Len(), h.Sum64())
+		fmt.Fprintf(&b, "%s: events=%d trace=%016x\n", label, len(c.Trace), h.Sum64())
 	}
 	for _, md := range core.AllModels() {
 		trace(md.String(), smallConfig(md))
@@ -112,6 +118,35 @@ func TestTraceOrderFingerprint(t *testing.T) {
 		trace("hybrid 2x2 "+md.String(), cfg)
 	}
 	matchFixture(t, "trace_order_fingerprint.txt", "trace order moved", b.String())
+}
+
+// TestTracingDoesNotPerturbRun checks that the protocol trace only observes:
+// every binding's small cell, with histories tracked, runs the same events to
+// the same results, counters and histories with TraceProtocol on and off.
+func TestTracingDoesNotPerturbRun(t *testing.T) {
+	type observed struct {
+		Events      uint64
+		Summary     stats.Summary
+		Protocol    protocol.Metrics
+		NetMessages uint64
+		Writes      []WriteRecord
+		Reads       []ReadRecord
+	}
+	for _, md := range core.AllModels() {
+		var runs [2]observed
+		for i, traced := range []bool{false, true} {
+			cfg := smallConfig(md)
+			cfg.TrackHistory, cfg.TraceProtocol = true, traced
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", md, err)
+			}
+			runs[i] = observed{res.Events, res.Summary, res.Protocol, res.NetMessages, res.Writes, res.Reads}
+		}
+		if !reflect.DeepEqual(runs[0], runs[1]) {
+			t.Errorf("%s: tracing moved the run:\n untraced %+v\n traced   %+v", md, runs[0], runs[1])
+		}
+	}
 }
 
 // matchFixture compares got line by line with testdata/name, or rewrites the

@@ -3,7 +3,6 @@ package cluster
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/stats"
 	"repro/internal/ycsb"
 )
 
@@ -511,38 +509,6 @@ func TestMeasurementSetPerEngine(t *testing.T) {
 				workers, len(c.sets), len(distinct), len(c.nodes), want)
 		}
 		c.Close()
-	}
-}
-
-// TestScopeHistogramAllocatedOnFirstUse pins that only Scope bindings pay for
-// the scope histogram, on both wirings: outside Scope persistency every
-// measurement set's scope histogram, and the Result's, stores nothing (equals
-// the zero value), and under Scope they carry samples.
-func TestScopeHistogramAllocatedOnFirstUse(t *testing.T) {
-	for _, tc := range []struct {
-		p     core.Persistency
-		scope bool
-	}{{core.Synchronous, false}, {core.Scope, true}} {
-		for _, workers := range []int{1, 2} {
-			cfg := smallConfig(core.Model{C: core.Linearizable, P: tc.p})
-			cfg.IntraParallel = workers
-			c, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := runBuilt(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, m := range c.sets {
-				if unused := reflect.DeepEqual(m.scope, stats.Histogram{}); unused == tc.scope {
-					t.Fatalf("%s IntraParallel=%d: set %d scope histogram holds %d samples", tc.p, workers, i, m.scope.Count())
-				}
-			}
-			if unused := reflect.DeepEqual(res.ScopeHist, stats.Histogram{}); unused == tc.scope {
-				t.Fatalf("%s IntraParallel=%d: result carries %d scope samples", tc.p, workers, res.ScopeHist.Count())
-			}
-		}
 	}
 }
 

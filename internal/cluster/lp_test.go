@@ -21,7 +21,6 @@ func equivalentResults(t *testing.T, label string, seq, lp *Result) {
 		Summary        interface{}
 		ReadHist       interface{}
 		WriteHist      interface{}
-		ScopeHist      interface{}
 		Protocol       interface{}
 		NVMMeanWaitNs  float64
 		NVMMaxQueue    int
@@ -47,7 +46,6 @@ func equivalentResults(t *testing.T, label string, seq, lp *Result) {
 			Summary:        r.Summary,
 			ReadHist:       r.ReadHist,
 			WriteHist:      r.WriteHist,
-			ScopeHist:      r.ScopeHist,
 			Protocol:       r.Protocol,
 			NVMMeanWaitNs:  r.NVMMeanWaitNs,
 			NVMMaxQueue:    r.NVMMaxQueue,

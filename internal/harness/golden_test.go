@@ -173,3 +173,32 @@ func TestModelReferenceFixture(t *testing.T) {
 		t.Fatalf("model reference diverged from the fixture.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
+
+// TestTimelinesGolden pins the full rendered text of Timelines (ddpbench -exp
+// timelines): all eight figure rows, every event line and its column.
+//
+// Regenerate with: go test ./internal/harness -run TestTimelinesGolden -update
+func TestTimelinesGolden(t *testing.T) {
+	path := filepath.Join("testdata", "timelines.txt")
+	res, err := Timelines(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	res.WriteText(&buf)
+	got := buf.Bytes()
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing timelines fixture (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("timelines diverged from the fixture.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}

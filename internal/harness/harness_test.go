@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/recovery"
 )
 
@@ -377,11 +378,26 @@ func TestTimelinesReproduceFigureStructure(t *testing.T) {
 		return Timeline{}
 	}
 
+	pick := func(trace []protocol.Event, keep func(protocol.Event) bool) []protocol.Event {
+		var out []protocol.Event
+		for _, e := range trace {
+			if keep(e) {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	recvACK := func(e protocol.Event) bool { return e.Kind == protocol.EvRecv && e.Msg == protocol.MsgACK }
+	writeDone := func(e protocol.Event) bool { return e.Kind == protocol.EvWriteDone && e.Key == 3 }
+	carries := func(m protocol.MsgKind) func(protocol.Event) bool {
+		return func(e protocol.Event) bool { return e.Msg == m }
+	}
+
 	// Figure 2(a): under <Lin, Sync> the write completes only after the
 	// ACKs; the events must appear in that order.
 	lin := find(core.Baseline).Cluster.Trace
-	acks := lin.Filter("recv ACK")
-	completes := lin.Filter("WR k3 complete")
+	acks := pick(lin, recvACK)
+	completes := pick(lin, writeDone)
 	if len(acks) != 2 || len(completes) != 1 {
 		t.Fatalf("lin trace wrong: %d acks, %d completes", len(acks), len(completes))
 	}
@@ -391,8 +407,8 @@ func TestTimelinesReproduceFigureStructure(t *testing.T) {
 
 	// Figure 2(c): under <RE, Sync> the write completes before any ACK.
 	re := find(core.Model{C: core.ReadEnforcedC, P: core.Synchronous}).Cluster.Trace
-	reAcks := re.Filter("recv ACK")
-	reComplete := re.Filter("WR k3 complete")
+	reAcks := pick(re, recvACK)
+	reComplete := pick(re, writeDone)
 	if len(reComplete) != 1 || len(reAcks) < 1 {
 		t.Fatalf("re trace wrong")
 	}
@@ -402,13 +418,13 @@ func TestTimelinesReproduceFigureStructure(t *testing.T) {
 
 	// Figure 4: the transactional timeline must show INITX and ENDX.
 	xact := find(core.Model{C: core.Transactional, P: core.Synchronous}).Cluster.Trace
-	if len(xact.Filter("INITX")) == 0 || len(xact.Filter("ENDX")) == 0 {
+	if len(pick(xact, carries(protocol.MsgINITX))) == 0 || len(pick(xact, carries(protocol.MsgENDX))) == 0 {
 		t.Fatal("transaction timeline missing INITX/ENDX")
 	}
 
 	// Figure 5: the scope timeline must show the PERSIST barrier.
 	scope := find(core.Model{C: core.Linearizable, P: core.Scope}).Cluster.Trace
-	if len(scope.Filter("PERSIST")) == 0 {
+	if len(pick(scope, carries(protocol.MsgPERSIST))) == 0 {
 		t.Fatal("scope timeline missing PERSIST")
 	}
 
@@ -416,6 +432,22 @@ func TestTimelinesReproduceFigureStructure(t *testing.T) {
 	res.WriteText(&buf)
 	if !strings.Contains(buf.String(), "coordinator") {
 		t.Fatal("timeline rendering missing node headers")
+	}
+}
+
+// TestTimelineRenderTruncatesLongEvents checks that an event line wider than
+// a column is cut to it and keeps its row aligned; no line of the timelines
+// fixture is that wide.
+func TestTimelineRenderTruncatesLongEvents(t *testing.T) {
+	long := protocol.Event{At: 1, Kind: protocol.EvPersistDone, Key: 1 << 40, Stamp: protocol.MakeStamp(1<<30, 3)}
+	var buf bytes.Buffer
+	renderTimeline(&buf, []protocol.Event{long}, 2)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 3 || len(lines[2]) != len(lines[0]) {
+		t.Fatalf("long event %q misaligned its row:\n%s", long, buf.String())
+	}
+	if !strings.Contains(lines[2], long.String()[:26]) {
+		t.Fatalf("row lost the event's first column width:\n%s", buf.String())
 	}
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -127,6 +128,37 @@ func (t *TimelinesResult) WriteText(w io.Writer) {
 		"One illustrative operation sequence per model on a quiet 3-node cluster.")
 	for _, row := range t.Rows {
 		fmt.Fprintf(w, "\n%s — %s\n\n", row.Model, row.Caption)
-		row.Cluster.Trace.Render(w, 3)
+		renderTimeline(w, row.Cluster.Trace, 3)
+	}
+}
+
+// renderTimeline writes a per-node timeline: one column per node, one row per
+// event, in time order — the layout of the paper's coordinator/follower
+// figures.
+func renderTimeline(w io.Writer, events []protocol.Event, nodes int) {
+	const colWidth = 26
+	fmt.Fprintf(w, "%10s", "t(ns)")
+	for n := 0; n < nodes; n++ {
+		role := fmt.Sprintf("node %d", n)
+		if n == 0 {
+			role = "node 0 (coordinator)"
+		}
+		fmt.Fprintf(w, " | %-*s", colWidth, role)
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 10+(colWidth+3)*nodes))
+	for _, e := range events {
+		fmt.Fprintf(w, "%10d", e.At)
+		for n := 0; n < nodes; n++ {
+			cell := ""
+			if n == e.Node {
+				cell = e.String()
+			}
+			if len(cell) > colWidth {
+				cell = cell[:colWidth]
+			}
+			fmt.Fprintf(w, " | %-*s", colWidth, cell)
+		}
+		fmt.Fprintln(w)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -98,22 +97,15 @@ func (f *refFiler) advance(node int) {
 	f.queue, f.draining = f.queue[:0], false
 }
 
-// logApplies records every version r installs, read from the "update
-// replica" line its trace prints for each: under this test's traffic, the
-// causal applies in order.
-func logApplies(t *testing.T, r *Replica) *[]keyStamp {
+// logApplies records every version r installs, from the EvApply event its
+// trace emits for each: under this test's traffic, the causal applies in
+// order.
+func logApplies(r *Replica) *[]keyStamp {
 	var got []keyStamp
-	r.tracer = func(_ int, what string) {
-		line, ok := strings.CutPrefix(what, "update replica ")
-		if !ok {
-			return
+	r.tracer = func(e Event) {
+		if e.Kind == EvApply {
+			got = append(got, keyStamp{e.Key, e.Stamp})
 		}
-		var key, ts uint64
-		var node int
-		if _, err := fmt.Sscanf(line, "k%d=%d.%d", &key, &ts, &node); err != nil {
-			t.Fatalf("trace line %q: %v", what, err)
-		}
-		got = append(got, keyStamp{key, MakeStamp(ts, node)})
 	}
 	return &got
 }
@@ -181,7 +173,7 @@ func checkApplyOrder(t *testing.T, p core.Persistency, chain, dups bool, writers
 	want := make([][]keyStamp, size)
 	logs := make([]*[]keyStamp, size)
 	for i, r := range tc.reps {
-		logs[i] = logApplies(t, r)
+		logs[i] = logApplies(r)
 		f := &refFiler{applied: make([]uint64, size), waiting: make([]map[uint64][]refUpd, size)}
 		installed := map[uint64]bool{}
 		f.apply = func(u refUpd) {

@@ -235,11 +235,11 @@ func (op *clientOp) run() {
 		if r.tracer != nil {
 			switch op.kind {
 			case opRead:
-				r.trace("RD k%d", op.key)
+				r.emit(Event{Kind: EvRead, Key: op.key})
 			case opScan:
-				r.trace("SCAN k%d+%d", op.key, op.n)
+				r.emit(Event{Kind: EvScan, Key: op.key, N: int(op.n)})
 			default:
-				r.trace("RMW k%d", op.key)
+				r.emit(Event{Kind: EvRMW, Key: op.key})
 			}
 		}
 		if op.kind == opRead {
@@ -254,7 +254,7 @@ func (op *clientOp) run() {
 		op.recycle()
 		r.M.Writes++
 		if r.tracer != nil {
-			r.trace("WR k%d", key)
+			r.emit(Event{Kind: EvWrite, Key: key})
 		}
 		r.dispatchWrite(key, scope, txn, done)
 	case opInitTxn:
@@ -276,7 +276,7 @@ func (op *clientOp) run() {
 func (op *clientOp) readDone() {
 	r := op.r
 	if r.tracer != nil {
-		r.trace("RD k%d returns %v", op.key, op.ver)
+		r.emit(Event{Kind: EvReadReturn, Key: op.key, Stamp: op.ver})
 	}
 	switch op.kind {
 	case opRead:

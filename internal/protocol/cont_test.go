@@ -15,13 +15,11 @@ import (
 // continuation that sent it.
 func ackLog(r *Replica, also func(to int)) *[]int {
 	var log []int
-	r.tracer = func(_ int, what string) {
-		var kind string
-		var to int
-		if n, _ := fmt.Sscanf(what, "%s -> node %d", &kind, &to); n == 2 {
-			log = append(log, to)
+	r.tracer = func(e Event) {
+		if e.Kind == EvSend {
+			log = append(log, e.Peer)
 			if also != nil {
-				also(to)
+				also(e.Peer)
 			}
 		}
 	}

@@ -263,9 +263,9 @@ func TestCausalEndToEndPropagation(t *testing.T) {
 // <Causal, Sync> serves the persisted version, not the visible one (Figure
 // 2e-h): a read issued as the write completes is served while the write's
 // persist is still in flight, and must return the stamp the node had
-// persisted at that instant. The replica's tracer logs "RD k4" as the read is
-// served, in the same event and just before readAttempt, so the test takes
-// both stamps there.
+// persisted at that instant. The replica's tracer emits EvRead for k4 as the
+// read is served, in the same event and just before readAttempt, so the test
+// takes both stamps there.
 func TestCausalSynchronousReadsServePersistedVersion(t *testing.T) {
 	tc := newTestCluster(mdl(core.Causal, core.Synchronous), 2, func(p *params.Params) {
 		p.RequestCompute = 1 // serve the read well inside the 400-ns persist
@@ -273,8 +273,8 @@ func TestCausalSynchronousReadsServePersistedVersion(t *testing.T) {
 	r0 := tc.reps[0]
 	var visibleAt, persistedAt Stamp
 	served := false
-	r0.tracer = func(_ int, what string) {
-		if what == "RD k4" {
+	r0.tracer = func(e Event) {
+		if e.Kind == EvRead && e.Key == 4 {
 			served = true
 			visibleAt, persistedAt = r0.VisibleVersion(4), r0.PersistedVersion(4)
 		}

@@ -59,9 +59,9 @@ type Deps struct {
 	// group, where every replica sees every key) keeps one slot per key.
 	Keys *KeyIndex
 
-	// Trace, when non-nil, receives a description of every protocol action
-	// at this replica (see internal/trace). Nil disables tracing.
-	Trace func(node int, what string)
+	// Trace, when non-nil, receives every protocol action at this replica as
+	// an Event. Nil disables tracing.
+	Trace func(Event)
 
 	// AtomicRefs makes shared-payload refcounts atomic. Required when
 	// replicas run on concurrent logical processes (a broadcast box is
@@ -168,7 +168,7 @@ type Replica struct {
 	scopeOps     map[uint64]scopeOp
 
 	atomicRefs bool // see Deps.AtomicRefs
-	tracer     func(node int, what string)
+	tracer     func(Event)
 
 	// watch, when set by a test, sees each received message as it parks and
 	// again as its handler reads it, under its disp token.
@@ -262,12 +262,15 @@ func NewReplica(id int, d Deps) *Replica {
 	return r
 }
 
-// trace emits a protocol event when tracing is enabled.
-func (r *Replica) trace(format string, args ...interface{}) {
-	if r.tracer == nil {
-		return
-	}
-	r.tracer(r.gid, fmt.Sprintf(format, args...))
+// emit stamps e with the time and this node and hands it to the trace sink.
+// Every caller checks r.tracer != nil first, so an untraced run builds no
+// event. It stays out of line: inlined into the fourteen tracing sites, it
+// grew the message and client-op handlers that every untraced run executes.
+//
+//go:noinline
+func (r *Replica) emit(e Event) {
+	e.At, e.Node = r.eng.Now(), r.gid
+	r.tracer(e)
 }
 
 // ID returns the replica's global node id.
@@ -345,7 +348,7 @@ func (r *Replica) groupSize() int {
 // send transmits one protocol message to the group member at rank to.
 func (r *Replica) send(to int, p payload) {
 	if r.tracer != nil {
-		r.trace("%s -> node %d", p.Kind, r.member.global(to))
+		r.emit(Event{Kind: EvSend, Msg: p.Kind, Peer: r.member.global(to)})
 	}
 	r.net.Send(simnet.Message{
 		From:    r.gid,
@@ -395,7 +398,7 @@ func (r *Replica) forwardChain(p *payload) {
 func (r *Replica) broadcast(p payload) {
 	if r.p.Groups <= 1 {
 		if r.tracer != nil {
-			r.trace("%s -> all", p.Kind)
+			r.emit(Event{Kind: EvSendAll, Msg: p.Kind})
 		}
 		// One boxed payload serves every copy: BroadcastRange shares the
 		// pointer, and the box's refcount lets the last receiver recycle it.
@@ -410,10 +413,10 @@ func (r *Replica) broadcast(p payload) {
 	g := r.member.Size / r.p.Groups
 	base := (r.id / g) * g
 	if r.tracer != nil {
-		r.trace("%s -> group", p.Kind)
+		r.emit(Event{Kind: EvSendGroup, Msg: p.Kind})
 		for to := base; to < base+g; to++ {
 			if to != r.id {
-				r.trace("%s -> node %d", p.Kind, r.member.global(to))
+				r.emit(Event{Kind: EvSend, Msg: p.Kind, Peer: r.member.global(to)})
 			}
 		}
 	}
@@ -442,7 +445,7 @@ func (r *Replica) broadcastRemoteGroups(p payload) {
 		}
 		if r.tracer != nil {
 			for to := lo; to < hi; to++ {
-				r.trace("%s -> node %d", p.Kind, r.member.global(to))
+				r.emit(Event{Kind: EvSend, Msg: p.Kind, Peer: r.member.global(to)})
 			}
 		}
 		r.net.BroadcastRange(simnet.Message{
@@ -527,7 +530,7 @@ func (r *Replica) release(pp *payload) {
 // update) or is copied out (a send boxes its body anew).
 func (r *Replica) dispatch(from int, p *payload) {
 	if r.tracer != nil {
-		r.trace("recv %s (from %d)", p.Kind, from)
+		r.emit(Event{Kind: EvRecv, Msg: p.Kind, Peer: from})
 	}
 	if !p.Stamp.IsZero() {
 		r.observe(p.Stamp)
@@ -571,7 +574,7 @@ func (r *Replica) applyVisible(key uint64, st Stamp) bool {
 	}
 	ks.visible = st
 	if r.tracer != nil {
-		r.trace("update replica k%d=%v", key, st)
+		r.emit(Event{Kind: EvApply, Key: key, Stamp: st})
 	}
 	return true
 }
@@ -617,7 +620,7 @@ func (r *Replica) issuePersist(key uint64, b *busyKey, st Stamp) {
 	b.issuedStamp = st
 	r.M.Persists++
 	if r.tracer != nil {
-		r.trace("persist k%d=%v ...", key, st)
+		r.emit(Event{Kind: EvPersist, Key: key, Stamp: st})
 	}
 	r.dev.WriteEvent(key, &r.persC, key)
 }
@@ -642,7 +645,7 @@ func (r *Replica) writeBackDone(key uint64) {
 		ks.persisted = st
 	}
 	if r.tracer != nil {
-		r.trace("persist k%d=%v done", key, st)
+		r.emit(Event{Kind: EvPersistDone, Key: key, Stamp: st})
 	}
 	// Detach before running: a continuation may re-enter persist() for this
 	// key, and what it appends joins the entries this write-back leaves
@@ -692,7 +695,7 @@ func (r *Replica) readAttempt(op *clientOp) {
 				op.stalled = true
 				r.M.ReadStalls++
 				if r.tracer != nil {
-					r.trace("RD k%d stalls", key)
+					r.emit(Event{Kind: EvReadStall, Key: key})
 				}
 			}
 			r.arena.waiters.Push(&b.consWait, op)
@@ -704,7 +707,7 @@ func (r *Replica) readAttempt(op *clientOp) {
 			op.stalled = true
 			r.M.ReadStalls++
 			if r.tracer != nil {
-				r.trace("RD k%d stalls (persist)", key)
+				r.emit(Event{Kind: EvReadStallPersist, Key: key})
 			}
 		}
 		r.arena.waiters.Push(&r.busyOf(ks).persWait, op)

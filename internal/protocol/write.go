@@ -177,7 +177,7 @@ func (r *Replica) completeWrite(pw *pendingWrite) {
 		return
 	}
 	if r.tracer != nil {
-		r.trace("WR k%d complete", pw.key)
+		r.emit(Event{Kind: EvWriteDone, Key: pw.key})
 	}
 	done := pw.done
 	pw.done = completion{}

@@ -4,14 +4,8 @@
 // happen-before the tagged update.
 package vclock
 
-import (
-	"fmt"
-	"strings"
-)
-
-// VC is a vector clock over a fixed number of nodes. The zero-length VC is
-// the bottom element. VCs are value types; use Clone before mutating a
-// shared instance.
+// VC is a vector clock over a fixed number of nodes. VCs are value types;
+// use Clone before mutating a shared instance.
 type VC []uint64
 
 // New returns the zero clock for n nodes.
@@ -24,73 +18,5 @@ func (v VC) Clone() VC {
 	return c
 }
 
-// Tick increments the local component for node and returns v.
-func (v VC) Tick(node int) VC {
-	v[node]++
-	return v
-}
-
-// Merge sets v to the component-wise maximum of v and o, returning v.
-// o may be shorter; missing components are treated as zero.
-func (v VC) Merge(o VC) VC {
-	for i := range o {
-		if i >= len(v) {
-			break
-		}
-		if o[i] > v[i] {
-			v[i] = o[i]
-		}
-	}
-	return v
-}
-
-// Covers reports whether v >= o component-wise: every event summarized by o
-// is also summarized by v.
-func (v VC) Covers(o VC) bool {
-	for i := range o {
-		var mine uint64
-		if i < len(v) {
-			mine = v[i]
-		}
-		if mine < o[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// HappensBefore reports whether v < o: v <= o and v != o.
-func (v VC) HappensBefore(o VC) bool {
-	return o.Covers(v) && !v.Covers(o)
-}
-
-// Concurrent reports whether neither clock covers the other.
-func (v VC) Concurrent(o VC) bool {
-	return !v.Covers(o) && !o.Covers(v)
-}
-
-// Equal reports component-wise equality (with zero-extension).
-func (v VC) Equal(o VC) bool {
-	return v.Covers(o) && o.Covers(v)
-}
-
-// Sum returns the total event count, a cheap progress measure.
-func (v VC) Sum() uint64 {
-	var s uint64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
 // WireSize returns the bytes this clock occupies in a message.
 func (v VC) WireSize() int { return 8 * len(v) }
-
-// String renders like [1 0 3].
-func (v VC) String() string {
-	parts := make([]string, len(v))
-	for i, x := range v {
-		parts[i] = fmt.Sprint(x)
-	}
-	return "[" + strings.Join(parts, " ") + "]"
-}

@@ -1,158 +1,19 @@
 package vclock
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestTickAndCovers(t *testing.T) {
-	a := New(3)
-	b := New(3)
-	a.Tick(0)
-	if !a.Covers(b) || b.Covers(a) {
-		t.Fatal("tick did not advance ordering")
-	}
-	b.Tick(0)
-	if !a.Equal(b) {
-		t.Fatalf("clocks should be equal: %v vs %v", a, b)
-	}
-}
-
-func TestHappensBeforeAndConcurrent(t *testing.T) {
-	a := New(2)
-	b := New(2)
-	a.Tick(0)
-	b.Tick(1)
-	if !a.Concurrent(b) {
-		t.Fatalf("%v and %v should be concurrent", a, b)
-	}
-	c := a.Clone().Merge(b)
-	c.Tick(0)
-	if !a.HappensBefore(c) || !b.HappensBefore(c) {
-		t.Fatalf("merge+tick should dominate: %v %v %v", a, b, c)
-	}
-	if c.HappensBefore(a) {
-		t.Fatal("ordering reversed")
-	}
-	if a.HappensBefore(a) {
-		t.Fatal("clock happens-before itself")
-	}
-}
-
-func TestMergeIsComponentMax(t *testing.T) {
-	a := VC{5, 1, 0}
-	b := VC{2, 7, 3}
-	a.Merge(b)
-	want := VC{5, 7, 3}
-	if !a.Equal(want) {
-		t.Fatalf("merge = %v, want %v", a, want)
-	}
-}
-
-func TestMergeShorterClock(t *testing.T) {
-	a := VC{1, 1, 1}
-	a.Merge(VC{5})
-	if a[0] != 5 || a[1] != 1 || a[2] != 1 {
-		t.Fatalf("short merge wrong: %v", a)
-	}
-	// Merging a longer clock into a shorter one ignores the overflow.
-	s := VC{1}
-	s.Merge(VC{2, 9})
-	if s[0] != 2 || len(s) != 1 {
-		t.Fatalf("long-into-short merge wrong: %v", s)
-	}
-}
-
-func TestCoversZeroExtension(t *testing.T) {
-	a := VC{1, 2}
-	b := VC{1, 2, 0}
-	if !a.Equal(b) {
-		t.Fatal("zero extension should compare equal")
-	}
-	c := VC{1, 2, 1}
-	if a.Covers(c) {
-		t.Fatal("shorter clock should not cover longer with extra events")
-	}
-	if !c.Covers(a) {
-		t.Fatal("longer clock should cover its prefix")
-	}
-}
+import "testing"
 
 func TestCloneIndependence(t *testing.T) {
 	a := New(2)
-	a.Tick(0)
+	a[0]++
 	b := a.Clone()
-	b.Tick(1)
-	if a[1] != 0 {
-		t.Fatal("clone aliased the original")
+	b[1]++
+	if a[0] != 1 || a[1] != 0 || b[0] != 1 {
+		t.Fatalf("clone %v of %v aliased or lost the original", b, a)
 	}
 }
 
-func TestSumAndWireSize(t *testing.T) {
-	v := VC{1, 2, 3}
-	if v.Sum() != 6 {
-		t.Fatalf("sum = %d, want 6", v.Sum())
-	}
-	if v.WireSize() != 24 {
-		t.Fatalf("wire size = %d, want 24", v.WireSize())
-	}
-}
-
-func TestString(t *testing.T) {
-	if got := (VC{1, 0, 3}).String(); got != "[1 0 3]" {
-		t.Fatalf("string = %q", got)
-	}
-}
-
-// Property: merge is an upper bound and commutative w.r.t. Covers.
-func TestMergeUpperBoundProperty(t *testing.T) {
-	f := func(x, y [4]uint8) bool {
-		a, b := New(4), New(4)
-		for i := 0; i < 4; i++ {
-			a[i] = uint64(x[i])
-			b[i] = uint64(y[i])
-		}
-		m := a.Clone().Merge(b)
-		m2 := b.Clone().Merge(a)
-		return m.Covers(a) && m.Covers(b) && m.Equal(m2)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: HappensBefore is a strict partial order (irreflexive,
-// antisymmetric on the sampled values).
-func TestPartialOrderProperty(t *testing.T) {
-	f := func(x, y [3]uint8) bool {
-		a, b := New(3), New(3)
-		for i := 0; i < 3; i++ {
-			a[i] = uint64(x[i])
-			b[i] = uint64(y[i])
-		}
-		if a.HappensBefore(a) {
-			return false
-		}
-		if a.HappensBefore(b) && b.HappensBefore(a) {
-			return false
-		}
-		// Exactly one of: equal, a<b, b<a, concurrent.
-		states := 0
-		if a.Equal(b) {
-			states++
-		}
-		if a.HappensBefore(b) {
-			states++
-		}
-		if b.HappensBefore(a) {
-			states++
-		}
-		if a.Concurrent(b) {
-			states++
-		}
-		return states == 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+func TestWireSize(t *testing.T) {
+	if got := (VC{1, 2, 3}).WireSize(); got != 24 {
+		t.Fatalf("wire size = %d, want 24", got)
 	}
 }
