@@ -30,7 +30,8 @@ fmt:
 #     run from there;
 #   - the allocation guards — one round per binding on warm and on rotating
 #     keys, allocations per op of whole cells against per-binding ceilings,
-#     construction objects per added client, the zero-allocation request
+#     a run's objects not growing with its window where a broadcast has no
+#     peer, construction objects per added client, the zero-allocation request
 #     record (routed, open-loop and batched paths), the pending-write
 #     records a coordinator holds under transactional conflicts, and the
 #     received message read in its box (every binding, flat and sharded,
@@ -117,7 +118,7 @@ check: vet fmt
 	$(GO) test -race ./...
 	(cd bench && $(GO) test .)
 	$(GO) test ./internal/protocol/ -run 'HotPathAllocs|TestRoundAllocsAcrossBindings|TestPendingWritesBounded|TestReceivedMessageReadInItsBox'
-	$(GO) test ./internal/cluster/ -run 'TestCellAllocsPerOp|TestConstructionObjectsPerClient|TestRoutedClientZeroAlloc|TestOpenLoopSessionPoolZeroAlloc|TestFwdBatchZeroAlloc'
+	$(GO) test ./internal/cluster/ -run 'TestCellAllocsPerOp|TestPeerlessBroadcastTakesNoBox|TestConstructionObjectsPerClient|TestRoutedClientZeroAlloc|TestOpenLoopSessionPoolZeroAlloc|TestFwdBatchZeroAlloc'
 	$(GO) test ./internal/sim/ ./internal/params/ ./internal/cluster/ -run '^(TestSlabRecyclesAndZeroes|TestSlabFIFO|TestCarveListsDoNotOverlap|TestFreeListReuse|TestFreeListAllocs|TestValidateCatchesBadValues|TestConfigValidation)$$'
 	$(GO) test -race ./internal/cluster/ -run 'TestLPMatchesSequentialDifferential|TestLPWorkerCountInvariance'
 	$(GO) test -race ./internal/harness/ -run 'TestGolden5x5ByteIdentical/IntraParallel=4|TestGoldenCrashByteIdentical/IntraParallel=4'

@@ -16,6 +16,15 @@ import (
 // allocs_per_sim_op for one cell, minus cluster.New.
 func cellAllocs(t *testing.T, cfg Config) float64 {
 	t.Helper()
+	objects, ops := runPhaseObjects(t, cfg)
+	return float64(objects) / float64(ops)
+}
+
+// runPhaseObjects runs one cell on the sequential engine and returns the heap
+// objects allocated across Eng.Run and the ops completed in the measured
+// window.
+func runPhaseObjects(t *testing.T, cfg Config) (objects, ops uint64) {
+	t.Helper()
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +42,41 @@ func cellAllocs(t *testing.T, cfg Config) float64 {
 	if res.Summary.Ops == 0 {
 		t.Fatal("no operations completed")
 	}
-	return float64(after.Mallocs-before.Mallocs) / float64(res.Summary.Ops)
+	return after.Mallocs - before.Mallocs, res.Summary.Ops
+}
+
+// TestPeerlessBroadcastTakesNoBox checks that a broadcast whose strong
+// domain has no peer takes no payload box. Such a box has no receiver to put
+// it back, so if it were taken every INV and VAL of a single-server cell, or
+// of a cell with one server per hybrid group, would allocate a fresh one and
+// the objects a run allocates would grow with its window. Under <Lin, Sync>
+// with 4 clients per server, a 4 ms window must allocate at most a few more
+// objects than a 1 ms one on those two cells, as on the flat 3-server cell
+// beside them (taking the box cost 226 and 647 more objects; the flat cell
+// grows by 1).
+func TestPeerlessBroadcastTakesNoBox(t *testing.T) {
+	const slack = 16
+	cell := func(servers, groups int, measureNs int64) Config {
+		p := params.Default()
+		p.Servers, p.Groups, p.ClientsPerServer = servers, groups, 4
+		return Config{
+			Model: core.Model{C: core.Linearizable, P: core.Synchronous}, Workload: ycsb.WorkloadA, Params: p,
+			Seed: 1, WarmupNs: 100_000, MeasureNs: measureNs,
+		}
+	}
+	for _, tc := range []struct {
+		name            string
+		servers, groups int
+	}{{"1 server", 1, 1}, {"3 servers in 3 groups", 3, 3}, {"3 servers flat", 3, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			short, _ := runPhaseObjects(t, cell(tc.servers, tc.groups, 1_000_000))
+			long, _ := runPhaseObjects(t, cell(tc.servers, tc.groups, 4_000_000))
+			if long > short+slack {
+				t.Errorf("%d objects in a 1 ms window, %d in 4 ms: want at most %d more", short, long, slack)
+			}
+			t.Logf("%d objects in a 1 ms window, %d in 4 ms", short, long)
+		})
+	}
 }
 
 // sharded16Cell is the sharded_skew-shaped cell the exact cell-level guards

@@ -231,9 +231,10 @@ func (r *Result) Throughput() float64 { return r.Summary.Throughput }
 
 // measureSet is one logical process's latency sinks: the sequential engine
 // has one set for the whole cluster, the LP engine one per node, so every set
-// is written by a single LP and no histogram is duplicated per node. Each set
-// merges into the Result once; bucket counters are integers, so how samples
-// split across sets is invisible to results.
+// is written by a single LP and no histogram is duplicated per node. Collect
+// merges every set into the first and moves its rows into the Result; bucket
+// counters are integers, so how samples split across sets is invisible to
+// results.
 type measureSet struct {
 	measuring bool
 
@@ -401,11 +402,17 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("cluster: Model %s is not one of the 25 DDP models", m)
 	}
 	// Transactions (ServesCommitted) and scope barriers (PersistAtScope) are
-	// closed-loop session state confined to one replica group.
+	// closed-loop session state confined to one replica group, and to one
+	// hybrid group.
 	r := core.RulesOf(m)
 	txn, scoped := r.ServesCommitted, r.Persist == core.PersistAtScope
-	if cfg.Params.Groups > 1 && (!r.InvAckVal || txn) {
-		return fmt.Errorf("cluster: hybrid groups support Linearizable or Read-Enforced consistency, not %s", m.C)
+	if cfg.Params.Groups > 1 {
+		if !r.InvAckVal || txn {
+			return fmt.Errorf("cluster: hybrid groups support Linearizable or Read-Enforced consistency, not %s", m.C)
+		}
+		if scoped {
+			return fmt.Errorf("cluster: hybrid groups do not support Scope persistency (scope barriers would span groups)")
+		}
 	}
 	if cfg.Arrivals != nil {
 		if err := cfg.Arrivals.Validate(); err != nil {
@@ -550,10 +557,6 @@ func New(cfg Config) (*Cluster, error) {
 		c.Devices = append(c.Devices, dev)
 		c.Workers = append(c.Workers, workers)
 		base := (i / rf) * rf
-		var keys *protocol.KeyIndex
-		if shards > 1 {
-			keys = &owned[i/rf]
-		}
 		c.Replicas = append(c.Replicas, protocol.NewReplica(i, protocol.Deps{
 			Eng:        eng,
 			P:          p,
@@ -564,7 +567,7 @@ func New(cfg Config) (*Cluster, error) {
 			Workers:    workers,
 			Store:      store,
 			Member:     protocol.Membership{Base: base, Size: rf, Rank: i - base},
-			Keys:       keys,
+			Keys:       &owned[i/rf],
 			Trace:      tracer,
 			AtomicRefs: useLP,
 			Arena:      arena,
@@ -710,17 +713,21 @@ func (c *Cluster) StopMeasurement() {
 }
 
 // Collect assembles the Result after a run. window is the measured
-// simulated duration.
+// simulated duration. It merges every measurement set into the first and
+// moves that set's rows into the Result, so a cluster is collected once.
 func (c *Cluster) Collect(window int64, wall time.Duration) *Result {
 	res := &Result{
 		Config:    c.Cfg,
 		SimTimeNs: c.nodes[0].eng.Now(),
 		WallTime:  wall,
 	}
-	for _, m := range c.sets {
-		res.ReadHist.Merge(&m.read)
-		res.WriteHist.Merge(&m.write)
+	first := c.sets[0]
+	for _, m := range c.sets[1:] {
+		first.read.Merge(&m.read)
+		first.write.Merge(&m.write)
 	}
+	res.ReadHist, res.WriteHist = first.read, first.write
+	first.read, first.write = stats.Histogram{}, stats.Histogram{}
 	for _, ns := range c.nodes {
 		res.Writes = append(res.Writes, ns.writeLog...)
 		res.Reads = append(res.Reads, ns.readLog...)

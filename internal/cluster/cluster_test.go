@@ -236,17 +236,23 @@ func TestConfigValidateRunWindowAndWorkload(t *testing.T) {
 // TestHybridGroupsOnlyLinearizableOrReadEnforced pins Validate's hybrid-group
 // rule for all 25 bindings: consistency groups run under Linearizable or
 // Read-Enforced consistency only, so every Transactional, Causal and
-// Eventual binding is refused with its consistency model named.
+// Eventual binding is refused with its consistency model named; and not
+// under Scope persistency, whose barrier would reach only the writer's group.
 func TestHybridGroupsOnlyLinearizableOrReadEnforced(t *testing.T) {
 	for _, m := range core.AllModels() {
 		cfg := smallConfig(m)
 		cfg.Params.Servers, cfg.Params.Groups = 4, 2
 		err := cfg.Validate()
-		if ok := m.C == core.Linearizable || m.C == core.ReadEnforcedC; ok != (err == nil) {
+		strong := m.C == core.Linearizable || m.C == core.ReadEnforcedC
+		if ok := strong && m.P != core.Scope; ok != (err == nil) {
 			t.Errorf("%s in two groups: Validate = %v, want accepted %v", m, err, ok)
 		}
-		if err != nil && !strings.Contains(err.Error(), "hybrid groups support Linearizable or Read-Enforced consistency, not "+m.C.String()) {
-			t.Errorf("%s in two groups: error %q does not name the consistency model", m, err)
+		want := "hybrid groups support Linearizable or Read-Enforced consistency, not " + m.C.String()
+		if strong {
+			want = "hybrid groups do not support Scope persistency"
+		}
+		if err != nil && !strings.Contains(err.Error(), want) {
+			t.Errorf("%s in two groups: error %q, want one containing %q", m, err, want)
 		}
 	}
 }

@@ -63,7 +63,9 @@ type Params struct {
 	// default) is the paper's flat cluster; with more groups, the strong
 	// protocol runs within the coordinator's group and updates propagate
 	// lazily to the other groups. Only Linearizable and Read-Enforced
-	// consistency support grouping.
+	// consistency support grouping, and not under Scope persistency: a
+	// scope's barrier reaches only the writer's group, so the other groups'
+	// updates filed under it would never persist.
 	Groups int
 
 	// Ablation switches (defaults reproduce the paper's design).

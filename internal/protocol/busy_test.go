@@ -36,7 +36,7 @@ func TestBusyRecordsDrainAtQuiescence(t *testing.T) {
 				})
 				if strays {
 					for _, r := range tc.reps {
-						tab := newKeyTable(keys, &idx[0])
+						tab := newKeyTable(&idx[0])
 						tab.txn = r.keys.txn
 						r.keys = tab
 					}

@@ -30,10 +30,10 @@ func PartitionKeys(keys, shards int, owner func(key uint64) int) ([]KeyIndex, []
 	return idx, owners
 }
 
-// keyTable holds a replica's per-key versions. Without an index (the flat
-// group) it is one slot per key, indexed directly. With one it holds a slot
-// per owned key; a key of another shard — which the router never sends here —
-// has no slot and reads as the zero keyState until something writes to it.
+// keyTable holds a replica's per-key versions: a slot per key its shard owns
+// (every key, in key order, for the one shard of a flat cluster). A key of
+// another shard — which the router never sends here — has no slot and reads
+// as the zero keyState until something writes to it.
 //
 // A slot holds a keyState only: the key's two versions and the token of its
 // busy record, which the key holds only while something is in flight on it
@@ -43,7 +43,7 @@ func PartitionKeys(keys, shards int, owner func(key uint64) int) ([]KeyIndex, []
 // Transactional cells flat, so every key has a slot there anyway.
 type keyTable struct {
 	slots []keyState
-	index []KeyOwner           // nil = dense
+	index []KeyOwner           // every key's owner and slot
 	shard int32                // the shard whose keys slots holds
 	stray map[uint64]*keyState // unowned keys, materialised on first touch
 	txn   []txnKey             // nil outside Transactional consistency
@@ -58,18 +58,12 @@ type txnKey struct {
 // txnAt returns key's transactional state (Transactional consistency only).
 func (t *keyTable) txnAt(key uint64) *txnKey { return &t.txn[key] }
 
-func newKeyTable(keys int, ix *KeyIndex) keyTable {
-	if ix == nil {
-		return keyTable{slots: make([]keyState, keys)}
-	}
+func newKeyTable(ix *KeyIndex) keyTable {
 	return keyTable{slots: make([]keyState, ix.owned), index: ix.owners, shard: ix.shard}
 }
 
 // find returns key's state, or nil if the key has none yet.
 func (t *keyTable) find(key uint64) *keyState {
-	if t.index == nil {
-		return &t.slots[key]
-	}
 	if o := t.index[key]; o.Shard == t.shard {
 		return &t.slots[o.Slot]
 	}

@@ -6,24 +6,31 @@ import (
 	"repro/internal/core"
 )
 
-// TestKeyTableDenseFlatGroup pins the flat group's key table: one slot per
-// key, indexed directly, and the accessor every protocol path goes through
-// allocates nothing.
+// TestKeyTableDenseFlatGroup pins the flat group's key table, the one-shard
+// index every replica of a flat cluster shares: one slot per key, a distinct
+// slot for every key, no stray key, and the accessor every protocol path goes
+// through allocates nothing.
 func TestKeyTableDenseFlatGroup(t *testing.T) {
 	tc := newTestCluster(mdl(core.Linearizable, core.EventualP), 5, nil)
 	r := tc.reps[0]
-	if r.keys.index != nil || len(r.keys.slots) != r.p.Keys {
-		t.Fatalf("flat replica holds %d slots (indexed: %v), want a dense table of %d",
-			len(r.keys.slots), r.keys.index != nil, r.p.Keys)
+	if len(r.keys.slots) != r.p.Keys || len(r.keys.index) != r.p.Keys {
+		t.Fatalf("flat replica holds %d slots over an index of %d keys, want %d of each",
+			len(r.keys.slots), len(r.keys.index), r.p.Keys)
 	}
-	for _, k := range []uint64{0, 7, uint64(r.p.Keys - 1)} {
-		if r.keys.at(k) != &r.keys.slots[k] {
-			t.Fatalf("key %d does not index its own slot", k)
+	seen := map[*keyState]bool{}
+	for k := uint64(0); k < uint64(r.p.Keys); k++ {
+		ks := r.keys.at(k)
+		if seen[ks] {
+			t.Fatalf("key %d shares a slot with another key", k)
 		}
+		seen[ks] = true
+	}
+	if len(r.keys.stray) != 0 {
+		t.Fatalf("touching every key of the flat group materialised %d stray keys", len(r.keys.stray))
 	}
 	var sink *keyState
 	if a := testing.AllocsPerRun(100, func() { sink = r.keys.at(7) }); a != 0 {
-		t.Fatalf("dense accessor allocated %.1f per call, want 0", a)
+		t.Fatalf("flat accessor allocated %.1f per call, want 0", a)
 	}
 	_ = sink
 }
@@ -42,7 +49,7 @@ func TestKeyTableOwnedSlots(t *testing.T) {
 	if total != keys {
 		t.Fatalf("shards own %d keys in total, want %d", total, keys)
 	}
-	tab := newKeyTable(keys, &idx[1])
+	tab := newKeyTable(&idx[1])
 	if len(tab.slots) != idx[1].owned {
 		t.Fatalf("table holds %d slots, want %d owned", len(tab.slots), idx[1].owned)
 	}

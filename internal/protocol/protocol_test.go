@@ -40,6 +40,7 @@ func newTestCluster(model core.Model, servers int, mutate func(*params.Params)) 
 	tc := &testCluster{eng: eng, net: net, p: p}
 	rng := sim.NewRNG(1)
 	store, _ := engines.ProfileOf("hashtable")
+	keys, _ := PartitionKeys(p.Keys, 1, func(uint64) int { return 0 })
 	for i := 0; i < servers; i++ {
 		tc.reps = append(tc.reps, NewReplica(i, Deps{
 			Eng:     eng,
@@ -50,6 +51,8 @@ func newTestCluster(model core.Model, servers int, mutate func(*params.Params)) 
 			Mem:     memhier.New(p, rng.Fork()),
 			Workers: sim.NewPool(eng, p.WorkersPerServer),
 			Store:   store,
+			Member:  Membership{Base: 0, Size: servers, Rank: i},
+			Keys:    &keys[0],
 		}))
 	}
 	return tc

@@ -19,8 +19,8 @@ import (
 // position Rank within the block. Every protocol-level node reference —
 // stamps, vector clocks, ACK targets, hybrid sub-groups, propagation rings —
 // is a rank in [0, Size); only the network boundary (send/receive) translates
-// between ranks and global node IDs. The zero value denotes the paper's flat
-// cluster: one group spanning all P.Servers nodes, where rank == global ID.
+// between ranks and global node IDs. The paper's flat cluster is one group
+// of all P.Servers nodes at Base 0, where rank == global ID.
 type Membership struct {
 	Base int // first global node ID of the group
 	Size int // replicas in the group
@@ -47,16 +47,15 @@ type Deps struct {
 	// by its OpCost (0 in the zero Profile), a scan walks keys in its order.
 	Store engines.Profile
 
-	// Member is the replica group this replica runs its protocol over. The
-	// zero value means the flat paper cluster: all P.Servers nodes form one
-	// group and the replica's rank is its global node ID. Sharded clusters
-	// pass one group per shard so broadcasts, acknowledgment counts, and
-	// causal vector clocks stay group-scoped.
+	// Member is the replica group this replica runs its protocol over
+	// (required): the flat cluster's one group of all P.Servers nodes, or
+	// one group per shard, so broadcasts, acknowledgment counts, and causal
+	// vector clocks stay group-scoped.
 	Member Membership
 
-	// Keys, when non-nil, is the index of the keys Member's shard owns: the
-	// replica then holds per-key state for those keys only. Nil (the flat
-	// group, where every replica sees every key) keeps one slot per key.
+	// Keys is the index of the keys Member's shard owns (required): the
+	// replica holds per-key state for those keys only. A flat cluster is one
+	// shard owning every key (PartitionKeys with one shard).
 	Keys *KeyIndex
 
 	// Trace, when non-nil, receives every protocol action at this replica as
@@ -117,6 +116,7 @@ type Replica struct {
 	id     int        // rank within the replica group (protocol identity)
 	gid    int        // global simnet node ID (network identity)
 	member Membership // the replica group this node runs its protocol over
+	lo, hi int        // rank block of the strong-consistency domain (NewReplica)
 	eng    *sim.Engine
 	p      params.Params
 	model  core.Model
@@ -208,22 +208,26 @@ func (a *ablationDone) OnEvent(tok uint64) {
 }
 
 // NewReplica builds the protocol engine for global node id and registers its
-// network handler. With a zero Deps.Member the replica joins the flat
-// all-servers group (rank == id); otherwise id must be the global node ID at
-// d.Member's base+rank.
+// network handler. id must be the global node ID at d.Member's base+rank. It
+// resolves the replica's strong-consistency domain once: the whole group, or
+// the rank's hybrid group of Size/P.Groups members when P.Groups > 1.
 func NewReplica(id int, d Deps) *Replica {
 	mem := d.Member
-	if mem.Size == 0 {
-		mem = Membership{Base: 0, Size: d.P.Servers, Rank: id}
-	}
-	if mem.global(mem.Rank) != id {
+	if mem.Rank < 0 || mem.Rank >= mem.Size || mem.global(mem.Rank) != id {
 		panic(fmt.Sprintf("protocol: node %d is not rank %d of group [%d,%d)",
 			id, mem.Rank, mem.Base, mem.Base+mem.Size))
 	}
+	g := mem.Size
+	if d.P.Groups > 1 {
+		g /= d.P.Groups
+	}
+	lo := mem.Rank / g * g
 	r := &Replica{
 		id:         mem.Rank,
 		gid:        id,
 		member:     mem,
+		lo:         lo,
+		hi:         lo + g,
 		eng:        d.Eng,
 		p:          d.P,
 		model:      d.Model,
@@ -233,7 +237,7 @@ func NewReplica(id int, d Deps) *Replica {
 		mem:        d.Mem,
 		dev:        d.NVM,
 		store:      d.Store,
-		keys:       newKeyTable(d.P.Keys, d.Keys),
+		keys:       newKeyTable(d.Keys),
 		pending:    make(map[Stamp]*pendingWrite),
 		appliedVC:  vclock.New(mem.Size),
 		atomicRefs: d.AtomicRefs,
@@ -330,19 +334,16 @@ func (r *Replica) observe(st Stamp) {
 }
 
 // followers returns how many other replicas must acknowledge a strong
-// write: everyone in a flat cluster, only local-group peers under hybrid
-// consistency (Section 9).
+// write: the rest of the strong-consistency domain — the whole group when
+// flat, only local-group peers under hybrid consistency (Section 9).
 func (r *Replica) followers() int {
-	return r.groupSize() - 1
+	return r.hi - r.lo - 1
 }
 
-// groupSize returns the number of nodes in this replica's hybrid group
-// (its whole replica group when hybrid consistency is off).
-func (r *Replica) groupSize() int {
-	if r.p.Groups <= 1 {
-		return r.member.Size
-	}
-	return r.member.Size / r.p.Groups
+// hybrid reports whether the strong-consistency domain is a hybrid group
+// smaller than the replica group, so other groups exist (Section 9).
+func (r *Replica) hybrid() bool {
+	return r.hi-r.lo < r.member.Size
 }
 
 // send transmits one protocol message to the group member at rank to.
@@ -364,7 +365,7 @@ func (r *Replica) send(to int, p payload) {
 // SerialPropagation ablation, as a message that sequentially visits the
 // replica nodes.
 func (r *Replica) propagate(p payload) {
-	if !r.p.SerialPropagation || r.groupSize() <= 2 {
+	if !r.p.SerialPropagation || r.hi-r.lo <= 2 {
 		r.broadcast(p)
 		return
 	}
@@ -373,11 +374,9 @@ func (r *Replica) propagate(p payload) {
 }
 
 // nextOnRing returns the next node of this replica's strong-consistency
-// domain (its hybrid group, or the whole cluster when flat).
+// domain (its hybrid group, or the whole group when flat).
 func (r *Replica) nextOnRing() int {
-	g := r.groupSize()
-	base := (r.id / g) * g
-	return base + (r.id-base+1)%g
+	return r.lo + (r.id-r.lo+1)%(r.hi-r.lo)
 }
 
 // forwardChain passes a serially-propagated message to the next replica on
@@ -394,67 +393,55 @@ func (r *Replica) forwardChain(p *payload) {
 
 // broadcast transmits p to every follower in this replica's strong-
 // consistency domain (its whole replica group, or the local hybrid group
-// under hybrid consistency).
+// under hybrid consistency). A domain without a peer sends nothing and boxes
+// nothing, since no receiver would ever recycle the box.
 func (r *Replica) broadcast(p payload) {
-	if r.p.Groups <= 1 {
-		if r.tracer != nil {
-			r.emit(Event{Kind: EvSendAll, Msg: p.Kind})
-		}
-		// One boxed payload serves every copy: BroadcastRange shares the
-		// pointer, and the box's refcount lets the last receiver recycle it.
-		r.net.BroadcastRange(simnet.Message{
-			From:    r.gid,
-			Size:    r.wireSize(p),
-			Kind:    int(p.Kind),
-			Payload: r.arena.boxes.box(p, r.member.Size-1),
-		}, r.member.Base, r.member.Size, -1)
-		return
-	}
-	g := r.member.Size / r.p.Groups
-	base := (r.id / g) * g
 	if r.tracer != nil {
-		r.emit(Event{Kind: EvSendGroup, Msg: p.Kind})
-		for to := base; to < base+g; to++ {
-			if to != r.id {
-				r.emit(Event{Kind: EvSend, Msg: p.Kind, Peer: r.member.global(to)})
+		if !r.hybrid() {
+			r.emit(Event{Kind: EvSendAll, Msg: p.Kind})
+		} else {
+			r.emit(Event{Kind: EvSendGroup, Msg: p.Kind})
+			for to := r.lo; to < r.hi; to++ {
+				if to != r.id {
+					r.emit(Event{Kind: EvSend, Msg: p.Kind, Peer: r.member.global(to)})
+				}
 			}
 		}
 	}
-	r.net.BroadcastRange(simnet.Message{
-		From:    r.gid,
-		Size:    r.wireSize(p),
-		Kind:    int(p.Kind),
-		Payload: r.arena.boxes.box(p, g-1),
-	}, r.member.global(base), g, -1)
+	r.broadcastRange(p, r.lo, r.hi, r.followers())
 }
 
 // broadcastRemoteGroups lazily ships an update to every group member outside
 // the local hybrid group (the eventual tier of a hybrid deployment): the
 // contiguous rank blocks below and above the local group, each a fused
-// group-scoped broadcast sharing one payload box.
+// group-scoped broadcast sharing one payload box. Both blocks are empty when
+// the domain is the whole group.
 func (r *Replica) broadcastRemoteGroups(p payload) {
-	if r.p.Groups <= 1 {
-		return
-	}
-	g := r.member.Size / r.p.Groups
-	base := (r.id / g) * g
-	for _, blk := range [2][2]int{{0, base}, {base + g, r.member.Size}} {
+	for _, blk := range [2][2]int{{0, r.lo}, {r.hi, r.member.Size}} {
 		lo, hi := blk[0], blk[1]
-		if lo >= hi {
-			continue
-		}
 		if r.tracer != nil {
 			for to := lo; to < hi; to++ {
 				r.emit(Event{Kind: EvSend, Msg: p.Kind, Peer: r.member.global(to)})
 			}
 		}
-		r.net.BroadcastRange(simnet.Message{
-			From:    r.gid,
-			Size:    r.wireSize(p),
-			Kind:    int(p.Kind),
-			Payload: r.arena.boxes.box(p, hi-lo),
-		}, r.member.global(lo), hi-lo, -1)
+		r.broadcastRange(p, lo, hi, hi-lo)
 	}
+}
+
+// broadcastRange sends p to the ranks [lo, hi) other than this replica's, n
+// receivers. One boxed payload serves every copy: BroadcastRange shares the
+// pointer, and the box's refcount lets the last receiver recycle it. With no
+// receiver the box is never taken.
+func (r *Replica) broadcastRange(p payload, lo, hi, n int) {
+	if n == 0 {
+		return
+	}
+	r.net.BroadcastRange(simnet.Message{
+		From:    r.gid,
+		Size:    r.wireSize(p),
+		Kind:    int(p.Kind),
+		Payload: r.arena.boxes.box(p, n),
+	}, r.member.global(lo), hi-lo, -1)
 }
 
 // HandleNetMessage feeds a protocol message into the replica's receive path.

@@ -61,7 +61,7 @@ func (r *Replica) launchStrongWrite(pw *pendingWrite) {
 	r.applyVisible(key, st)
 	pw.broadcastAt = r.eng.Now()
 	r.propagate(payload{Kind: MsgINV, Key: key, Stamp: st, Scope: pw.scope, Txn: pw.txn})
-	if r.p.Groups > 1 {
+	if r.hybrid() {
 		// Hybrid consistency: the strong protocol covered the local
 		// group; the remaining groups learn eventually via lazy UPDs.
 		r.after(r.p.EventualLag, cont{kind: contRemoteGroups, arg: pw.scope}, key, st)
